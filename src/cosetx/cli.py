@@ -7,7 +7,7 @@ via --timings precisely because they would break that guarantee.
 
 Exit codes: 0 success, 1 verification failure (violated relations,
 failed spectral threshold, incomplete coverage, failed suite checks),
-2 usage/input errors, 3 resource-cap overruns.
+2 usage/input errors, 3 resource-cap overruns and memory exhaustion.
 """
 
 from __future__ import annotations
@@ -931,8 +931,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        # numpy's failed allocations raise a MemoryError subclass
+        print(f"resource cap exceeded: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_RESOURCE
     except (ParameterError, InputError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -358,13 +358,12 @@ class CosetStructure:
                    + self.partitions[color].ordinal[element])
 
 
-def coset_complex(G: FiniteGroup, subgroups: Sequence,
-                  sub_generators: Sequence | None = None,
+def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
                   labels: bool = False) -> SimplicialComplex:
     """CC(G, {K_i}): vertices gK_i colored i, faces from the chamber orbit.
 
-    ``subgroups`` are element-index collections, one per color; optional
-    ``sub_generators`` speed the coset partitions.  Maximal faces are
+    ``subgroups`` are element-index collections, one per color; each coset
+    partition derives its own small generating set.  Maximal faces are
     {gK_0, ..., gK_n} over all g; the stabilizer of the base chamber is
     the intersection of the K_i, so the face count is |G| divided by the
     intersection order.
@@ -372,12 +371,7 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence,
     k = len(subgroups)
     if k < 2:
         raise ParameterError("need at least two subgroups (n >= 1)")
-    if sub_generators is None:
-        sub_generators = [None] * k
-    if len(sub_generators) != k:
-        raise ParameterError("one generator list per subgroup expected")
-    parts = [cosets(G, sub, gens)
-             for sub, gens in zip(subgroups, sub_generators)]
+    parts = [cosets(G, sub) for sub in subgroups]
     sizes = np.array([p.n_cosets for p in parts], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     V = int(offsets[-1])
@@ -468,16 +462,14 @@ def quotient_by_action(X: SimplicialComplex, perms: Sequence[np.ndarray]
 
 
 def verify_quotient_proposition(G: FiniteGroup, subgroups: Sequence,
-                                normal_indices,
-                                sub_generators: Sequence | None = None
-                                ) -> bool:
+                                normal_indices) -> bool:
     """N\\CC(G, {K_i}) vs CC(G/N, {image of K_i}): color-isomorphic?
 
     Builds the quotient of the coset complex by the left N-translation
     action and the coset complex of the quotient group, then searches for
     a color-preserving isomorphism.
     """
-    X = coset_complex(G, subgroups, sub_generators)
+    X = coset_complex(G, subgroups)
     N = np.unique(np.asarray(normal_indices, dtype=np.int64))
     perms = left_translation_action(X, G, (int(x) for x in N))
     Xq, _ = quotient_by_action(X, perms)
@@ -699,12 +691,10 @@ def build_ko_complex(n: int, p: int, s: int, d: int,
     """CC(SL_{n+1}(F_p[t]/t^s), {K_i}) with degree-d subgroup generators."""
     from .groups import sl_group, subgroup_K
     G = sl_group(n, p, s, cap=cap)
-    subs, gens = [], []
+    subs = []
     for i in range(n + 1):
-        Ki = subgroup_K(n, p, s, d, i)
-        idx = G.lookup_rows(Ki.elems)
+        idx = G.lookup_rows(subgroup_K(n, p, s, d, i).elems)
         if (idx < 0).any():
             raise StructureError(f"K_{i} escapes the ambient group")
-        subs.append(np.sort(idx))
-        gens.append(np.sort(idx[Ki.generators]))
-    return coset_complex(G, subs, sub_generators=gens, labels=labels)
+        subs.append(idx)
+    return coset_complex(G, subs, labels=labels)

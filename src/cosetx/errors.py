@@ -3,7 +3,8 @@
 Callers distinguish four failure modes: bad parameters (caught before any
 work), inputs that parse but violate a structural precondition, explicit
 resource caps, and numerical non-convergence.  CLI exit codes map usage
-errors to 2, cap overruns to 3, and verification failures to 1.
+errors to 2, cap overruns and memory exhaustion to 3, and verification
+failures to 1.
 """
 
 

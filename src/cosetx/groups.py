@@ -526,9 +526,16 @@ def cosets(G: FiniteGroup, sub_indices: Sequence[int],
            sub_generators: Sequence[int] | None = None) -> CosetPartition:
     """Partition of G into left cosets g*K.
 
-    ``sub_indices`` must be a subgroup; closure is verified (|K| x gens).
-    ``sub_generators`` (indices into G) may be supplied to speed the orbit
-    computation; otherwise all of K is used.
+    The left cosets are the orbits of K acting on G by right
+    multiplication, so only the right tables of a generating set of K are
+    needed.  That set is derived here: starting from the identity, the
+    smallest element of K not reached yet becomes a generator, and the
+    reached set is closed by BFS over the right tables built so far, until
+    it holds |K| elements.  ``sub_generators`` (indices into G), when
+    given, are tried first.  Every reached element is a product of
+    generators, so one outside ``sub_indices`` proves K is not a subgroup,
+    and reaching |K| elements proves it is.  Labels are the smallest index
+    in each coset, so they do not depend on the generators chosen.
     """
     sub = np.unique(np.asarray(sub_indices, dtype=np.int64))
     if len(sub) == 0 or (sub < 0).any() or (sub >= G.size).any():
@@ -536,21 +543,35 @@ def cosets(G: FiniteGroup, sub_indices: Sequence[int],
     if G.size % len(sub) != 0:
         raise StructureError(
             f"|K|={len(sub)} does not divide |G|={G.size}; not a subgroup")
-    gens = list(sub_generators) if sub_generators is not None else [int(x) for x in sub]
-    sub_set = set(int(x) for x in sub)
-    if not set(gens) <= sub_set:
+    in_sub = np.zeros(G.size, dtype=bool)
+    in_sub[sub] = True
+    seeds = [] if sub_generators is None else [int(g) for g in sub_generators]
+    if not all(0 <= g < G.size and in_sub[g] for g in seeds):
         raise StructureError("subgroup generators must lie in the subgroup")
-    arrs = [G.right_mult_table(g) for g in gens]
-    # closure check: K * gen stays inside K
-    for arr in arrs:
-        if not set(int(x) for x in arr[sub]) <= sub_set:
-            raise StructureError("claimed subgroup is not closed under multiplication")
+    if not in_sub[G.identity]:
+        raise StructureError("claimed subgroup does not contain the identity")
+    reached = np.zeros(G.size, dtype=bool)
+    reached[G.identity] = True
+    n_reached = 1
+    arrs: list[np.ndarray] = []
+    candidates = itertools.chain(seeds, sub.tolist())
+    while n_reached < len(sub):
+        g = next(c for c in candidates if not reached[c])
+        arrs.append(G.right_mult_table(g))
+        # the reached set is a subgroup, closed under the old generators,
+        # so the first layer needs only the new one
+        frontier, step = np.flatnonzero(reached), arrs[-1:]
+        while len(frontier):
+            img = np.concatenate([arr[frontier] for arr in step])
+            frontier = np.unique(img[~reached[img]])
+            if not in_sub[frontier].all():
+                raise StructureError(
+                    "claimed subgroup is not closed under multiplication")
+            reached[frontier] = True
+            n_reached += len(frontier)
+            step = arrs
     labels = _orbit_min_labels(G.size, arrs)
     reps = np.unique(labels)
-    if len(reps) * len(sub) != G.size:
-        raise StructureError(
-            "orbit sizes inconsistent with subgroup order; generators do not "
-            "generate the claimed subgroup")
     ordinal = np.searchsorted(reps, labels)
     return CosetPartition(G, labels, reps, ordinal)
 

@@ -5,7 +5,9 @@ proportional to the edge weight.  Because every edge weight is its
 maximal-face containment count over a fixed denominator, integer counts
 drive all matrix assembly and the stationary distribution is exactly the
 normalized vertex weight vector.  Floating point enters only in the
-eigensolvers; every reported eigenvalue carries a stated tolerance.
+eigensolver, one sparse Lanczos solve per walk from a seeded start vector,
+and every reported eigenvalue is certified by the residual of its Ritz
+pair.
 """
 
 from __future__ import annotations
@@ -16,22 +18,16 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .complexes import (SimplicialComplex, WeightTable, coset_complex,
                         is_isomorphic_partite, link)
 from .errors import (InputError, NumericalError, ParameterError,
                      ResourceLimitError, StructureError)
 
-# above this many vertices the dense symmetric eigensolver gives way to
-# deflated power iteration
-DENSE_LIMIT = 3000
-
-DENSE_TOL = 1e-9
-POWER_TOL = 1e-7  # residual bound; eigenvalue error is at most this
-POWER_MAX_ITER = 200_000
+EIG_TOL = 1e-9  # residual bound; eigenvalue error is at most this
 
 
 # ---------------------------------------------------------------------------
@@ -111,70 +107,41 @@ def walk_matrix(X: SimplicialComplex, w: WeightTable | None = None
 # second eigenvalue
 
 
-def _second_dense(M: WalkMatrix) -> float:
-    S = M.symmetric().toarray()
-    vals = scipy.linalg.eigh(S, eigvals_only=True)
-    return float(vals[-2])
+def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
+                      seed: int = 0) -> float:
+    """Second-largest eigenvalue of the walk, certified to ``tol``.
 
-
-def _second_power(M: WalkMatrix, tol: float, max_iter: int, seed: int
-                  ) -> tuple[float, float, int]:
-    """Deflated power iteration on B = (S+1)/2.
-
-    Shifting maps the spectrum into [0, 1] so the magnitude order agrees
-    with the signed order; the top eigenpair (sqrt of the stationary
-    distribution, eigenvalue 1) is known exactly and projected out every
-    step.  For symmetric operators |Rayleigh - eigenvalue| is bounded by
-    the residual norm, which is the stopping criterion.
+    Lanczos (ARPACK's ``eigsh``, the two largest algebraic eigenvalues,
+    run to machine precision) on the symmetric form S, with its start
+    vector and restarts drawn from ``seed``.  For a symmetric S some
+    eigenvalue lies within ||Sx - lam x|| of lam for any unit x, so that
+    residual is the certificate: above ``tol`` it raises NumericalError
+    carrying it.  ARPACK needs more vertices than requested eigenvalues;
+    a connected walk on two vertices is a single edge with spectrum
+    {1, -1}.
     """
-    S = M.symmetric()
-    q = np.sqrt(M.strength.astype(np.float64))
-    q /= np.linalg.norm(q)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(M.vertex_count)
-    x -= (q @ x) * q
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise NumericalError("start vector degenerate; reseed")
-    x /= nx
-    res = math.inf
-    for it in range(1, max_iter + 1):
-        y = 0.5 * (S @ x + x)
-        y -= (q @ y) * q
-        mu = float(x @ y)
-        res = float(np.linalg.norm(y - mu * x))
-        if res <= tol:
-            return 2.0 * mu - 1.0, res, it
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            # x is an exact kernel vector of the shifted operator
-            return -1.0, 0.0, it
-        x = y / ny
-    raise NumericalError(
-        f"power iteration stalled at residual {res:.3e} after {max_iter} "
-        f"iterations (tolerance {tol:.1e})", residual=res)
-
-
-def second_eigenvalue(M: WalkMatrix, method: str = "auto",
-                      tol: float | None = None,
-                      max_iter: int = POWER_MAX_ITER, seed: int = 0) -> float:
-    """Second-largest eigenvalue of the walk.
-
-    ``auto`` solves densely up to DENSE_LIMIT vertices (absolute accuracy
-    ~1e-9) and by deflated power iteration above (residual-certified to
-    ``tol``, default 1e-7).
-    """
-    if M.vertex_count < 2:
+    V = M.vertex_count
+    if V < 2:
         raise ParameterError("the walk needs at least two vertices")
-    if method == "auto":
-        method = "dense" if M.vertex_count <= DENSE_LIMIT else "power"
-    if method == "dense":
-        return _second_dense(M)
-    if method == "power":
-        val, _, _ = _second_power(M, POWER_TOL if tol is None else tol,
-                                  max_iter, seed)
-        return val
-    raise ParameterError(f"unknown method {method!r}")
+    if V == 2:
+        return -1.0
+    S = M.symmetric()
+    # the generator also feeds ARPACK's restarts, which it takes whenever
+    # the Krylov space closes early (few distinct eigenvalues); without it
+    # they draw from OS entropy and the last bits differ between calls
+    rng = np.random.default_rng(seed)
+    try:
+        vals, vecs = eigsh(S, k=2, which="LA", tol=0,
+                           v0=rng.standard_normal(V), rng=rng)
+    except ArpackNoConvergence as exc:
+        raise NumericalError(f"Lanczos did not converge: {exc}") from exc
+    lam, x = float(vals[0]), vecs[:, 0]
+    res = float(np.linalg.norm(S @ x - lam * x))
+    if res > tol:
+        raise NumericalError(
+            f"Lanczos residual {res:.3e} exceeds tolerance {tol:.1e}",
+            residual=res)
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +216,8 @@ def _finish_report(entries: list[LinkEntry], threshold: float
 def _solve_entry(lnk: SimplicialComplex, face, colors) -> LinkEntry:
     if not lnk.is_connected():
         return LinkEntry(face, colors, lnk.vertex_count, False, None, "none")
-    M = walk_matrix(lnk)
-    solver = "dense" if lnk.vertex_count <= DENSE_LIMIT else "power"
     return LinkEntry(face, colors, lnk.vertex_count, True,
-                     second_eigenvalue(M), solver)
+                     second_eigenvalue(walk_matrix(lnk)), "lanczos")
 
 
 def local_spectral_report(X: SimplicialComplex, lam_threshold: float,

@@ -96,9 +96,9 @@ def sl_order_formula(m, p, s):
 
 def unipotent_order_formula(m, p, s, d):
     """Unitriangular group with degree-bounded generators: entry (i, j)
-    above the diagonal ranges over polynomials of degree < (j-i)(d+1),
-    truncated at s."""
-    e = sum(min(s, (j - i) * (d + 1)) for i in range(m) for j in range(i + 1, m))
+    above the diagonal ranges over all polynomials of degree <= (j-i)d,
+    truncated at s, so it has min(s, (j-i)d + 1) free coefficients."""
+    e = sum(min(s, (j - i) * d + 1) for i in range(m) for j in range(i + 1, m))
     return p**e
 
 

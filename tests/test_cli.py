@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cosetx import cli
@@ -170,6 +171,27 @@ def test_cohomology_h1_resource_exit(capsys, torus_file):
                      "--lambda", "zmod:3", "--mode", "brute"])
     assert code == 3
     assert "resource cap exceeded" in capsys.readouterr().err
+
+
+def _raise_memory_error():
+    raise MemoryError
+
+
+@pytest.mark.parametrize("alloc", [
+    _raise_memory_error,
+    # a 4 EiB request fails at once with numpy's _ArrayMemoryError
+    lambda: np.empty(1 << 62, dtype=np.uint8),
+], ids=["MemoryError", "numpy"])
+def test_memory_exhaustion_exits_3(capsys, monkeypatch, alloc):
+    def handler(args):
+        alloc()
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_ring_parse", handler)
+    assert cli.main(["ring", "parse", "1+t", "--p", "3", "--s", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: ")
+    assert "Traceback" not in err
 
 
 def test_expansion_h0(capsys, triangle_file):

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cosetx.errors import ParameterError, ResourceLimitError, StructureError
-from cosetx.groups import (MatElement, bfs_closure, commutator, cosets,
-                           elementary, elementary_subgroup, mat_element_order,
-                           normal_closure, quotient, reduction_kernel,
-                           sl_group, sl_order, subgroup_K,
+from cosetx.groups import (MatElement, MatrixGroup, bfs_closure, commutator,
+                           cosets, elementary, elementary_subgroup,
+                           mat_element_order, normal_closure, quotient,
+                           reduction_kernel, sl_group, sl_order, subgroup_K,
                            subgroup_closure_indices, symmetric_group)
 from cosetx.ring import TruncPoly
 
@@ -108,8 +108,11 @@ class TestClosure:
 
 
 class TestSubgroupK:
+    # (2,2,4,1) and (3,2,4,1) have 128 and 65536 elements, where the
+    # count (j-i)(d+1) of coefficients would give 256 and 262144
     @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 2, 3, 1),
-                                         (2, 3, 2, 1), (1, 3, 3, 1)])
+                                         (2, 3, 2, 1), (1, 3, 3, 1),
+                                         (2, 2, 4, 1), (3, 2, 4, 1)])
     def test_k0_is_bounded_unipotent(self, n, p, s, d):
         assert subgroup_K(n, p, s, d, 0).size == \
             oracles.unipotent_order_formula(n + 1, p, s, d)
@@ -166,6 +169,54 @@ class TestCosetsQuotients:
             for h in range(0, 24, 7):
                 same = G.mult(G.inverse(g), h) in sub_set
                 assert (part.labels[g] == part.labels[h]) == same
+
+    def test_cosets_rejects_non_subgroups(self):
+        G = symmetric_group(4)
+        perms = list(itertools.permutations(range(4)))
+        e, cyc = perms.index((0, 1, 2, 3)), perms.index((1, 2, 0, 3))
+        swap = perms.index((1, 0, 2, 3))
+        # sizes divide 24, but products leave the subset or miss e
+        for bad in ([e, cyc], [e, swap, cyc], [1, 2, 3, 4, 5, 6]):
+            with pytest.raises(StructureError):
+                cosets(G, bad)
+        for out_of_range in ([], [e, 24], [-1, e]):
+            with pytest.raises(StructureError):
+                cosets(G, out_of_range)
+        with pytest.raises(StructureError):
+            cosets(G, [e, swap], sub_generators=[cyc])
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (2, 3)])
+    def test_cosets_match_brute_force_on_ko_links(self, n, p, monkeypatch):
+        from cosetx._kernels import matmul_batch
+        from cosetx.ring import RingTable
+        ring = RingTable(p, 2)
+        Ks = [subgroup_K(n, p, 2, 1, i, ring=ring) for i in range(n + 1)]
+        tables = []
+        table = MatrixGroup.right_mult_table
+        monkeypatch.setattr(MatrixGroup, "right_mult_table",
+                            lambda G, b: tables.append(b) or table(G, b))
+        for i, j in itertools.permutations(range(n + 1), 2):
+            G = Ks[i]
+            sub = np.flatnonzero(Ks[j].contains_flat_rows(G.elems))
+            tables.clear()
+            part = cosets(G, sub)
+            # the link groups K_i n K_j need several generators
+            assert 1 < len(tables) < len(sub)
+            # literal cosets {g k : k in K}, smallest element first
+            expect = np.full(G.size, -1, dtype=np.int64)
+            for g in range(G.size):
+                if expect[g] < 0:
+                    coset = G.lookup_rows(matmul_batch(
+                        G.elems[g], G.elems[sub], ring.mul, ring.add, G.m))
+                    assert len(np.unique(coset)) == len(sub)
+                    assert (expect[coset] < 0).all()
+                    expect[coset] = g
+            assert np.array_equal(part.labels, expect)
+            assert np.array_equal(part.reps, np.unique(expect))
+            assert np.array_equal(part.ordinal,
+                                  np.searchsorted(part.reps, expect))
+            seeded = cosets(G, sub, sub_generators=sub[::-1][:3])
+            assert np.array_equal(seeded.labels, part.labels)
 
     def test_normal_closure_of_3cycle_is_a4(self):
         G = symmetric_group(4)

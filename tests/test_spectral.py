@@ -6,6 +6,7 @@ cross-checked against an independent dense eigensolver in oracles.py
 that never touches the package's WalkMatrix plumbing.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -111,32 +112,44 @@ def test_second_eigenvalue_matches_oracle():
                                     abs=TOL)
 
 
-def test_power_agrees_with_dense():
-    for X in (fx.petersen_graph(), fx.torus_7(), fx.cycle_complex(9)):
+def _small_graphs():
+    """Graphs on 2..12 vertices whose walks the solver must get right."""
+    for k in range(2, 13):
+        yield f"path-{k}", fx.path_complex(k)
+        yield f"K{k}", fx.complete_graph(k)
+    for k in range(3, 13):
+        yield f"cycle-{k}", fx.cycle_complex(k)
+    for a in range(1, 7):
+        for b in range(a, 13 - a):
+            yield f"K{a},{b}", fx.complete_bipartite(a, b)
+    yield "petersen", fx.petersen_graph()
+
+
+def test_lanczos_matches_oracle_on_small_graphs():
+    for name, X in _small_graphs():
         M = walk_matrix(X)
-        dense = second_eigenvalue(M, method="dense")
-        power = second_eigenvalue(M, method="power", tol=1e-10)
-        assert power == pytest.approx(dense, abs=1e-8)
-        again = second_eigenvalue(M, method="power", tol=1e-10)
-        assert again == power                      # fixed seed
+        got = second_eigenvalue(M)
+        assert got == pytest.approx(oracles.walk_second_eigenvalue(X),
+                                    abs=TOL), name
+        assert second_eigenvalue(M) == got, name   # fixed seed
 
 
-def test_power_iteration_reports_stall():
+def test_residual_certificate_rejects_tight_tolerance():
     M = walk_matrix(fx.torus_7())
     with pytest.raises(NumericalError) as exc:
-        second_eigenvalue(M, method="power", tol=1e-30, max_iter=3)
+        second_eigenvalue(M, tol=1e-30)
     assert exc.value.residual > 0
 
 
 def test_second_eigenvalue_validation():
-    M = walk_matrix(fx.torus_7())
-    with pytest.raises(ParameterError):
-        second_eigenvalue(M, method="qr")
+    # two vertices: closed form, whatever the edge weight
     tiny = walk_matrix(SimplicialComplex(1, 2, [[0, 1]]))
-    assert second_eigenvalue(tiny) == pytest.approx(-1.0, abs=TOL)
-    one = SimplicialComplex(1, 2, [[0, 1]])
-    M1 = walk_matrix(one)
-    M1 = M1.__class__(1, M1.edges[:0], M1.edge_counts[:0], M1.strength[:1])
+    assert second_eigenvalue(tiny) == -1.0
+    heavy = dataclasses.replace(tiny, edge_counts=tiny.edge_counts * 5,
+                                strength=tiny.strength * 5)
+    assert second_eigenvalue(heavy) == -1.0
+    M1 = tiny.__class__(1, tiny.edges[:0], tiny.edge_counts[:0],
+                        tiny.strength[:1])
     with pytest.raises(ParameterError):
         second_eigenvalue(M1)
 
@@ -219,6 +232,18 @@ def test_ko_link_report_p2():
     rep3 = ko_link_report(2, 2, 3, 1, threshold=1 / math.sqrt(2) + 1e-9)
     assert rep3.passed
     assert rep3.max_second == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
+
+@pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 3, 2, 1),
+                                     (3, 2, 2, 1)])
+def test_ko_link_colors_share_spectrum(n, p, s, d):
+    # gamma_0 conjugates K_i onto K_{i+1}, so every color's link is the same
+    rep = ko_link_report(n, p, s, d, threshold=1.0)
+    assert len(rep.entries) == n + 1
+    assert len({e.vertices for e in rep.entries}) == 1
+    seconds = [e.second for e in rep.entries]
+    assert max(seconds) - min(seconds) <= 1e-12
+    assert {e.solver for e in rep.entries} == {"lanczos"}
 
 
 def test_ko_links_validation():
