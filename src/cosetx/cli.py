@@ -799,9 +799,6 @@ def _common(default_format: str = "json") -> argparse.ArgumentParser:
     par.add_argument("--timings", action="store_true",
                      help="embed wall-clock times (breaks byte-for-byte "
                           "report reproducibility)")
-    par.add_argument("--workers", type=int, default=None,
-                     help="worker hint; results are deterministic "
-                          "regardless")
     return par
 
 

@@ -432,14 +432,6 @@ def norm(phi, w: WeightTable) -> Fraction:
     return Fraction(int(cnt[supp].sum()), den)
 
 
-def norm_d1(X: SimplicialComplex, tri_vals: np.ndarray, w: WeightTable,
-            identity: int) -> Fraction:
-    """||d1 phi|| from the triangle-value array."""
-    cnt, den = _weight_counts(w, 2)
-    supp = np.asarray(tri_vals) != identity
-    return Fraction(int(cnt[supp].sum()), den)
-
-
 def distance(a, b, w: WeightTable) -> Fraction:
     """Weighted disagreement ||a b^-1||; orientation-independent."""
     if type(a) is not type(b):

@@ -86,3 +86,8 @@ def petersen_graph() -> SimplicialComplex:
 def two_triangles_disjoint() -> SimplicialComplex:
     """Disconnected fixture: two triangles sharing nothing."""
     return SimplicialComplex(2, 6, [[0, 1, 2], [3, 4, 5]])
+
+
+def bowtie() -> SimplicialComplex:
+    """Two triangles sharing vertex 0, whose link is disconnected."""
+    return SimplicialComplex(2, 5, [[0, 1, 2], [0, 3, 4]])

@@ -22,10 +22,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .complexes import (SimplicialComplex, WeightTable, coset_complex,
-                        is_isomorphic_partite, link)
-from .errors import (InputError, NumericalError, ParameterError,
-                     ResourceLimitError, StructureError)
+from .complexes import SimplicialComplex, WeightTable, coset_complex, link
+from .errors import InputError, NumericalError, ParameterError, StructureError
 
 EIG_TOL = 1e-9  # residual bound; eigenvalue error is at most this
 
@@ -84,7 +82,7 @@ def walk_matrix(X: SimplicialComplex, w: WeightTable | None = None
 
     ``w`` may be passed for interface symmetry; it must belong to X.  The
     walk only ever depends on the containment counts, so the table itself
-    is not consulted.
+    is not consulted.  A disconnected 1-skeleton raises StructureError.
     """
     if X.n < 1:
         raise ParameterError("a 0-dimensional complex has no 1-skeleton walk")
@@ -163,7 +161,6 @@ class LinkEntry:
     connected: bool
     second: float | None
     solver: str
-    reused_from: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -173,8 +170,6 @@ class LinkEntry:
             "connected": self.connected,
             "second_eigenvalue": self.second,
             "solver": self.solver,
-            "reused_from": (None if self.reused_from is None
-                            else list(self.reused_from)),
         }
 
 
@@ -214,57 +209,31 @@ def _finish_report(entries: list[LinkEntry], threshold: float
 
 
 def _solve_entry(lnk: SimplicialComplex, face, colors) -> LinkEntry:
-    if not lnk.is_connected():
+    # walk_matrix's component count is the link's one connectivity check
+    try:
+        M = walk_matrix(lnk)
+    except StructureError:
         return LinkEntry(face, colors, lnk.vertex_count, False, None, "none")
     return LinkEntry(face, colors, lnk.vertex_count, True,
-                     second_eigenvalue(walk_matrix(lnk)), "lanczos")
+                     second_eigenvalue(M), "lanczos")
 
 
-def local_spectral_report(X: SimplicialComplex, lam_threshold: float,
-                          dedup: bool = True, iso_node_cap: int = 200_000
+def local_spectral_report(X: SimplicialComplex, lam_threshold: float
                           ) -> LocalSpectralReport:
     """Walk spectra of X and of every link of dimension >= 1.
 
     Iterates tau over the faces of dimension -1..n-2 (the empty face gives
-    X itself).  Within a color class, links isomorphic to an already-solved
-    representative reuse its eigenvalue; isomorphism is verified, never
-    assumed, so the report is also correct on complexes that are not
-    vertex-transitive.  Disconnected links appear as failure entries.
+    X itself) and solves every link on its own with one certified Lanczos
+    solve; no link borrows another's eigenvalue, so the report assumes no
+    symmetry of X.  Disconnected links appear as failure entries.
     """
     entries: list[LinkEntry] = []
-    cache: dict = {}
     for k in range(-1, X.n - 1):
         for row in X.faces(k):
             tau = tuple(int(v) for v in row)
             colors = (tuple(int(c) for c in X.colors[list(tau)])
                       if X.colors is not None and tau else None)
-            lnk = X if not tau else link(X, tau)
-            entry = None
-            if dedup:
-                key = (k, colors)
-                sig = (tuple(lnk.f_vector()),
-                       tuple(np.sort(lnk.containment_counts(0)).tolist()))
-                for rep_lnk, rep_sig, rep_entry in cache.get(key, []):
-                    if sig != rep_sig or not rep_entry.connected:
-                        continue
-                    try:
-                        same = is_isomorphic_partite(
-                            lnk, rep_lnk, node_cap=iso_node_cap) is not None
-                    except ResourceLimitError:
-                        same = False
-                    if same:
-                        entry = LinkEntry(tau, colors, lnk.vertex_count, True,
-                                          rep_entry.second, "reused",
-                                          reused_from=rep_entry.face)
-                        break
-            if entry is None:
-                entry = _solve_entry(lnk, tau, colors)
-                if dedup:
-                    cache.setdefault((k, colors), []).append(
-                        (lnk, (tuple(lnk.f_vector()),
-                               tuple(np.sort(lnk.containment_counts(0))
-                                     .tolist())), entry))
-            entries.append(entry)
+            entries.append(_solve_entry(link(X, tau), tau, colors))
     return _finish_report(entries, lam_threshold)
 
 

@@ -293,6 +293,38 @@ def abelian_h1_classes(X, p):
 
 
 # ---------------------------------------------------------------------------
+# links by a full scan of the maximal faces
+
+
+def brute_link(X, tau):
+    """(max_faces, colors, labels, origin_vertices) of the link of tau.
+
+    A mask over every maximal face selects those containing tau; the
+    link's faces are their complements, renumbered in increasing order
+    of original vertex and listed lexicographically, and the surviving
+    colors are compacted in increasing order.
+    """
+    tau = set(int(v) for v in tau)
+    mf = X.max_faces
+    mask = np.isin(mf, list(tau)).sum(axis=1) == len(tau)
+    rest = [sorted(set(f) - tau) for f in mf[mask].tolist()]
+    verts = sorted({v for f in rest for v in f})
+    renum = {v: i for i, v in enumerate(verts)}
+    faces = sorted({tuple(renum[v] for v in f) for f in rest})
+    colors = None
+    if X.colors is not None:
+        palette = sorted({int(X.colors[v]) for v in verts})
+        colors = np.array([palette.index(int(X.colors[v])) for v in verts],
+                          dtype=np.int64)
+    labels = None
+    if X.labels is not None:
+        labels = tuple(X.labels[v] for v in verts)
+    width = X.n + 1 - len(tau)
+    return (np.array(faces, dtype=np.int64).reshape(len(faces), width),
+            colors, labels, np.array(verts, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
 # second eigenvalue of the weighted walk, assembled independently
 
 

@@ -301,6 +301,11 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ring", "parse", "t", "--p", "3", "--s", "2",
+                  "--workers", "2"])             # removed option
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
     # domain validation also maps to 2, but without raising
     assert cli.main(["ring", "parse", "t", "--p", "4", "--s", "2"]) == 2
     assert "error" in capsys.readouterr().err

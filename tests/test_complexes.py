@@ -107,6 +107,42 @@ class TestLink:
         assert len(lk.origin_vertices) == lk.vertex_count
         assert 0 not in set(lk.origin_vertices.tolist())
 
+    @staticmethod
+    def _assert_matches_brute(X, tau):
+        lk = link(X, tau)
+        faces, colors, labels, origin = oracles.brute_link(X, tau)
+        for got, want in ((lk.max_faces, faces), (lk.colors, colors),
+                          (lk.origin_vertices, origin)):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        assert lk.labels == labels
+
+    @pytest.mark.parametrize("make", [fixtures.octahedron, fixtures.torus_7,
+                                      fixtures.bowtie])
+    def test_every_face_matches_brute_force(self, make):
+        X = make()
+        for k in range(X.n):
+            for row in X.faces(k).tolist():
+                self._assert_matches_brute(X, tuple(row))
+
+    def test_ko_sample_matches_brute_force(self):
+        X = build_ko_complex(2, 2, 2, 1, labels=True)
+        rng = np.random.default_rng(7)
+        for k in range(X.n):
+            faces = X.faces(k)
+            for i in rng.choice(len(faces), size=12, replace=False):
+                self._assert_matches_brute(X, tuple(faces[i].tolist()))
+
+    # (0, 1) and (4, 5) are antipodal pairs, which share no face
+    @pytest.mark.parametrize("tau", [(0, 1), (0, 2, 4, 5), (0, 2, 4, 1),
+                                     (0, 0), (6,), (-1,)])
+    def test_non_face_rejected(self, tau):
+        with pytest.raises(InputError):
+            link(fixtures.octahedron(), tau)
+
 
 class TestCosetComplex:
     def test_matches_literal_construction_s3(self):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cosetx import fixtures as fx
-from cosetx.complexes import SimplicialComplex, weights
+from cosetx.complexes import SimplicialComplex, build_ko_complex, weights
 from cosetx.errors import (
     InputError,
     NumericalError,
@@ -31,12 +31,6 @@ from cosetx.spectral import (
 import oracles
 
 TOL = 1e-9
-
-
-def bowtie():
-    # two triangles sharing one vertex; the shared vertex has a
-    # disconnected link
-    return SimplicialComplex(2, 5, [[0, 1, 2], [0, 3, 4]])
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +161,12 @@ def test_report_single_triangle():
     assert rep.summary().startswith("PASS")
 
 
-def test_report_octahedron_dedup_verified():
+def test_report_octahedron_solves_every_link():
     rep = local_spectral_report(fx.octahedron(), 0.9)
     assert len(rep.entries) == 7
     assert rep.max_second == pytest.approx(0.0, abs=TOL)
-    reused = [e for e in rep.entries if e.solver == "reused"]
-    # one representative per color class is solved, its partner reused
-    assert sorted(e.reused_from for e in reused) == [(0,), (2,), (4,)]
+    assert [e.solver for e in rep.entries] == ["lanczos"] * 7
     assert all(e.colors is not None for e in rep.entries[1:])
-    flat = local_spectral_report(fx.octahedron(), 0.9, dedup=False)
-    assert all(e.solver != "reused" for e in flat.entries)
-    assert flat.max_second == pytest.approx(rep.max_second, abs=TOL)
 
 
 def test_report_torus_threshold():
@@ -185,12 +174,14 @@ def test_report_torus_threshold():
     assert len(rep.entries) == 8                   # ambient + 7 vertex links
     assert rep.max_second == pytest.approx(0.5, abs=TOL)   # links are C_6
     assert not rep.passed and rep.summary().startswith("FAIL")
-    assert sum(e.solver == "reused" for e in rep.entries) == 6
+    assert [e.face for e in rep.entries[1:]] == [(v,) for v in range(7)]
+    for e in rep.entries[1:]:
+        assert e.second == pytest.approx(0.5, abs=TOL)
     assert local_spectral_report(fx.torus_7(), 0.5 + 1e-9).passed
 
 
 def test_report_flags_disconnected_link():
-    rep = local_spectral_report(bowtie(), 0.99)
+    rep = local_spectral_report(fx.bowtie(), 0.99)
     assert not rep.connected_ok and not rep.passed
     bad = [e for e in rep.entries if not e.connected]
     assert [e.face for e in bad] == [(0,)]
@@ -204,8 +195,23 @@ def test_report_to_dict_shape():
                       "all_links_connected", "passed", "links"}
     assert len(d["links"]) == 4
     assert set(d["links"][0]) == {"face", "colors", "vertices", "connected",
-                                  "second_eigenvalue", "solver",
-                                  "reused_from"}
+                                  "second_eigenvalue", "solver"}
+
+
+def test_report_ko_complex_solves_every_link():
+    # G acts transitively on each color's vertices, so the 2016 vertex links
+    # are isomorphic and their independent solves must agree
+    X = build_ko_complex(2, 2, 2, 1)
+    rep = local_spectral_report(X, 0.999)
+    assert len(rep.entries) == 2017
+    assert rep.connected_ok and rep.passed
+    assert {e.solver for e in rep.entries} == {"lanczos"}
+    assert rep.entries[0].face == ()
+    assert rep.entries[0].second == pytest.approx(0.5395780988, abs=1e-9)
+    assert [e.face for e in rep.entries[1:]] == [(v,) for v in range(2016)]
+    for e in rep.entries[1:]:
+        assert e.second == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+    assert rep.max_second == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
