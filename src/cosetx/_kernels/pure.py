@@ -1,8 +1,12 @@
-"""Numpy fallback kernel.
+"""Numpy kernel: the backend every run uses unless the compiled core is built.
 
 Same contract as the compiled core: table-driven batched matrix products
-and deterministic BFS closure.  Everything is vectorized per layer; the
-compiled core only wins on the per-element inner loop.
+and deterministic BFS closure.  Work is vectorized over the batch, so the
+Python-level cost is per matrix entry, not per row.  Nearly every product
+multiplies a batch by one fixed matrix (a closure generator, a right-table
+element, a conjugating element), and those read that matrix's entries and
+skip its zero and unit terms; only batch-by-batch products run the dense
+m*m*(2m-1) table gathers per row.
 """
 
 from __future__ import annotations
@@ -20,21 +24,58 @@ def matmul_batch(A: np.ndarray, B: np.ndarray, mul: np.ndarray, add: np.ndarray,
     """Row-flattened matrix products over a tabled ring.
 
     A and B are uint32 arrays of shape (k, m*m) or (m*m,); one side may be
-    a single matrix, broadcast against the other.
+    a single matrix, broadcast against the other.  The result is a
+    C-contiguous uint32 array of shape (k, m*m).
+
+    When one side is a single matrix, its entries are read once: a zero
+    entry adds no term, a unit entry adds the other side's entry as is,
+    and any other entry e costs one 1-D gather from ``mul[e]``.  This
+    relies on the packed encoding of ``ring.py`` (zero is index 0, one is
+    index 1) and on the ring being commutative, which also lets a single
+    matrix on the left run as the transposed product B^T A^T.  Ring
+    arithmetic is exact, so the result is bit-identical to the dense path.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.uint32))
     B = np.atleast_2d(np.asarray(B, dtype=np.uint32))
     k = max(A.shape[0], B.shape[0])
-    A3 = np.broadcast_to(A.reshape(A.shape[0], m, m), (k, m, m))
-    B3 = np.broadcast_to(B.reshape(B.shape[0], m, m), (k, m, m))
     C = np.empty((k, m, m), dtype=np.uint32)
+    if B.shape[0] == 1 and A.shape[0] == k:
+        _times_single(A.reshape(k, m, m), B.reshape(m, m), C, mul, add, m)
+    elif A.shape[0] == 1 and B.shape[0] == k:
+        _times_single(B.reshape(k, m, m).transpose(0, 2, 1), A.reshape(m, m).T,
+                      C.transpose(0, 2, 1), mul, add, m)
+    else:
+        A3 = np.broadcast_to(A.reshape(A.shape[0], m, m), (k, m, m))
+        B3 = np.broadcast_to(B.reshape(B.shape[0], m, m), (k, m, m))
+        for i in range(m):
+            for l in range(m):
+                acc = mul[A3[:, i, 0], B3[:, 0, l]]
+                for j in range(1, m):
+                    acc = add[acc, mul[A3[:, i, j], B3[:, j, l]]]
+                C[:, i, l] = acc
+    return C.reshape(k, m * m)
+
+
+def _times_single(X3: np.ndarray, b: np.ndarray, out3: np.ndarray,
+                  mul: np.ndarray, add: np.ndarray, m: int) -> None:
+    """out3[r] = X3[r] @ b for every r, with b one (m, m) matrix."""
+    rows = b.tolist()
     for i in range(m):
         for l in range(m):
-            acc = mul[A3[:, i, 0], B3[:, 0, l]]
-            for j in range(1, m):
-                acc = add[acc, mul[A3[:, i, j], B3[:, j, l]]]
-            C[:, i, l] = acc
-    return C.reshape(k, m * m)
+            terms = []
+            for j in range(m):
+                e = rows[j][l]
+                if e == 1:
+                    terms.append(X3[:, i, j])
+                elif e:
+                    terms.append(mul[e][X3[:, i, j]])
+            if not terms:
+                out3[:, i, l] = 0
+                continue
+            acc = terms[0]
+            for t in terms[1:]:
+                acc = add[acc, t]
+            out3[:, i, l] = acc
 
 
 def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ table.
 from __future__ import annotations
 
 import dataclasses
-import io
 import itertools
 from typing import Iterable, Sequence
 
@@ -747,59 +746,3 @@ def _try_kernel_closure(ring: RingTable, m: int, gen_flats: np.ndarray,
 def element_order(G: FiniteGroup, a: int) -> int:
     return G.element_order(a)
 
-
-# ---------------------------------------------------------------------------
-# dump format
-
-
-def dump_group(G: MatrixGroup, stream) -> None:
-    """Write 'n p s |G|' then one canonical packed hex key per line.
-
-    Keys are the base-q packed entries (entry 0 least significant), zero
-    padded to fixed width, in the canonical element order.
-    """
-    if isinstance(stream, (str, bytes)):
-        with open(stream, "w") as fh:
-            dump_group(G, fh)
-            return
-    p, s, q, m = G.ring.p, G.ring.s, G.ring.q, G.m
-    width = len(f"{q**(m*m) - 1:x}")
-    stream.write(f"{m - 1} {p} {s} {G.size}\n")
-    for key in G.keys:
-        stream.write(f"{int(key):0{width}x}\n")
-
-
-def load_group(stream) -> MatrixGroup:
-    """Inverse of dump_group; element order is taken from the file."""
-    if isinstance(stream, (str, bytes)):
-        with open(stream, "r") as fh:
-            return load_group(fh)
-    header = stream.readline().split()
-    if len(header) != 4:
-        raise StructureError("dump header must be 'n p s |G|'")
-    n, p, s, size = (int(x) for x in header)
-    m = n + 1
-    ring = RingTable(p, s)
-    q = ring.q
-    keys = []
-    for line in stream:
-        line = line.strip()
-        if line:
-            keys.append(int(line, 16))
-    if len(keys) != size:
-        raise StructureError(f"dump header claims {size} elements, file has {len(keys)}")
-    mm = m * m
-    elems = np.empty((size, mm), dtype=np.uint32)
-    for row, key in enumerate(keys):
-        for pos in range(mm):
-            elems[row, pos] = key % q
-            key //= q
-        if key:
-            raise StructureError(f"key on line {row + 2} out of range for q^(m*m)")
-    return MatrixGroup(ring, m, elems)
-
-
-def dumps_group(G: MatrixGroup) -> str:
-    buf = io.StringIO()
-    dump_group(G, buf)
-    return buf.getvalue()

@@ -13,6 +13,7 @@ pair.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -58,7 +59,14 @@ class WalkMatrix:
         return P
 
     def symmetric(self):
-        """Sparse D^{1/2} P D^{-1/2}; same spectrum, symmetric."""
+        """Sparse D^{1/2} P D^{-1/2}; same spectrum, symmetric.
+
+        Built once per walk; every call returns the same CSR matrix.
+        """
+        return self._symmetric
+
+    @functools.cached_property
+    def _symmetric(self):
         u, v = self.edges[:, 0], self.edges[:, 1]
         root = np.sqrt(self.strength.astype(np.float64))
         val = self.edge_counts / (root[u] * root[v])
@@ -88,17 +96,19 @@ def walk_matrix(X: SimplicialComplex, w: WeightTable | None = None
         raise ParameterError("a 0-dimensional complex has no 1-skeleton walk")
     if w is not None and w.X is not X:
         raise InputError("weight table was built from a different complex")
-    ncomp = int(connected_components(X.adjacency(), directed=False,
-                                     return_labels=False))
-    if ncomp != 1:
-        raise StructureError(
-            f"1-skeleton is disconnected ({ncomp} components)")
     edges = X.faces(1)
     ec = X.containment_counts(1).astype(np.int64)
     strength = np.zeros(X.vertex_count, dtype=np.int64)
     np.add.at(strength, edges[:, 0], ec)
     np.add.at(strength, edges[:, 1], ec)
-    return WalkMatrix(X.vertex_count, edges, ec, strength)
+    M = WalkMatrix(X.vertex_count, edges, ec, strength)
+    # edge weights are positive, so S has the 1-skeleton's sparsity pattern
+    ncomp = int(connected_components(M.symmetric(), directed=False,
+                                     return_labels=False))
+    if ncomp != 1:
+        raise StructureError(
+            f"1-skeleton is disconnected ({ncomp} components)")
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,27 @@ def test_group_enum_json(capsys):
     assert env["result"]["d"] == 1          # defaulted to s - 1
 
 
+def test_group_enum_dump_decodes_to_elements(capsys):
+    from cosetx.groups import sl_group
+
+    code = cli.main(["group", "enum", "--n", "1", "--p", "3", "--s", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "1 3 2 648"
+    q, mm = 9, 4
+    rows = []
+    for line in out[1:]:
+        key = int(line, 16)
+        digits = []
+        for _ in range(mm):                 # base q, entry 0 least significant
+            key, digit = divmod(key, q)
+            digits.append(digit)
+        assert key == 0
+        rows.append(digits)
+    expect = sl_group(1, 3, 2).elems
+    assert np.array_equal(np.array(rows, dtype=np.uint32), expect)
+
+
 # ---------------------------------------------------------------------------
 # complexes
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -268,3 +269,43 @@ def test_bfs_closure_deduplicates():
     x = elementary(1, 1, 2, TruncPoly.one(2, 1))
     G = bfs_closure([x, x, x])
     assert G.size == 2
+
+
+
+# sha256 of the element rows in BFS numbering: layers from the identity,
+# ascending canonical key within a layer.  Dumps, coset labels and complex
+# vertex ids are all read off this order, so it must not move.
+GOLDEN_ORDER = [
+    (subgroup_K, (2, 2, 2, 1, 0),
+     "5ace58f370a54086c55e5ede4a9a0f601a304cb388a47f81994523160d99fb57"),
+    (subgroup_K, (2, 2, 2, 1, 1),
+     "1756c311fc44681e7f5dcbde5afb4c868e74ced07834a92964438b08c9f20ded"),
+    (subgroup_K, (2, 2, 2, 1, 2),
+     "d214d8420f559da7df7f36b6ad078c544613a94e40a193082fbcf8687d3ad091"),
+    (subgroup_K, (3, 2, 2, 1, 0),
+     "1d3ecfab0602bfb6cfa8626892612b0880d4bf4228bbca1c181b0f174bd9c4db"),
+    (sl_group, (1, 3, 2),
+     "59ee6492a9cca1c0130c03ce634c816821aa84e1cd3291d8f523ce9d1e06780f"),
+]
+
+
+@pytest.mark.parametrize("build,args,digest", GOLDEN_ORDER,
+                         ids=["-".join([b.__name__, *map(str, a)])
+                              for b, a, _ in GOLDEN_ORDER])
+def test_bfs_numbering_is_pinned(build, args, digest):
+    elems = build(*args).elems
+    assert elems.dtype == np.uint32
+    assert hashlib.sha256(elems.tobytes()).hexdigest() == digest
+
+
+def test_ko_link_coset_labels_are_pinned():
+    from cosetx.spectral import ko_vertex_links
+
+    X = ko_vertex_links(2, 2, 2, 1)[0]
+    digest = [hashlib.sha256(part.labels.astype(np.int64).tobytes()).hexdigest()
+              for part in X.coset_data.partitions]
+    assert digest == [
+        "757e2135535d3e90d797b0398a1b0263f896efa304f6e6bf644aa83557cdf37b",
+        "e12937047ec47e0701c73532d950f600f8c8d893165fa6cdd0aab9e9c6343293"]
+    faces = hashlib.sha256(X.max_faces.astype(np.int64).tobytes()).hexdigest()
+    assert faces == "63a0718b81e6324771abf43eb1afcc612ba019bf1cf79dc3dd0c5c4dda6d9144"

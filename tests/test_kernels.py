@@ -1,41 +1,14 @@
-"""Backend contract: the compiled core and the numpy fallback must be
-bit-identical on every operation, including element order in closures."""
+"""The numpy kernel against exact coefficient arithmetic, plus the shared
+key helpers.  Parity with the compiled core is in test_kernels_compiled.py.
+"""
 
 import numpy as np
 import pytest
 
 from cosetx import _kernels
 from cosetx._kernels import common, pure
-from cosetx.groups import elementary, sl_group
+from cosetx.groups import MatElement, elementary, sl_group
 from cosetx.ring import RingTable, TruncPoly
-
-compiled = pytest.importorskip(
-    "cosetx._kernels._core", reason="compiled core not built")
-
-
-def _rand_mats(rng, k, m, q):
-    return rng.integers(0, q, size=(k, m * m)).astype(np.uint32)
-
-
-@pytest.mark.parametrize("p,s,m", [(2, 2, 2), (3, 1, 3), (2, 3, 3), (5, 2, 2)])
-def test_matmul_batch_backends_agree(p, s, m):
-    rt = RingTable(p, s)
-    rng = np.random.default_rng(7)
-    A = _rand_mats(rng, 64, m, rt.q)
-    B = _rand_mats(rng, 64, m, rt.q)
-    got_c = compiled.matmul_batch(A, B, rt.mul, rt.add, m)
-    got_p = pure.matmul_batch(A, B, rt.mul, rt.add, m)
-    assert np.array_equal(got_c, got_p)
-
-
-def test_matmul_broadcast_single():
-    rt = RingTable(2, 2)
-    rng = np.random.default_rng(3)
-    A = _rand_mats(rng, 10, 2, rt.q)
-    b = _rand_mats(rng, 1, 2, rt.q)[0]
-    got_c = compiled.matmul_batch(A, b, rt.mul, rt.add, 2)
-    got_p = pure.matmul_batch(A, b, rt.mul, rt.add, 2)
-    assert np.array_equal(got_c, got_p)
 
 
 def test_matmul_matches_matelement():
@@ -47,18 +20,71 @@ def test_matmul_matches_matelement():
     assert np.array_equal(via_kernel, (x @ y).flat())
 
 
-@pytest.mark.parametrize("p,s", [(2, 2), (3, 2), (2, 3)])
-def test_closure_backends_identical_order(p, s):
-    gens = []
-    for i, j in ((1, 2), (2, 1)):
-        for k in range(s):
-            gens.append(elementary(1, i, j, TruncPoly.t_power(p, s, k)).flat())
-    gens = np.vstack(gens).astype(np.uint32)
+def _exact_products(A, B, p, s, m):
+    """Row-wise A @ B by MatElement arithmetic, broadcasting one row."""
+    A, B = np.atleast_2d(A), np.atleast_2d(B)
+    k = max(len(A), len(B))
+    rows = []
+    for r in range(k):
+        a = MatElement.from_flat(p, s, m, A[r if len(A) > 1 else 0])
+        b = MatElement.from_flat(p, s, m, B[r if len(B) > 1 else 0])
+        rows.append((a @ b).flat())
+    return np.array(rows, dtype=np.uint32).reshape(k, m * m)
+
+
+def _test_matrices(rng, p, s, m):
+    """Zero, identity, elementaries and seeded matrices whose entries are
+    forced to 0, to 1 and to other ring elements in equal shares."""
+    q = p**s
+    mats = [np.zeros(m * m, dtype=np.uint32), common.identity_flat(m)]
+    for _ in range(3):
+        if m > 1:
+            i, j = rng.choice(m, size=2, replace=False) + 1
+            r = TruncPoly.from_index(p, s, int(rng.integers(2 if q > 2 else 1, q)))
+            mats.append(elementary(m - 1, int(i), int(j), r).flat())
+    for _ in range(6):
+        kind = rng.integers(0, 3, size=m * m)
+        other = rng.integers(2, q, size=m * m) if q > 2 else np.ones(m * m, int)
+        mats.append(np.where(kind == 0, 0, np.where(kind == 1, 1, other))
+                    .astype(np.uint32))
+    return np.array(mats, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (2, 3), (3, 2), (5, 3)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_matmul_matches_exact_arithmetic(p, s, m):
     rt = RingTable(p, s)
-    got_c = compiled.closure_bfs(gens, rt.mul, rt.add, 2, rt.q, 1 << 20)
-    got_p = pure.closure_bfs(gens, rt.mul, rt.add, 2, rt.q, 1 << 20)
-    # not just the same set: the same deterministic enumeration order
-    assert np.array_equal(got_c, got_p)
+    rng = np.random.default_rng(1000 * p + 100 * s + m)
+    batch = _test_matrices(rng, p, s, m)
+    for one in batch:
+        # a single matrix on the right, flat and as one row
+        for b in (one, one[None, :]):
+            got = pure.matmul_batch(batch, b, rt.mul, rt.add, m)
+            assert got.dtype == np.uint32 and got.flags.c_contiguous
+            assert np.array_equal(got, _exact_products(batch, b, p, s, m))
+        # a single matrix on the left
+        got = pure.matmul_batch(one, batch, rt.mul, rt.add, m)
+        assert got.dtype == np.uint32 and got.flags.c_contiguous
+        assert np.array_equal(got, _exact_products(one, batch, p, s, m))
+    # single by single, every ordered pair of the special matrices
+    for a in batch[:5]:
+        for b in batch[:5]:
+            got = pure.matmul_batch(a, b, rt.mul, rt.add, m)
+            assert got.shape == (1, m * m)
+            assert np.array_equal(got, _exact_products(a, b, p, s, m))
+    # batch by batch, the dense path
+    other = batch[rng.permutation(len(batch))]
+    got = pure.matmul_batch(batch, other, rt.mul, rt.add, m)
+    assert got.dtype == np.uint32 and got.flags.c_contiguous
+    assert np.array_equal(got, _exact_products(batch, other, p, s, m))
+
+
+@pytest.mark.parametrize("ka,kb", [(3, 2), (0, 1), (1, 0)])
+def test_matmul_rejects_mismatched_batches(ka, kb):
+    rt = RingTable(2, 1)
+    with pytest.raises(ValueError):
+        pure.matmul_batch(np.zeros((ka, 4), np.uint32), np.zeros((kb, 4), np.uint32),
+                          rt.mul, rt.add, 2)
 
 
 def test_closure_matches_group_order():
