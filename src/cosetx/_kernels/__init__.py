@@ -1,54 +1,28 @@
-"""Kernel backend selection.
+"""Table-driven matrix kernels over the packed rings of ``ring.py``.
 
-The compiled core is preferred when importable; set COSETX_KERNEL=pure or
-COSETX_KERNEL=compiled to force a backend.  Both backends are contractually
-bit-identical, so everything above this layer is backend-agnostic.
+There is one backend, the numpy kernel in ``pure``: batched matrix
+products (``matmul_batch``) and the deterministic BFS closure of a
+generating set (``closure_bfs``), which sorts canonical keys and decodes
+only the rows of new elements.  ``BACKEND`` names it for run records.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import pure
-from .common import KeyIndex, fits_uint64, identity_flat, key_powers, pack_key_big, pack_keys
+from .common import KeyIndex, fits_uint64, identity_flat, pack_key_big, pack_keys, unpack_keys
+from .pure import closure_bfs, matmul_batch
 
-try:
-    from . import _core
-    HAVE_COMPILED = True
-except ImportError:
-    _core = None
-    HAVE_COMPILED = False
-
-_choice = os.environ.get("COSETX_KERNEL", "").strip().lower()
-if _choice in ("", "auto"):
-    _backend = _core if HAVE_COMPILED else pure
-elif _choice == "pure":
-    _backend = pure
-elif _choice == "compiled":
-    if not HAVE_COMPILED:
-        raise ImportError(
-            "COSETX_KERNEL=compiled but the extension cosetx._kernels._core "
-            "is not built; reinstall or unset COSETX_KERNEL"
-        )
-    _backend = _core
-else:
-    raise ImportError(f"unknown COSETX_KERNEL value {_choice!r} (use pure/compiled)")
-
-BACKEND: str = _backend.NAME
-
-matmul_batch = _backend.matmul_batch
-closure_bfs = _backend.closure_bfs
+BACKEND: str = pure.NAME
 
 __all__ = [
     "BACKEND",
-    "HAVE_COMPILED",
     "KeyIndex",
     "closure_bfs",
     "fits_uint64",
     "identity_flat",
-    "key_powers",
     "matmul_batch",
     "pack_key_big",
     "pack_keys",
     "pure",
+    "unpack_keys",
 ]

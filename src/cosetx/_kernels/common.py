@@ -1,10 +1,11 @@
-"""Shared helpers for both kernel backends.
+"""Key and identity helpers shared by the kernel and the group layer.
 
 Matrices are flat uint32 rows of length m*m holding packed ring indices in
 row-major entry order.  The canonical key of a matrix packs those entries
 base q with entry 0 least significant; all deterministic orderings in the
-package are ascending-key orderings, so both backends must produce keys the
-same way.
+package are ascending-key orderings.  The map between a matrix and its key
+is a bijection, so a key can stand in for its matrix until the rows are
+needed.
 """
 
 from __future__ import annotations
@@ -16,20 +17,27 @@ def fits_uint64(q: int, mm: int) -> bool:
     return q**mm <= 1 << 64
 
 
-def key_powers(q: int, mm: int) -> np.ndarray:
-    out = np.empty(mm, dtype=np.uint64)
-    acc = 1
-    for i in range(mm):
-        out[i] = acc
-        acc *= q
-    return out
-
-
 def pack_keys(mats: np.ndarray, q: int) -> np.ndarray:
-    """uint64 canonical keys of flat matrices; requires q**mm <= 2**64."""
-    mats = np.atleast_2d(mats)
-    pows = key_powers(q, mats.shape[1])
-    return (mats.astype(np.uint64) * pows[None, :]).sum(axis=1, dtype=np.uint64)
+    """uint64 canonical keys of flat matrices; requires q**mm <= 2**64.
+
+    Horner over the columns, most significant entry first, accumulated in
+    place in one uint64 array.
+    """
+    mats = np.atleast_2d(np.asarray(mats, dtype=np.uint32))
+    keys = mats[:, -1].astype(np.uint64)
+    for c in range(mats.shape[1] - 2, -1, -1):
+        keys *= q
+        keys += mats[:, c]
+    return keys
+
+
+def unpack_keys(keys: np.ndarray, q: int, mm: int) -> np.ndarray:
+    """Flat uint32 matrices of uint64 canonical keys, inverse of pack_keys."""
+    rest = np.array(keys, dtype=np.uint64)
+    out = np.empty((len(rest), mm), dtype=np.uint32)
+    for c in range(mm):
+        np.divmod(rest, q, out=(rest, out[:, c]))
+    return out
 
 
 def pack_key_big(row, q: int) -> int:

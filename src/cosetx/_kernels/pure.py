@@ -1,12 +1,20 @@
-"""Numpy kernel: the backend every run uses unless the compiled core is built.
+"""The numpy kernel, the package's one backend.
 
-Same contract as the compiled core: table-driven batched matrix products
-and deterministic BFS closure.  Work is vectorized over the batch, so the
-Python-level cost is per matrix entry, not per row.  Nearly every product
-multiplies a batch by one fixed matrix (a closure generator, a right-table
-element, a conjugating element), and those read that matrix's entries and
-skip its zero and unit terms; only batch-by-batch products run the dense
-m*m*(2m-1) table gathers per row.
+Two operations over the packed rings of ``ring.py``: table-driven batched
+matrix products and the deterministic BFS closure of a generating set.
+Work is vectorized over the batch, so the Python-level cost is per matrix
+entry or per generator, not per row.
+
+Nearly every product multiplies a batch by one fixed matrix (a closure
+generator, a right-table element, a conjugating element); those read that
+matrix's entries and skip its zero and unit terms, and only batch-by-batch
+products run the dense m*m*(2m-1) table gathers per row.
+
+The closure works on canonical uint64 keys: each generator's products are
+packed, sorted and filtered against the sorted keys found so far, and rows
+are decoded only for the elements that are new, so its working memory is
+about one generator's products at a time.  Rings with q**(m*m) > 2**64
+fall back to arbitrary-precision keys in Python sets.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ResourceLimitError
-from .common import fits_uint64, identity_flat, key_powers, pack_key_big, pack_keys
+from .common import fits_uint64, identity_flat, pack_key_big, pack_keys, unpack_keys
 
 NAME = "pure"
 
@@ -27,9 +35,10 @@ def matmul_batch(A: np.ndarray, B: np.ndarray, mul: np.ndarray, add: np.ndarray,
     a single matrix, broadcast against the other.  The result is a
     C-contiguous uint32 array of shape (k, m*m).
 
-    When one side is a single matrix, its entries are read once: a zero
-    entry adds no term, a unit entry adds the other side's entry as is,
-    and any other entry e costs one 1-D gather from ``mul[e]``.  This
+    When one side is a single matrix, its entries are read once: a column
+    of the identity copies the other side's column, a zero entry adds no
+    term, a unit entry adds the other side's entry as is, and any other
+    entry e costs one 1-D gather from ``mul[e]``.  This
     relies on the packed encoding of ``ring.py`` (zero is index 0, one is
     index 1) and on the ring being commutative, which also lets a single
     matrix on the left run as the transposed product B^T A^T.  Ring
@@ -60,35 +69,43 @@ def _times_single(X3: np.ndarray, b: np.ndarray, out3: np.ndarray,
                   mul: np.ndarray, add: np.ndarray, m: int) -> None:
     """out3[r] = X3[r] @ b for every r, with b one (m, m) matrix."""
     rows = b.tolist()
-    for i in range(m):
-        for l in range(m):
+    # a column of b that is a column of the identity copies X's column, so
+    # those columns come from one copy of X
+    cols = [l for l in range(m) if any(rows[j][l] != (j == l) for j in range(m))]
+    if len(cols) < m:
+        out3[...] = X3
+    # add[x, y] as one 1-D take at x*q + y, cheaper than a 2-D gather
+    q, add_flat = add.shape[1], add.reshape(-1)
+    for l in cols:
+        for i in range(m):
             terms = []
             for j in range(m):
                 e = rows[j][l]
                 if e == 1:
                     terms.append(X3[:, i, j])
                 elif e:
-                    terms.append(mul[e][X3[:, i, j]])
+                    terms.append(mul[e].take(X3[:, i, j]))
             if not terms:
                 out3[:, i, l] = 0
                 continue
             acc = terms[0]
             for t in terms[1:]:
-                acc = add[acc, t]
+                at = acc * q
+                at += t
+                acc = add_flat.take(at)
             out3[:, i, l] = acc
 
 
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.concatenate([a, b])
-    out.sort()
-    return out
+def _first(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each value in a sorted array."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
 
 
 def _isin_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    if len(sorted_keys) == 0:
-        return np.zeros(len(keys), dtype=bool)
     pos = np.searchsorted(sorted_keys, keys)
-    pos = np.minimum(pos, len(sorted_keys) - 1)
+    np.minimum(pos, len(sorted_keys) - 1, out=pos)
     return sorted_keys[pos] == keys
 
 
@@ -99,42 +116,56 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     Returns flat matrices in the canonical order: BFS layers from the
     identity, ascending canonical key within each layer.  The result does
     not depend on the order or multiplicity of the generators.
+
+    Only keys are sorted.  For each layer and each generator g, the keys
+    of ``frontier @ g`` are packed, sorted, cut to their first occurrences
+    and filtered against the sorted keys of every element found so far.
+    The survivors of all generators are merged into one sorted, duplicate
+    free key array, which is the next layer in canonical order; its rows
+    are decoded from the keys, so no candidate row is gathered or
+    reordered.  Working memory beyond the result and the visited keys is
+    about one generator's products (m*m uint32 entries per frontier row)
+    plus the 8-byte keys of the survivors.
+
+    More than ``cap`` elements raise ``ResourceLimitError`` before the
+    crossing layer's rows are built.  The check runs after each
+    generator's survivors, against the largest survivor count so far, and
+    again on the merged layer; ``partial_count`` is the count at that
+    point, a lower bound on the order of the group.
     """
     gens = np.atleast_2d(np.asarray(gens, dtype=np.uint32))
     mm = m * m
     if not fits_uint64(q, mm):
         return _closure_bfs_big(gens, mul, add, m, q, cap)
-    pows = key_powers(q, mm)
-
-    def keys_of(mats):
-        return (mats.astype(np.uint64) * pows[None, :]).sum(axis=1, dtype=np.uint64)
-
     ident = identity_flat(m)[None, :]
-    visited = keys_of(ident)
+    visited = pack_keys(ident, q)
     layers = [ident]
     frontier = ident
     total = 1
     while len(frontier):
-        cands = np.concatenate(
-            [matmul_batch(frontier, g, mul, add, m) for g in gens], axis=0
-        )
-        keys = keys_of(cands)
-        order = np.argsort(keys, kind="stable")
-        keys, cands = keys[order], cands[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        keys, cands = keys[first], cands[first]
-        new = ~_isin_sorted(visited, keys)
-        keys, cands = keys[new], cands[new]
+        fresh, found = [], 0
+        for g in gens:
+            keys = pack_keys(matmul_batch(frontier, g, mul, add, m), q)
+            keys.sort()
+            keys = keys[_first(keys) & ~_isin_sorted(visited, keys)]
+            fresh.append(keys)
+            # the survivors of one generator are distinct, so the layer has
+            # at least as many elements as the largest of them
+            found = max(found, len(keys))
+            if total + found > cap:
+                raise ResourceLimitError(f"closure exceeded cap {cap}",
+                                         partial_count=total + found)
+        keys = np.concatenate(fresh)
+        keys.sort()
+        keys = keys[_first(keys)]
         if total + len(keys) > cap:
-            raise ResourceLimitError(
-                f"closure exceeded cap {cap}", partial_count=total + len(keys)
-            )
-        if len(keys):
-            visited = _merge_sorted(visited, keys)
-            layers.append(cands)
-            total += len(keys)
-        frontier = cands if len(keys) else cands[:0]
+            raise ResourceLimitError(f"closure exceeded cap {cap}",
+                                     partial_count=total + len(keys))
+        visited = np.concatenate([visited, keys])
+        visited.sort()
+        frontier = unpack_keys(keys, q, mm)
+        layers.append(frontier)
+        total += len(keys)
     return np.concatenate(layers, axis=0)
 
 

@@ -93,34 +93,12 @@ def chamber_boundary(perm: Perm) -> frozenset[Root]:
 
 
 @dataclasses.dataclass(frozen=True)
-class Chamber:
-    """Weyl chamber indexed by its permutation; root sets derived lazily."""
-
-    perm: Perm
-
-    @property
-    def roots(self) -> frozenset[Root]:
-        return chamber_roots(self.perm)
-
-    @property
-    def boundary(self) -> frozenset[Root]:
-        return chamber_boundary(self.perm)
-
-    def acted_by(self, perm: Perm) -> "Chamber":
-        # action law: gamma'.C_gamma = C_{gamma' gamma}
-        return Chamber(compose(perm, self.perm))
-
-
-@dataclasses.dataclass(frozen=True)
 class ChamberSet:
     stage: int
     perms: frozenset[Perm]
 
     def __len__(self):
         return len(self.perms)
-
-    def chambers(self):
-        return (Chamber(p) for p in sorted(self.perms))
 
 
 def initial_stage(n: int) -> ChamberSet:

@@ -354,6 +354,29 @@ def test_subprocess_output_deterministic():
     assert json.loads(a.stdout)["result"]["coeffs"] == [1, 1, 1]
 
 
+def test_closure_cap_exits_3_within_memory_limit():
+    """A closure that passes its cap stops before the crossing layer is
+    built: exit 3 with the cap message, no traceback, and a small peak RSS
+    inside a 1.5 GiB address-space limit.  |SL_4(F_2[t]/t^2)| is about
+    6.6e8, so the cap of 10^6 fires in the middle of the BFS."""
+    pytest.importorskip("resource")
+    argv = ["group", "enum", "--n", "3", "--p", "2", "--s", "2", "--cap", "1000000"]
+    code = ("import resource, sys\n"
+            "limit = 3 << 29\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from cosetx.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
+            "sys.exit(code)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=300)
+    assert r.returncode == 3, r.stderr
+    assert "closure exceeded cap 1000000" in r.stderr
+    assert "Traceback" not in r.stderr
+    peak_mb = int(r.stdout)
+    assert peak_mb < 512
+
+
 def read_pyproject():
     try:
         import tomllib

@@ -1,12 +1,14 @@
-"""The numpy kernel against exact coefficient arithmetic, plus the shared
-key helpers.  Parity with the compiled core is in test_kernels_compiled.py.
+"""The numpy kernel against exact coefficient arithmetic and a set-based
+closure oracle, plus the shared key helpers.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from cosetx import _kernels
 from cosetx._kernels import common, pure
+from cosetx.errors import ResourceLimitError
 from cosetx.groups import MatElement, elementary, sl_group
 from cosetx.ring import RingTable, TruncPoly
 
@@ -87,6 +89,83 @@ def test_matmul_rejects_mismatched_batches(ka, kb):
                           rt.mul, rt.add, 2)
 
 
+def _diag(p, s, coeffs):
+    m, zero = len(coeffs), TruncPoly.zero(p, s)
+    return MatElement(tuple(tuple(TruncPoly.make(p, s, (coeffs[i],)) if i == j else zero
+                                  for j in range(m)) for i in range(m)))
+
+
+def _one(p, s):
+    return TruncPoly.one(p, s)
+
+
+# (p, s, generators as MatElements)
+CLOSURE_CASES = {
+    # e_12(1) and e_21(1) have order 5 and neither inverse is a generator
+    "sl2-f5-no-inverses": (5, 1, [elementary(1, 1, 2, _one(5, 1)),
+                                  elementary(1, 2, 1, _one(5, 1))]),
+    "sl2-f3t2-no-inverses": (3, 2, [elementary(1, 1, 2, _one(3, 2)),
+                                    elementary(1, 2, 1, _one(3, 2)),
+                                    elementary(1, 1, 2, TruncPoly.t_power(3, 2, 1))]),
+    # q**(m*m) = 625**9 > 2**64: the arbitrary-precision key path
+    "big-heisenberg": (5, 4, [elementary(2, 1, 2, _one(5, 4)),
+                              elementary(2, 2, 3, _one(5, 4))]),
+    # diag(2, 2, 4) has order 4 and commutes with e_12(1): a cyclic group of 20
+    "big-cyclic-20": (5, 4, [_diag(5, 4, (2, 2, 4)) @ elementary(2, 1, 2, _one(5, 4))]),
+}
+
+
+def _closure(flat, p, s, m, cap=1 << 20):
+    rt = RingTable(p, s)
+    return pure.closure_bfs(flat, rt.mul, rt.add, m, rt.q, cap)
+
+
+@pytest.mark.parametrize("case", list(CLOSURE_CASES))
+def test_closure_matches_set_bfs_oracle(case):
+    p, s, gens = CLOSURE_CASES[case]
+    m = gens[0].m
+    assert common.fits_uint64(p**s, m * m) == (not case.startswith("big"))
+    layers = oracles.bfs_closure(gens)
+    want = np.concatenate(layers)
+    flat = np.array([g.flat() for g in gens], dtype=np.uint32)
+    got = _closure(flat, p, s, m)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, want)
+    # generator order and multiplicity do not matter
+    shuffled = np.concatenate([flat[::-1], flat[:1], flat, flat[-1:]])
+    assert np.array_equal(_closure(shuffled, p, s, m), want)
+    if case.endswith("no-inverses"):
+        # some x @ g lands two or more layers before x, so a closure that
+        # filtered new keys only against the neighbouring layers would
+        # list an old element again
+        depth = {tuple(row): k for k, layer in enumerate(layers)
+                 for row in layer.tolist()}
+
+        def depth_of(row, g):
+            return depth[tuple((MatElement.from_flat(p, s, m, row) @ g).flat().tolist())]
+
+        assert any(depth_of(row, g) <= k - 2
+                   for k, layer in enumerate(layers) for row in layer for g in gens)
+
+
+@pytest.mark.parametrize("case", ["sl2-f3t2-no-inverses", "big-heisenberg"])
+def test_closure_cap_fires_inside_a_layer(case):
+    p, s, gens = CLOSURE_CASES[case]
+    m = gens[0].m
+    sizes = [len(layer) for layer in oracles.bfs_closure(gens)]
+    order = sum(sizes)
+    flat = np.array([g.flat() for g in gens], dtype=np.uint32)
+    k = int(np.argmax(sizes))
+    cap = sum(sizes[:k]) + sizes[k] // 2
+    with pytest.raises(ResourceLimitError, match=f"closure exceeded cap {cap}") as ei:
+        _closure(flat, p, s, m, cap=cap)
+    # partial_count is a lower bound on the order, past the cap
+    assert cap < ei.value.partial_count <= order
+    assert len(_closure(flat, p, s, m, cap=order)) == order
+    with pytest.raises(ResourceLimitError):
+        _closure(flat, p, s, m, cap=order - 1)
+
+
 def test_closure_matches_group_order():
     G = sl_group(1, 3, 2)
     assert G.size == 216 * 3  # |SL_2(F_3)| * 3^((2-1)*3)
@@ -98,14 +177,16 @@ def test_identity_flat():
 
 
 def test_key_packing_roundtrip():
-    q = 8
     rng = np.random.default_rng(11)
-    mats = rng.integers(0, q, size=(20, 9)).astype(np.uint32)
-    keys = common.pack_keys(mats, q)
-    assert len(set(map(int, keys))) == len(
-        {tuple(r) for r in mats.tolist()})
-    big = [common.pack_key_big(r, q) for r in mats]
-    assert [int(k) for k in keys] == [int(k) for k in big]
+    for q, mm in [(8, 9), (125, 4), (16, 16), (2, 64), (3, 40)]:
+        mats = rng.integers(0, q, size=(20, mm)).astype(np.uint32)
+        mats[0], mats[1] = 0, q - 1  # the smallest and the largest key
+        keys = common.pack_keys(mats, q)
+        assert keys.dtype == np.uint64
+        big = [common.pack_key_big(r, q) for r in mats]
+        assert [int(k) for k in keys] == big
+        assert big[1] == q**mm - 1
+        assert np.array_equal(common.unpack_keys(keys, q, mm), mats)
 
 
 def test_fits_uint64_boundary():
