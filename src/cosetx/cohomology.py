@@ -1005,6 +1005,13 @@ def _tri_weight(arr: np.ndarray, tri_masks: np.ndarray,
 def _min_dist(arr: np.ndarray, ref: np.ndarray, ecnt: np.ndarray,
               uniform: int | None) -> np.ndarray:
     best = None
+    if uniform is not None:
+        # running minimum of the uint8 bit counts, weighted once at the end
+        buf = np.empty_like(arr)
+        for z in ref:
+            w = np.bitwise_count(np.bitwise_xor(arr, z, out=buf))
+            best = w if best is None else np.minimum(best, w, out=best)
+        return None if best is None else best.astype(np.int64) * uniform
     for z in ref:
         w = _weighted_pop(arr ^ z, ecnt, uniform)
         best = w if best is None else np.minimum(best, w)

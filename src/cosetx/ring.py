@@ -332,18 +332,29 @@ class RingTable:
             digits[:, k] = rem % p
             rem //= p
         pows = p ** np.arange(s, dtype=np.int64)
-
-        def encode(d):  # d: (..., s) digit array -> packed indices
-            return (d * pows).sum(axis=-1)
-
         self.digits = digits.astype(np.uint16)
-        self.add = encode((digits[:, None, :] + digits[None, :, :]) % p).astype(np.uint32)
-        self.neg = encode((-digits) % p).astype(np.uint32)
-        prod = np.zeros((q, q, s), dtype=np.int64)
-        for i in range(s):
-            for j in range(s - i):
-                prod[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
-        self.mul = encode(prod % p).astype(np.uint32)
+        self.neg = ((-digits) % p * pows).sum(axis=-1).astype(np.uint32)
+        # the (q, q) tables are built one output digit k at a time, so the
+        # largest temporaries are two q*q uint32 arrays; digit k of a
+        # product sums k + 1 <= s products of two digits, at most
+        # s * (p-1)**2 < 2**32 since p**s <= MAX_Q
+        d32 = digits.astype(np.uint32)
+        self.add = np.zeros((q, q), dtype=np.uint32)
+        self.mul = np.zeros((q, q), dtype=np.uint32)
+        term = np.empty((q, q), dtype=np.uint32)
+        acc = np.empty((q, q), dtype=np.uint32)
+        for k in range(s):
+            np.add.outer(d32[:, k], d32[:, k], out=term)
+            term %= p
+            term *= p**k
+            self.add += term
+            np.multiply.outer(d32[:, 0], d32[:, k], out=acc)
+            for i in range(1, k + 1):
+                np.multiply.outer(d32[:, i], d32[:, k - i], out=term)
+                acc += term
+            acc %= p
+            acc *= p**k
+            self.mul += acc
         self.zero = 0
         self.one = 1 % q  # index of the constant 1; q >= 2 always
 

@@ -129,6 +129,37 @@ def bfs_closure(gens):
             for layer in layers[:-1]]
 
 
+def commutator_power_attempts(seed, attempts, n=2, p=3, s=3):
+    """(qualifies, holds) of each sampled pair of elementaries, exactly.
+
+    The sampling of ``cli._check_commutator_power``: each attempt draws
+    from ``random.Random(seed)`` the s coefficients of r1, those of r2,
+    the root of x = e_ij(r1) and the root of y = e_kl(r2).  ``qualifies``
+    says whether x commutes with [x, y] = x y x^-1 y^-1 and ``holds``
+    whether [x, y]^p = [x^p, y], both by MatElement products, powers and
+    cofactor inverses.
+    """
+    import random
+
+    from cosetx.groups import elementary
+    from cosetx.ring import TruncPoly
+
+    rng = random.Random(seed)
+    roots = [(i, j) for i in range(1, n + 2)
+             for j in range(1, n + 2) if i != j]
+    out = []
+    for _ in range(attempts):
+        r1 = TruncPoly(p, s, tuple(rng.randrange(p) for _ in range(s)))
+        r2 = TruncPoly(p, s, tuple(rng.randrange(p) for _ in range(s)))
+        x = elementary(n, *rng.choice(roots), r1)
+        y = elementary(n, *rng.choice(roots), r2)
+        comm = x @ y @ x.inverse() @ y.inverse()
+        xp = x.pow(p)
+        out.append((x @ comm == comm @ x,
+                    comm.pow(p) == xp @ y @ xp.inverse() @ y.inverse()))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # literal coset complex: chambers listed one per group element
 

@@ -5,8 +5,11 @@ a few go through a real subprocess to pin down exit codes and the
 byte-level determinism of the output.
 """
 
+import contextlib
 import importlib.metadata
+import io
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 import cosetx
+import oracles
 from cosetx import cli
 from cosetx.complexes import loads_complex, save_complex
 from cosetx import fixtures as fx
@@ -288,6 +292,21 @@ def test_relations_verify(capsys):
     assert env["result"]["checked"] == 1644
 
 
+def test_relations_verify_untabled_ring(capsys):
+    """--target-s 13 (q = 8192) runs the untabled MatElement path and
+    reports what the tabled path reports at --target-s 5."""
+    results = []
+    for s in ("5", "13"):
+        code, env = run_json(capsys, ["relations", "verify", "--preset",
+                                      "chamber", "--n", "2", "--p", "2",
+                                      "--d", "1", "--target-s", s])
+        assert code == 0
+        results.append(env["result"])
+    assert results[1]["checked"] == 119 and results[1]["violations"] == 0
+    assert [r.pop("target_s") for r in results] == [5, 13]
+    assert results[0] == results[1]
+
+
 def test_spectral_links_threshold_exit(capsys, torus_file):
     code, env = run_json(capsys, ["spectral", "links", "--complex",
                                   torus_file, "--threshold", "0.51"])
@@ -306,13 +325,50 @@ def test_spectral_links_needs_threshold_with_file(capsys, torus_file):
 # suite and error mapping
 
 
-def test_suite_quick_all_pass(capsys):
-    code, env = run_json(capsys, ["suite", "--quick"])
+@pytest.fixture(scope="module")
+def quick_suite():
+    """Exit code and envelope of `suite --quick`, without and with
+    --timings."""
+    def run(argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        return code, json.loads(buf.getvalue())
+
+    return run(["suite", "--quick"]), run(["suite", "--quick", "--timings"])
+
+
+def test_suite_quick_all_pass(quick_suite):
+    code, env = quick_suite[0]
     assert code == 0
     checks = env["result"]["checks"]
     assert len(checks) >= 15
     assert env["result"]["passed"] is True
     assert all(c["passed"] for c in checks)
+
+
+def test_suite_timings_per_row(quick_suite):
+    (_, plain), (code, timed) = quick_suite
+    assert code == 0 and "timings" not in plain
+    assert json.dumps(timed["result"], sort_keys=True) == \
+        json.dumps(plain["result"], sort_keys=True)
+    rows = timed["timings"]["checks"]
+    assert [r["name"] for r in rows] == \
+        [c["name"] for c in plain["result"]["checks"]]
+    assert all(0 <= r["wall_s"] <= timed["timings"]["wall_s"] for r in rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_commutator_power_attempts_match_matelement_oracle(seed):
+    """The batched check agrees with exact MatElement arithmetic on every
+    attempt, qualifying or not.  Attempts that fail the filter include
+    ones that break the identity (21 of 300 on seed 0), so a wrong
+    inverse or a dropped filter shows up as a disagreement."""
+    qualifies, holds = cli._commutator_power_attempts(random.Random(seed), 300)
+    expected = oracles.commutator_power_attempts(seed, 300)
+    assert list(zip(qualifies.tolist(), holds.tolist())) == expected
+    assert (False, False) in expected
+    assert all(h for q, h in expected if q)
 
 
 def test_usage_errors_exit_2(capsys):

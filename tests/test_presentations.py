@@ -1,5 +1,6 @@
 import pytest
 
+from cosetx import presentations
 from cosetx.errors import ParameterError
 from cosetx.groups import MatElement, elementary
 from cosetx.presentations import (KINDS, GeneratorSymbol, Presentation,
@@ -7,7 +8,7 @@ from cosetx.presentations import (KINDS, GeneratorSymbol, Presentation,
                                   presentation_SL, presentation_unipotent,
                                   standard_assignment,
                                   tilde_gamma_presentation, verify_relations)
-from cosetx.ring import TruncPoly
+from cosetx.ring import RingTable, TruncPoly
 
 
 class TestPresentationSL:
@@ -93,6 +94,38 @@ class TestChamberSets:
         assert verify_relations(pre_rels, assign).ok
         assert len(pre_rels) <= len(ch_rels)
 
+
+    def test_untabled_path_reports_the_tabled_violations(self, monkeypatch):
+        """s = 13 (q = 8192) is past RingTable.MAX_Q, so the relations are
+        evaluated one at a time by MatElement arithmetic; with one
+        generator's matrix wrong it flags the same relations as the
+        batched path at s = 5."""
+        assert 2**13 > RingTable.MAX_Q >= 2**5
+        slow_calls = []
+        slow = presentations._verify_matrices_slow
+
+        def counted_slow(*args):
+            slow_calls.append(1)
+            return slow(*args)
+
+        monkeypatch.setattr(presentations, "_verify_matrices_slow",
+                            counted_slow)
+        _, ch_rels = chamber_relation_sets(2, 2, 1)
+        syms = sorted({sym for rel in ch_rels for sym in rel.symbols()},
+                      key=str)
+        bad_sym = next(sym for sym in syms if sym.r.coeffs == (1, 1))
+        flagged = []
+        for s in (5, 13):
+            assign = {sym: elementary(2, *sym.root, sym.r.lift_to(s))
+                      for sym in syms}
+            # off by e_13(t): the matrix of another generator's root
+            assign[bad_sym] = assign[bad_sym] @ elementary(
+                2, 1, 3, TruncPoly.t_power(2, s, 1))
+            rep = verify_relations(ch_rels, assign)
+            assert rep.checked == len(ch_rels)
+            flagged.append({str(rel) for rel in rep.violations})
+        assert slow_calls == [1]
+        assert flagged[0] and flagged[0] == flagged[1]
 
 class TestTildeGamma:
     def test_pinned_pair_count(self):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,9 @@ from cosetx.ring import (RingTable, TruncPoly, check_ring_params,
                          poly_mul)
 
 SMALL_RINGS = [(2, 1), (2, 3), (3, 2), (5, 3), (7, 2)]
+# every ring F_p[t]/t^s with p^s <= 125
+TABLED_RINGS_Q125 = [(p, s) for p in range(2, 126) if is_prime(p)
+                     for s in range(1, 8) if p**s <= 125]
 
 
 def ring_elems(p, s):
@@ -92,22 +98,32 @@ class TestParse:
 
 
 class TestRingTable:
-    @pytest.mark.parametrize("p,s", SMALL_RINGS[:4])
+    @pytest.mark.parametrize("p,s", TABLED_RINGS_Q125)
     def test_tables_match_naive(self, p, s):
         rt = RingTable(p, s)
-        polys = oracles.all_polys(p, s)
-        # index i encodes coefficients little-endian, matching from_index
-        for i in range(0, rt.q, max(1, rt.q // 40)):
-            for j in range(0, rt.q, max(1, rt.q // 40)):
-                a = TruncPoly.from_index(p, s, i).coeffs
-                b = TruncPoly.from_index(p, s, j).coeffs
-                assert tuple(TruncPoly.from_index(
-                    p, s, int(rt.add[i, j])).coeffs) == \
-                    oracles.naive_add(a, b, p, s)
-                assert tuple(TruncPoly.from_index(
-                    p, s, int(rt.mul[i, j])).coeffs) == \
-                    oracles.naive_mul(a, b, p, s)
-        assert len(polys) == rt.q
+        polys = [TruncPoly.from_index(p, s, i).coeffs for i in range(rt.q)]
+        index = {c: i for i, c in enumerate(polys)}
+        add = [[index[oracles.naive_add(a, b, p, s)] for b in polys]
+               for a in polys]
+        mul = [[index[oracles.naive_mul(a, b, p, s)] for b in polys]
+               for a in polys]
+        neg = [index[tuple((-c) % p for c in a)] for a in polys]
+        assert rt.add.tolist() == add
+        assert rt.mul.tolist() == mul
+        assert rt.neg.tolist() == neg
+
+    def test_build_memory_is_bounded(self):
+        """RingTable(2, 11) holds two 16 MB tables; building them from
+        (q, q, s) int64 intermediates peaked above 1 GB."""
+        pytest.importorskip("resource")
+        code = ("import resource\n"
+                "from cosetx.ring import RingTable\n"
+                "RingTable(2, 11)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert int(r.stdout) // 1024 < 400
 
     def test_too_large_rejected(self):
         with pytest.raises(ParameterError):
