@@ -4,12 +4,16 @@ There is one backend, the numpy kernel in ``pure``: batched matrix
 products (``matmul_batch``) and the deterministic BFS closure of a
 generating set (``closure_bfs``), which sorts canonical keys and decodes
 only the rows of new elements.  ``BACKEND`` names it for run records.
+
+``pack_keys`` and ``unpack_keys`` map flat matrices to their canonical
+keys and back: uint64 keys when they fit, Python ints otherwise.
+``KeyIndex`` looks keys up in either form.
 """
 
 from __future__ import annotations
 
 from . import pure
-from .common import KeyIndex, fits_uint64, identity_flat, pack_key_big, pack_keys, unpack_keys
+from .common import KeyIndex, fits_uint64, identity_flat, pack_keys, unpack_keys
 from .pure import closure_bfs, matmul_batch
 
 BACKEND: str = pure.NAME
@@ -21,7 +25,6 @@ __all__ = [
     "fits_uint64",
     "identity_flat",
     "matmul_batch",
-    "pack_key_big",
     "pack_keys",
     "pure",
     "unpack_keys",

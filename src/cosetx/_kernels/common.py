@@ -18,13 +18,15 @@ def fits_uint64(q: int, mm: int) -> bool:
 
 
 def pack_keys(mats: np.ndarray, q: int) -> np.ndarray:
-    """uint64 canonical keys of flat matrices; requires q**mm <= 2**64.
+    """Canonical keys of flat matrices.
 
-    Horner over the columns, most significant entry first, accumulated in
-    place in one uint64 array.
+    uint64 when q**mm <= 2**64, else an object array of Python ints; both
+    sort in the same ascending order.  Horner over the columns, most
+    significant entry first, accumulated in place in one key array.
     """
     mats = np.atleast_2d(np.asarray(mats, dtype=np.uint32))
-    keys = mats[:, -1].astype(np.uint64)
+    dtype = np.uint64 if fits_uint64(q, mats.shape[1]) else object
+    keys = mats[:, -1].astype(dtype)
     for c in range(mats.shape[1] - 2, -1, -1):
         keys *= q
         keys += mats[:, c]
@@ -32,31 +34,13 @@ def pack_keys(mats: np.ndarray, q: int) -> np.ndarray:
 
 
 def unpack_keys(keys: np.ndarray, q: int, mm: int) -> np.ndarray:
-    """Flat uint32 matrices of uint64 canonical keys, inverse of pack_keys."""
-    rest = np.array(keys, dtype=np.uint64)
+    """Flat uint32 matrices of canonical keys, inverse of pack_keys."""
+    rest = np.array(keys)
     out = np.empty((len(rest), mm), dtype=np.uint32)
     for c in range(mm):
-        np.divmod(rest, q, out=(rest, out[:, c]))
+        out[:, c] = rest % q
+        rest //= q
     return out
-
-
-def pack_key_big(row, q: int) -> int:
-    """Arbitrary-precision canonical key, same ordering as pack_keys."""
-    k = 0
-    for e in reversed(row):
-        k = k * q + int(e)
-    return k
-
-
-def pack_keys_any(mats: np.ndarray, q: int) -> np.ndarray:
-    """pack_keys when uint64 suffices, else an object array of Python ints.
-
-    Both give the same ascending order, so KeyIndex works over either.
-    """
-    mats = np.atleast_2d(mats)
-    if fits_uint64(q, mats.shape[1]):
-        return pack_keys(mats, q)
-    return np.array([pack_key_big(row, q) for row in mats], dtype=object)
 
 
 def identity_flat(m: int, one_index: int = 1) -> np.ndarray:
@@ -66,16 +50,15 @@ def identity_flat(m: int, one_index: int = 1) -> np.ndarray:
 
 
 class KeyIndex:
-    """Lookup from canonical uint64 key to element position.
+    """Lookup from canonical key to element position.
 
-    Positions refer to the original key array order (the group's element
-    numbering), not the sorted order.
+    Keys are pack_keys output, uint64 or Python ints.  Positions refer to
+    the original key array order (the group's element numbering), not the
+    sorted order.
     """
 
     def __init__(self, keys: np.ndarray):
         keys = np.asarray(keys)
-        if keys.dtype != object:
-            keys = keys.astype(np.uint64)
         self._order = np.argsort(keys, kind="stable")
         self._sorted = keys[self._order]
         self.n = len(keys)
@@ -83,8 +66,6 @@ class KeyIndex:
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Positions of keys, -1 where absent."""
         keys = np.asarray(keys)
-        if keys.dtype != object and self._sorted.dtype != object:
-            keys = keys.astype(np.uint64)
         pos = np.searchsorted(self._sorted, keys)
         pos = np.minimum(pos, self.n - 1) if self.n else pos
         out = np.full(keys.shape, -1, dtype=np.int64)

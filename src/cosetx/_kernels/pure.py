@@ -10,11 +10,12 @@ generator, a right-table element, a conjugating element); those read that
 matrix's entries and skip its zero and unit terms, and only batch-by-batch
 products run the dense m*m*(2m-1) table gathers per row.
 
-The closure works on canonical uint64 keys: each generator's products are
+The closure works on canonical keys: each generator's products are
 packed, sorted and filtered against the sorted keys found so far, and rows
 are decoded only for the elements that are new, so its working memory is
-about one generator's products at a time.  Rings with q**(m*m) > 2**64
-fall back to arbitrary-precision keys in Python sets.
+about one generator's products at a time.  Keys are uint64 when
+q**(m*m) <= 2**64 and Python ints in object arrays otherwise; the same
+sorts and searches run on both.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ResourceLimitError
-from .common import fits_uint64, identity_flat, pack_key_big, pack_keys, unpack_keys
+from .common import identity_flat, pack_keys, unpack_keys
 
 NAME = "pure"
 
@@ -125,7 +126,7 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     are decoded from the keys, so no candidate row is gathered or
     reordered.  Working memory beyond the result and the visited keys is
     about one generator's products (m*m uint32 entries per frontier row)
-    plus the 8-byte keys of the survivors.
+    plus the keys of the survivors (8 bytes each when they fit in uint64).
 
     More than ``cap`` elements raise ``ResourceLimitError`` before the
     crossing layer's rows are built.  The check runs after each
@@ -135,8 +136,6 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     """
     gens = np.atleast_2d(np.asarray(gens, dtype=np.uint32))
     mm = m * m
-    if not fits_uint64(q, mm):
-        return _closure_bfs_big(gens, mul, add, m, q, cap)
     ident = identity_flat(m)[None, :]
     visited = pack_keys(ident, q)
     layers = [ident]
@@ -168,31 +167,3 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
         total += len(keys)
     return np.concatenate(layers, axis=0)
 
-
-def _closure_bfs_big(gens, mul, add, m, q, cap):
-    # arbitrary-precision keys; only exercised when q**(m*m) > 2**64
-    seen = {pack_key_big(identity_flat(m), q)}
-    layers = [identity_flat(m)[None, :]]
-    frontier = layers[0]
-    total = 1
-    while len(frontier):
-        cands = np.concatenate(
-            [matmul_batch(frontier, g, mul, add, m) for g in gens], axis=0
-        )
-        fresh = {}
-        for row in cands:
-            k = pack_key_big(row, q)
-            if k not in seen:
-                seen.add(k)
-                fresh[k] = row
-        if total + len(fresh) > cap:
-            raise ResourceLimitError(
-                f"closure exceeded cap {cap}", partial_count=total + len(fresh)
-            )
-        if not fresh:
-            break
-        layer = np.array([fresh[k] for k in sorted(fresh)], dtype=np.uint32)
-        layers.append(layer)
-        frontier = layer
-        total += len(layer)
-    return np.concatenate(layers, axis=0)

@@ -82,8 +82,7 @@ class SimplicialComplex:
     """
 
     def __init__(self, n: int, vertex_count: int, max_faces,
-                 colors=None, labels: Sequence[str] | None = None,
-                 validate: bool = True):
+                 colors=None, labels: Sequence[str] | None = None):
         if n < -1:
             raise ParameterError(f"dimension must be >= -1, got {n}")
         w = n + 1
@@ -104,8 +103,7 @@ class SimplicialComplex:
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._keys: dict[int, np.ndarray] = {}
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         mf, w, V = self.max_faces, self.n + 1, self.vertex_count
@@ -492,181 +490,37 @@ def quotient_by_action(X: SimplicialComplex, perms: Sequence[np.ndarray]
 
 def verify_quotient_proposition(G: FiniteGroup, subgroups: Sequence,
                                 normal_indices) -> bool:
-    """N\\CC(G, {K_i}) vs CC(G/N, {image of K_i}): color-isomorphic?
+    """Is N\\CC(G, {K_i}) = CC(G/N, {K_iN/N}) by the explicit map?
 
-    Builds the quotient of the coset complex by the left N-translation
-    action and the coset complex of the quotient group, then searches for
-    a color-preserving isomorphism.
+    The map sends the N-orbit of the vertex gK_i to the vertex
+    (gN).image(K_i).  It is well defined because N is normal: the orbit
+    N.gK_i is the set gK_iN, which only depends on gK_i's image in G/N.
+    The check reads the map off each color's coset representatives and
+    confirms that it is constant on the orbits of the left N-translation
+    action, a bijection onto the vertices of CC(G/N, ...), color
+    preserving, and carries the quotient's maximal faces onto exactly the
+    maximal faces of CC(G/N, ...).
     """
     X = coset_complex(G, subgroups)
     N = np.unique(np.asarray(normal_indices, dtype=np.int64))
     perms = left_translation_action(X, G, (int(x) for x in N))
-    Xq, _ = quotient_by_action(X, perms)
+    Xq, proj = quotient_by_action(X, perms)
     Q, gproj = quotient(G, N)
     images = [np.unique(gproj[np.asarray(sub, dtype=np.int64)])
               for sub in subgroups]
     Y = coset_complex(Q, images)
-    return is_isomorphic_partite(Xq, Y) is not None
-
-
-# ---------------------------------------------------------------------------
-# partite isomorphism
-
-
-def _refine_classes(X: SimplicialComplex, Y: SimplicialComplex):
-    """Joint 1-WL refinement; returns (inv_x, inv_y) or None on mismatch."""
-
-    def start(Z):
-        base = Z.colors if Z.colors is not None else \
-            np.zeros(Z.vertex_count, dtype=np.int64)
-        deg = np.bincount(Z.max_faces.ravel(), minlength=Z.vertex_count)
-        return list(zip(base.tolist(), deg.tolist()))
-
-    def neighbors(Z):
-        e = Z.faces(1)
-        adj = [[] for _ in range(Z.vertex_count)]
-        for a, b in e:
-            adj[int(a)].append(int(b))
-            adj[int(b)].append(int(a))
-        return adj
-
-    adj_x, adj_y = neighbors(X), neighbors(Y)
-    inv_x, inv_y = start(X), start(Y)
-    for _ in range(max(X.vertex_count, 1)):
-        table: dict = {}
-
-        def recode(inv, adj):
-            out = []
-            for v in range(len(inv)):
-                sig = (inv[v], tuple(sorted(inv[u] for u in adj[v])))
-                out.append(table.setdefault(sig, len(table)))
-            return out
-
-        nx, ny = recode(inv_x, adj_x), recode(inv_y, adj_y)
-        if sorted(nx) != sorted(ny):
-            return None
-        if nx == inv_x and ny == inv_y:
-            break
-        stable = len(set(nx)) == len(set(inv_x))
-        inv_x, inv_y = nx, ny
-        if stable:
-            break
-    return inv_x, inv_y
-
-
-def is_isomorphic_partite(X: SimplicialComplex, Y: SimplicialComplex,
-                          node_cap: int = 500_000) -> np.ndarray | None:
-    """Color-preserving simplicial bijection X -> Y, or None.
-
-    Backtracking over WL-refined vertex classes with adjacency pruning;
-    maximal faces are checked incrementally, each one as soon as its last
-    vertex is placed, so the search backtracks past edge-isomorphisms
-    that fail to carry faces onto faces.  ``node_cap`` bounds the tree.
-    """
-    if (X.n != Y.n or X.vertex_count != Y.vertex_count
-            or len(X.max_faces) != len(Y.max_faces)):
-        return None
-    if (X.colors is None) != (Y.colors is None):
-        return None
-    for k in range(X.n + 1):
-        if X.face_count(k) != Y.face_count(k):
-            return None
-    V = X.vertex_count
-    if V == 0:
-        return np.empty(0, dtype=np.int64)
-    refined = _refine_classes(X, Y)
-    if refined is None:
-        return None
-    inv_x, inv_y = refined
-    classes_y: dict[int, list[int]] = {}
-    for v, c in enumerate(inv_y):
-        classes_y.setdefault(c, []).append(v)
-
-    def adj_sets(Z):
-        e = Z.faces(1)
-        out = [set() for _ in range(V)]
-        for a, b in e:
-            out[int(a)].add(int(b))
-            out[int(b)].add(int(a))
-        return out
-
-    adj_x, adj_y = adj_sets(X), adj_sets(Y)
-    # most constrained classes first, then connectivity order
-    order = sorted(range(V), key=lambda v: (len(classes_y.get(inv_x[v], ())),
-                                            inv_x[v], v))
-    placed: list[int] = []
-    seen = set()
-    for v in order:
-        if v in seen:
-            continue
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            placed.append(u)
-            for w in sorted(adj_x[u]):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    fmap = np.full(V, -1, dtype=np.int64)
-    gmap = np.full(V, -1, dtype=np.int64)  # inverse of fmap where placed
-    budget = [node_cap]
-    faces_y = {tuple(int(t) for t in row)
-               for row in np.sort(Y.max_faces, axis=1).tolist()}
-    inc_x: list[list[tuple[int, ...]]] = [[] for _ in range(V)]
-    for row in X.max_faces.tolist():
-        f = tuple(int(t) for t in row)
-        for u in set(f):
-            inc_x[u].append(f)
-
-    def consistent(v, w):
-        if inv_x[v] != inv_y[w]:
-            return False
-        for u in adj_x[v]:
-            t = fmap[u]
-            if t >= 0 and t not in adj_y[w]:
-                return False
-        for t in adj_y[w]:
-            u = gmap[t]
-            if u >= 0 and u not in adj_x[v]:
-                return False
-        return True
-
-    def faces_ok(v):
-        # faces of X whose vertices are now all placed must land in Y
-        for f in inc_x[v]:
-            img = [fmap[u] for u in f]
-            if min(img) < 0:
-                continue
-            if tuple(sorted(int(t) for t in img)) not in faces_y:
-                return False
-        return True
-
-    def assign(pos) -> bool:
-        if pos == len(placed):
-            return True
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitError("isomorphism search exceeded node cap",
-                                     partial_count=node_cap)
-        v = placed[pos]
-        for w in classes_y.get(inv_x[v], ()):
-            if gmap[w] >= 0 or not consistent(v, w):
-                continue
-            fmap[v] = w
-            gmap[w] = v
-            if faces_ok(v) and assign(pos + 1):
-                return True
-            fmap[v] = -1
-            gmap[w] = -1
-        return False
-
-    if not assign(0):
-        return None
-    mapped = np.sort(fmap[X.max_faces], axis=1)
-    if not _same_rows(mapped, Y.max_faces, V):
-        return None
-    return fmap
+    # phi[v] for the vertex v = gK_i of X, with g its coset representative
+    ydata = Y.coset_data
+    phi = np.concatenate([
+        ydata.offsets[i] + ydata.partitions[i].ordinal[gproj[part.reps]]
+        for i, part in enumerate(X.coset_data.partitions)])
+    psi = np.empty(Xq.vertex_count, dtype=np.int64)
+    psi[proj] = phi
+    return (np.array_equal(psi[proj], phi)
+            and np.array_equal(np.sort(psi), np.arange(Y.vertex_count))
+            and np.array_equal(Y.colors[psi], Xq.colors)
+            and _same_rows(np.sort(psi[Xq.max_faces], axis=1), Y.max_faces,
+                           Y.vertex_count))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import KeyIndex, closure_bfs, identity_flat, matmul_batch
-from ._kernels.common import pack_keys_any
+from ._kernels import KeyIndex, closure_bfs, identity_flat, matmul_batch, pack_keys
 from .errors import ParameterError, ResourceLimitError, StructureError
 from .ring import RingTable, TruncPoly, check_ring_params, enumerate_polys
 from .roots import gamma0, perm_pow
@@ -334,9 +333,9 @@ class MatrixGroup(FiniteGroup):
         self.m = m
         self.elems = np.ascontiguousarray(elems, dtype=np.uint32)
         self.size = len(self.elems)
-        self.keys = pack_keys_any(self.elems, ring.q)
+        self.keys = pack_keys(self.elems, ring.q)
         self._index = KeyIndex(self.keys)
-        ident_key = pack_keys_any(identity_flat(m)[None, :], ring.q)
+        ident_key = pack_keys(identity_flat(m)[None, :], ring.q)
         ident_pos = self._index.lookup(ident_key)[0]
         if ident_pos < 0:
             raise StructureError("element set does not contain the identity")
@@ -346,14 +345,14 @@ class MatrixGroup(FiniteGroup):
     # -- lookups -----------------------------------------------------------
 
     def index_of_flat(self, flat: np.ndarray) -> int:
-        pos = self._index.lookup(pack_keys_any(np.asarray(flat)[None, :], self.ring.q))[0]
+        pos = self._index.lookup(pack_keys(np.asarray(flat)[None, :], self.ring.q))[0]
         return int(pos)
 
     def index_of(self, mat: MatElement) -> int:
         return self.index_of_flat(mat.flat())
 
     def lookup_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self._index.lookup(pack_keys_any(rows, self.ring.q))
+        return self._index.lookup(pack_keys(rows, self.ring.q))
 
     def mat(self, a: int) -> MatElement:
         return MatElement.from_flat(self.ring.p, self.ring.s, self.m, self.elems[a])
@@ -693,14 +692,14 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
     ambient = _ambient_elementary_flats(n, p, s_hi, k_lo=0)
     conj_pairs = [(a.flat(), a.inverse().flat()) for a in ambient]
     orbit = seed_flats
-    orbit_keys = set(int(k) for k in pack_keys_any(orbit, ring.q))
+    orbit_keys = set(int(k) for k in pack_keys(orbit, ring.q))
     frontier = orbit
     while len(frontier):
         fresh = []
         for g, ginv in conj_pairs:
             prods = matmul_batch(matmul_batch(g, frontier, ring.mul, ring.add, m),
                                  ginv, ring.mul, ring.add, m)
-            for row, key in zip(prods, pack_keys_any(prods, ring.q)):
+            for row, key in zip(prods, pack_keys(prods, ring.q)):
                 if int(key) not in orbit_keys:
                     orbit_keys.add(int(key))
                     fresh.append(row)

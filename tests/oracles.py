@@ -106,15 +106,23 @@ def unipotent_order_formula(m, p, s, d):
 # group closure by a set-based BFS over exact matrix products
 
 
+def horner_key(row, q):
+    """Canonical key of one flat matrix as a Python int: its entries base
+    q, entry 0 least significant, by Horner's rule."""
+    k = 0
+    for e in reversed(row):
+        k = k * q + int(e)
+    return k
+
+
 def bfs_closure(gens):
     """Layers of the subgroup generated by the MatElements ``gens``.
 
     Layer 0 is the identity and layer k+1 holds every product x @ g with
     x in layer k that no earlier layer holds, found with a Python set and
-    listed in ascending pack_key_big order.  Returns the list of layers,
+    listed in ascending horner_key order.  Returns the list of layers,
     each a uint32 array of flat matrices.
     """
-    from cosetx._kernels.common import pack_key_big
     from cosetx.groups import MatElement
 
     m, p, s = gens[0].m, gens[0].p, gens[0].s
@@ -124,7 +132,7 @@ def bfs_closure(gens):
     while layers[-1]:
         fresh = {x @ g for x in layers[-1] for g in gens} - seen
         seen |= fresh
-        layers.append(sorted(fresh, key=lambda x: pack_key_big(x.flat(), p**s)))
+        layers.append(sorted(fresh, key=lambda x: horner_key(x.flat(), p**s)))
     return [np.array([x.flat() for x in layer], dtype=np.uint32).reshape(-1, m * m)
             for layer in layers[:-1]]
 

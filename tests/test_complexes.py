@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from cosetx import fixtures
+from cosetx import complexes, fixtures
 from cosetx.complexes import (SimplicialComplex, build_ko_complex,
                               coset_complex, dumps_complex,
-                              is_isomorphic_partite, left_translation_action,
-                              link, load_complex, loads_complex,
-                              quotient_by_action, save_complex,
+                              left_translation_action, link, load_complex,
+                              loads_complex, quotient_by_action, save_complex,
                               verify_quotient_proposition, weights)
 from cosetx.errors import InputError, StructureError
 from cosetx.groups import subgroup_closure_indices, symmetric_group
@@ -221,12 +220,33 @@ class TestQuotients:
         assert proj.shape == (6,)
         assert Y.colors is not None
 
+    @staticmethod
+    def _s4_v4():
+        G = symmetric_group(4)
+        subs = [subgroup_closure_indices(G, [_sym_index(4, perm)])
+                for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))]
+        v4 = subgroup_closure_indices(
+            G, [_sym_index(4, (1, 0, 3, 2)), _sym_index(4, (2, 3, 0, 1))])
+        return G, subs, v4
+
     def test_quotient_proposition_instances(self):
         G = symmetric_group(3)
         swaps = [subgroup_closure_indices(G, [_sym_index(3, (1, 0, 2))]),
                  subgroup_closure_indices(G, [_sym_index(3, (0, 2, 1))])]
         a3 = subgroup_closure_indices(G, [_sym_index(3, (1, 2, 0))])
         assert verify_quotient_proposition(G, swaps, a3)
+        assert verify_quotient_proposition(*self._s4_v4())
+
+    def test_quotient_proposition_fails_for_a_smaller_action(self, monkeypatch):
+        # act by the order-2 subgroup <(01)(23)> of V4 only: its orbits
+        # outnumber the vertices of CC(S4/V4, ...), so no map is a bijection
+        G, subs, v4 = self._s4_v4()
+        half = subgroup_closure_indices(G, [_sym_index(4, (1, 0, 3, 2))])
+        assert len(half) == 2 and set(half) < set(v4)
+        translate = complexes.left_translation_action
+        monkeypatch.setattr(complexes, "left_translation_action",
+                            lambda X, G, elements: translate(X, G, half))
+        assert not verify_quotient_proposition(G, subs, v4)
 
     def test_non_simplicial_action_rejected(self):
         X = SimplicialComplex(2, 3, [[0, 1, 2]])  # uncolored triangle
@@ -244,35 +264,6 @@ class TestQuotients:
         if pair.colors is None:
             Y, _ = quotient_by_action(pair, [swap])
             assert Y.f_vector() == (3, 3, 1)
-
-
-class TestIsomorphism:
-    def test_relabel_detected(self):
-        base = fixtures.octahedron()
-        X = SimplicialComplex(base.n, base.vertex_count, base.max_faces)
-        rng = np.random.default_rng(1)
-        perm = rng.permutation(X.vertex_count)
-        Y = SimplicialComplex(X.n, X.vertex_count,
-                              np.sort(perm[X.max_faces], axis=1))
-        fmap = is_isomorphic_partite(X, Y)
-        assert fmap is not None
-        mapped = {tuple(sorted(fmap[list(f)]))
-                  for f in X.max_faces.tolist()}
-        assert mapped == {tuple(r) for r in Y.max_faces.tolist()}
-
-    def test_distinguishes_non_isomorphic(self):
-        a = fixtures.cycle_complex(6)
-        b = fixtures.path_complex(6)
-        assert is_isomorphic_partite(a, b) is None
-
-    def test_color_classes_respected(self):
-        G = symmetric_group(3)
-        subs = [subgroup_closure_indices(G, [_sym_index(3, (1, 0, 2))]),
-                subgroup_closure_indices(G, [_sym_index(3, (0, 2, 1))])]
-        X = coset_complex(G, subs)
-        fmap = is_isomorphic_partite(X, X)
-        assert fmap is not None
-        assert (X.colors[fmap] == X.colors).all()
 
 
 class TestSerialization:

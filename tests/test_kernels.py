@@ -178,14 +178,17 @@ def test_identity_flat():
 
 def test_key_packing_roundtrip():
     rng = np.random.default_rng(11)
-    for q, mm in [(8, 9), (125, 4), (16, 16), (2, 64), (3, 40)]:
+    # uint64 keys up to q**mm = 2**64, Python-int keys past it
+    for q, mm, dtype in [(8, 9, np.uint64), (125, 4, np.uint64), (16, 16, np.uint64),
+                         (2, 64, np.uint64), (3, 40, np.uint64),
+                         (625, 9, object), (3, 41, object)]:
         mats = rng.integers(0, q, size=(20, mm)).astype(np.uint32)
         mats[0], mats[1] = 0, q - 1  # the smallest and the largest key
         keys = common.pack_keys(mats, q)
-        assert keys.dtype == np.uint64
-        big = [common.pack_key_big(r, q) for r in mats]
-        assert [int(k) for k in keys] == big
-        assert big[1] == q**mm - 1
+        assert keys.dtype == dtype
+        want = [oracles.horner_key(r, q) for r in mats]
+        assert [int(k) for k in keys] == want
+        assert want[1] == q**mm - 1
         assert np.array_equal(common.unpack_keys(keys, q, mm), mats)
 
 
