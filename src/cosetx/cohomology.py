@@ -24,6 +24,15 @@ C^1 and C^0, and the test suite cross-validates the two mode answers.
 Norms are exact rationals; the distance between cochains is the weighted
 measure of their disagreement set, which is orientation-independent since
 phi and psi agree at (u, v) iff they agree at (v, u).
+
+Exact degree-1 expansion computes each constant once.  h1_cobound is 0
+when some cocycle is not a coboundary; otherwise B^1 = Z^1 as sets (B^1,
+the gauge orbit of the identity cocycle, lies in Z^1), so every distance
+to B^1 is the distance to Z^1 and h1_cobound = h1_cosys.  Over Z/2, d1 is
+linear with kernel Z^1 and translation by a cocycle permutes Z^1, so both
+||d1 a|| and dist(a, Z^1) are constant on each coset a + Z^1; the scan
+visits one representative per coset, 2^E popcounts in all.  The sweep over
+all of C^1 that this replaces is kept in the test suite as the oracle.
 """
 
 from __future__ import annotations
@@ -360,16 +369,13 @@ def gauge_act(X: SimplicialComplex, psi: Cochain0, phi: Cochain1
     return _apply_gauge(X, psi.values, phi)
 
 
-def tree_gauge_fix(X: SimplicialComplex, phi: Cochain1) -> Cochain1:
-    """Gauge phi to the identity on a fixed BFS spanning tree.
+def _tree_potential(X: SimplicialComplex, phi: Cochain1) -> np.ndarray:
+    """psi(root) = e and psi(v) = phi((u, v))^-1 psi(u) down the BFS forest.
 
-    The tree is rooted at vertex 0 with neighbors scanned in increasing
-    order, so the result is deterministic.  Requires a connected complex
-    and a cocycle.
+    d0 psi agrees with phi on every tree edge, so phi is a coboundary iff
+    d0 psi = phi, and the gauge by psi^-1 makes phi the identity on the tree.
     """
-    sk = _require_connected(X)
-    if not is_cocycle(X, phi):
-        raise InputError("tree gauge fixing is defined on cocycles only")
+    sk = _skeleton(X)
     lam = phi.lam
     psi = np.full(X.vertex_count, lam.identity, dtype=np.int64)
     edges = sk.edges
@@ -381,30 +387,28 @@ def tree_gauge_fix(X: SimplicialComplex, phi: Cochain1) -> Cochain1:
         val = int(phi.values[ei])
         if edges[ei, 0] != u:          # canonical row is (v, u)
             val = int(lam.inv[val])
-        # psi(u) phi((u,v)) psi(v)^-1 = e  =>  psi(v) = psi(u) phi((u,v))
-        psi[v] = lam.table[psi[u], val]
-    return _apply_gauge(X, psi, phi)
+        psi[v] = lam.table[lam.inv[val], psi[u]]
+    return psi
+
+
+def tree_gauge_fix(X: SimplicialComplex, phi: Cochain1) -> Cochain1:
+    """Gauge phi to the identity on a fixed BFS spanning tree.
+
+    The tree is rooted at vertex 0 with neighbors scanned in increasing
+    order, so the result is deterministic.  Requires a connected complex
+    and a cocycle.
+    """
+    _require_connected(X)
+    if not is_cocycle(X, phi):
+        raise InputError("tree gauge fixing is defined on cocycles only")
+    return _apply_gauge(X, phi.lam.inv[_tree_potential(X, phi)], phi)
 
 
 def is_coboundary(X: SimplicialComplex, phi: Cochain1) -> Cochain0 | None:
     """A psi with d0 psi = phi, or None.  Works per component."""
     if len(phi.values) != X.face_count(1):
         raise InputError("1-cochain size does not match the complex")
-    sk = _skeleton(X)
-    lam = phi.lam
-    psi = np.full(X.vertex_count, lam.identity, dtype=np.int64)
-    edges = sk.edges
-    for v in sk.bfs_order:
-        u = sk.parent[v]
-        if u < 0:
-            continue
-        ei = sk.parent_edge[v]
-        val = int(phi.values[ei])
-        if edges[ei, 0] != u:
-            val = int(lam.inv[val])
-        # d0 psi((u,v)) = phi((u,v))  =>  psi(v) = phi((u,v))^-1 psi(u)
-        psi[v] = lam.table[lam.inv[val], psi[u]]
-    cand = Cochain0(lam, psi)
+    cand = Cochain0(phi.lam, _tree_potential(X, phi))
     if np.array_equal(d0(X, cand).values, phi.values):
         return cand
     return None
@@ -956,30 +960,26 @@ def _expansion_h1_gf2(X: SimplicialComplex, cap: int) -> ExpansionH1Report:
         nz = z1[~in_b1]
         wts = _weighted_pop(nz, ecnt, uniform_e)
         systole = Fraction(int(wts.min()), d_edge)
-    h1_cobound: Fraction | None
-    total = 1 << E
+    # one representative per coset a + Z^1: zero on the leading bits of an
+    # echelon basis of Z^1, a counter deposited into the other bits
+    pivots = {int(b).bit_length() - 1 for b in _gf2_reduce(z1)}
+    free = [np.uint64(j) for j in range(E) if j not in pivots]
+    total = 1 << len(free)
     chunk = 1 << 18
-    if len(z1) != len(b1):
-        h1_cobound = Fraction(0)      # H^1 nontrivial forces the min to 0
-    else:
-        h1_cobound = None
-        best_nd: tuple[int, int] | None = None
-        for lo in range(0, total, chunk):
-            arr = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
-            num = _tri_weight(arr, tri_masks, tcnt)
-            dist = _min_dist(arr, b1, ecnt, uniform_e)
-            r = _exact_min_ratio(num, dist, dist > 0, d_tri, d_edge)
-            if r is not None and (h1_cobound is None or r < h1_cobound):
-                h1_cobound = r
-    best_cosys: Fraction | None = None
+    h1_cosys: Fraction | None = None
     for lo in range(0, total, chunk):
-        arr = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
+        arr = np.zeros_like(idx)
+        for j, pos in enumerate(free):
+            arr |= ((idx >> np.uint64(j)) & np.uint64(1)) << pos
         num = _tri_weight(arr, tri_masks, tcnt)
         dist = _min_dist(arr, z1, ecnt, uniform_e)
         r = _exact_min_ratio(num, dist, dist > 0, d_tri, d_edge)
-        if r is not None and (best_cosys is None or r < best_cosys):
-            best_cosys = r
-    return ExpansionH1Report(h1_cobound, best_cosys, systole,
+        if r is not None and (h1_cosys is None or r < h1_cosys):
+            h1_cosys = r
+    # H^1 nontrivial forces the coboundary min to 0; otherwise B^1 = Z^1
+    h1_cobound = Fraction(0) if len(z1) != len(b1) else h1_cosys
+    return ExpansionH1Report(h1_cobound, h1_cosys, systole,
                              mode="exact", exact=True)
 
 
@@ -987,10 +987,12 @@ def _weighted_pop(masks: np.ndarray, ecnt: np.ndarray,
                   uniform: int | None) -> np.ndarray:
     if uniform is not None:
         return np.bitwise_count(masks).astype(np.int64) * uniform
-    E = len(ecnt)
-    bits = ((masks[:, None] >> np.arange(E, dtype=np.uint64)[None, :])
-            & np.uint64(1)).astype(np.int64)
-    return bits @ ecnt
+    # one popcount per distinct edge weight
+    out = np.zeros(len(masks), dtype=np.int64)
+    for c in np.unique(ecnt):
+        sel = np.uint64(sum(1 << int(j) for j in np.flatnonzero(ecnt == c)))
+        out += np.bitwise_count(masks & sel).astype(np.int64) * int(c)
+    return out
 
 
 def _tri_weight(arr: np.ndarray, tri_masks: np.ndarray,
@@ -1018,15 +1020,14 @@ def _min_dist(arr: np.ndarray, ref: np.ndarray, ecnt: np.ndarray,
     return best
 
 
-def _expansion_h1_generic(X: SimplicialComplex, lam: CoefficientGroup,
-                          cap: int) -> ExpansionH1Report:
+def _ratio_to(X: SimplicialComplex, lam: CoefficientGroup):
+    """ratio(vals, ref): ||d1 vals|| over the distance from vals to ref.
+
+    Both norms are exact in the normalized weights; the ratio is None when
+    vals lies in ref, where the distance is 0.
+    """
     sk = _skeleton(X)
     E = len(sk.edges)
-    m = lam.size
-    if m ** E > cap:
-        raise ResourceLimitError(
-            f"|Lambda|^|X(1)| = {m}**{E} exceeds cap {cap}")
-    b1 = sorted(_enumerate_coboundaries(X, lam, cap))
     t, inv = lam.table, lam.inv
     e0 = lam.identity
     te = sk.tri_edges
@@ -1035,53 +1036,51 @@ def _expansion_h1_generic(X: SimplicialComplex, lam: CoefficientGroup,
     d_edge = math.comb(X.n + 1, 2) * len(X.max_faces)
     d_tri = math.comb(X.n + 1, 3) * len(X.max_faces)
 
-    def tri_w(vals) -> int:
-        out = 0
+    def ratio(vals, ref) -> Fraction | None:
+        dv = None
+        for other in ref:
+            d = sum(int(ecnt[ei]) for ei in range(E)
+                    if vals[ei] != other[ei])
+            if dv is None or d < dv:
+                dv = d
+                if dv == 0:
+                    return None
+        num = 0
         for ti, (ea, eb, ec) in enumerate(te):
             if t[t[vals[ea], vals[eb]], inv[vals[ec]]] != e0:
-                out += int(tcnt[ti])
-        return out
+                num += int(tcnt[ti])
+        return Fraction(num * d_edge, dv * d_tri)
 
-    def dist_w(vals, ref) -> int:
-        best = None
-        for other in ref:
-            d = 0
-            for ei in range(E):
-                if vals[ei] != other[ei]:
-                    d += int(ecnt[ei])
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    break
-        return best
+    return ratio
 
+
+def _expansion_h1_generic(X: SimplicialComplex, lam: CoefficientGroup,
+                          cap: int) -> ExpansionH1Report:
+    sk = _skeleton(X)
+    E = len(sk.edges)
+    m = lam.size
+    if m ** E > cap:
+        raise ResourceLimitError(
+            f"|Lambda|^|X(1)| = {m}**{E} exceeds cap {cap}")
+    b1set = _enumerate_coboundaries(X, lam, cap)
     z1 = _enumerate_cocycles(X, lam, cap)
-    b1set = set(b1)
+    ecnt = sk.edge_cnt
+    e0 = lam.identity
     nontriv = [v for v in z1 if v not in b1set]
     systole = None
     if nontriv:
         systole = Fraction(
             min(sum(int(ecnt[ei]) for ei in range(E) if v[ei] != e0)
-                for v in nontriv), d_edge)
-    if nontriv:
-        h1_cobound: Fraction | None = Fraction(0)
-    else:
-        h1_cobound = None
-        for vals in itertools.product(range(m), repeat=E):
-            dv = dist_w(vals, b1)
-            if dv == 0:
-                continue
-            r = Fraction(tri_w(vals) * d_edge, dv * d_tri)
-            if h1_cobound is None or r < h1_cobound:
-                h1_cobound = r
+                for v in nontriv),
+            math.comb(X.n + 1, 2) * len(X.max_faces))
+    ratio = _ratio_to(X, lam)
     h1_cosys: Fraction | None = None
     for vals in itertools.product(range(m), repeat=E):
-        dv = dist_w(vals, z1)
-        if dv == 0:
-            continue
-        r = Fraction(tri_w(vals) * d_edge, dv * d_tri)
-        if h1_cosys is None or r < h1_cosys:
+        r = ratio(vals, z1)
+        if r is not None and (h1_cosys is None or r < h1_cosys):
             h1_cosys = r
+    # H^1 nontrivial forces the coboundary min to 0; otherwise B^1 = Z^1
+    h1_cobound = Fraction(0) if nontriv else h1_cosys
     return ExpansionH1Report(h1_cobound, h1_cosys, systole,
                              mode="exact", exact=True)
 
@@ -1095,38 +1094,15 @@ def _expansion_h1_search(X: SimplicialComplex, lam: CoefficientGroup,
     reported value is a true upper bound); the minimization over C^1 is
     heuristic.  h^1_cosys and the systole are not estimated.
     """
-    sk = _skeleton(X)
-    E = len(sk.edges)
+    E = len(_skeleton(X).edges)
     m = lam.size
     b1 = sorted(_enumerate_coboundaries(X, lam, cap))
-    t, inv = lam.table, lam.inv
-    e0 = lam.identity
-    te = sk.tri_edges
-    ecnt = sk.edge_cnt
-    tcnt = sk.tri_cnt
-    d_edge = math.comb(X.n + 1, 2) * len(X.max_faces)
-    d_tri = math.comb(X.n + 1, 3) * len(X.max_faces)
+    ratio = _ratio_to(X, lam)
     rng = random.Random(seed)
-
-    def ratio(vals) -> Fraction | None:
-        dv = None
-        for other in b1:
-            d = sum(int(ecnt[ei]) for ei in range(E)
-                    if vals[ei] != other[ei])
-            if dv is None or d < dv:
-                dv = d
-                if dv == 0:
-                    return None
-        num = 0
-        for ti, (ea, eb, ec) in enumerate(te):
-            if t[t[vals[ea], vals[eb]], inv[vals[ec]]] != e0:
-                num += int(tcnt[ti])
-        return Fraction(num * d_edge, dv * d_tri)
-
     best: Fraction | None = None
     for _ in range(max(1, iters)):
         vals = [rng.randrange(m) for _ in range(E)]
-        r = ratio(vals)
+        r = ratio(vals, b1)
         improved = True
         while improved:
             improved = False
@@ -1136,7 +1112,7 @@ def _expansion_h1_search(X: SimplicialComplex, lam: CoefficientGroup,
                     if nv == old:
                         continue
                     vals[ei] = nv
-                    r2 = ratio(vals)
+                    r2 = ratio(vals, b1)
                     if r2 is not None and (r is None or r2 < r):
                         r = r2
                         old = nv
@@ -1152,11 +1128,13 @@ def expansion_h1(X: SimplicialComplex, lam: CoefficientGroup,
                  seed: int = 0, iters: int = 32) -> ExpansionH1Report:
     """Coboundary/cosystolic expansion in degree 1.
 
-    exact mode enumerates all of C^1 (within cap) and returns
-    (h1_cobound, h1_cosys, min systole norm) as exact rationals; when
-    Z^1 != B^1 the coboundary constant is 0 without a scan.  search mode
-    returns the best ratio found by randomized local descent, a true
-    upper bound on h1_cobound, with the other fields unset.
+    exact mode returns (h1_cobound, h1_cosys, min systole norm) as exact
+    rationals from one scan for h1_cosys, within |Lambda|^|X(1)| <= cap.
+    h1_cobound is read off it: 0 when Z^1 != B^1, else equal to h1_cosys,
+    since then the two reference sets coincide.  Z/2 scans one cochain per
+    coset of Z^1, where the ratio is constant; other groups scan all of
+    C^1.  search mode returns the best ratio found by randomized local
+    descent, a true upper bound on h1_cobound, with the other fields unset.
     """
     if lam.size < 2:
         raise ParameterError("expansion needs a non-trivial group")

@@ -28,7 +28,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (InputError, ParameterError, ResourceLimitError,
                      StructureError)
-from .groups import CosetPartition, FiniteGroup, cosets, quotient
+from .groups import (CosetPartition, FiniteGroup, _orbit_min_labels,
+                     cosets, quotient)
 
 
 def _pack_cols(rows: np.ndarray, base: int) -> np.ndarray | None:
@@ -463,15 +464,7 @@ def quotient_by_action(X: SimplicialComplex, perms: Sequence[np.ndarray]
         if not _same_rows(mapped, mf, V):
             raise StructureError("action generator is not simplicial")
         checked.append(perm)
-    labels = np.arange(V, dtype=np.int64)
-    while True:
-        prev = labels.copy()
-        for perm in checked:
-            labels = np.minimum(labels, labels[perm])
-            np.minimum.at(labels, perm, labels)
-        labels = labels[labels]
-        if np.array_equal(prev, labels):
-            break
+    labels = _orbit_min_labels(V, checked)
     reps = np.unique(labels)
     proj = np.searchsorted(reps, labels)
     qf = proj[mf]

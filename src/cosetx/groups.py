@@ -663,9 +663,12 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
 
     Strategy: close the congruence elementaries e_{i,j}(c t^k), k >= s_lo,
     under conjugation by the ambient elementary generators (a small set),
-    then BFS-close that.  The result is certified against the exact kernel
-    order p^((s_hi-s_lo)(m^2-1)); on a shortfall we fall back to filtering
-    the fully enumerated ambient group.  Every stage stays inside the kernel
+    then BFS-close that.  The bare elementaries alone never suffice: with
+    I = (t^s_lo), every product of e_{i,j}(x), x in I, has its diagonal
+    entries congruent to 1 mod I^2, while the kernel holds
+    diag(1 + t^s_lo, (1 + t^s_lo)^-1, 1, ...).  The result is certified
+    against the exact kernel order p^((s_hi-s_lo)(m^2-1)); on a shortfall
+    we fall back to filtering the fully enumerated ambient group.  Every stage stays inside the kernel
     by construction, so the cardinality check is a proof of equality.
     """
     check_ring_params(p, s_hi)
@@ -683,12 +686,7 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
 
     seeds = _ambient_elementary_flats(n, p, s_hi, k_lo=s_lo)
     seed_flats = np.unique(np.stack([g.flat() for g in seeds]), axis=0)
-    group = _try_kernel_closure(ring, m, seed_flats, cap)
-    if group is not None and group.size == expected:
-        group.generators = sorted(int(i) for i in group.lookup_rows(seed_flats))
-        return group
-
-    # escalate: conjugation-orbit of the seeds under ambient elementaries
+    # conjugation orbit of the seeds under the ambient elementaries
     ambient = _ambient_elementary_flats(n, p, s_hi, k_lo=0)
     conj_pairs = [(a.flat(), a.inverse().flat()) for a in ambient]
     orbit = seed_flats

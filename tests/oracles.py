@@ -305,6 +305,58 @@ def cheeger_h0(X):
     return best
 
 
+def brute_h1_gf2(X):
+    """(h1_cobound, h1_cosys, min_systole) over Z/2 by sweeping all of C^1.
+
+    A 1-cochain is a bitmask over the sorted edges.  Z^1 is every cochain
+    with even parity on each triangle, B^1 the coboundaries of all 2^V
+    vertex subsets; each constant is the minimum of
+    w(odd triangles) / min_ref w(a xor ref) over the cochains a outside
+    the reference set, and the systole is the least weight in Z^1 \\ B^1.
+    Weights are kept as integer face counts over their common
+    denominators C(n+1, k) * |X(n)|, so every comparison is exact.
+    """
+    from math import comb
+
+    _, ecount = _edge_weights(X)
+    edges = sorted(ecount)
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    tcount = {}
+    for row in X.max_faces:
+        for a, b, c in itertools.combinations(sorted(row.tolist()), 3):
+            tm = bit[(a, b)] | bit[(b, c)] | bit[(a, c)]
+            tcount[tm] = tcount.get(tm, 0) + 1
+    d_edge = comb(X.n + 1, 2) * len(X.max_faces)
+    d_tri = comb(X.n + 1, 3) * len(X.max_faces)
+    E = len(edges)
+    weight = [0] * (1 << E)
+    for mask in range(1, 1 << E):
+        low = mask & -mask
+        weight[mask] = weight[mask ^ low] + ecount[edges[low.bit_length() - 1]]
+    z1 = [a for a in range(1 << E)
+          if all(bin(a & tm).count("1") % 2 == 0 for tm in tcount)]
+    b1 = set()
+    for S in range(1 << X.vertex_count):
+        b1.add(sum(bit[(u, v)] for u, v in edges
+                   if ((S >> u) ^ (S >> v)) & 1))
+
+    def constant(ref):
+        best = None
+        for a in range(1 << E):
+            dist = min(weight[a ^ z] for z in ref)
+            if dist == 0:
+                continue
+            num = sum(c for tm, c in tcount.items()
+                      if bin(a & tm).count("1") % 2)
+            ratio = Fraction(num * d_edge, dist * d_tri)
+            if best is None or ratio < best:
+                best = ratio
+        return best
+
+    systoles = [Fraction(weight[z], d_edge) for z in z1 if z not in b1]
+    return constant(b1), constant(z1), min(systoles, default=None)
+
+
 # ---------------------------------------------------------------------------
 # abelian H^1 census by linear algebra mod a prime
 

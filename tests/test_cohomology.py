@@ -4,8 +4,10 @@ The gauge-mode H^1 decision is validated against the brute-force mode
 (full C^1 enumeration) on every fixture where the latter fits, and the
 class censuses are cross-checked against an independent GF(p) linear
 algebra oracle for Abelian coefficients.  Expansion constants are pinned
-as exact rationals and checked against the partition brute force in
-oracles.py.
+as exact rationals and checked against complete enumerations in
+oracles.py: h^0 against the partition brute force and the Cheeger subset
+scan, exact h^1 over Z/2 against a sweep of all of C^1 with Z^1 filtered
+by triangle parity and B^1 taken from every vertex subset.
 """
 
 import itertools
@@ -53,6 +55,19 @@ def two_fold_triangle():
 def punctured_torus():
     faces = [list(f) for f in fx.torus_7().max_faces[:-1]]
     return SimplicialComplex(2, 7, faces)
+
+
+def mobius_strip():
+    # five triangles {i, i+1, i+2} mod 5; every edge of K_5, H^1(Z/2) = Z/2
+    return SimplicialComplex(2, 5, [sorted({i, (i + 1) % 5, (i + 2) % 5})
+                                    for i in range(5)])
+
+
+def projective_plane():
+    # the 6-vertex RP^2: hemi-icosahedron, every edge in two triangles
+    return SimplicialComplex(2, 6, [
+        [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+        [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]])
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +402,34 @@ def test_h1_expansion_trivial_cases():
     assert (rep.h1_cobound, rep.h1_cosys, rep.min_systole) == (1, 1, None)
 
 
+def test_h1_expansion_pins():
+    # punctured torus: unequal edge weights; Moebius and RP^2: |Z^1| > |B^1|
+    for X, expect in ((punctured_torus(), (0, Fraction(3, 5),
+                                           Fraction(10, 39))),
+                      (mobius_strip(), (0, 3, Fraction(4, 15))),
+                      (projective_plane(), (0, Fraction(3, 2),
+                                            Fraction(1, 3)))):
+        rep = expansion_h1(X, zmod(2))
+        assert rep.exact
+        assert (rep.h1_cobound, rep.h1_cosys, rep.min_systole) == expect
+
+
+@pytest.mark.parametrize("build", [
+    fx.single_triangle, fx.tetrahedron_sphere, fx.octahedron,
+    two_fold_triangle, mobius_strip, projective_plane])
+def test_h1_expansion_gf2_matches_full_sweep(build):
+    X = build()
+    rep = expansion_h1(X, zmod(2))
+    assert (rep.h1_cobound, rep.h1_cosys, rep.min_systole) == \
+        oracles.brute_h1_gf2(X)
+
+
 def test_h1_expansion_gf2_agrees_with_generic():
     # an order-2 table with identity at index 1 sidesteps the xor fast
     # path, so the same group runs through the generic enumerator
     flipped = coefficients_from_table("2 1 0 0 1", name="z2-flipped")
     assert flipped.identity == 1
-    for X in (fx.single_triangle(), two_fold_triangle()):
+    for X in (fx.single_triangle(), two_fold_triangle(), mobius_strip()):
         a = expansion_h1(X, zmod(2))
         b = expansion_h1(X, flipped)
         assert (a.h1_cobound, a.h1_cosys, a.min_systole) == \

@@ -286,6 +286,10 @@ GOLDEN_ORDER = [
      "1d3ecfab0602bfb6cfa8626892612b0880d4bf4228bbca1c181b0f174bd9c4db"),
     (sl_group, (1, 3, 2),
      "59ee6492a9cca1c0130c03ce634c816821aa84e1cd3291d8f523ce9d1e06780f"),
+    (reduction_kernel, (2, 2, 2, 1),
+     "b9f4f6e7037fede43821d4494627bf9aa63f714f052b4d07a8122ba1a069f87e"),
+    (reduction_kernel, (1, 2, 4, 2),
+     "58bd62c4a33ec5f181438d028bc6b806d86b3b8bf90448e777790c3f41561d88"),
 ]
 
 

@@ -227,6 +227,31 @@ def test_ko_links_small_instance():
         assert lnk.is_connected()
 
 
+def test_ko_links_match_literal_links():
+    # link(K_i) in X = CC(G, {K_j}) is CC(K_i, {K_i n K_j : j != i}) through
+    # the explicit map k(K_i n K_j) -> kK_j, k in K_i
+    from cosetx.complexes import link
+    from cosetx.groups import sl_group, subgroup_K
+
+    G = sl_group(2, 2, 2)
+    X = build_ko_complex(2, 2, 2, 1)
+    for i, Y in enumerate(ko_vertex_links(2, 2, 2, 1)):
+        L = link(X, (X.coset_data.vertex_of(i, G.identity),))
+        in_G = G.lookup_rows(subgroup_K(2, 2, 2, 1, i).elems)
+        others = [j for j in range(3) if j != i]
+        image = np.concatenate([
+            [X.coset_data.vertex_of(others[c], int(in_G[k])) for k in part.reps]
+            for c, part in enumerate(Y.coset_data.partitions)])
+        phi = np.searchsorted(L.origin_vertices, image)
+        assert np.array_equal(L.origin_vertices[phi], image)
+        assert np.array_equal(np.sort(phi), np.arange(L.vertex_count))
+        assert np.array_equal(L.colors[phi], Y.colors)
+        mapped = np.sort(phi[Y.max_faces], axis=1)
+        assert len(mapped) == len(L.max_faces)
+        assert set(map(tuple, mapped.tolist())) == \
+            set(map(tuple, L.max_faces.tolist()))
+
+
 def test_ko_link_report_p2():
     # sqrt(2) < 2, so the theorem bound is unavailable and the observed
     # bipartite-flavored value 1/sqrt(2) is checked explicitly
