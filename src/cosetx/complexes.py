@@ -80,6 +80,10 @@ class SimplicialComplex:
     ``colors`` is optional: coset complexes always carry the partite
     coloring, while some test fixtures (e.g. the 7-vertex torus) are not
     colorable at all.  When colors are present, partiteness is enforced.
+
+    ``coset_data`` is the CosetStructure that ``coset_complex`` sets on
+    the complexes it builds; every other complex (fixtures, loaded files,
+    links of nonempty faces, quotients) keeps None.
     """
 
     def __init__(self, n: int, vertex_count: int, max_faces,
@@ -101,6 +105,7 @@ class SimplicialComplex:
         self.colors = None if colors is None else \
             np.asarray(colors, dtype=np.int64)
         self.labels = None if labels is None else tuple(labels)
+        self.coset_data: CosetStructure | None = None
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._keys: dict[int, np.ndarray] = {}
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
@@ -395,6 +400,11 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
     {gK_0, ..., gK_n} over all g; the stabilizer of the base chamber is
     the intersection of the K_i, so the face count is |G| divided by the
     intersection order.
+
+    Every face of color type T is a translate g.{K_i : i in T} of the base
+    chamber's T-face, so G acts transitively on the faces of each color
+    type, and left translation (see ``left_translation_action``) carries
+    one such face's weighted link isomorphically onto another's.
     """
     k = len(subgroups)
     if k < 2:
@@ -420,7 +430,7 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
 def left_translation_action(X: SimplicialComplex, G: FiniteGroup,
                             elements: Iterable[int]) -> list[np.ndarray]:
     """Vertex permutations g.(hK_i) = (gh)K_i for each listed g."""
-    data = getattr(X, "coset_data", None)
+    data = X.coset_data
     if data is None:
         raise InputError("complex does not carry coset structure")
     out = []

@@ -4,7 +4,8 @@ These are the small instances the tests pin their expected values to: a
 single triangle, the boundary of the tetrahedron (a 2-sphere, so H^1
 vanishes for every coefficient group), the 7-vertex triangulation of the
 torus (whose 1-skeleton is K_7 and whose Z/2 cohomology has exactly four
-classes), the octahedron (the smallest 3-partite 2-sphere), and assorted
+classes), the octahedron (the smallest 3-partite 2-sphere), a 3-partite
+strip whose same-colored vertices have unlike links, and assorted
 1-dimensional complexes for Cheeger-constant cross-checks.
 """
 
@@ -18,6 +19,17 @@ from .errors import ParameterError
 
 def single_triangle() -> SimplicialComplex:
     return SimplicialComplex(2, 3, [[0, 1, 2]], colors=[0, 1, 2])
+
+
+def triangle_strip() -> SimplicialComplex:
+    """Three triangles in a row, 3-partite but with unlike links.
+
+    Faces [0,1,2], [1,2,3], [2,3,4] with colors 0,1,2,0,1.  The color-0
+    vertices 0 and 3 have links with 2 and 3 vertices (an edge and a
+    path), so no color type is a single link isomorphism class.
+    """
+    return SimplicialComplex(2, 5, [[0, 1, 2], [1, 2, 3], [2, 3, 4]],
+                             colors=[0, 1, 2, 0, 1])
 
 
 def tetrahedron_sphere() -> SimplicialComplex:

@@ -6,8 +6,10 @@ maximal-face containment count over a fixed denominator, integer counts
 drive all matrix assembly and the stationary distribution is exactly the
 normalized vertex weight vector.  Floating point enters only in the
 eigensolver, one sparse Lanczos solve per walk from a seeded start vector,
-and every reported eigenvalue is certified by the residual of its Ritz
-pair.
+and every computed eigenvalue is certified by the residual of its Ritz
+pair.  On a coset complex the report solves one link per color type of
+face, since left translation makes all links of a type isomorphic; on any
+other complex it solves every link.
 """
 
 from __future__ import annotations
@@ -163,6 +165,15 @@ class LinkEntry:
     ``face`` is the face of the ambient complex (empty tuple for the
     complex itself) or None when the link was built directly from group
     data and no ambient face is materialized.
+
+    ``solver`` says where ``second`` came from:
+
+    - ``"lanczos"``: a certified Lanczos solve of this link's walk;
+    - ``"reused"``: copied, with ``vertices`` and ``connected``, from the
+      link of an earlier face in the same orbit (see
+      ``local_spectral_report``), so it is None if that link is
+      disconnected;
+    - ``"none"``: the link is disconnected and nothing was solved.
     """
 
     face: tuple[int, ...] | None
@@ -233,17 +244,35 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float
     """Walk spectra of X and of every link of dimension >= 1.
 
     Iterates tau over the faces of dimension -1..n-2 (the empty face gives
-    X itself) and solves every link on its own with one certified Lanczos
-    solve; no link borrows another's eigenvalue, so the report assumes no
-    symmetry of X.  Disconnected links appear as failure entries.
+    X itself) and keys each face by its orbit.  Only the first face of an
+    orbit has its link solved, with one certified Lanczos solve; the other
+    faces of the orbit copy its vertex count, connectivity and eigenvalue
+    as ``"reused"`` entries.
+
+    The orbits are known only for coset complexes (``X.coset_data`` set).
+    There every face of color type T is g.{K_i : i in T} for some g in G,
+    and left translation by g is a weight-preserving isomorphism from the
+    link of the base face onto the link of g.tau, so the key is (dimension,
+    colors).  For any other complex the key is the face itself: no link
+    borrows another's eigenvalue and no symmetry of X is assumed.
+    Disconnected links appear as failure entries.
     """
+    by_orbit = X.coset_data is not None
+    solved: dict[tuple, LinkEntry] = {}
     entries: list[LinkEntry] = []
     for k in range(-1, X.n - 1):
         for row in X.faces(k):
             tau = tuple(int(v) for v in row)
             colors = (tuple(int(c) for c in X.colors[list(tau)])
                       if X.colors is not None and tau else None)
-            entries.append(_solve_entry(link(X, tau), tau, colors))
+            key = (k, colors) if by_orbit else tau
+            rep = solved.get(key)
+            if rep is None:
+                entry = solved[key] = _solve_entry(link(X, tau), tau, colors)
+            else:
+                entry = LinkEntry(tau, colors, rep.vertices, rep.connected,
+                                  rep.second, "reused")
+            entries.append(entry)
     return _finish_report(entries, lam_threshold)
 
 

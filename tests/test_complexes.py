@@ -191,7 +191,7 @@ class TestCosetComplex:
         X = coset_complex(G, subs)
         assert X.colors is not None
         assert np.bincount(X.colors).tolist() == [3, 3]
-        assert hasattr(X, "coset_data")
+        assert X.coset_data is not None
 
 
 class TestQuotients:
@@ -200,6 +200,21 @@ class TestQuotients:
         subs = [subgroup_closure_indices(G, [_sym_index(3, (1, 0, 2))]),
                 subgroup_closure_indices(G, [_sym_index(3, (0, 2, 1))])]
         return G, subs, coset_complex(G, subs)
+
+    def test_coset_data_only_on_coset_complexes(self):
+        # the report keys links by color type only when coset_data is set,
+        # so nothing derived from a coset complex may inherit it
+        G, subs, X = self._hexagon()
+        assert fixtures.octahedron().coset_data is None
+        assert link(X, ()) is X
+        assert link(X, (0,)).coset_data is None
+        assert loads_complex(dumps_complex(X)).coset_data is None
+        a3 = subgroup_closure_indices(G, [_sym_index(3, (1, 2, 0))])
+        Y, _ = quotient_by_action(
+            X, left_translation_action(X, G, (int(x) for x in a3)))
+        assert Y.coset_data is None
+        with pytest.raises(InputError):
+            left_translation_action(Y, G, [0])
 
     def test_translation_action_is_simplicial(self):
         G, subs, X = self._hexagon()

@@ -7,20 +7,31 @@ that never touches the package's WalkMatrix plumbing.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cosetx import fixtures as fx
-from cosetx.complexes import SimplicialComplex, build_ko_complex, weights
+from cosetx.complexes import (
+    SimplicialComplex,
+    build_ko_complex,
+    coset_complex,
+    dumps_complex,
+    link,
+    loads_complex,
+    weights,
+)
 from cosetx.errors import (
     InputError,
     NumericalError,
     ParameterError,
     StructureError,
 )
+from cosetx.groups import subgroup_closure_indices, symmetric_group
 from cosetx.spectral import (
+    _solve_entry,
     ko_link_report,
     ko_vertex_links,
     local_spectral_report,
@@ -198,20 +209,95 @@ def test_report_to_dict_shape():
                                   "second_eigenvalue", "solver"}
 
 
-def test_report_ko_complex_solves_every_link():
+def _per_face_entries(X):
+    """One independent solve of every link, with no orbit shortcut."""
+    out = []
+    for k in range(-1, X.n - 1):
+        for row in X.faces(k):
+            tau = tuple(int(v) for v in row)
+            colors = (tuple(int(c) for c in X.colors[list(tau)])
+                      if X.colors is not None and tau else None)
+            out.append(_solve_entry(link(X, tau), tau, colors))
+    return out
+
+
+def _assert_matches_per_face(rep, X):
+    oracle = _per_face_entries(X)
+    assert len(rep.entries) == len(oracle)
+    for got, want in zip(rep.entries, oracle):
+        assert (got.face, got.colors) == (want.face, want.colors)
+        assert got.vertices == want.vertices
+        assert got.connected == want.connected
+        if want.second is None:
+            assert got.second is None
+        else:
+            assert got.second == pytest.approx(want.second, abs=1e-9)
+
+
+def _s4_parabolic_sphere():
+    # maximal parabolics of S4: the 14-vertex 2-sphere of the suite's
+    # quotient-cohomology check; K_0 and K_2 are S3, K_1 is Z/2 x Z/2
+    G = symmetric_group(4)
+    s1, s2, s3 = (1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)
+    idx = list(itertools.permutations(range(4))).index
+    subs = [subgroup_closure_indices(G, [idx(a), idx(b)])
+            for a, b in ((s2, s3), (s1, s3), (s1, s2))]
+    return coset_complex(G, subs)
+
+
+def test_report_ko_complex_matches_per_face_solves():
     # G acts transitively on each color's vertices, so the 2016 vertex links
-    # are isomorphic and their independent solves must agree
+    # are isomorphic: one solve per color, the rest reused
     X = build_ko_complex(2, 2, 2, 1)
     rep = local_spectral_report(X, 0.999)
     assert len(rep.entries) == 2017
     assert rep.connected_ok and rep.passed
-    assert {e.solver for e in rep.entries} == {"lanczos"}
+    solvers = [e.solver for e in rep.entries]
+    assert solvers.count("lanczos") == 4     # the empty face + one per color
+    assert solvers.count("reused") == 2013
     assert rep.entries[0].face == ()
     assert rep.entries[0].second == pytest.approx(0.5395780988, abs=1e-9)
     assert [e.face for e in rep.entries[1:]] == [(v,) for v in range(2016)]
     for e in rep.entries[1:]:
         assert e.second == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     assert rep.max_second == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+    _assert_matches_per_face(rep, X)
+
+
+def test_report_coset_colors_with_unlike_links():
+    # colors 0 and 2 have hexagon links, color 1 has 4-cycle links, so a
+    # shortcut that ignored the color type would copy the wrong spectrum
+    X = _s4_parabolic_sphere()
+    rep = local_spectral_report(X, 0.9)
+    assert len(rep.entries) == 15
+    assert [e.solver for e in rep.entries].count("lanczos") == 4
+    assert rep.entries[0].second == pytest.approx(
+        oracles.walk_second_eigenvalue(X), abs=TOL)
+    want = {(0,): (6, 0.5), (1,): (4, 0.0), (2,): (6, 0.5)}
+    for e in rep.entries[1:]:
+        assert (e.vertices, round(e.second, 9)) == want[e.colors]
+    _assert_matches_per_face(rep, X)
+
+    # the same complex read back from a file carries no coset data, so
+    # every link is solved and the entries agree one by one
+    Y = loads_complex(dumps_complex(X))
+    plain = local_spectral_report(Y, 0.9)
+    assert [e.solver for e in plain.entries] == ["lanczos"] * 15
+    for a, b in zip(rep.entries, plain.entries):
+        assert (a.face, a.colors, a.vertices, a.connected) == \
+            (b.face, b.colors, b.vertices, b.connected)
+        assert a.second == pytest.approx(b.second, abs=1e-9)
+
+
+def test_report_colored_fixture_solves_every_link():
+    # partite but not a coset complex: the color-0 vertices 0 and 3 have
+    # links with 2 and 3 vertices, so colors alone must not key a solve
+    X = fx.triangle_strip()
+    rep = local_spectral_report(X, 0.9)
+    assert [e.solver for e in rep.entries] == ["lanczos"] * 6
+    assert [(e.colors, e.vertices) for e in rep.entries[1:]] == \
+        [((0,), 2), ((1,), 3), ((2,), 4), ((0,), 3), ((1,), 2)]
+    _assert_matches_per_face(rep, X)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +316,6 @@ def test_ko_links_small_instance():
 def test_ko_links_match_literal_links():
     # link(K_i) in X = CC(G, {K_j}) is CC(K_i, {K_i n K_j : j != i}) through
     # the explicit map k(K_i n K_j) -> kK_j, k in K_i
-    from cosetx.complexes import link
     from cosetx.groups import sl_group, subgroup_K
 
     G = sl_group(2, 2, 2)
