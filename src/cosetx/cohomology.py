@@ -28,11 +28,11 @@ phi and psi agree at (u, v) iff they agree at (v, u).
 Exact degree-1 expansion computes each constant once.  h1_cobound is 0
 when some cocycle is not a coboundary; otherwise B^1 = Z^1 as sets (B^1,
 the gauge orbit of the identity cocycle, lies in Z^1), so every distance
-to B^1 is the distance to Z^1 and h1_cobound = h1_cosys.  Over Z/2, d1 is
-linear with kernel Z^1 and translation by a cocycle permutes Z^1, so both
+to B^1 is the distance to Z^1 and h1_cobound = h1_cosys.  A Lambda of prime
+order p is cyclic, so g^k -> k for any g != e maps it onto Z/p.  Then d1 is
+F_p-linear with kernel Z^1, and translation by a cocycle permutes Z^1, so
 ||d1 a|| and dist(a, Z^1) are constant on each coset a + Z^1; the scan
-visits one representative per coset, 2^E popcounts in all.  The sweep over
-all of C^1 that this replaces is kept in the test suite as the oracle.
+visits one cochain per coset.  Other Lambda are swept over all of C^1.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -840,88 +840,6 @@ class ExpansionH1Report:
                 f"min_systole={self.min_systole}  [{tag}]")
 
 
-def _z1_b1_sets_gf2(X: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
-    """Z^1 and B^1 over Z/2 as sorted uint64 edge-bitmask arrays.
-
-    Bit j of a mask is the value on edge j.  Computed by GF(2) linear
-    algebra: B^1 is spanned by the vertex coboundaries, Z^1 by B^1 plus a
-    nullspace complement of the triangle parity system.
-    """
-    sk = _skeleton(X)
-    E = len(sk.edges)
-    if E > 62:
-        raise ResourceLimitError("GF(2) bitmask path supports <= 62 edges")
-    V = X.vertex_count
-    # B^1 span
-    vert_masks = np.zeros(V, dtype=np.uint64)
-    for ei, (u, v) in enumerate(sk.edges):
-        bit = np.uint64(1) << np.uint64(ei)
-        vert_masks[int(u)] ^= bit
-        vert_masks[int(v)] ^= bit
-    b_basis = _gf2_reduce(vert_masks)
-    b1 = _gf2_span(b_basis)
-    # Z^1 = nullspace of the triangle parity matrix (rows over edges)
-    rows = []
-    for ea, eb, ec in sk.tri_edges:
-        rows.append((np.uint64(1) << np.uint64(int(ea)))
-                    ^ (np.uint64(1) << np.uint64(int(eb)))
-                    ^ (np.uint64(1) << np.uint64(int(ec))))
-    null_basis = _gf2_nullspace(rows, E)
-    z1 = _gf2_span(np.array(null_basis, dtype=np.uint64))
-    return np.sort(z1), np.sort(b1)
-
-
-def _gf2_reduce(vecs) -> list[np.uint64]:
-    basis: list[np.uint64] = []
-    for v in vecs:
-        v = np.uint64(v)
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
-
-
-def _gf2_span(basis) -> np.ndarray:
-    out = np.zeros(1, dtype=np.uint64)
-    for b in basis:
-        out = np.concatenate([out, out ^ np.uint64(b)])
-    return np.unique(out)
-
-
-def _gf2_nullspace(rows: Sequence[np.uint64], nbits: int
-                   ) -> list[np.uint64]:
-    """Basis of {x : popcount(x & row) even for all rows}.
-
-    Keeps the row system in reduced echelon form (each pivot bit appears
-    in exactly one row), so one pass of pivot flips solves each free
-    column's vector.
-    """
-    mat: list[int] = []
-    for r in rows:
-        r = int(r)
-        for row in mat:
-            if (r >> (row.bit_length() - 1)) & 1:
-                r ^= row
-        if not r:
-            continue
-        pb = r.bit_length() - 1
-        mat = [row ^ r if (row >> pb) & 1 else row for row in mat]
-        mat.append(r)
-    pivot_cols = {row.bit_length() - 1 for row in mat}
-    basis = []
-    for j in range(nbits):
-        if j in pivot_cols:
-            continue
-        x = 1 << j
-        for row in mat:
-            if bin(x & row).count("1") % 2:
-                x ^= 1 << (row.bit_length() - 1)
-        basis.append(np.uint64(x))
-    return basis
-
-
 def _exact_min_ratio(num: np.ndarray, den: np.ndarray, valid: np.ndarray,
                      d_num: int, d_den: int) -> Fraction | None:
     """min over valid of (num/d_num) / (den/d_den), exact."""
@@ -937,87 +855,102 @@ def _exact_min_ratio(num: np.ndarray, den: np.ndarray, valid: np.ndarray,
                for i in cand)
 
 
-def _expansion_h1_gf2(X: SimplicialComplex, cap: int) -> ExpansionH1Report:
+def _rref_mod_p(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of an integer matrix over F_p, p prime.
+
+    Returns (R, pivots): the rank-many nonzero rows, entries in 0..p-1;
+    row i has a leading 1 in column pivots[i], where every other row is 0.
+    So v lies in the row space iff v - v[pivots] @ R is 0 mod p.
+    """
+    R = rows % p
+    pivots = []
+    for c in range(R.shape[1]):
+        r = len(pivots)
+        nz = np.flatnonzero(R[r:, c])
+        if len(nz):
+            R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+            R[r] = R[r] * pow(int(R[r, c]), p - 2, p) % p
+            f = R[:, c] * (np.arange(len(R)) != r)
+            R = (R - f[:, None] * R[r]) % p
+            pivots.append(c)
+    return R[:len(pivots)], np.array(pivots, dtype=np.int64)
+
+
+_SCAN_ROWS = 1 << 9
+
+
+def _span_blocks(basis: np.ndarray, p: int):
+    """All p^k combinations of the k basis rows mod p, in blocks."""
+    place = p ** np.arange(len(basis), dtype=np.int64)
+    total = p ** len(basis)
+    for lo in range(0, total, _SCAN_ROWS):
+        idx = np.arange(lo, min(lo + _SCAN_ROWS, total), dtype=np.int64)
+        yield (idx[:, None] // place % p) @ basis % p
+
+
+def _expansion_h1_zp(X: SimplicialComplex, lam: CoefficientGroup,
+                     cap: int) -> ExpansionH1Report:
+    """Exact (h1_cobound, h1_cosys, min_systole) for |Lambda| = p prime.
+
+    Z^1 = ker d1 gets the basis that is the identity on the free columns of
+    d1, so each coset a + Z^1 has one member supported on the pivot
+    columns of d1; the scan visits those p^rank(d1) cochains.  dist(a, Z^1)
+    is W - max_z sum_e w_e [a_e = z_e], a float64 product of one-hot rows,
+    exact as the counts stay far below 2^53.  The systole is the least
+    weight in Z^1 outside B^1, the row space of d0^T.
+    """
     sk = _skeleton(X)
-    E = len(sk.edges)
-    if 2 ** E > cap:
-        raise ResourceLimitError(f"2**{E} edge cochains exceed cap {cap}")
-    z1, b1 = _z1_b1_sets_gf2(X)
-    ecnt = sk.edge_cnt.astype(np.int64)
-    tcnt = sk.tri_cnt.astype(np.int64)
+    E, p = len(sk.edges), lam.size
+    if p ** E > cap:
+        raise ResourceLimitError(
+            f"|Lambda|^|X(1)| = {p}**{E} exceeds cap {cap}")
+    # residues res[g^k] = k for the least non-identity g: checked to turn
+    # the table into addition mod p, under which d1 has rows ab + bc - ac
+    g = 1 if lam.identity == 0 else 0
+    res = np.full(p, -1, dtype=np.int64)
+    cur = lam.identity
+    for k in range(p):
+        res[cur] = k
+        cur = int(lam.table[cur, g])
+    if not np.array_equal(res[lam.table], (res[:, None] + res[None, :]) % p):
+        raise StructureError(f"{lam.name} is not cyclic of order {p}")
+    ecnt, tcnt = sk.edge_cnt, sk.tri_cnt
     d_edge = math.comb(X.n + 1, 2) * len(X.max_faces)
     d_tri = math.comb(X.n + 1, 3) * len(X.max_faces)
-    uniform_e = int(ecnt[0]) if len(np.unique(ecnt)) == 1 else None
-    tri_masks = np.zeros(len(sk.tri_edges), dtype=np.uint64)
-    for ti, (ea, eb, ec) in enumerate(sk.tri_edges):
-        tri_masks[ti] = ((np.uint64(1) << np.uint64(int(ea)))
-                         ^ (np.uint64(1) << np.uint64(int(eb)))
-                         ^ (np.uint64(1) << np.uint64(int(ec))))
-    # systole among Z^1 \ B^1
-    in_b1 = np.isin(z1, b1, assume_unique=True)
+    d1m = np.zeros((len(sk.tri_edges), E), dtype=np.int64)
+    d1m[np.arange(len(d1m))[:, None], sk.tri_edges] = [1, 1, -1]
+    d0t = np.zeros((X.vertex_count, E), dtype=np.int64)
+    d0t[sk.edges, np.arange(E)[:, None]] = [1, -1]
+    R, pivots = _rref_mod_p(d1m, p)
+    free = np.setdiff1d(np.arange(E), pivots)
+    z_basis = np.eye(E, dtype=np.int64)[free]
+    z_basis[:, pivots] = -R[:, free].T % p
+    b_rref, b_pivots = _rref_mod_p(d0t, p)
+    nontrivial = len(z_basis) > len(b_rref)
+    total_w = int(ecnt.sum())
     systole = None
-    if not in_b1.all():
-        nz = z1[~in_b1]
-        wts = _weighted_pop(nz, ecnt, uniform_e)
-        systole = Fraction(int(wts.min()), d_edge)
-    # one representative per coset a + Z^1: zero on the leading bits of an
-    # echelon basis of Z^1, a counter deposited into the other bits
-    pivots = {int(b).bit_length() - 1 for b in _gf2_reduce(z1)}
-    free = [np.uint64(j) for j in range(E) if j not in pivots]
-    total = 1 << len(free)
-    chunk = 1 << 18
+    if nontrivial:
+        best = total_w
+        for z in _span_blocks(z_basis, p):
+            in_b1 = ((z - z[:, b_pivots] @ b_rref) % p == 0).all(axis=1)
+            best = int(((z != 0) @ ecnt)[~in_b1].min(initial=best))
+        systole = Fraction(best, d_edge)
     h1_cosys: Fraction | None = None
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
-        arr = np.zeros_like(idx)
-        for j, pos in enumerate(free):
-            arr |= ((idx >> np.uint64(j)) & np.uint64(1)) << pos
-        num = _tri_weight(arr, tri_masks, tcnt)
-        dist = _min_dist(arr, z1, ecnt, uniform_e)
+    for a in _span_blocks(np.eye(E, dtype=np.int64)[pivots], p):
+        num = ((a @ d1m.T) % p != 0) @ tcnt
+        a_hot = (np.eye(p)[a] * ecnt[:, None]).reshape(len(a), -1)
+        agree = np.zeros(len(a))
+        for z in _span_blocks(z_basis, p):
+            z_hot = np.eye(p)[z].reshape(len(z), -1)
+            np.maximum(agree, (a_hot @ z_hot.T).max(axis=1), out=agree)
+        dist = total_w - agree.astype(np.int64)
         r = _exact_min_ratio(num, dist, dist > 0, d_tri, d_edge)
         if r is not None and (h1_cosys is None or r < h1_cosys):
             h1_cosys = r
     # H^1 nontrivial forces the coboundary min to 0; otherwise B^1 = Z^1
-    h1_cobound = Fraction(0) if len(z1) != len(b1) else h1_cosys
+    h1_cobound = Fraction(0) if nontrivial else h1_cosys
     return ExpansionH1Report(h1_cobound, h1_cosys, systole,
                              mode="exact", exact=True)
-
-
-def _weighted_pop(masks: np.ndarray, ecnt: np.ndarray,
-                  uniform: int | None) -> np.ndarray:
-    if uniform is not None:
-        return np.bitwise_count(masks).astype(np.int64) * uniform
-    # one popcount per distinct edge weight
-    out = np.zeros(len(masks), dtype=np.int64)
-    for c in np.unique(ecnt):
-        sel = np.uint64(sum(1 << int(j) for j in np.flatnonzero(ecnt == c)))
-        out += np.bitwise_count(masks & sel).astype(np.int64) * int(c)
-    return out
-
-
-def _tri_weight(arr: np.ndarray, tri_masks: np.ndarray,
-                tcnt: np.ndarray) -> np.ndarray:
-    if len(tri_masks) == 0:
-        return np.zeros(len(arr), dtype=np.int64)
-    par = (np.bitwise_count(arr[:, None] & tri_masks[None, :])
-           & np.uint64(1)).astype(np.int64)
-    return par @ tcnt
-
-
-def _min_dist(arr: np.ndarray, ref: np.ndarray, ecnt: np.ndarray,
-              uniform: int | None) -> np.ndarray:
-    best = None
-    if uniform is not None:
-        # running minimum of the uint8 bit counts, weighted once at the end
-        buf = np.empty_like(arr)
-        for z in ref:
-            w = np.bitwise_count(np.bitwise_xor(arr, z, out=buf))
-            best = w if best is None else np.minimum(best, w, out=best)
-        return None if best is None else best.astype(np.int64) * uniform
-    for z in ref:
-        w = _weighted_pop(arr ^ z, ecnt, uniform)
-        best = w if best is None else np.minimum(best, w)
-    return best
 
 
 def _ratio_to(X: SimplicialComplex, lam: CoefficientGroup):
@@ -1131,10 +1064,10 @@ def expansion_h1(X: SimplicialComplex, lam: CoefficientGroup,
     exact mode returns (h1_cobound, h1_cosys, min systole norm) as exact
     rationals from one scan for h1_cosys, within |Lambda|^|X(1)| <= cap.
     h1_cobound is read off it: 0 when Z^1 != B^1, else equal to h1_cosys,
-    since then the two reference sets coincide.  Z/2 scans one cochain per
-    coset of Z^1, where the ratio is constant; other groups scan all of
-    C^1.  search mode returns the best ratio found by randomized local
-    descent, a true upper bound on h1_cobound, with the other fields unset.
+    since then the two reference sets coincide.  Prime |Lambda| scans one
+    cochain per coset of Z^1 over F_p; other groups scan all of C^1.
+    search mode returns the best ratio found by randomized local descent,
+    a true upper bound on h1_cobound, with the other fields unset.
     """
     if lam.size < 2:
         raise ParameterError("expansion needs a non-trivial group")
@@ -1142,10 +1075,8 @@ def expansion_h1(X: SimplicialComplex, lam: CoefficientGroup,
         raise InputError("expansion_h1 needs a 2-dimensional complex")
     _require_connected(X)
     if mode == "exact":
-        # any order-2 table with identity at 0 is Z/2, i.e. xor
-        if (lam.size == 2 and lam.identity == 0
-                and len(_skeleton(X).edges) <= 62):
-            return _expansion_h1_gf2(X, cap)
+        if all(lam.size % q for q in range(2, math.isqrt(lam.size) + 1)):
+            return _expansion_h1_zp(X, lam, cap)
         return _expansion_h1_generic(X, lam, cap)
     if mode == "search":
         return _expansion_h1_search(X, lam, cap, seed, iters)

@@ -218,9 +218,6 @@ class SimplicialComplex:
             return pos
         return -1
 
-    def has_face(self, tau) -> bool:
-        return self.face_position(tau) >= 0
-
     def _vertex_incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertex -> maximal-face incidence in CSR form, cached.
 

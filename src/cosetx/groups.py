@@ -129,9 +129,6 @@ class MatElement:
         adj = self.adjugate()
         return MatElement(tuple(tuple(e * dinv for e in row) for row in adj.entries))
 
-    def is_identity(self) -> bool:
-        return self == MatElement.identity(self.m, self.p, self.s)
-
     def reduce_to(self, s_lo: int) -> "MatElement":
         return MatElement(tuple(tuple(e.reduce_to(s_lo) for e in row)
                                 for row in self.entries))
@@ -292,14 +289,6 @@ def _check_associative(table: np.ndarray) -> None:
         raise StructureError("multiplication table is not associative")
 
 
-def cyclic_group(m: int) -> TableGroup:
-    if m < 1:
-        raise ParameterError(f"order must be positive, got {m}")
-    idx = np.arange(m, dtype=np.int64)
-    table = (idx[:, None] + idx[None, :]) % m
-    return TableGroup(table, labels=[str(i) for i in range(m)], generators=[1 % m])
-
-
 def symmetric_group(k: int) -> TableGroup:
     """Sym(k) on {0..k-1}; elements in itertools.permutations order."""
     if not (1 <= k <= 7):
@@ -447,6 +436,11 @@ def elementary_subgroup(n: int, p: int, s: int, d: int,
         raise ParameterError(f"need n >= 1, got {n}")
     if not (0 <= d < s):
         raise ParameterError(f"need 0 <= d < s, got d={d}, s={s}")
+    if d == s - 1 and (order := sl_order(n + 1, p, s)) > cap:
+        # the elementaries generate all of SL, whose order is known up front
+        raise ResourceLimitError(
+            f"|SL_{n + 1}(F_{p}[t]/t^{s})| = {order} exceeds cap {cap}",
+            partial_count=0)
     gens = []
     for i in range(1, n + 2):
         for j in range(1, n + 2):

@@ -70,16 +70,6 @@ def commutator_word(u: Word, v: Word) -> Word:
     return u + v + inverse_word(u) + inverse_word(v)
 
 
-def free_reduce(word: Word) -> Word:
-    out = []
-    for sym, e in word:
-        if out and out[-1][0] == sym and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((sym, e))
-    return tuple(out)
-
-
 def _sym(root: Root, r: TruncPoly) -> Word:
     return ((GeneratorSymbol(root, r), 1),)
 
@@ -226,10 +216,6 @@ class Presentation:
                 if sym not in gens:
                     raise ParameterError(
                         f"relation symbol {sym} outside the generator set")
-
-    @property
-    def matrix_size(self) -> int:
-        return self.n + 1
 
     def counts_by_kind(self) -> dict[str, int]:
         out = {k: 0 for k in KINDS}

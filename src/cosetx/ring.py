@@ -141,10 +141,6 @@ class TruncPoly:
                     out[i + j] = (out[i + j] + a * b) % p
         return TruncPoly(p, s, tuple(out))
 
-    def scale(self, c: int) -> "TruncPoly":
-        c %= self.p
-        return TruncPoly(self.p, self.s, tuple((c * a) % self.p for a in self.coeffs))
-
     def __pow__(self, k: int) -> "TruncPoly":
         if k < 0:
             return self.inverse() ** (-k)
@@ -235,10 +231,6 @@ def poly_add(a: TruncPoly, b: TruncPoly) -> TruncPoly:
 
 def poly_mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
     return a * b
-
-
-def poly_deg(a: TruncPoly):
-    return a.deg()
 
 
 def enumerate_polys(p: int, s: int, dmax: int) -> list[TruncPoly]:

@@ -13,6 +13,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -413,10 +414,12 @@ def test_subprocess_output_deterministic():
 def test_closure_cap_exits_3_within_memory_limit():
     """A closure that passes its cap stops before the crossing layer is
     built: exit 3 with the cap message, no traceback, and a small peak RSS
-    inside a 1.5 GiB address-space limit.  |SL_4(F_2[t]/t^2)| is about
-    6.6e8, so the cap of 10^6 fires in the middle of the BFS."""
+    inside a 1.5 GiB address-space limit.  With d = 1 < s - 1 no closed-form
+    order is checked up front, so the cap of 10^6 fires in the middle of
+    the BFS of the elementaries of degree <= 1 in SL_4(F_2[t]/t^3)."""
     pytest.importorskip("resource")
-    argv = ["group", "enum", "--n", "3", "--p", "2", "--s", "2", "--cap", "1000000"]
+    argv = ["group", "enum", "--n", "3", "--p", "2", "--s", "3", "--d", "1",
+            "--cap", "1000000"]
     code = ("import resource, sys\n"
             "limit = 3 << 29\n"
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
@@ -431,6 +434,21 @@ def test_closure_cap_exits_3_within_memory_limit():
     assert "Traceback" not in r.stderr
     peak_mb = int(r.stdout)
     assert peak_mb < 512
+
+
+def test_sl_order_over_cap_exits_3_before_enumerating():
+    """|SL_4(F_2[t]/t^2)| = 660602880 is known in closed form, so the
+    default cap fails at once, naming the order, instead of after a BFS."""
+    argv = ["group", "enum", "--n", "3", "--p", "2", "--s", "2"]
+    t0 = time.perf_counter()
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys\nfrom cosetx.cli import main\n"
+                        f"sys.exit(main({argv!r}))\n"],
+                       capture_output=True, text=True, timeout=300)
+    assert time.perf_counter() - t0 < 10
+    assert r.returncode == 3, r.stderr
+    assert "|SL_4(F_2[t]/t^2)| = 660602880 exceeds cap 16777216" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def read_pyproject():

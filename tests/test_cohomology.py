@@ -7,7 +7,9 @@ algebra oracle for Abelian coefficients.  Expansion constants are pinned
 as exact rationals and checked against complete enumerations in
 oracles.py: h^0 against the partition brute force and the Cheeger subset
 scan, exact h^1 over Z/2 against a sweep of all of C^1 with Z^1 filtered
-by triangle parity and B^1 taken from every vertex subset.
+by triangle parity and B^1 taken from every vertex subset.  The F_p coset
+scan that serves every prime-order Lambda is also held to the generic
+sweep over all of C^1, on labellings with the identity off index 0.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetx import cohomology
 from cosetx import fixtures as fx
 from cosetx.cohomology import (
     Cochain0,
@@ -424,16 +427,75 @@ def test_h1_expansion_gf2_matches_full_sweep(build):
         oracles.brute_h1_gf2(X)
 
 
-def test_h1_expansion_gf2_agrees_with_generic():
-    # an order-2 table with identity at index 1 sidesteps the xor fast
-    # path, so the same group runs through the generic enumerator
+def test_h1_expansion_zp_agrees_with_generic():
+    # every prime order takes the F_p coset scan; the generic sweep, called
+    # directly, shares no code with it.  The flipped Z/2 and relabelled Z/3
+    # tables put the identity off index 0, so the residue map is exercised.
     flipped = coefficients_from_table("2 1 0 0 1", name="z2-flipped")
-    assert flipped.identity == 1
-    for X in (fx.single_triangle(), two_fold_triangle(), mobius_strip()):
-        a = expansion_h1(X, zmod(2))
-        b = expansion_h1(X, flipped)
-        assert (a.h1_cobound, a.h1_cosys, a.min_systole) == \
-               (b.h1_cobound, b.h1_cosys, b.min_systole)
+    z3_relabelled = coefficients_from_table("3 2 0 1 0 1 2 1 2 0",
+                                            name="z3-relabelled")
+    assert flipped.identity == 1 and z3_relabelled.identity == 1
+    # two_fold_triangle has unequal edge weights; Z/5 on the tetrahedron
+    # is left out, the sweep takes several seconds there
+    for lam, builds in ((zmod(2), (fx.single_triangle, two_fold_triangle,
+                                   fx.tetrahedron_sphere, mobius_strip)),
+                        (flipped, (fx.single_triangle, two_fold_triangle,
+                                   fx.tetrahedron_sphere, mobius_strip)),
+                        (zmod(3), (fx.single_triangle, two_fold_triangle,
+                                   fx.tetrahedron_sphere)),
+                        (z3_relabelled, (fx.single_triangle,
+                                         two_fold_triangle,
+                                         fx.tetrahedron_sphere)),
+                        (zmod(5), (fx.single_triangle, two_fold_triangle))):
+        for build in builds:
+            a = expansion_h1(build(), lam)
+            b = cohomology._expansion_h1_generic(build(), lam,
+                                                 cohomology.DEFAULT_CAP)
+            assert (a.h1_cobound, a.h1_cosys, a.min_systole) == \
+                   (b.h1_cobound, b.h1_cosys, b.min_systole), \
+                   (lam.name, build.__name__)
+
+
+def test_h1_expansion_zp_pins():
+    # Moebius over Z/3 matches the generic sweep (about a minute there);
+    # Moebius over Z/5 and RP^2 over Z/3 are beyond its reach
+    for X, p, expect in (
+            (mobius_strip(), 3, (0, 3, Fraction(4, 15))),
+            (mobius_strip(), 5, (0, 3, Fraction(4, 15))),
+            (projective_plane(), 3, (Fraction(3, 10), Fraction(3, 10),
+                                     None))):
+        rep = expansion_h1(X, zmod(p))
+        assert rep.exact
+        assert (rep.h1_cobound, rep.h1_cosys, rep.min_systole) == expect
+        classes = oracles.abelian_h1_classes(X, p)
+        assert (rep.h1_cobound == 0) == (classes > 1)
+        assert (rep.min_systole is None) == (classes == 1)
+        bound = expansion_h1(X, zmod(p), mode="search", seed=0, iters=2)
+        assert bound.h1_cobound >= rep.h1_cobound
+
+
+def test_h1_expansion_routes_by_prime_order(monkeypatch):
+    generic = cohomology._expansion_h1_generic
+    calls = []
+
+    def spy(X, lam, cap):
+        calls.append(lam.name)
+        return generic(X, lam, cap)
+
+    monkeypatch.setattr(cohomology, "_expansion_h1_generic", spy)
+    for lam in (zmod(4), sym(3)):
+        rep = expansion_h1(two_fold_triangle(), lam)
+        assert (rep.h1_cobound, rep.h1_cosys, rep.min_systole) == \
+            (3, 3, None)
+    expansion_h1(two_fold_triangle(), zmod(3))
+    assert calls == ["zmod:4", "sym:3"]
+
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(cohomology, "_span_blocks", no_scan)
+    with pytest.raises(ResourceLimitError, match="3\\*\\*21"):
+        expansion_h1(fx.torus_7(), zmod(3))
 
 
 def test_h1_expansion_zmod3_small():
