@@ -109,32 +109,24 @@ def _cmd_ring_op(args) -> int:
 # group
 
 
-def _pack_hex(flat, q: int) -> str:
-    """Canonical packed form: base-q digits of the row-major entry list."""
-    val = 0
-    for digit in reversed(list(flat)):
-        val = val * q + int(digit)
-    return format(val, "x")
-
-
 def _cmd_group_enum(args) -> int:
     from .groups import elementary_subgroup
 
     d = args.s - 1 if args.d is None else args.d
     t0 = time.perf_counter()
     G = elementary_subgroup(args.n, args.p, args.s, d, cap=args.cap)
-    q = args.p ** args.s
+    # canonical keys: base-q digits of the row-major entries, entry 0 lowest
+    packed = [format(int(k), "x") for k in G.keys]
     if args.format == "json":
         result = {"n": args.n, "p": args.p, "s": args.s, "d": d,
-                  "order": G.size,
-                  "elements": [_pack_hex(row, q) for row in G.elems]}
+                  "order": G.size, "elements": packed}
         _emit(args, "group enum",
               {"n": args.n, "p": args.p, "s": args.s, "d": d},
               result, caps={"cap": args.cap}, t0=t0)
         return EXIT_OK
     # the dump format: header then one packed-hex element per line
     lines = [f"{args.n} {args.p} {args.s} {G.size}"]
-    lines.extend(_pack_hex(row, q) for row in G.elems)
+    lines.extend(packed)
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -50,6 +50,7 @@ from .complexes import SimplicialComplex, WeightTable
 from .errors import (InputError, ParameterError, ResourceLimitError,
                      StructureError)
 from .groups import FiniteGroup, TableGroup
+from .ring import is_prime
 
 DEFAULT_CAP = 1 << 24
 MAX_COEFF_ORDER = 4096
@@ -774,8 +775,8 @@ def expansion_h0(X: SimplicialComplex, lam: CoefficientGroup,
     V = X.vertex_count
     ecnt = sk.edge_cnt
     vcnt = sk.vert_cnt
-    d_edge = math.comb(X.n + 1, 2) * len(X.max_faces)
-    d_vert = (X.n + 1) * len(X.max_faces)
+    wt = WeightTable(X)
+    d_edge, d_vert = wt.denominator(1), wt.denominator(0)
     total_v = int(vcnt.sum())
     if lam.size == 2:
         if V - 1 > 24 or 2 ** (V - 1) > cap:
@@ -915,8 +916,8 @@ def _expansion_h1_zp(X: SimplicialComplex, lam: CoefficientGroup,
     if not np.array_equal(res[lam.table], (res[:, None] + res[None, :]) % p):
         raise StructureError(f"{lam.name} is not cyclic of order {p}")
     ecnt, tcnt = sk.edge_cnt, sk.tri_cnt
-    d_edge = math.comb(X.n + 1, 2) * len(X.max_faces)
-    d_tri = math.comb(X.n + 1, 3) * len(X.max_faces)
+    wt = WeightTable(X)
+    d_edge, d_tri = wt.denominator(1), wt.denominator(2)
     d1m = np.zeros((len(sk.tri_edges), E), dtype=np.int64)
     d1m[np.arange(len(d1m))[:, None], sk.tri_edges] = [1, 1, -1]
     d0t = np.zeros((X.vertex_count, E), dtype=np.int64)
@@ -966,8 +967,8 @@ def _ratio_to(X: SimplicialComplex, lam: CoefficientGroup):
     te = sk.tri_edges
     ecnt = sk.edge_cnt
     tcnt = sk.tri_cnt
-    d_edge = math.comb(X.n + 1, 2) * len(X.max_faces)
-    d_tri = math.comb(X.n + 1, 3) * len(X.max_faces)
+    wt = WeightTable(X)
+    d_edge, d_tri = wt.denominator(1), wt.denominator(2)
 
     def ratio(vals, ref) -> Fraction | None:
         dv = None
@@ -1005,7 +1006,7 @@ def _expansion_h1_generic(X: SimplicialComplex, lam: CoefficientGroup,
         systole = Fraction(
             min(sum(int(ecnt[ei]) for ei in range(E) if v[ei] != e0)
                 for v in nontriv),
-            math.comb(X.n + 1, 2) * len(X.max_faces))
+            WeightTable(X).denominator(1))
     ratio = _ratio_to(X, lam)
     h1_cosys: Fraction | None = None
     for vals in itertools.product(range(m), repeat=E):
@@ -1075,7 +1076,7 @@ def expansion_h1(X: SimplicialComplex, lam: CoefficientGroup,
         raise InputError("expansion_h1 needs a 2-dimensional complex")
     _require_connected(X)
     if mode == "exact":
-        if all(lam.size % q for q in range(2, math.isqrt(lam.size) + 1)):
+        if is_prime(lam.size):
             return _expansion_h1_zp(X, lam, cap)
         return _expansion_h1_generic(X, lam, cap)
     if mode == "search":

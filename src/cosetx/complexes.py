@@ -571,12 +571,13 @@ def load_complex(path) -> SimplicialComplex:
 def build_ko_complex(n: int, p: int, s: int, d: int,
                      cap: int = 1 << 24, labels: bool = False
                      ) -> SimplicialComplex:
-    """CC(SL_{n+1}(F_p[t]/t^s), {K_i}) with degree-d subgroup generators."""
-    from .groups import sl_group, subgroup_K
+    """CC(SL_{n+1}(F_p[t]/t^s), {K_i}), each K_i the rotated rows of K_0."""
+    from .groups import rotate_rows, sl_group, subgroup_K
     G = sl_group(n, p, s, cap=cap)
+    K0 = subgroup_K(n, p, s, d, 0, cap=cap).elems
     subs = []
     for i in range(n + 1):
-        idx = G.lookup_rows(subgroup_K(n, p, s, d, i).elems)
+        idx = G.lookup_rows(rotate_rows(K0, i))
         if (idx < 0).any():
             raise StructureError(f"K_{i} escapes the ambient group")
         subs.append(idx)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -405,12 +406,12 @@ def bfs_closure(gens: Sequence[MatElement], cap: int = DEFAULT_CLOSURE_CAP,
 
 
 def subgroup_K(n: int, p: int, s: int, d: int, i: int,
-               cap: int = DEFAULT_CLOSURE_CAP,
-               ring: RingTable | None = None) -> MatrixGroup:
+               cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
     """K_i <= SL_{n+1}(F_p[t]/t^s): the gamma_0^i-rotated unitriangular block.
 
     Generated by e_{g(j), g(j+1)}(r) for 1 <= j <= n and deg r <= d, where
-    g = gamma_0^i.
+    g = gamma_0^i.  So K_i = gamma_0^i K_0 gamma_0^-i, which ``rotate_rows``
+    builds from K_0; this BFS for i > 0 is the oracle of that rotation.
     """
     check_ring_params(p, s)
     if n < 1:
@@ -424,7 +425,17 @@ def subgroup_K(n: int, p: int, s: int, d: int, i: int,
     for j in range(1, n + 1):
         for r in enumerate_polys(p, s, d):
             gens.append(elementary(n, g[j - 1], g[j], r))
-    return bfs_closure(gens, cap=cap, ring=ring)
+    return bfs_closure(gens, cap=cap)
+
+
+def rotate_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """gamma_0^k x gamma_0^-k for each flat m x m row x: entry (a, b)
+    moves to (g(a), g(b)), g = gamma_0^k, so K_i maps onto K_{i+k}."""
+    m = math.isqrt(rows.shape[1])
+    g = np.array(perm_pow(gamma0(m - 1), k)) - 1
+    out = np.empty_like(rows)
+    out[:, (g[:, None] * m + g[None, :]).ravel()] = rows
+    return out
 
 
 def elementary_subgroup(n: int, p: int, s: int, d: int,

@@ -9,7 +9,8 @@ eigensolver, one sparse Lanczos solve per walk from a seeded start vector,
 and every computed eigenvalue is certified by the residual of its Ritz
 pair.  On a coset complex the report solves one link per color type of
 face, since left translation makes all links of a type isomorphic; on any
-other complex it solves every link.
+other complex it solves every link.  The KO report solves one vertex
+link, which gamma_0^i conjugates onto the color-i one.
 """
 
 from __future__ import annotations
@@ -169,10 +170,10 @@ class LinkEntry:
     ``solver`` says where ``second`` came from:
 
     - ``"lanczos"``: a certified Lanczos solve of this link's walk;
-    - ``"reused"``: copied, with ``vertices`` and ``connected``, from the
-      link of an earlier face in the same orbit (see
-      ``local_spectral_report``), so it is None if that link is
-      disconnected;
+    - ``"reused"``: copied, with ``vertices`` and ``connected``, from an
+      isomorphic link solved earlier in the report (see
+      ``local_spectral_report`` and ``ko_link_report``), so it is None if
+      that link is disconnected;
     - ``"none"``: the link is disconnected and nothing was solved.
     """
 
@@ -270,8 +271,8 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float
             if rep is None:
                 entry = solved[key] = _solve_entry(link(X, tau), tau, colors)
             else:
-                entry = LinkEntry(tau, colors, rep.vertices, rep.connected,
-                                  rep.second, "reused")
+                entry = dataclasses.replace(rep, face=tau, colors=colors,
+                                            solver="reused")
             entries.append(entry)
     return _finish_report(entries, lam_threshold)
 
@@ -280,33 +281,25 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float
 # KO links, built in the small groups
 
 
-def _intersection_indices(ambient, other) -> np.ndarray:
-    """Indices (into ambient) of ambient's elements lying in ``other``."""
-    return np.flatnonzero(other.contains_flat_rows(ambient.elems))
+def ko_vertex_link(n: int, p: int, s: int, d: int,
+                   cap: int = 1 << 24) -> SimplicialComplex:
+    """The link CC(K_0, {K_0 n K_j : j = 1..n}) of a color-0 vertex.
 
-
-def ko_vertex_links(n: int, p: int, s: int, d: int,
-                    cap: int = 1 << 24) -> list[SimplicialComplex]:
-    """The vertex links of X^{(s)}_{n,p}, one per color, as coset complexes.
-
-    The link of a color-i vertex is CC(K_i, {K_i n K_j : j != i}), so only
-    the K_i themselves are ever enumerated; the ambient group, which is
-    astronomically larger, never is.  That identification is exercised
-    against literal links of small instances in the test suite.
+    Only K_0 is enumerated, never the far larger ambient group.  x in K_0
+    lies in K_j = gamma_0^j K_0 gamma_0^-j exactly when gamma_0^-j x
+    gamma_0^j does, so each intersection is read off K_0's own index.
+    Conjugation by gamma_0^i maps K_0 n K_j onto K_i n K_{i+j}: the
+    color-i link is this one with its colors rotated by i.
     """
-    from .groups import RingTable, subgroup_K
+    from .groups import rotate_rows, subgroup_K
 
     if n < 2:
         raise ParameterError("vertex links of a graph carry no walk; "
                              "need n >= 2")
-    ring = RingTable(p, s)
-    Ks = [subgroup_K(n, p, s, d, i, cap=cap, ring=ring) for i in range(n + 1)]
-    out = []
-    for i in range(n + 1):
-        subs = [_intersection_indices(Ks[i], Ks[j])
-                for j in range(n + 1) if j != i]
-        out.append(coset_complex(Ks[i], subs))
-    return out
+    K0 = subgroup_K(n, p, s, d, 0, cap=cap)
+    subs = [np.flatnonzero(K0.contains_flat_rows(rotate_rows(K0.elems, -j)))
+            for j in range(1, n + 1)]
+    return coset_complex(K0, subs)
 
 
 def ko_link_report(n: int, p: int, s: int, d: int,
@@ -314,10 +307,11 @@ def ko_link_report(n: int, p: int, s: int, d: int,
                    cap: int = 1 << 24) -> LocalSpectralReport:
     """Spectral check of the KO vertex links against 1/(sqrt(p) - n).
 
-    The ambient walk is deliberately absent: for interesting parameters the
-    full group is out of reach, and the local criterion quantifies over
-    links.  ``threshold`` defaults to the theorem bound, which requires
-    sqrt(p) > n.
+    Color 0 is solved; colors 1..n are its gamma_0^i conjugates (see
+    ``ko_vertex_link``) and ``"reused"``.  The ambient walk is deliberately
+    absent: for interesting parameters the full group is out of reach, and
+    the local criterion quantifies over links.  ``threshold`` defaults to
+    the theorem bound, which requires sqrt(p) > n.
     """
     if threshold is None:
         if math.sqrt(p) <= n:
@@ -325,8 +319,7 @@ def ko_link_report(n: int, p: int, s: int, d: int,
                 f"default bound 1/(sqrt(p)-n) needs sqrt(p) > n; "
                 f"pass an explicit threshold for p={p}, n={n}")
         threshold = 1.0 / (math.sqrt(p) - n)
-    entries = []
-    for i, lnk in enumerate(ko_vertex_links(n, p, s, d, cap=cap)):
-        entry = _solve_entry(lnk, None, (i,))
-        entries.append(entry)
-    return _finish_report(entries, threshold)
+    first = _solve_entry(ko_vertex_link(n, p, s, d, cap=cap), None, (0,))
+    return _finish_report([first] + [
+        dataclasses.replace(first, colors=(i,), solver="reused")
+        for i in range(1, n + 1)], threshold)

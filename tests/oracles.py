@@ -459,3 +459,22 @@ def walk_second_eigenvalue(X):
     S = A / np.sqrt(np.outer(strength, strength))
     vals = np.linalg.eigvalsh(S)
     return float(vals[-2])
+
+
+# ---------------------------------------------------------------------------
+# KO vertex links, one color at a time
+
+
+def ko_vertex_links_per_color(n, p, s, d):
+    """CC(K_i, {K_i n K_j : j != i}) for every color i, built separately.
+
+    One BFS per K_i, intersections by membership in K_j's key index and
+    one coset complex per color: nothing is read off the gamma_0 rotation.
+    """
+    from cosetx.complexes import coset_complex
+    from cosetx.groups import subgroup_K
+
+    Ks = [subgroup_K(n, p, s, d, i) for i in range(n + 1)]
+    return [coset_complex(Ks[i], [
+        np.flatnonzero(Ks[j].contains_flat_rows(Ks[i].elems))
+        for j in range(n + 1) if j != i]) for i in range(n + 1)]

@@ -118,6 +118,20 @@ def test_group_enum_json(capsys):
     assert env["result"]["d"] == 1          # defaulted to s - 1
 
 
+def decode_dump(lines, q, mm):
+    """Element rows of a dump body: base q, entry 0 least significant."""
+    rows = []
+    for line in lines:
+        key = int(line, 16)
+        digits = []
+        for _ in range(mm):
+            key, digit = divmod(key, q)
+            digits.append(digit)
+        assert key == 0
+        rows.append(digits)
+    return np.array(rows, dtype=np.uint32)
+
+
 def test_group_enum_dump_decodes_to_elements(capsys):
     from cosetx.groups import sl_group
 
@@ -125,18 +139,22 @@ def test_group_enum_dump_decodes_to_elements(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0] == "1 3 2 648"
-    q, mm = 9, 4
-    rows = []
-    for line in out[1:]:
-        key = int(line, 16)
-        digits = []
-        for _ in range(mm):                 # base q, entry 0 least significant
-            key, digit = divmod(key, q)
-            digits.append(digit)
-        assert key == 0
-        rows.append(digits)
-    expect = sl_group(1, 3, 2).elems
-    assert np.array_equal(np.array(rows, dtype=np.uint32), expect)
+    assert np.array_equal(decode_dump(out[1:], 9, 4), sl_group(1, 3, 2).elems)
+
+
+def test_group_enum_dump_beyond_uint64_keys(capsys):
+    # q^9 = 2^72, so the canonical keys are Python ints, not uint64
+    from cosetx.groups import elementary_subgroup
+
+    argv = ["group", "enum", "--n", "2", "--p", "2", "--s", "8", "--d", "0"]
+    code = cli.main(argv)
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "2 2 8 168"                # SL_3(F_2)
+    expect = elementary_subgroup(2, 2, 8, 0).elems
+    assert np.array_equal(decode_dump(out[1:], 256, 9), expect)
+    code, env = run_json(capsys, argv + ["--format", "json"])
+    assert code == 0 and env["result"]["elements"] == out[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +338,21 @@ def test_spectral_links_threshold_exit(capsys, torus_file):
 def test_spectral_links_needs_threshold_with_file(capsys, torus_file):
     code = cli.main(["spectral", "links", "--complex", torus_file])
     assert code == 2
+
+
+def test_spectral_links_ko_preset(capsys):
+    argv = ["spectral", "links", "--preset", "ko", "--n", "2", "--p", "2",
+            "--s", "2", "--d", "1", "--threshold", "0.75"]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert [e["colors"] for e in res["links"]] == [[0], [1], [2]]
+    assert [e["solver"] for e in res["links"]] == \
+        ["lanczos", "reused", "reused"]
+    assert abs(res["max_second_eigenvalue"] - 2 ** -0.5) <= 1e-9
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 # ---------------------------------------------------------------------------

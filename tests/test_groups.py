@@ -10,8 +10,9 @@ from cosetx.errors import ParameterError, ResourceLimitError, StructureError
 from cosetx.groups import (MatElement, MatrixGroup, bfs_closure, commutator,
                            cosets, elementary, elementary_subgroup,
                            mat_element_order, normal_closure, quotient,
-                           reduction_kernel, sl_group, sl_order, subgroup_K,
-                           subgroup_closure_indices, symmetric_group)
+                           reduction_kernel, rotate_rows, sl_group, sl_order,
+                           subgroup_K, subgroup_closure_indices,
+                           symmetric_group)
 from cosetx.ring import TruncPoly
 
 
@@ -127,6 +128,16 @@ class TestSubgroupK:
         K = subgroup_K(2, 2, 2, 1, 1)
         assert bool(G.contains_flat_rows(K.elems).all())
 
+    @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 3, 2, 1),
+                                         (3, 2, 2, 1), (3, 2, 3, 1)])
+    def test_rotated_k0_is_k_i(self, n, p, s, d):
+        # gamma_0^i K_0 gamma_0^-i against the BFS from K_i's own generators
+        K0 = subgroup_K(n, p, s, d, 0)
+        for i in range(n + 1):
+            Ki = subgroup_K(n, p, s, d, i)
+            rotated = Ki.lookup_rows(rotate_rows(K0.elems, i))
+            assert np.array_equal(np.sort(rotated), np.arange(Ki.size))
+
 
 class TestGroupInterface:
     def test_symmetric_group_table(self):
@@ -189,9 +200,8 @@ class TestCosetsQuotients:
     @pytest.mark.parametrize("n,p", [(3, 2), (2, 3)])
     def test_cosets_match_brute_force_on_ko_links(self, n, p, monkeypatch):
         from cosetx._kernels import matmul_batch
-        from cosetx.ring import RingTable
-        ring = RingTable(p, 2)
-        Ks = [subgroup_K(n, p, 2, 1, i, ring=ring) for i in range(n + 1)]
+        Ks = [subgroup_K(n, p, 2, 1, i) for i in range(n + 1)]
+        ring = Ks[0].ring
         tables = []
         table = MatrixGroup.right_mult_table
         monkeypatch.setattr(MatrixGroup, "right_mult_table",
@@ -303,9 +313,9 @@ def test_bfs_numbering_is_pinned(build, args, digest):
 
 
 def test_ko_link_coset_labels_are_pinned():
-    from cosetx.spectral import ko_vertex_links
+    from cosetx.spectral import ko_vertex_link
 
-    X = ko_vertex_links(2, 2, 2, 1)[0]
+    X = ko_vertex_link(2, 2, 2, 1)
     digest = [hashlib.sha256(part.labels.astype(np.int64).tobytes()).hexdigest()
               for part in X.coset_data.partitions]
     assert digest == [

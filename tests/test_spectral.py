@@ -33,7 +33,7 @@ from cosetx.groups import subgroup_closure_indices, symmetric_group
 from cosetx.spectral import (
     _solve_entry,
     ko_link_report,
-    ko_vertex_links,
+    ko_vertex_link,
     local_spectral_report,
     second_eigenvalue,
     walk_matrix,
@@ -305,32 +305,32 @@ def test_report_colored_fixture_solves_every_link():
 
 
 def test_ko_links_small_instance():
-    links = ko_vertex_links(2, 2, 2, 1)
-    assert len(links) == 3
-    for lnk in links:
-        assert lnk.vertex_count == 32              # |K_i| / |K_i n K_j|
-        assert lnk.f_vector() == (32, 64)
-        assert lnk.is_connected()
+    lnk = ko_vertex_link(2, 2, 2, 1)
+    assert lnk.vertex_count == 32                  # |K_0| / |K_0 n K_j|
+    assert lnk.f_vector() == (32, 64)
+    assert lnk.is_connected()
 
 
 def test_ko_links_match_literal_links():
-    # link(K_i) in X = CC(G, {K_j}) is CC(K_i, {K_i n K_j : j != i}) through
-    # the explicit map k(K_i n K_j) -> kK_j, k in K_i
-    from cosetx.groups import sl_group, subgroup_K
+    # link(K_i) in X = CC(G, {K_j}) is the color-0 link CC(K_0, {K_0 n K_j})
+    # through the explicit map k(K_0 n K_j) -> (g k g^-1) K_{i+j}, k in K_0,
+    # g = gamma_0^i
+    from cosetx.groups import rotate_rows, sl_group
 
     G = sl_group(2, 2, 2)
     X = build_ko_complex(2, 2, 2, 1)
-    for i, Y in enumerate(ko_vertex_links(2, 2, 2, 1)):
+    Y = ko_vertex_link(2, 2, 2, 1)
+    K0 = Y.coset_data.partitions[0].group
+    for i in range(3):
         L = link(X, (X.coset_data.vertex_of(i, G.identity),))
-        in_G = G.lookup_rows(subgroup_K(2, 2, 2, 1, i).elems)
-        others = [j for j in range(3) if j != i]
         image = np.concatenate([
-            [X.coset_data.vertex_of(others[c], int(in_G[k])) for k in part.reps]
-            for c, part in enumerate(Y.coset_data.partitions)])
+            [X.coset_data.vertex_of((i + j) % 3, int(g))
+             for g in G.lookup_rows(rotate_rows(K0.elems[part.reps], i))]
+            for j, part in enumerate(Y.coset_data.partitions, start=1)])
         phi = np.searchsorted(L.origin_vertices, image)
         assert np.array_equal(L.origin_vertices[phi], image)
         assert np.array_equal(np.sort(phi), np.arange(L.vertex_count))
-        assert np.array_equal(L.colors[phi], Y.colors)
+        assert np.array_equal(X.colors[image], (i + 1 + Y.colors) % 3)
         mapped = np.sort(phi[Y.max_faces], axis=1)
         assert len(mapped) == len(L.max_faces)
         assert set(map(tuple, mapped.tolist())) == \
@@ -353,15 +353,33 @@ def test_ko_link_report_p2():
 @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 3, 2, 1),
                                      (3, 2, 2, 1)])
 def test_ko_link_colors_share_spectrum(n, p, s, d):
-    # gamma_0 conjugates K_i onto K_{i+1}, so every color's link is the same
+    # gamma_0 conjugates K_i onto K_{i+1}, so one solve serves every color;
+    # each color's link built on its own, from its own K_i BFS, agrees
     rep = ko_link_report(n, p, s, d, threshold=1.0)
-    assert len(rep.entries) == n + 1
-    assert len({e.vertices for e in rep.entries}) == 1
-    seconds = [e.second for e in rep.entries]
-    assert max(seconds) - min(seconds) <= 1e-12
-    assert {e.solver for e in rep.entries} == {"lanczos"}
+    assert [e.solver for e in rep.entries] == ["lanczos"] + ["reused"] * n
+    assert [e.colors for e in rep.entries] == [(i,) for i in range(n + 1)]
+    for e, L in zip(rep.entries,
+                    oracles.ko_vertex_links_per_color(n, p, s, d),
+                    strict=True):
+        assert e.vertices == L.vertex_count
+        assert e.connected == L.is_connected()
+        assert abs(e.second - second_eigenvalue(walk_matrix(L))) <= 1e-12
+
+
+def test_ko_link_report_builds_one_link(monkeypatch):
+    import cosetx.groups as groups_mod
+    import cosetx.spectral as spectral_mod
+
+    calls = []
+    for mod, name in ((groups_mod, "closure_bfs"),
+                      (spectral_mod, "coset_complex")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append(_name) or _fn(*a, **k))
+    ko_link_report(3, 2, 2, 1, threshold=1.0)
+    assert sorted(calls) == ["closure_bfs", "coset_complex"]
 
 
 def test_ko_links_validation():
     with pytest.raises(ParameterError):
-        ko_vertex_links(1, 3, 2, 1)
+        ko_vertex_link(1, 3, 2, 1)
