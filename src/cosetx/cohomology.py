@@ -256,7 +256,61 @@ class _Skeleton:
     n_components: int
 
 
+def _bfs_forest(edges: np.ndarray, V: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(parent, parent_edge, bfs_order, n_components), one layer at a time.
+
+    The CSR adjacency is sorted by (source, neighbour), so the frontier's
+    neighbour lists, concatenated in frontier order, are the FIFO scan of
+    that layer; the first occurrence of each unseen neighbour in that scan
+    is its discovery, and its position there orders the next layer.
+    """
+    E = len(edges)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    eid = np.concatenate([np.arange(E), np.arange(E)])
+    by = np.lexsort((dst, src))
+    src, dst, eid = src[by], dst[by], eid[by]
+    deg = np.bincount(src, minlength=V)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    parent = np.full(V, -1, dtype=np.int64)
+    parent_edge = np.full(V, -1, dtype=np.int64)
+    unseen = np.ones(V, dtype=bool)
+    layers = []
+    comps = 0
+    root = 0
+    while root < V and unseen[root]:
+        comps += 1
+        frontier = np.array([root], dtype=np.int64)
+        unseen[root] = False
+        while len(frontier):
+            layers.append(frontier)
+            cnt = deg[frontier]
+            pos = (np.repeat(indptr[frontier] - np.cumsum(cnt) + cnt, cnt)
+                   + np.arange(int(cnt.sum())))
+            pos = pos[unseen[dst[pos]]]
+            _, first = np.unique(dst[pos], return_index=True)
+            pos = pos[np.sort(first)]
+            frontier = dst[pos]
+            unseen[frontier] = False
+            parent[frontier] = src[pos]
+            parent_edge[frontier] = eid[pos]
+        # the next root is the least unseen vertex; argmax stops there
+        root += int(np.argmax(unseen[root:]))
+    order = np.concatenate(layers) if layers else np.empty(0, np.int64)
+    return parent, parent_edge, order, comps
+
+
 def _skeleton(X: SimplicialComplex) -> _Skeleton:
+    """Edge and triangle incidence, weights and a BFS forest, cached on X.
+
+    The forest is the plain BFS that tree_gauge_fix documents and the
+    gauge search depends on: each component is searched from its least
+    vertex (vertex 0 first), roots in increasing order; a vertex's
+    neighbours are scanned in increasing order and the queue is FIFO, so
+    a vertex's parent is its first discoverer and bfs_order lists the
+    vertices in discovery order.
+    """
     sk = getattr(X, "_coho_skeleton", None)
     if sk is not None:
         return sk
@@ -270,35 +324,7 @@ def _skeleton(X: SimplicialComplex) -> _Skeleton:
         tri_edges = np.stack([ab, bc, ac], axis=1)
     else:
         tri_edges = np.empty((0, 3), dtype=np.int64)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
-    for ei, (u, v) in enumerate(edges):
-        adj[int(u)].append((int(v), ei))
-        adj[int(v)].append((int(u), ei))
-    for lst in adj:
-        lst.sort()
-    parent = np.full(V, -1, dtype=np.int64)
-    parent_edge = np.full(V, -1, dtype=np.int64)
-    seen = np.zeros(V, dtype=bool)
-    order = []
-    comps = 0
-    for root in range(V):
-        if seen[root]:
-            continue
-        comps += 1
-        seen[root] = True
-        order.append(root)
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v, ei in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        parent[v] = u
-                        parent_edge[v] = ei
-                        order.append(v)
-                        nxt.append(v)
-            queue = nxt
+    parent, parent_edge, order, comps = _bfs_forest(edges, V)
     tree_mask = np.zeros(len(edges), dtype=bool)
     tree_mask[parent_edge[parent_edge >= 0]] = True
     sk = _Skeleton(edges=edges, tri_edges=tri_edges,
@@ -307,7 +333,7 @@ def _skeleton(X: SimplicialComplex) -> _Skeleton:
                    tri_cnt=X.containment_counts(2) if X.n >= 2 else
                    np.empty(0, dtype=np.int64),
                    parent=parent, parent_edge=parent_edge,
-                   bfs_order=np.array(order), tree_mask=tree_mask,
+                   bfs_order=order, tree_mask=tree_mask,
                    n_components=comps)
     X._coho_skeleton = sk
     return sk
@@ -483,13 +509,17 @@ def _gauge_solutions(X: SimplicialComplex, lam: CoefficientGroup,
     sk = _require_connected(X)
     E = len(sk.edges)
     m, e0 = lam.size, lam.identity
-    t, inv = lam.table, lam.inv
-    tri = sk.tri_edges
-    inc: list[list[int]] = [[] for _ in range(E)]
-    for ti in range(len(tri)):
-        for ei in tri[ti]:
-            inc[int(ei)].append(ti)
-    assign = np.full(E, -1, dtype=np.int64)
+    t, inv = lam.table.tolist(), lam.inv.tolist()
+    # memoryviews of int64 arrays read and write plain ints with no numpy
+    # scalar in between, and unlike lists they hold no int object per entry
+    flat = np.ascontiguousarray(sk.tri_edges, dtype=np.int64).reshape(-1)
+    tri = memoryview(flat)
+    # edge -> triangle incidence as CSR; the stable sort lists each edge's
+    # triangles in increasing order
+    inc = memoryview(np.argsort(flat, kind="stable") // 3)
+    ptr = memoryview(np.concatenate(
+        [[0], np.cumsum(np.bincount(flat, minlength=E))]))
+    assign = memoryview(np.full(E, -1, dtype=np.int64))
     trail: list[int] = []
 
     def set_edge(epos: int, val: int, pending: list[int]) -> bool:
@@ -498,29 +528,28 @@ def _gauge_solutions(X: SimplicialComplex, lam: CoefficientGroup,
             return cur == val
         assign[epos] = val
         trail.append(epos)
-        pending.extend(inc[epos])
+        pending.extend(inc[ptr[epos]:ptr[epos + 1]])
         return True
 
     def propagate(pending: list[int]) -> bool:
         while pending:
-            ti = pending.pop()
-            ea, eb, ec = tri[ti]
-            a, b, c = int(assign[ea]), int(assign[eb]), int(assign[ec])
-            # plain ints: numpy bools would OR here instead of adding
+            k = 3 * pending.pop()
+            ea, eb, ec = tri[k], tri[k + 1], tri[k + 2]
+            a, b, c = assign[ea], assign[eb], assign[ec]
             nun = (a < 0) + (b < 0) + (c < 0)
             if nun >= 2:
                 continue
             if nun == 0:
-                if t[t[a, b], inv[c]] != e0:
+                if t[t[a][b]][inv[c]] != e0:
                     return False
                 continue
             # product a.b.c^-1 = e with one unknown slot
             if a < 0:
-                ok = set_edge(int(ea), int(t[c, inv[b]]), pending)
+                ok = set_edge(ea, t[c][inv[b]], pending)
             elif b < 0:
-                ok = set_edge(int(eb), int(t[inv[a], c]), pending)
+                ok = set_edge(eb, t[inv[a]][c], pending)
             else:
-                ok = set_edge(int(ec), int(t[a, b]), pending)
+                ok = set_edge(ec, t[a][b], pending)
             if not ok:
                 return False
         return True
@@ -531,8 +560,8 @@ def _gauge_solutions(X: SimplicialComplex, lam: CoefficientGroup,
 
     pending: list[int] = []
     ok = True
-    for epos in np.flatnonzero(sk.tree_mask):
-        ok = ok and set_edge(int(epos), e0, pending)
+    for epos in np.flatnonzero(sk.tree_mask).tolist():
+        ok = ok and set_edge(epos, e0, pending)
     ok = ok and propagate(pending)
     if not ok:
         return []
@@ -545,7 +574,7 @@ def _gauge_solutions(X: SimplicialComplex, lam: CoefficientGroup,
     sols: list[tuple[int, ...]] = []
 
     def record() -> bool:
-        sols.append(tuple(int(x) for x in assign))
+        sols.append(tuple(assign.tolist()))
         return stop_after is not None and len(sols) >= stop_after
 
     pos = next_unassigned(0)
@@ -580,15 +609,16 @@ def _gauge_solutions(X: SimplicialComplex, lam: CoefficientGroup,
 def _conjugation_classes(sols: Iterable[tuple[int, ...]],
                          lam: CoefficientGroup) -> int:
     """Orbits of tree-trivial cocycles under constant conjugation."""
-    t, inv = lam.table, lam.inv
+    # conj[c, v] = c v c^-1, one row per constant c
+    conj = lam.table[lam.table, lam.inv[:, None]]
     seen: set[tuple[int, ...]] = set()
     classes = 0
     for s in sols:
         if s in seen:
             continue
         classes += 1
-        for c in range(lam.size):
-            seen.add(tuple(int(t[t[c, v], inv[c]]) for v in s))
+        orbit = conj[:, np.asarray(s, dtype=np.int64)]
+        seen.update(map(tuple, orbit.tolist()))
     return classes
 
 
@@ -652,12 +682,18 @@ def _enumerate_coboundaries(X: SimplicialComplex, lam: CoefficientGroup,
     return out
 
 
+_BRUTE_CHUNK = 1 << 16
+
+
 def _enumerate_cocycles(X: SimplicialComplex, lam: CoefficientGroup,
                         cap: int) -> list[tuple[int, ...]]:
     """Every cocycle, by checking all triangles on all of C^1.
 
     Cochains are decoded from mixed-radix indices with edge 0 as the most
     significant digit, so the output comes back in lexicographic order.
+    The low digits are decoded once into a table that every chunk shares,
+    and each chunk fills in its own high digits; a cochain is dropped at
+    the first triangle it fails.
     """
     sk = _skeleton(X)
     E = len(sk.edges)
@@ -667,20 +703,32 @@ def _enumerate_cocycles(X: SimplicialComplex, lam: CoefficientGroup,
         raise ResourceLimitError(
             f"|Lambda|^|X(1)| = {m}**{E} exceeds cap {cap}")
     t, inv = lam.table, lam.inv
-    te = sk.tri_edges
+    te = sk.tri_edges.tolist()
     e0 = lam.identity
-    powers = np.array([m ** (E - 1 - j) for j in range(E)], dtype=np.int64)
+    low = 0
+    while low < E and m ** (low + 1) <= _BRUTE_CHUNK:
+        low += 1
+    high = E - low
+
+    def digits(k: int) -> np.ndarray:
+        """Row i: the k base-m digits of i, most significant first."""
+        place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        return np.arange(m ** k, dtype=np.int64)[:, None] // place % m
+
+    low_digits = digits(low)
     out: list[tuple[int, ...]] = []
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        vals = (idx[:, None] // powers[None, :]) % m
-        ok = np.ones(len(idx), dtype=bool)
+    for hi in digits(high):
+        # int16 holds every index below MAX_COEFF_ORDER in a quarter of
+        # the bytes that int64 takes
+        vals = np.empty((len(low_digits), E), dtype=np.int16)
+        vals[:, :high] = hi
+        vals[:, high:] = low_digits
         for ea, eb, ec in te:
+            if not len(vals):
+                break
             prod = t[t[vals[:, ea], vals[:, eb]], inv[vals[:, ec]]]
-            ok &= prod == e0
-        for row in vals[ok]:
-            out.append(tuple(int(x) for x in row))
+            vals = vals[prod == e0]
+        out.extend(map(tuple, vals.tolist()))
     return out
 
 

@@ -5,7 +5,7 @@ the package's own data structures and algorithms wherever possible, so
 a shared bug cannot hide: truncated-polynomial arithmetic by direct
 convolution on coefficient tuples, determinants by Leibniz expansion,
 expansion constants by complete enumeration, abelian H^1 by linear
-algebra mod a prime.
+algebra mod a prime, spanning forests by a plain queue-based BFS.
 """
 
 from __future__ import annotations
@@ -358,28 +358,77 @@ def brute_h1_gf2(X):
 
 
 # ---------------------------------------------------------------------------
+# BFS spanning forest of a graph, one vertex at a time
+
+
+def bfs_forest(edges, V):
+    """(parent, parent_edge, bfs_order, n_components) as Python lists.
+
+    Roots are taken in increasing order, each vertex scans its neighbours
+    in increasing order through per-vertex adjacency lists, and the queue
+    is FIFO; parent and parent_edge are -1 at the roots.
+    """
+    adj = [[] for _ in range(V)]
+    for ei, (u, v) in enumerate(edges):
+        adj[u].append((v, ei))
+        adj[v].append((u, ei))
+    for lst in adj:
+        lst.sort()
+    parent = [-1] * V
+    parent_edge = [-1] * V
+    seen = [False] * V
+    order = []
+    comps = 0
+    for root in range(V):
+        if seen[root]:
+            continue
+        comps += 1
+        seen[root] = True
+        order.append(root)
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v, ei in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        parent[v] = u
+                        parent_edge[v] = ei
+                        order.append(v)
+                        nxt.append(v)
+            queue = nxt
+    return parent, parent_edge, order, comps
+
+
+# ---------------------------------------------------------------------------
 # abelian H^1 census by linear algebra mod a prime
 
 
 def _rank_mod_p(rows, p):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p) if p > 2 else rows[rank][c]
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    """Rank over F_p of sparse rows given as {column: value} dicts.
+
+    Each new row is reduced on its leading (least) column against the
+    stored row that leads there, until it vanishes or leads at a fresh
+    column, where it is normalized and stored.
+    """
+    lead = {}
+    for row in rows:
+        row = {c: x % p for c, x in row.items() if x % p}
+        while row:
+            c = min(row)
+            piv = lead.get(c)
+            if piv is None:
+                f = pow(row[c], p - 2, p)
+                lead[c] = {k: x * f % p for k, x in row.items()}
+                break
+            f = row[c]
+            for k, x in piv.items():
+                y = (row.get(k, 0) - f * x) % p
+                if y:
+                    row[k] = y
+                else:
+                    row.pop(k, None)
+    return len(lead)
 
 
 def abelian_h1_classes(X, p):
@@ -391,22 +440,12 @@ def abelian_h1_classes(X, p):
     edges = [tuple(r) for r in X.faces(1).tolist()]
     tris = [tuple(r) for r in X.faces(2).tolist()]
     eidx = {e: i for i, e in enumerate(edges)}
-    E, V = len(edges), X.vertex_count
-    d0 = []
-    for u, v in edges:
-        row = [0] * V
-        row[u] += 1
-        row[v] -= 1
-        d0.append(row)
-    d1 = []
-    for a, b, c in tris:
-        row = [0] * E
-        row[eidx[(a, b)]] += 1
-        row[eidx[(b, c)]] += 1
-        row[eidx[(a, c)]] -= 1
-        d1.append(row)
+    E = len(edges)
+    d0 = [{u: 1, v: -1} for u, v in edges]
+    d1 = [{eidx[(a, b)]: 1, eidx[(b, c)]: 1, eidx[(a, c)]: -1}
+          for a, b, c in tris]
     rank_d0 = _rank_mod_p(d0, p)
-    rank_d1 = _rank_mod_p(d1, p) if d1 else 0
+    rank_d1 = _rank_mod_p(d1, p)
     return p ** ((E - rank_d1) - rank_d0)
 
 

@@ -10,9 +10,16 @@ scan, exact h^1 over Z/2 against a sweep of all of C^1 with Z^1 filtered
 by triangle parity and B^1 taken from every vertex subset.  The F_p coset
 scan that serves every prime-order Lambda is also held to the generic
 sweep over all of C^1, on labellings with the identity off index 0.
+At KO size, the Z/2 gauge witness on KO(2,2,2,1) is pinned by digest and
+the (3,2,2,1) vertex-link censuses by value, the Abelian ones against the
+sparse GF(p) oracle.  The BFS forest behind the tree gauge is held field
+by field to a plain queue-based BFS in oracles.py.
 """
 
+import hashlib
+import inspect
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -44,8 +51,9 @@ from cosetx.cohomology import (
     tree_gauge_fix,
     zmod,
 )
-from cosetx.complexes import SimplicialComplex, weights
+from cosetx.complexes import SimplicialComplex, build_ko_complex, weights
 from cosetx.errors import InputError, ParameterError, ResourceLimitError
+from cosetx.spectral import ko_vertex_link
 
 import oracles
 
@@ -337,6 +345,128 @@ def test_h1_gauge_deterministic():
     a = h1_trivial(X, zmod(2)).witness
     b = h1_trivial(X, zmod(2)).witness
     assert np.array_equal(a.values, b.values)
+
+
+# ---------------------------------------------------------------------------
+# H^1 at KO size
+
+
+@pytest.fixture(scope="module")
+def ko2221():
+    return build_ko_complex(2, 2, 2, 1)
+
+
+# SHA-256 of the comma-joined values of the Z/2 gauge witness on KO(2,2,2,1)
+KO2221_Z2_WITNESS_SHA256 = (
+    "34db546accac1d730bd93f59549b1e45ffcb6b9943e7dc6b283f99b3bd27a008")
+
+
+def test_ko_complex_h1_witness_is_pinned(ko2221):
+    X = ko2221
+    res = h1_trivial(X, zmod(2))
+    assert not res.trivial
+    w = res.witness
+    assert is_cocycle(X, w)
+    assert is_coboundary(X, w) is None
+    text = ",".join(map(str, w.values.tolist()))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        KO2221_Z2_WITNESS_SHA256
+
+
+def test_ko_vertex_link_census_pins():
+    L = ko_vertex_link(3, 2, 2, 1)
+    z2 = h1_class_census(L, zmod(2))
+    z3 = h1_class_census(L, zmod(3))
+    s3 = h1_class_census(L, sym(3))
+    assert (z2.classes, z3.classes, s3.classes) == (8, 9, 12)
+    assert z2.classes == oracles.abelian_h1_classes(L, 2)
+    assert z3.classes == oracles.abelian_h1_classes(L, 3)
+    # Z/2 = {e, (1 2)} is a retract of S_3 through the sign, so a
+    # non-trivial Z/2 class stays non-trivial in S_3
+    lam = sym(3)
+    transposition = lam.group.labels.index("021")
+    lifted = Cochain1(lam, np.where(z2.witness.values == 1, transposition,
+                                    lam.identity))
+    assert is_cocycle(L, lifted)
+    assert is_coboundary(L, lifted) is None
+    assert not s3.trivial
+
+
+# ---------------------------------------------------------------------------
+# BFS forest of the 1-skeleton
+
+
+def _forest(sk):
+    return (sk.parent.tolist(), sk.parent_edge.tolist(),
+            sk.bfs_order.tolist(), sk.n_components)
+
+
+# every builder in cosetx.fixtures, with arguments where it takes some
+FIXTURE_ARGS = {
+    "single_triangle": (), "triangle_strip": (), "tetrahedron_sphere": (),
+    "octahedron": (), "torus_7": (), "cycle_complex": (6,),
+    "path_complex": (5,), "complete_graph": (6,),
+    "complete_bipartite": (2, 4), "petersen_graph": (),
+    "two_triangles_disjoint": (), "bowtie": (),
+}
+
+
+def test_fixture_args_cover_the_module():
+    names = {name for name, f in inspect.getmembers(fx, inspect.isfunction)
+             if f.__module__ == fx.__name__}
+    assert set(FIXTURE_ARGS) == names
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_ARGS))
+def test_skeleton_matches_bfs_oracle_on_fixtures(name):
+    X = getattr(fx, name)(*FIXTURE_ARGS[name])
+    want = oracles.bfs_forest(X.faces(1).tolist(), X.vertex_count)
+    assert _forest(cohomology._skeleton(X)) == want
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_skeleton_matches_bfs_oracle_on_ko_graphs(p):
+    X = build_ko_complex(1, p, 2, 1)
+    want = oracles.bfs_forest(X.faces(1).tolist(), X.vertex_count)
+    assert _forest(cohomology._skeleton(X)) == want
+
+
+def test_skeleton_matches_bfs_oracle_on_ko_complex(ko2221):
+    X = ko2221
+    want = oracles.bfs_forest(X.faces(1).tolist(), X.vertex_count)
+    assert _forest(cohomology._skeleton(X)) == want
+
+
+def test_bfs_forest_matches_oracle_on_random_graphs():
+    rng = random.Random(20241105)
+    hit = {"components": 0, "isolated": 0, "single": 0, "edgeless": 0}
+    for _ in range(200):
+        V = rng.randint(1, 30)
+        dens = rng.choice([0.0, 0.03, 0.08, 0.2, 0.5])
+        pairs = [(u, v) for u in range(V) for v in range(u + 1, V)
+                 if rng.random() < dens]
+        want = oracles.bfs_forest(pairs, V)
+        # rows in any order: edge i is row i whatever its position
+        rows = pairs[:]
+        rng.shuffle(rows)
+        got = cohomology._bfs_forest(
+            np.array(rows, dtype=np.int64).reshape(-1, 2), V)
+        assert (got[0].tolist(), got[1].tolist(), got[2].tolist(),
+                got[3]) == oracles.bfs_forest(rows, V)
+        covered = {v for e in pairs for v in e}
+        if not pairs:
+            X = SimplicialComplex(0, V, [[v] for v in range(V)])
+        elif len(covered) == V:
+            X = SimplicialComplex(1, V, pairs)
+        else:
+            X = None
+        if X is not None:
+            assert _forest(cohomology._skeleton(X)) == want
+        hit["components"] += want[3] > 1
+        hit["isolated"] += len(covered) < V
+        hit["single"] += V == 1
+        hit["edgeless"] += not pairs
+    assert all(hit.values()), hit
 
 
 # ---------------------------------------------------------------------------
