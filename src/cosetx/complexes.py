@@ -392,8 +392,9 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
                   labels: bool = False) -> SimplicialComplex:
     """CC(G, {K_i}): vertices gK_i colored i, faces from the chamber orbit.
 
-    ``subgroups`` are element-index collections, one per color; each coset
-    partition derives its own small generating set.  Maximal faces are
+    ``subgroups`` holds one entry per color: an element-index collection,
+    whose coset partition ``cosets()`` derives, or a ready CosetPartition
+    of G (such as ``groups.ko_link_cosets`` builds).  Maximal faces are
     {gK_0, ..., gK_n} over all g; the stabilizer of the base chamber is
     the intersection of the K_i, so the face count is |G| divided by the
     intersection order.
@@ -406,7 +407,10 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
     k = len(subgroups)
     if k < 2:
         raise ParameterError("need at least two subgroups (n >= 1)")
-    parts = [cosets(G, sub) for sub in subgroups]
+    parts = [sub if isinstance(sub, CosetPartition) else cosets(G, sub)
+             for sub in subgroups]
+    if any(part.group is not G for part in parts):
+        raise InputError("coset partition of a different group")
     sizes = np.array([p.n_cosets for p in parts], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     V = int(offsets[-1])

@@ -6,11 +6,26 @@ everything downstream relies on: coset labels, complex vertex ids, dump
 files.  MatElement arithmetic is exact coefficient arithmetic and never
 needs ring tables, so order computations work in rings far too large to
 table.
+
+The KO subgroups K_i are the exception: they have a closed form and no
+closure runs for them.  K_0 is unitriangular, and its entry (a, b), a < b,
+is any polynomial of degree <= D_ab = min(s-1, (b-a)d).  A ring index puts
+low degrees in its low digits, so "degree <= D" reads "index < p^(D+1)"
+and K_0 is a box of coordinates, listed in mixed-radix order; K_i is its
+gamma_0^i rotation.  With h = gamma_0^-j, K_0 n K_j is again a box: entry
+(a, b) is bounded by min(D_ab, (h(b)-h(a))d) when h(a) < h(b) and is zero
+otherwise.  So each left coset g(K_0 n K_j) has a normal form.  Right
+multiplication by e_ab(r) adds r to g_ab and g_ia r to the entries above
+it in column b, so clearing the bounded low terms column by column, bottom
+up, never disturbs a cleared entry.  The reduced elements number
+|K_0|/|K_0 n K_j| and every coset holds one, so each holds exactly one:
+the coset labels need no closure, no key lookup and no ``cosets()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -19,7 +34,7 @@ import numpy as np
 
 from ._kernels import KeyIndex, closure_bfs, identity_flat, matmul_batch, pack_keys
 from .errors import ParameterError, ResourceLimitError, StructureError
-from .ring import RingTable, TruncPoly, check_ring_params, enumerate_polys
+from .ring import RingTable, TruncPoly, check_ring_params
 from .roots import gamma0, perm_pow
 
 DEFAULT_CLOSURE_CAP = 1 << 24
@@ -314,7 +329,9 @@ class MatrixGroup(FiniteGroup):
     """Enumerated matrix group over a tabled ring.
 
     ``elems`` is the canonical element array (flat packed rows); index 0 is
-    always the identity because BFS starts there.
+    the identity for BFS closures and for the closed-form K_i alike.  The
+    key index behind the lookups is built on first use, so a group that is
+    only read by its entries never sorts its keys.
     """
 
     def __init__(self, ring: RingTable, m: int, elems: np.ndarray,
@@ -323,14 +340,22 @@ class MatrixGroup(FiniteGroup):
         self.m = m
         self.elems = np.ascontiguousarray(elems, dtype=np.uint32)
         self.size = len(self.elems)
-        self.keys = pack_keys(self.elems, ring.q)
-        self._index = KeyIndex(self.keys)
-        ident_key = pack_keys(identity_flat(m)[None, :], ring.q)
-        ident_pos = self._index.lookup(ident_key)[0]
-        if ident_pos < 0:
+        ident = identity_flat(m)
+        # closures and the closed-form K_i list the identity first
+        hits = ([0] if np.array_equal(self.elems[:1], ident[None, :]) else
+                np.flatnonzero((self.elems == ident).all(axis=1)))
+        if len(hits) == 0:
             raise StructureError("element set does not contain the identity")
-        self.identity = int(ident_pos)
+        self.identity = int(hits[0])
         self.generators = list(generators) if generators is not None else []
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        return pack_keys(self.elems, self.ring.q)
+
+    @functools.cached_property
+    def _index(self) -> KeyIndex:
+        return KeyIndex(self.keys)
 
     # -- lookups -----------------------------------------------------------
 
@@ -403,39 +428,6 @@ def bfs_closure(gens: Sequence[MatElement], cap: int = DEFAULT_CLOSURE_CAP,
     group = MatrixGroup(ring, m, elems)
     group.generators = sorted(int(i) for i in group.lookup_rows(flat))
     return group
-
-
-def subgroup_K(n: int, p: int, s: int, d: int, i: int,
-               cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
-    """K_i <= SL_{n+1}(F_p[t]/t^s): the gamma_0^i-rotated unitriangular block.
-
-    Generated by e_{g(j), g(j+1)}(r) for 1 <= j <= n and deg r <= d, where
-    g = gamma_0^i.  So K_i = gamma_0^i K_0 gamma_0^-i, which ``rotate_rows``
-    builds from K_0; this BFS for i > 0 is the oracle of that rotation.
-    """
-    check_ring_params(p, s)
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    if not (0 <= d < s):
-        raise ParameterError(f"need 0 <= d < s, got d={d}, s={s}")
-    if not (0 <= i <= n):
-        raise ParameterError(f"color index must be in 0..{n}, got {i}")
-    g = perm_pow(gamma0(n), i)
-    gens = []
-    for j in range(1, n + 1):
-        for r in enumerate_polys(p, s, d):
-            gens.append(elementary(n, g[j - 1], g[j], r))
-    return bfs_closure(gens, cap=cap)
-
-
-def rotate_rows(rows: np.ndarray, k: int) -> np.ndarray:
-    """gamma_0^k x gamma_0^-k for each flat m x m row x: entry (a, b)
-    moves to (g(a), g(b)), g = gamma_0^k, so K_i maps onto K_{i+k}."""
-    m = math.isqrt(rows.shape[1])
-    g = np.array(perm_pow(gamma0(m - 1), k)) - 1
-    out = np.empty_like(rows)
-    out[:, (g[:, None] * m + g[None, :]).ravel()] = rows
-    return out
 
 
 def elementary_subgroup(n: int, p: int, s: int, d: int,
@@ -643,6 +635,170 @@ def quotient(G: FiniteGroup, normal_indices: Sequence[int]
     gen_images = sorted(set(int(proj[g]) for g in G.generators))
     Q = TableGroup(table, labels=labels, generators=gen_images, validate=False)
     return Q, proj
+
+
+# ---------------------------------------------------------------------------
+# the KO subgroups in closed form
+
+
+def k0_degree_bounds(n: int, s: int, d: int) -> np.ndarray:
+    """D with D[a, b] = min(s-1, (b-a)d) for a < b and -1 elsewhere.
+
+    Entry (a, b) of an element of K_0 is any polynomial of degree <= D[a, b];
+    -1 marks the fixed entries, 1 on the diagonal and 0 below it.
+    """
+    a, b = np.indices((n + 1, n + 1))
+    return np.where(a < b, np.minimum(s - 1, (b - a) * d), -1)
+
+
+def k0_order(n: int, p: int, s: int, d: int) -> int:
+    """|K_0| = p^(sum of D_ab + 1 over a < b), known before enumerating."""
+    return p ** int((k0_degree_bounds(n, s, d) + 1).sum())
+
+
+def ko_intersection_bounds(n: int, s: int, d: int, j: int) -> np.ndarray:
+    """Degree bounds of K_0 n K_j in the layout of ``k0_degree_bounds``.
+
+    x lies in K_j = g K_0 g^-1, g = gamma_0^j, when g^-1 x g lies in K_0,
+    and that conjugate holds x's entry (a, b) at (h(a), h(b)), h = gamma_0^-j.
+    So entry (a, b) is bounded by D_ab and by D_h(a)h(b): it is forced to
+    zero unless h(a) < h(b), and then bounded by min(D_ab, (h(b)-h(a))d).
+    """
+    D = k0_degree_bounds(n, s, d)
+    h = np.array(perm_pow(gamma0(n), -j)) - 1
+    return np.minimum(D, D[h[:, None], h[None, :]])
+
+
+def _place_values(D: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radix p^(D+1) of each flat entry and its place value in the mixed
+    radix, row-major with the first entry most significant; a fixed entry
+    has radix 1 and place value 0."""
+    radix = (p ** (D + 1)).ravel()
+    place = np.append(np.cumprod(radix[::-1])[-2::-1], 1)
+    return radix, np.where(radix > 1, place, 0)
+
+
+def subgroup_K(n: int, p: int, s: int, d: int, i: int,
+               cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
+    """K_i <= SL_{n+1}(F_p[t]/t^s), enumerated in closed form.
+
+    K_0 is generated by e_{j,j+1}(r), 1 <= j <= n, deg r <= d.  It is the
+    unitriangular group whose entry (a, b) is any polynomial of degree
+    <= D_ab = min(s-1, (b-a)d) (``k0_degree_bounds``).  Ring indices put low
+    degrees in the low digits, so that degree bound is "index <
+    p^(D_ab+1)", and the elements are listed in the mixed-radix order of
+    their entries: row-major, the first entry most significant, element 0
+    the identity.  K_i = gamma_0^i K_0 gamma_0^-i is ``rotate_rows`` of that
+    list, in the same order.  |K_0| is checked against ``cap`` before
+    anything is allocated.  ``generators`` are the n(d+1) elements
+    e(t^k), k <= d, in the rotated simple-root positions; they generate,
+    since e(c t^k) = e(t^k)^c.
+    """
+    check_ring_params(p, s)
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
+    if not (0 <= d < s):
+        raise ParameterError(f"need 0 <= d < s, got d={d}, s={s}")
+    if not (0 <= i <= n):
+        raise ParameterError(f"color index must be in 0..{n}, got {i}")
+    order = k0_order(n, p, s, d)
+    if order > cap:
+        raise ResourceLimitError(f"|K_0| = {order} exceeds cap {cap}",
+                                 partial_count=0)
+    m = n + 1
+    radix, place = _place_values(k0_degree_bounds(n, s, d), p)
+    elems = np.empty((order, m * m), dtype=np.uint32)
+    elems[:] = identity_flat(m)
+    for k in np.flatnonzero(radix > 1):
+        # entry k counts 0..radix-1, each value held for place[k] rows
+        elems.reshape(-1, radix[k], place[k], m * m)[..., k] = \
+            np.arange(radix[k], dtype=np.uint32)[:, None]
+    gens = sorted(int(place[a * m + a + 1]) * p**k
+                  for a in range(n) for k in range(d + 1))
+    return MatrixGroup(RingTable(p, s), m,
+                       rotate_rows(elems, i) if i else elems, gens)
+
+
+def rotate_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """gamma_0^k x gamma_0^-k for each flat m x m row x: entry (a, b)
+    moves to (g(a), g(b)), g = gamma_0^k, so K_i maps onto K_{i+k}."""
+    m = math.isqrt(rows.shape[1])
+    g = np.array(perm_pow(gamma0(m - 1), k)) - 1
+    out = np.empty_like(rows)
+    out[:, (g[:, None] * m + g[None, :]).ravel()] = rows
+    return out
+
+
+def ko_coset_codes(K0: MatrixGroup, d: int, j: int) -> np.ndarray:
+    """Code of each element's left coset g(K_0 n K_j) in K_0.
+
+    The code is the mixed-radix index (as in ``subgroup_K``) of the coset's
+    reduced representative: the one element whose entry (a, b) has no
+    term of degree <= B_ab, B = ``ko_intersection_bounds``.  All of K_0 is
+    reduced at once, column b = 1..n, rows a = b-1 down to 0: with low the
+    terms of g_ab of degree <= B_ab and r = -low, g <- g e_ab(r) sets
+    g_ab -= low and g_ib += g_ia r for i < a.  That leaves the entries
+    below a in column b and all earlier columns alone, so every cleared
+    entry stays cleared.  Each e_ab(r) lies in H = K_0 n K_j, so the
+    result lies in gH; the reduced elements number prod p^(D_ab - B_ab) =
+    |K_0|/|H|, one per coset at least, hence exactly one.
+    """
+    m, ring = K0.m, K0.ring
+    B = ko_intersection_bounds(m - 1, ring.s, d, j)
+    _, place = _place_values(k0_degree_bounds(m - 1, ring.s, d), ring.p)
+    # g[a, b]: entry (a, b) of every element, a < b, one contiguous copy each
+    g = {(a, b): K0.elems[:, a * m + b].copy()
+         for b in range(1, m) for a in range(b)}
+    for b in range(1, m):
+        for a in range(b - 1, -1, -1):
+            if B[a, b] < 0:
+                continue
+            low = g[a, b] % ring.p ** (int(B[a, b]) + 1)
+            g[a, b] -= low
+            r = ring.neg[low]
+            for i in range(a):
+                g[i, b] = ring.add[g[i, b], ring.mul[g[i, a], r]]
+    return sum(int(place[a * m + b]) * col.astype(np.int64)
+               for (a, b), col in g.items())
+
+
+def ko_link_cosets(K0: MatrixGroup, d: int) -> list[CosetPartition]:
+    """Left cosets of K_0 n K_j in K_0 for j = 1..n, by normal form.
+
+    ``K0`` is ``subgroup_K(n, p, s, d, 0)``; only its element set matters.
+    Classes are the ``ko_coset_codes`` classes, labeled as ``cosets()``
+    labels them (smallest element index), and checked at runtime: H =
+    K_0 n K_j is found by membership, x in H when gamma_0^-j x gamma_0^j
+    has K_0's fixed entries and degree bounds, and every class must hold
+    exactly |H| elements, the identity's class being H itself.  Every
+    bounded e_ab(r) reduces to the identity, so it then lies in H, each
+    class lies in one coset, and the classes are the |K_0|/|H| cosets of
+    H for any bounds within K_0's.
+    """
+    m, N = K0.m, K0.size
+    lim = K0.ring.p ** (k0_degree_bounds(m - 1, K0.ring.s, d) + 1).ravel()
+    free = np.flatnonzero(lim > 1)
+    idx = np.arange(N)
+    parts = []
+    for j in range(1, m):
+        # x's entry (a, b) sits at (h(a), h(b)) in the conjugate, so it must
+        # stay below lim there; x's fixed entries pass for every j
+        bound = rotate_rows(lim[None, :], j)[0]
+        in_sub = (K0.elems[:, free] < bound[free]).all(axis=1)
+        codes = ko_coset_codes(K0, d, j)
+        sizes = np.bincount(codes)
+        if ((sizes[sizes > 0] != np.count_nonzero(in_sub)).any()
+                or not np.array_equal(codes == codes[K0.identity], in_sub)):
+            raise StructureError(
+                f"normal form of K_0 n K_{j} does not give |K_0|/|H| "
+                f"classes of |H| elements")
+        first = np.full(N, N)
+        np.minimum.at(first, codes, idx)
+        labels = first[codes]
+        is_rep = labels == idx
+        parts.append(CosetPartition(K0, labels, np.flatnonzero(is_rep),
+                                    (np.cumsum(is_rep) - 1)[labels]))
+    return parts
 
 
 # ---------------------------------------------------------------------------

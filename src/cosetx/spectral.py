@@ -285,21 +285,24 @@ def ko_vertex_link(n: int, p: int, s: int, d: int,
                    cap: int = 1 << 24) -> SimplicialComplex:
     """The link CC(K_0, {K_0 n K_j : j = 1..n}) of a color-0 vertex.
 
-    Only K_0 is enumerated, never the far larger ambient group.  x in K_0
-    lies in K_j = gamma_0^j K_0 gamma_0^-j exactly when gamma_0^-j x
-    gamma_0^j does, so each intersection is read off K_0's own index.
-    Conjugation by gamma_0^i maps K_0 n K_j onto K_i n K_{i+j}: the
-    color-i link is this one with its colors rotated by i.
+    Only K_0 is enumerated, never the far larger ambient group, and in
+    closed form (``groups.subgroup_K``).  Each K_0 n K_j is the set of
+    elements whose entry (a, b) has degree <= B_ab
+    (``groups.ko_intersection_bounds``), and its left cosets are labeled by
+    normal form: each coset has exactly one element with no term of degree
+    <= B_ab in any entry (``groups.ko_coset_codes``).  No closure, key
+    lookup or ``cosets()`` call is made; ``groups.ko_link_cosets`` checks
+    every partition's class sizes against K_0 n K_j found by membership.
+    Conjugation by gamma_0^i maps K_0 n K_j onto K_i n K_{i+j}: the color-i
+    link is this one with its colors rotated by i.
     """
-    from .groups import rotate_rows, subgroup_K
+    from .groups import ko_link_cosets, subgroup_K
 
     if n < 2:
         raise ParameterError("vertex links of a graph carry no walk; "
                              "need n >= 2")
     K0 = subgroup_K(n, p, s, d, 0, cap=cap)
-    subs = [np.flatnonzero(K0.contains_flat_rows(rotate_rows(K0.elems, -j)))
-            for j in range(1, n + 1)]
-    return coset_complex(K0, subs)
+    return coset_complex(K0, ko_link_cosets(K0, d))
 
 
 def ko_link_report(n: int, p: int, s: int, d: int,

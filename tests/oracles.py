@@ -501,19 +501,43 @@ def walk_second_eigenvalue(X):
 
 
 # ---------------------------------------------------------------------------
-# KO vertex links, one color at a time
+# KO subgroups and vertex links, one color at a time
+
+
+def ko_generators(n, p, s, d, i):
+    """e_{g(j), g(j+1)}(r) for 1 <= j <= n and deg r <= d, g = gamma_0^i.
+
+    gamma_0 is the cycle k -> k+1 on 1..n+1, so g(k) = (k - 1 + i) % (n+1)
+    + 1.  These generate K_i by definition.
+    """
+    from cosetx.groups import elementary
+    from cosetx.ring import TruncPoly
+
+    m = n + 1
+    g = [None] + [(k - 1 + i) % m + 1 for k in range(1, m + 1)]
+    polys = [TruncPoly.make(p, s, cs)
+             for cs in itertools.product(range(p), repeat=d + 1)]
+    return [elementary(n, g[j], g[j + 1], r)
+            for j in range(1, n + 1) for r in polys]
+
+
+def ko_subgroup_bfs(n, p, s, d, i):
+    """K_i as the BFS closure (``groups.bfs_closure``) of its generators."""
+    from cosetx.groups import bfs_closure
+
+    return bfs_closure(ko_generators(n, p, s, d, i))
 
 
 def ko_vertex_links_per_color(n, p, s, d):
     """CC(K_i, {K_i n K_j : j != i}) for every color i, built separately.
 
-    One BFS per K_i, intersections by membership in K_j's key index and
-    one coset complex per color: nothing is read off the gamma_0 rotation.
+    One BFS per K_i from its own generators, intersections by membership
+    in K_j's key index and one coset complex per color: nothing is read
+    off the closed form, the normal form or the gamma_0 rotation.
     """
     from cosetx.complexes import coset_complex
-    from cosetx.groups import subgroup_K
 
-    Ks = [subgroup_K(n, p, s, d, i) for i in range(n + 1)]
+    Ks = [ko_subgroup_bfs(n, p, s, d, i) for i in range(n + 1)]
     return [coset_complex(Ks[i], [
         np.flatnonzero(Ks[j].contains_flat_rows(Ks[i].elems))
         for j in range(n + 1) if j != i]) for i in range(n + 1)]

@@ -484,6 +484,22 @@ def test_sl_order_over_cap_exits_3_before_enumerating():
     assert "Traceback" not in r.stderr
 
 
+def test_ko_link_k0_over_cap_exits_3_before_enumerating():
+    """|K_0| = 3^16 for (n, p, s, d) = (3, 3, 4, 1) is known in closed
+    form, so the default cap of 2^24 fails at once, naming the order."""
+    argv = ["spectral", "links", "--preset", "ko", "--n", "3", "--p", "3",
+            "--s", "4", "--d", "1", "--threshold", "1"]
+    t0 = time.perf_counter()
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys\nfrom cosetx.cli import main\n"
+                        f"sys.exit(main({argv!r}))\n"],
+                       capture_output=True, text=True, timeout=300)
+    assert time.perf_counter() - t0 < 10
+    assert r.returncode == 3, r.stderr
+    assert "|K_0| = 43046721 exceeds cap 16777216" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def read_pyproject():
     try:
         import tomllib

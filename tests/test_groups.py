@@ -9,9 +9,10 @@ import oracles
 from cosetx.errors import ParameterError, ResourceLimitError, StructureError
 from cosetx.groups import (MatElement, MatrixGroup, bfs_closure, commutator,
                            cosets, elementary, elementary_subgroup,
-                           mat_element_order, normal_closure, quotient,
-                           reduction_kernel, rotate_rows, sl_group, sl_order,
-                           subgroup_K, subgroup_closure_indices,
+                           k0_degree_bounds, k0_order, ko_coset_codes,
+                           ko_link_cosets, mat_element_order, normal_closure,
+                           quotient, reduction_kernel, rotate_rows, sl_group,
+                           sl_order, subgroup_K, subgroup_closure_indices,
                            symmetric_group)
 from cosetx.ring import TruncPoly
 
@@ -116,8 +117,9 @@ class TestSubgroupK:
                                          (2, 3, 2, 1), (1, 3, 3, 1),
                                          (2, 2, 4, 1), (3, 2, 4, 1)])
     def test_k0_is_bounded_unipotent(self, n, p, s, d):
-        assert subgroup_K(n, p, s, d, 0).size == \
-            oracles.unipotent_order_formula(n + 1, p, s, d)
+        expect = oracles.unipotent_order_formula(n + 1, p, s, d)
+        assert k0_order(n, p, s, d) == expect
+        assert subgroup_K(n, p, s, d, 0).size == expect
 
     def test_all_colors_conjugate_size(self, ):
         sizes = {subgroup_K(2, 2, 2, 1, i).size for i in range(3)}
@@ -129,14 +131,96 @@ class TestSubgroupK:
         assert bool(G.contains_flat_rows(K.elems).all())
 
     @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 3, 2, 1),
-                                         (3, 2, 2, 1), (3, 2, 3, 1)])
+                                         (1, 3, 3, 1), (3, 2, 2, 1),
+                                         (3, 2, 3, 1)])
     def test_rotated_k0_is_k_i(self, n, p, s, d):
-        # gamma_0^i K_0 gamma_0^-i against the BFS from K_i's own generators
-        K0 = subgroup_K(n, p, s, d, 0)
+        # subgroup_K(..., i), the rotated closed-form K_0, against the BFS
+        # from K_i's own generators, as sets
         for i in range(n + 1):
             Ki = subgroup_K(n, p, s, d, i)
-            rotated = Ki.lookup_rows(rotate_rows(K0.elems, i))
-            assert np.array_equal(np.sort(rotated), np.arange(Ki.size))
+            bfs = oracles.ko_subgroup_bfs(n, p, s, d, i)
+            pos = bfs.lookup_rows(Ki.elems)
+            assert Ki.size == bfs.size
+            assert np.array_equal(np.sort(pos), np.arange(bfs.size))
+            assert Ki.identity == 0
+            assert bfs_closure([Ki.mat(g) for g in Ki.generators]).size == \
+                Ki.size
+
+    @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (1, 3, 3, 1),
+                                         (2, 2, 3, 1)])
+    def test_closed_form_matches_set_bfs_oracle(self, n, p, s, d):
+        # the same sets again, closed by exact products and a Python set
+        for i in range(n + 1):
+            layers = oracles.bfs_closure(oracles.ko_generators(n, p, s, d, i))
+            expect = {tuple(row) for layer in layers for row in layer.tolist()}
+            got = {tuple(row) for row in subgroup_K(n, p, s, d, i).elems.tolist()}
+            assert got == expect
+
+    def test_k0_is_listed_in_mixed_radix_order(self):
+        # (2,3,2,1): entries (0,1), (0,2), (1,2) hold degree <= 1, 1, 1, so
+        # each runs over 0..8 and the last one varies fastest
+        K0 = subgroup_K(2, 3, 2, 1, 0)
+        coords = K0.elems[:, [1, 2, 5]].astype(np.int64)
+        assert np.array_equal(coords @ [81, 9, 1], np.arange(729))
+        assert np.array_equal(K0.elems[:, [0, 4, 8]], np.ones((729, 3)))
+        assert not K0.elems[:, [3, 6, 7]].any()
+
+    def test_cap_fails_before_enumerating(self):
+        # 3^16 elements: the closed-form order trips the cap up front
+        assert k0_order(3, 3, 4, 1) == 3**16
+        with pytest.raises(ResourceLimitError) as ei:
+            subgroup_K(3, 3, 4, 1, 0)
+        assert ei.value.partial_count == 0
+        assert "|K_0| = 43046721 exceeds cap 16777216" in str(ei.value)
+
+
+class TestKOLinkCosets:
+    @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 3, 2, 1),
+                                         (3, 2, 2, 1), (3, 2, 3, 1)])
+    def test_normal_form_matches_cosets(self, n, p, s, d):
+        K0 = subgroup_K(n, p, s, d, 0)
+        parts = ko_link_cosets(K0, d)
+        for j in range(1, n + 1):
+            sub = np.flatnonzero(
+                K0.contains_flat_rows(rotate_rows(K0.elems, -j)))
+            expect = cosets(K0, sub)
+            # the codes and cosets()' labels induce the same partition
+            codes = ko_coset_codes(K0, d, j)
+            pairs = np.unique(np.stack([codes, expect.labels]), axis=1)
+            assert pairs.shape[1] == len(np.unique(codes)) \
+                == expect.n_cosets == K0.size // len(sub)
+            # each code is the index of an element of its own coset
+            assert np.array_equal(expect.labels[codes], expect.labels)
+            part = parts[j - 1]
+            assert part.group is K0
+            assert np.array_equal(part.labels, expect.labels)
+            assert np.array_equal(part.reps, expect.reps)
+            assert np.array_equal(part.ordinal, expect.ordinal)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_loosened_bound_fails_the_class_check(self, n, monkeypatch):
+        import cosetx.groups as groups_mod
+
+        K0 = subgroup_K(n, 2, 2, 1, 0)
+        D = k0_degree_bounds(n, 2, 1)
+        exact = groups_mod.ko_intersection_bounds
+        loosened = 0
+        for j in range(1, n + 1):
+            B = exact(n, 2, 1, j)
+            for a, b in zip(*np.nonzero(B < D)):
+                def loose(n_, s_, d_, j_, a=a, b=b, j=j):
+                    out = exact(n_, s_, d_, j_)
+                    if j_ == j:
+                        out[a, b] += 1
+                    return out
+                monkeypatch.setattr(groups_mod, "ko_intersection_bounds",
+                                    loose)
+                with pytest.raises(StructureError, match="classes of"):
+                    ko_link_cosets(K0, 1)
+                loosened += 1
+        monkeypatch.setattr(groups_mod, "ko_intersection_bounds", exact)
+        assert len(ko_link_cosets(K0, 1)) == n
+        assert loosened >= n
 
 
 class TestGroupInterface:
@@ -282,18 +366,21 @@ def test_bfs_closure_deduplicates():
 
 
 
-# sha256 of the element rows in BFS numbering: layers from the identity,
-# ascending canonical key within a layer.  Dumps, coset labels and complex
-# vertex ids are all read off this order, so it must not move.
+# sha256 of the element rows in their numbering: BFS layers from the
+# identity, ascending canonical key within a layer, except for subgroup_K,
+# which lists K_0 in the mixed-radix order of its entries and K_i as its
+# rotation (``test_rotated_k0_is_k_i`` proves the same sets as the BFS).
+# Dumps, coset labels and complex vertex ids are all read off this order,
+# so it must not move.
 GOLDEN_ORDER = [
     (subgroup_K, (2, 2, 2, 1, 0),
-     "5ace58f370a54086c55e5ede4a9a0f601a304cb388a47f81994523160d99fb57"),
+     "b5b4cacf9443cf9a0fbaabf3d26fb19d07e185bf692a08b06f6782796dde8e29"),
     (subgroup_K, (2, 2, 2, 1, 1),
-     "1756c311fc44681e7f5dcbde5afb4c868e74ced07834a92964438b08c9f20ded"),
+     "5ce687ba43fe19e0d4a1958c964a120b2cc224ced04929cbc4d44dafb9d16958"),
     (subgroup_K, (2, 2, 2, 1, 2),
-     "d214d8420f559da7df7f36b6ad078c544613a94e40a193082fbcf8687d3ad091"),
+     "316aa67ea2668e6893924f9a47fc45a963b4d36e07db1326ebaf23f527091bed"),
     (subgroup_K, (3, 2, 2, 1, 0),
-     "1d3ecfab0602bfb6cfa8626892612b0880d4bf4228bbca1c181b0f174bd9c4db"),
+     "da7ad6408e0b6b7198f543da3dcbb4ef7ca13850e2dc4fa71552e3f0a9ccfbe7"),
     (sl_group, (1, 3, 2),
      "59ee6492a9cca1c0130c03ce634c816821aa84e1cd3291d8f523ce9d1e06780f"),
     (reduction_kernel, (2, 2, 2, 1),
@@ -312,14 +399,46 @@ def test_bfs_numbering_is_pinned(build, args, digest):
     assert hashlib.sha256(elems.tobytes()).hexdigest() == digest
 
 
+def _assert_same_link_through_elements(X, Z):
+    """X and Z are coset complexes on two numberings of one group: the
+    vertex gH of X, g its representative, is the vertex of Z whose coset
+    holds the same matrix g, and that map carries X onto Z face by face."""
+    GX = X.coset_data.partitions[0].group
+    GZ = Z.coset_data.partitions[0].group
+    phi = np.concatenate([
+        Z.coset_data.offsets[c] + pz.ordinal[GZ.lookup_rows(GX.elems[px.reps])]
+        for c, (px, pz) in enumerate(zip(X.coset_data.partitions,
+                                         Z.coset_data.partitions,
+                                         strict=True))])
+    assert np.array_equal(np.sort(phi), np.arange(Z.vertex_count))
+    assert np.array_equal(Z.colors[phi], X.colors)
+    mapped = np.sort(phi[X.max_faces], axis=1)
+    assert len(mapped) == len(Z.max_faces)
+    assert set(map(tuple, mapped.tolist())) == \
+        set(map(tuple, Z.max_faces.tolist()))
+
+
+@pytest.mark.parametrize("n,p,s,d", [(2, 3, 2, 1), (3, 2, 2, 1)])
+def test_ko_link_equals_the_bfs_built_link(n, p, s, d):
+    from cosetx.spectral import ko_vertex_link
+
+    _assert_same_link_through_elements(
+        ko_vertex_link(n, p, s, d),
+        oracles.ko_vertex_links_per_color(n, p, s, d)[0])
+
+
 def test_ko_link_coset_labels_are_pinned():
+    # pinned only once the link equals, face by face, the one built with
+    # cosets() on the BFS-numbered K_0 from its own generators
     from cosetx.spectral import ko_vertex_link
 
     X = ko_vertex_link(2, 2, 2, 1)
+    _assert_same_link_through_elements(
+        X, oracles.ko_vertex_links_per_color(2, 2, 2, 1)[0])
     digest = [hashlib.sha256(part.labels.astype(np.int64).tobytes()).hexdigest()
               for part in X.coset_data.partitions]
     assert digest == [
-        "757e2135535d3e90d797b0398a1b0263f896efa304f6e6bf644aa83557cdf37b",
-        "e12937047ec47e0701c73532d950f600f8c8d893165fa6cdd0aab9e9c6343293"]
+        "f9554aa58217c2a7acd00c60df85c438d232f42d6f18d8653e23c9e0f12665db",
+        "721bbd897bdea7ab31da572e9a2e670db672868e7e724fdadcdd1e1a719a8a99"]
     faces = hashlib.sha256(X.max_faces.astype(np.int64).tobytes()).hexdigest()
-    assert faces == "63a0718b81e6324771abf43eb1afcc612ba019bf1cf79dc3dd0c5c4dda6d9144"
+    assert faces == "0aa816a8b1ad82d2109c31af73f46f8e62b545cce415d27de261f2be95dfa789"

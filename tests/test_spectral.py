@@ -367,17 +367,35 @@ def test_ko_link_colors_share_spectrum(n, p, s, d):
 
 
 def test_ko_link_report_builds_one_link(monkeypatch):
+    # one closed-form K_0, normal-form cosets: no closure, no cosets() and
+    # no key index anywhere on the way to the one link
+    import cosetx.complexes as complexes_mod
     import cosetx.groups as groups_mod
     import cosetx.spectral as spectral_mod
 
     calls = []
-    for mod, name in ((groups_mod, "closure_bfs"),
+    for mod, name in ((groups_mod, "closure_bfs"), (groups_mod, "cosets"),
+                      (complexes_mod, "cosets"), (groups_mod, "KeyIndex"),
                       (spectral_mod, "coset_complex")):
         fn = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **k:
                             calls.append(_name) or _fn(*a, **k))
     ko_link_report(3, 2, 2, 1, threshold=1.0)
-    assert sorted(calls) == ["closure_bfs", "coset_complex"]
+    assert calls == ["coset_complex"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ko_link_p_sweep_is_one_over_sqrt_p(p):
+    # n = 2, s = 2, d = 1: the vertex link's walk has lambda_2 = 1/sqrt(p)
+    L = ko_vertex_link(2, p, 2, 1)
+    assert L.f_vector() == (2 * p**4, p**6)
+    assert abs(second_eigenvalue(walk_matrix(L)) - p**-0.5) <= 1e-9
+
+
+def test_ko_link_n3_p3_pinned():
+    L = ko_vertex_link(3, 3, 2, 1)
+    assert L.f_vector() == (8019, 177147, 531441)
+    assert abs(second_eigenvalue(walk_matrix(L)) - 0.5) <= 1e-9
 
 
 def test_ko_links_validation():
