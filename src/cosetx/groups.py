@@ -776,7 +776,7 @@ def ko_link_cosets(K0: MatrixGroup, d: int) -> list[CosetPartition]:
     H for any bounds within K_0's.
     """
     m, N = K0.m, K0.size
-    lim = K0.ring.p ** (k0_degree_bounds(m - 1, K0.ring.s, d) + 1).ravel()
+    lim, _ = _place_values(k0_degree_bounds(m - 1, K0.ring.s, d), K0.ring.p)
     free = np.flatnonzero(lim > 1)
     idx = np.arange(N)
     parts = []

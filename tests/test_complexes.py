@@ -12,7 +12,7 @@ from cosetx.complexes import (SimplicialComplex, build_ko_complex,
                               loads_complex, quotient_by_action, save_complex,
                               verify_quotient_proposition, weights)
 from cosetx.errors import InputError, StructureError
-from cosetx.groups import subgroup_closure_indices, symmetric_group
+from cosetx.groups import cosets, subgroup_closure_indices, symmetric_group
 
 
 def _sym_index(k, perm):
@@ -192,6 +192,19 @@ class TestCosetComplex:
         assert X.colors is not None
         assert np.bincount(X.colors).tolist() == [3, 3]
         assert X.coset_data is not None
+
+    def test_ready_partitions(self):
+        # a CosetPartition of G stands in for its index list; one of
+        # another group is refused
+        G = symmetric_group(3)
+        subs = [subgroup_closure_indices(G, [_sym_index(3, (1, 0, 2))]),
+                subgroup_closure_indices(G, [_sym_index(3, (0, 2, 1))])]
+        X = coset_complex(G, subs)
+        Y = coset_complex(G, [subs[0], cosets(G, subs[1])])
+        assert np.array_equal(X.max_faces, Y.max_faces)
+        other = symmetric_group(3)
+        with pytest.raises(InputError):
+            coset_complex(G, [subs[0], cosets(other, subs[1])])
 
 
 class TestQuotients:
