@@ -2,8 +2,10 @@
 
 There is one backend, the numpy kernel in ``pure``: batched matrix
 products (``matmul_batch``) and the deterministic BFS closure of a
-generating set (``closure_bfs``), which sorts canonical keys and decodes
-only the rows of new elements.  ``BACKEND`` names it for run records.
+generating set (``closure_bfs``), which tests canonical keys against a
+bitset of the visited keys (uint64 keys, key space at most 64*cap) or
+their sorted array (otherwise) and decodes only the rows of new elements.
+``BACKEND`` names it for run records.
 
 ``pack_keys`` and ``unpack_keys`` map flat matrices to their canonical
 keys and back: uint64 keys when they fit, Python ints otherwise.

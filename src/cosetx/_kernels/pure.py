@@ -10,12 +10,13 @@ generator, a right-table element, a conjugating element); those read that
 matrix's entries and skip its zero and unit terms, and only batch-by-batch
 products run the dense m*m*(2m-1) table gathers per row.
 
-The closure works on canonical keys: each generator's products are
-packed, sorted and filtered against the sorted keys found so far, and rows
-are decoded only for the elements that are new, so its working memory is
-about one generator's products at a time.  Keys are uint64 when
-q**(m*m) <= 2**64 and Python ints in object arrays otherwise; the same
-sorts and searches run on both.
+The closure works on canonical keys: each generator's products are packed
+and tested against the keys visited so far, the new ones are marked at
+once, and rows are decoded only for new elements.  Keys are uint64 when
+q**(m*m) <= 2**64 and Python ints in object arrays otherwise.  The visited
+keys are a bitset over the key space when the keys are uint64 and there
+are at most 64*cap of them (at most 8*cap bytes, the size of ``cap``
+uint64 keys), and one sorted key array otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ResourceLimitError
-from .common import identity_flat, pack_keys, unpack_keys
+from .common import fits_uint64, identity_flat, pack_keys, unpack_keys
 
 NAME = "pure"
 
@@ -97,17 +98,56 @@ def _times_single(X3: np.ndarray, b: np.ndarray, out3: np.ndarray,
             out3[:, i, l] = acc
 
 
-def _first(sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of the first occurrence of each value in a sorted array."""
-    first = np.ones(len(sorted_keys), dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    return first
+class _BitsetKeys:
+    """Visited uint64 keys as one bit per key of the key space [0, size).
+
+    Key k is bit k & 7 of byte k >> 3.  Byte indices are below 2**61, so
+    their int64 view indexes without the copy a uint64 index would need.
+    """
+
+    def __init__(self, size: int):
+        self.bits = np.zeros(-(-size // 8), dtype=np.uint8)
+
+    def has(self, keys: np.ndarray) -> np.ndarray:
+        hit = self.bits.take((keys >> 3).view(np.int64))
+        hit >>= keys.astype(np.uint8) & 7
+        hit &= 1
+        return hit.view(bool)
+
+    def add(self, keys: np.ndarray) -> None:
+        # keys sharing a byte need the unbuffered ufunc.at, not a fancy |=
+        np.bitwise_or.at(self.bits, (keys >> 3).view(np.int64),
+                         np.left_shift(np.uint8(1), keys.astype(np.uint8) & 7))
 
 
-def _isin_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(sorted_keys, keys)
-    np.minimum(pos, len(sorted_keys) - 1, out=pos)
-    return sorted_keys[pos] == keys
+class _SortedKeys:
+    """Visited keys as one sorted array, uint64 or Python ints."""
+
+    def __init__(self, dtype):
+        self.keys = np.empty(0, dtype=dtype)
+
+    def has(self, keys: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self.keys, keys)
+        np.minimum(pos, len(self.keys) - 1, out=pos)
+        return self.keys[pos] == keys
+
+    def add(self, keys: np.ndarray) -> None:
+        # two sorted runs after the concatenation: the stable sort merges
+        # them in one linear pass
+        self.keys = np.concatenate([self.keys, np.sort(keys)])
+        self.keys.sort(kind="stable")
+
+
+def _visited_set(q: int, mm: int, cap: int):
+    """The empty membership structure for a closure of at most ``cap``
+    elements: a bitset when the keys are uint64 and the key space has at
+    most 64*cap keys, so that the bitset is no larger than ``cap`` uint64
+    keys, and the sorted visited keys otherwise."""
+    if not fits_uint64(q, mm):
+        return _SortedKeys(object)
+    if q**mm <= 64 * cap:
+        return _BitsetKeys(q**mm)
+    return _SortedKeys(np.uint64)
 
 
 def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
@@ -118,52 +158,56 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     identity, ascending canonical key within each layer.  The result does
     not depend on the order or multiplicity of the generators.
 
-    Only keys are sorted.  For each layer and each generator g, the keys
-    of ``frontier @ g`` are packed, sorted, cut to their first occurrences
-    and filtered against the sorted keys of every element found so far.
-    The survivors of all generators are merged into one sorted, duplicate
-    free key array, which is the next layer in canonical order; its rows
-    are decoded from the keys, so no candidate row is gathered or
-    reordered.  Working memory beyond the result and the visited keys is
-    about one generator's products (m*m uint32 entries per frontier row)
-    plus the keys of the survivors (8 bytes each when they fit in uint64).
+    Only keys are tested and sorted.  For each layer and each generator g,
+    the keys of ``frontier @ g`` are packed and the ones not visited yet
+    are kept and marked visited at once.  x -> x g is injective, so one
+    generator's products are distinct, and marking at once makes the
+    survivors of different generators disjoint: their concatenation,
+    sorted, is the next layer in canonical order.  Its rows are decoded
+    from the keys, so no candidate row is gathered or reordered.
+
+    Visited keys live in a bitset over the key space when the keys are
+    uint64 and q**(m*m) <= 64*cap: then the bitset takes at most 8*cap
+    bytes, the size of ``cap`` uint64 keys, and a membership test is one
+    ``take``.  Otherwise (Python-int keys or a larger key space) they live
+    in one sorted array, searched with ``searchsorted`` and merged with
+    each generator's survivors.  Working memory beyond the result and the
+    visited keys is one generator's products (m*m uint32 entries and one
+    key per frontier row) plus the keys of the layer's survivors.
 
     More than ``cap`` elements raise ``ResourceLimitError`` before the
     crossing layer's rows are built.  The check runs after each
-    generator's survivors, against the largest survivor count so far, and
-    again on the merged layer; ``partial_count`` is the count at that
-    point, a lower bound on the order of the group.
+    generator's survivors; ``partial_count`` is the number of distinct
+    elements found at that point, a lower bound on the order of the group.
     """
+    return _closure(gens, mul, add, m, q, cap, _visited_set(q, m * m, cap))
+
+
+def _closure(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
+             q: int, cap: int, visited: _BitsetKeys | _SortedKeys
+             ) -> np.ndarray:
+    """The loop of ``closure_bfs``, with the empty membership structure
+    ``visited`` (``_BitsetKeys`` or ``_SortedKeys``) passed in."""
     gens = np.atleast_2d(np.asarray(gens, dtype=np.uint32))
     mm = m * m
     ident = identity_flat(m)[None, :]
-    visited = pack_keys(ident, q)
+    visited.add(pack_keys(ident, q))
     layers = [ident]
     frontier = ident
     total = 1
     while len(frontier):
-        fresh, found = [], 0
+        fresh = []
         for g in gens:
             keys = pack_keys(matmul_batch(frontier, g, mul, add, m), q)
-            keys.sort()
-            keys = keys[_first(keys) & ~_isin_sorted(visited, keys)]
+            keys = keys[~visited.has(keys)]
+            visited.add(keys)
             fresh.append(keys)
-            # the survivors of one generator are distinct, so the layer has
-            # at least as many elements as the largest of them
-            found = max(found, len(keys))
-            if total + found > cap:
+            total += len(keys)
+            if total > cap:
                 raise ResourceLimitError(f"closure exceeded cap {cap}",
-                                         partial_count=total + found)
+                                         partial_count=total)
         keys = np.concatenate(fresh)
         keys.sort()
-        keys = keys[_first(keys)]
-        if total + len(keys) > cap:
-            raise ResourceLimitError(f"closure exceeded cap {cap}",
-                                     partial_count=total + len(keys))
-        visited = np.concatenate([visited, keys])
-        visited.sort()
         frontier = unpack_keys(keys, q, mm)
         layers.append(frontier)
-        total += len(keys)
     return np.concatenate(layers, axis=0)
-

@@ -417,7 +417,6 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
     rows = np.empty((G.size, k), dtype=np.int64)
     for i, part in enumerate(parts):
         rows[:, i] = offsets[i] + part.ordinal
-    rows = _unique_rows(rows, V)
     colors = np.repeat(np.arange(k, dtype=np.int64), sizes)
     lab = None
     if labels:

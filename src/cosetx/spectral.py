@@ -105,9 +105,11 @@ def walk_matrix(X: SimplicialComplex, w: WeightTable | None = None
     np.add.at(strength, edges[:, 0], ec)
     np.add.at(strength, edges[:, 1], ec)
     M = WalkMatrix(X.vertex_count, edges, ec, strength)
-    # edge weights are positive, so S has the 1-skeleton's sparsity pattern
-    ncomp = int(connected_components(M.symmetric(), directed=False,
-                                     return_labels=False))
+    # edge weights are positive, so S has the 1-skeleton's sparsity pattern;
+    # S is symmetric, so its strong components are the undirected ones, and
+    # the directed search reads the CSR as is, with no conversion to CSC
+    ncomp = int(connected_components(M.symmetric(), directed=True,
+                                     connection="strong", return_labels=False))
     if ncomp != 1:
         raise StructureError(
             f"1-skeleton is disconnected ({ncomp} components)")

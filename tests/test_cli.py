@@ -444,15 +444,11 @@ def test_subprocess_output_deterministic():
     assert json.loads(a.stdout)["result"]["coeffs"] == [1, 1, 1]
 
 
-def test_closure_cap_exits_3_within_memory_limit():
-    """A closure that passes its cap stops before the crossing layer is
-    built: exit 3 with the cap message, no traceback, and a small peak RSS
-    inside a 1.5 GiB address-space limit.  With d = 1 < s - 1 no closed-form
-    order is checked up front, so the cap of 10^6 fires in the middle of
-    the BFS of the elementaries of degree <= 1 in SL_4(F_2[t]/t^3)."""
+def _assert_cap_exit_within_memory_limit(argv):
+    """Run the CLI, whose last argument is the cap, under a 1.5 GiB
+    address-space limit: exit 3 with the cap message, no traceback, and a
+    peak RSS under 512 MB."""
     pytest.importorskip("resource")
-    argv = ["group", "enum", "--n", "3", "--p", "2", "--s", "3", "--d", "1",
-            "--cap", "1000000"]
     code = ("import resource, sys\n"
             "limit = 3 << 29\n"
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
@@ -463,10 +459,30 @@ def test_closure_cap_exits_3_within_memory_limit():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, timeout=300)
     assert r.returncode == 3, r.stderr
-    assert "closure exceeded cap 1000000" in r.stderr
+    assert f"closure exceeded cap {argv[-1]}" in r.stderr
     assert "Traceback" not in r.stderr
     peak_mb = int(r.stdout)
     assert peak_mb < 512
+
+
+def test_closure_cap_exits_3_within_memory_limit():
+    """A closure that passes its cap stops before the crossing layer is
+    built.  With d = 1 < s - 1 no closed-form order is checked up front, so
+    the cap of 10^6 fires in the middle of the BFS of the elementaries of
+    degree <= 1 in SL_4(F_2[t]/t^3), on the sorted visited keys
+    (8^16 > 64 * 10^6 keys)."""
+    _assert_cap_exit_within_memory_limit(
+        ["group", "enum", "--n", "3", "--p", "2", "--s", "3", "--d", "1",
+         "--cap", "1000000"])
+
+
+def test_closure_cap_exits_3_within_memory_limit_on_bitset():
+    """The same exit on the visited-key bitset: the elementaries of degree
+    <= 1 in SL_3(F_2[t]/t^3) pass the cap of 2.2 * 10^6 mid-BFS, and the
+    8^9 keys fit in 64 * cap bits."""
+    _assert_cap_exit_within_memory_limit(
+        ["group", "enum", "--n", "2", "--p", "2", "--s", "3", "--d", "1",
+         "--cap", "2200000"])
 
 
 def test_sl_order_over_cap_exits_3_before_enumerating():

@@ -107,12 +107,29 @@ CLOSURE_CASES = {
     "sl2-f3t2-no-inverses": (3, 2, [elementary(1, 1, 2, _one(3, 2)),
                                     elementary(1, 2, 1, _one(3, 2)),
                                     elementary(1, 1, 2, TruncPoly.t_power(3, 2, 1))]),
+    # 25**9 > 64 * 2**20: uint64 keys, but a key space too large for the
+    # bitset at the test cap, so the sorted visited keys
+    "sorted-heisenberg-no-inverses": (5, 2, [elementary(2, 1, 2, _one(5, 2)),
+                                             elementary(2, 2, 3, _one(5, 2))]),
     # q**(m*m) = 625**9 > 2**64: the arbitrary-precision key path
     "big-heisenberg": (5, 4, [elementary(2, 1, 2, _one(5, 4)),
                               elementary(2, 2, 3, _one(5, 4))]),
     # diag(2, 2, 4) has order 4 and commutes with e_12(1): a cyclic group of 20
     "big-cyclic-20": (5, 4, [_diag(5, 4, (2, 2, 4)) @ elementary(2, 1, 2, _one(5, 4))]),
 }
+
+
+# the membership structure each case's closure takes at the caps used below
+MEMBERSHIP = {"sl2-f5-no-inverses": "bitset", "sl2-f3t2-no-inverses": "bitset",
+              "sorted-heisenberg-no-inverses": "sorted uint64",
+              "big-heisenberg": "sorted object", "big-cyclic-20": "sorted object"}
+
+
+def _membership(p, s, m, cap):
+    visited = pure._visited_set(p**s, m * m, cap)
+    if isinstance(visited, pure._BitsetKeys):
+        return "bitset"
+    return f"sorted {visited.keys.dtype}"
 
 
 def _closure(flat, p, s, m, cap=1 << 20):
@@ -125,6 +142,7 @@ def test_closure_matches_set_bfs_oracle(case):
     p, s, gens = CLOSURE_CASES[case]
     m = gens[0].m
     assert common.fits_uint64(p**s, m * m) == (not case.startswith("big"))
+    assert _membership(p, s, m, 1 << 20) == MEMBERSHIP[case]
     layers = oracles.bfs_closure(gens)
     want = np.concatenate(layers)
     flat = np.array([g.flat() for g in gens], dtype=np.uint32)
@@ -148,7 +166,9 @@ def test_closure_matches_set_bfs_oracle(case):
                    for k, layer in enumerate(layers) for row in layer for g in gens)
 
 
-@pytest.mark.parametrize("case", ["sl2-f3t2-no-inverses", "big-heisenberg"])
+# one case per membership structure
+@pytest.mark.parametrize("case", ["sl2-f3t2-no-inverses", "sorted-heisenberg-no-inverses",
+                                  "big-heisenberg"])
 def test_closure_cap_fires_inside_a_layer(case):
     p, s, gens = CLOSURE_CASES[case]
     m = gens[0].m
@@ -157,13 +177,28 @@ def test_closure_cap_fires_inside_a_layer(case):
     flat = np.array([g.flat() for g in gens], dtype=np.uint32)
     k = int(np.argmax(sizes))
     cap = sum(sizes[:k]) + sizes[k] // 2
+    assert _membership(p, s, m, cap) == MEMBERSHIP[case]
     with pytest.raises(ResourceLimitError, match=f"closure exceeded cap {cap}") as ei:
         _closure(flat, p, s, m, cap=cap)
-    # partial_count is a lower bound on the order, past the cap
-    assert cap < ei.value.partial_count <= order
+    # partial_count counts the distinct elements found, past the cap and
+    # inside the crossing layer: a lower bound on the order
+    assert cap < ei.value.partial_count <= sum(sizes[:k + 1]) <= order
     assert len(_closure(flat, p, s, m, cap=order)) == order
     with pytest.raises(ResourceLimitError):
         _closure(flat, p, s, m, cap=order - 1)
+
+
+def test_closure_membership_structures_agree():
+    """The bitset and the sorted visited keys give byte-identical closures."""
+    G = sl_group(1, 5, 2)
+    assert G.size == 15000
+    rt, m = G.ring, G.m
+    gens = G.elems[G.generators]
+    assert _membership(5, 2, m, G.size) == "bitset"
+    out = [pure._closure(gens, rt.mul, rt.add, m, rt.q, G.size, visited)
+           for visited in (pure._BitsetKeys(rt.q**(m * m)),
+                           pure._SortedKeys(np.uint64))]
+    assert out[0].tobytes() == out[1].tobytes() == G.elems.tobytes()
 
 
 def test_closure_matches_group_order():

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from cosetx import fixtures as fx
 from cosetx.complexes import (
@@ -82,6 +84,24 @@ def test_walk_matrix_validation():
     # interface symmetry: the matching table is accepted
     X = fx.torus_7()
     walk_matrix(X, w=weights(X))
+
+
+@pytest.mark.parametrize("X", [
+    fx.two_triangles_disjoint(),
+    link(fx.bowtie(), (0,)),
+    # a path with isolated edges on either side: three components
+    SimplicialComplex(1, 7, [[0, 1], [2, 3], [3, 4], [5, 6]]),
+], ids=["two-triangles", "bowtie-link", "three-pieces"])
+def test_walk_matrix_component_count_is_undirected(X):
+    """walk_matrix counts the strong components of its symmetric matrix;
+    they must be the undirected components of the 1-skeleton."""
+    edges = X.faces(1)
+    V = X.vertex_count
+    A = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(V, V))
+    want = connected_components(A, directed=False, return_labels=False)
+    assert want > 1
+    with pytest.raises(StructureError, match=rf"disconnected \({want} components\)"):
+        walk_matrix(X)
 
 
 # ---------------------------------------------------------------------------
