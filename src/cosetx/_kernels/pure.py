@@ -1,9 +1,10 @@
 """The numpy kernel, the package's one backend.
 
-Two operations over the packed rings of ``ring.py``: table-driven batched
-matrix products and the deterministic BFS closure of a generating set.
-Work is vectorized over the batch, so the Python-level cost is per matrix
-entry or per generator, not per row.
+Three operations over the packed rings of ``ring.py``: table-driven
+batched matrix products, batched matrix inverses by Gauss-Jordan with a
+unit pivot in each column, and the deterministic BFS closure of a
+generating set.  Work is vectorized over the batch, so the Python-level
+cost is per matrix entry or per generator, not per row.
 
 Nearly every product multiplies a batch by one fixed matrix (a closure
 generator, a right-table element, a conjugating element); those read that
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ResourceLimitError
+from ..errors import ParameterError, ResourceLimitError
 from .common import fits_uint64, identity_flat, pack_keys, unpack_keys
 
 NAME = "pure"
@@ -96,6 +97,55 @@ def _times_single(X3: np.ndarray, b: np.ndarray, out3: np.ndarray,
                 at += t
                 acc = add_flat.take(at)
             out3[:, i, l] = acc
+
+
+def inverse_batch(A: np.ndarray, mul: np.ndarray, add: np.ndarray,
+                  neg: np.ndarray, m: int, p: int) -> np.ndarray:
+    """Inverses of a batch of matrices over the tabled ring F_p[t]/t^s.
+
+    A is a uint32 array of shape (k, m*m) or (m*m,), ``neg`` the negation
+    table; the result is a C-contiguous uint32 array of shape (k, m*m).
+    Gauss-Jordan on [A | I], one column at a time for the whole batch.
+    The ring is local, so a matrix is invertible iff its reduction mod t
+    is, and then some row at or below the current one has a unit entry
+    (nonzero constant term) in the current column: the first such row is
+    swapped up, scaled by its entry's inverse and cleared out of every
+    other row.  A unit u has inverse u^(N-1), N = q - q/p the order of the
+    unit group, computed by squaring on ``mul``.  A matrix with no unit
+    pivot in some column raises ``ParameterError``.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=np.uint32))
+    k, q = A.shape[0], mul.shape[0]
+    W = np.zeros((k, m, 2 * m), dtype=np.uint32)
+    W[:, :, :m] = A.reshape(k, m, m)
+    W[:, range(m), range(m, 2 * m)] = 1
+    batch = np.arange(k)
+    for c in range(m):
+        unit = W[:, c:, c] % p != 0
+        if not unit.any(axis=1).all():
+            raise ParameterError("matrix is not invertible (det is a non-unit)")
+        r = c + unit.argmax(axis=1)
+        pivot_row = W[batch, r]
+        W[batch, r] = W[:, c]
+        W[:, c] = mul[_unit_inverse(pivot_row[:, c], mul, q - q // p)[:, None],
+                      pivot_row]
+        for i in range(m):
+            if i != c:
+                W[:, i] = add[W[:, i], neg[mul[W[:, i, c][:, None], W[:, c]]]]
+    return np.ascontiguousarray(W[:, :, m:]).reshape(k, m * m)
+
+
+def _unit_inverse(u: np.ndarray, mul: np.ndarray, order: int) -> np.ndarray:
+    """u^(order-1) for units u, ``order`` the order of the unit group."""
+    acc = np.ones_like(u)
+    e = order - 1
+    while e:
+        if e & 1:
+            acc = mul[acc, u]
+        e >>= 1
+        if e:
+            u = mul[u, u]
+    return acc
 
 
 class _BitsetKeys:

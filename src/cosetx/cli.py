@@ -341,15 +341,18 @@ def _cmd_relations_verify(args) -> int:
     from .groups import elementary
     from .presentations import standard_assignment, verify_relations
 
-    rels, pres = _preset_relations(args.preset, args.n, args.p, args.d)
     t0 = time.perf_counter()
+    rels, pres = _preset_relations(args.preset, args.n, args.p, args.d)
     if pres is not None:
         assign = standard_assignment(pres, args.target_s)
     else:
         assign = {sym: elementary(args.n, *sym.root,
                                   sym.r.lift_to(args.target_s))
                   for rel in rels for sym in rel.symbols()}
+    t_built = time.perf_counter()
     rep = verify_relations(rels, assign)
+    timings = {"build_s": t_built - t0,
+               "verify_s": time.perf_counter() - t_built}
     result = {
         "preset": args.preset,
         "target_s": args.target_s,
@@ -361,7 +364,7 @@ def _cmd_relations_verify(args) -> int:
     _emit(args, "relations verify",
           {"preset": args.preset, "n": args.n, "p": args.p, "d": args.d,
            "target_s": args.target_s},
-          result, t0=t0, text_lines=[rep.summary()])
+          result, t0=t0, timings=timings, text_lines=[rep.summary()])
     return EXIT_OK if rep.ok else EXIT_VERIFY
 
 

@@ -19,10 +19,17 @@ The five relation kinds describe the equation shape:
 Product degrees and product equality are computed in F_p[t] itself (tuple
 convolution), never in a truncated quotient: the schemas live over the
 polynomial ring and only their verification happens in finite quotients.
+
+Each builder call makes one GeneratorSymbol per generator, and the
+relations of a presentation refer to the very objects in its
+``generators``.  Verification on tabled rings evaluates every distinct word
+in batches, with the generators' inverses from ``_kernels.inverse_batch``;
+past ``RingTable.MAX_Q`` it falls back to exact ``MatElement`` arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -43,7 +50,12 @@ KINDS = ("zero", "additive", "commuting", "steinberg-product",
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    """The abstract symbol x_root(r); r must carry its own degree bound."""
+    """The abstract symbol x_root(r); r must carry its own degree bound.
+
+    Symbols compare by value, so symbols built independently from equal
+    (root, r) are equal and hash equal; the hash is computed once, at
+    construction.
+    """
 
     root: Root
     r: TruncPoly
@@ -52,6 +64,10 @@ class GeneratorSymbol:
         i, j = self.root
         if i == j or i < 1 or j < 1:
             raise ParameterError(f"not a root: {self.root}")
+        object.__setattr__(self, "_hash", hash((self.root, self.r)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"x{self.root}({self.r})"
@@ -59,19 +75,6 @@ class GeneratorSymbol:
 
 # A word is a tuple of (GeneratorSymbol, +-1).
 Word = tuple
-
-
-def inverse_word(word: Word) -> Word:
-    return tuple((sym, -e) for sym, e in reversed(word))
-
-
-def commutator_word(u: Word, v: Word) -> Word:
-    """[u, v] = u v u^-1 v^-1 as a plain word."""
-    return u + v + inverse_word(u) + inverse_word(v)
-
-
-def _sym(root: Root, r: TruncPoly) -> Word:
-    return ((GeneratorSymbol(root, r), 1),)
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,65 @@ def _pair_sorted(pair) -> tuple[Root, Root]:
     return a, b
 
 
+class _SymbolTable:
+    """The generator symbols of one builder call, one object per (root, r).
+
+    A root's symbols are made on first use, one per packed index of the
+    polynomials of degree <= d, together with the one-letter words
+    (sym, 1) and (sym, -1) that every relation of the call shares.  The
+    index arithmetic the relation families need is computed once per
+    table, not once per root pair.
+    """
+
+    def __init__(self, p: int, d: int):
+        if d < 0:
+            raise ParameterError(f"degree bound must be >= 0, got {d}")
+        check_ring_params(p, d + 1)
+        self.p, self.d = p, d
+        self.polys = enumerate_polys(p, d + 1, d)
+        self._letters: dict[Root, tuple[list, list]] = {}
+
+    def letters(self, root: Root) -> tuple[list, list]:
+        """(x_root(r), 1) and (x_root(r), -1), indexed by r's packed index."""
+        out = self._letters.get(root)
+        if out is None:
+            syms = [GeneratorSymbol(root, r) for r in self.polys]
+            out = self._letters[root] = ([(s, 1) for s in syms],
+                                         [(s, -1) for s in syms])
+        return out
+
+    def generators(self, roots: Sequence[Root]) -> tuple[GeneratorSymbol, ...]:
+        return tuple(sym for rho in roots for sym, _ in self.letters(rho)[0])
+
+    @functools.cached_property
+    def sums(self) -> list[list[int]]:
+        """sums[i][j] is the packed index of r_i + r_j."""
+        return [[(a + b).index() for b in self.polys] for a in self.polys]
+
+    @functools.cached_property
+    def products(self):
+        """Index pairs (i, j) by the exact product r_i r_j in F_p[t].
+
+        Returns the triples (i, j, k) with deg(r_i r_j) <= d and r_k =
+        r_i r_j, in (i, j) order, and the pairs ((i, j), (i', j')) of
+        distinct factorizations of one product, one per unordered pair.
+        """
+        p, d = self.p, self.d
+        by_product: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        small = []
+        for i, r1 in enumerate(self.polys):
+            for j, r2 in enumerate(self.polys):
+                prod = exact_product_coeffs(r1, r2)
+                by_product.setdefault(prod, []).append((i, j))
+                if _exact_deg(prod) <= d:
+                    small.append((i, j, TruncPoly.make(p, d + 1, prod).index()))
+        # the reflexive and swapped quadruples of the source definition
+        # are free
+        equal = [pair for pairs in by_product.values()
+                 for pair in itertools.combinations(pairs, 2)]
+        return small, equal
+
+
 def pair_relations(pair, p: int, d: int) -> list[RelationInstance]:
     """The {rho1, rho2} relations for a non-opposite pair of roots.
 
@@ -140,24 +202,23 @@ def pair_relations(pair, p: int, d: int) -> list[RelationInstance]:
     deg(r1 r2) <= d, plus one equality relation per unordered pair of
     distinct factorizations of the same polynomial.
     """
-    if d < 0:
-        raise ParameterError(f"degree bound must be >= 0, got {d}")
-    check_ring_params(p, d + 1)
+    return _pair_relations(pair, _SymbolTable(p, d))
+
+
+def _pair_relations(pair, table: _SymbolTable) -> list[RelationInstance]:
     a, b = _pair_sorted(pair)
     if a == opposite(b):
         raise ParameterError(f"opposite pair {a}, {b} carries no relations")
-    polys = enumerate_polys(p, d + 1, d)
-    out: list[RelationInstance] = []
     src = (a, b)
+    A, A_inv = table.letters(a)
 
     if a == b:
-        zero = TruncPoly.zero(p, d + 1)
-        out.append(RelationInstance(_sym(a, zero), (), "zero", src))
-        for r1 in polys:
-            for r2 in polys:
-                out.append(RelationInstance(
-                    _sym(a, r1) + _sym(a, r2), _sym(a, r1 + r2),
-                    "additive", src))
+        # x(0) = e; r_0 is the zero polynomial
+        out = [RelationInstance((A[0],), (), "zero", src)]
+        for i, row in enumerate(table.sums):
+            for j, k in enumerate(row):
+                out.append(RelationInstance((A[i], A[j]), (A[k],),
+                                            "additive", src))
         return out
 
     if a[1] == b[0]:
@@ -167,34 +228,26 @@ def pair_relations(pair, p: int, d: int) -> list[RelationInstance]:
     else:
         comp = None
 
+    # [x, y] = x y x^-1 y^-1
     if comp is None:
-        for r1 in polys:
-            for r2 in polys:
-                out.append(RelationInstance(
-                    commutator_word(_sym(a, r1), _sym(b, r2)), (),
-                    "commuting", src))
-        return out
+        B, B_inv = table.letters(b)
+        idx = range(len(table.polys))
+        return [RelationInstance((A[i], B[j], A_inv[i], B_inv[j]), (),
+                                 "commuting", src)
+                for i in idx for j in idx]
 
     (ab, bc) = comp
-    ac = (ab[0], bc[1])
-    by_product: dict[tuple[int, ...], list[tuple[TruncPoly, TruncPoly]]] = {}
-    for r1 in polys:
-        for r2 in polys:
-            prod = exact_product_coeffs(r1, r2)
-            by_product.setdefault(prod, []).append((r1, r2))
-            if _exact_deg(prod) <= d:
-                out.append(RelationInstance(
-                    commutator_word(_sym(ab, r1), _sym(bc, r2)),
-                    _sym(ac, TruncPoly.make(p, d + 1, prod)),
-                    "steinberg-product", src))
-    # one equality per unordered pair of distinct factorizations; the
-    # reflexive and swapped quadruples of the source definition are free
-    for pairs in by_product.values():
-        for (r1, r2), (r3, r4) in itertools.combinations(pairs, 2):
-            out.append(RelationInstance(
-                commutator_word(_sym(ab, r1), _sym(bc, r2)),
-                commutator_word(_sym(ab, r3), _sym(bc, r4)),
-                "steinberg-equality", src))
+    X, X_inv = table.letters(ab)
+    Y, Y_inv = table.letters(bc)
+    Z = table.letters((ab[0], bc[1]))[0]
+    small, equal = table.products
+    out = [RelationInstance((X[i], Y[j], X_inv[i], Y_inv[j]), (Z[k],),
+                            "steinberg-product", src)
+           for i, j, k in small]
+    out += [RelationInstance((X[i], Y[j], X_inv[i], Y_inv[j]),
+                             (X[k], Y[l], X_inv[k], Y_inv[l]),
+                             "steinberg-equality", src)
+            for (i, j), (k, l) in equal]
     return out
 
 
@@ -227,11 +280,6 @@ class Presentation:
         return frozenset(rel.source_pair for rel in self.relations)
 
 
-def _gens_for_roots(roots: Sequence[Root], p: int, d: int):
-    polys = enumerate_polys(p, d + 1, d)
-    return tuple(GeneratorSymbol(rho, r) for rho in roots for r in polys)
-
-
 def _nonopposite_pairs(roots: Sequence[Root]):
     """Unordered pairs (diagonal included) in a stable order."""
     for i, a in enumerate(roots):
@@ -245,11 +293,11 @@ def presentation_SL(n: int, p: int, d: int) -> Presentation:
     if n < 3:
         raise ParameterError(f"the SL presentation needs n >= 3, got {n}")
     roots = all_roots(n)
+    table = _SymbolTable(p, d)
     rels: list[RelationInstance] = []
     for pair in _nonopposite_pairs(roots):
-        rels.extend(pair_relations(pair, p, d))
-    return Presentation("sl", n, p, d, _gens_for_roots(roots, p, d),
-                        tuple(rels))
+        rels.extend(_pair_relations(pair, table))
+    return Presentation("sl", n, p, d, table.generators(roots), tuple(rels))
 
 
 def presentation_unipotent(dim: int, p: int, d: int) -> Presentation:
@@ -263,55 +311,47 @@ def presentation_unipotent(dim: int, p: int, d: int) -> Presentation:
     if dim < 4:
         raise ParameterError(f"unipotent presentation needs size >= 4, "
                              f"got {dim}")
-    check_ring_params(p, d + 1)
+    table = _SymbolTable(p, d)
     n = dim - 1
     simple = [(i, i + 1) for i in range(1, n + 1)]
-    polys = enumerate_polys(p, d + 1, d)
-    zero = TruncPoly.zero(p, d + 1)
+    idx = range(len(table.polys))
     rels: list[RelationInstance] = []
     for rho in simple:
-        rels.append(RelationInstance(_sym(rho, zero), (), "zero", (rho, rho)))
-        for r1 in polys:
-            for r2 in polys:
-                rels.append(RelationInstance(
-                    _sym(rho, r1) + _sym(rho, r2), _sym(rho, r1 + r2),
-                    "additive", (rho, rho)))
+        rels.extend(_pair_relations((rho, rho), table))
+    # [x, y] = x y x^-1 y^-1
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if i + 1 >= j:
             continue
         src = (simple[i - 1], simple[j - 1])
-        for r1 in polys:
-            for r2 in polys:
-                rels.append(RelationInstance(
-                    commutator_word(_sym(simple[i - 1], r1),
-                                    _sym(simple[j - 1], r2)),
-                    (), "commuting", src))
+        A, A_inv = table.letters(simple[i - 1])
+        B, B_inv = table.letters(simple[j - 1])
+        rels.extend(RelationInstance((A[r1], B[r2], A_inv[r1], B_inv[r2]),
+                                     (), "commuting", src)
+                    for r1 in idx for r2 in idx)
+    _, equal = table.products
     for i in range(1, n):
         lo, hi = simple[i - 1], simple[i]
         src = (lo, hi)
-        for r1 in polys:
-            for r2 in polys:
-                inner = commutator_word(_sym(lo, r1), _sym(hi, r2))
-                for r3 in polys:
+        L, L_inv = table.letters(lo)
+        H, H_inv = table.letters(hi)
+        for r1 in idx:
+            for r2 in idx:
+                # [[x_lo(r1), x_hi(r2)], x] for x = x_lo(r3), x_hi(r3)
+                inner = (L[r1], H[r2], L_inv[r1], H_inv[r2])
+                inner_inv = (H[r2], L[r1], H_inv[r2], L_inv[r1])
+                for r3 in idx:
                     rels.append(RelationInstance(
-                        commutator_word(inner, _sym(lo, r3)), (),
+                        inner + (L[r3],) + inner_inv + (L_inv[r3],), (),
                         "commuting", src))
                     rels.append(RelationInstance(
-                        commutator_word(inner, _sym(hi, r3)), (),
+                        inner + (H[r3],) + inner_inv + (H_inv[r3],), (),
                         "commuting", src))
-        by_product: dict[tuple, list] = {}
-        for r1 in polys:
-            for r2 in polys:
-                by_product.setdefault(
-                    exact_product_coeffs(r1, r2), []).append((r1, r2))
-        for pairs in by_product.values():
-            for (r1, r2), (r3, r4) in itertools.combinations(pairs, 2):
-                rels.append(RelationInstance(
-                    commutator_word(_sym(lo, r1), _sym(hi, r2)),
-                    commutator_word(_sym(lo, r3), _sym(hi, r4)),
-                    "steinberg-equality", src))
-    return Presentation("unipotent", n, p, d,
-                        _gens_for_roots(simple, p, d), tuple(rels))
+        rels.extend(RelationInstance((L[r1], H[r2], L_inv[r1], H_inv[r2]),
+                                     (L[r3], H[r4], L_inv[r3], H_inv[r4]),
+                                     "steinberg-equality", src)
+                    for (r1, r2), (r3, r4) in equal)
+    return Presentation("unipotent", n, p, d, table.generators(simple),
+                        tuple(rels))
 
 
 def chamber_pair_sets(n: int):
@@ -335,11 +375,10 @@ def chamber_relation_sets(n: int, p: int, d: int):
     (same pair order), strictly for n >= 3.
     """
     pre_pairs, chamber_pairs = chamber_pair_sets(n)
-    pre = [rel for pair in pre_pairs
-           for rel in pair_relations(pair, p, d)]
-    chamber = [rel for pair in chamber_pairs
-               for rel in pair_relations(pair, p, d)]
-    return pre, chamber
+    table = _SymbolTable(p, d)
+    chamber = {pair: _pair_relations(pair, table) for pair in chamber_pairs}
+    pre = [rel for pair in pre_pairs for rel in chamber[pair]]
+    return pre, [rel for rels in chamber.values() for rel in rels]
 
 
 def tilde_gamma_presentation(n: int, p: int, d: int) -> Presentation:
@@ -353,12 +392,13 @@ def tilde_gamma_presentation(n: int, p: int, d: int) -> Presentation:
         raise ParameterError(f"tilde presentation needs n >= 3, got {n}")
     covered = covered_pairs(initial_stage(n))
     roots = all_roots(n)
+    table = _SymbolTable(p, d)
     rels: list[RelationInstance] = []
     for pair in _nonopposite_pairs(roots):
         if pair in covered:
-            rels.extend(pair_relations(pair, p, d))
-    return Presentation("tilde-gamma", n, p, d,
-                        _gens_for_roots(roots, p, d), tuple(rels))
+            rels.extend(_pair_relations(pair, table))
+    return Presentation("tilde-gamma", n, p, d, table.generators(roots),
+                        tuple(rels))
 
 
 @dataclass(frozen=True)
@@ -412,60 +452,75 @@ def _verify_in_finite_group(relations, assign, group: FiniteGroup):
     return [rel for rel in relations if value(rel.lhs) != value(rel.rhs)]
 
 
-def _verify_matrices(relations, assign):
-    """Batch-evaluate words grouped by exponent signature.
+class _LetterCodes(dict):
+    """Letter (sym, exp) -> signed symbol position, 2k for symbol k and
+    2k + 1 for its inverse; a symbol gets the next position when first
+    seen, and ``symbols`` lists them in that order."""
 
-    Symbols are resolved once, inverted once (adjugate over the exact
-    ring), then all words of one shape are multiplied out positionwise
-    through the table kernels.
+    def __init__(self):
+        super().__init__()
+        self.symbols: dict[GeneratorSymbol, int] = {}
+
+    def __missing__(self, letter) -> int:
+        sym, exp = letter
+        k = self.symbols.setdefault(sym, len(self.symbols))
+        code = self[letter] = 2 * k + (exp != 1)
+        return code
+
+
+def _verify_matrices(relations, assign):
+    """Batch-evaluate both sides of every relation on the ring tables.
+
+    One pass over the relations encodes each side as a row of signed
+    symbol positions (``_LetterCodes``) and numbers the distinct rows.
+    Symbols are resolved once; their matrices and their inverses, from one
+    ``_kernels.inverse_batch`` call, fill one table that the codes index.
+    The distinct words are grouped by length, whatever their exponents,
+    and each group is gathered and multiplied out positionwise through
+    ``_kernels.matmul_batch``.  Violations come back in relation order.
     """
-    sym_list: list[GeneratorSymbol] = []
-    sym_pos: dict[GeneratorSymbol, int] = {}
+    codes = _LetterCodes()
+    word_num: dict[tuple[int, ...], int] = {}
+    sides = []
     for rel in relations:
-        for sym in rel.symbols():
-            if sym not in sym_pos:
-                sym_pos[sym] = len(sym_list)
-                sym_list.append(sym)
-    if not sym_list:
+        for word in (rel.lhs, rel.rhs):
+            row = tuple([codes[letter] for letter in word])
+            sides.append(word_num.setdefault(row, len(word_num)))
+    if not codes.symbols:
         return []
-    values = [_resolve(assign, sym) for sym in sym_list]
+    values = [_resolve(assign, sym) for sym in codes.symbols]
     first = values[0]
     m, p, s = first.m, first.p, first.s
-    for sym, v in zip(sym_list, values):
+    for sym, v in zip(codes.symbols, values):
         if (v.m, v.p, v.s) != (m, p, s):
             raise InputError(
                 f"assignment for {sym} lives in a different ring/shape")
     ring = RingTable(p, s)
-    rows = np.stack([v.flat() for v in values])
-    inv_rows = np.stack([v.inverse().flat() for v in values])
-    ident = identity_flat(m)
+    mats = np.stack([v.flat() for v in values])
+    table = np.empty((2 * len(mats), m * m), dtype=np.uint32)
+    table[0::2] = mats
+    table[1::2] = _kernels.inverse_batch(mats, ring.mul, ring.add, ring.neg,
+                                         m, p)
 
-    def shape_of(word):
-        return tuple(exp for _, exp in word)
-
-    groups: dict[tuple, list[int]] = {}
-    for k, rel in enumerate(relations):
-        groups.setdefault((shape_of(rel.lhs), shape_of(rel.rhs)),
-                          []).append(k)
-
-    def eval_side(words, shape):
-        if not shape:
-            return np.broadcast_to(ident, (len(words), m * m))
-        ids = np.array([[sym_pos[sym] for sym, _ in w] for w in words])
-        acc = (rows if shape[0] == 1 else inv_rows)[ids[:, 0]]
-        for pos in range(1, len(shape)):
-            nxt = (rows if shape[pos] == 1 else inv_rows)[ids[:, pos]]
-            acc = _kernels.matmul_batch(acc, nxt, ring.mul, ring.add, m)
-        return acc
-
-    bad: list[RelationInstance] = []
-    for (lsh, rsh), idxs in groups.items():
-        lhs = eval_side([relations[k].lhs for k in idxs], lsh)
-        rhs = eval_side([relations[k].rhs for k in idxs], rsh)
-        for k, viol in zip(idxs, (lhs != rhs).any(axis=1)):
-            if viol:
-                bad.append(relations[k])
-    return bad
+    by_len: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    for row, num in word_num.items():
+        nums, rows = by_len.setdefault(len(row), ([], []))
+        nums.append(num)
+        rows.append(row)
+    words = np.empty((len(word_num), m * m), dtype=np.uint32)
+    for length, (nums, rows) in by_len.items():
+        if not length:
+            words[nums] = identity_flat(m)
+            continue
+        ids = np.array(rows)
+        acc = table[ids[:, 0]]
+        for j in range(1, length):
+            acc = _kernels.matmul_batch(acc, table[ids[:, j]], ring.mul,
+                                        ring.add, m)
+        words[nums] = acc
+    lhs, rhs = np.array(sides).reshape(-1, 2).T
+    bad = (words[lhs] != words[rhs]).any(axis=1)
+    return [relations[k] for k in np.flatnonzero(bad)]
 
 
 def _verify_matrices_slow(relations, assign):
@@ -501,8 +556,9 @@ def verify_relations(pres: Presentation | Sequence[RelationInstance],
 
     With no group, assigned values must be MatElement and words are
     evaluated by (batched) matrix arithmetic.  With a FiniteGroup, values
-    are element indices and the group's tables do the work.  An empty
-    violation list certifies the assignment respects all the relations.
+    are element indices and the group's tables do the work.  Every path
+    lists violations in relation order.  An empty violation list certifies
+    the assignment respects all the relations.
     """
     relations = list(pres.relations if isinstance(pres, Presentation)
                      else pres)

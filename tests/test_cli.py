@@ -6,6 +6,7 @@ byte-level determinism of the output.
 """
 
 import contextlib
+import hashlib
 import importlib.metadata
 import io
 import json
@@ -302,6 +303,21 @@ def test_relations_emit(capsys):
     assert set(first) == {"kind", "pair", "lhs", "rhs"}
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--preset", "sl", "--n", "3", "--p", "2", "--d", "1"],
+     "ec6047fa1895a6e36b9f665fc4f5aec73f323a396720f34f45624a055067acc0"),
+    (["--preset", "unip", "--n", "4", "--p", "2", "--d", "1"],
+     "6b70c26a65e68cd886baa09b416b22e7ecc9f7a54db781911744f18f2ad2a077"),
+])
+def test_relations_emit_result_is_pinned(capsys, argv, digest):
+    """The emitted relations, word by word, hashed: the builders may share
+    symbol objects, but the public word format and order stay fixed."""
+    code, env = run_json(capsys, ["relations", "emit"] + argv)
+    assert code == 0
+    blob = json.dumps(env["result"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_relations_verify(capsys):
     code, env = run_json(capsys, ["relations", "verify", "--preset", "sl",
                                   "--n", "3", "--p", "2", "--d", "1",
@@ -309,6 +325,21 @@ def test_relations_verify(capsys):
     assert code == 0
     assert env["result"]["violations"] == 0
     assert env["result"]["checked"] == 1644
+
+
+def test_relations_verify_timings_cover_build_and_verify(capsys):
+    argv = ["relations", "verify", "--preset", "sl", "--n", "3", "--p", "2",
+            "--d", "1", "--target-s", "3"]
+    code, plain = run_json(capsys, argv)
+    assert code == 0 and "timings" not in plain
+    code, timed = run_json(capsys, argv + ["--timings"])
+    assert code == 0
+    t = timed["timings"]
+    assert {"wall_s", "build_s", "verify_s"} <= set(t)
+    assert 0 < t["build_s"] and 0 < t["verify_s"]
+    assert t["build_s"] + t["verify_s"] <= t["wall_s"]
+    assert (json.dumps(timed["result"], sort_keys=True)
+            == json.dumps(plain["result"], sort_keys=True))
 
 
 def test_relations_verify_untabled_ring(capsys):

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from cosetx import _kernels
 from cosetx._kernels import common, pure
-from cosetx.errors import ResourceLimitError
+from cosetx.errors import ParameterError, ResourceLimitError
 from cosetx.groups import MatElement, elementary, sl_group
 from cosetx.ring import RingTable, TruncPoly
 
@@ -87,6 +87,68 @@ def test_matmul_rejects_mismatched_batches(ka, kb):
     with pytest.raises(ValueError):
         pure.matmul_batch(np.zeros((ka, 4), np.uint32), np.zeros((kb, 4), np.uint32),
                           rt.mul, rt.add, 2)
+
+
+def _invertible_matrices(rng, p, s, m, count):
+    """Seeded invertible matrices over F_p[t]/t^s that need pivoting.
+
+    Half the entries are non-units other than 0 (multiples of t), half are
+    units; a draw is kept when its determinant is a unit, and none of them
+    is an elementary.
+    """
+    q = p**s
+    out = []
+    while len(out) < count:
+        flat = np.where(rng.integers(0, 2, size=m * m) == 0,
+                        p * rng.integers(1, q // p, size=m * m),
+                        rng.integers(0, q // p, size=m * m) * p
+                        + rng.integers(1, p, size=m * m)).astype(np.uint32)
+        if MatElement.from_flat(p, s, m, flat).det().is_unit():
+            out.append(flat)
+    mats = np.array(out)
+    ident = common.identity_flat(m)
+    assert ((mats != ident).sum(axis=1) > 1).all()
+    return mats
+
+
+@pytest.mark.parametrize("m,p,s", [(2, 5, 3), (3, 2, 4), (4, 3, 2), (4, 3, 4)])
+def test_inverse_batch_matches_matelement_inverse(m, p, s):
+    rt = RingTable(p, s)
+    mats = _invertible_matrices(np.random.default_rng(100 * m + 10 * p + s),
+                                p, s, m, 50)
+    # a non-unit top-left corner: the first pivot is not on the diagonal
+    assert (mats[:, 0] % p == 0).any()
+    got = pure.inverse_batch(mats, rt.mul, rt.add, rt.neg, m, p)
+    assert got.dtype == np.uint32 and got.flags.c_contiguous
+    want = np.array([MatElement.from_flat(p, s, m, a).inverse().flat()
+                     for a in mats])
+    assert np.array_equal(got, want)
+    # mixed with the identity, in one batch and as a single flat matrix
+    ident = common.identity_flat(m)
+    mixed = np.concatenate([mats[:3], ident[None, :], mats[3:6], ident[None, :]])
+    got = _kernels.inverse_batch(mixed, rt.mul, rt.add, rt.neg, m, p)
+    assert np.array_equal(got, np.concatenate([want[:3], ident[None, :],
+                                               want[3:6], ident[None, :]]))
+    assert np.array_equal(
+        pure.inverse_batch(ident, rt.mul, rt.add, rt.neg, m, p), ident[None, :])
+
+
+def test_inverse_batch_rejects_non_invertible():
+    m, p, s = 3, 3, 2
+    rt = RingTable(p, s)
+    rng = np.random.default_rng(7)
+    good = _invertible_matrices(rng, p, s, m, 4)
+    # every entry in tF_p[t]: no unit pivot in the first column
+    in_t = (p * rng.integers(0, p ** (s - 1), size=m * m)).astype(np.uint32)
+    # two equal rows: singular mod t, with no unit pivot in a later column
+    twice = good[0].copy().reshape(m, m)
+    twice[2] = twice[1]
+    for bad in (in_t, twice.reshape(-1)):
+        with pytest.raises(ParameterError, match="not invertible"):
+            MatElement.from_flat(p, s, m, bad).inverse()
+        with pytest.raises(ParameterError, match="not invertible"):
+            pure.inverse_batch(np.stack([good[1], bad, good[2]]), rt.mul,
+                               rt.add, rt.neg, m, p)
 
 
 def _diag(p, s, coeffs):

@@ -4,6 +4,7 @@ from cosetx import presentations
 from cosetx.errors import ParameterError
 from cosetx.groups import MatElement, elementary
 from cosetx.presentations import (KINDS, GeneratorSymbol, Presentation,
+                                  RelationInstance,
                                   chamber_pair_sets, chamber_relation_sets,
                                   presentation_SL, presentation_unipotent,
                                   standard_assignment,
@@ -99,7 +100,10 @@ class TestChamberSets:
         """s = 13 (q = 8192) is past RingTable.MAX_Q, so the relations are
         evaluated one at a time by MatElement arithmetic; with one
         generator's matrix wrong it flags the same relations as the
-        batched path at s = 5."""
+        batched path at s = 5, in the same order: relation order.  The
+        wrong generator breaks additive, commuting and Steinberg product
+        relations of three different root pairs, so words of different
+        lengths interleave among the violations."""
         assert 2**13 > RingTable.MAX_Q >= 2**5
         slow_calls = []
         slow = presentations._verify_matrices_slow
@@ -113,19 +117,25 @@ class TestChamberSets:
         _, ch_rels = chamber_relation_sets(2, 2, 1)
         syms = sorted({sym for rel in ch_rels for sym in rel.symbols()},
                       key=str)
-        bad_sym = next(sym for sym in syms if sym.r.coeffs == (1, 1))
+        bad_sym = next(sym for sym in syms
+                       if sym.root == (1, 3) and sym.r.coeffs == (1, 1))
         flagged = []
         for s in (5, 13):
             assign = {sym: elementary(2, *sym.root, sym.r.lift_to(s))
                       for sym in syms}
-            # off by e_13(t): the matrix of another generator's root
+            # off by e_12(t): the matrix of another generator's root
             assign[bad_sym] = assign[bad_sym] @ elementary(
-                2, 1, 3, TruncPoly.t_power(2, s, 1))
+                2, 1, 2, TruncPoly.t_power(2, s, 1))
             rep = verify_relations(ch_rels, assign)
             assert rep.checked == len(ch_rels)
-            flagged.append({str(rel) for rel in rep.violations})
+            flagged.append(tuple(str(rel) for rel in rep.violations))
         assert slow_calls == [1]
         assert flagged[0] and flagged[0] == flagged[1]
+        order = [str(rel) for rel in ch_rels]
+        assert list(flagged[0]) == sorted(flagged[0], key=order.index)
+        kinds = [rel.kind for rel in rep.violations]
+        assert {"additive", "commuting", "steinberg-product"} <= set(kinds)
+
 
 class TestTildeGamma:
     def test_pinned_pair_count(self):
@@ -143,6 +153,45 @@ class TestTildeGamma:
 
 
 class TestSymbols:
+    def test_independent_symbols_are_equal_keys(self):
+        """Symbols built separately from equal (root, r) are equal, hash
+        equal and find each other in a user-built assignment."""
+        r = TruncPoly.make(2, 2, (1, 1))
+        a = GeneratorSymbol((1, 2), r)
+        b = GeneratorSymbol((1, 2), TruncPoly.make(2, 2, [1, 1]))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != GeneratorSymbol((2, 1), r)
+        assert a != GeneratorSymbol((1, 2), TruncPoly.one(2, 2))
+        pres = presentation_SL(3, 2, 1)
+        assign = {GeneratorSymbol(sym.root, TruncPoly.make(2, 2, sym.r.coeffs)):
+                  elementary(3, *sym.root, sym.r.lift_to(2))
+                  for sym in pres.generators}
+        assert all(sym in assign for sym in pres.generators)
+        assert verify_relations(pres, assign).ok
+
+    def test_relations_share_the_generator_objects(self):
+        for pres in (presentation_SL(3, 2, 1), presentation_unipotent(4, 2, 1),
+                     tilde_gamma_presentation(3, 2, 1)):
+            ids = {id(sym) for sym in pres.generators}
+            assert len(ids) == len(pres.generators)
+            assert all(id(sym) in ids
+                       for rel in pres.relations for sym in rel.symbols())
+
+    def test_foreign_symbol_rejected(self):
+        pres = presentation_SL(3, 2, 1)
+        rel = pres.relations[0]
+        outside = GeneratorSymbol((1, 2), TruncPoly.make(2, 3, (0, 0, 1)))
+        foreign = RelationInstance(((outside, 1),), (), "zero",
+                                   rel.source_pair)
+        with pytest.raises(ParameterError, match="outside the generator set"):
+            Presentation("sl", 3, 2, 1, pres.generators,
+                         pres.relations + (foreign,))
+        # an equal symbol built elsewhere is not foreign
+        inside = GeneratorSymbol(rel.lhs[0][0].root, rel.lhs[0][0].r)
+        Presentation("sl", 3, 2, 1, pres.generators,
+                     (RelationInstance(((inside, 1),), (), "zero",
+                                       rel.source_pair),))
+
     def test_symbol_str(self):
         sym = GeneratorSymbol((1, 2), TruncPoly.make(2, 2, (1, 1)))
         assert str(sym) == "x(1, 2)(1+t)"
