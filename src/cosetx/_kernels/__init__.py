@@ -3,11 +3,16 @@
 There is one backend, the numpy kernel in ``pure``: batched matrix
 products (``matmul_batch``), batched inverses over F_p[t]/t^s by
 Gauss-Jordan with unit pivots (``inverse_batch``) and the deterministic
-BFS closure of a generating set (``closure_bfs``), which tests canonical
-keys against a bitset of the visited keys (uint64 keys, key space at most
-64*cap) or their sorted array (otherwise) and decodes only the rows of new
-elements.
-``BACKEND`` names it for run records.
+BFS closure of a generating set (``closure_bfs``).  The closure keeps
+each layer as canonical keys and maps them through each generator row by
+row: a key is sum over a of rho_a * Q**a with rho_a the key of row a and
+Q = q**m, and the row map R_g of a generator g (rho to the row key of
+(row rho) @ g) is one Q-entry table when Q * len(gens) <= cap, or the
+product of the frontier's decoded rows with g otherwise.  New keys are
+tested against a bitset of the visited keys (uint64 keys, key space at
+most 64*cap) or their sorted array (otherwise), and rows are decoded
+only at the end, layer by layer.
+``BACKEND`` names the backend for run records.
 
 ``pack_keys`` and ``unpack_keys`` map flat matrices to their canonical
 keys and back: uint64 keys when they fit, Python ints otherwise.

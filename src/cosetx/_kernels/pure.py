@@ -11,13 +11,19 @@ generator, a right-table element, a conjugating element); those read that
 matrix's entries and skip its zero and unit terms, and only batch-by-batch
 products run the dense m*m*(2m-1) table gathers per row.
 
-The closure works on canonical keys: each generator's products are packed
-and tested against the keys visited so far, the new ones are marked at
-once, and rows are decoded only for new elements.  Keys are uint64 when
-q**(m*m) <= 2**64 and Python ints in object arrays otherwise.  The visited
-keys are a bitset over the key space when the keys are uint64 and there
-are at most 64*cap of them (at most 8*cap bytes, the size of ``cap``
-uint64 keys), and one sorted key array otherwise.
+The closure works on canonical keys and never builds a candidate row.
+A key is sum over a of rho_a * Q**a, Q = q**m, where rho_a is the base-q
+key of row a, and x -> x @ g acts on each row alone.  So each generator g
+has a row map R_g on [0, Q), from rho to the row key of (row rho) @ g, and
+the keys of frontier @ g are sum over a of R_g[rho_a] * Q**a.  The row
+maps are tables, one matmul_batch over the Q row vectors per generator,
+when Q * len(gens) <= cap (at most 4*cap bytes); otherwise the frontier's
+rows are decoded once per layer and multiplied by each generator.  Keys
+are uint64 when q**(m*m) <= 2**64 and Python ints in object arrays
+otherwise.  The visited keys are a bitset over the key space when the
+keys are uint64 and there are at most 64*cap of them (at most 8*cap
+bytes, the size of ``cap`` uint64 keys), and one sorted key array
+otherwise.  Rows are decoded from the keys at the end, layer by layer.
 """
 
 from __future__ import annotations
@@ -200,6 +206,74 @@ def _visited_set(q: int, mm: int, cap: int):
     return _SortedKeys(np.uint64)
 
 
+class _RowTables:
+    """Row maps read from one table per generator.
+
+    Row ``t`` of ``tables`` is R_g for the generator g = ``gens[t]``:
+    R_g[rho] is the row key of (row rho) @ g, for every row key rho in
+    [0, Q), Q = q**m.  The Q row vectors go through one ``matmul_batch``
+    per generator, packed m to a matrix, since each row of a product
+    X @ g is that row of X times g.
+    """
+
+    def __init__(self, gens: np.ndarray, mul: np.ndarray, add: np.ndarray,
+                 m: int, q: int):
+        self.m, self.Q = m, q**m
+        k = -(-self.Q // m)
+        rows = unpack_keys(np.arange(k * m, dtype=np.uint64), q, m)
+        rows = rows.reshape(k, m * m)
+        self.tables = np.empty((len(gens), self.Q), dtype=np.uint32)
+        for table, g in zip(self.tables, gens):
+            prods = matmul_batch(rows, g, mul, add, m).reshape(k * m, m)
+            table[:] = pack_keys(prods[:self.Q], q)
+
+    def images(self, keys: np.ndarray):
+        """For each generator g in turn, the keys of x @ g over the x with
+        ``keys``: sum over a of R_g[rho_a] * Q**a, where the row keys
+        rho_a = (key // Q**a) % Q are split off once for all generators."""
+        rho, rest = [], keys
+        for _ in range(self.m - 1):
+            rho.append(rest % self.Q)
+            rest = rest // self.Q
+        rho.append(rest)
+        # row keys are below Q <= 2**32: an int64 view indexes without a copy
+        rho = [r.astype(np.int64) if keys.dtype == object else r.view(np.int64)
+               for r in rho]
+        for table in self.tables:
+            out = table.take(rho[-1]).astype(keys.dtype)
+            for r in rho[-2::-1]:
+                out *= self.Q
+                out += table.take(r)
+            yield out
+
+
+class _RowProducts:
+    """Row maps computed on the frontier's rows: the keys of
+    ``matmul_batch(frontier, g)``, for a Q too large to table."""
+
+    def __init__(self, gens: np.ndarray, mul: np.ndarray, add: np.ndarray,
+                 m: int, q: int):
+        self.gens, self.mul, self.add, self.m, self.q = gens, mul, add, m, q
+
+    def images(self, keys: np.ndarray):
+        """For each generator g in turn, the keys of x @ g over the x with
+        ``keys``, from the rows of those x decoded once."""
+        rows = unpack_keys(keys, self.q, self.m * self.m)
+        for g in self.gens:
+            yield pack_keys(matmul_batch(rows, g, self.mul, self.add, self.m),
+                            self.q)
+
+
+def _row_maps(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
+              q: int, cap: int) -> _RowTables | _RowProducts:
+    """Tables when Q*len(gens) <= cap, so that they take at most 4*cap
+    bytes (and at most 2**32 entries, so row keys fit uint32), and
+    products on the frontier's rows otherwise."""
+    if q**m * len(gens) <= min(cap, 1 << 32):
+        return _RowTables(gens, mul, add, m, q)
+    return _RowProducts(gens, mul, add, m, q)
+
+
 def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
                 q: int, cap: int) -> np.ndarray:
     """Enumerate the subgroup generated by ``gens``.
@@ -208,47 +282,51 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     identity, ascending canonical key within each layer.  The result does
     not depend on the order or multiplicity of the generators.
 
-    Only keys are tested and sorted.  For each layer and each generator g,
-    the keys of ``frontier @ g`` are packed and the ones not visited yet
-    are kept and marked visited at once.  x -> x g is injective, so one
-    generator's products are distinct, and marking at once makes the
-    survivors of different generators disjoint: their concatenation,
-    sorted, is the next layer in canonical order.  Its rows are decoded
-    from the keys, so no candidate row is gathered or reordered.
+    Only keys are tested and sorted.  Each layer is kept as its keys; its
+    row keys rho_a = (key // Q**a) % Q, Q = q**m, are split off once, and
+    for each generator g the keys of ``frontier @ g`` are sum over a of
+    R_g[rho_a] * Q**a, with R_g the row map of g (the row key of
+    (row rho) @ g).  The ones not visited yet are kept and marked visited
+    at once.  x -> x g is injective, so one generator's products are
+    distinct, and marking at once makes the survivors of different
+    generators disjoint: their concatenation, sorted, is the next layer in
+    canonical order.  After the last layer, the rows are decoded from the
+    keys, one layer at a time, into the preallocated result.
 
-    Visited keys live in a bitset over the key space when the keys are
-    uint64 and q**(m*m) <= 64*cap: then the bitset takes at most 8*cap
-    bytes, the size of ``cap`` uint64 keys, and a membership test is one
-    ``take``.  Otherwise (Python-int keys or a larger key space) they live
-    in one sorted array, searched with ``searchsorted`` and merged with
-    each generator's survivors.  Working memory beyond the result and the
-    visited keys is one generator's products (m*m uint32 entries and one
-    key per frontier row) plus the keys of the layer's survivors.
+    The row maps are one uint32 table of Q entries per generator when
+    Q * len(gens) <= cap, so the tables take at most 4*cap bytes and a
+    candidate key costs m ``take``s and m-1 multiply-adds.  Otherwise
+    each layer's rows are decoded once and multiplied by each generator,
+    and the products' keys packed.  Visited keys live in a bitset over the
+    key space when the keys are uint64 and q**(m*m) <= 64*cap: then the
+    bitset takes at most 8*cap bytes, the size of ``cap`` uint64 keys, and
+    a membership test is one ``take``.  Otherwise (Python-int keys or a
+    larger key space) they live in one sorted array, searched with
+    ``searchsorted`` and merged with each generator's survivors.  Working
+    memory beyond the result and the visited keys is the row tables, the
+    keys of every layer, the frontier's row keys (or rows, without
+    tables) and one generator's candidate keys.
 
-    More than ``cap`` elements raise ``ResourceLimitError`` before the
-    crossing layer's rows are built.  The check runs after each
-    generator's survivors; ``partial_count`` is the number of distinct
-    elements found at that point, a lower bound on the order of the group.
+    More than ``cap`` elements raise ``ResourceLimitError`` before any row
+    is decoded.  The check runs after each generator's survivors;
+    ``partial_count`` is the number of distinct elements found at that
+    point, a lower bound on the order of the group.
     """
-    return _closure(gens, mul, add, m, q, cap, _visited_set(q, m * m, cap))
-
-
-def _closure(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
-             q: int, cap: int, visited: _BitsetKeys | _SortedKeys
-             ) -> np.ndarray:
-    """The loop of ``closure_bfs``, with the empty membership structure
-    ``visited`` (``_BitsetKeys`` or ``_SortedKeys``) passed in."""
     gens = np.atleast_2d(np.asarray(gens, dtype=np.uint32))
-    mm = m * m
-    ident = identity_flat(m)[None, :]
-    visited.add(pack_keys(ident, q))
-    layers = [ident]
-    frontier = ident
+    return _closure(_row_maps(gens, mul, add, m, q, cap), m, q, cap,
+                    _visited_set(q, m * m, cap))
+
+
+def _closure(row_maps: _RowTables | _RowProducts, m: int, q: int, cap: int,
+             visited: _BitsetKeys | _SortedKeys) -> np.ndarray:
+    """The loop of ``closure_bfs``, with the generators' row maps and the
+    empty membership structure ``visited`` passed in."""
+    layers = [pack_keys(identity_flat(m), q)]
+    visited.add(layers[0])
     total = 1
-    while len(frontier):
+    while len(layers[-1]):
         fresh = []
-        for g in gens:
-            keys = pack_keys(matmul_batch(frontier, g, mul, add, m), q)
+        for keys in row_maps.images(layers[-1]):
             keys = keys[~visited.has(keys)]
             visited.add(keys)
             fresh.append(keys)
@@ -258,6 +336,19 @@ def _closure(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
                                          partial_count=total)
         keys = np.concatenate(fresh)
         keys.sort()
-        frontier = unpack_keys(keys, q, mm)
-        layers.append(frontier)
-    return np.concatenate(layers, axis=0)
+        layers.append(keys)
+    out = np.empty((total, m * m), dtype=np.uint32)
+    # the visited keys (up to 8*cap bytes) are not needed to decode.  They
+    # are freed only now: freed before ``out`` exists, glibc raises its mmap
+    # threshold and puts ``out`` on the heap above the layers' keys, whose
+    # space then stays resident (10 MB more RSS after sl_group(1, 5, 3))
+    del visited
+    start = 0
+    for keys in layers:
+        # unpack_keys, written into the layer's rows in place
+        rows = out[start:start + len(keys)]
+        for c in range(m * m):
+            rows[:, c] = keys % q
+            keys = keys // q
+        start += len(rows)
+    return out

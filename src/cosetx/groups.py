@@ -310,12 +310,11 @@ def _find_identity(table: np.ndarray) -> int | None:
 
 
 def _check_associative(table: np.ndarray) -> None:
-    # (a*b)*c == a*(b*c) for all triples; vectorized over c
-    n = table.shape[0]
-    left = table[table, :]          # left[a,b,c] = (a*b)*c
-    right = table[:, table]         # right[a,b,c] = a*(b*c)
-    if not np.array_equal(left, right):
-        raise StructureError("multiplication table is not associative")
+    # (a*b)*c == a*(b*c) for all triples, one a at a time in O(n^2) memory:
+    # table[table[a]][b, c] = (a*b)*c and table[a][table][b, c] = a*(b*c)
+    for row in table:
+        if not np.array_equal(table[row], row[table]):
+            raise StructureError("multiplication table is not associative")
 
 
 def symmetric_group(k: int) -> TableGroup:

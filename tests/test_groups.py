@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cosetx.errors import ParameterError, ResourceLimitError, StructureError
-from cosetx.groups import (MatElement, MatrixGroup, bfs_closure, commutator,
-                           cosets, elementary, elementary_subgroup,
+from cosetx.groups import (MatElement, MatrixGroup, TableGroup, bfs_closure,
+                           commutator, cosets, elementary, elementary_subgroup,
                            k0_degree_bounds, k0_order, ko_coset_codes,
                            ko_link_cosets, mat_element_order, normal_closure,
                            quotient, reduction_kernel, rotate_rows, sl_group,
@@ -235,6 +235,21 @@ class TestGroupInterface:
             comp = tuple(pa[pb[i]] for i in range(4))
             assert perms[G.mult(int(a), int(b))] == comp
 
+    def test_table_group_rejects_a_non_associative_loop(self):
+        # a loop of order 5: identity 0, every element its own two-sided
+        # inverse, but (1*1)*2 = 2 while 1*(1*2) = 4
+        loop = np.array([[0, 1, 2, 3, 4],
+                         [1, 0, 3, 4, 2],
+                         [2, 4, 0, 1, 3],
+                         [3, 2, 4, 0, 1],
+                         [4, 3, 1, 2, 0]])
+        assert TableGroup(loop, validate=False).inv.tolist() == [0, 1, 2, 3, 4]
+        with pytest.raises(StructureError, match="not associative"):
+            TableGroup(loop)
+        # Z/5 passes
+        z5 = np.add.outer(np.arange(5), np.arange(5)) % 5
+        assert TableGroup(z5).identity == 0
+
     @given(st.integers(0, 5))
     @settings(max_examples=20, deadline=None)
     def test_lagrange_on_matrix_group(self, seed):
@@ -365,13 +380,6 @@ def test_bfs_closure_deduplicates():
     assert G.size == 2
 
 
-
-# sha256 of the element rows in their numbering: BFS layers from the
-# identity, ascending canonical key within a layer, except for subgroup_K,
-# which lists K_0 in the mixed-radix order of its entries and K_i as its
-# rotation (``test_rotated_k0_is_k_i`` proves the same sets as the BFS).
-# Dumps, coset labels and complex vertex ids are all read off this order,
-# so it must not move.
 def test_reduction_kernel_certifies_its_order(monkeypatch):
     # a closure one element short of p^((s_hi-s_lo)(m^2-1)) must not pass
     from cosetx import groups
@@ -383,6 +391,12 @@ def test_reduction_kernel_certifies_its_order(monkeypatch):
         reduction_kernel(2, 2, 2, 1)
 
 
+# sha256 of the element rows in their numbering: BFS layers from the
+# identity, ascending canonical key within a layer, except for subgroup_K,
+# which lists K_0 in the mixed-radix order of its entries and K_i as its
+# rotation (``test_rotated_k0_is_k_i`` proves the same sets as the BFS).
+# Dumps, coset labels and complex vertex ids are all read off this order,
+# so it must not move.
 GOLDEN_ORDER = [
     (subgroup_K, (2, 2, 2, 1, 0),
      "b5b4cacf9443cf9a0fbaabf3d26fb19d07e185bf692a08b06f6782796dde8e29"),
@@ -394,10 +408,16 @@ GOLDEN_ORDER = [
      "da7ad6408e0b6b7198f543da3dcbb4ef7ca13850e2dc4fa71552e3f0a9ccfbe7"),
     (sl_group, (1, 3, 2),
      "59ee6492a9cca1c0130c03ce634c816821aa84e1cd3291d8f523ce9d1e06780f"),
+    (sl_group, (1, 5, 2),
+     "3facdc155f4ee2a49ca5dcaa2611ca9d9a326ef4943ab674ab8ade2047a4b0e1"),
+    (sl_group, (2, 2, 2),
+     "cd152832cf5a641826bd3cfee071d159ad6aad983ee5ce91929eddc04f5658f7"),
     (reduction_kernel, (2, 2, 2, 1),
      "b9f4f6e7037fede43821d4494627bf9aa63f714f052b4d07a8122ba1a069f87e"),
     (reduction_kernel, (1, 2, 4, 2),
      "58bd62c4a33ec5f181438d028bc6b806d86b3b8bf90448e777790c3f41561d88"),
+    (reduction_kernel, (2, 2, 3, 1),
+     "d931e68ab97af9fb721bc67bc5dc15c21e254f1b8129b681a833e9ba4f8450c2"),
 ]
 
 

@@ -2,6 +2,8 @@
 closure oracle, plus the shared key helpers.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,8 @@ CLOSURE_CASES = {
     "sl2-f3t2-no-inverses": (3, 2, [elementary(1, 1, 2, _one(3, 2)),
                                     elementary(1, 2, 1, _one(3, 2)),
                                     elementary(1, 1, 2, TruncPoly.t_power(3, 2, 1))]),
+    # diag(2, 2, 4) has order 4 and commutes with e_12(1): a cyclic group of 20
+    "cyclic-20": (5, 1, [_diag(5, 1, (2, 2, 4)) @ elementary(2, 1, 2, _one(5, 1))]),
     # 25**9 > 64 * 2**20: uint64 keys, but a key space too large for the
     # bitset at the test cap, so the sorted visited keys
     "sorted-heisenberg-no-inverses": (5, 2, [elementary(2, 1, 2, _one(5, 2)),
@@ -176,15 +180,34 @@ CLOSURE_CASES = {
     # q**(m*m) = 625**9 > 2**64: the arbitrary-precision key path
     "big-heisenberg": (5, 4, [elementary(2, 1, 2, _one(5, 4)),
                               elementary(2, 2, 3, _one(5, 4))]),
-    # diag(2, 2, 4) has order 4 and commutes with e_12(1): a cyclic group of 20
     "big-cyclic-20": (5, 4, [_diag(5, 4, (2, 2, 4)) @ elementary(2, 1, 2, _one(5, 4))]),
+    # 3**49 > 2**64 keys, but only 3**7 row keys: Python-int keys on row tables
+    "big-f3-m7-no-inverses": (3, 1, [elementary(6, 1, 2, _one(3, 1)),
+                                     elementary(6, 2, 3, _one(3, 1))]),
 }
 
 
 # the membership structure each case's closure takes at the caps used below
 MEMBERSHIP = {"sl2-f5-no-inverses": "bitset", "sl2-f3t2-no-inverses": "bitset",
+              "cyclic-20": "bitset",
               "sorted-heisenberg-no-inverses": "sorted uint64",
-              "big-heisenberg": "sorted object", "big-cyclic-20": "sorted object"}
+              "big-heisenberg": "sorted object", "big-cyclic-20": "sorted object",
+              "big-f3-m7-no-inverses": "sorted object"}
+
+# the row maps each case's closure takes at the default test cap: tables
+# when q**m * len(gens) <= cap, products of the frontier's rows otherwise
+ROW_MAPS = {"sl2-f5-no-inverses": "tables", "sl2-f3t2-no-inverses": "tables",
+            "cyclic-20": "tables", "sorted-heisenberg-no-inverses": "tables",
+            "big-heisenberg": "products", "big-cyclic-20": "products",
+            "big-f3-m7-no-inverses": "tables"}
+
+ROW_SOURCES = {"tables": pure._RowTables, "products": pure._RowProducts}
+
+
+def _sources(case):
+    """The row-map sources a case runs on: both, except 625**3-entry tables."""
+    return [source for source in ROW_SOURCES
+            if source == "products" or CLOSURE_CASES[case][:2] != (5, 4)]
 
 
 def _membership(p, s, m, cap):
@@ -194,9 +217,22 @@ def _membership(p, s, m, cap):
     return f"sorted {visited.keys.dtype}"
 
 
+def _row_source(flat, p, s, m, cap):
+    rt = RingTable(p, s)
+    row_maps = pure._row_maps(flat, rt.mul, rt.add, m, rt.q, cap)
+    return next(k for k, cls in ROW_SOURCES.items() if isinstance(row_maps, cls))
+
+
 def _closure(flat, p, s, m, cap=1 << 20):
     rt = RingTable(p, s)
     return pure.closure_bfs(flat, rt.mul, rt.add, m, rt.q, cap)
+
+
+def _closure_on(source, flat, p, s, m, cap=1 << 20):
+    """The closure with its row maps taken from ``source`` at any cap."""
+    rt = RingTable(p, s)
+    row_maps = ROW_SOURCES[source](flat, rt.mul, rt.add, m, rt.q)
+    return pure._closure(row_maps, m, rt.q, cap, pure._visited_set(rt.q, m * m, cap))
 
 
 @pytest.mark.parametrize("case", list(CLOSURE_CASES))
@@ -208,12 +244,18 @@ def test_closure_matches_set_bfs_oracle(case):
     layers = oracles.bfs_closure(gens)
     want = np.concatenate(layers)
     flat = np.array([g.flat() for g in gens], dtype=np.uint32)
+    assert _row_source(flat, p, s, m, 1 << 20) == ROW_MAPS[case]
     got = _closure(flat, p, s, m)
-    assert got.dtype == np.uint32
+    assert got.dtype == np.uint32 and got.flags.c_contiguous
     assert np.array_equal(got, want)
     # generator order and multiplicity do not matter
     shuffled = np.concatenate([flat[::-1], flat[:1], flat, flat[-1:]])
     assert np.array_equal(_closure(shuffled, p, s, m), want)
+    # nor which source gives the row maps
+    assert ROW_MAPS[case] in _sources(case)
+    for source in _sources(case):
+        for gens_flat in (flat, shuffled):
+            assert np.array_equal(_closure_on(source, gens_flat, p, s, m), want)
     if case.endswith("no-inverses"):
         # some x @ g lands two or more layers before x, so a closure that
         # filtered new keys only against the neighbouring layers would
@@ -228,9 +270,14 @@ def test_closure_matches_set_bfs_oracle(case):
                    for k, layer in enumerate(layers) for row in layer for g in gens)
 
 
-# one case per membership structure
-@pytest.mark.parametrize("case", ["sl2-f3t2-no-inverses", "sorted-heisenberg-no-inverses",
-                                  "big-heisenberg"])
+# one case per membership structure, plus Python-int keys on row tables,
+# with the row maps the closure takes at the cap of each case's test
+CAP_ROW_MAPS = {"sl2-f3t2-no-inverses": "tables",
+                "sorted-heisenberg-no-inverses": "products",
+                "big-heisenberg": "products", "big-f3-m7-no-inverses": "products"}
+
+
+@pytest.mark.parametrize("case", list(CAP_ROW_MAPS))
 def test_closure_cap_fires_inside_a_layer(case):
     p, s, gens = CLOSURE_CASES[case]
     m = gens[0].m
@@ -240,27 +287,61 @@ def test_closure_cap_fires_inside_a_layer(case):
     k = int(np.argmax(sizes))
     cap = sum(sizes[:k]) + sizes[k] // 2
     assert _membership(p, s, m, cap) == MEMBERSHIP[case]
-    with pytest.raises(ResourceLimitError, match=f"closure exceeded cap {cap}") as ei:
-        _closure(flat, p, s, m, cap=cap)
-    # partial_count counts the distinct elements found, past the cap and
-    # inside the crossing layer: a lower bound on the order
-    assert cap < ei.value.partial_count <= sum(sizes[:k + 1]) <= order
-    assert len(_closure(flat, p, s, m, cap=order)) == order
-    with pytest.raises(ResourceLimitError):
-        _closure(flat, p, s, m, cap=order - 1)
+    assert _row_source(flat, p, s, m, cap) == CAP_ROW_MAPS[case]
+    # the closure's own choice of row maps at this cap, then each source
+    for run in [_closure, *(functools.partial(_closure_on, source)
+                            for source in _sources(case))]:
+        with pytest.raises(ResourceLimitError,
+                           match=f"closure exceeded cap {cap}") as ei:
+            run(flat, p, s, m, cap=cap)
+        # partial_count counts the distinct elements found, past the cap
+        # and inside the crossing layer: a lower bound on the order
+        assert cap < ei.value.partial_count <= sum(sizes[:k + 1]) <= order
+        assert len(run(flat, p, s, m, cap=order)) == order
+        with pytest.raises(ResourceLimitError):
+            run(flat, p, s, m, cap=order - 1)
+
+
+@pytest.mark.parametrize("p,s,m", [(5, 2, 2), (3, 1, 3), (2, 2, 3)])
+def test_row_tables_match_matmul_rows(p, s, m):
+    """R_g[rho] is the row key of (row rho) @ g for every one of the q**m
+    row vectors, in every row position, for a generator that is neither
+    elementary nor diagonal."""
+    rt = RingTable(p, s)
+    q, Q = rt.q, rt.q**m
+    g = (_diag(p, s, (p - 1, p - 1) + (1,) * (m - 2))
+         @ elementary(m - 1, 1, 2, TruncPoly.from_index(p, s, q - 1))
+         @ elementary(m - 1, m, 1, _one(p, s))).flat()
+    ident = common.identity_flat(m)
+    assert ((g != ident) & (g != 0)).sum() >= 2
+    table = pure._RowTables(g[None, :], rt.mul, rt.add, m, q).tables[0]
+    assert table.shape == (Q,) and table.dtype == np.uint32
+    vectors = common.unpack_keys(np.arange(Q, dtype=np.uint64), q, m)
+    for a in range(m):
+        mats = np.zeros((Q, m, m), dtype=np.uint32)
+        mats[:, a] = vectors
+        prods = pure.matmul_batch(mats.reshape(Q, m * m), g, rt.mul, rt.add, m)
+        rows = prods.reshape(Q, m, m)[:, a]
+        assert np.array_equal(common.pack_keys(rows, q), table)
+    # x -> x g is a bijection of the row vectors
+    assert len(np.unique(table)) == Q
 
 
 def test_closure_membership_structures_agree():
-    """The bitset and the sorted visited keys give byte-identical closures."""
+    """The bitset and the sorted visited keys, on row tables and on the
+    frontier's products, give byte-identical closures."""
     G = sl_group(1, 5, 2)
     assert G.size == 15000
     rt, m = G.ring, G.m
     gens = G.elems[G.generators]
     assert _membership(5, 2, m, G.size) == "bitset"
-    out = [pure._closure(gens, rt.mul, rt.add, m, rt.q, G.size, visited)
+    assert _row_source(gens, 5, 2, m, G.size) == "tables"
+    out = [pure._closure(source(gens, rt.mul, rt.add, m, rt.q), m, rt.q, G.size,
+                         visited)
+           for source in ROW_SOURCES.values()
            for visited in (pure._BitsetKeys(rt.q**(m * m)),
                            pure._SortedKeys(np.uint64))]
-    assert out[0].tobytes() == out[1].tobytes() == G.elems.tobytes()
+    assert all(o.tobytes() == G.elems.tobytes() for o in out)
 
 
 def test_closure_matches_group_order():
