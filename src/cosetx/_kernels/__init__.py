@@ -7,8 +7,9 @@ BFS closure of a generating set (``closure_bfs``).  The closure keeps
 each layer as canonical keys and maps them through each generator row by
 row: a key is sum over a of rho_a * Q**a with rho_a the key of row a and
 Q = q**m, and the row map R_g of a generator g (rho to the row key of
-(row rho) @ g) is one Q-entry table when Q * len(gens) <= cap, or the
-product of the frontier's decoded rows with g otherwise.  New keys are
+(row rho) @ g) is the product of the frontier's decoded rows with g
+until the frontiers so far hold Q/m elements, and from then on one
+Q-entry table, if Q * len(gens) <= cap.  New keys are
 tested against a bitset of the visited keys (uint64 keys, key space at
 most 64*cap) or their sorted array (otherwise), and rows are decoded
 only at the end, layer by layer.

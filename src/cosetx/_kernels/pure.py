@@ -11,14 +11,18 @@ generator, a right-table element, a conjugating element); those read that
 matrix's entries and skip its zero and unit terms, and only batch-by-batch
 products run the dense m*m*(2m-1) table gathers per row.
 
-The closure works on canonical keys and never builds a candidate row.
-A key is sum over a of rho_a * Q**a, Q = q**m, where rho_a is the base-q
-key of row a, and x -> x @ g acts on each row alone.  So each generator g
-has a row map R_g on [0, Q), from rho to the row key of (row rho) @ g, and
-the keys of frontier @ g are sum over a of R_g[rho_a] * Q**a.  The row
-maps are tables, one matmul_batch over the Q row vectors per generator,
-when Q * len(gens) <= cap (at most 4*cap bytes); otherwise the frontier's
-rows are decoded once per layer and multiplied by each generator.  Keys
+The closure works on canonical keys, and on row tables it builds no
+candidate row.  A key is sum over a of rho_a * Q**a, Q = q**m, where
+rho_a is the base-q key of row a, and x -> x @ g acts on each row alone.
+So each generator g has a row map R_g on [0, Q), from rho to the row key
+of (row rho) @ g, and the keys of frontier @ g are sum over a of
+R_g[rho_a] * Q**a.  At first
+the frontier's rows are decoded once per layer and multiplied by each
+generator.  Once the frontiers so far hold Q/m elements, and if
+Q * len(gens) <= cap (at most 4*cap bytes), the row maps become tables,
+one matmul_batch over the Q row vectors per generator: the same work as
+the products on Q/m elements, so only closures much larger than Q/m
+gain by them, and smaller ones never build them.  Keys
 are uint64 when q**(m*m) <= 2**64 and Python ints in object arrays
 otherwise.  The visited keys are a bitset over the key space when the
 keys are uint64 and there are at most 64*cap of them (at most 8*cap
@@ -264,14 +268,32 @@ class _RowProducts:
                             self.q)
 
 
-def _row_maps(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
-              q: int, cap: int) -> _RowTables | _RowProducts:
-    """Tables when Q*len(gens) <= cap, so that they take at most 4*cap
-    bytes (and at most 2**32 entries, so row keys fit uint32), and
-    products on the frontier's rows otherwise."""
-    if q**m * len(gens) <= min(cap, 1 << 32):
-        return _RowTables(gens, mul, add, m, q)
-    return _RowProducts(gens, mul, add, m, q)
+class _RowMaps:
+    """The row maps of ``closure_bfs``: products on the frontier's rows
+    until the frontiers so far hold ceil(Q/m) elements, then tables, when
+    Q * len(gens) <= cap (so the tables take at most 4*cap bytes, and row
+    keys fit uint32).
+
+    Building the tables is one ``matmul_batch`` over ceil(Q/m) matrices
+    per generator, what the products cost on that many elements.  So a
+    closure of fewer elements never builds them, and a larger one does at
+    most about twice the matmul work of the cheaper source in hindsight.
+    The tables pay off only for groups much larger than Q/m.
+    """
+
+    def __init__(self, gens: np.ndarray, mul: np.ndarray, add: np.ndarray,
+                 m: int, q: int, cap: int):
+        self.source = _RowProducts(gens, mul, add, m, q)
+        Q = q**m
+        self.left = -(-Q // m) if Q * len(gens) <= min(cap, 1 << 32) else None
+
+    def images(self, keys: np.ndarray):
+        if self.left is not None:
+            self.left -= len(keys)
+            if self.left <= 0:
+                s, self.left = self.source, None
+                self.source = _RowTables(s.gens, s.mul, s.add, s.m, s.q)
+        return self.source.images(keys)
 
 
 def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
@@ -293,32 +315,39 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     canonical order.  After the last layer, the rows are decoded from the
     keys, one layer at a time, into the preallocated result.
 
-    The row maps are one uint32 table of Q entries per generator when
-    Q * len(gens) <= cap, so the tables take at most 4*cap bytes and a
-    candidate key costs m ``take``s and m-1 multiply-adds.  Otherwise
-    each layer's rows are decoded once and multiplied by each generator,
-    and the products' keys packed.  Visited keys live in a bitset over the
-    key space when the keys are uint64 and q**(m*m) <= 64*cap: then the
-    bitset takes at most 8*cap bytes, the size of ``cap`` uint64 keys, and
-    a membership test is one ``take``.  Otherwise (Python-int keys or a
-    larger key space) they live in one sorted array, searched with
-    ``searchsorted`` and merged with each generator's survivors.  Working
-    memory beyond the result and the visited keys is the row tables, the
-    keys of every layer, the frontier's row keys (or rows, without
-    tables) and one generator's candidate keys.
+    The row maps start as products: each layer's rows are decoded once
+    and multiplied by each generator, and the products' keys packed.
+    Once the frontiers so far hold ceil(Q/m) elements, and if
+    Q * len(gens) <= cap, they become one uint32 table of Q entries per
+    generator (at most 4*cap bytes), and a candidate key costs m
+    ``take``s and m-1 multiply-adds.  Building the tables takes as much
+    matmul work as the products of ceil(Q/m) elements, so the tables pay
+    off only for groups much larger than Q/m.  Visited keys live in a
+    bitset over the key space when the keys are uint64 and
+    q**(m*m) <= 64*cap: then the bitset takes at most 8*cap bytes, the
+    size of ``cap`` uint64 keys, and a membership test is one ``take``.
+    Otherwise (Python-int keys or a larger key space) they live in one
+    sorted array, searched with ``searchsorted`` and merged with each
+    generator's survivors.  Working
+    memory beyond the result and the visited keys is the keys of every
+    layer, the row tables once built, the frontier's row keys (its rows
+    and one generator's products before the tables) and one generator's
+    candidate keys.  Building the tables also holds the Q row vectors and
+    one generator's products of them, about 8*m*Q bytes, what the
+    products of a frontier of Q/m elements hold.
 
-    More than ``cap`` elements raise ``ResourceLimitError`` before any row
-    is decoded.  The check runs after each generator's survivors;
+    More than ``cap`` elements raise ``ResourceLimitError`` before the
+    result is allocated.  The check runs after each generator's survivors;
     ``partial_count`` is the number of distinct elements found at that
     point, a lower bound on the order of the group.
     """
     gens = np.atleast_2d(np.asarray(gens, dtype=np.uint32))
-    return _closure(_row_maps(gens, mul, add, m, q, cap), m, q, cap,
+    return _closure(_RowMaps(gens, mul, add, m, q, cap), m, q, cap,
                     _visited_set(q, m * m, cap))
 
 
-def _closure(row_maps: _RowTables | _RowProducts, m: int, q: int, cap: int,
-             visited: _BitsetKeys | _SortedKeys) -> np.ndarray:
+def _closure(row_maps: _RowMaps | _RowTables | _RowProducts, m: int, q: int,
+             cap: int, visited: _BitsetKeys | _SortedKeys) -> np.ndarray:
     """The loop of ``closure_bfs``, with the generators' row maps and the
     empty membership structure ``visited`` passed in."""
     layers = [pack_keys(identity_flat(m), q)]
@@ -345,10 +374,6 @@ def _closure(row_maps: _RowTables | _RowProducts, m: int, q: int, cap: int,
     del visited
     start = 0
     for keys in layers:
-        # unpack_keys, written into the layer's rows in place
-        rows = out[start:start + len(keys)]
-        for c in range(m * m):
-            rows[:, c] = keys % q
-            keys = keys // q
-        start += len(rows)
+        out[start:start + len(keys)] = unpack_keys(keys, q, m * m)
+        start += len(keys)
     return out

@@ -194,12 +194,13 @@ MEMBERSHIP = {"sl2-f5-no-inverses": "bitset", "sl2-f3t2-no-inverses": "bitset",
               "big-heisenberg": "sorted object", "big-cyclic-20": "sorted object",
               "big-f3-m7-no-inverses": "sorted object"}
 
-# the row maps each case's closure takes at the default test cap: tables
-# when q**m * len(gens) <= cap, products of the frontier's rows otherwise
+# the row maps each case's closure ends on at the default test cap: tables
+# once its frontiers have held ceil(q**m / m) elements, if q**m * len(gens)
+# <= cap, and products of the frontier's rows otherwise
 ROW_MAPS = {"sl2-f5-no-inverses": "tables", "sl2-f3t2-no-inverses": "tables",
-            "cyclic-20": "tables", "sorted-heisenberg-no-inverses": "tables",
+            "cyclic-20": "products", "sorted-heisenberg-no-inverses": "products",
             "big-heisenberg": "products", "big-cyclic-20": "products",
-            "big-f3-m7-no-inverses": "tables"}
+            "big-f3-m7-no-inverses": "products"}
 
 ROW_SOURCES = {"tables": pure._RowTables, "products": pure._RowProducts}
 
@@ -218,9 +219,16 @@ def _membership(p, s, m, cap):
 
 
 def _row_source(flat, p, s, m, cap):
+    """The row maps the closure ends on at ``cap``: those of its _RowMaps
+    after the last layer, or where the cap fires."""
     rt = RingTable(p, s)
-    row_maps = pure._row_maps(flat, rt.mul, rt.add, m, rt.q, cap)
-    return next(k for k, cls in ROW_SOURCES.items() if isinstance(row_maps, cls))
+    row_maps = pure._RowMaps(flat, rt.mul, rt.add, m, rt.q, cap)
+    try:
+        pure._closure(row_maps, m, rt.q, cap, pure._visited_set(rt.q, m * m, cap))
+    except ResourceLimitError:
+        pass
+    return next(k for k, cls in ROW_SOURCES.items()
+                if isinstance(row_maps.source, cls))
 
 
 def _closure(flat, p, s, m, cap=1 << 20):
@@ -270,8 +278,9 @@ def test_closure_matches_set_bfs_oracle(case):
                    for k, layer in enumerate(layers) for row in layer for g in gens)
 
 
-# one case per membership structure, plus Python-int keys on row tables,
-# with the row maps the closure takes at the cap of each case's test
+# one case per membership structure, plus Python-int keys (on row tables
+# through _closure_on), with the row maps the closure ends on at the cap of
+# each case's test
 CAP_ROW_MAPS = {"sl2-f3t2-no-inverses": "tables",
                 "sorted-heisenberg-no-inverses": "products",
                 "big-heisenberg": "products", "big-f3-m7-no-inverses": "products"}
@@ -325,6 +334,30 @@ def test_row_tables_match_matmul_rows(p, s, m):
         assert np.array_equal(common.pack_keys(rows, q), table)
     # x -> x g is a bijection of the row vectors
     assert len(np.unique(table)) == Q
+
+
+def test_row_maps_switch_to_tables_at_q_over_m_elements():
+    """_RowMaps keeps the products until its frontiers have held ceil(Q/m)
+    elements, builds the tables for the frontier that gets there, and maps
+    keys as the products do on both sides; past the cap it never builds
+    them."""
+    G = sl_group(1, 5, 2)
+    rt, m, q = G.ring, G.m, G.ring.q
+    assert -(-q**m // m) == 313
+    gens = G.elems[G.generators]
+    keys = common.pack_keys(G.elems, q)
+    products = pure._RowProducts(gens, rt.mul, rt.add, m, q)
+    row_maps = pure._RowMaps(gens, rt.mul, rt.add, m, q, G.size)
+    for lo, hi, source in [(0, 200, pure._RowProducts), (200, 312, pure._RowProducts),
+                           (312, 313, pure._RowTables), (313, 2000, pure._RowTables)]:
+        got = list(row_maps.images(keys[lo:hi]))
+        assert isinstance(row_maps.source, source)
+        want = list(products.images(keys[lo:hi]))
+        assert len(got) == len(want) == len(gens)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    row_maps = pure._RowMaps(gens, rt.mul, rt.add, m, q, q**m * len(gens) - 1)
+    list(row_maps.images(keys))
+    assert isinstance(row_maps.source, pure._RowProducts)
 
 
 def test_closure_membership_structures_agree():
