@@ -19,8 +19,11 @@ every cohomology class and two of them are equivalent iff conjugate by a
 constant.  Triviality therefore reduces to "the all-identity assignment is
 the unique tree-trivial cocycle", searched by backtracking over non-tree
 edge values with triangle-equation propagation.  This reduction is not
-taken on faith: the brute mode re-decides everything by enumerating all of
-C^1 and C^0, and the test suite cross-validates the two mode answers.
+taken on faith: the brute mode re-decides everything from all of C^0 and
+all of C^1, and the test suite cross-validates the two mode answers.  It
+builds C^1 edge by edge in lex order and drops a partial cochain as soon
+as it fails a triangle whose three edges are all set; it uses no tree and
+no propagation, and its work follows the cocycles it finds.
 
 Norms are exact rationals; the distance between cochains is the weighted
 measure of their disagreement set, which is orientation-independent since
@@ -33,7 +36,9 @@ to B^1 is the distance to Z^1 and h1_cobound = h1_cosys.  A Lambda of prime
 order p is cyclic, so g^k -> k for any g != e maps it onto Z/p.  Then d1 is
 F_p-linear with kernel Z^1, and translation by a cocycle permutes Z^1, so
 ||d1 a|| and dist(a, Z^1) are constant on each coset a + Z^1; the scan
-visits one cochain per coset.  Other Lambda are swept over all of C^1.
+visits one cochain per coset.  dist(a, Z^1) is the least weight on the
+coset, and one min-plus recursion over a basis of Z^1 gives it for every
+coset at once, in integers.  Other Lambda are swept over all of C^1.
 """
 
 from __future__ import annotations
@@ -484,9 +489,14 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
     # scalar in between, and unlike lists they hold no int object per entry
     flat = np.ascontiguousarray(sk.tri_edges, dtype=np.int64).reshape(-1)
     tri = memoryview(flat)
-    # edge -> triangle incidence as CSR; the stable sort lists each edge's
-    # triangles in increasing order
-    inc = memoryview(np.argsort(flat, kind="stable") // 3)
+    # edge -> triangle incidence as CSR over the slots (3 per triangle);
+    # the stable sort lists each edge's triangles in increasing order, and
+    # slot k sits at position rank[k] of its edge's list
+    order = np.argsort(flat, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    order //= 3
+    inc, rank = memoryview(order), memoryview(rank)
     ptr = memoryview(np.concatenate(
         [[0], np.cumsum(np.bincount(flat, minlength=E))]))
     assign = memoryview(np.full(E, -1, dtype=np.int64))
@@ -515,13 +525,19 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
                 continue
             # product a.b.c^-1 = e with one unknown slot
             if a < 0:
-                ok = set_edge(ea, t[c][inv[b]], pending)
+                epos, val = ea, t[c][inv[b]]
             elif b < 0:
-                ok = set_edge(eb, t[inv[a]][c], pending)
+                epos, val, k = eb, t[inv[a]][c], k + 1
             else:
-                ok = set_edge(ec, t[a][b], pending)
-            if not ok:
-                return False
+                epos, val, k = ec, t[a][b], k + 2
+            # the edge is unset, so this cannot conflict; the forcing
+            # triangle is now full and satisfied, so only the edge's other
+            # triangles are queued
+            assign[epos] = val
+            trail.append(epos)
+            r = rank[k]
+            pending.extend(inc[ptr[epos]:r])
+            pending.extend(inc[r + 1:ptr[epos + 1]])
         return True
 
     def undo_to(mark: int):
@@ -598,10 +614,12 @@ def h1_trivial(X: SimplicialComplex, lam: TableGroup,
 
     gauge mode backtracks over tree-trivial cocycles (see module notes);
     the witness is the lexicographically least nontrivial one.  brute mode
-    independently enumerates C^1, filters Z^1 by checking every triangle,
-    computes B^1 from all of C^0, and counts gauge orbits; it is the
-    oracle the gauge mode is validated against and requires
-    |Lambda|^|X(1)| and |Lambda|^|X(0)| within cap.
+    independently lists Z^1 by extending cochains edge by edge and
+    checking each triangle once its three edges are set, computes B^1
+    from all of C^0 in one gather per block, and counts gauge orbits; it
+    is the oracle the gauge mode is validated against and requires
+    |Lambda|^|X(1)| and |Lambda|^|X(0)| within cap.  Its witness is the
+    lexicographically least cocycle that is not a coboundary.
     """
     if X.n < 1:
         raise InputError("H^1 needs a complex with edges")
@@ -638,68 +656,69 @@ def h1_class_census(X: SimplicialComplex, lam: TableGroup,
 # brute-force H^1 (the oracle mode)
 
 
+_BRUTE_CHUNK = 1 << 16
+
+
+def _digit_blocks(m: int, k: int):
+    """Every k-digit base-m string, most significant digit first, in lex
+    order and in blocks of at most _BRUTE_CHUNK rows."""
+    place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    total = m ** k
+    for lo in range(0, total, _BRUTE_CHUNK):
+        idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total), dtype=np.int64)
+        yield idx[:, None] // place % m
+
+
 def _enumerate_coboundaries(X: SimplicialComplex, lam: TableGroup,
                             cap: int) -> set[tuple[int, ...]]:
+    """d0 psi for every psi in C^0, one gather per block of psi."""
     V = X.vertex_count
     m = lam.size
     if m ** V > cap:
         raise ResourceLimitError(
             f"|Lambda|^|X(0)| = {m}**{V} exceeds cap {cap}")
+    e = _skeleton(X).edges
     out: set[tuple[int, ...]] = set()
-    for psi in itertools.product(range(m), repeat=V):
-        c = d0(X, Cochain0(lam, np.array(psi, dtype=np.int64)))
-        out.add(tuple(int(x) for x in c.values))
+    for psi in _digit_blocks(m, V):
+        vals = lam.table[psi[:, e[:, 0]], lam.inv[psi[:, e[:, 1]]]]
+        out.update(map(tuple, vals.tolist()))
     return out
-
-
-_BRUTE_CHUNK = 1 << 16
 
 
 def _enumerate_cocycles(X: SimplicialComplex, lam: TableGroup,
                         cap: int) -> list[tuple[int, ...]]:
-    """Every cocycle, by checking all triangles on all of C^1.
+    """Every cocycle, in lexicographic order of value tuples.
 
-    Cochains are decoded from mixed-radix indices with edge 0 as the most
-    significant digit, so the output comes back in lexicographic order.
-    The low digits are decoded once into a table that every chunk shares,
-    and each chunk fills in its own high digits; a cochain is dropped at
-    the first triangle it fails.
+    Partial cochains are extended one edge at a time, edge 0 the most
+    significant digit: each row is repeated |Lambda| times and the next
+    digit appended, so the rows stay in lex order.  A triangle is checked
+    as soon as its last edge is set, and the rows that fail it are dropped.
+    The rows so stand for every cochain of C^1; no spanning tree or
+    propagation is involved, so the result is independent of gauge mode.
     """
     sk = _skeleton(X)
     E = len(sk.edges)
     m = lam.size
-    total = m ** E
-    if total > cap:
+    if m ** E > cap:
         raise ResourceLimitError(
             f"|Lambda|^|X(1)| = {m}**{E} exceeds cap {cap}")
     t, inv = lam.table, lam.inv
-    te = sk.tri_edges.tolist()
     e0 = lam.identity
-    low = 0
-    while low < E and m ** (low + 1) <= _BRUTE_CHUNK:
-        low += 1
-    high = E - low
-
-    def digits(k: int) -> np.ndarray:
-        """Row i: the k base-m digits of i, most significant first."""
-        place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        return np.arange(m ** k, dtype=np.int64)[:, None] // place % m
-
-    low_digits = digits(low)
-    out: list[tuple[int, ...]] = []
-    for hi in digits(high):
-        # int16 holds every index below MAX_COEFF_ORDER in a quarter of
-        # the bytes that int64 takes
-        vals = np.empty((len(low_digits), E), dtype=np.int16)
-        vals[:, :high] = hi
-        vals[:, high:] = low_digits
-        for ea, eb, ec in te:
-            if not len(vals):
-                break
+    te = sk.tri_edges
+    last = te.max(axis=1)
+    # int16 holds every index below MAX_COEFF_ORDER in a quarter of the
+    # bytes that int64 takes
+    digit = np.arange(m, dtype=np.int16)
+    rows = np.empty((1, 0), dtype=np.int16)
+    for e in range(E):
+        vals = np.empty((len(rows) * m, e + 1), dtype=np.int16)
+        vals[:, :e] = np.repeat(rows, m, axis=0)
+        vals[:, e] = np.tile(digit, len(rows))
+        for ea, eb, ec in te[last == e].tolist():
             prod = t[t[vals[:, ea], vals[:, eb]], inv[vals[:, ec]]]
             vals = vals[prod == e0]
-        out.extend(map(tuple, vals.tolist()))
-    return out
+        rows = vals
+    return list(map(tuple, rows.tolist()))
 
 
 def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
@@ -719,10 +738,8 @@ def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
             raise StructureError("B^1 does not partition Z^1 evenly")
         classes = len(cocycles) // len(b1)
     else:
-        V = X.vertex_count
-        m = lam.size
-        psis = [np.array(p, dtype=np.int64)
-                for p in itertools.product(range(m), repeat=V)]
+        e = _skeleton(X).edges
+        t, inv = lam.table, lam.inv
         zset = set(cocycles)
         seen: set[tuple[int, ...]] = set()
         classes = 0
@@ -730,13 +747,14 @@ def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
             if phi in seen:
                 continue
             classes += 1
-            base = Cochain1(lam, np.array(phi))
-            for psi in psis:
-                img = tuple(int(x)
-                            for x in _apply_gauge(X, psi, base).values)
-                if img not in zset:
+            base = np.array(phi, dtype=np.int64)
+            # psi.phi for a whole block of psi in one gather
+            for psi in _digit_blocks(lam.size, X.vertex_count):
+                imgs = set(map(tuple, t[t[psi[:, e[:, 0]], base],
+                                        inv[psi[:, e[:, 1]]]].tolist()))
+                if not imgs <= zset:
                     raise StructureError("gauge action left Z^1")
-                seen.add(img)
+                seen |= imgs
     return H1Result(classes == 1, witness, "brute", classes=classes)
 
 
@@ -894,7 +912,10 @@ _SCAN_ROWS = 1 << 9
 
 
 def _span_blocks(basis: np.ndarray, p: int):
-    """All p^k combinations of the k basis rows mod p, in blocks."""
+    """All p^k combinations of the k basis rows mod p, in blocks.
+
+    Row i of the whole scan is sum_j x_j basis[j] with i = sum_j x_j p^j.
+    """
     place = p ** np.arange(len(basis), dtype=np.int64)
     total = p ** len(basis)
     for lo in range(0, total, _SCAN_ROWS):
@@ -902,16 +923,72 @@ def _span_blocks(basis: np.ndarray, p: int):
         yield (idx[:, None] // place % p) @ basis % p
 
 
+def _z1_basis(sk: _Skeleton, p: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d1m, pivots, z_basis) over F_p.
+
+    d1m is d1 as a T x E matrix with rows ab + bc - ac.  Z^1 = ker d1 gets
+    the basis that is the identity on the free (non-pivot) columns of the
+    rref of d1m, so each coset a + Z^1 has exactly one member supported
+    on the pivot columns.
+    """
+    E = len(sk.edges)
+    d1m = np.zeros((len(sk.tri_edges), E), dtype=np.int64)
+    d1m[np.arange(len(d1m))[:, None], sk.tri_edges] = [1, 1, -1]
+    R, pivots = _rref_mod_p(d1m, p)
+    free = np.setdiff1d(np.arange(E), pivots)
+    z_basis = np.eye(E, dtype=np.int64)[free]
+    z_basis[:, pivots] = -R[:, free].T % p
+    return d1m, pivots, z_basis
+
+
+def _coset_min_weights(z_basis: np.ndarray, pivots: np.ndarray,
+                       ecnt: np.ndarray, p: int) -> np.ndarray:
+    """D[x] = min over z in Z^1 of the weight of x - z, for every x
+    supported on the pivots, at index sum_i x_i p^i (x_i on pivots[i]),
+    the row order of _span_blocks over those unit vectors.
+
+    D starts as the weight of x itself.  Each basis vector z_f, a 1 on its
+    free column f plus a part m_f on the pivots, then takes one min-plus
+    step D[x] <- min_v (D[x + v m_f] + w_f [v != 0]).  The free columns
+    are independent, so after the last step D is the least weight on the
+    coset x + Z^1, which is dist(x, Z^1).
+    A step is p - 1 gathers of the p^rank(d1)-entry table through the
+    translation by m_f; no digit table and no float arithmetic.
+    """
+    place = p ** np.arange(len(pivots), dtype=np.int64)
+    nonzero = (np.arange(p) != 0).astype(np.int64)
+    D = np.zeros(1, dtype=np.int64)
+    for w in ecnt[pivots].tolist():
+        # the next pivot is the most significant digit so far
+        D = (nonzero[:, None] * w + D).ravel()
+    idx = np.arange(len(D), dtype=np.int64)
+    # z_basis row j is the identity on the j-th free column
+    free = np.setdiff1d(np.arange(len(ecnt)), pivots)
+    for z, w_f in zip(z_basis, ecnt[free].tolist()):
+        step = z[pivots]
+        perm = idx.copy()
+        for i in np.flatnonzero(step).tolist():
+            digit = idx // place[i] % p
+            perm += ((digit + step[i]) % p - digit) * place[i]
+        best, cur = D, D
+        for _ in range(p - 1):
+            cur = cur[perm]
+            best = np.minimum(best, cur + w_f)
+        D = best
+    return D
+
+
 def _expansion_h1_zp(X: SimplicialComplex, lam: TableGroup,
                      cap: int) -> ExpansionH1Report:
     """Exact (h1_cobound, h1_cosys, min_systole) for |Lambda| = p prime.
 
-    Z^1 = ker d1 gets the basis that is the identity on the free columns of
-    d1, so each coset a + Z^1 has one member supported on the pivot
-    columns of d1; the scan visits those p^rank(d1) cochains.  dist(a, Z^1)
-    is W - max_z sum_e w_e [a_e = z_e], a float64 product of one-hot rows,
-    exact as the counts stay far below 2^53.  The systole is the least
-    weight in Z^1 outside B^1, the row space of d0^T.
+    The scan visits the p^rank(d1) cochains supported on the pivot
+    columns of d1, one per coset a + Z^1 (see _z1_basis), and takes
+    ||d1 a|| for each block of them by integer products.  dist(a, Z^1),
+    the least weight on the coset, comes from one min-plus table over
+    all cosets (_coset_min_weights).  The systole is the least weight in
+    Z^1 outside B^1, the row space of d0^T.  No step multiplies floats.
     """
     sk = _skeleton(X)
     E, p = len(sk.edges), lam.size
@@ -931,34 +1008,26 @@ def _expansion_h1_zp(X: SimplicialComplex, lam: TableGroup,
     ecnt, tcnt = sk.edge_cnt, sk.tri_cnt
     wt = WeightTable(X)
     d_edge, d_tri = wt.denominator(1), wt.denominator(2)
-    d1m = np.zeros((len(sk.tri_edges), E), dtype=np.int64)
-    d1m[np.arange(len(d1m))[:, None], sk.tri_edges] = [1, 1, -1]
+    d1m, pivots, z_basis = _z1_basis(sk, p)
     d0t = np.zeros((X.vertex_count, E), dtype=np.int64)
     d0t[sk.edges, np.arange(E)[:, None]] = [1, -1]
-    R, pivots = _rref_mod_p(d1m, p)
-    free = np.setdiff1d(np.arange(E), pivots)
-    z_basis = np.eye(E, dtype=np.int64)[free]
-    z_basis[:, pivots] = -R[:, free].T % p
     b_rref, b_pivots = _rref_mod_p(d0t, p)
     nontrivial = len(z_basis) > len(b_rref)
-    total_w = int(ecnt.sum())
     systole = None
     if nontrivial:
-        best = total_w
+        best = int(ecnt.sum())
         for z in _span_blocks(z_basis, p):
             in_b1 = ((z - z[:, b_pivots] @ b_rref) % p == 0).all(axis=1)
             best = int(((z != 0) @ ecnt)[~in_b1].min(initial=best))
         systole = Fraction(best, d_edge)
+    dist = _coset_min_weights(z_basis, pivots, ecnt, p)
     h1_cosys: Fraction | None = None
+    lo = 0
     for a in _span_blocks(np.eye(E, dtype=np.int64)[pivots], p):
         num = ((a @ d1m.T) % p != 0) @ tcnt
-        a_hot = (np.eye(p)[a] * ecnt[:, None]).reshape(len(a), -1)
-        agree = np.zeros(len(a))
-        for z in _span_blocks(z_basis, p):
-            z_hot = np.eye(p)[z].reshape(len(z), -1)
-            np.maximum(agree, (a_hot @ z_hot.T).max(axis=1), out=agree)
-        dist = total_w - agree.astype(np.int64)
-        r = _exact_min_ratio(num, dist, dist > 0, d_tri, d_edge)
+        d = dist[lo:lo + len(a)]
+        lo += len(a)
+        r = _exact_min_ratio(num, d, d > 0, d_tri, d_edge)
         if r is not None and (h1_cosys is None or r < h1_cosys):
             h1_cosys = r
     # H^1 nontrivial forces the coboundary min to 0; otherwise B^1 = Z^1

@@ -437,9 +437,11 @@ def bfs_closure(gens: Sequence[MatElement], cap: int = DEFAULT_CLOSURE_CAP,
     flat = np.stack([g.flat() for g in gens])
     flat = np.unique(flat, axis=0)
     elems = closure_bfs(flat, ring.mul, ring.add, m, ring.q, cap)
-    group = MatrixGroup(ring, m, elems)
-    group.generators = sorted(int(i) for i in group.lookup_rows(flat))
-    return group
+    # BFS layer 1 is the distinct non-identity generators, at 1..k
+    has_identity = bool((flat == identity_flat(m)).all(axis=1).any())
+    k = len(flat) - has_identity
+    return MatrixGroup(ring, m, elems,
+                       generators=[0] * has_identity + list(range(1, k + 1)))
 
 
 def elementary_subgroup(n: int, p: int, s: int, d: int,

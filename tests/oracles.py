@@ -358,6 +358,87 @@ def brute_h1_gf2(X):
 
 
 # ---------------------------------------------------------------------------
+# cocycles and coset weights by full sweeps of C^1
+
+
+def _d1_edges(X):
+    """(edges, triangles): the sorted edge rows of X.faces(1) and, for
+    each row (a, b, c) of X.faces(2), the indices of ab, bc and ac."""
+    edges = [tuple(r) for r in X.faces(1).tolist()]
+    eidx = {e: i for i, e in enumerate(edges)}
+    tris = [(eidx[(a, b)], eidx[(b, c)], eidx[(a, c)])
+            for a, b, c in X.faces(2).tolist()]
+    return edges, tris
+
+
+def _mixed_radix_blocks(m, k, rows=1 << 16):
+    """Every k-digit base-m string, most significant digit first, in
+    lexicographic order, a block of ``rows`` strings at a time."""
+    place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    for lo in range(0, m ** k, rows):
+        idx = np.arange(lo, min(lo + rows, m ** k), dtype=np.int64)
+        yield idx[:, None] // place % m
+
+
+def full_sweep_cocycles(X, lam):
+    """Every cocycle of X over the TableGroup lam, in lexicographic order.
+
+    Each cochain of C^1 is decoded from its mixed-radix index, edge 0 the
+    most significant digit, and every triangle ab, bc, ac is checked on
+    it: phi(ab) phi(bc) phi(ac)^-1 must be the identity.
+    """
+    _, tris = _d1_edges(X)
+    t, inv, e0 = lam.table, lam.inv, lam.identity
+    out = []
+    for vals in _mixed_radix_blocks(lam.size, X.face_count(1)):
+        for ea, eb, ec in tris:
+            vals = vals[t[t[vals[:, ea], vals[:, eb]], inv[vals[:, ec]]]
+                        == e0]
+        out.extend(map(tuple, vals.tolist()))
+    return out
+
+
+def all_coboundaries(X, lam):
+    """{d0 psi : psi in C^0}, one psi at a time:
+    d0 psi((u, v)) = psi(u) psi(v)^-1 on each sorted edge (u, v)."""
+    edges, _ = _d1_edges(X)
+    t, inv = lam.table, lam.inv
+    return {tuple(int(t[psi[u], inv[psi[v]]]) for u, v in edges)
+            for psi in itertools.product(range(lam.size),
+                                         repeat=X.vertex_count)}
+
+
+def coset_min_weights(X, p):
+    """(d1, least): the cosets of Z^1 in C^1 over Z/p by a full sweep.
+
+    d1 is the integer matrix with rows ab + bc - ac over X.faces(2), and
+    two cochains lie in one coset of its kernel iff their syndromes
+    d1 c mod p agree.  least maps each syndrome, as a tuple, to the least
+    edge weight of a cochain with that syndrome; the weight of c is the
+    sum over its support of the maximal-face counts of the edges.
+    """
+    edges, tris = _d1_edges(X)
+    E = len(edges)
+    d1 = np.zeros((len(tris), E), dtype=np.int64)
+    for row, (ab, bc, ac) in zip(d1, tris):
+        row[[ab, bc, ac]] = [1, 1, -1]
+    counts = _edge_weights(X)[1]
+    weight = np.array([counts[e] for e in edges], dtype=np.int64)
+    place = p ** np.arange(len(tris), dtype=np.int64)
+    keys, low = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    for c in _mixed_radix_blocks(p, E):
+        syn = sum((c[:, ab] + c[:, bc] - c[:, ac]) % p * place[t]
+                  for t, (ab, bc, ac) in enumerate(tris))
+        keys = np.concatenate([keys, syn])
+        low = np.concatenate([low, (c != 0) @ weight])
+        keys, pos = np.unique(keys, return_inverse=True)
+        low, w = np.full(len(keys), np.iinfo(np.int64).max), low
+        np.minimum.at(low, pos, w)
+    syndromes = keys[:, None] // place % p
+    return d1, dict(zip(map(tuple, syndromes.tolist()), low.tolist()))
+
+
+# ---------------------------------------------------------------------------
 # BFS spanning forest of a graph, one vertex at a time
 
 

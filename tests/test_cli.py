@@ -422,6 +422,20 @@ def test_suite_quick_result_is_pinned(quick_suite):
         "26c3c9161a87baa76c0f46e7739a39a44c3ac4399db57cbe91aa357568e55894"
 
 
+def test_suite_full_result_is_pinned():
+    # `suite --seed 0`, every check; the H^1 rows pin the brute census,
+    # the witnesses' triviality and the exact torus expansion constants
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["suite", "--seed", "0"])
+    env = json.loads(buf.getvalue())
+    assert code == 0 and env["result"]["passed"] is True
+    digest = hashlib.sha256(
+        json.dumps(env["result"], sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "69374d9cf0c8c6d8b2c1590cc655cc0730b2ec251f589d9fc7a6644e734b79e4"
+
+
 def test_suite_timings_per_row(quick_suite):
     (_, plain), (code, timed) = quick_suite
     assert code == 0 and "timings" not in plain

@@ -338,6 +338,32 @@ def test_h1_enumerated_subfamilies_agree():
             assert h1_class_census(X, lam).classes == b.classes
 
 
+# the pruned brute cocycles and batched coboundaries against full sweeps;
+# each group runs where |Lambda|^|X(1)| stays within the sweep budget
+BRUTE_FIXTURES = [fx.single_triangle, fx.triangle_strip, fx.tetrahedron_sphere,
+                  fx.octahedron, fx.torus_7, fx.bowtie,
+                  lambda: fx.cycle_complex(6), two_fold_triangle,
+                  mobius_strip, projective_plane, punctured_torus]
+SWEEP_BUDGET = 1 << 21
+
+
+@pytest.mark.parametrize("build", BRUTE_FIXTURES)
+def test_brute_enumerations_match_full_sweeps(build):
+    X = build()
+    swept = 0
+    for lam in (zmod(2), zmod(3), sym(3)):
+        if lam.size ** X.face_count(1) > SWEEP_BUDGET:
+            continue
+        swept += 1
+        got = cohomology._enumerate_cocycles(X, lam, cohomology.DEFAULT_CAP)
+        assert got == oracles.full_sweep_cocycles(X, lam), lam.name
+        if lam.size ** X.vertex_count <= SWEEP_BUDGET:
+            assert cohomology._enumerate_coboundaries(
+                X, lam, cohomology.DEFAULT_CAP) == \
+                oracles.all_coboundaries(X, lam), lam.name
+    assert swept
+
+
 def test_h1_needs_connected():
     X = fx.two_triangles_disjoint()
     for mode in ("gauge", "brute"):
@@ -351,8 +377,12 @@ def test_h1_mode_and_cap_validation():
     X = fx.single_triangle()
     with pytest.raises(InputError):
         h1_trivial(X, zmod(2), mode="fast")
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError,
+                       match=r"\|Lambda\|\^\|X\(1\)\| = 3\*\*21 exceeds cap"):
         h1_trivial(fx.torus_7(), zmod(3), mode="brute")   # 3**21 cochains
+    with pytest.raises(ResourceLimitError,
+                       match=r"\|Lambda\|\^\|X\(0\)\| = 6\*\*7 exceeds cap 1000"):
+        h1_trivial(fx.torus_7(), sym(3), mode="brute", cap=1000)
 
 
 def test_h1_gauge_deterministic():
@@ -617,6 +647,26 @@ def test_h1_expansion_zp_pins():
         assert (rep.min_systole is None) == (classes == 1)
         bound = expansion_h1(X, zmod(p), mode="search", seed=0, iters=2)
         assert bound.h1_cobound >= rep.h1_cobound
+
+
+@pytest.mark.parametrize("build,p", [
+    (fx.single_triangle, 2), (fx.single_triangle, 3), (fx.single_triangle, 5),
+    (fx.tetrahedron_sphere, 2), (fx.tetrahedron_sphere, 3),
+    (fx.tetrahedron_sphere, 5), (fx.octahedron, 2), (fx.octahedron, 3),
+    (fx.triangle_strip, 2), (fx.triangle_strip, 3), (fx.triangle_strip, 5),
+    (fx.torus_7, 2)])
+def test_coset_min_weights_match_syndrome_sweep(build, p):
+    # the octahedron over Z/5 (5^12 cochains) is beyond the sweep's reach
+    X = build()
+    sk = cohomology._skeleton(X)
+    _, pivots, z_basis = cohomology._z1_basis(sk, p)
+    got = cohomology._coset_min_weights(z_basis, pivots, sk.edge_cnt, p)
+    d1m, least = oracles.coset_min_weights(X, p)
+    assert len(got) == len(least)
+    c = np.zeros(X.face_count(1), dtype=np.int64)
+    for i, dist in enumerate(got.tolist()):
+        c[pivots] = [i // p ** j % p for j in range(len(pivots))]
+        assert least[tuple((d1m @ c % p).tolist())] == dist, i
 
 
 def test_h1_expansion_routes_by_prime_order(monkeypatch):

@@ -95,6 +95,25 @@ class TestClosure:
         ident = MatElement.identity(2, 2, 2)
         assert np.array_equal(G.elems[0], ident.flat())
 
+    @pytest.mark.parametrize("n,p,s,d,with_identity", [
+        (1, 2, 2, 1, False), (1, 3, 2, 1, True), (2, 2, 2, 0, False),
+        (2, 2, 2, 0, True), (1, 3, 3, 1, True), (2, 3, 2, 1, False)])
+    def test_generators_are_bfs_layer_one(self, n, p, s, d, with_identity):
+        # the generator indices come from the BFS layer numbering; the key
+        # index of the whole group finds the same ones, duplicates and the
+        # identity included
+        ident = MatElement.identity(n + 1, p, s)
+        # e_{j,j+1}(0), the identity, is among K_0's generators
+        gens = [g for g in oracles.ko_generators(n, p, s, d, 0)
+                if g != ident]
+        gens += gens[:2]
+        if with_identity:
+            gens.insert(1, ident)
+        G = bfs_closure(gens)
+        flat = np.stack([g.flat() for g in gens])
+        assert G.generators == sorted(set(G.lookup_rows(flat).tolist()))
+        assert (0 in G.generators) is with_identity
+
     def test_elementary_subgroup_degree_zero_is_constants(self):
         assert elementary_subgroup(2, 2, 2, 0).size == \
             oracles.sl_order_formula(3, 2, 1)
