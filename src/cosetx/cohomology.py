@@ -480,6 +480,10 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
     deterministic, so two solutions first differ exactly at some branch
     edge and the emission order is the lex order.  The all-identity
     assignment is therefore always emitted first.
+
+    ``cap`` bounds the search nodes and, when every solution is kept
+    (``stop_after`` None), the edge values the kept solutions hold: past
+    either it raises ResourceLimitError.
     """
     sk = _require_connected(X)
     E = len(sk.edges)
@@ -561,7 +565,13 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
 
     def record() -> bool:
         sols.append(tuple(assign.tolist()))
-        return stop_after is not None and len(sols) >= stop_after
+        if stop_after is not None:
+            return len(sols) >= stop_after
+        if len(sols) * E > cap:
+            raise ResourceLimitError(
+                f"gauge census keeps more than {cap} edge values",
+                partial_count=len(sols))
+        return False
 
     pos = next_unassigned(0)
     if pos == E:
@@ -641,7 +651,9 @@ def h1_class_census(X: SimplicialComplex, lam: TableGroup,
     """Gauge-mode census: count every cohomology class.
 
     Classes biject with constant-conjugation orbits of tree-trivial
-    cocycles; cross-checked against the brute census in the tests.
+    cocycles; cross-checked against the brute census in the tests.  Every
+    such cocycle is kept, so ``cap`` also bounds their number times
+    |X(1)|; past it the census raises ResourceLimitError.
     """
     sols = _gauge_solutions(X, lam, cap)
     classes = _conjugation_classes(sols, lam)

@@ -23,8 +23,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+# np.unique reads np.ma, which numpy 2 loads on first use; load it here so
+# that no computation pays for the import
+import numpy.ma  # noqa: F401
 
 from .errors import (InputError, ParameterError, ResourceLimitError,
                      StructureError)
@@ -72,6 +73,52 @@ def _unique_rows(rows: np.ndarray, base: int, counts: bool = False):
     starts = np.flatnonzero(fresh)
     cnt = np.diff(np.append(starts, len(keys)))
     return uniq, cnt
+
+
+def _neighbours(edges: np.ndarray, V: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency lists (indptr, nbrs) of a graph on V vertices.
+
+    The neighbours of v are nbrs[indptr[v]:indptr[v + 1]], in no
+    particular order; each edge is listed once from either end.
+    """
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    indptr = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=V), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+def _component_count(edges: np.ndarray, V: int) -> int:
+    """Connected components of a graph, by breadth-first search.
+
+    Each layer is expanded at once: the frontier's neighbour lists are
+    gathered into one array and the unseen vertices in it, each kept once,
+    form the next layer.  Isolated vertices are counted without a search.
+    Apart from the one sort that groups the edges by endpoint, each layer
+    costs time linear in its edges, so the search is linear in V + E.
+    """
+    indptr, nbrs = _neighbours(edges, V)
+    unseen = indptr[1:] > indptr[:-1]
+    comps = V - int(np.count_nonzero(unseen))
+    last = np.empty(V, dtype=np.int64)
+    for root in np.flatnonzero(unseen).tolist():
+        if not unseen[root]:
+            continue
+        comps += 1
+        unseen[root] = False
+        frontier = np.array([root])
+        while len(frontier):
+            hi = indptr[frontier + 1]
+            cnt = hi - indptr[frontier]
+            pos = np.repeat(hi - np.cumsum(cnt), cnt) + np.arange(cnt.sum())
+            found = nbrs[pos]
+            found = found[unseen[found]]
+            # keep each vertex at its last occurrence in the layer
+            at = np.arange(len(found))
+            last[found] = at
+            frontier = found[last[found] == at]
+            unseen[frontier] = False
+    return comps
 
 
 class SimplicialComplex:
@@ -255,23 +302,12 @@ class SimplicialComplex:
 
     # -- 1-skeleton ----------------------------------------------------
 
-    def adjacency(self):
-        """Symmetric sparse 0/1 adjacency of the 1-skeleton."""
-        e = self.faces(1)
-        V = self.vertex_count
-        ones = np.ones(len(e), dtype=np.int64)
-        return coo_matrix(
-            (np.concatenate([ones, ones]),
-             (np.concatenate([e[:, 0], e[:, 1]]),
-              np.concatenate([e[:, 1], e[:, 0]]))),
-            shape=(V, V)).tocsr()
+    def component_count(self) -> int:
+        """Number of connected components of the 1-skeleton."""
+        return _component_count(self.faces(1), self.vertex_count)
 
     def is_connected(self) -> bool:
-        if self.vertex_count <= 1:
-            return True
-        ncomp = connected_components(self.adjacency(), directed=False,
-                                     return_labels=False)
-        return int(ncomp) == 1
+        return self.component_count() <= 1
 
     def __repr__(self):
         cs = "partite" if self.colors is not None else "uncolored"

@@ -5,12 +5,13 @@ proportional to the edge weight.  Because every edge weight is its
 maximal-face containment count over a fixed denominator, integer counts
 drive all matrix assembly and the stationary distribution is exactly the
 normalized vertex weight vector.  Floating point enters only in the
-eigensolver, one sparse Lanczos solve per walk from a seeded start vector,
-and every computed eigenvalue is certified by the residual of its Ritz
-pair.  On a coset complex the report solves one link per color type of
-face, since left translation makes all links of a type isomorphic; on any
-other complex it solves every link.  The KO report solves one vertex
-link, which gamma_0^i conjugates onto the color-i one.
+eigensolver: one Lanczos run per walk, from a seeded start vector, on the
+complement of the known top eigenvector; every computed eigenvalue is
+certified by the residual of its Ritz pair.  On a coset complex the
+report solves one link per color type of face, since left translation
+makes all links of a type isomorphic; on any other complex it solves
+every link.  The KO report solves one vertex link, which gamma_0^i
+conjugates onto the color-i one.
 """
 
 from __future__ import annotations
@@ -22,18 +23,39 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+# numpy 2 loads np.random on first use; load it here so that no solve pays
+# for the import
+import numpy.random  # noqa: F401
 
 from .complexes import SimplicialComplex, coset_complex, link
 from .errors import NumericalError, ParameterError, StructureError
 
 EIG_TOL = 1e-9  # residual bound; eigenvalue error is at most this
+# Lanczos stops once its Ritz residual estimate is this small; ||S|| = 1,
+# so this is the size of the rounding error in one product S @ x
+_NEGLIGIBLE = 1e-15
 
 
 # ---------------------------------------------------------------------------
 # walk matrices
+
+
+@dataclasses.dataclass(frozen=True)
+class SymmetricForm:
+    """A symmetric V x V matrix by its nonzero entries, both triangles.
+
+    ``S @ x`` is one ``bincount``: entry k adds vals[k] * x[cols[k]] to
+    row rows[k].
+    """
+
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.vals * x[self.cols],
+                           minlength=self.size)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,23 +83,21 @@ class WalkMatrix:
         P[v, u] = self.edge_counts / self.strength[v]
         return P
 
-    def symmetric(self):
-        """Sparse D^{1/2} P D^{-1/2}; same spectrum, symmetric.
+    def symmetric(self) -> SymmetricForm:
+        """D^{1/2} P D^{-1/2}; same spectrum, symmetric.
 
-        Built once per walk; every call returns the same CSR matrix.
+        Built once per walk; every call returns the same form.
         """
         return self._symmetric
 
     @functools.cached_property
-    def _symmetric(self):
+    def _symmetric(self) -> SymmetricForm:
         u, v = self.edges[:, 0], self.edges[:, 1]
         root = np.sqrt(self.strength.astype(np.float64))
         val = self.edge_counts / (root[u] * root[v])
-        V = self.vertex_count
-        return coo_matrix(
-            (np.concatenate([val, val]),
-             (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(V, V)).tocsr()
+        return SymmetricForm(self.vertex_count, np.concatenate([u, v]),
+                             np.concatenate([v, u]),
+                             np.concatenate([val, val]))
 
     def stationary(self) -> np.ndarray:
         return self.strength / self.strength.sum()
@@ -100,16 +120,11 @@ def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
     strength = np.zeros(X.vertex_count, dtype=np.int64)
     np.add.at(strength, edges[:, 0], ec)
     np.add.at(strength, edges[:, 1], ec)
-    M = WalkMatrix(X.vertex_count, edges, ec, strength)
-    # edge weights are positive, so S has the 1-skeleton's sparsity pattern;
-    # S is symmetric, so its strong components are the undirected ones, and
-    # the directed search reads the CSR as is, with no conversion to CSC
-    ncomp = int(connected_components(M.symmetric(), directed=True,
-                                     connection="strong", return_labels=False))
+    ncomp = X.component_count()
     if ncomp != 1:
         raise StructureError(
             f"1-skeleton is disconnected ({ncomp} components)")
-    return M
+    return WalkMatrix(X.vertex_count, edges, ec, strength)
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +135,23 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
                       seed: int = 0) -> float:
     """Second-largest eigenvalue of the walk, certified to ``tol``.
 
-    Lanczos (ARPACK's ``eigsh``, the two largest algebraic eigenvalues,
-    run to machine precision) on the symmetric form S, with its start
-    vector and restarts drawn from ``seed``.  For a symmetric S some
-    eigenvalue lies within ||Sx - lam x|| of lam for any unit x, so that
-    residual is the certificate: above ``tol`` it raises NumericalError
-    carrying it.  ARPACK needs more vertices than requested eigenvalues;
-    a connected walk on two vertices is a single edge with spectrum
+    The top eigenpair of the symmetric form S is known: eigenvalue 1, with
+    unit eigenvector u proportional to sqrt(strength).  So lambda_2 is the
+    largest eigenvalue of S on the complement of u, and a Lanczos run
+    finds it there from a start vector drawn from ``seed``.  Each new
+    Lanczos vector is orthogonalized twice against u and every earlier
+    one (full reorthogonalization).  After step j, the largest eigenpair
+    (theta, s) of the j x j tridiagonal matrix T_j gives the Ritz pair
+    (theta, Q_j s), whose residual is |beta_j s_j| in exact arithmetic.
+    The run stops when that is negligible, which covers beta_j ~ 0 (the
+    Krylov space is invariant, and a random start has a component in
+    every eigenspace), or after V - 1 steps, the dimension of the
+    complement.
+
+    For a symmetric S some eigenvalue lies within ||Sx - lam x|| of lam
+    for any unit x, so that residual, computed afresh from S, is the
+    certificate: above ``tol`` it raises NumericalError carrying it.  A
+    connected walk on two vertices is a single edge with spectrum
     {1, -1}.
     """
     V = M.vertex_count
@@ -135,16 +160,38 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
     if V == 2:
         return -1.0
     S = M.symmetric()
-    # the generator also feeds ARPACK's restarts, which it takes whenever
-    # the Krylov space closes early (few distinct eigenvalues); without it
-    # they draw from OS entropy and the last bits differ between calls
-    rng = np.random.default_rng(seed)
-    try:
-        vals, vecs = eigsh(S, k=2, which="LA", tol=0,
-                           v0=rng.standard_normal(V), rng=rng)
-    except ArpackNoConvergence as exc:
-        raise NumericalError(f"Lanczos did not converge: {exc}") from exc
-    lam, x = float(vals[0]), vecs[:, 0]
+    root = np.sqrt(M.strength.astype(np.float64))
+    # row 0 is u, rows 1..j the Lanczos vectors; grown by doubling
+    Q = np.empty((min(V, 32), V))
+    Q[0] = root / np.linalg.norm(root)
+    w = np.random.default_rng(seed).standard_normal(V)
+    alphas: list[float] = []
+    betas: list[float] = []
+    j, check = 0, 1
+    while True:
+        B = Q[:j + 1]
+        for _ in range(2):
+            w -= (B @ w) @ B
+        beta = float(np.linalg.norm(w))
+        if j == check or beta <= _NEGLIGIBLE or j == V - 1:
+            T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            theta, s = np.linalg.eigh(T)
+            if beta * abs(s[-1, -1]) <= _NEGLIGIBLE or j == V - 1:
+                break
+            # a long run checks every ~j/8 steps, so the O(j^3) checks
+            # cost a constant factor over the last one
+            check = j + 1 + j // 8
+        if j:
+            betas.append(beta)
+        j += 1
+        if j == len(Q):
+            Q = np.concatenate([Q, np.empty((min(j, V - j), V))])
+        Q[j] = w / beta
+        w = S @ Q[j]
+        alphas.append(float(Q[j] @ w))
+    lam = float(theta[-1])
+    x = s[:, -1] @ Q[1:j + 1]
+    x /= np.linalg.norm(x)
     res = float(np.linalg.norm(S @ x - lam * x))
     if res > tol:
         raise NumericalError(

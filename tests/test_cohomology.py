@@ -306,6 +306,16 @@ def test_h1_census_pins():
     assert h1_class_census(fx.octahedron(), zmod(2)).classes == 1
 
 
+def test_h1_census_caps_kept_solutions():
+    # the census keeps all 9 tree-trivial cocycles of the torus over Z/3,
+    # 21 edge values each: a cap of 9 * 21 holds them and one less does not
+    tor = fx.torus_7()
+    assert h1_class_census(tor, zmod(3), cap=9 * 21).classes == 9
+    with pytest.raises(ResourceLimitError, match="edge values") as exc:
+        h1_class_census(tor, zmod(3), cap=9 * 21 - 1)
+    assert exc.value.partial_count == 9
+
+
 def test_h1_census_matches_gf_p_oracle():
     cases = [fx.single_triangle(), fx.tetrahedron_sphere(),
              fx.octahedron(), fx.torus_7(), two_fold_triangle(),

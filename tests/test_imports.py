@@ -1,0 +1,61 @@
+"""What the package loads, and when.
+
+scipy is a test-only oracle: no cosetx module may import it.  numpy 2
+loads some of its submodules (``numpy.random``, ``numpy.ma``) on first
+use; the cosetx modules that use them load them at import, so a timed run
+never pays for an import.  Each check runs in a fresh interpreter that
+imports a benchmark workload's modules as ``perfbench/workloads.py`` lists
+them and then runs a small version of that workload.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+RUNS = {
+    "ko-links": ("from cosetx.spectral import ko_link_report\n"
+                 "ko_link_report(3, 2, 2, 1, threshold=1.0)\n"),
+    "ko-complex": ("from cosetx.cohomology import h1_trivial, zmod\n"
+                   "from cosetx.complexes import build_ko_complex\n"
+                   "from cosetx.spectral import local_spectral_report\n"
+                   "X = build_ko_complex(2, 2, 2, 1)\n"
+                   "local_spectral_report(X, 0.999)\n"
+                   "h1_trivial(X, zmod(2))\n"),
+    "suite": ("import contextlib, io\n"
+              "from cosetx.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['suite', '--quick']) == 0\n"),
+}
+
+PROBE = """\
+import importlib, json, sys
+sys.path.insert(0, {perfbench!r})
+import workloads
+
+def numpy_modules():
+    return {{m for m in sys.modules if m.split(".")[0] == "numpy"}}
+
+for mod in workloads.WORKLOADS[{name!r}].imports:
+    importlib.import_module(mod)
+before = numpy_modules()
+{run}
+print(json.dumps({{
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "numpy_loaded_in_run": sorted(numpy_modules() - before),
+}}))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_workload_imports_no_scipy_and_loads_nothing_in_run(name):
+    code = PROBE.format(perfbench=str(PERFBENCH), name=name, run=RUNS[name])
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    got = json.loads(r.stdout.splitlines()[-1])
+    assert got == {"scipy": [], "numpy_loaded_in_run": []}

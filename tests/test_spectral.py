@@ -12,12 +12,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetx import fixtures as fx
 from cosetx.complexes import (
     SimplicialComplex,
+    _component_count,
     build_ko_complex,
     coset_complex,
     dumps_complex,
@@ -68,7 +69,9 @@ def test_symmetric_form_has_same_spectrum():
     X = fx.torus_7()
     M = walk_matrix(X)
     vals_p = np.sort(np.linalg.eigvals(M.transition()).real)
-    vals_s = np.sort(np.linalg.eigvalsh(M.symmetric().toarray()))
+    S = M.symmetric()
+    dense = np.column_stack([S @ e for e in np.eye(M.vertex_count)])
+    vals_s = np.sort(np.linalg.eigvalsh(dense))
     assert np.allclose(vals_p, vals_s)
 
 
@@ -79,6 +82,16 @@ def test_walk_matrix_validation():
         walk_matrix(SimplicialComplex(0, 2, [[0], [1]]))
 
 
+def _scipy_component_count(edges, V):
+    """Undirected components by scipy's csgraph, the test-only oracle."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    A = sparse.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                          shape=(V, V))
+    return int(csgraph.connected_components(A, directed=False,
+                                            return_labels=False))
+
+
 @pytest.mark.parametrize("X", [
     fx.two_triangles_disjoint(),
     link(fx.bowtie(), (0,)),
@@ -86,15 +99,26 @@ def test_walk_matrix_validation():
     SimplicialComplex(1, 7, [[0, 1], [2, 3], [3, 4], [5, 6]]),
 ], ids=["two-triangles", "bowtie-link", "three-pieces"])
 def test_walk_matrix_component_count_is_undirected(X):
-    """walk_matrix counts the strong components of its symmetric matrix;
-    they must be the undirected components of the 1-skeleton."""
-    edges = X.faces(1)
-    V = X.vertex_count
-    A = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(V, V))
-    want = connected_components(A, directed=False, return_labels=False)
+    """component_count, is_connected and walk_matrix's error all see the
+    undirected components of the 1-skeleton."""
+    want = _scipy_component_count(X.faces(1), X.vertex_count)
     assert want > 1
+    assert X.component_count() == want and not X.is_connected()
     with pytest.raises(StructureError, match=rf"disconnected \({want} components\)"):
         walk_matrix(X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda V: st.tuples(
+    st.just(V),
+    st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)),
+             max_size=2 * V))))
+def test_component_count_matches_csgraph_on_random_graphs(graph):
+    # vertices that no edge touches are components of their own
+    V, pairs = graph
+    edges = np.array(sorted({(min(a, b), max(a, b)) for a, b in pairs
+                             if a != b}), dtype=np.int64).reshape(-1, 2)
+    assert _component_count(edges, V) == _scipy_component_count(edges, V)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +174,29 @@ def test_lanczos_matches_oracle_on_small_graphs():
         assert got == pytest.approx(oracles.walk_second_eigenvalue(X),
                                     abs=TOL), name
         assert second_eigenvalue(M) == got, name   # fixed seed
+
+
+def _arpack_second(M):
+    """lambda_2 by scipy's ARPACK, the test-only oracle for the solver."""
+    sparse = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    S, V = M.symmetric(), M.vertex_count
+    A = sparse.coo_matrix((S.vals, (S.rows, S.cols)), shape=(V, V)).tocsr()
+    v0 = np.random.default_rng(0).standard_normal(V)
+    vals = linalg.eigsh(A, k=2, which="LA", tol=0, v0=v0,
+                        return_eigenvectors=False)
+    return float(np.sort(vals)[0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ko_vertex_link(3, 2, 3, 1),
+    lambda: ko_vertex_link(2, 5, 3, 1),
+    lambda: ko_vertex_link(2, 3, 2, 1),
+    lambda: build_ko_complex(2, 2, 2, 1),
+], ids=["link-3-2-3-1", "link-2-5-3-1", "link-2-3-2-1", "ko-2-2-2-1"])
+def test_lanczos_matches_arpack(build):
+    M = walk_matrix(build())
+    assert abs(second_eigenvalue(M) - _arpack_second(M)) <= 1e-12
 
 
 def test_residual_certificate_rejects_tight_tolerance():
