@@ -25,6 +25,12 @@ builds C^1 edge by edge in lex order and drops a partial cochain as soon
 as it fails a triangle whose three edges are all set; it uses no tree and
 no propagation, and its work follows the cocycles it finds.
 
+The spanning tree is the BFS forest that the complex owns and caches
+(``SimplicialComplex.spanning_forest``; its order contract is stated in
+``complexes._spanning_forest``).  Edges, the triangle -> edge index and
+the face counts are read from the complex's own cached tables as well,
+so this module keeps no copy of them.
+
 Norms are exact rationals; the distance between cochains is the weighted
 measure of their disagreement set, which is orientation-independent since
 phi and psi agree at (u, v) iff they agree at (v, u).
@@ -111,12 +117,15 @@ def coefficients_from_table(text: str, name: str = "table") -> TableGroup:
 def parse_coefficients(spec: str) -> TableGroup:
     """zmod:m | sym:k | table:FILE"""
     kind, _, arg = spec.partition(":")
-    if kind == "zmod" and arg:
-        return zmod(int(arg))
-    if kind == "sym" and arg:
-        return sym(int(arg))
+    if kind in ("zmod", "sym") and arg:
+        try:
+            k = int(arg)
+        except ValueError:
+            raise InputError(f"{kind} needs an integer, got {arg!r}") from None
+        return zmod(k) if kind == "zmod" else sym(k)
     if kind == "table" and arg:
-        with open(arg) as fh:
+        # undecodable bytes become U+FFFD, so a binary file fails to parse
+        with open(arg, errors="replace") as fh:
             return coefficients_from_table(fh.read(), name=f"table:{arg}")
     raise InputError(f"cannot parse coefficient spec {spec!r}")
 
@@ -214,112 +223,13 @@ def identity_cochain1(X: SimplicialComplex, lam: TableGroup
 
 
 # ---------------------------------------------------------------------------
-# skeleton bookkeeping (cached per complex)
+# connectivity
 
 
-@dataclasses.dataclass
-class _Skeleton:
-    edges: np.ndarray          # (E, 2) canonical rows of faces(1)
-    tri_edges: np.ndarray      # (T, 3) edge indices: (ab, bc, ac)
-    edge_cnt: np.ndarray       # maximal-face counts per edge
-    vert_cnt: np.ndarray
-    tri_cnt: np.ndarray
-    parent: np.ndarray         # BFS forest, -1 at roots
-    parent_edge: np.ndarray    # edge index to parent, -1 at roots
-    bfs_order: np.ndarray
-    tree_mask: np.ndarray      # (E,) tree-edge flags
-    n_components: int
-
-
-def _bfs_forest(edges: np.ndarray, V: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(parent, parent_edge, bfs_order, n_components), one layer at a time.
-
-    The CSR adjacency is sorted by (source, neighbour), so the frontier's
-    neighbour lists, concatenated in frontier order, are the FIFO scan of
-    that layer; the first occurrence of each unseen neighbour in that scan
-    is its discovery, and its position there orders the next layer.
-    """
-    E = len(edges)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    eid = np.concatenate([np.arange(E), np.arange(E)])
-    by = np.lexsort((dst, src))
-    src, dst, eid = src[by], dst[by], eid[by]
-    deg = np.bincount(src, minlength=V)
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    parent = np.full(V, -1, dtype=np.int64)
-    parent_edge = np.full(V, -1, dtype=np.int64)
-    unseen = np.ones(V, dtype=bool)
-    layers = []
-    comps = 0
-    root = 0
-    while root < V and unseen[root]:
-        comps += 1
-        frontier = np.array([root], dtype=np.int64)
-        unseen[root] = False
-        while len(frontier):
-            layers.append(frontier)
-            cnt = deg[frontier]
-            pos = (np.repeat(indptr[frontier] - np.cumsum(cnt) + cnt, cnt)
-                   + np.arange(int(cnt.sum())))
-            pos = pos[unseen[dst[pos]]]
-            _, first = np.unique(dst[pos], return_index=True)
-            pos = pos[np.sort(first)]
-            frontier = dst[pos]
-            unseen[frontier] = False
-            parent[frontier] = src[pos]
-            parent_edge[frontier] = eid[pos]
-        # the next root is the least unseen vertex; argmax stops there
-        root += int(np.argmax(unseen[root:]))
-    order = np.concatenate(layers) if layers else np.empty(0, np.int64)
-    return parent, parent_edge, order, comps
-
-
-def _skeleton(X: SimplicialComplex) -> _Skeleton:
-    """Edge and triangle incidence, weights and a BFS forest, cached on X.
-
-    The forest is the plain BFS that tree_gauge_fix documents and the
-    gauge search depends on: each component is searched from its least
-    vertex (vertex 0 first), roots in increasing order; a vertex's
-    neighbours are scanned in increasing order and the queue is FIFO, so
-    a vertex's parent is its first discoverer and bfs_order lists the
-    vertices in discovery order.
-    """
-    sk = getattr(X, "_coho_skeleton", None)
-    if sk is not None:
-        return sk
-    edges = X.faces(1)
-    V = X.vertex_count
-    tris = X.faces(2)
-    if len(tris):
-        ab = X.face_index_array(tris[:, [0, 1]])
-        bc = X.face_index_array(tris[:, [1, 2]])
-        ac = X.face_index_array(tris[:, [0, 2]])
-        tri_edges = np.stack([ab, bc, ac], axis=1)
-    else:
-        tri_edges = np.empty((0, 3), dtype=np.int64)
-    parent, parent_edge, order, comps = _bfs_forest(edges, V)
-    tree_mask = np.zeros(len(edges), dtype=bool)
-    tree_mask[parent_edge[parent_edge >= 0]] = True
-    sk = _Skeleton(edges=edges, tri_edges=tri_edges,
-                   edge_cnt=X.containment_counts(1),
-                   vert_cnt=X.containment_counts(0),
-                   tri_cnt=X.containment_counts(2) if X.n >= 2 else
-                   np.empty(0, dtype=np.int64),
-                   parent=parent, parent_edge=parent_edge,
-                   bfs_order=order, tree_mask=tree_mask,
-                   n_components=comps)
-    X._coho_skeleton = sk
-    return sk
-
-
-def _require_connected(X: SimplicialComplex):
-    sk = _skeleton(X)
-    if sk.n_components != 1:
-        raise InputError(
-            f"1-skeleton is disconnected ({sk.n_components} components)")
-    return sk
+def _require_connected(X: SimplicialComplex) -> None:
+    comps = X.component_count()
+    if comps != 1:
+        raise InputError(f"1-skeleton is disconnected ({comps} components)")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +241,7 @@ def d0(X: SimplicialComplex, psi: Cochain0) -> Cochain1:
     if len(psi.values) != X.vertex_count:
         raise InputError("0-cochain size does not match the complex")
     lam = psi.lam
-    e = _skeleton(X).edges
+    e = X.faces(1)
     vals = lam.table[psi.values[e[:, 0]], lam.inv[psi.values[e[:, 1]]]]
     return Cochain1(lam, vals)
 
@@ -341,7 +251,7 @@ def d1(X: SimplicialComplex, phi: Cochain1) -> np.ndarray:
     if len(phi.values) != X.face_count(1):
         raise InputError("1-cochain size does not match the complex")
     lam = phi.lam
-    te = _skeleton(X).tri_edges
+    te = X.triangle_edges()
     v = phi.values
     return lam.table[lam.table[v[te[:, 0]], v[te[:, 1]]],
                      lam.inv[v[te[:, 2]]]]
@@ -354,7 +264,7 @@ def is_cocycle(X: SimplicialComplex, phi: Cochain1) -> bool:
 def _apply_gauge(X: SimplicialComplex, psi_vals: np.ndarray, phi: Cochain1
                  ) -> Cochain1:
     lam = phi.lam
-    e = _skeleton(X).edges
+    e = X.faces(1)
     left = lam.table[psi_vals[e[:, 0]], phi.values]
     return Cochain1(lam, lam.table[left, lam.inv[psi_vals[e[:, 1]]]])
 
@@ -377,15 +287,15 @@ def _tree_potential(X: SimplicialComplex, phi: Cochain1) -> np.ndarray:
     d0 psi agrees with phi on every tree edge, so phi is a coboundary iff
     d0 psi = phi, and the gauge by psi^-1 makes phi the identity on the tree.
     """
-    sk = _skeleton(X)
+    parent, parent_edge, order, _ = X.spanning_forest()
     lam = phi.lam
     psi = np.full(X.vertex_count, lam.identity, dtype=np.int64)
-    edges = sk.edges
-    for v in sk.bfs_order:
-        u = sk.parent[v]
+    edges = X.faces(1)
+    for v in order:
+        u = parent[v]
         if u < 0:
             continue
-        ei = sk.parent_edge[v]
+        ei = parent_edge[v]
         val = int(phi.values[ei])
         if edges[ei, 0] != u:          # canonical row is (v, u)
             val = int(lam.inv[val])
@@ -394,11 +304,11 @@ def _tree_potential(X: SimplicialComplex, phi: Cochain1) -> np.ndarray:
 
 
 def tree_gauge_fix(X: SimplicialComplex, phi: Cochain1) -> Cochain1:
-    """Gauge phi to the identity on a fixed BFS spanning tree.
+    """Gauge phi to the identity on the BFS spanning tree of X.
 
-    The tree is rooted at vertex 0 with neighbors scanned in increasing
-    order, so the result is deterministic.  Requires a connected complex
-    and a cocycle.
+    The tree is X.spanning_forest(), rooted at vertex 0; its order
+    contract makes the result deterministic.  Requires a connected
+    complex and a cocycle.
     """
     _require_connected(X)
     if not is_cocycle(X, phi):
@@ -485,13 +395,14 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
     (``stop_after`` None), the edge values the kept solutions hold: past
     either it raises ResourceLimitError.
     """
-    sk = _require_connected(X)
-    E = len(sk.edges)
+    _require_connected(X)
+    E = X.face_count(1)
     m, e0 = lam.size, lam.identity
     t, inv = lam.table.tolist(), lam.inv.tolist()
     # memoryviews of int64 arrays read and write plain ints with no numpy
     # scalar in between, and unlike lists they hold no int object per entry
-    flat = np.ascontiguousarray(sk.tri_edges, dtype=np.int64).reshape(-1)
+    flat = np.ascontiguousarray(X.triangle_edges(),
+                                dtype=np.int64).reshape(-1)
     tri = memoryview(flat)
     # edge -> triangle incidence as CSR over the slots (3 per triangle);
     # the stable sort lists each edge's triangles in increasing order, and
@@ -550,7 +461,8 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
 
     pending: list[int] = []
     ok = True
-    for epos in np.flatnonzero(sk.tree_mask).tolist():
+    parent_edge = X.spanning_forest()[1]
+    for epos in np.sort(parent_edge[parent_edge >= 0]).tolist():
         ok = ok and set_edge(epos, e0, pending)
     ok = ok and propagate(pending)
     if not ok:
@@ -689,7 +601,7 @@ def _enumerate_coboundaries(X: SimplicialComplex, lam: TableGroup,
     if m ** V > cap:
         raise ResourceLimitError(
             f"|Lambda|^|X(0)| = {m}**{V} exceeds cap {cap}")
-    e = _skeleton(X).edges
+    e = X.faces(1)
     out: set[tuple[int, ...]] = set()
     for psi in _digit_blocks(m, V):
         vals = lam.table[psi[:, e[:, 0]], lam.inv[psi[:, e[:, 1]]]]
@@ -708,15 +620,14 @@ def _enumerate_cocycles(X: SimplicialComplex, lam: TableGroup,
     The rows so stand for every cochain of C^1; no spanning tree or
     propagation is involved, so the result is independent of gauge mode.
     """
-    sk = _skeleton(X)
-    E = len(sk.edges)
+    E = X.face_count(1)
     m = lam.size
     if m ** E > cap:
         raise ResourceLimitError(
             f"|Lambda|^|X(1)| = {m}**{E} exceeds cap {cap}")
     t, inv = lam.table, lam.inv
     e0 = lam.identity
-    te = sk.tri_edges
+    te = X.triangle_edges()
     last = te.max(axis=1)
     # int16 holds every index below MAX_COEFF_ORDER in a quarter of the
     # bytes that int64 takes
@@ -750,7 +661,7 @@ def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
             raise StructureError("B^1 does not partition Z^1 evenly")
         classes = len(cocycles) // len(b1)
     else:
-        e = _skeleton(X).edges
+        e = X.faces(1)
         t, inv = lam.table, lam.inv
         zset = set(cocycles)
         seen: set[tuple[int, ...]] = set()
@@ -819,10 +730,10 @@ def expansion_h0(X: SimplicialComplex, lam: TableGroup,
         raise ParameterError("expansion needs a non-trivial group")
     if X.n < 1:
         raise InputError("expansion_h0 needs a 1-skeleton")
-    sk = _skeleton(X)
     V = X.vertex_count
-    ecnt = sk.edge_cnt
-    vcnt = sk.vert_cnt
+    edges = X.faces(1)
+    ecnt = X.containment_counts(1)
+    vcnt = X.containment_counts(0)
     wt = WeightTable(X)
     d_edge, d_vert = wt.denominator(1), wt.denominator(0)
     total_v = int(vcnt.sum())
@@ -832,9 +743,9 @@ def expansion_h0(X: SimplicialComplex, lam: TableGroup,
                 f"2**{V - 1} vertex subsets exceed cap {cap}")
         # vertex V-1 pinned outside; {S, S^c} pairs then appear once
         subs = np.arange(1, 2 ** (V - 1), dtype=np.uint64)
-        u, w = sk.edges[:, 0], sk.edges[:, 1]
+        u, w = edges[:, 0], edges[:, 1]
         num = np.zeros(len(subs), dtype=np.int64)
-        for ei in range(len(sk.edges)):
+        for ei in range(len(edges)):
             cross = ((subs >> np.uint64(u[ei])) ^
                      (subs >> np.uint64(w[ei]))) & np.uint64(1)
             num += cross.astype(np.int64) * int(ecnt[ei])
@@ -848,7 +759,7 @@ def expansion_h0(X: SimplicialComplex, lam: TableGroup,
     if _stirling2_total(V, bmax) > cap:
         raise ResourceLimitError(
             f"partition count exceeds cap {cap}")
-    eu, ev = sk.edges[:, 0], sk.edges[:, 1]
+    eu, ev = edges[:, 0], edges[:, 1]
     best = None
     for lab in _partitions_upto(V, bmax):
         arr = lab  # list of ints, block ids 0..bmax-1
@@ -935,7 +846,7 @@ def _span_blocks(basis: np.ndarray, p: int):
         yield (idx[:, None] // place % p) @ basis % p
 
 
-def _z1_basis(sk: _Skeleton, p: int
+def _z1_basis(X: SimplicialComplex, p: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d1m, pivots, z_basis) over F_p.
 
@@ -944,9 +855,10 @@ def _z1_basis(sk: _Skeleton, p: int
     rref of d1m, so each coset a + Z^1 has exactly one member supported
     on the pivot columns.
     """
-    E = len(sk.edges)
-    d1m = np.zeros((len(sk.tri_edges), E), dtype=np.int64)
-    d1m[np.arange(len(d1m))[:, None], sk.tri_edges] = [1, 1, -1]
+    E = X.face_count(1)
+    te = X.triangle_edges()
+    d1m = np.zeros((len(te), E), dtype=np.int64)
+    d1m[np.arange(len(d1m))[:, None], te] = [1, 1, -1]
     R, pivots = _rref_mod_p(d1m, p)
     free = np.setdiff1d(np.arange(E), pivots)
     z_basis = np.eye(E, dtype=np.int64)[free]
@@ -1002,8 +914,7 @@ def _expansion_h1_zp(X: SimplicialComplex, lam: TableGroup,
     all cosets (_coset_min_weights).  The systole is the least weight in
     Z^1 outside B^1, the row space of d0^T.  No step multiplies floats.
     """
-    sk = _skeleton(X)
-    E, p = len(sk.edges), lam.size
+    E, p = X.face_count(1), lam.size
     if p ** E > cap:
         raise ResourceLimitError(
             f"|Lambda|^|X(1)| = {p}**{E} exceeds cap {cap}")
@@ -1017,12 +928,12 @@ def _expansion_h1_zp(X: SimplicialComplex, lam: TableGroup,
         cur = int(lam.table[cur, g])
     if not np.array_equal(res[lam.table], (res[:, None] + res[None, :]) % p):
         raise StructureError(f"{lam.name} is not cyclic of order {p}")
-    ecnt, tcnt = sk.edge_cnt, sk.tri_cnt
+    ecnt, tcnt = X.containment_counts(1), X.containment_counts(2)
     wt = WeightTable(X)
     d_edge, d_tri = wt.denominator(1), wt.denominator(2)
-    d1m, pivots, z_basis = _z1_basis(sk, p)
+    d1m, pivots, z_basis = _z1_basis(X, p)
     d0t = np.zeros((X.vertex_count, E), dtype=np.int64)
-    d0t[sk.edges, np.arange(E)[:, None]] = [1, -1]
+    d0t[X.faces(1), np.arange(E)[:, None]] = [1, -1]
     b_rref, b_pivots = _rref_mod_p(d0t, p)
     nontrivial = len(z_basis) > len(b_rref)
     systole = None
@@ -1054,13 +965,12 @@ def _ratio_to(X: SimplicialComplex, lam: TableGroup):
     Both norms are exact in the normalized weights; the ratio is None when
     vals lies in ref, where the distance is 0.
     """
-    sk = _skeleton(X)
-    E = len(sk.edges)
+    E = X.face_count(1)
     t, inv = lam.table, lam.inv
     e0 = lam.identity
-    te = sk.tri_edges
-    ecnt = sk.edge_cnt
-    tcnt = sk.tri_cnt
+    te = X.triangle_edges()
+    ecnt = X.containment_counts(1)
+    tcnt = X.containment_counts(2)
     wt = WeightTable(X)
     d_edge, d_tri = wt.denominator(1), wt.denominator(2)
 
@@ -1084,15 +994,14 @@ def _ratio_to(X: SimplicialComplex, lam: TableGroup):
 
 def _expansion_h1_generic(X: SimplicialComplex, lam: TableGroup,
                           cap: int) -> ExpansionH1Report:
-    sk = _skeleton(X)
-    E = len(sk.edges)
+    E = X.face_count(1)
     m = lam.size
     if m ** E > cap:
         raise ResourceLimitError(
             f"|Lambda|^|X(1)| = {m}**{E} exceeds cap {cap}")
     b1set = _enumerate_coboundaries(X, lam, cap)
     z1 = _enumerate_cocycles(X, lam, cap)
-    ecnt = sk.edge_cnt
+    ecnt = X.containment_counts(1)
     e0 = lam.identity
     nontriv = [v for v in z1 if v not in b1set]
     systole = None
@@ -1122,13 +1031,13 @@ def _expansion_h1_search(X: SimplicialComplex, lam: TableGroup,
     reported value is a true upper bound); the minimization over C^1 is
     heuristic.  h^1_cosys and the systole are not estimated.
     """
-    E = len(_skeleton(X).edges)
+    E = X.face_count(1)
     m = lam.size
     b1 = sorted(_enumerate_coboundaries(X, lam, cap))
     ratio = _ratio_to(X, lam)
     rng = random.Random(seed)
     best: Fraction | None = None
-    for _ in range(max(1, iters)):
+    for _ in range(iters):
         vals = [rng.randrange(m) for _ in range(E)]
         r = ratio(vals, b1)
         improved = True
@@ -1166,6 +1075,8 @@ def expansion_h1(X: SimplicialComplex, lam: TableGroup,
     """
     if lam.size < 2:
         raise ParameterError("expansion needs a non-trivial group")
+    if iters < 1:
+        raise ParameterError(f"iters must be at least 1, got {iters}")
     if X.n < 2:
         raise InputError("expansion_h1 needs a 2-dimensional complex")
     _require_connected(X)

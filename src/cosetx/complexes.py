@@ -6,6 +6,11 @@ lower-dimensional face tables are derived on demand and cached together
 with maximal-face containment counts, which is exactly the data the weight
 function needs.  Weights are exact rationals throughout.
 
+The 1-skeleton is searched once per complex: ``spanning_forest`` caches
+its BFS forest, whose order contract ``_spanning_forest`` states.  The
+component count, the walk's connectivity check and the tree gauge of
+``cohomology`` all read that one search.
+
 Coset complexes are built from the group orbit of the base chamber
 {K_0, ..., K_n}: every face with pairwise intersecting cosets lies in some
 translate g.{K_0, ..., K_n}, so the orbit enumeration is O(|G|) instead of
@@ -75,50 +80,58 @@ def _unique_rows(rows: np.ndarray, base: int, counts: bool = False):
     return uniq, cnt
 
 
-def _neighbours(edges: np.ndarray, V: int) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency lists (indptr, nbrs) of a graph on V vertices.
+def _spanning_forest(edges: np.ndarray, V: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(parent, parent_edge, order, n_components) of a graph's BFS forest.
 
-    The neighbours of v are nbrs[indptr[v]:indptr[v + 1]], in no
-    particular order; each edge is listed once from either end.
+    The order contract: each component is searched from its least vertex,
+    roots in increasing order; a vertex scans its neighbours in increasing
+    order, whatever the order of the edge rows, and the queue is FIFO.  So
+    a vertex's parent is its first discoverer, and ``order`` lists the
+    vertices in discovery order.  ``parent_edge`` holds row indices into
+    ``edges``; both it and ``parent`` are -1 at the roots.
+
+    The arcs are sorted once by (source, neighbour), so the frontier's
+    neighbour lists, concatenated in frontier order, are the FIFO scan of
+    a layer.  The least scan position of each unseen neighbour, found by
+    ``np.minimum.at``, is its discovery, and the next layer keeps the
+    discoveries in scan order.
     """
+    parent = np.full(V, -1, dtype=np.int64)
+    parent_edge = np.full(V, -1, dtype=np.int64)
+    E = len(edges)
+    if not E:                      # every vertex is a component of its own
+        return parent, parent_edge, np.arange(V, dtype=np.int64), V
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    indptr = np.zeros(V + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=V), out=indptr[1:])
-    return indptr, dst[np.argsort(src, kind="stable")]
-
-
-def _component_count(edges: np.ndarray, V: int) -> int:
-    """Connected components of a graph, by breadth-first search.
-
-    Each layer is expanded at once: the frontier's neighbour lists are
-    gathered into one array and the unseen vertices in it, each kept once,
-    form the next layer.  Isolated vertices are counted without a search.
-    Apart from the one sort that groups the edges by endpoint, each layer
-    costs time linear in its edges, so the search is linear in V + E.
-    """
-    indptr, nbrs = _neighbours(edges, V)
-    unseen = indptr[1:] > indptr[:-1]
-    comps = V - int(np.count_nonzero(unseen))
-    last = np.empty(V, dtype=np.int64)
-    for root in np.flatnonzero(unseen).tolist():
-        if not unseen[root]:
-            continue
+    arcs = np.argsort(src * V + dst, kind="stable")
+    nbr = dst[arcs]
+    deg = np.bincount(src, minlength=V)
+    start = np.cumsum(deg) - deg
+    first = np.full(V, len(arcs), dtype=np.int64)
+    # a sentinel at V stops the scan for the next root
+    unseen = np.ones(V + 1, dtype=bool)
+    layers, comps, root = [], 0, 0
+    while root < V:
         comps += 1
         unseen[root] = False
-        frontier = np.array([root])
+        frontier = np.array([root], dtype=np.int64)
         while len(frontier):
-            hi = indptr[frontier + 1]
-            cnt = hi - indptr[frontier]
-            pos = np.repeat(hi - np.cumsum(cnt), cnt) + np.arange(cnt.sum())
-            found = nbrs[pos]
-            found = found[unseen[found]]
-            # keep each vertex at its last occurrence in the layer
-            at = np.arange(len(found))
-            last[found] = at
-            frontier = found[last[found] == at]
+            layers.append(frontier)
+            cnt = deg[frontier]
+            pos = (np.repeat(start[frontier] - np.cumsum(cnt) + cnt, cnt)
+                   + np.arange(int(cnt.sum())))
+            pos = pos[unseen[nbr[pos]]]
+            found, at = nbr[pos], np.arange(len(pos))
+            # a vertex is found in one layer only, so first needs no reset
+            np.minimum.at(first, found, at)
+            arc = arcs[pos[first[found] == at]]
+            frontier = dst[arc]
             unseen[frontier] = False
-    return comps
+            parent[frontier] = src[arc]
+            parent_edge[frontier] = arc % E
+        root += int(np.argmax(unseen[root:]))
+    return parent, parent_edge, np.concatenate(layers), comps
 
 
 class SimplicialComplex:
@@ -131,6 +144,11 @@ class SimplicialComplex:
     ``coset_data`` is the CosetStructure that ``coset_complex`` sets on
     the complexes it builds; every other complex (fixtures, loaded files,
     links of nonempty faces, quotients) keeps None.
+
+    The complex owns every derived table and caches each on first use:
+    the face tables with their containment counts, the triangle -> edge
+    index, the vertex incidence, and the one BFS forest of the 1-skeleton
+    (``spanning_forest``), from which the component count is read.
     """
 
     def __init__(self, n: int, vertex_count: int, max_faces,
@@ -156,6 +174,8 @@ class SimplicialComplex:
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._keys: dict[int, np.ndarray] = {}
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
+        self._tri_edges: np.ndarray | None = None
+        self._forest: tuple | None = None
         self._validate()
 
     def _validate(self):
@@ -300,11 +320,34 @@ class SimplicialComplex:
             raise InputError("some row is not a face of the complex")
         return pos
 
+    def triangle_edges(self) -> np.ndarray:
+        """(T, 3) positions in faces(1) of the edges ab, bc, ac of each
+        triangle abc of faces(2), cached; no rows below dimension 2."""
+        if self._tri_edges is None:
+            tris = self.faces(2)
+            self._tri_edges = np.empty((0, 3), dtype=np.int64)
+            if self.n >= 2:
+                self._tri_edges = np.stack(
+                    [self.face_index_array(tris[:, c])
+                     for c in ([0, 1], [1, 2], [0, 2])], axis=1)
+        return self._tri_edges
+
     # -- 1-skeleton ----------------------------------------------------
+
+    def spanning_forest(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       int]:
+        """(parent, parent_edge, order, n_components), cached.
+
+        The one breadth-first search of the 1-skeleton, with the order
+        contract of ``_spanning_forest``; parent_edge indexes faces(1).
+        """
+        if self._forest is None:
+            self._forest = _spanning_forest(self.faces(1), self.vertex_count)
+        return self._forest
 
     def component_count(self) -> int:
         """Number of connected components of the 1-skeleton."""
-        return _component_count(self.faces(1), self.vertex_count)
+        return self.spanning_forest()[3]
 
     def is_connected(self) -> bool:
         return self.component_count() <= 1
@@ -582,24 +625,42 @@ def save_complex(X: SimplicialComplex, path) -> None:
         fh.write(dumps_complex(X))
 
 
+def _int_list(vals, width: int | None = None) -> bool:
+    """Is vals a JSON list of int64 integers, of the given width if any?"""
+    return (isinstance(vals, list) and width in (None, len(vals))
+            and all(type(v) is int and abs(v) < 2 ** 63 for v in vals))
+
+
 def loads_complex(text: str) -> SimplicialComplex:
+    """Parse the dumps_complex format: a JSON header line, then one JSON
+    list of n + 1 integer vertices per maximal face.  Anything else, such
+    as a ragged row or a float vertex, raises InputError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError("empty complex file")
     try:
         header = json.loads(lines[0])
-        n = int(header["n"])
-        vc = int(header["vertex_count"])
+        n, vc = header["n"], header["vertex_count"]
         colors = header.get("colors")
         rows = [json.loads(ln) for ln in lines[1:]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed complex file: {exc}") from exc
+    if not _int_list([n, vc]) or n < -1 or vc < 0:
+        raise InputError("malformed complex file: need integers n >= -1 "
+                         "and vertex_count >= 0")
+    if colors is not None and not _int_list(colors):
+        raise InputError("malformed complex file: colors must be integers")
+    for i, row in enumerate(rows, 2):
+        if not _int_list(row, n + 1):
+            raise InputError(f"malformed complex file: line {i} is not a "
+                             f"list of {n + 1} integers")
     mf = np.array(rows, dtype=np.int64).reshape(len(rows), n + 1)
     return SimplicialComplex(n, vc, mf, colors=colors)
 
 
 def load_complex(path) -> SimplicialComplex:
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, so a binary file fails to parse
+    with open(path, errors="replace") as fh:
         return loads_complex(fh.read())
 
 

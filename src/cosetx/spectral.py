@@ -111,7 +111,9 @@ def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
     """The weighted walk on the 1-skeleton of X.
 
     The walk only depends on the edge containment counts.  A disconnected
-    1-skeleton raises StructureError.
+    1-skeleton raises StructureError; the component count is read from
+    the complex's cached BFS forest (``SimplicialComplex.spanning_forest``),
+    which H^1 reuses on the same complex.
     """
     if X.n < 1:
         raise ParameterError("a 0-dimensional complex has no 1-skeleton walk")

@@ -477,6 +477,62 @@ def test_usage_errors_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+# every malformed input below must exit 2 with an "error:" line and no
+# traceback, whichever command reads it
+_HEAD = '{"n":2,"vertex_count":3,"colors":null}\n'
+BAD_COMPLEXES = {
+    "ragged": _HEAD + "[0,1,2]\n[0,1]\n",
+    "wrong-width": _HEAD + "[0,1,2,3]\n",
+    "non-numeric": _HEAD + '[0,"one",2]\n',
+    "negative-n": '{"n":-3,"vertex_count":0}\n',
+    "float-vertex": _HEAD + "[0,1,2.5]\n",
+    "binary": b"\xff\xfe\x00[",
+}
+FILE_COMMANDS = {
+    "complex-stats": ["complex", "stats", "{file}"],
+    "cohomology-h1": ["cohomology", "h1", "--complex", "{file}",
+                      "--lambda", "zmod:2"],
+    "expansion-h1": ["expansion", "h1", "--complex", "{file}",
+                     "--lambda", "zmod:2"],
+    "spectral-links": ["spectral", "links", "--complex", "{file}",
+                       "--threshold", "0.5"],
+}
+ROBUSTNESS_CASES = [
+    pytest.param(cmd, BAD_COMPLEXES[bad], id=f"{name}-{bad}")
+    for name, cmd in FILE_COMMANDS.items() for bad in BAD_COMPLEXES
+] + [
+    pytest.param(FILE_COMMANDS[name][:-1] + [spec], None,
+                 id=f"{name}-{spec}")
+    for name in ("cohomology-h1", "expansion-h1")
+    for spec in ("zmod:x", "sym:y", "table:{table}")
+] + [
+    pytest.param(FILE_COMMANDS["expansion-h1"]
+                 + ["--mode", "search", "--iters", iters], None,
+                 id=f"expansion-h1-iters{iters}")
+    for iters in ("-3", "0")
+]
+
+
+@pytest.mark.parametrize("argv,text", ROBUSTNESS_CASES)
+def test_malformed_input_exits_2(capsys, tmp_path, torus_file, argv, text):
+    path, table = torus_file, tmp_path / "table.txt"
+    table.write_bytes(BAD_COMPLEXES["binary"])
+    if text is not None:
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = cli.main([a.format(file=path, table=table) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_complex_cases_are_one_defect_each(capsys, tmp_path):
+    # the header and row they share load, so each case tests its own defect
+    path = tmp_path / "ok.jsonl"
+    path.write_text(_HEAD + "[0,1,2]\n")
+    assert cli.main(["complex", "stats", str(path)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # subprocess behavior
 

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetx import cohomology
+from cosetx import cohomology, complexes
 from cosetx import fixtures as fx
 from cosetx.cohomology import (
     Cochain0,
@@ -54,7 +54,7 @@ from cosetx.cohomology import (
 from cosetx.complexes import SimplicialComplex, build_ko_complex, weights
 from cosetx.errors import InputError, ParameterError, ResourceLimitError
 from cosetx.groups import TableGroup, symmetric_group
-from cosetx.spectral import ko_vertex_link
+from cosetx.spectral import ko_vertex_link, local_spectral_report
 
 import oracles
 
@@ -113,7 +113,8 @@ def test_parse_coefficients(tmp_path):
     lam = parse_coefficients(f"table:{path}")
     assert lam.size == 3
     assert np.array_equal(lam.table, zmod(3).table)
-    for bad in ("", "zmod", "table:", "foo:3"):
+    for bad in ("", "zmod", "table:", "foo:3", "zmod:x", "sym:y",
+                "zmod:2.5"):
         with pytest.raises(InputError):
             parse_coefficients(bad)
 
@@ -451,9 +452,10 @@ def test_ko_vertex_link_census_pins():
 # BFS forest of the 1-skeleton
 
 
-def _forest(sk):
-    return (sk.parent.tolist(), sk.parent_edge.tolist(),
-            sk.bfs_order.tolist(), sk.n_components)
+def _forest(forest):
+    """A forest tuple as the Python lists oracles.bfs_forest returns."""
+    parent, parent_edge, order, comps = forest
+    return parent.tolist(), parent_edge.tolist(), order.tolist(), comps
 
 
 # every builder in cosetx.fixtures, with arguments where it takes some
@@ -476,20 +478,20 @@ def test_fixture_args_cover_the_module():
 def test_skeleton_matches_bfs_oracle_on_fixtures(name):
     X = getattr(fx, name)(*FIXTURE_ARGS[name])
     want = oracles.bfs_forest(X.faces(1).tolist(), X.vertex_count)
-    assert _forest(cohomology._skeleton(X)) == want
+    assert _forest(X.spanning_forest()) == want
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_skeleton_matches_bfs_oracle_on_ko_graphs(p):
     X = build_ko_complex(1, p, 2, 1)
     want = oracles.bfs_forest(X.faces(1).tolist(), X.vertex_count)
-    assert _forest(cohomology._skeleton(X)) == want
+    assert _forest(X.spanning_forest()) == want
 
 
 def test_skeleton_matches_bfs_oracle_on_ko_complex(ko2221):
     X = ko2221
     want = oracles.bfs_forest(X.faces(1).tolist(), X.vertex_count)
-    assert _forest(cohomology._skeleton(X)) == want
+    assert _forest(X.spanning_forest()) == want
 
 
 def test_bfs_forest_matches_oracle_on_random_graphs():
@@ -504,10 +506,9 @@ def test_bfs_forest_matches_oracle_on_random_graphs():
         # rows in any order: edge i is row i whatever its position
         rows = pairs[:]
         rng.shuffle(rows)
-        got = cohomology._bfs_forest(
+        got = complexes._spanning_forest(
             np.array(rows, dtype=np.int64).reshape(-1, 2), V)
-        assert (got[0].tolist(), got[1].tolist(), got[2].tolist(),
-                got[3]) == oracles.bfs_forest(rows, V)
+        assert _forest(got) == oracles.bfs_forest(rows, V)
         covered = {v for e in pairs for v in e}
         if not pairs:
             X = SimplicialComplex(0, V, [[v] for v in range(V)])
@@ -516,12 +517,27 @@ def test_bfs_forest_matches_oracle_on_random_graphs():
         else:
             X = None
         if X is not None:
-            assert _forest(cohomology._skeleton(X)) == want
+            assert _forest(X.spanning_forest()) == want
         hit["components"] += want[3] > 1
         hit["isolated"] += len(covered) < V
         hit["single"] += V == 1
         hit["edgeless"] += not pairs
     assert all(hit.values()), hit
+
+
+def test_spectral_report_and_h1_search_the_skeleton_once(monkeypatch):
+    X = fx.torus_7()
+    bfs, searched = complexes._spanning_forest, []
+
+    def spy(edges, V):
+        searched.append(edges is X.faces(1))
+        return bfs(edges, V)
+
+    monkeypatch.setattr(complexes, "_spanning_forest", spy)
+    local_spectral_report(X, 0.999)
+    h1_trivial(X, zmod(2))
+    # X once, through walk_matrix; each solved link once more
+    assert searched.count(True) == 1 and len(searched) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +684,9 @@ def test_h1_expansion_zp_pins():
 def test_coset_min_weights_match_syndrome_sweep(build, p):
     # the octahedron over Z/5 (5^12 cochains) is beyond the sweep's reach
     X = build()
-    sk = cohomology._skeleton(X)
-    _, pivots, z_basis = cohomology._z1_basis(sk, p)
-    got = cohomology._coset_min_weights(z_basis, pivots, sk.edge_cnt, p)
+    _, pivots, z_basis = cohomology._z1_basis(X, p)
+    got = cohomology._coset_min_weights(z_basis, pivots,
+                                        X.containment_counts(1), p)
     d1m, least = oracles.coset_min_weights(X, p)
     assert len(got) == len(least)
     c = np.zeros(X.face_count(1), dtype=np.int64)
@@ -724,6 +740,10 @@ def test_h1_expansion_validation():
         expansion_h1(fx.cycle_complex(6), zmod(2))      # no triangles
     with pytest.raises(ParameterError):
         expansion_h1(fx.single_triangle(), zmod(1))
+    for iters in (0, -3):
+        with pytest.raises(ParameterError, match="iters"):
+            expansion_h1(fx.single_triangle(), zmod(2), mode="search",
+                         iters=iters)
     with pytest.raises(InputError):
         expansion_h1(fx.two_triangles_disjoint(), zmod(2))
     with pytest.raises(InputError):

@@ -41,13 +41,29 @@ class TestSimplicialComplex:
         assert set(X.containment_counts(1).tolist()) == {2}
         assert set(X.containment_counts(0).tolist()) == {4}
 
-    def test_adjacency_symmetric(self):
-        X = fixtures.petersen_graph()
-        indptr, nbrs = complexes._neighbours(X.faces(1), X.vertex_count)
-        arcs = {(u, int(v)) for u in range(X.vertex_count)
-                for v in nbrs[indptr[u]:indptr[u + 1]]}
-        assert arcs == {(v, u) for u, v in arcs}
-        assert len(nbrs) == len(arcs) == 2 * len(X.faces(1))
+    def test_spanning_forest_walks_edges_both_ways(self):
+        # vertex 1 is reached only across (1, 2), from the edge's high end
+        X = SimplicialComplex(1, 3, [[0, 2], [1, 2]])
+        assert X.spanning_forest()[0].tolist() == [-1, 2, 0]
+        assert X.is_connected()
+
+    @pytest.mark.parametrize("X", [fixtures.petersen_graph(),
+                                   fixtures.two_triangles_disjoint()],
+                             ids=["petersen", "two-triangles"])
+    def test_spanning_forest_is_a_bfs_forest(self, X):
+        parent, parent_edge, order, comps = X.spanning_forest()
+        assert X.spanning_forest()[0] is parent            # cached
+        assert sorted(order.tolist()) == list(range(X.vertex_count))
+        roots = parent < 0
+        assert np.array_equal(roots, parent_edge < 0)
+        assert int(roots.sum()) == comps == X.component_count()
+        kids = np.flatnonzero(~roots)
+        # each tree edge joins a vertex to its parent, found earlier
+        tree = X.faces(1)[parent_edge[kids]]
+        pairs = np.sort(np.stack([kids, parent[kids]], axis=1), axis=1)
+        assert np.array_equal(tree, pairs)
+        rank = np.argsort(order)
+        assert (rank[parent[kids]] < rank[kids]).all()
 
     def test_disconnected_detected(self):
         assert not fixtures.two_triangles_disjoint().is_connected()
@@ -315,8 +331,23 @@ class TestSerialization:
         assert np.array_equal(X.max_faces, Y.max_faces)
 
     def test_malformed_rejected(self):
-        with pytest.raises(InputError):
-            loads_complex("not a complex\n")
+        head = '{"n":2,"vertex_count":3,"colors":null}\n'
+        for text in ["not a complex\n",
+                     head + "[0,1,2]\n[0,1]\n",          # ragged
+                     '{"n":1,"vertex_count":3}\n[0,1,2]\n',
+                     head + '[0,"a",2]\n',
+                     head + "[0,1,2.5]\n",                # no truncation
+                     head + "[0,1,true]\n",
+                     head + "[0,1,99999999999999999999]\n",
+                     head + "{}\n",
+                     '{"n":-3,"vertex_count":0}\n',
+                     '{"n":2.0,"vertex_count":3}\n[0,1,2]\n',
+                     '{"n":2,"vertex_count":-1}\n[0,1,2]\n',
+                     '{"n":2,"vertex_count":3,"colors":"abc"}\n[0,1,2]\n',
+                     '{"n":2,"vertex_count":3,"colors":[0,1,2.5]}\n[0,1,2]\n',
+                     "[1]\n[0,1,2]\n"]:
+            with pytest.raises(InputError):
+                loads_complex(text)
 
 
 class TestKOComplex:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cosetx import fixtures as fx
 from cosetx.complexes import (
     SimplicialComplex,
-    _component_count,
+    _spanning_forest,
     build_ko_complex,
     coset_complex,
     dumps_complex,
@@ -118,7 +118,7 @@ def test_component_count_matches_csgraph_on_random_graphs(graph):
     V, pairs = graph
     edges = np.array(sorted({(min(a, b), max(a, b)) for a, b in pairs
                              if a != b}), dtype=np.int64).reshape(-1, 2)
-    assert _component_count(edges, V) == _scipy_component_count(edges, V)
+    assert _spanning_forest(edges, V)[3] == _scipy_component_count(edges, V)
 
 
 # ---------------------------------------------------------------------------
