@@ -23,7 +23,10 @@ taken on faith: the brute mode re-decides everything from all of C^0 and
 all of C^1, and the test suite cross-validates the two mode answers.  It
 builds C^1 edge by edge in lex order and drops a partial cochain as soon
 as it fails a triangle whose three edges are all set; it uses no tree and
-no propagation, and its work follows the cocycles it finds.
+no propagation, and its work follows the cocycles it finds.  Z^1 and B^1
+are each one int16 array of rows in lex order; membership goes through
+base-|Lambda| int64 codes, edge 0 the most significant digit, so code
+order is lex order.
 
 The spanning tree is the BFS forest that the complex owns and caches
 (``SimplicialComplex.spanning_forest``; its order contract is stated in
@@ -44,13 +47,14 @@ F_p-linear with kernel Z^1, and translation by a cocycle permutes Z^1, so
 ||d1 a|| and dist(a, Z^1) are constant on each coset a + Z^1; the scan
 visits one cochain per coset.  dist(a, Z^1) is the least weight on the
 coset, and one min-plus recursion over a basis of Z^1 gives it for every
-coset at once, in integers.  Other Lambda are swept over all of C^1.
+coset at once, in integers.  Other Lambda scan all of C^1 a block of
+rows at a time, each row's distance to Z^1 taken against the whole Z^1
+array in integer face counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -538,10 +542,11 @@ def h1_trivial(X: SimplicialComplex, lam: TableGroup,
     the witness is the lexicographically least nontrivial one.  brute mode
     independently lists Z^1 by extending cochains edge by edge and
     checking each triangle once its three edges are set, computes B^1
-    from all of C^0 in one gather per block, and counts gauge orbits; it
-    is the oracle the gauge mode is validated against and requires
-    |Lambda|^|X(1)| and |Lambda|^|X(0)| within cap.  Its witness is the
-    lexicographically least cocycle that is not a coboundary.
+    from all of C^0 in one gather per block, and counts gauge orbits with
+    a seen-mask over the cocycles; it is the oracle the gauge mode is
+    validated against and requires |Lambda|^|X(1)| and |Lambda|^|X(0)|
+    within cap.  Its witness is the lexicographically least cocycle that
+    is not a coboundary.
     """
     if X.n < 1:
         raise InputError("H^1 needs a complex with edges")
@@ -581,37 +586,62 @@ def h1_class_census(X: SimplicialComplex, lam: TableGroup,
 
 
 _BRUTE_CHUNK = 1 << 16
+# entries of the rows x references x edges comparison held at once
+_PAIR_BUDGET = 1 << 24
+
+
+def _check_cap(X: SimplicialComplex, m: int, k: int, cap: int) -> None:
+    """The |Lambda|^|X(k)| cochains of degree k within cap."""
+    if m ** X.face_count(k) > cap:
+        raise ResourceLimitError(f"|Lambda|^|X({k})| = "
+                                 f"{m}**{X.face_count(k)} exceeds cap {cap}")
+
+
+def _place(m: int, k: int) -> np.ndarray:
+    """Place values of k-digit base-m int64 codes, digit 0 the most
+    significant; past 2^63 codes, whatever the cap, raises."""
+    if m ** k >= 1 << 63:
+        raise ResourceLimitError(
+            f"{m}**{k} cochains overflow the int64 cochain codes")
+    return m ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
 
 def _digit_blocks(m: int, k: int):
     """Every k-digit base-m string, most significant digit first, in lex
     order and in blocks of at most _BRUTE_CHUNK rows."""
-    place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    place = _place(m, k)
     total = m ** k
     for lo in range(0, total, _BRUTE_CHUNK):
         idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total), dtype=np.int64)
         yield idx[:, None] // place % m
 
 
-def _enumerate_coboundaries(X: SimplicialComplex, lam: TableGroup,
-                            cap: int) -> set[tuple[int, ...]]:
-    """d0 psi for every psi in C^0, one gather per block of psi."""
-    V = X.vertex_count
-    m = lam.size
-    if m ** V > cap:
-        raise ResourceLimitError(
-            f"|Lambda|^|X(0)| = {m}**{V} exceeds cap {cap}")
+def _orbit_codes(X: SimplicialComplex, lam: TableGroup, phi: np.ndarray):
+    """Codes (see _place) of psi.phi for every psi in C^0, one gather per
+    block of psi."""
     e = X.faces(1)
-    out: set[tuple[int, ...]] = set()
-    for psi in _digit_blocks(m, V):
-        vals = lam.table[psi[:, e[:, 0]], lam.inv[psi[:, e[:, 1]]]]
-        out.update(map(tuple, vals.tolist()))
-    return out
+    t, inv = lam.table, lam.inv
+    place = _place(lam.size, len(e))
+    for psi in _digit_blocks(lam.size, X.vertex_count):
+        yield t[t[psi[:, e[:, 0]], phi], inv[psi[:, e[:, 1]]]] @ place
+
+
+def _enumerate_coboundaries(X: SimplicialComplex, lam: TableGroup,
+                            cap: int) -> np.ndarray:
+    """B^1 = {d0 psi : psi in C^0}, the orbit of the identity cochain, as
+    unique int16 rows in lex order: deduplicated per block and at the end.
+    """
+    E, m = X.face_count(1), lam.size
+    _check_cap(X, m, 0, cap)
+    ident = np.full(E, lam.identity)
+    codes = np.unique(np.concatenate(
+        [np.unique(c) for c in _orbit_codes(X, lam, ident)]))
+    return (codes[:, None] // _place(m, E) % m).astype(np.int16)
 
 
 def _enumerate_cocycles(X: SimplicialComplex, lam: TableGroup,
-                        cap: int) -> list[tuple[int, ...]]:
-    """Every cocycle, in lexicographic order of value tuples.
+                        cap: int) -> np.ndarray:
+    """Every cocycle, as int16 rows in lexicographic order.
 
     Partial cochains are extended one edge at a time, edge 0 the most
     significant digit: each row is repeated |Lambda| times and the next
@@ -622,9 +652,7 @@ def _enumerate_cocycles(X: SimplicialComplex, lam: TableGroup,
     """
     E = X.face_count(1)
     m = lam.size
-    if m ** E > cap:
-        raise ResourceLimitError(
-            f"|Lambda|^|X(1)| = {m}**{E} exceeds cap {cap}")
+    _check_cap(X, m, 1, cap)
     t, inv = lam.table, lam.inv
     e0 = lam.identity
     te = X.triangle_edges()
@@ -641,43 +669,41 @@ def _enumerate_cocycles(X: SimplicialComplex, lam: TableGroup,
             prod = t[t[vals[:, ea], vals[:, eb]], inv[vals[:, ec]]]
             vals = vals[prod == e0]
         rows = vals
-    return list(map(tuple, rows.tolist()))
+    return rows
+
+
+def _z1_outside_b1(X: SimplicialComplex, lam: TableGroup, cap: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Z^1 as rows in lex order, their codes, the mask of the cocycles
+    outside B^1)."""
+    b1 = _enumerate_coboundaries(X, lam, cap)
+    z1 = _enumerate_cocycles(X, lam, cap)
+    place = _place(lam.size, X.face_count(1))
+    zcodes = z1 @ place
+    return z1, zcodes, ~np.isin(zcodes, b1 @ place)
 
 
 def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
               ) -> H1Result:
     _require_connected(X)
-    b1 = _enumerate_coboundaries(X, lam, cap)
-    cocycles = _enumerate_cocycles(X, lam, cap)
+    z1, zcodes, outside = _z1_outside_b1(X, lam, cap)
     witness = None
-    for phi in cocycles:
-        if phi not in b1:
-            witness = Cochain1(lam, np.array(phi))
-            break
-    abelian = bool(np.array_equal(lam.table, lam.table.T))
-    if abelian:
-        # orbits are cosets phi.B^1, so the census is a division
-        if len(cocycles) % len(b1):
-            raise StructureError("B^1 does not partition Z^1 evenly")
-        classes = len(cocycles) // len(b1)
-    else:
-        e = X.faces(1)
-        t, inv = lam.table, lam.inv
-        zset = set(cocycles)
-        seen: set[tuple[int, ...]] = set()
-        classes = 0
-        for phi in cocycles:
-            if phi in seen:
-                continue
-            classes += 1
-            base = np.array(phi, dtype=np.int64)
-            # psi.phi for a whole block of psi in one gather
-            for psi in _digit_blocks(lam.size, X.vertex_count):
-                imgs = set(map(tuple, t[t[psi[:, e[:, 0]], base],
-                                        inv[psi[:, e[:, 1]]]].tolist()))
-                if not imgs <= zset:
-                    raise StructureError("gauge action left Z^1")
-                seen |= imgs
+    if outside.any():
+        witness = Cochain1(lam, z1[np.argmax(outside)])
+    # each class is the orbit of its least unseen cocycle
+    seen = np.zeros(len(z1), dtype=bool)
+    classes = 0
+    while not seen.all():
+        classes += 1
+        for imgs in _orbit_codes(X, lam, z1[np.argmin(seen)]):
+            pos = np.minimum(np.searchsorted(zcodes, imgs), len(z1) - 1)
+            if (zcodes[pos] != imgs).any():
+                raise StructureError("gauge action left Z^1")
+            seen[pos] = True
+    # for Abelian Lambda the orbits are the cosets phi.B^1
+    if np.array_equal(lam.table, lam.table.T) and \
+            len(z1) != classes * int((~outside).sum()):
+        raise StructureError("B^1 does not partition Z^1 evenly")
     return H1Result(classes == 1, witness, "brute", classes=classes)
 
 
@@ -685,36 +711,27 @@ def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
 # expansion constants
 
 
-def _stirling2_total(V: int, bmax: int) -> int:
-    """Number of partitions of V labeled items into 2..bmax blocks."""
-    row = [1] + [0] * V            # S(0, j)
-    prev = row
-    for i in range(1, V + 1):
-        cur = [0] * (V + 1)
-        for j in range(1, i + 1):
-            cur[j] = prev[j - 1] + j * prev[j]
-        prev = cur
-    return sum(prev[2:bmax + 1])
+def _partition_rows(V: int, bmax: int, cap: int) -> np.ndarray:
+    """Every partition of the V vertices into at most bmax blocks, as
+    restricted growth rows in lex order: vertex 0 is in block 0, and each
+    later vertex joins a used block or the next new one.  Rows are extended
+    one vertex at a time, as in _enumerate_cocycles; a count past ``cap``,
+    not counting the one-block partition, raises before the rows are built.
+    """
+    rows = np.zeros((1, 1), dtype=np.int16)
+    labels = np.arange(bmax, dtype=np.int16)
+    for _ in range(1, V):
+        keep = labels <= rows.max(axis=1)[:, None] + 1
+        grow = keep.sum(axis=1)
+        if int(grow.sum()) - 1 > cap:
+            raise ResourceLimitError(f"partition count exceeds cap {cap}")
+        rows = np.column_stack([np.repeat(rows, grow, axis=0),
+                                np.broadcast_to(labels, keep.shape)[keep]])
+    return rows
 
 
-def _partitions_upto(V: int, bmax: int):
-    """Restricted growth strings with at most bmax blocks."""
-    a = [0] * V
-    mx = [0] * V                  # running max of a[:i+1]
-    i = V - 1
-    yield a
-    while i > 0:
-        limit = min(mx[i - 1] + 1, bmax - 1)
-        if a[i] < limit:
-            a[i] += 1
-            mx[i] = max(mx[i - 1], a[i])
-            for j in range(i + 1, V):
-                a[j] = 0
-                mx[j] = mx[i]
-            yield a
-            i = V - 1
-        else:
-            i -= 1
+# rows per h^0 block: the edge gathers stay at a few MB for hundreds of edges
+_H0_CHUNK = 1 << 14
 
 
 def expansion_h0(X: SimplicialComplex, lam: TableGroup,
@@ -723,8 +740,10 @@ def expansion_h0(X: SimplicialComplex, lam: TableGroup,
 
     The ratio depends only on the partition of the vertices into level
     sets of phi, so the search runs over partitions with at most |Lambda|
-    blocks instead of all |Lambda|^|X(0)| cochains; |Lambda| = 2 gets a
-    vectorized subset scan.
+    blocks instead of all |Lambda|^|X(0)| cochains, one row of block labels
+    each (_partition_rows).  For |Lambda| = 2 the rows are the subsets that
+    hold vertex V-1 out, built a block at a time from their bits.  The cut
+    and largest-block weights of a block of rows come from array products.
     """
     if lam.size < 2:
         raise ParameterError("expansion needs a non-trivial group")
@@ -737,45 +756,31 @@ def expansion_h0(X: SimplicialComplex, lam: TableGroup,
     wt = WeightTable(X)
     d_edge, d_vert = wt.denominator(1), wt.denominator(0)
     total_v = int(vcnt.sum())
+    bmax = min(lam.size, V)
     if lam.size == 2:
         if V - 1 > 24 or 2 ** (V - 1) > cap:
             raise ResourceLimitError(
                 f"2**{V - 1} vertex subsets exceed cap {cap}")
-        # vertex V-1 pinned outside; {S, S^c} pairs then appear once
-        subs = np.arange(1, 2 ** (V - 1), dtype=np.uint64)
-        u, w = edges[:, 0], edges[:, 1]
-        num = np.zeros(len(subs), dtype=np.int64)
-        for ei in range(len(edges)):
-            cross = ((subs >> np.uint64(u[ei])) ^
-                     (subs >> np.uint64(w[ei]))) & np.uint64(1)
-            num += cross.astype(np.int64) * int(ecnt[ei])
-        side = np.zeros(len(subs), dtype=np.int64)
-        for v in range(V):
-            inside = (subs >> np.uint64(v)) & np.uint64(1)
-            side += inside.astype(np.int64) * int(vcnt[v])
-        den = np.minimum(side, total_v - side)
+        # 2^(V-1) rows of V labels would not fit: only one block is held
+        bits = np.arange(V)
+        blocks = ((np.arange(lo, min(lo + _H0_CHUNK, 2 ** (V - 1)))[:, None]
+                   >> bits & 1).astype(np.int16)
+                  for lo in range(0, 2 ** (V - 1), _H0_CHUNK))
+    else:
+        rows = _partition_rows(V, bmax, cap)
+        blocks = (rows[lo:lo + _H0_CHUNK]
+                  for lo in range(0, len(rows), _H0_CHUNK))
+
+    def block_ratio(blk: np.ndarray) -> Fraction | None:
+        num = np.einsum("re,e->r", blk[:, edges[:, 0]] != blk[:, edges[:, 1]],
+                        ecnt)
+        heavy = np.max([np.einsum("rv,v->r", blk == b, vcnt)
+                        for b in range(bmax)], axis=0)
+        den = total_v - heavy           # 0 on the one-block partition only
         return _exact_min_ratio(num, den, den > 0, d_edge, d_vert)
-    bmax = min(lam.size, V)
-    if _stirling2_total(V, bmax) > cap:
-        raise ResourceLimitError(
-            f"partition count exceeds cap {cap}")
-    eu, ev = edges[:, 0], edges[:, 1]
-    best = None
-    for lab in _partitions_upto(V, bmax):
-        arr = lab  # list of ints, block ids 0..bmax-1
-        if max(arr) == 0:
-            continue                       # constant phi, in B^0
-        num = 0
-        for ei in range(len(eu)):
-            if arr[eu[ei]] != arr[ev[ei]]:
-                num += int(ecnt[ei])
-        blocks: dict[int, int] = {}
-        for v in range(V):
-            blocks[arr[v]] = blocks.get(arr[v], 0) + int(vcnt[v])
-        den = total_v - max(blocks.values())
-        r = Fraction(num * d_vert, den * d_edge)
-        if best is None or r < best:
-            best = r
+
+    best = min((r for r in map(block_ratio, blocks) if r is not None),
+               default=None)
     if best is None:
         raise InputError("no non-constant cochain exists")
     return best
@@ -915,9 +920,7 @@ def _expansion_h1_zp(X: SimplicialComplex, lam: TableGroup,
     Z^1 outside B^1, the row space of d0^T.  No step multiplies floats.
     """
     E, p = X.face_count(1), lam.size
-    if p ** E > cap:
-        raise ResourceLimitError(
-            f"|Lambda|^|X(1)| = {p}**{E} exceeds cap {cap}")
+    _check_cap(X, p, 1, cap)
     # residues res[g^k] = k for the least non-identity g: checked to turn
     # the table into addition mod p, under which d1 has rows ab + bc - ac
     g = 1 if lam.identity == 0 else 0
@@ -959,65 +962,58 @@ def _expansion_h1_zp(X: SimplicialComplex, lam: TableGroup,
                              mode="exact", exact=True)
 
 
-def _ratio_to(X: SimplicialComplex, lam: TableGroup):
-    """ratio(vals, ref): ||d1 vals|| over the distance from vals to ref.
+def _min_ratio_to(X: SimplicialComplex, lam: TableGroup, rows: np.ndarray,
+                  ref: np.ndarray) -> Fraction | None:
+    """Least ||d1 a|| / dist(a, ref) over the rows a outside ref, exact;
+    None when every row lies in ref.
 
-    Both norms are exact in the normalized weights; the ratio is None when
-    vals lies in ref, where the distance is 0.
+    Both norms are integer face counts over their denominators: ||d1 a||
+    sums the containment counts of the triangles where d1 a is not the
+    identity, dist(a, ref) the least sum of edge containment counts where
+    a and a row of ref differ.  The rows x ref x |X(1)| comparison runs in
+    chunks of at most _PAIR_BUDGET entries.
     """
-    E = X.face_count(1)
     t, inv = lam.table, lam.inv
-    e0 = lam.identity
     te = X.triangle_edges()
     ecnt = X.containment_counts(1)
-    tcnt = X.containment_counts(2)
+    d1 = t[t[rows[:, te[:, 0]], rows[:, te[:, 1]]], inv[rows[:, te[:, 2]]]]
+    num = (d1 != lam.identity) @ X.containment_counts(2)
+    E = rows.shape[1]
+    ref_step = max(1, min(len(ref), _PAIR_BUDGET // E))
+    row_step = max(1, _PAIR_BUDGET // (ref_step * E))
+    dist = np.full(len(rows), np.iinfo(np.int64).max)
+    for lo in range(0, len(rows), row_step):
+        a = rows[lo:lo + row_step, None, :]
+        near = dist[lo:lo + row_step]
+        for k in range(0, len(ref), ref_step):
+            # einsum casts the booleans a buffer at a time, not as a copy
+            diff = np.einsum("rse,e->rs", a != ref[k:k + ref_step], ecnt)
+            np.minimum(near, diff.min(axis=1), out=near)
     wt = WeightTable(X)
-    d_edge, d_tri = wt.denominator(1), wt.denominator(2)
-
-    def ratio(vals, ref) -> Fraction | None:
-        dv = None
-        for other in ref:
-            d = sum(int(ecnt[ei]) for ei in range(E)
-                    if vals[ei] != other[ei])
-            if dv is None or d < dv:
-                dv = d
-                if dv == 0:
-                    return None
-        num = 0
-        for ti, (ea, eb, ec) in enumerate(te):
-            if t[t[vals[ea], vals[eb]], inv[vals[ec]]] != e0:
-                num += int(tcnt[ti])
-        return Fraction(num * d_edge, dv * d_tri)
-
-    return ratio
+    return _exact_min_ratio(num, dist, dist > 0, wt.denominator(2),
+                            wt.denominator(1))
 
 
 def _expansion_h1_generic(X: SimplicialComplex, lam: TableGroup,
                           cap: int) -> ExpansionH1Report:
+    """Exact constants for any Lambda, from a scan of all of C^1.
+
+    Each block of cochains (_digit_blocks) contributes its least ratio
+    against Z^1 (_min_ratio_to); the systole is the least weight in Z^1
+    outside B^1.
+    """
     E = X.face_count(1)
     m = lam.size
-    if m ** E > cap:
-        raise ResourceLimitError(
-            f"|Lambda|^|X(1)| = {m}**{E} exceeds cap {cap}")
-    b1set = _enumerate_coboundaries(X, lam, cap)
-    z1 = _enumerate_cocycles(X, lam, cap)
-    ecnt = X.containment_counts(1)
-    e0 = lam.identity
-    nontriv = [v for v in z1 if v not in b1set]
+    _check_cap(X, m, 1, cap)
+    z1, _, outside = _z1_outside_b1(X, lam, cap)
     systole = None
-    if nontriv:
-        systole = Fraction(
-            min(sum(int(ecnt[ei]) for ei in range(E) if v[ei] != e0)
-                for v in nontriv),
-            WeightTable(X).denominator(1))
-    ratio = _ratio_to(X, lam)
-    h1_cosys: Fraction | None = None
-    for vals in itertools.product(range(m), repeat=E):
-        r = ratio(vals, z1)
-        if r is not None and (h1_cosys is None or r < h1_cosys):
-            h1_cosys = r
+    if outside.any():
+        weights = (z1[outside] != lam.identity) @ X.containment_counts(1)
+        systole = Fraction(int(weights.min()), WeightTable(X).denominator(1))
+    ratios = (_min_ratio_to(X, lam, a, z1) for a in _digit_blocks(m, E))
+    h1_cosys = min((r for r in ratios if r is not None), default=None)
     # H^1 nontrivial forces the coboundary min to 0; otherwise B^1 = Z^1
-    h1_cobound = Fraction(0) if nontriv else h1_cosys
+    h1_cobound = Fraction(0) if outside.any() else h1_cosys
     return ExpansionH1Report(h1_cobound, h1_cosys, systole,
                              mode="exact", exact=True)
 
@@ -1033,13 +1029,12 @@ def _expansion_h1_search(X: SimplicialComplex, lam: TableGroup,
     """
     E = X.face_count(1)
     m = lam.size
-    b1 = sorted(_enumerate_coboundaries(X, lam, cap))
-    ratio = _ratio_to(X, lam)
+    b1 = _enumerate_coboundaries(X, lam, cap)
     rng = random.Random(seed)
     best: Fraction | None = None
     for _ in range(iters):
-        vals = [rng.randrange(m) for _ in range(E)]
-        r = ratio(vals, b1)
+        vals = np.array([rng.randrange(m) for _ in range(E)], dtype=np.int16)
+        r = _min_ratio_to(X, lam, vals[None, :], b1)
         improved = True
         while improved:
             improved = False
@@ -1049,7 +1044,7 @@ def _expansion_h1_search(X: SimplicialComplex, lam: TableGroup,
                     if nv == old:
                         continue
                     vals[ei] = nv
-                    r2 = ratio(vals, b1)
+                    r2 = _min_ratio_to(X, lam, vals[None, :], b1)
                     if r2 is not None and (r is None or r2 < r):
                         r = r2
                         old = nv
@@ -1069,9 +1064,11 @@ def expansion_h1(X: SimplicialComplex, lam: TableGroup,
     rationals from one scan for h1_cosys, within |Lambda|^|X(1)| <= cap.
     h1_cobound is read off it: 0 when Z^1 != B^1, else equal to h1_cosys,
     since then the two reference sets coincide.  Prime |Lambda| scans one
-    cochain per coset of Z^1 over F_p; other groups scan all of C^1.
-    search mode returns the best ratio found by randomized local descent,
-    a true upper bound on h1_cobound, with the other fields unset.
+    cochain per coset of Z^1 over F_p; other groups scan all of C^1 in
+    blocks of rows against the array of Z^1.  search mode returns the best
+    ratio found by randomized local descent from a seeded start, each
+    proposal measured exactly against all of B^1, a true upper bound on
+    h1_cobound, with the other fields unset.
     """
     if lam.size < 2:
         raise ParameterError("expansion needs a non-trivial group")

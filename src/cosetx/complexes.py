@@ -191,9 +191,12 @@ class SimplicialComplex:
             raise StructureError("vertex index out of range")
         if w > 1 and not (mf[:, 1:] > mf[:, :-1]).all():
             raise StructureError("a face may not repeat a vertex")
-        used = np.bincount(mf.ravel(), minlength=V)
-        if (used == 0).any():
-            orphan = int(np.flatnonzero(used == 0)[0])
+        # the least unused vertex is at most mf.size, however large V is.
+        # A larger index clips onto the last slot; mf.size entries holding
+        # one cannot cover 0..mf.size - 1, so the slot never hides a gap
+        seen = np.zeros(min(V, mf.size) + 1, dtype=bool)
+        np.put(seen, mf, True, mode="clip")
+        if (orphan := int(np.argmin(seen))) < V:
             raise StructureError(
                 f"vertex {orphan} lies in no maximal face; complex not pure")
         if self.colors is not None:

@@ -179,10 +179,6 @@ def _det_rows(rows, p: int, s: int) -> TruncPoly:
     return acc
 
 
-def det(mat: MatElement) -> TruncPoly:
-    return mat.det()
-
-
 def elementary(n: int, i: int, j: int, r: TruncPoly) -> MatElement:
     """e_{i,j}(r): identity plus r in (1-based) position (i, j), size n+1."""
     m = n + 1
@@ -423,8 +419,8 @@ class MatrixGroup(FiniteGroup):
         return self.lookup_rows(rows) >= 0
 
 
-def bfs_closure(gens: Sequence[MatElement], cap: int = DEFAULT_CLOSURE_CAP,
-                ring: RingTable | None = None) -> MatrixGroup:
+def bfs_closure(gens: Sequence[MatElement], cap: int = DEFAULT_CLOSURE_CAP
+                ) -> MatrixGroup:
     """Subgroup generated by ``gens``, in the canonical element order."""
     if not gens:
         raise ParameterError("need at least one generator")
@@ -432,8 +428,7 @@ def bfs_closure(gens: Sequence[MatElement], cap: int = DEFAULT_CLOSURE_CAP,
     for g in gens:
         if (g.m, g.p, g.s) != (m, p, s):
             raise ParameterError("generators live in different matrix rings")
-    if ring is None:
-        ring = RingTable(p, s)
+    ring = RingTable(p, s)
     flat = np.stack([g.flat() for g in gens])
     flat = np.unique(flat, axis=0)
     elems = closure_bfs(flat, ring.mul, ring.add, m, ring.q, cap)
@@ -445,8 +440,7 @@ def bfs_closure(gens: Sequence[MatElement], cap: int = DEFAULT_CLOSURE_CAP,
 
 
 def elementary_subgroup(n: int, p: int, s: int, d: int,
-                        cap: int = DEFAULT_CLOSURE_CAP,
-                        ring: RingTable | None = None) -> MatrixGroup:
+                        cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
     """<e_{i,j}(c t^k) : i != j, k <= d> inside SL_{n+1}(F_p[t]/t^s)."""
     check_ring_params(p, s)
     if n < 1:
@@ -460,7 +454,7 @@ def elementary_subgroup(n: int, p: int, s: int, d: int,
             partial_count=0)
     return bfs_closure([elementary(n, i, j, r)
                         for i, j, r in _elementary_terms(n, p, s, range(d + 1))],
-                       cap=cap, ring=ring)
+                       cap=cap)
 
 
 def _elementary_terms(n: int, p: int, s: int, degrees: Iterable[int]
@@ -471,14 +465,14 @@ def _elementary_terms(n: int, p: int, s: int, degrees: Iterable[int]
             for k in degrees for c in range(1, p)]
 
 
-def sl_group(n: int, p: int, s: int, cap: int = DEFAULT_CLOSURE_CAP,
-             ring: RingTable | None = None) -> MatrixGroup:
+def sl_group(n: int, p: int, s: int, cap: int = DEFAULT_CLOSURE_CAP
+             ) -> MatrixGroup:
     """All of SL_{n+1}(F_p[t]/t^s), generated by every elementary e_{i,j}(c t^k).
 
     Over this local ring the elementary subgroup is the whole special linear
     group, so BFS closure of the elementaries enumerates it.
     """
-    return elementary_subgroup(n, p, s, s - 1, cap=cap, ring=ring)
+    return elementary_subgroup(n, p, s, s - 1, cap=cap)
 
 
 def sl_order(m: int, p: int, s: int) -> int:
@@ -829,8 +823,7 @@ def ko_link_cosets(K0: MatrixGroup, d: int) -> list[CosetPartition]:
 
 
 def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
-                     cap: int = DEFAULT_CLOSURE_CAP,
-                     ring: RingTable | None = None) -> MatrixGroup:
+                     cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
     """Kernel of SL_{n+1}(F_p[t]/t^s_hi) -> SL_{n+1}(F_p[t]/t^s_lo).
 
     Close the congruence elementaries e_{i,j}(c t^k), k >= s_lo, under
@@ -853,8 +846,7 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
     if expected > cap:
         raise ResourceLimitError(
             f"kernel order {expected} exceeds cap {cap}", partial_count=0)
-    if ring is None:
-        ring = RingTable(p, s_hi)
+    ring = RingTable(p, s_hi)
 
     seed_flats = np.unique(np.stack([
         elementary(n, i, j, r).flat()
@@ -888,8 +880,3 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
             f"p^((s_hi-s_lo)(m^2-1)) = {expected}")
     group.generators = sorted(int(i) for i in group.lookup_rows(seed_flats))
     return group
-
-
-def element_order(G: FiniteGroup, a: int) -> int:
-    return G.element_order(a)
-

@@ -315,16 +315,11 @@ def presentation_unipotent(dim: int, p: int, d: int) -> Presentation:
     rels: list[RelationInstance] = []
     for rho in simple:
         rels.extend(_pair_relations((rho, rho), table))
-    # [x, y] = x y x^-1 y^-1
+    # distant simple roots commute
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        if i + 1 >= j:
-            continue
-        src = (simple[i - 1], simple[j - 1])
-        A, A_inv = table.letters(simple[i - 1])
-        B, B_inv = table.letters(simple[j - 1])
-        rels.extend(RelationInstance((A[r1], B[r2], A_inv[r1], B_inv[r2]),
-                                     (), "commuting", src)
-                    for r1 in idx for r2 in idx)
+        if i + 1 < j:
+            rels.extend(_pair_relations((simple[i - 1], simple[j - 1]),
+                                        table))
     _, equal = table.products
     for i in range(1, n):
         lo, hi = simple[i - 1], simple[i]

@@ -305,6 +305,8 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float
     borrows another's eigenvalue and no symmetry of X is assumed.
     Disconnected links appear as failure entries.
     """
+    if X.n < 1:
+        raise ParameterError("a 0-dimensional complex has no 1-skeleton walk")
     by_orbit = X.coset_data is not None
     solved: dict[tuple, LinkEntry] = {}
     entries: list[LinkEntry] = []

@@ -11,6 +11,7 @@ algebra mod a prime, spanning forests by a plain queue-based BFS.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -406,6 +407,100 @@ def all_coboundaries(X, lam):
     return {tuple(int(t[psi[u], inv[psi[v]]]) for u, v in edges)
             for psi in itertools.product(range(lam.size),
                                          repeat=X.vertex_count)}
+
+
+def _ratio_to(X, lam):
+    """(ratio, ecnt, d_edge).  ratio(vals, ref) is ||d1 vals|| over the
+    least distance from vals to a cochain of ref, exact, or None when vals
+    lies in ref; one reference and one edge or triangle at a time, with
+    the integer face counts taken from the maximal faces."""
+    from math import comb
+
+    edges, tris = _d1_edges(X)
+    _, ecount = _edge_weights(X)
+    ecnt = [ecount[e] for e in edges]
+    tcount = {}
+    for row in X.max_faces:
+        for f in itertools.combinations(sorted(row.tolist()), 3):
+            tcount[f] = tcount.get(f, 0) + 1
+    tcnt = [tcount[tuple(f)] for f in X.faces(2).tolist()]
+    d_edge = comb(X.n + 1, 2) * len(X.max_faces)
+    d_tri = comb(X.n + 1, 3) * len(X.max_faces)
+    t, inv, e0 = lam.table, lam.inv, lam.identity
+
+    def ratio(vals, ref):
+        dv = None
+        for other in ref:
+            d = sum(c for c, a, b in zip(ecnt, vals, other) if a != b)
+            if dv is None or d < dv:
+                dv = d
+                if dv == 0:
+                    return None
+        num = sum(c for c, (ea, eb, ec) in zip(tcnt, tris)
+                  if t[t[vals[ea], vals[eb]], inv[vals[ec]]] != e0)
+        return Fraction(num * d_edge, dv * d_tri)
+
+    return ratio, ecnt, d_edge
+
+
+def sweep_expansion_h1(X, lam):
+    """(h1_cobound, h1_cosys, min_systole) over any TableGroup lam.
+
+    Every cochain of C^1, in itertools.product order, is measured against
+    every cocycle of full_sweep_cocycles; the systole is the least weight
+    of a cocycle outside all_coboundaries, and h1_cobound is 0 when there
+    is one, else h1_cosys, as B^1 = Z^1 then.
+    """
+    ratio, ecnt, d_edge = _ratio_to(X, lam)
+    z1 = full_sweep_cocycles(X, lam)
+    b1 = all_coboundaries(X, lam)
+    nontriv = [v for v in z1 if v not in b1]
+    systole = None
+    if nontriv:
+        systole = Fraction(
+            min(sum(c for c, x in zip(ecnt, v) if x != lam.identity)
+                for v in nontriv), d_edge)
+    h1_cosys = None
+    for vals in itertools.product(range(lam.size), repeat=len(ecnt)):
+        r = ratio(vals, z1)
+        if r is not None and (h1_cosys is None or r < h1_cosys):
+            h1_cosys = r
+    return (Fraction(0) if nontriv else h1_cosys), h1_cosys, systole
+
+
+def search_h1_cobound(X, lam, seed, iters):
+    """The search-mode bound on h1_cobound, one proposal at a time.
+
+    From iters starts drawn by random.Random(seed), edge values in edge
+    order, first-improvement descent: each edge tries every other value
+    in increasing order and keeps any strictly better ratio to B^1.
+    """
+    ratio, ecnt, _ = _ratio_to(X, lam)
+    b1 = sorted(all_coboundaries(X, lam))
+    E, m = len(ecnt), lam.size
+    rng = random.Random(seed)
+    best = None
+    for _ in range(iters):
+        vals = [rng.randrange(m) for _ in range(E)]
+        r = ratio(vals, b1)
+        improved = True
+        while improved:
+            improved = False
+            for ei in range(E):
+                old = vals[ei]
+                for nv in range(m):
+                    if nv == old:
+                        continue
+                    vals[ei] = nv
+                    r2 = ratio(vals, b1)
+                    if r2 is not None and (r is None or r2 < r):
+                        r = r2
+                        old = nv
+                        improved = True
+                vals[ei] = old
+        if r is not None and (best is None or r < best):
+            best = r
+    return best
 
 
 def coset_min_weights(X, p):

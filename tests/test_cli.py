@@ -23,7 +23,7 @@ import pytest
 import cosetx
 import oracles
 from cosetx import cli
-from cosetx.complexes import loads_complex, save_complex
+from cosetx.complexes import SimplicialComplex, loads_complex, save_complex
 from cosetx import fixtures as fx
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -263,6 +263,53 @@ def test_expansion_h1_exact(capsys, torus_file):
     assert r["exact"] is True and "note" not in r
 
 
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cplx")
+    built = {
+        # two triangles on an edge, and the five triangles i, i+1, i+2 mod 5
+        "two_fold": SimplicialComplex(2, 4, [[0, 1, 2], [1, 2, 3]]),
+        "mobius": SimplicialComplex(2, 5, [sorted({i, (i + 1) % 5,
+                                                   (i + 2) % 5})
+                                           for i in range(5)]),
+        "tetrahedron": fx.tetrahedron_sphere(),
+        "cycle5": fx.cycle_complex(5),
+        "torus": fx.torus_7(),
+    }
+    for name, X in built.items():
+        save_complex(X, root / f"{name}.jsonl")
+    return {name: str(root / f"{name}.jsonl") for name in built}
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["expansion", "h1", "--complex", "{two_fold}", "--lambda", "zmod:4"],
+     "0a317782a211d4c41be68dfe9244960abf7f0bd7686af3df9218cc7ecb0c3425"),
+    (["expansion", "h1", "--complex", "{two_fold}", "--lambda", "sym:3"],
+     "0a317782a211d4c41be68dfe9244960abf7f0bd7686af3df9218cc7ecb0c3425"),
+    (["expansion", "h1", "--complex", "{mobius}", "--lambda", "zmod:5",
+      "--mode", "search", "--iters", "2"],
+     "7564857af2ccfcca5f74461baa6d6c6a58ae5d24047f785014eb584c1d17fb0c"),
+    (["expansion", "h1", "--complex", "{tetrahedron}", "--lambda", "zmod:5",
+      "--mode", "search", "--iters", "2"],
+     "8bae97733764b35319f913c92e8a16488ae72ce339b301c561a3ad01ba2cdff3"),
+    (["cohomology", "h1", "--complex", "{cycle5}", "--lambda", "sym:3",
+      "--mode", "brute"],
+     "a28815fd1fb5731757f3d83a8b3ab19fb5efc8d87256db966759df498b739d9d"),
+    (["expansion", "h0", "--complex", "{torus}", "--lambda", "zmod:3"],
+     "2c663c55b14560e7685f1be338edfe67a0cfe2c00f2a272882736bee7a14ec7c"),
+], ids=["h1-zmod4", "h1-sym3", "h1-search-mobius", "h1-search-tetrahedron",
+        "cohomology-brute-sym3", "h0-zmod3"])
+def test_exhaustive_cohomology_results_are_pinned(capsys, small_files, argv,
+                                                  digest):
+    """The exhaustive scans' result blocks, hashed: the generic exact and
+    search expansion, the brute H^1 census over S_3 with its witness, and
+    the h^0 partition scan."""
+    code, env = run_json(capsys, [a.format(**small_files) for a in argv])
+    assert code == 0
+    blob = json.dumps(env["result"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_expansion_h1_search_notes_bound(capsys, torus_file):
     code, env = run_json(capsys, ["expansion", "h1", "--complex",
                                   torus_file, "--lambda", "zmod:2",
@@ -308,6 +355,8 @@ def test_relations_emit(capsys):
      "ec6047fa1895a6e36b9f665fc4f5aec73f323a396720f34f45624a055067acc0"),
     (["--preset", "unip", "--n", "4", "--p", "2", "--d", "1"],
      "6b70c26a65e68cd886baa09b416b22e7ecc9f7a54db781911744f18f2ad2a077"),
+    (["--preset", "unip", "--n", "6", "--p", "2", "--d", "1"],
+     "689d24ca1a7c6d5b2dfffddde0575e3ca18ba6dfde1f9f964cdfc5a88aa35c57"),
 ])
 def test_relations_emit_result_is_pinned(capsys, argv, digest):
     """The emitted relations, word by word, hashed: the builders may share
@@ -510,6 +559,11 @@ ROBUSTNESS_CASES = [
                  + ["--mode", "search", "--iters", iters], None,
                  id=f"expansion-h1-iters{iters}")
     for iters in ("-3", "0")
+] + [
+    # a 0-dimensional complex has no 1-skeleton walk to report on
+    pytest.param(FILE_COMMANDS["spectral-links"],
+                 '{"n":0,"vertex_count":2,"colors":null}\n[0]\n[1]\n',
+                 id="spectral-links-0-dimensional"),
 ]
 
 
@@ -594,6 +648,30 @@ def test_closure_cap_exits_3_within_memory_limit_on_bitset():
     _assert_cap_exit_within_memory_limit(
         ["group", "enum", "--n", "2", "--p", "2", "--s", "3", "--d", "1",
          "--cap", "2200000"])
+
+
+def test_huge_vertex_count_exits_2_within_memory_limit(tmp_path):
+    """A header that claims 5 * 10^8 vertices for one triangle is not pure,
+    and says so without a count over every claimed vertex: exit 2 within
+    seconds under a 1.5 GiB address-space limit, where such a count needs
+    4 GB."""
+    resource = pytest.importorskip("resource")
+    limit = 3 << 29
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = tmp_path / "huge.jsonl"
+    path.write_text('{"n":2,"vertex_count":500000000,"colors":null}\n'
+                    "[0,1,2]\n")
+    t0 = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "cosetx.cli", "complex",
+                        "stats", str(path)], capture_output=True, text=True,
+                       timeout=300, preexec_fn=cap_memory)
+    assert time.perf_counter() - t0 < 10
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert "vertex 3 lies in no maximal face" in r.stderr
 
 
 def test_sl_order_over_cap_exits_3_before_enumerating():

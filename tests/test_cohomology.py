@@ -9,7 +9,9 @@ oracles.py: h^0 against the partition brute force and the Cheeger subset
 scan, exact h^1 over Z/2 against a sweep of all of C^1 with Z^1 filtered
 by triangle parity and B^1 taken from every vertex subset.  The F_p coset
 scan that serves every prime-order Lambda is also held to the generic
-sweep over all of C^1, on labellings with the identity off index 0.
+sweep over all of C^1, on labellings with the identity off index 0.  The
+generic sweep and the search mode are held to references in oracles.py
+that measure one cochain against one cocycle at a time.
 At KO size, the Z/2 gauge witness on KO(2,2,2,1) is pinned by digest and
 the (3,2,2,1) vertex-link censuses by value, the Abelian ones against the
 sparse GF(p) oracle.  The BFS forest behind the tree gauge is held field
@@ -367,12 +369,22 @@ def test_brute_enumerations_match_full_sweeps(build):
             continue
         swept += 1
         got = cohomology._enumerate_cocycles(X, lam, cohomology.DEFAULT_CAP)
-        assert got == oracles.full_sweep_cocycles(X, lam), lam.name
+        assert_lex_unique(got)
+        assert set(map(tuple, got.tolist())) == \
+            set(oracles.full_sweep_cocycles(X, lam)), lam.name
         if lam.size ** X.vertex_count <= SWEEP_BUDGET:
-            assert cohomology._enumerate_coboundaries(
-                X, lam, cohomology.DEFAULT_CAP) == \
+            got = cohomology._enumerate_coboundaries(
+                X, lam, cohomology.DEFAULT_CAP)
+            assert_lex_unique(got)
+            assert set(map(tuple, got.tolist())) == \
                 oracles.all_coboundaries(X, lam), lam.name
     assert swept
+
+
+def assert_lex_unique(rows):
+    """Rows strictly increasing in lexicographic order."""
+    rows = rows.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def test_h1_needs_connected():
@@ -394,6 +406,10 @@ def test_h1_mode_and_cap_validation():
     with pytest.raises(ResourceLimitError,
                        match=r"\|Lambda\|\^\|X\(0\)\| = 6\*\*7 exceeds cap 1000"):
         h1_trivial(fx.torus_7(), sym(3), mode="brute", cap=1000)
+    # 2^66 cochains on the 66 edges of K_12 overflow the int64 codes,
+    # whatever the cap
+    with pytest.raises(ResourceLimitError, match="2\\*\\*66 cochains overflow"):
+        h1_trivial(fx.complete_graph(12), zmod(2), mode="brute", cap=1 << 70)
 
 
 def test_h1_gauge_deterministic():
@@ -566,9 +582,25 @@ def test_h0_matches_partition_brute_force():
              fx.cycle_complex(6), fx.path_complex(4),
              fx.complete_graph(4), fx.complete_bipartite(2, 3),
              two_fold_triangle()]
+    # m = 4 is below the vertex count on the octahedron, the torus, the
+    # 6-cycle and K_{2,3}, and not below it on the other four
     for X in cases:
-        for m in (2, 3):
+        for m in (2, 3, 4):
             assert expansion_h0(X, zmod(m)) == oracles.brute_h0(X, m)
+
+
+def test_h0_scans_respect_cap():
+    # the 7 torus vertices have S(7,2) + S(7,3) = 63 + 301 partitions into
+    # two or three blocks, and 2^6 subsets that hold vertex 6 out
+    tor = fx.torus_7()
+    with pytest.raises(ResourceLimitError,
+                       match="partition count exceeds cap 363"):
+        expansion_h0(tor, zmod(3), cap=363)
+    assert expansion_h0(tor, zmod(3), cap=364) == Fraction(5, 4)
+    with pytest.raises(ResourceLimitError,
+                       match=r"2\*\*6 vertex subsets exceed cap 63"):
+        expansion_h0(tor, zmod(2), cap=63)
+    assert expansion_h0(tor, zmod(2), cap=64) == Fraction(4, 3)
 
 
 def test_h0_z2_matches_cheeger_oracle():
@@ -717,6 +749,43 @@ def test_h1_expansion_routes_by_prime_order(monkeypatch):
     monkeypatch.setattr(cohomology, "_span_blocks", no_scan)
     with pytest.raises(ResourceLimitError, match="3\\*\\*21"):
         expansion_h1(fx.torus_7(), zmod(3))
+
+
+# the Klein four-group, relabelled so that the identity is 2
+KLEIN_TABLE = "4 " + " ".join(str(i ^ j ^ 2) for i in range(4)
+                               for j in range(4))
+
+
+@pytest.mark.parametrize("build", [fx.single_triangle, two_fold_triangle])
+def test_h1_expansion_generic_matches_one_cochain_sweep(build):
+    klein = coefficients_from_table(KLEIN_TABLE, name="klein")
+    assert klein.identity == 2
+    for lam in (zmod(4), sym(3), klein):
+        X = build()
+        rep = cohomology._expansion_h1_generic(X, lam, cohomology.DEFAULT_CAP)
+        assert (rep.h1_cobound, rep.h1_cosys, rep.min_systole) == \
+            oracles.sweep_expansion_h1(X, lam), lam.name
+
+
+def test_h1_expansion_generic_systole_matches_one_cochain_sweep():
+    # nontrivial H^1, so the systole and the zero h1_cobound are exercised
+    X = mobius_strip()
+    rep = cohomology._expansion_h1_generic(X, zmod(2), cohomology.DEFAULT_CAP)
+    assert (rep.h1_cobound, rep.h1_cosys, rep.min_systole) == \
+        oracles.sweep_expansion_h1(X, zmod(2)) == (0, 3, Fraction(4, 15))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_h1_search_matches_one_proposal_loop(seed):
+    # with one start the octahedron bound over Z/2 depends on the seed
+    # (3/2 at seed 2, else 1), so a changed trajectory shows
+    for X, lam, iters in ((fx.octahedron(), zmod(2), 1),
+                          (mobius_strip(), zmod(5), 2),
+                          (mobius_strip(), zmod(2), 1),
+                          (two_fold_triangle(), sym(3), 2)):
+        rep = expansion_h1(X, lam, mode="search", seed=seed, iters=iters)
+        assert rep.h1_cobound == \
+            oracles.search_h1_cobound(X, lam, seed, iters), lam.name
 
 
 def test_h1_expansion_zmod3_small():
