@@ -24,9 +24,11 @@ all of C^1, and the test suite cross-validates the two mode answers.  It
 builds C^1 edge by edge in lex order and drops a partial cochain as soon
 as it fails a triangle whose three edges are all set; it uses no tree and
 no propagation, and its work follows the cocycles it finds.  Z^1 and B^1
-are each one int16 array of rows in lex order; membership goes through
-base-|Lambda| int64 codes, edge 0 the most significant digit, so code
-order is lex order.
+are each one int16 array of rows in lex order.  Brute mode tests
+membership in them by base-|Lambda| int64 codes, edge 0 the most
+significant digit, so code order is lex order.  B^1 itself is built
+without codes, since search mode needs it where |Lambda|^|X(1)| passes
+2^63.
 
 The spanning tree is the BFS forest that the complex owns and caches
 (``SimplicialComplex.spanning_forest``; its order contract is stated in
@@ -62,7 +64,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .complexes import SimplicialComplex, WeightTable
+from .complexes import SimplicialComplex, WeightTable, _unique_rows
 from .errors import (InputError, ParameterError, ResourceLimitError,
                      StructureError)
 from .groups import TableGroup, symmetric_group
@@ -240,14 +242,21 @@ def _require_connected(X: SimplicialComplex) -> None:
 # coboundary maps and the gauge action
 
 
+def _gauge(X: SimplicialComplex, lam: TableGroup, psi: np.ndarray, phi
+           ) -> np.ndarray:
+    """psi(u) phi((u, v)) psi(v)^-1 on every edge, for psi one row of
+    vertex values or a block of rows; phi is edge values or one value."""
+    e = X.faces(1)
+    return lam.table[lam.table[psi[..., e[:, 0]], phi],
+                     lam.inv[psi[..., e[:, 1]]]]
+
+
 def d0(X: SimplicialComplex, psi: Cochain0) -> Cochain1:
     """d0 psi((u, v)) = psi(u) psi(v)^-1 per canonical edge."""
     if len(psi.values) != X.vertex_count:
         raise InputError("0-cochain size does not match the complex")
-    lam = psi.lam
-    e = X.faces(1)
-    vals = lam.table[psi.values[e[:, 0]], lam.inv[psi.values[e[:, 1]]]]
-    return Cochain1(lam, vals)
+    return Cochain1(psi.lam, _gauge(X, psi.lam, psi.values,
+                                    psi.lam.identity))
 
 
 def d1(X: SimplicialComplex, phi: Cochain1) -> np.ndarray:
@@ -265,14 +274,6 @@ def is_cocycle(X: SimplicialComplex, phi: Cochain1) -> bool:
     return bool((d1(X, phi) == phi.lam.identity).all())
 
 
-def _apply_gauge(X: SimplicialComplex, psi_vals: np.ndarray, phi: Cochain1
-                 ) -> Cochain1:
-    lam = phi.lam
-    e = X.faces(1)
-    left = lam.table[psi_vals[e[:, 0]], phi.values]
-    return Cochain1(lam, lam.table[left, lam.inv[psi_vals[e[:, 1]]]])
-
-
 def gauge_act(X: SimplicialComplex, psi: Cochain0, phi: Cochain1
               ) -> Cochain1:
     """psi.phi((u, v)) = psi(u) phi((u, v)) psi(v)^-1 on a cocycle."""
@@ -282,7 +283,7 @@ def gauge_act(X: SimplicialComplex, psi: Cochain0, phi: Cochain1
         raise InputError("cochains use different coefficient groups")
     if not is_cocycle(X, phi):
         raise InputError("gauge action is defined on cocycles only")
-    return _apply_gauge(X, psi.values, phi)
+    return Cochain1(phi.lam, _gauge(X, phi.lam, psi.values, phi.values))
 
 
 def _tree_potential(X: SimplicialComplex, phi: Cochain1) -> np.ndarray:
@@ -317,7 +318,8 @@ def tree_gauge_fix(X: SimplicialComplex, phi: Cochain1) -> Cochain1:
     _require_connected(X)
     if not is_cocycle(X, phi):
         raise InputError("tree gauge fixing is defined on cocycles only")
-    return _apply_gauge(X, phi.lam.inv[_tree_potential(X, phi)], phi)
+    psi = phi.lam.inv[_tree_potential(X, phi)]
+    return Cochain1(phi.lam, _gauge(X, phi.lam, psi, phi.values))
 
 
 def is_coboundary(X: SimplicialComplex, phi: Cochain1) -> Cochain0 | None:
@@ -616,27 +618,24 @@ def _digit_blocks(m: int, k: int):
         yield idx[:, None] // place % m
 
 
-def _orbit_codes(X: SimplicialComplex, lam: TableGroup, phi: np.ndarray):
-    """Codes (see _place) of psi.phi for every psi in C^0, one gather per
-    block of psi."""
-    e = X.faces(1)
-    t, inv = lam.table, lam.inv
-    place = _place(lam.size, len(e))
+def _orbit(X: SimplicialComplex, lam: TableGroup, phi):
+    """psi.phi for every psi in C^0, as rows, one gather per block of psi."""
     for psi in _digit_blocks(lam.size, X.vertex_count):
-        yield t[t[psi[:, e[:, 0]], phi], inv[psi[:, e[:, 1]]]] @ place
+        yield _gauge(X, lam, psi, phi)
 
 
 def _enumerate_coboundaries(X: SimplicialComplex, lam: TableGroup,
                             cap: int) -> np.ndarray:
     """B^1 = {d0 psi : psi in C^0}, the orbit of the identity cochain, as
     unique int16 rows in lex order: deduplicated per block and at the end.
+    complexes._unique_rows falls back from int64 keys to sorting the rows
+    themselves, so |Lambda|^|X(1)| may pass 2^63.
     """
-    E, m = X.face_count(1), lam.size
-    _check_cap(X, m, 0, cap)
-    ident = np.full(E, lam.identity)
-    codes = np.unique(np.concatenate(
-        [np.unique(c) for c in _orbit_codes(X, lam, ident)]))
-    return (codes[:, None] // _place(m, E) % m).astype(np.int16)
+    _check_cap(X, lam.size, 0, cap)
+    m = lam.size
+    return _unique_rows(np.concatenate(
+        [_unique_rows(r.astype(np.int16), m)
+         for r in _orbit(X, lam, lam.identity)]), m)
 
 
 def _enumerate_cocycles(X: SimplicialComplex, lam: TableGroup,
@@ -677,8 +676,10 @@ def _z1_outside_b1(X: SimplicialComplex, lam: TableGroup, cap: int
     """(Z^1 as rows in lex order, their codes, the mask of the cocycles
     outside B^1)."""
     b1 = _enumerate_coboundaries(X, lam, cap)
-    z1 = _enumerate_cocycles(X, lam, cap)
+    # the codes must fit before any cocycle is listed
+    _check_cap(X, lam.size, 1, cap)
     place = _place(lam.size, X.face_count(1))
+    z1 = _enumerate_cocycles(X, lam, cap)
     zcodes = z1 @ place
     return z1, zcodes, ~np.isin(zcodes, b1 @ place)
 
@@ -687,6 +688,7 @@ def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
               ) -> H1Result:
     _require_connected(X)
     z1, zcodes, outside = _z1_outside_b1(X, lam, cap)
+    place = _place(lam.size, X.face_count(1))
     witness = None
     if outside.any():
         witness = Cochain1(lam, z1[np.argmax(outside)])
@@ -695,7 +697,8 @@ def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
     classes = 0
     while not seen.all():
         classes += 1
-        for imgs in _orbit_codes(X, lam, z1[np.argmin(seen)]):
+        for rows in _orbit(X, lam, z1[np.argmin(seen)]):
+            imgs = rows @ place
             pos = np.minimum(np.searchsorted(zcodes, imgs), len(z1) - 1)
             if (zcodes[pos] != imgs).any():
                 raise StructureError("gauge action left Z^1")
@@ -711,27 +714,41 @@ def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
 # expansion constants
 
 
-def _partition_rows(V: int, bmax: int, cap: int) -> np.ndarray:
-    """Every partition of the V vertices into at most bmax blocks, as
-    restricted growth rows in lex order: vertex 0 is in block 0, and each
-    later vertex joins a used block or the next new one.  Rows are extended
-    one vertex at a time, as in _enumerate_cocycles; a count past ``cap``,
-    not counting the one-block partition, raises before the rows are built.
-    """
-    rows = np.zeros((1, 1), dtype=np.int16)
-    labels = np.arange(bmax, dtype=np.int16)
-    for _ in range(1, V):
-        keep = labels <= rows.max(axis=1)[:, None] + 1
-        grow = keep.sum(axis=1)
-        if int(grow.sum()) - 1 > cap:
-            raise ResourceLimitError(f"partition count exceeds cap {cap}")
-        rows = np.column_stack([np.repeat(rows, grow, axis=0),
-                                np.broadcast_to(labels, keep.shape)[keep]])
-    return rows
-
-
 # rows per h^0 block: the edge gathers stay at a few MB for hundreds of edges
 _H0_CHUNK = 1 << 14
+
+
+def _partition_count(V: int, bmax: int) -> int:
+    """Partitions of V vertices into at most bmax blocks: c[k] counts the
+    completions of a row that has used k blocks, one vertex at a time."""
+    c = [1] * (bmax + 1)
+    for _ in range(V - 1):
+        c = [k * c[k] + (c[k + 1] if k < bmax else 0)
+             for k in range(bmax + 1)]
+    return c[1]
+
+
+def _partition_blocks(V: int, bmax: int):
+    """Every partition of the V vertices into at most bmax blocks, as
+    restricted growth rows in lex order, in blocks of at most _H0_CHUNK
+    rows: vertex 0 is in block 0, and each later vertex joins a used block
+    or the next new one.  Rows are extended one vertex at a time, as in
+    _enumerate_cocycles, depth first from a stack of blocks that are split
+    past _H0_CHUNK rows, so at most V * bmax blocks are held at once.
+    """
+    labels = np.arange(bmax, dtype=np.int16)
+    stack = [np.zeros((1, 1), dtype=np.int16)]
+    while stack:
+        rows = stack.pop()
+        if rows.shape[1] == V:
+            yield rows
+            continue
+        keep = labels <= rows.max(axis=1)[:, None] + 1
+        rows = np.column_stack([np.repeat(rows, keep.sum(axis=1), axis=0),
+                                np.broadcast_to(labels, keep.shape)[keep]])
+        # the first piece is popped first, so the rows stay in lex order
+        stack += [rows[lo:lo + _H0_CHUNK]
+                  for lo in range(0, len(rows), _H0_CHUNK)][::-1]
 
 
 def expansion_h0(X: SimplicialComplex, lam: TableGroup,
@@ -741,9 +758,9 @@ def expansion_h0(X: SimplicialComplex, lam: TableGroup,
     The ratio depends only on the partition of the vertices into level
     sets of phi, so the search runs over partitions with at most |Lambda|
     blocks instead of all |Lambda|^|X(0)| cochains, one row of block labels
-    each (_partition_rows).  For |Lambda| = 2 the rows are the subsets that
-    hold vertex V-1 out, built a block at a time from their bits.  The cut
-    and largest-block weights of a block of rows come from array products.
+    each (_partition_blocks); past ``cap`` partitions other than the
+    one-block one, it raises before any is built.  The cut and
+    largest-block weights of a block of rows come from array products.
     """
     if lam.size < 2:
         raise ParameterError("expansion needs a non-trivial group")
@@ -757,19 +774,8 @@ def expansion_h0(X: SimplicialComplex, lam: TableGroup,
     d_edge, d_vert = wt.denominator(1), wt.denominator(0)
     total_v = int(vcnt.sum())
     bmax = min(lam.size, V)
-    if lam.size == 2:
-        if V - 1 > 24 or 2 ** (V - 1) > cap:
-            raise ResourceLimitError(
-                f"2**{V - 1} vertex subsets exceed cap {cap}")
-        # 2^(V-1) rows of V labels would not fit: only one block is held
-        bits = np.arange(V)
-        blocks = ((np.arange(lo, min(lo + _H0_CHUNK, 2 ** (V - 1)))[:, None]
-                   >> bits & 1).astype(np.int16)
-                  for lo in range(0, 2 ** (V - 1), _H0_CHUNK))
-    else:
-        rows = _partition_rows(V, bmax, cap)
-        blocks = (rows[lo:lo + _H0_CHUNK]
-                  for lo in range(0, len(rows), _H0_CHUNK))
+    if _partition_count(V, bmax) - 1 > cap:
+        raise ResourceLimitError(f"partition count exceeds cap {cap}")
 
     def block_ratio(blk: np.ndarray) -> Fraction | None:
         num = np.einsum("re,e->r", blk[:, edges[:, 0]] != blk[:, edges[:, 1]],
@@ -779,8 +785,8 @@ def expansion_h0(X: SimplicialComplex, lam: TableGroup,
         den = total_v - heavy           # 0 on the one-block partition only
         return _exact_min_ratio(num, den, den > 0, d_edge, d_vert)
 
-    best = min((r for r in map(block_ratio, blocks) if r is not None),
-               default=None)
+    best = min((r for r in map(block_ratio, _partition_blocks(V, bmax))
+                if r is not None), default=None)
     if best is None:
         raise InputError("no non-constant cochain exists")
     return best

@@ -282,6 +282,17 @@ def brute_h0(X, lam_size):
     return best
 
 
+def partition_count(V, bmax):
+    """Partitions of V items into at most bmax blocks: the distinct level
+    set partitions of every map range(V) -> range(bmax), each relabelled
+    in order of first appearance."""
+    seen = set()
+    for phi in itertools.product(range(bmax), repeat=V):
+        first = list(dict.fromkeys(phi))
+        seen.add(tuple(first.index(x) for x in phi))
+    return len(seen)
+
+
 def cheeger_h0(X):
     """Z/2 specialization of brute_h0 via subset enumeration."""
     ew, _ = _edge_weights(X)

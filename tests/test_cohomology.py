@@ -591,16 +591,35 @@ def test_h0_matches_partition_brute_force():
 
 def test_h0_scans_respect_cap():
     # the 7 torus vertices have S(7,2) + S(7,3) = 63 + 301 partitions into
-    # two or three blocks, and 2^6 subsets that hold vertex 6 out
+    # two or three blocks
     tor = fx.torus_7()
     with pytest.raises(ResourceLimitError,
                        match="partition count exceeds cap 363"):
         expansion_h0(tor, zmod(3), cap=363)
     assert expansion_h0(tor, zmod(3), cap=364) == Fraction(5, 4)
     with pytest.raises(ResourceLimitError,
-                       match=r"2\*\*6 vertex subsets exceed cap 63"):
-        expansion_h0(tor, zmod(2), cap=63)
-    assert expansion_h0(tor, zmod(2), cap=64) == Fraction(4, 3)
+                       match="partition count exceeds cap 62"):
+        expansion_h0(tor, zmod(2), cap=62)
+    assert expansion_h0(tor, zmod(2), cap=63) == Fraction(4, 3)
+
+
+def test_partition_blocks_are_lazy_and_lex(monkeypatch):
+    monkeypatch.setattr(cohomology, "_H0_CHUNK", 16)
+    for V, bmax in ((1, 3), (5, 2), (6, 3), (7, 4), (5, 5)):
+        blocks = list(cohomology._partition_blocks(V, bmax))
+        assert max(map(len, blocks)) <= 16
+        rows = np.concatenate(blocks)
+        assert_lex_unique(rows)
+        assert len(rows) == cohomology._partition_count(V, bmax) == \
+            oracles.partition_count(V, bmax)
+        # restricted growth: each label at most one past the ones before
+        top = np.maximum.accumulate(rows, axis=1)
+        assert (rows[:, 0] == 0).all()
+        assert (rows[:, 1:] <= top[:, :-1] + 1).all() and top.max() < bmax
+    # about 10^28 partitions of 60 vertices: the first block comes without
+    # the rest being built
+    first = next(cohomology._partition_blocks(60, 3))
+    assert len(first) <= 16 and first.shape[1] == 60
 
 
 def test_h0_z2_matches_cheeger_oracle():
@@ -786,6 +805,18 @@ def test_h1_search_matches_one_proposal_loop(seed):
         rep = expansion_h1(X, lam, mode="search", seed=seed, iters=iters)
         assert rep.h1_cobound == \
             oracles.search_h1_cobound(X, lam, seed, iters), lam.name
+
+
+def test_h1_search_and_brute_past_int64_codes():
+    # the 2-skeleton of the 11-simplex: 2^66 cochains on its 66 edges
+    # overflow int64 codes, but its 2^12 gauges are within the cap
+    X = SimplicialComplex(2, 12, [list(f) for f in
+                                  itertools.combinations(range(12), 3)])
+    rep = expansion_h1(X, zmod(2), mode="search", seed=0, iters=1)
+    assert rep.h1_cobound == oracles.search_h1_cobound(X, zmod(2), 0, 1)
+    with pytest.raises(ResourceLimitError,
+                       match=r"\|Lambda\|\^\|X\(1\)\| = 2\*\*66 exceeds cap"):
+        h1_trivial(X, zmod(2), mode="brute")
 
 
 def test_h1_expansion_zmod3_small():
