@@ -216,7 +216,7 @@ def _cmd_cohomology_h1(args) -> int:
     _emit(args, "cohomology h1",
           {"complex": args.complex, "lambda": getattr(args, "lambda"),
            "mode": args.mode},
-          result, caps={"cap": args.cap}, t0=t0,
+          result, caps={"cap": args.cap}, t0=t0, timings=res.search,
           text_lines=[res.summary()])
     return EXIT_OK
 

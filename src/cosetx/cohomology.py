@@ -18,17 +18,32 @@ hence constancy on a connected complex), so tree-trivial cocycles meet
 every cohomology class and two of them are equivalent iff conjugate by a
 constant.  Triviality therefore reduces to "the all-identity assignment is
 the unique tree-trivial cocycle", searched by backtracking over non-tree
-edge values with triangle-equation propagation.  This reduction is not
-taken on faith: the brute mode re-decides everything from all of C^0 and
-all of C^1, and the test suite cross-validates the two mode answers.  It
-builds C^1 edge by edge in lex order and drops a partial cochain as soon
-as it fails a triangle whose three edges are all set; it uses no tree and
-no propagation, and its work follows the cocycles it finds.  Z^1 and B^1
-are each one int16 array of rows in lex order.  Brute mode tests
-membership in them by base-|Lambda| int64 codes, edge 0 the most
-significant digit, so code order is lex order.  B^1 itself is built
-without codes, since search mode needs it where |Lambda|^|X(1)| passes
-2^63.
+edge values with triangle-equation propagation.
+
+Which edges propagation sets depends on X alone, not on the values or
+the queue order: from a consistent assignment of S it sets the closure
+cl(S) under "two set edges of a triangle set the third".  Let mu(e) be
+-1 on tree edges, else the least, over derivations of e from tree edges
+and edges by index, of the largest index used, so mu(e) <= e.  Then
+cl(tree + {f < b}) = {mu < b}: both are the edges derivable from indices
+below b.  The search branches at the lowest unset edge b, every edge
+below b set, so it holds exactly {mu < b} there and branches exactly at
+{mu(b) = b}.  mu is the greatest fixed point below mu_0 (-1 on the tree,
+e elsewhere) of mu(e) <- min over triangles {e, f, g} of
+max(mu(f), mu(g)).  With no branch edge the tree forces every edge, so
+the identity is the only tree-trivial cocycle: H^1 is trivial for every
+Lambda.
+
+This reduction is not taken on faith: the brute mode re-decides
+everything from all of C^0 and all of C^1, and the test suite
+cross-validates the two mode answers.  It builds C^1 edge by edge in lex
+order and drops a partial cochain as soon as it fails a triangle whose
+three edges are all set; it uses no tree and no propagation, and its
+work follows the cocycles it finds.  Z^1 and B^1 are each one int16
+array of rows in lex order.  Brute mode tests membership in them by
+base-|Lambda| int64 codes, edge 0 the most significant digit, so code
+order is lex order.  B^1 itself is built without codes, since search
+mode needs it where |Lambda|^|X(1)| passes 2^63.
 
 The spanning tree is the BFS forest that the complex owns and caches
 (``SimplicialComplex.spanning_forest``; its order contract is stated in
@@ -376,6 +391,7 @@ class H1Result:
     witness: Cochain1 | None
     mode: str
     classes: int | None = None
+    search: dict | None = None      # gauge mode's search counts
 
     def summary(self) -> str:
         out = f"H1 {'trivial' if self.trivial else 'NON-trivial'} " \
@@ -385,26 +401,67 @@ class H1Result:
         return out + ")"
 
 
+def _forcing_labels(X: SimplicialComplex) -> tuple[np.ndarray, int]:
+    """(mu, rounds): the int32 forcing labels (module notes) and the
+    rounds run; a round is one scatter-min per triangle slot column, each
+    reading the labels the one before wrote, and the last changes none."""
+    parent_edge = X.spanning_forest()[1]
+    mu = np.arange(X.face_count(1), dtype=np.int32)
+    mu[parent_edge[parent_edge >= 0]] = -1
+    cols = np.ascontiguousarray(X.triangle_edges().T)
+    rounds = 0
+    while True:
+        rounds += 1
+        before = mu.copy()
+        for k in range(3):
+            np.minimum.at(mu, cols[k],
+                          np.maximum(mu[cols[k - 1]], mu[cols[k - 2]]))
+        if np.array_equal(mu, before):
+            return mu, rounds
+
+
 def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
                      cap: int, stop_after: int | None = None
-                     ) -> list[tuple[int, ...]]:
-    """All tree-trivial cocycles, in lexicographic order of value tuples.
+                     ) -> tuple[list[tuple[int, ...]], dict]:
+    """(tree-trivial cocycles, search counts), the cocycles in lex order
+    of value tuples, the identity the least value.
 
-    Iterative DFS over non-tree edge values with unit propagation through
-    the triangle equations.  Branching always picks the lowest-index
-    unassigned edge and tries values in increasing order; propagation is
-    deterministic, so two solutions first differ exactly at some branch
-    edge and the emission order is the lex order.  The all-identity
-    assignment is therefore always emitted first.
+    The all-identity cocycle comes first.  Then, for each branch edge b
+    from the last to the first, the cocycles that are the identity on
+    the branch edges before b and not at b: a DFS from the identity on
+    {mu < b} with unit propagation through the triangle equations.  It
+    branches at the lowest unset edge, which is the next branch edge, and
+    tries the identity first, then the other values by index; at b it
+    tries only the others.  Past the last branch edge every edge is set.
 
-    ``cap`` bounds the search nodes and, when every solution is kept
-    (``stop_after`` None), the edge values the kept solutions hold: past
-    either it raises ResourceLimitError.
+    ``cap`` bounds the search nodes plus propagation pops and, when every
+    solution is kept (``stop_after`` None), the edge values the kept
+    solutions hold: past either it raises ResourceLimitError.
     """
     _require_connected(X)
     E = X.face_count(1)
     m, e0 = lam.size, lam.identity
+    mu, rounds = _forcing_labels(X)
+    bl = np.flatnonzero(mu == np.arange(E)).tolist()
+    stats = {"branch_edges": len(bl), "label_rounds": rounds,
+             "search_nodes": 0}
+    values = np.full(E, e0, dtype=np.int64)
+    sols: list[tuple[int, ...]] = []
+
+    def record() -> bool:
+        sols.append(tuple(values.tolist()))
+        if stop_after is not None:
+            return len(sols) >= stop_after
+        if len(sols) * E > cap:
+            raise ResourceLimitError(
+                f"gauge census keeps more than {cap} edge values",
+                partial_count=len(sols))
+        return False
+
+    if record() or not bl:
+        return sols, stats
     t, inv = lam.table.tolist(), lam.inv.tolist()
+    vals = [e0] + [v for v in range(m) if v != e0]
     # memoryviews of int64 arrays read and write plain ints with no numpy
     # scalar in between, and unlike lists they hold no int object per entry
     flat = np.ascontiguousarray(X.triangle_edges(),
@@ -420,20 +477,14 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
     inc, rank = memoryview(order), memoryview(rank)
     ptr = memoryview(np.concatenate(
         [[0], np.cumsum(np.bincount(flat, minlength=E))]))
-    assign = memoryview(np.full(E, -1, dtype=np.int64))
+    assign = memoryview(values)
     trail: list[int] = []
 
-    def set_edge(epos: int, val: int, pending: list[int]) -> bool:
-        cur = assign[epos]
-        if cur >= 0:
-            return cur == val
-        assign[epos] = val
-        trail.append(epos)
-        pending.extend(inc[ptr[epos]:ptr[epos + 1]])
-        return True
-
-    def propagate(pending: list[int]) -> bool:
+    def propagate(pending: list[int]) -> tuple[bool, int]:
+        """(no triangle failed, triangles popped)."""
+        pops = 0
         while pending:
+            pops += 1
             k = 3 * pending.pop()
             ea, eb, ec = tri[k], tri[k + 1], tri[k + 2]
             a, b, c = assign[ea], assign[eb], assign[ec]
@@ -442,7 +493,7 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
                 continue
             if nun == 0:
                 if t[t[a][b]][inv[c]] != e0:
-                    return False
+                    return False, pops
                 continue
             # product a.b.c^-1 = e with one unknown slot
             if a < 0:
@@ -459,65 +510,40 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
             r = rank[k]
             pending.extend(inc[ptr[epos]:r])
             pending.extend(inc[r + 1:ptr[epos + 1]])
-        return True
+        return True, pops
 
-    def undo_to(mark: int):
-        while len(trail) > mark:
-            assign[trail.pop()] = -1
-
-    pending: list[int] = []
-    ok = True
-    parent_edge = X.spanning_forest()[1]
-    for epos in np.sort(parent_edge[parent_edge >= 0]).tolist():
-        ok = ok and set_edge(epos, e0, pending)
-    ok = ok and propagate(pending)
-    if not ok:
-        return []
-
-    def next_unassigned(start: int) -> int:
-        while start < E and assign[start] >= 0:
-            start += 1
-        return start
-
-    sols: list[tuple[int, ...]] = []
-
-    def record() -> bool:
-        sols.append(tuple(assign.tolist()))
-        if stop_after is not None:
-            return len(sols) >= stop_after
-        if len(sols) * E > cap:
-            raise ResourceLimitError(
-                f"gauge census keeps more than {cap} edge values",
-                partial_count=len(sols))
-        return False
-
-    pos = next_unassigned(0)
-    if pos == E:
-        record()
-        return sols
-    nodes = 0
-    stack = [[pos, 0, len(trail)]]
-    while stack:
-        frame = stack[-1]
-        epos, val, mark = frame
-        undo_to(mark)
-        if val == m:
-            stack.pop()
-            continue
-        frame[1] += 1
-        nodes += 1
-        if nodes > cap:
-            raise ResourceLimitError(
-                f"gauge search exceeded {cap} nodes", partial_count=nodes)
-        pending = []
-        if set_edge(epos, val, pending) and propagate(pending):
-            nxt = next_unassigned(epos + 1)
-            if nxt == E:
-                if record():
-                    return sols
-            else:
-                stack.append([nxt, 0, len(trail)])
-    return sols
+    work = 0
+    for top in range(len(bl) - 1, -1, -1):
+        values[:] = np.where(mu < bl[top], e0, -1)
+        # frames [index into bl, next index into vals, trail mark]; the
+        # edges set below a frame's branch edge are exactly {mu < it}
+        stack = [[top, 1, 0]]
+        while stack:
+            frame = stack[-1]
+            i, k, mark = frame
+            while len(trail) > mark:
+                assign[trail.pop()] = -1
+            if k == m:
+                stack.pop()
+                continue
+            frame[1] += 1
+            stats["search_nodes"] += 1
+            epos = bl[i]
+            assign[epos] = vals[k]
+            trail.append(epos)
+            ok, pops = propagate(list(inc[ptr[epos]:ptr[epos + 1]]))
+            work += 1 + pops
+            if work > cap:
+                raise ResourceLimitError(
+                    f"gauge search exceeded {cap} nodes and pops",
+                    partial_count=work)
+            if not ok:
+                continue
+            if i + 1 < len(bl):
+                stack.append([i + 1, 0, len(trail)])
+            elif record():
+                return sols, stats
+    return sols, stats
 
 
 def _conjugation_classes(sols: Iterable[tuple[int, ...]],
@@ -541,7 +567,8 @@ def h1_trivial(X: SimplicialComplex, lam: TableGroup,
     """Decide whether H^1(X, Lambda) is trivial.
 
     gauge mode backtracks over tree-trivial cocycles (see module notes);
-    the witness is the lexicographically least nontrivial one.  brute mode
+    the witness is the lexicographically least one other than the
+    identity, the identity taken as the least value.  brute mode
     independently lists Z^1 by extending cochains edge by edge and
     checking each triangle once its three edges are set, computes B^1
     from all of C^0 in one gather per block, and counts gauge orbits with
@@ -553,13 +580,9 @@ def h1_trivial(X: SimplicialComplex, lam: TableGroup,
     if X.n < 1:
         raise InputError("H^1 needs a complex with edges")
     if mode == "gauge":
-        sols = _gauge_solutions(X, lam, cap, stop_after=2)
-        if not sols:
-            raise StructureError("tree propagation failed; the identity "
-                                 "cochain must always survive")
-        if len(sols) == 1:
-            return H1Result(True, None, "gauge")
-        return H1Result(False, Cochain1(lam, np.array(sols[1])), "gauge")
+        sols, stats = _gauge_solutions(X, lam, cap, stop_after=2)
+        witness = Cochain1(lam, np.array(sols[1])) if sols[1:] else None
+        return H1Result(witness is None, witness, "gauge", search=stats)
     if mode == "brute":
         return _h1_brute(X, lam, cap)
     raise InputError(f"unknown mode {mode!r}")
@@ -574,13 +597,11 @@ def h1_class_census(X: SimplicialComplex, lam: TableGroup,
     such cocycle is kept, so ``cap`` also bounds their number times
     |X(1)|; past it the census raises ResourceLimitError.
     """
-    sols = _gauge_solutions(X, lam, cap)
+    sols, stats = _gauge_solutions(X, lam, cap)
     classes = _conjugation_classes(sols, lam)
-    witness = None
-    for s in sols[1:]:
-        witness = Cochain1(lam, np.array(s))
-        break
-    return H1Result(classes == 1, witness, "gauge", classes=classes)
+    witness = Cochain1(lam, np.array(sols[1])) if sols[1:] else None
+    return H1Result(classes == 1, witness, "gauge", classes=classes,
+                    search=stats)
 
 
 # ---------------------------------------------------------------------------

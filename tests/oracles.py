@@ -588,6 +588,122 @@ def bfs_forest(edges, V):
 
 
 # ---------------------------------------------------------------------------
+# tree-gauge H^1 search from the tree edges down, and its branch edges
+
+
+def _edge_triangles(X):
+    """(edges, triangles as edge-index triples (ab, bc, ac), the triangles
+    of each edge in increasing order), from X.faces(1) and X.faces(2)."""
+    edges = [tuple(r) for r in X.faces(1).tolist()]
+    eidx = {e: i for i, e in enumerate(edges)}
+    tris = [] if X.n < 2 else [(eidx[(a, b)], eidx[(b, c)], eidx[(a, c)])
+                               for a, b, c in X.faces(2).tolist()]
+    of_edge = [[] for _ in edges]
+    for ti, tri in enumerate(tris):
+        for e in tri:
+            of_edge[e].append(ti)
+    return edges, tris, of_edge
+
+
+def queue_gauge_solutions(X, lam, stop_after=None):
+    """Tree-trivial cocycles in lex order of value tuples, values tried
+    by index.
+
+    The identity is set on every edge of the BFS forest (bfs_forest) and
+    propagated through a queue of triangles; the DFS then branches at the
+    lowest unassigned edge, so the first branch path is the all-identity
+    descent.  Each set edge queues its triangles, and a triangle with one
+    unset edge forces it to the value that makes ab.bc.ac^-1 the identity.
+    """
+    t, inv, e0 = lam.table.tolist(), lam.inv.tolist(), lam.identity
+    edges, tris, of_edge = _edge_triangles(X)
+    E = len(edges)
+    assign = [-1] * E
+    trail = []
+
+    def propagate(pending):
+        while pending:
+            ea, eb, ec = tris[pending.pop()]
+            a, b, c = assign[ea], assign[eb], assign[ec]
+            if (a < 0) + (b < 0) + (c < 0) >= 2:
+                continue
+            if a < 0:
+                e, val = ea, t[c][inv[b]]
+            elif b < 0:
+                e, val = eb, t[inv[a]][c]
+            elif c < 0:
+                e, val = ec, t[a][b]
+            elif t[t[a][b]][inv[c]] != e0:
+                return False
+            else:
+                continue
+            assign[e] = val
+            trail.append(e)
+            pending.extend(of_edge[e])
+        return True
+
+    def undo_to(mark):
+        while len(trail) > mark:
+            assign[trail.pop()] = -1
+
+    pending = []
+    for e in bfs_forest(edges, X.vertex_count)[1]:
+        if e >= 0:
+            assign[e] = e0
+            pending.extend(of_edge[e])
+    if not propagate(pending):
+        return []
+    sols = []
+
+    def search(mark):
+        """False once stop_after solutions are kept."""
+        if -1 not in assign:
+            sols.append(tuple(assign))
+            return stop_after is None or len(sols) < stop_after
+        e = assign.index(-1)
+        for val in range(len(t)):
+            assign[e] = val
+            trail.append(e)
+            if propagate(list(of_edge[e])) and not search(len(trail)):
+                return False
+            undo_to(mark)
+        return True
+
+    search(len(trail))
+    return sols
+
+
+def closure_labels(X):
+    """For each edge, the branch edge at whose step the tree-gauge DFS
+    first sets it, -1 for the edges the tree forces; from closure alone.
+
+    The known set starts as the BFS forest's edges and is closed under
+    "two known edges of a triangle make the third known", one edge at a
+    time.  The least unknown edge is then a branch edge: it joins the
+    known set, and the closure runs again.  No coefficient value is
+    involved.  Branch edges are the edges labelled with themselves.
+    """
+    edges, tris, of_edge = _edge_triangles(X)
+    label = [None] * len(edges)
+
+    def close(queue, step):
+        for e in queue:
+            label[e] = step
+        while queue:
+            for ti in of_edge[queue.pop()]:
+                unknown = [f for f in tris[ti] if label[f] is None]
+                if len(unknown) == 1:
+                    label[unknown[0]] = step
+                    queue.append(unknown[0])
+
+    close([e for e in bfs_forest(edges, X.vertex_count)[1] if e >= 0], -1)
+    for e in range(len(edges)):
+        if label[e] is None:
+            close([e], e)
+    return label
+
+
+# ---------------------------------------------------------------------------
 # abelian H^1 census by linear algebra mod a prime
 
 

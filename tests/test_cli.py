@@ -223,6 +223,37 @@ def test_cohomology_h1_resource_exit(capsys, torus_file):
     assert "resource cap exceeded" in capsys.readouterr().err
 
 
+def test_cohomology_h1_witness_with_identity_off_index_0(capsys, tmp_path):
+    # Z/2 with the identity at index 1: the gauge witness is the other
+    # value on the 4-cycle's one non-tree edge, so its support is that edge
+    cycle, table = tmp_path / "cycle4.jsonl", tmp_path / "z2.txt"
+    save_complex(fx.cycle_complex(4), cycle)
+    table.write_text("2\n1 0\n0 1\n")
+    argv = ["cohomology", "h1", "--complex", str(cycle),
+            "--lambda", f"table:{table}"]
+    for mode, support in (("gauge", 1), ("brute", 3)):
+        code, env = run_json(capsys, argv + ["--mode", mode])
+        assert code == 0
+        r = env["result"]
+        assert r["trivial"] is False
+        assert len(r["witness_support"]) == support, mode
+
+
+def test_cohomology_h1_timings_leave_result_alone(capsys, torus_file):
+    argv = ["cohomology", "h1", "--complex", torus_file, "--lambda", "sym:3"]
+    code, plain = run_json(capsys, argv)
+    assert code == 0 and "timings" not in plain
+    code, timed = run_json(capsys, argv + ["--timings"])
+    assert code == 0
+    assert json.dumps(timed["result"]).encode() == \
+        json.dumps(plain["result"]).encode()
+    t = timed["timings"]
+    assert t["branch_edges"] >= 1 and t["label_rounds"] >= 1
+    assert t["search_nodes"] >= 1
+    assert not {"branch_edges", "label_rounds", "search_nodes"} & \
+        set(timed["result"])
+
+
 def _raise_memory_error():
     raise MemoryError
 

@@ -15,13 +15,19 @@ that measure one cochain against one cocycle at a time.
 At KO size, the Z/2 gauge witness on KO(2,2,2,1) is pinned by digest and
 the (3,2,2,1) vertex-link censuses by value, the Abelian ones against the
 sparse GF(p) oracle.  The BFS forest behind the tree gauge is held field
-by field to a plain queue-based BFS in oracles.py.
+by field to a plain queue-based BFS in oracles.py.  The gauge search's
+solution lists are held to the queue-propagated search from the tree
+edges down in oracles.py, and its forcing labels, edge by edge, to a
+sequential closure that never looks at a value; on the (3,3,2,1) vertex
+link, where no edge is left to branch on, the queue search confirms the
+Z/2 decision.
 """
 
 import hashlib
 import inspect
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -554,6 +560,103 @@ def test_spectral_report_and_h1_search_the_skeleton_once(monkeypatch):
     h1_trivial(X, zmod(2))
     # X once, through walk_matrix; each solved link once more
     assert searched.count(True) == 1 and len(searched) == 8
+
+
+# ---------------------------------------------------------------------------
+# gauge search against the queue-based search and the closure oracle
+
+
+# the connected fixtures with edges, and this module's own complexes
+GAUGE_COMPLEXES = {
+    **{name: (lambda name=name: getattr(fx, name)(*FIXTURE_ARGS[name]))
+       for name in FIXTURE_ARGS if name != "two_triangles_disjoint"},
+    "two_fold_triangle": two_fold_triangle, "mobius_strip": mobius_strip,
+    "projective_plane": projective_plane, "punctured_torus": punctured_torus,
+}
+# every solution is listed where |Lambda|^(branch edges) stays within
+# this, and the first GAUGE_PREFIX solutions elsewhere
+GAUGE_LIST_BUDGET = 1 << 12
+GAUGE_PREFIX = 64
+
+
+def _branch_edges(X):
+    mu, _ = cohomology._forcing_labels(X)
+    return np.flatnonzero(mu == np.arange(len(mu))).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_COMPLEXES))
+def test_gauge_solutions_match_queue_oracle(name):
+    X = GAUGE_COMPLEXES[name]()
+    r = len(_branch_edges(X))
+    for lam in (zmod(2), zmod(3), sym(3)):
+        stop = None if lam.size ** r <= GAUGE_LIST_BUDGET else GAUGE_PREFIX
+        got, stats = cohomology._gauge_solutions(
+            X, lam, cohomology.DEFAULT_CAP, stop_after=stop)
+        assert got == oracles.queue_gauge_solutions(X, lam, stop), lam.name
+        assert stats["branch_edges"] == r
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_COMPLEXES))
+def test_forcing_labels_match_closure_oracle(name):
+    X = GAUGE_COMPLEXES[name]()
+    mu, _ = cohomology._forcing_labels(X)
+    assert mu.tolist() == oracles.closure_labels(X)
+
+
+def test_forcing_labels_on_ko_complex(ko2221):
+    mu, _ = cohomology._forcing_labels(ko2221)
+    assert mu.tolist() == oracles.closure_labels(ko2221)
+    branches = _branch_edges(ko2221)
+    assert (len(branches), branches[-1]) == (295, 4236)
+
+
+def test_gauge_witness_with_identity_off_index_0():
+    # Z/2 with the identity at index 1: values tried by index alone would
+    # make the identity the second solution, and so the witness
+    X = fx.cycle_complex(4)
+    lam = coefficients_from_table("2\n1 0\n0 1")
+    assert lam.identity == 1
+    census = h1_class_census(X, lam)
+    assert census.classes == 2 == h1_trivial(X, lam, mode="brute").classes
+    for res in (h1_trivial(X, lam), census):
+        assert not res.trivial
+        assert is_cocycle(X, res.witness)
+        assert is_coboundary(X, res.witness) is None
+    got, _ = cohomology._gauge_solutions(X, lam, cohomology.DEFAULT_CAP)
+    assert got[0] == (1,) * 4
+    assert sorted(got) == sorted(oracles.queue_gauge_solutions(X, lam))
+
+
+def test_gauge_cap_charges_propagation_pops():
+    # the 8 tree-trivial cocycles over Z/2 on the 3072 edges of the
+    # (3,2,2,1) vertex link fit in 8 * 3072 kept values, but the search
+    # that finds them pops more triangles than that
+    L = ko_vertex_link(3, 2, 2, 1)
+    assert L.face_count(1) == 3072
+    with pytest.raises(ResourceLimitError, match="nodes and pops") as exc:
+        h1_class_census(L, zmod(2), cap=8 * 3072)
+    assert exc.value.partial_count > 8 * 3072
+
+
+def test_ko_complex_census_cap_fails_fast(ko2221):
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        h1_class_census(ko2221, zmod(2), cap=1 << 20)
+    assert time.perf_counter() - t0 < 10
+
+
+def test_ko_n3_vertex_link_h1_pins():
+    # every edge is forced from the tree: no branch edge, so H^1 is
+    # trivial whatever Lambda, and the search visits no node
+    L = ko_vertex_link(3, 3, 2, 1)
+    assert _branch_edges(L) == []
+    for lam in (zmod(2), zmod(3), sym(3)):
+        res = h1_trivial(L, lam)
+        assert res.trivial, lam.name
+        assert (res.search["branch_edges"], res.search["search_nodes"]) == \
+            (0, 0)
+    assert oracles.queue_gauge_solutions(L, zmod(2), stop_after=2) == \
+        [(0,) * L.face_count(1)]
 
 
 # ---------------------------------------------------------------------------
