@@ -27,6 +27,12 @@ it in column b, so clearing the bounded low terms column by column, bottom
 up, never disturbs a cleared entry.  The reduced elements number
 |K_0|/|K_0 n K_j| and every coset holds one, so each holds exactly one:
 the coset labels need no closure, no key lookup and no ``cosets()``.
+
+Index sets are boolean masks over [0, |G|), all grown by ``_close``: a
+BFS through right-multiplication tables (r[a] = a*g), for subgroups
+(``subgroup_closure_indices``), ``cosets()`` and the generating set of a
+table's associativity check.  N is normal when each generator's
+conjugation, the index map R_{g^-1}[L_g], carries N into N.
 """
 
 from __future__ import annotations
@@ -152,10 +158,6 @@ class MatElement:
         adj = self.adjugate()
         return MatElement(tuple(tuple(e * dinv for e in row) for row in adj.entries))
 
-    def reduce_to(self, s_lo: int) -> "MatElement":
-        return MatElement(tuple(tuple(e.reduce_to(s_lo) for e in row)
-                                for row in self.entries))
-
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row)
                                for row in self.entries) + "]"
@@ -192,17 +194,6 @@ def elementary(n: int, i: int, j: int, r: TruncPoly) -> MatElement:
 
 def commutator(a: MatElement, b: MatElement) -> MatElement:
     return a @ b @ a.inverse() @ b.inverse()
-
-
-def mat_element_order(mat: MatElement, cap: int = 10**6) -> int:
-    """Multiplicative order by iterated product; works in untabled rings."""
-    ident = MatElement.identity(mat.m, mat.p, mat.s)
-    acc = mat
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return k
-        acc = acc @ mat
-    raise ResourceLimitError(f"order exceeds cap {cap}", partial_count=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +233,6 @@ class FiniteGroup:
                 raise StructureError("element order exceeds group size; table corrupt")
         return k
 
-    def conjugate(self, g: int, x: int) -> int:
-        return self.mult(self.mult(g, x), self.inverse(g))
-
 
 class TableGroup(FiniteGroup):
     """Group given by an explicit multiplication table.
@@ -265,18 +253,20 @@ class TableGroup(FiniteGroup):
         self.size = n
         self.name = name if name is not None else f"table:{n}"
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-        ident = _find_identity(table)
-        if ident is None:
+        idx = np.arange(n)
+        ident = np.flatnonzero((table == idx).all(axis=1)
+                               & (table == idx[:, None]).all(axis=0))
+        if len(ident) == 0:
             raise StructureError("table has no two-sided identity")
-        self.identity = ident
-        self.inv = np.empty(n, dtype=np.int64)
-        for a in range(n):
-            hits = np.nonzero(table[a] == ident)[0]
-            if len(hits) != 1 or table[hits[0], a] != ident:
-                raise StructureError(f"element {a} lacks a unique two-sided inverse")
-            self.inv[a] = hits[0]
-        if validate and n <= 256:
-            _check_associative(table)
+        self.identity = ident = int(ident[0])
+        hits = table == ident
+        self.inv = hits.argmax(axis=1)
+        bad = (hits.sum(axis=1) != 1) | (table[self.inv, idx] != ident)
+        if bad.any():
+            raise StructureError(f"element {np.argmax(bad)} lacks a unique "
+                                 f"two-sided inverse")
+        if validate:
+            _check_associative(table, ident)
         self.generators = list(generators) if generators is not None else \
             [i for i in range(n) if i != ident]
 
@@ -296,20 +286,30 @@ class TableGroup(FiniteGroup):
         return self.labels[a]
 
 
-def _find_identity(table: np.ndarray) -> int | None:
-    n = table.shape[0]
-    idx = np.arange(n)
-    for e in range(n):
-        if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx):
-            return e
-    return None
-
-
-def _check_associative(table: np.ndarray) -> None:
-    # (a*b)*c == a*(b*c) for all triples, one a at a time in O(n^2) memory:
-    # table[table[a]][b, c] = (a*b)*c and table[a][table][b, c] = a*(b*c)
-    for row in table:
-        if not np.array_equal(table[row], row[table]):
+def _check_associative(table: np.ndarray, ident: int) -> None:
+    """Light's test: the g with (x*g)*y = x*(g*y) for all x, y are closed
+    under products, so checking a generating set suffices.  The set is
+    picked greedily through ``_close``; in a group each pick at least
+    doubles the reached subgroup, so needing more than log2(n) picks
+    proves the table, which has an identity and inverses, not associative.
+    """
+    n = len(table)
+    reached = np.zeros(n, dtype=bool)
+    reached[ident] = True
+    gens: list[int] = []
+    arrs: list[np.ndarray] = []
+    while not reached.all():
+        if 2 << len(gens) > n:
+            raise StructureError("multiplication table is not associative")
+        gens.append(int(np.argmin(reached)))
+        arrs.append(table[:, gens[-1]])
+        _close(reached, arrs, np.flatnonzero(reached), arrs[-1:])
+    # [x, y]: (x*g)*y on the left, x*(g*y) on the right, a block of rows x
+    # at a time and in int32, half the bytes to gather
+    t = table.astype(np.int32)
+    for g, lo in itertools.product(gens, range(0, n, 256)):
+        rows = slice(lo, lo + 256)
+        if not np.array_equal(t[t[rows, g]], t[rows].take(t[g], axis=1)):
             raise StructureError("multiplication table is not associative")
 
 
@@ -317,19 +317,18 @@ def symmetric_group(k: int) -> TableGroup:
     """Sym(k) on {0..k-1}; elements in itertools.permutations order."""
     if not (1 <= k <= 7):
         raise ParameterError(f"symmetric_group supports 1 <= k <= 7, got {k}")
-    perms = list(itertools.permutations(range(k)))
-    pos = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    # permutations come in lex order, so their base-k codes ascend
+    place = k ** np.arange(k - 1, -1, -1)
+    codes = perms @ place
+    table = np.empty((len(perms), len(perms)), dtype=np.int64)
     for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            table[a, b] = pos[tuple(pa[pb[i]] for i in range(k))]
-    gens = []
-    if k >= 2:
-        swap = tuple([1, 0] + list(range(2, k)))
-        cyc = tuple(list(range(1, k)) + [0])
-        gens = [pos[swap], pos[cyc]]
-    return TableGroup(table, labels=[repr(list(p)) for p in perms],
+        # row a: the codes of pa o pb = pa[pb] for every b
+        table[a] = np.searchsorted(codes, pa[perms] @ place)
+    # the transposition (0 1) and the cycle i -> i+1
+    gens = [] if k < 2 else np.searchsorted(codes, np.array(
+        [[1, 0, *range(2, k)], [*range(1, k), 0]]) @ place).tolist()
+    return TableGroup(table, labels=[repr(p) for p in perms.tolist()],
                       generators=gens, validate=False, name=f"sym:{k}")
 
 
@@ -367,12 +366,8 @@ class MatrixGroup(FiniteGroup):
 
     # -- lookups -----------------------------------------------------------
 
-    def index_of_flat(self, flat: np.ndarray) -> int:
-        pos = self._index.lookup(pack_keys(np.asarray(flat)[None, :], self.ring.q))[0]
-        return int(pos)
-
     def index_of(self, mat: MatElement) -> int:
-        return self.index_of_flat(mat.flat())
+        return int(self.lookup_rows(mat.flat()[None, :])[0])
 
     def lookup_rows(self, rows: np.ndarray) -> np.ndarray:
         return self._index.lookup(pack_keys(rows, self.ring.q))
@@ -414,9 +409,6 @@ class MatrixGroup(FiniteGroup):
 
     def label(self, a: int) -> str:
         return str(self.mat(a))
-
-    def contains_flat_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self.lookup_rows(rows) >= 0
 
 
 def bfs_closure(gens: Sequence[MatElement], cap: int = DEFAULT_CLOSURE_CAP
@@ -488,7 +480,23 @@ def sl_order(m: int, p: int, s: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cosets, normal closures, quotients
+# closures, cosets, quotients
+
+
+def _close(reached: np.ndarray, arrs: Sequence[np.ndarray],
+           frontier: np.ndarray, first: Sequence[np.ndarray] | None = None
+           ) -> int:
+    """Close the mask ``reached`` under the index maps ``arrs`` by BFS from
+    ``frontier``, its first layer mapped through ``first`` alone when given
+    (a set closed under the other maps); returns the number added."""
+    step, added = (arrs if first is None else first), 0
+    while len(frontier) and len(step):
+        img = np.concatenate([arr[frontier] for arr in step])
+        frontier = np.unique(img[~reached[img]])
+        reached[frontier] = True
+        added += len(frontier)
+        step = arrs
+    return added
 
 
 def _orbit_min_labels(n: int, arrs: Sequence[np.ndarray]) -> np.ndarray:
@@ -581,72 +589,45 @@ def cosets(G: FiniteGroup, sub_indices: Sequence[int],
         arrs.append(G.right_mult_table(g))
         # the reached set is a subgroup, closed under the old generators,
         # so the first layer needs only the new one
-        frontier, step = np.flatnonzero(reached), arrs[-1:]
-        while len(frontier):
-            img = np.concatenate([arr[frontier] for arr in step])
-            frontier = np.unique(img[~reached[img]])
-            if not in_sub[frontier].all():
-                raise StructureError(
-                    "claimed subgroup is not closed under multiplication")
-            reached[frontier] = True
-            n_reached += len(frontier)
-            step = arrs
+        n_reached += _close(reached, arrs, np.flatnonzero(reached), arrs[-1:])
+        if (reached & ~in_sub).any():
+            raise StructureError(
+                "claimed subgroup is not closed under multiplication")
     return CosetPartition.from_keys(G, _orbit_min_labels(G.size, arrs))
 
 
 def subgroup_closure_indices(G: FiniteGroup, seed: Iterable[int]) -> np.ndarray:
-    """Indices of <seed> inside G (plain BFS on the index set)."""
-    seen = {G.identity}
-    frontier = [G.identity]
-    seed = sorted(set(int(x) for x in seed))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in seed:
-                y = G.mult(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return np.array(sorted(seen), dtype=np.int64)
-
-
-def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> np.ndarray:
-    """Indices of the normal closure of ``seed`` in G.
-
-    Conjugation-orbit of the seed under the group generators first (a small
-    set), then plain subgroup closure of that orbit.
-    """
-    conj_gens = list(G.generators) + [G.inverse(g) for g in G.generators]
-    orbit = set(int(x) for x in seed)
-    frontier = list(orbit)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in conj_gens:
-                y = G.conjugate(g, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return subgroup_closure_indices(G, orbit)
+    """Indices of <seed> inside G, ascending: the identity closed under
+    the seeds' right tables (in a finite group the products of the seeds
+    are already closed under inverses)."""
+    seed = np.unique(np.fromiter(seed, dtype=np.int64))
+    if ((seed < 0) | (seed >= G.size)).any():
+        raise StructureError("seed indices out of range")
+    reached = np.zeros(G.size, dtype=bool)
+    reached[G.identity] = True
+    _close(reached, [G.right_mult_table(int(g)) for g in seed],
+           np.array([G.identity]))
+    return np.flatnonzero(reached)
 
 
 def quotient(G: FiniteGroup, normal_indices: Sequence[int]
              ) -> tuple[TableGroup, np.ndarray]:
     """Quotient G/N as a TableGroup plus the projection index array.
 
-    Verifies normality (conjugation by every group generator stays in N).
+    ``cosets()`` verifies that N is a subgroup, and N is normal when
+    conjugation by each generator g of G, the index map R_{g^-1}[L_g],
+    carries N into N; the left tables L_g must close the identity to G.
     """
     N = np.unique(np.asarray(normal_indices, dtype=np.int64))
-    n_set = set(int(x) for x in N)
-    if G.identity not in n_set:
-        raise StructureError("normal subgroup must contain the identity")
-    for g in G.generators:
-        for x in N:
-            if G.conjugate(g, int(x)) not in n_set:
-                raise StructureError("subgroup is not normal under the generators")
     part = cosets(G, N)
+    in_n = part.labels == part.labels[G.identity]
+    lefts = [G.left_mult_table(g) for g in G.generators]
+    if _close(np.arange(G.size) == G.identity, lefts,
+              np.array([G.identity])) < G.size - 1:
+        raise StructureError("the generators of G do not generate it")
+    for g, left in zip(G.generators, lefts):
+        if not in_n[G.right_mult_table(G.inverse(g))[left][N]].all():
+            raise StructureError("subgroup is not normal under the generators")
     reps = part.reps
     k = len(reps)
     table = np.empty((k, k), dtype=np.int64)
@@ -655,7 +636,7 @@ def quotient(G: FiniteGroup, normal_indices: Sequence[int]
         table[:, b] = part.ordinal[col[reps]]
     labels = [G.label(int(r)) for r in reps]
     proj = part.ordinal.copy()
-    gen_images = sorted(set(int(proj[g]) for g in G.generators))
+    gen_images = np.unique(proj[G.generators]).tolist()
     Q = TableGroup(table, labels=labels, generators=gen_images, validate=False)
     return Q, proj
 
@@ -826,15 +807,16 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
                      cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
     """Kernel of SL_{n+1}(F_p[t]/t^s_hi) -> SL_{n+1}(F_p[t]/t^s_lo).
 
-    Close the congruence elementaries e_{i,j}(c t^k), k >= s_lo, under
-    conjugation by the ambient elementaries e_{i,j}(r), whose inverses are
-    e_{i,j}(-r), then BFS-close that orbit.  The bare elementaries alone
-    never suffice: with I = (t^s_lo), every product of e_{i,j}(x), x in I,
-    has its diagonal entries congruent to 1 mod I^2, while the kernel holds
-    diag(1 + t^s_lo, (1 + t^s_lo)^-1, 1, ...).  Every stage stays inside
-    the kernel by construction, so reaching the exact kernel order
-    p^((s_hi-s_lo)(m^2-1)) proves equality; a shortfall raises
-    StructureError.
+    BFS closure of e_{i,j}(c t^k) and h_i(1 + t^k) = diag(.., u, u^-1, ..),
+    u at (i, i), for s_lo <= k < s_hi; ``generators`` lists them all.
+    They generate the kernel: with I = (t^s_lo), row and column operations
+    e_{i,j}(x), x in I, bring a kernel element (1 mod I, so with a unit
+    diagonal) to diag(u_1, .., u_m) = h_1(u_1) h_2(u_1 u_2) .. h_n(u_1 ..
+    u_n), u_i in 1 + I, and the (1 + t^k)^c = 1 + c t^k + O(t^(k+1))
+    generate 1 + I one valuation at a time.  The elementaries alone do not:
+    their products have diagonal entries 1 mod I^2.  Every generator lies
+    in the kernel, so reaching its order p^((s_hi-s_lo)(m^2-1)) certifies
+    equality; a shortfall raises StructureError.
     """
     check_ring_params(p, s_hi)
     if not (1 <= s_lo < s_hi):
@@ -847,36 +829,20 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
         raise ResourceLimitError(
             f"kernel order {expected} exceeds cap {cap}", partial_count=0)
     ring = RingTable(p, s_hi)
-
-    seed_flats = np.unique(np.stack([
-        elementary(n, i, j, r).flat()
-        for i, j, r in _elementary_terms(n, p, s_hi, range(s_lo, s_hi))]), axis=0)
-    # conjugation orbit of the seeds under the ambient elementaries
-    conj_pairs = [(elementary(n, i, j, r).flat(), elementary(n, i, j, -r).flat())
-                  for i, j, r in _elementary_terms(n, p, s_hi, range(s_hi))]
-    orbit = seed_flats
-    orbit_keys = set(int(k) for k in pack_keys(orbit, ring.q))
-    frontier = orbit
-    while len(frontier):
-        fresh = []
-        for g, ginv in conj_pairs:
-            prods = matmul_batch(matmul_batch(g, frontier, ring.mul, ring.add, m),
-                                 ginv, ring.mul, ring.add, m)
-            for row, key in zip(prods, pack_keys(prods, ring.q)):
-                if int(key) not in orbit_keys:
-                    orbit_keys.add(int(key))
-                    fresh.append(row)
-        if not fresh:
-            break
-        frontier = np.stack(fresh)
-        # conjugates of congruent elements stay in the kernel, so the orbit
-        # and its closure never outgrow the order checked above
-        orbit = np.concatenate([orbit, frontier])
-    group = MatrixGroup(ring, m, closure_bfs(orbit, ring.mul, ring.add, m,
+    gens = [elementary(n, i, j, r).flat()
+            for i, j, r in _elementary_terms(n, p, s_hi, range(s_lo, s_hi))]
+    for k in range(s_lo, s_hi):
+        u = TruncPoly.one(p, s_hi) + TruncPoly.t_power(p, s_hi, k)
+        for i in range(n):
+            h = identity_flat(m)
+            h[[i * (m + 1), (i + 1) * (m + 1)]] = u.index(), u.inverse().index()
+            gens.append(h)
+    gens = np.stack(gens)
+    group = MatrixGroup(ring, m, closure_bfs(gens, ring.mul, ring.add, m,
                                              ring.q, cap))
     if group.size != expected:
         raise StructureError(
             f"kernel closure has {group.size} elements, not "
             f"p^((s_hi-s_lo)(m^2-1)) = {expected}")
-    group.generators = sorted(int(i) for i in group.lookup_rows(seed_flats))
+    group.generators = np.unique(group.lookup_rows(gens)).tolist()
     return group

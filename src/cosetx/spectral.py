@@ -277,6 +277,11 @@ def _finish_report(entries: list[LinkEntry], threshold: float
                                connected_ok, passed)
 
 
+def _check_threshold(threshold: float) -> None:
+    if not math.isfinite(threshold):
+        raise ParameterError(f"threshold must be finite, got {threshold}")
+
+
 def _solve_entry(lnk: SimplicialComplex, face, colors) -> LinkEntry:
     # walk_matrix's component count is the link's one connectivity check
     try:
@@ -305,6 +310,7 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float
     borrows another's eigenvalue and no symmetry of X is assumed.
     Disconnected links appear as failure entries.
     """
+    _check_threshold(lam_threshold)
     if X.n < 1:
         raise ParameterError("a 0-dimensional complex has no 1-skeleton walk")
     by_orbit = X.coset_data is not None
@@ -371,6 +377,7 @@ def ko_link_report(n: int, p: int, s: int, d: int,
                 f"default bound 1/(sqrt(p)-n) needs sqrt(p) > n; "
                 f"pass an explicit threshold for p={p}, n={n}")
         threshold = 1.0 / (math.sqrt(p) - n)
+    _check_threshold(threshold)
     first = _solve_entry(ko_vertex_link(n, p, s, d, cap=cap), None, (0,))
     return _finish_report([first] + [
         dataclasses.replace(first, colors=(i,), solver="reused")

@@ -842,7 +842,7 @@ def ko_vertex_links_per_color(n, p, s, d):
 
     Ks = [ko_subgroup_bfs(n, p, s, d, i) for i in range(n + 1)]
     return [coset_complex(Ks[i], [
-        np.flatnonzero(Ks[j].contains_flat_rows(Ks[i].elems))
+        np.flatnonzero(Ks[j].lookup_rows(Ks[i].elems) >= 0)
         for j in range(n + 1) if j != i]) for i in range(n + 1)]
 
 
@@ -864,3 +864,105 @@ def ko_complex_per_color(n, p, s, d):
         assert (idx >= 0).all(), f"K_{i} escapes the ambient group"
         subs.append(idx)
     return coset_complex(G, subs)
+
+
+# ---------------------------------------------------------------------------
+# finite groups one operation at a time: closures as Python sets
+
+
+def set_subgroup_closure(G, seed):
+    """Indices of <seed> in G by a plain BFS over ``G.mult`` with a set."""
+    seen = {G.identity}
+    frontier = [G.identity]
+    seed = sorted(set(int(x) for x in seed))
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in seed:
+                y = G.mult(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return np.array(sorted(seen), dtype=np.int64)
+
+
+def symmetric_group_table(k):
+    """Multiplication table of Sym(k) in ``itertools.permutations`` order,
+    (pa pb)(i) = pa(pb(i)), one product at a time."""
+    perms = list(itertools.permutations(range(k)))
+    pos = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+    table = np.empty((n, n), dtype=np.int64)
+    for a, pa in enumerate(perms):
+        for b, pb in enumerate(perms):
+            table[a, b] = pos[tuple(pa[pb[i]] for i in range(k))]
+    return table
+
+
+def orbit_reduction_kernel(n, p, s_hi, s_lo):
+    """Flat rows of the kernel of SL_{n+1}(F_p[t]/t^s_hi) -> mod t^s_lo.
+
+    The congruence elementaries e_{i,j}(c t^k), k >= s_lo, closed under
+    conjugation by every ambient elementary e_{i,j}(r) (a set of keys),
+    then BFS-closed: the normal closure, with no claim on which elements
+    generate it.
+    """
+    from cosetx._kernels import closure_bfs, matmul_batch, pack_keys
+    from cosetx.groups import _elementary_terms, elementary
+    from cosetx.ring import RingTable
+
+    m = n + 1
+    ring = RingTable(p, s_hi)
+    orbit = np.unique(np.stack([
+        elementary(n, i, j, r).flat()
+        for i, j, r in _elementary_terms(n, p, s_hi, range(s_lo, s_hi))]),
+        axis=0)
+    conj_pairs = [(elementary(n, i, j, r).flat(),
+                   elementary(n, i, j, -r).flat())
+                  for i, j, r in _elementary_terms(n, p, s_hi, range(s_hi))]
+    orbit_keys = set(int(k) for k in pack_keys(orbit, ring.q))
+    frontier = orbit
+    while len(frontier):
+        fresh = []
+        for g, ginv in conj_pairs:
+            prods = matmul_batch(matmul_batch(g, frontier, ring.mul, ring.add,
+                                              m), ginv, ring.mul, ring.add, m)
+            for row, key in zip(prods, pack_keys(prods, ring.q)):
+                if int(key) not in orbit_keys:
+                    orbit_keys.add(int(key))
+                    fresh.append(row)
+        if not fresh:
+            break
+        frontier = np.stack(fresh)
+        orbit = np.concatenate([orbit, frontier])
+    return closure_bfs(orbit, ring.mul, ring.add, m, ring.q, 1 << 24)
+
+
+def set_conjugation_classes(sols, lam):
+    """Orbits of cochains under constant conjugation, one orbit at a time
+    into a set of tuples."""
+    conj = [[int(lam.table[lam.table[c, v], lam.inv[c]])
+             for v in range(lam.size)] for c in range(lam.size)]
+    seen = set()
+    classes = 0
+    for s in sols:
+        if tuple(s) in seen:
+            continue
+        classes += 1
+        seen.update(tuple(row[v] for v in s) for row in conj)
+    return classes
+
+
+def mat_element_order(mat, cap=10**6):
+    """Multiplicative order of a ``groups.MatElement`` by iterated product;
+    works in rings too large to table."""
+    from cosetx.groups import MatElement
+
+    ident = MatElement.identity(mat.m, mat.p, mat.s)
+    acc = mat
+    for k in range(1, cap + 1):
+        if acc == ident:
+            return k
+        acc = acc @ mat
+    raise AssertionError(f"order exceeds {cap}")

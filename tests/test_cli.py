@@ -595,6 +595,15 @@ ROBUSTNESS_CASES = [
     pytest.param(FILE_COMMANDS["spectral-links"],
                  '{"n":0,"vertex_count":2,"colors":null}\n[0]\n[1]\n',
                  id="spectral-links-0-dimensional"),
+] + [
+    # no eigenvalue compares with a threshold that is not a finite number
+    pytest.param(argv + ["--threshold", t], None,
+                 id=f"spectral-links-{name}-{t}")
+    for name, argv in (
+        ("complex", FILE_COMMANDS["spectral-links"][:-2]),
+        ("ko", ["spectral", "links", "--preset", "ko", "--n", "2", "--p", "2",
+                "--s", "2", "--d", "1"]))
+    for t in ("nan", "inf")
 ]
 
 
@@ -609,6 +618,22 @@ def test_malformed_input_exits_2(capsys, tmp_path, torus_file, argv, text):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_associative_coefficient_table_exits_2(capsys, tmp_path,
+                                                   torus_file):
+    # Z/300 with the intercalate {3, 153} at rows 1, 151 and columns 2, 152
+    # swapped: a Latin square with identity 0 and inverses, but no group
+    table = np.add.outer(np.arange(300), np.arange(300)) % 300
+    table[1, 2], table[1, 152], table[151, 2], table[151, 152] = 153, 3, 3, 153
+    path = tmp_path / "z300.txt"
+    path.write_text("300\n" + "\n".join(" ".join(map(str, row))
+                                          for row in table.tolist()) + "\n")
+    code = cli.main(["cohomology", "h1", "--complex", torus_file,
+                     "--lambda", f"table:{path}"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and "not associative" in err
 
 
 def test_malformed_complex_cases_are_one_defect_each(capsys, tmp_path):

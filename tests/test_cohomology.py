@@ -60,7 +60,8 @@ from cosetx.cohomology import (
     zmod,
 )
 from cosetx.complexes import SimplicialComplex, build_ko_complex, weights
-from cosetx.errors import InputError, ParameterError, ResourceLimitError
+from cosetx.errors import (InputError, ParameterError, ResourceLimitError,
+                           StructureError)
 from cosetx.groups import TableGroup, symmetric_group
 from cosetx.spectral import ko_vertex_link, local_spectral_report
 
@@ -594,6 +595,37 @@ def test_gauge_solutions_match_queue_oracle(name):
             X, lam, cohomology.DEFAULT_CAP, stop_after=stop)
         assert got == oracles.queue_gauge_solutions(X, lam, stop), lam.name
         assert stats["branch_edges"] == r
+
+
+def _sym3_times_z2():
+    """S_3 x Z/2: non-Abelian with a centre of order 2."""
+    s3, z2 = sym(3).table, zmod(2).table
+    return TableGroup((2 * s3[:, None, :, None] + z2[None, :, None, :])
+                      .reshape(12, 12), name="sym:3xzmod:2")
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_COMPLEXES))
+def test_burnside_census_matches_set_orbits(name):
+    X = GAUGE_COMPLEXES[name]()
+    r = len(_branch_edges(X))
+    for lam in (zmod(2), zmod(3), sym(3), _sym3_times_z2()):
+        if lam.size ** r > 1 << 16:
+            continue
+        sols, _ = cohomology._gauge_solutions(X, lam, cohomology.DEFAULT_CAP)
+        assert cohomology._conjugation_classes(sols, lam) == \
+            oracles.set_conjugation_classes(sols, lam), lam.name
+
+
+def test_burnside_census_on_petersen_over_sym3():
+    lam = sym(3)
+    sols, _ = cohomology._gauge_solutions(fx.petersen_graph(), lam,
+                                          cohomology.DEFAULT_CAP)
+    assert len(sols) == 6 ** 6
+    classes = cohomology._conjugation_classes(sols, lam)
+    assert type(classes) is int  # reports carry it into JSON
+    assert classes == 8051 == oracles.set_conjugation_classes(sols, lam)
+    with pytest.raises(StructureError, match="not closed"):
+        cohomology._conjugation_classes(sols[:-1], lam)
 
 
 @pytest.mark.parametrize("name", sorted(GAUGE_COMPLEXES))

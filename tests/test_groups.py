@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from cosetx._kernels import pack_keys
 from cosetx.errors import ParameterError, ResourceLimitError, StructureError
 from cosetx.groups import (MatElement, MatrixGroup, TableGroup, bfs_closure,
                            commutator, cosets, elementary, elementary_subgroup,
                            k0_degree_bounds, k0_order, ko_coset_codes,
-                           ko_link_cosets, mat_element_order, normal_closure,
-                           quotient, reduction_kernel, rotate_rows, sl_group,
-                           sl_order, subgroup_K, subgroup_closure_indices,
+                           ko_link_cosets, quotient,
+                           reduction_kernel, rotate_rows, sl_group, sl_order,
+                           subgroup_K, subgroup_closure_indices,
                            symmetric_group)
 from cosetx.ring import TruncPoly
 
@@ -73,7 +74,7 @@ class TestMatElement:
     def test_order_of_elementary_is_p(self):
         for p in (2, 3, 5):
             x = elementary(2, 1, 2, TruncPoly.one(p, 2))
-            assert mat_element_order(x) == p
+            assert oracles.mat_element_order(x) == p
 
 
 class TestClosure:
@@ -147,7 +148,7 @@ class TestSubgroupK:
     def test_k_elements_in_ambient(self):
         G = sl_group(2, 2, 2)
         K = subgroup_K(2, 2, 2, 1, 1)
-        assert bool(G.contains_flat_rows(K.elems).all())
+        assert (G.lookup_rows(K.elems) >= 0).all()
 
     @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 3, 2, 1),
                                          (1, 3, 3, 1), (3, 2, 2, 1),
@@ -201,7 +202,7 @@ class TestKOLinkCosets:
         parts = ko_link_cosets(K0, d)
         for j in range(1, n + 1):
             sub = np.flatnonzero(
-                K0.contains_flat_rows(rotate_rows(K0.elems, -j)))
+                K0.lookup_rows(rotate_rows(K0.elems, -j)) >= 0)
             expect = cosets(K0, sub)
             # the codes and cosets()' labels induce the same partition
             codes = ko_coset_codes(K0, d, j)
@@ -269,6 +270,22 @@ class TestGroupInterface:
         z5 = np.add.outer(np.arange(5), np.arange(5)) % 5
         assert TableGroup(z5).identity == 0
 
+    def test_table_group_checks_associativity_at_every_order(self):
+        # Z/300 with one intercalate swapped: rows 1 and 151 meet columns
+        # 2 and 152 in {3, 153}.  Still a Latin square with identity 0 and
+        # the same inverses, but (1*1)*2 = 4 while 1*(1*2) = 154.
+        z300 = np.add.outer(np.arange(300), np.arange(300)) % 300
+        assert TableGroup(z300).identity == 0
+        bad = z300.copy()
+        bad[1, 2], bad[1, 152], bad[151, 2], bad[151, 152] = 153, 3, 3, 153
+        assert TableGroup(bad, validate=False).inv.tolist() == \
+            (-np.arange(300) % 300).tolist()
+        with pytest.raises(StructureError, match="not associative"):
+            TableGroup(bad)
+        # (Z/2)^8 needs log2(256) = 8 greedy generators, the most a group can
+        idx = np.arange(256)
+        assert TableGroup(idx[:, None] ^ idx[None, :]).size == 256
+
     @given(st.integers(0, 5))
     @settings(max_examples=20, deadline=None)
     def test_lagrange_on_matrix_group(self, seed):
@@ -326,7 +343,7 @@ class TestCosetsQuotients:
                             lambda G, b: tables.append(b) or table(G, b))
         for i, j in itertools.permutations(range(n + 1), 2):
             G = Ks[i]
-            sub = np.flatnonzero(Ks[j].contains_flat_rows(G.elems))
+            sub = np.flatnonzero(Ks[j].lookup_rows(G.elems) >= 0)
             tables.clear()
             part = cosets(G, sub)
             # the link groups K_i n K_j need several generators
@@ -347,11 +364,16 @@ class TestCosetsQuotients:
             seeded = cosets(G, sub, sub_generators=sub[::-1][:3])
             assert np.array_equal(seeded.labels, part.labels)
 
-    def test_normal_closure_of_3cycle_is_a4(self):
+    def test_quotient_s4_by_a4(self):
+        # the 3-cycles generate A_4, which is normal of index 2
         G = symmetric_group(4)
         perms = list(itertools.permutations(range(4)))
-        nc = normal_closure(G, [perms.index((0, 2, 3, 1))])
-        assert len(nc) == 12
+        cycles = [i for i, p in enumerate(perms)
+                  if sum(a != b for a, b in zip(p, range(4))) == 3]
+        a4 = subgroup_closure_indices(G, cycles)
+        assert len(cycles) == 8 and len(a4) == 12
+        Q, proj = quotient(G, a4)
+        assert Q.size == 2 and np.array_equal(np.flatnonzero(proj == 0), a4)
 
     def test_quotient_s4_by_v4(self):
         G = symmetric_group(4)
@@ -370,6 +392,69 @@ class TestCosetsQuotients:
         sub = subgroup_closure_indices(G, [perms.index((1, 0, 2))])
         with pytest.raises(StructureError):
             quotient(G, sub)
+
+    def test_quotient_of_matrix_group_by_congruence_kernel(self):
+        # SL_2(F_3[t]/t^2) over the kernel of reduction mod t is SL_2(F_3)
+        from cosetx.ring import RingTable
+
+        G = sl_group(1, 3, 2)
+        low = RingTable(3, 2).reduce_indices(G.elems, 1)
+        N = np.flatnonzero((low == [1, 0, 0, 1]).all(axis=1))
+        Q, proj = quotient(G, N)
+        assert len(N) == 27 and Q.size == sl_order(2, 3, 1) == 24
+        rng = np.random.default_rng(1)
+        for a, b in rng.integers(0, G.size, size=(40, 2)):
+            assert proj[G.mult(int(a), int(b))] == \
+                Q.mult(int(proj[a]), int(proj[b]))
+        # <e_12(1)> has order 3 and is not normal
+        e12 = G.index_of(elementary(1, 1, 2, TruncPoly.one(3, 2)))
+        sub = subgroup_closure_indices(G, [e12])
+        assert len(sub) == 3
+        with pytest.raises(StructureError, match="not normal"):
+            quotient(G, sub)
+        # normality is only checked under generators that generate G
+        G.generators = G.generators[:1]
+        with pytest.raises(StructureError, match="do not generate"):
+            quotient(G, N)
+
+
+class TestSetOracles:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_symmetric_group_matches_product_by_product(self, k):
+        assert np.array_equal(symmetric_group(k).table,
+                              oracles.symmetric_group_table(k))
+
+    @pytest.mark.parametrize("build", [lambda: symmetric_group(4),
+                                       lambda: sl_group(1, 3, 2)],
+                             ids=["sym4", "sl_1_3_2"])
+    def test_subgroup_closure_matches_set_closure(self, build):
+        G = build()
+        rng = np.random.default_rng(0)
+        seeds = [[], [G.identity], list(G.generators)] + [
+            rng.integers(0, G.size, size=k).tolist() for k in (1, 1, 2, 2, 3)]
+        sizes = set()
+        for seed in seeds:
+            got = subgroup_closure_indices(G, seed)
+            assert np.array_equal(got, oracles.set_subgroup_closure(G, seed))
+            sizes.add(len(got))
+        assert len(subgroup_closure_indices(G, [])) == 1
+        assert G.size in sizes and len(sizes) > 2
+        with pytest.raises(StructureError):
+            subgroup_closure_indices(G, [G.size])
+
+    @pytest.mark.parametrize("args", [(2, 2, 2, 1), (1, 2, 4, 2),
+                                      (2, 2, 3, 1), (2, 3, 3, 2)])
+    def test_reduction_kernel_matches_conjugation_orbit(self, args):
+        K = reduction_kernel(*args)
+        ref = oracles.orbit_reduction_kernel(*args)
+        q = K.ring.q
+        assert np.array_equal(np.sort(K.keys), np.sort(pack_keys(ref, q)))
+
+    @pytest.mark.parametrize("args", [(1, 2, 2, 1), (1, 2, 3, 1),
+                                      (2, 2, 2, 1), (1, 3, 3, 1)])
+    def test_reduction_kernel_generators_generate(self, args):
+        K = reduction_kernel(*args)
+        assert len(subgroup_closure_indices(K, K.generators)) == K.size
 
 
 class TestReductionKernel:
@@ -414,6 +499,9 @@ def test_reduction_kernel_certifies_its_order(monkeypatch):
 # identity, ascending canonical key within a layer, except for subgroup_K,
 # which lists K_0 in the mixed-radix order of its entries and K_i as its
 # rotation (``test_rotated_k0_is_k_i`` proves the same sets as the BFS).
+# reduction_kernel is numbered from its explicit generators, elementaries
+# and diagonals; ``test_reduction_kernel_matches_conjugation_orbit`` proves
+# the same sets as the closure of the elementaries' conjugation orbit.
 # Dumps, coset labels and complex vertex ids are all read off this order,
 # so it must not move.
 GOLDEN_ORDER = [
@@ -432,11 +520,11 @@ GOLDEN_ORDER = [
     (sl_group, (2, 2, 2),
      "cd152832cf5a641826bd3cfee071d159ad6aad983ee5ce91929eddc04f5658f7"),
     (reduction_kernel, (2, 2, 2, 1),
-     "b9f4f6e7037fede43821d4494627bf9aa63f714f052b4d07a8122ba1a069f87e"),
+     "a0f8760474bc7ee8e6ad909493eb61219f983130963c4d3604be42673956c7d2"),
     (reduction_kernel, (1, 2, 4, 2),
-     "58bd62c4a33ec5f181438d028bc6b806d86b3b8bf90448e777790c3f41561d88"),
+     "455f89b8088ffadd01d02fad6d70a64e15dd42ef0b7fcbc2d7776e808046af0e"),
     (reduction_kernel, (2, 2, 3, 1),
-     "d931e68ab97af9fb721bc67bc5dc15c21e254f1b8129b681a833e9ba4f8450c2"),
+     "608e9612857498166db575c770a891139ed69adbcc3ca844a026acfd6f7ab8b2"),
 ]
 
 
