@@ -13,7 +13,6 @@ failed spectral threshold, incomplete coverage, failed suite checks),
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -400,10 +399,6 @@ def _cmd_spectral_links(args) -> int:
 # suite
 
 
-def _sym_index(k: int, perm: tuple) -> int:
-    return list(itertools.permutations(range(k))).index(perm)
-
-
 def _check_propagation(n):
     from .roots import verify_propagation
 
@@ -439,47 +434,29 @@ def _check_gamma1_boundary(n_max):
 
 
 def _check_lemmas_exhaustive(n_max):
-    from .roots import (all_roots, covered_pairs, gamma0, gamma1,
-                        chamber_roots, compose, initial_stage, opposite,
-                        pair_covered, perm_pow)
+    from .roots import (chamber_masks, compose, coverage, gamma0, gamma1,
+                        initial_coverage, nonopposite_pairs, perm_pow,
+                        root_index, shared_index)
 
     failures = 0
     for n in range(3, n_max + 1):
-        roots = all_roots(n)
-        cs0 = initial_stage(n)
-        cov0 = covered_pairs(cs0)
+        m = n + 1
+        cov0 = initial_coverage(n)
+        i, j = np.divmod(np.arange(m * m), m)
+        # ordered pairs of roots, r1 = r2 included, that are not opposite
+        pairs = (np.outer(i != j, i != j)
+                 & ((i[:, None] != j) | (j[:, None] != i)))
         # shared-index pairs are stage-0 covered
-        for r1 in roots:
-            for r2 in roots:
-                if r2 == opposite(r1):
-                    continue
-                key = tuple(sorted((r1, r2)))
-                if (r1[0] == r2[0] or r1[1] == r2[1]) and key not in cov0:
-                    failures += 1
+        failures += int((pairs & shared_index(m) & ~cov0).sum())
         # (i,i+1) against everything non-opposite
-        for i in range(1, n + 1):
-            r1 = (i, i + 1)
-            for r2 in roots:
-                if r2 == opposite(r1):
-                    continue
-                if not pair_covered(r1, r2, cs0):
-                    failures += 1
+        steps = [root_index((a, a + 1), n) for a in range(1, m)]
+        failures += int((pairs[steps] & ~cov0[steps]).sum())
         # every non-opposite pair in some C_{gamma_0^t gamma_1^l}
-        union = set()
-        for t in range(n + 1):
-            for l in range(n):
-                g = compose(perm_pow(gamma0(n), t), perm_pow(gamma1(n), l))
-                ch = chamber_roots(g)
-                for a in ch:
-                    for b in ch:
-                        union.add(tuple(sorted((a, b))))
-        for a in range(len(roots)):
-            for b in range(a, len(roots)):
-                r1, r2 = roots[a], roots[b]
-                if r2 == opposite(r1):
-                    continue
-                if tuple(sorted((r1, r2))) not in union:
-                    failures += 1
+        perms = np.array([compose(perm_pow(gamma0(n), t),
+                                  perm_pow(gamma1(n), l))
+                          for t in range(m) for l in range(n)]) - 1
+        x, y = nonopposite_pairs(n)
+        failures += int((~coverage(chamber_masks(perms)[0])[x, y]).sum())
     return failures == 0, {"n_max": n_max, "failures": failures}
 
 
@@ -583,21 +560,19 @@ def _check_commutator_power(samples, seed):
 def _check_quotient_proposition():
     from .complexes import verify_quotient_proposition
     from .groups import subgroup_closure_indices, symmetric_group
+    from .roots import perm_rank
 
     results = []
     G3 = symmetric_group(3)
-    swap12 = _sym_index(3, (1, 0, 2))
-    swap23 = _sym_index(3, (0, 2, 1))
-    cyc3 = _sym_index(3, (1, 2, 0))
+    swap12, swap23, cyc3 = perm_rank([(1, 0, 2), (0, 2, 1), (1, 2, 0)])
     a3 = subgroup_closure_indices(G3, [cyc3])
     results.append(verify_quotient_proposition(
         G3, [subgroup_closure_indices(G3, [swap12]),
              subgroup_closure_indices(G3, [swap23])], a3))
     G4 = symmetric_group(4)
-    subs = [subgroup_closure_indices(G4, [_sym_index(4, perm)])
-            for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))]
-    v4 = subgroup_closure_indices(
-        G4, [_sym_index(4, (1, 0, 3, 2)), _sym_index(4, (2, 3, 0, 1))])
+    subs = [subgroup_closure_indices(G4, [s]) for s in
+            perm_rank([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)])]
+    v4 = subgroup_closure_indices(G4, perm_rank([(1, 0, 3, 2), (2, 3, 0, 1)]))
     results.append(verify_quotient_proposition(G4, subs, v4))
     return all(results), {"instances": len(results),
                           "passed": sum(bool(r) for r in results)}
@@ -752,17 +727,17 @@ def _check_quotient_cohomology():
     from .complexes import (coset_complex, left_translation_action,
                             quotient_by_action)
     from .groups import subgroup_closure_indices, symmetric_group
+    from .roots import perm_rank
 
     G = symmetric_group(4)
-    s1, s2, s3 = (1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)
+    s1, s2, s3 = perm_rank([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)])
     # maximal parabolics: the coset complex is the 14-vertex 2-sphere
-    subs = [subgroup_closure_indices(G, [_sym_index(4, a), _sym_index(4, b)])
+    subs = [subgroup_closure_indices(G, [a, b])
             for a, b in ((s2, s3), (s1, s3), (s1, s2))]
     X = coset_complex(G, subs)
     z3 = parse_coefficients("zmod:3")
     up = h1_trivial(X, z3)
-    v4 = subgroup_closure_indices(
-        G, [_sym_index(4, (1, 0, 3, 2)), _sym_index(4, (2, 3, 0, 1))])
+    v4 = subgroup_closure_indices(G, perm_rank([(1, 0, 3, 2), (2, 3, 0, 1)]))
     perms = left_translation_action(X, G, (int(x) for x in v4))
     Y, _ = quotient_by_action(X, perms)
     down = h1_trivial(Y, z3)

@@ -74,8 +74,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
+import warnings
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -117,20 +118,28 @@ def sym(k: int) -> TableGroup:
 
 
 def coefficients_from_table(text: str, name: str = "table") -> TableGroup:
-    """Parse the CLI table format: first line the order m, then m rows."""
-    toks = text.split()
-    if not toks:
+    """Parse the CLI table format: first line the order m, then m rows.
+
+    The order is read and capped first; then numpy reads every token
+    straight into int64, and fails on any token that is not a decimal
+    integer, so no token becomes a Python object.
+    """
+    head = re.match(r"\s*(\S*)", text).group(1)
+    if not head:
         raise InputError("empty coefficient table")
     try:
-        m = int(toks[0])
+        m = int(head)
         _check_coeff_order(m)
-        vals = [int(x) for x in toks[1:]]
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # numpy releases before the ValueError only warn on a bad token
+            warnings.simplefilter("error", DeprecationWarning)
+            vals = np.fromstring(text, dtype=np.int64, sep=" ")[1:]
+    except (ValueError, DeprecationWarning) as exc:
         raise InputError(f"bad coefficient table: {exc}") from exc
     if m < 1 or len(vals) != m * m:
         raise InputError(
             f"coefficient table needs {m}*{m} entries, got {len(vals)}")
-    table = np.array(vals, dtype=np.int64).reshape(m, m)
+    table = vals.reshape(m, m)
     if (table < 0).any() or (table >= m).any():
         raise InputError("coefficient table entries out of range")
     return TableGroup(table, name=name)
@@ -204,46 +213,6 @@ class Cochain1:
         val = int(self.values[pos])
         return val if u < v else int(self.lam.inv[val])
 
-    @classmethod
-    def from_edge_map(cls, X: SimplicialComplex, lam: TableGroup,
-                      mapping: Mapping) -> "Cochain1":
-        """Build from oriented-edge values, verifying antisymmetry.
-
-        Values may be given for either or both orientations; supplying
-        phi((u,v)) and phi((v,u)) that are not mutually inverse is an
-        error, as is omitting an edge of X.
-        """
-        E = X.face_count(1)
-        vals = np.full(E, -1, dtype=np.int64)
-        for (u, v), raw in mapping.items():
-            val = int(raw)
-            if not 0 <= val < lam.size:
-                raise InputError(f"value {val} out of range for {lam.name}")
-            a, b = (u, v) if u < v else (v, u)
-            pos = X.face_position((a, b))
-            if pos < 0:
-                raise InputError(f"({u}, {v}) is not an edge")
-            canon = val if u < v else int(lam.inv[val])
-            if vals[pos] >= 0 and vals[pos] != canon:
-                raise InputError(
-                    f"antisymmetry violated on edge ({a}, {b})")
-            vals[pos] = canon
-        if (vals < 0).any():
-            missing = int(np.flatnonzero(vals < 0)[0])
-            raise InputError(
-                f"no value for edge {tuple(X.faces(1)[missing])}")
-        return cls(lam, vals)
-
-    def identity_support_free(self) -> bool:
-        return bool((self.values == self.lam.identity).all())
-
-
-def identity_cochain1(X: SimplicialComplex, lam: TableGroup
-                      ) -> Cochain1:
-    return Cochain1(lam, np.full(X.face_count(1), lam.identity,
-                                 dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
 # connectivity
 
@@ -290,18 +259,6 @@ def is_cocycle(X: SimplicialComplex, phi: Cochain1) -> bool:
     return bool((d1(X, phi) == phi.lam.identity).all())
 
 
-def gauge_act(X: SimplicialComplex, psi: Cochain0, phi: Cochain1
-              ) -> Cochain1:
-    """psi.phi((u, v)) = psi(u) phi((u, v)) psi(v)^-1 on a cocycle."""
-    if len(psi.values) != X.vertex_count:
-        raise InputError("0-cochain size does not match the complex")
-    if psi.lam is not phi.lam and psi.lam.name != phi.lam.name:
-        raise InputError("cochains use different coefficient groups")
-    if not is_cocycle(X, phi):
-        raise InputError("gauge action is defined on cocycles only")
-    return Cochain1(phi.lam, _gauge(X, phi.lam, psi.values, phi.values))
-
-
 def _tree_potential(X: SimplicialComplex, phi: Cochain1) -> np.ndarray:
     """psi(root) = e and psi(v) = phi((u, v))^-1 psi(u) down the BFS forest.
 
@@ -336,16 +293,6 @@ def tree_gauge_fix(X: SimplicialComplex, phi: Cochain1) -> Cochain1:
         raise InputError("tree gauge fixing is defined on cocycles only")
     psi = phi.lam.inv[_tree_potential(X, phi)]
     return Cochain1(phi.lam, _gauge(X, phi.lam, psi, phi.values))
-
-
-def is_coboundary(X: SimplicialComplex, phi: Cochain1) -> Cochain0 | None:
-    """A psi with d0 psi = phi, or None.  Works per component."""
-    if len(phi.values) != X.face_count(1):
-        raise InputError("1-cochain size does not match the complex")
-    cand = Cochain0(phi.lam, _tree_potential(X, phi))
-    if np.array_equal(d0(X, cand).values, phi.values):
-        return cand
-    return None
 
 
 # ---------------------------------------------------------------------------

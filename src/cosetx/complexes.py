@@ -465,10 +465,6 @@ class CosetStructure:
     partitions: list[CosetPartition]
     offsets: np.ndarray  # offsets[i] is the first vertex id of color i
 
-    def vertex_of(self, color: int, element: int) -> int:
-        return int(self.offsets[color]
-                   + self.partitions[color].ordinal[element])
-
 
 def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
                   labels: bool = False) -> SimplicialComplex:

@@ -11,8 +11,6 @@ strip whose same-colored vertices have unlike links, and assorted
 
 from __future__ import annotations
 
-import numpy as np
-
 from .complexes import SimplicialComplex
 from .errors import ParameterError
 

@@ -48,7 +48,7 @@ import numpy as np
 from ._kernels import KeyIndex, closure_bfs, identity_flat, matmul_batch, pack_keys
 from .errors import ParameterError, ResourceLimitError, StructureError
 from .ring import RingTable, TruncPoly, check_ring_params
-from .roots import gamma0, perm_pow
+from .roots import gamma0, perm_pow, perm_rank, perm_table
 
 DEFAULT_CLOSURE_CAP = 1 << 24
 
@@ -317,17 +317,15 @@ def symmetric_group(k: int) -> TableGroup:
     """Sym(k) on {0..k-1}; elements in itertools.permutations order."""
     if not (1 <= k <= 7):
         raise ParameterError(f"symmetric_group supports 1 <= k <= 7, got {k}")
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
-    # permutations come in lex order, so their base-k codes ascend
-    place = k ** np.arange(k - 1, -1, -1)
-    codes = perms @ place
+    perms = perm_table(k)
     table = np.empty((len(perms), len(perms)), dtype=np.int64)
-    for a, pa in enumerate(perms):
-        # row a: the codes of pa o pb = pa[pb] for every b
-        table[a] = np.searchsorted(codes, pa[perms] @ place)
+    for lo in range(0, len(perms), 32):
+        # row a: the ranks of pa o pb = pa[pb] for every b, 32 rows at a time
+        table[lo:lo + 32] = perm_rank(np.take(perms[lo:lo + 32], perms,
+                                              axis=1))
     # the transposition (0 1) and the cycle i -> i+1
-    gens = [] if k < 2 else np.searchsorted(codes, np.array(
-        [[1, 0, *range(2, k)], [*range(1, k), 0]]) @ place).tolist()
+    gens = [] if k < 2 else perm_rank(
+        [[1, 0, *range(2, k)], [*range(1, k), 0]]).tolist()
     return TableGroup(table, labels=[repr(p) for p in perms.tolist()],
                       generators=gens, validate=False, name=f"sym:{k}")
 

@@ -43,7 +43,7 @@ from .errors import InputError, ParameterError
 from .groups import MatElement, elementary
 from .ring import RingTable, TruncPoly, check_ring_params, enumerate_polys
 from .roots import (Root, all_roots, chamber_boundary, chamber_roots,
-                    identity_perm, initial_stage, covered_pairs, opposite)
+                    identity_perm, initial_coverage, opposite, root_index)
 
 KINDS = ("zero", "additive", "commuting", "steinberg-product",
          "steinberg-equality")
@@ -382,12 +382,12 @@ def tilde_gamma_presentation(n: int, p: int, d: int) -> Presentation:
     """
     if n < 3:
         raise ParameterError(f"tilde presentation needs n >= 3, got {n}")
-    covered = covered_pairs(initial_stage(n))
+    covered = initial_coverage(n)
     roots = all_roots(n)
     table = _SymbolTable(p, d)
     rels: list[RelationInstance] = []
     for pair in _nonopposite_pairs(roots):
-        if pair in covered:
+        if covered[root_index(pair[0], n), root_index(pair[1], n)]:
             rels.extend(_pair_relations(pair, table))
     return Presentation("tilde-gamma", n, p, d, table.generators(roots),
                         tuple(rels))

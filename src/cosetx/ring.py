@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterator
 
 import numpy as np
 
 from .errors import InputError, ParameterError
 
 NEG_INF = float("-inf")
-
-PolyDegree = "int | float"  # deg of the zero polynomial is NEG_INF
 
 
 def is_prime(p: int) -> bool:
@@ -187,12 +184,6 @@ class TruncPoly:
         for c in reversed(self.coeffs):
             idx = idx * self.p + c
         return idx
-
-    def reduce_to(self, s_lo: int) -> "TruncPoly":
-        """Image under the truncation F_p[t]/t^s -> F_p[t]/t^s_lo."""
-        if not (1 <= s_lo <= self.s):
-            raise ParameterError(f"need 1 <= s_lo <= {self.s}, got {s_lo}")
-        return TruncPoly(self.p, s_lo, self.coeffs[:s_lo])
 
     def lift_to(self, s_hi: int) -> "TruncPoly":
         """Zero-padded section of truncation into F_p[t]/t^s_hi."""
@@ -357,12 +348,6 @@ class RingTable:
         if (poly.p, poly.s) != (self.p, self.s):
             raise ParameterError("polynomial belongs to a different ring")
         return poly.index()
-
-    def reduce_indices(self, indices, s_lo: int):
-        """Packed-index image under truncation to s_lo (index mod p^s_lo)."""
-        if not (1 <= s_lo <= self.s):
-            raise ParameterError(f"need 1 <= s_lo <= {self.s}, got {s_lo}")
-        return np.asarray(indices) % (self.p**s_lo)
 
     def __repr__(self):
         return f"RingTable(p={self.p}, s={self.s})"

@@ -19,8 +19,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 # numpy 2 loads np.random on first use; load it here so that no solve pays
@@ -101,10 +99,6 @@ class WalkMatrix:
 
     def stationary(self) -> np.ndarray:
         return self.strength / self.strength.sum()
-
-    def stationary_exact(self) -> list[Fraction]:
-        tot = int(self.strength.sum())
-        return [Fraction(int(s), tot) for s in self.strength]
 
 
 def walk_matrix(X: SimplicialComplex) -> WalkMatrix:

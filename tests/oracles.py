@@ -966,3 +966,190 @@ def mat_element_order(mat, cap=10**6):
             return k
         acc = acc @ mat
     raise AssertionError(f"order exceeds {cap}")
+
+
+# ---------------------------------------------------------------------------
+# root-pair propagation on sets of root tuples
+
+
+def act_root(perm, r):
+    """The image (perm(i), perm(j)) of root (i, j); perms are 1-based image
+    tuples."""
+    return (perm[r[0] - 1], perm[r[1] - 1])
+
+
+def count_nonopposite_pairs(n):
+    """Unordered non-opposite pairs of A_n roots, diagonal included."""
+    r = (n + 1) * n
+    return r * (r - 1) // 2 - r // 2 + r
+
+
+def _chamber(perm):
+    m = len(perm)
+    return {(perm[a], perm[b]) for a in range(m) for b in range(a + 1, m)}
+
+
+def initial_stage(n):
+    """The gamma_0 powers k -> k + t mod n+1, as 1-based image tuples."""
+    m = n + 1
+    return frozenset(tuple((k + t) % m + 1 for k in range(m))
+                     for t in range(m))
+
+
+def covered_pairs(perms):
+    """All unordered root pairs (sorted tuples, diagonal included) lying in
+    one chamber of ``perms``."""
+    out = set()
+    for perm in perms:
+        rs = sorted(_chamber(perm))
+        for a in range(len(rs)):
+            for b in range(a, len(rs)):
+                out.add((rs[a], rs[b]))
+    return frozenset(out)
+
+
+def pair_covered(r1, r2, perms):
+    """True iff some chamber of ``perms`` contains both roots."""
+    return any(r1 in ch and r2 in ch for ch in map(_chamber, perms))
+
+
+def _admissible(perm, covered):
+    bd = sorted((perm[a], perm[a + 1]) for a in range(len(perm) - 1))
+    for a in range(len(bd)):
+        for b in range(a, len(bd)):
+            if (bd[a], bd[b]) not in covered:
+                return False
+    rs = sorted(_chamber(perm))
+    for r1, r2 in itertools.combinations(rs, 2):
+        if (r1[0] == r2[0] or r1[1] == r2[1]) and (r1, r2) not in covered:
+            return False
+    return True
+
+
+def propagate_stage(perms, n):
+    """The next stage, one permutation of Sym(n+1) at a time: a chamber is
+    admitted when every pair from its boundary and every shared-index pair
+    among its roots is covered by ``perms``."""
+    covered = covered_pairs(perms)
+    return frozenset(perm for perm in itertools.permutations(range(1, n + 2))
+                     if _admissible(perm, covered))
+
+
+def lemma_failures(n, stage0):
+    """The suite's exhaustive lemma failures for one n, on sets: ordered
+    shared-index pairs (r1 = r2 too) outside the coverage of ``stage0``,
+    (i, i+1) against each non-opposite root outside it, and unordered
+    non-opposite pairs in no chamber C_{gamma_0^t gamma_1^l}."""
+    m = n + 1
+    roots = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)
+             if i != j]
+    cov0 = covered_pairs(stage0)
+    failures = sum(1 for r1 in roots for r2 in roots
+                   if r2 != (r1[1], r1[0])
+                   and (r1[0] == r2[0] or r1[1] == r2[1])
+                   and tuple(sorted((r1, r2))) not in cov0)
+    failures += sum(1 for i in range(1, m) for r2 in roots
+                    if r2 != (i + 1, i)
+                    and not pair_covered((i, i + 1), r2, stage0))
+    # gamma_1^l: k -> k - l mod n on 1..n, fixing n+1; then gamma_0^t
+    g1 = [[(k - 1 - l) % n + 1 for k in range(1, m)] + [m] for l in range(n)]
+    union = covered_pairs([tuple((v - 1 + t) % m + 1 for v in g)
+                           for t in range(m) for g in g1])
+    failures += sum(1 for a in range(len(roots)) for b in range(a, len(roots))
+                    if roots[b] != (roots[a][1], roots[a][0])
+                    and (roots[a], roots[b]) not in union)
+    return failures
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers on the package's cochains, walks, rings and complexes
+
+
+def identity_cochain1(X, lam):
+    """The 1-cochain with the identity on every edge."""
+    from cosetx.cohomology import Cochain1
+
+    return Cochain1(lam, np.full(X.face_count(1), lam.identity,
+                                 dtype=np.int64))
+
+
+def identity_support_free(phi):
+    """True iff the cochain is the identity everywhere."""
+    return bool((phi.values == phi.lam.identity).all())
+
+
+def cochain1_from_edge_map(X, lam, mapping):
+    """A 1-cochain from oriented-edge values, verifying antisymmetry.
+
+    Values may be given for either or both orientations; supplying
+    phi((u,v)) and phi((v,u)) that are not mutually inverse is an
+    error, as is omitting an edge of X.
+    """
+    from cosetx.cohomology import Cochain1
+    from cosetx.errors import InputError
+
+    vals = np.full(X.face_count(1), -1, dtype=np.int64)
+    for (u, v), raw in mapping.items():
+        val = int(raw)
+        if not 0 <= val < lam.size:
+            raise InputError(f"value {val} out of range for {lam.name}")
+        a, b = (u, v) if u < v else (v, u)
+        pos = X.face_position((a, b))
+        if pos < 0:
+            raise InputError(f"({u}, {v}) is not an edge")
+        canon = val if u < v else int(lam.inv[val])
+        if vals[pos] >= 0 and vals[pos] != canon:
+            raise InputError(f"antisymmetry violated on edge ({a}, {b})")
+        vals[pos] = canon
+    if (vals < 0).any():
+        missing = int(np.flatnonzero(vals < 0)[0])
+        raise InputError(f"no value for edge {tuple(X.faces(1)[missing])}")
+    return Cochain1(lam, vals)
+
+
+def gauge_act(X, psi, phi):
+    """psi.phi((u, v)) = psi(u) phi((u, v)) psi(v)^-1 on a cocycle."""
+    from cosetx.cohomology import Cochain1, is_cocycle
+    from cosetx.errors import InputError
+
+    if len(psi.values) != X.vertex_count:
+        raise InputError("0-cochain size does not match the complex")
+    if psi.lam is not phi.lam and psi.lam.name != phi.lam.name:
+        raise InputError("cochains use different coefficient groups")
+    if not is_cocycle(X, phi):
+        raise InputError("gauge action is defined on cocycles only")
+    lam, e = phi.lam, X.faces(1)
+    return Cochain1(lam, lam.table[lam.table[psi.values[e[:, 0]], phi.values],
+                                   lam.inv[psi.values[e[:, 1]]]])
+
+
+def is_coboundary(X, phi):
+    """A psi with d0 psi = phi, or None; the tree potential, per
+    component, is the only candidate."""
+    from cosetx.cohomology import Cochain0, _tree_potential, d0
+    from cosetx.errors import InputError
+
+    if len(phi.values) != X.face_count(1):
+        raise InputError("1-cochain size does not match the complex")
+    cand = Cochain0(phi.lam, _tree_potential(X, phi))
+    if np.array_equal(d0(X, cand).values, phi.values):
+        return cand
+    return None
+
+
+def stationary_exact(M):
+    """The stationary distribution of a ``spectral.WalkMatrix`` as
+    fractions: vertex strength over total strength."""
+    tot = int(M.strength.sum())
+    return [Fraction(int(s), tot) for s in M.strength]
+
+
+def reduce_indices(indices, p, s_lo):
+    """Packed ring indices under truncation to t^s_lo: index mod p^s_lo."""
+    return np.asarray(indices) % (p**s_lo)
+
+
+def vertex_of(coset_data, color, element):
+    """The vertex id of the coset of ``element`` in colour ``color``."""
+    return int(coset_data.offsets[color]
+               + coset_data.partitions[color].ordinal[element])

@@ -368,6 +368,52 @@ def test_propagate_text(capsys):
     assert code == 0 and "COMPLETE" in out
 
 
+@pytest.mark.parametrize("argv,code,digest", [
+    (["--n", "5"], 0,
+     "279918a0b9dc75cc0630d0a80a802296a2815e17738769bd8b8ad2ea5fc94e05"),
+    (["--n", "6"], 0,
+     "84003e3e12360de6713ad15e8ca39fb23d0c18f1dcd0ac131cbf5d83718427ff"),
+    # stage 0 alone leaves 90 and 175 pairs uncovered
+    (["--n", "5", "--stages", "0"], 1,
+     "afe489318525435ef0c94d1e82c1119faafc0082305538f306f4e49ff88eb154"),
+    (["--n", "6", "--stages", "0"], 1,
+     "5c493d992bf00c4ff68a19217bc22d7f177c9356b48ebca50ba23b78645fcfc7"),
+    (["--n", "4", "--stages", "3"], 0,
+     "948350eff032102cd68aba6a416ff7b25d84f53eef1302373adb64a42932586a"),
+], ids=["n5", "n6", "n5-stage0", "n6-stage0", "n4-stages3"])
+def test_propagate_result_is_pinned(capsys, argv, code, digest):
+    """Stage sizes, covered counts and the uncovered pairs, hashed; taken
+    from the set-based propagation that the coverage matrices replace."""
+    got, env = run_json(capsys, ["propagate"] + argv)
+    assert got == code
+    blob = json.dumps(env["result"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert len(env["result"]["uncovered_final"]) == \
+        env["result"]["uncovered_per_stage"][-1]
+
+
+def test_propagate_n7_streams_within_memory_limit():
+    """All 8! chambers in a subprocess under a 1 GiB address-space limit,
+    within 20 s: stages [8, 1816, 40320], covered [1260, 1568, 1568] of
+    1568."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    r = subprocess.run([sys.executable, "-m", "cosetx.cli", "propagate",
+                        "--n", "7"], capture_output=True, text=True,
+                       timeout=20, preexec_fn=cap_memory)
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout)["result"]
+    assert result["stage_sizes"] == [8, 1816, 40320]
+    assert result["covered_counts"] == [1260, 1568, 1568]
+    blob = json.dumps(result, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "d530c21c0ce91487a5235c242d9dced369ae3f73036fa7ddd5d3e4ce0fdc3470"
+
+
 def test_relations_emit(capsys):
     code, env = run_json(capsys, ["relations", "emit", "--preset", "sl",
                                   "--n", "3", "--p", "2", "--d", "1"])
@@ -388,6 +434,15 @@ def test_relations_emit(capsys):
      "6b70c26a65e68cd886baa09b416b22e7ecc9f7a54db781911744f18f2ad2a077"),
     (["--preset", "unip", "--n", "6", "--p", "2", "--d", "1"],
      "689d24ca1a7c6d5b2dfffddde0575e3ca18ba6dfde1f9f964cdfc5a88aa35c57"),
+    # the stage-0-covered pairs, and the pairs inside C_0
+    (["--preset", "tilde", "--n", "3", "--p", "2", "--d", "1"],
+     "816167134aed1bc622a2374ca26eb256b735968dd2b381e62c89223cda2ec718"),
+    (["--preset", "tilde", "--n", "4", "--p", "2", "--d", "1"],
+     "d0dd45085983a432e72bf30b4333c21b4fafe29bc3dee893bec15b46d5b48fdc"),
+    (["--preset", "chamber", "--n", "3", "--p", "2", "--d", "1"],
+     "67679d27a1b201a1fbdd9d2e39322f3659c486e905ef4c86fa71d548b5e79626"),
+    (["--preset", "prechamber", "--n", "3", "--p", "2", "--d", "1"],
+     "794888e5f2de59af8b32dd3f7bc3f208acc8063d9084ec22343cb87d5ff2c0c4"),
 ])
 def test_relations_emit_result_is_pinned(capsys, argv, digest):
     """The emitted relations, word by word, hashed: the builders may share
@@ -514,6 +569,27 @@ def test_suite_full_result_is_pinned():
         json.dumps(env["result"], sort_keys=True).encode()).hexdigest()
     assert digest == \
         "69374d9cf0c8c6d8b2c1590cc655cc0730b2ec251f589d9fc7a6644e734b79e4"
+
+
+@pytest.mark.parametrize("drop", [0, 1, 3])
+def test_lemma_failures_match_set_count(monkeypatch, drop):
+    """With the last ``drop`` gamma_0 powers taken out of stage 0, the
+    suite's exhaustive lemma row counts the failures the set-based count
+    finds: ordered shared-index pairs, (i, i+1) against each root, and
+    unordered pairs."""
+    from cosetx import roots
+
+    def stage0(n):
+        m = n + 1
+        return sorted(tuple((k + t) % m + 1 for k in range(m))
+                      for t in range(m))[:m - drop]
+
+    monkeypatch.setattr(roots, "initial_coverage", lambda n: roots.coverage(
+        roots.chamber_masks(np.array(stage0(n)) - 1)[0]))
+    ok, detail = cli._check_lemmas_exhaustive(5)
+    expect = sum(oracles.lemma_failures(n, stage0(n)) for n in (3, 4, 5))
+    assert detail["failures"] == expect
+    assert ok == (expect == 0) == (drop == 0)
 
 
 def test_suite_timings_per_row(quick_suite):

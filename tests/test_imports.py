@@ -5,7 +5,8 @@ loads some of its submodules (``numpy.random``, ``numpy.ma``) on first
 use; the cosetx modules that use them load them at import, so a timed run
 never pays for an import.  Each check runs in a fresh interpreter that
 imports a benchmark workload's modules as ``perfbench/workloads.py`` lists
-them and then runs a small version of that workload.
+them and then runs that workload (the full suite) or a small version of it
+(the KO instances).
 """
 
 import json
@@ -26,10 +27,11 @@ RUNS = {
                    "X = build_ko_complex(2, 2, 2, 1)\n"
                    "local_spectral_report(X, 0.999)\n"
                    "h1_trivial(X, zmod(2))\n"),
+    # the full suite, as the benchmark times it: --quick skips rows
     "suite": ("import contextlib, io\n"
               "from cosetx.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    assert main(['suite', '--quick']) == 0\n"),
+              "    assert main(['suite']) == 0\n"),
 }
 
 PROBE = """\

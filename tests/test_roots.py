@@ -1,13 +1,20 @@
+import itertools
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from cosetx import roots
 from cosetx.errors import ParameterError
-from cosetx.roots import (all_roots, act_root, boundary_of_gamma1_power,
-                          chamber_boundary, chamber_roots, compose,
-                          count_nonopposite_pairs, covered_pairs, gamma0,
-                          gamma1, identity_perm, initial_stage, opposite,
-                          pair_covered, perm_order, perm_pow,
-                          propagate_stage, verify_propagation)
+from cosetx.roots import (admissible, all_roots, boundary_of_gamma1_power,
+                          chamber_boundary, chamber_masks, chamber_roots,
+                          compose, coverage, gamma0, gamma1, identity_perm,
+                          initial_coverage, opposite, perm_order, perm_pow,
+                          perm_rank, perm_table, root_index,
+                          verify_propagation)
+from oracles import act_root, count_nonopposite_pairs
 
 
 def test_all_roots_count():
@@ -49,25 +56,103 @@ def test_gamma1_boundary_formula(n):
             chamber_boundary(perm_pow(gamma1(n), l))
 
 
+def _pair_set(cov, n):
+    """The covered pairs of a coverage matrix as sorted root tuples."""
+    rs = all_roots(n)
+    return {(a, b) for a, b in itertools.combinations_with_replacement(rs, 2)
+            if cov[root_index(a, n), root_index(b, n)]}
+
+
+def _array_stages(n, stages=2):
+    """(admitted permutations, coverage) per stage from the masks over
+    ``perm_table(n+1)``; stage 0 is None and the gamma_0 coverage."""
+    perms = perm_table(n + 1)
+    C, B = chamber_masks(perms)
+    out = [(None, initial_coverage(n))]
+    for _ in range(stages):
+        mask = admissible(C, B, out[-1][1])
+        out.append(({tuple(p) for p in (perms[mask] + 1).tolist()},
+                    coverage(C[mask])))
+    return out
+
+
 def test_initial_stage_covers_shared_index():
     n = 3
-    cov = covered_pairs(initial_stage(n))
+    cov = initial_coverage(n)
+    cs0 = oracles.initial_stage(n)
+    assert _pair_set(cov, n) == oracles.covered_pairs(cs0)
     for r1 in all_roots(n):
         for r2 in all_roots(n):
             if r2 == opposite(r1):
                 continue
             if r1[0] == r2[0] or r1[1] == r2[1]:
-                assert pair_covered(r1, r2, initial_stage(n))
-    assert all(isinstance(k, tuple) and len(k) == 2 for k in cov)
+                assert cov[root_index(r1, n), root_index(r2, n)]
+                assert oracles.pair_covered(r1, r2, cs0)
+    # the matrix is symmetric and has no entries off the roots
+    assert np.array_equal(cov, cov.T)
+    assert int(np.triu(cov).sum()) == len(oracles.covered_pairs(cs0))
 
 
 def test_propagate_stage_grows():
-    cs0 = initial_stage(3)
-    cs1 = propagate_stage(cs0)
-    cs2 = propagate_stage(cs1)
-    assert cs0.perms < cs1.perms < cs2.perms
-    assert (cs0.stage, cs1.stage, cs2.stage) == (0, 1, 2)
-    assert covered_pairs(cs0) < covered_pairs(cs1) <= covered_pairs(cs2)
+    (_, cov0), (cs1, cov1), (cs2, cov2) = _array_stages(3)
+    assert oracles.initial_stage(3) < cs1 < cs2
+    assert _pair_set(cov0, 3) < _pair_set(cov1, 3) <= _pair_set(cov2, 3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_array_stages_match_set_oracle(n):
+    """Every stage admits the permutations the set-based rule admits and
+    covers the same pairs, and verify_propagation reports their sizes."""
+    rep = verify_propagation(n)
+    cs = oracles.initial_stage(n)
+    sizes, counts = [len(cs)], []
+    for admitted, cov in _array_stages(n):
+        if admitted is not None:
+            cs = oracles.propagate_stage(cs, n)
+            assert admitted == cs
+            sizes.append(len(cs))
+        covered = oracles.covered_pairs(cs)
+        assert _pair_set(cov, n) == covered
+        counts.append(len(covered))
+    assert rep.stage_sizes == sizes
+    # covered pairs are never opposite, so every one counts
+    assert rep.covered_counts == counts
+    assert rep.pairs_total == count_nonopposite_pairs(n)
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (3, 1), (4, 2), (4, 3)])
+def test_admissible_matches_set_rule_on_random_coverage(n, seed):
+    """The two products against the pair-by-pair rule, on symmetric random
+    coverages where boundary pairs and shared-index pairs fail apart."""
+    rng = np.random.default_rng(seed)
+    m = n + 1
+    cov = rng.random((m * m, m * m)) < 0.97
+    cov = np.triu(cov) | np.triu(cov).T
+    covered = {(a, b) for a, b in itertools.combinations_with_replacement(
+        all_roots(n), 2) if cov[root_index(a, n), root_index(b, n)]}
+    perms = perm_table(m)
+    mask = admissible(*chamber_masks(perms), cov)
+    expect = [oracles._admissible(tuple(p), covered)
+              for p in (perms + 1).tolist()]
+    assert mask.tolist() == expect
+    assert 0 < mask.sum() < len(perms)
+
+
+def test_streamed_blocks_match_one_block(monkeypatch):
+    """Stages united over blocks of 7 rows (720 = 102 * 7 + 6) give the
+    report of a single block."""
+    whole = verify_propagation(5, 3)
+    monkeypatch.setattr(roots, "BLOCK", 7)
+    assert verify_propagation(5, 3) == whole
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_perm_table_is_lex_and_ranks_invert_it(k):
+    table = perm_table(k)
+    assert table.tolist() == [list(p) for p in
+                              itertools.permutations(range(k))]
+    assert np.array_equal(perm_rank(table), np.arange(math.factorial(k)))
+    assert int(perm_rank(table[-1])) == math.factorial(k) - 1
 
 
 def test_verify_propagation_n3_pinned():

@@ -60,7 +60,7 @@ def test_transition_is_stochastic_and_reversible():
         # detailed balance: diag(pi) P is symmetric
         B = pi[:, None] * P
         assert np.allclose(B, B.T)
-        exact = M.stationary_exact()
+        exact = oracles.stationary_exact(M)
         assert sum(exact) == 1
         assert np.allclose([float(f) for f in exact], pi)
 
@@ -382,9 +382,9 @@ def test_ko_links_match_literal_links():
     Y = ko_vertex_link(2, 2, 2, 1)
     K0 = Y.coset_data.partitions[0].group
     for i in range(3):
-        L = link(X, (X.coset_data.vertex_of(i, G.identity),))
+        L = link(X, (oracles.vertex_of(X.coset_data, i, G.identity),))
         image = np.concatenate([
-            [X.coset_data.vertex_of((i + j) % 3, int(g))
+            [oracles.vertex_of(X.coset_data, (i + j) % 3, int(g))
              for g in G.lookup_rows(rotate_rows(K0.elems[part.reps], i))]
             for j, part in enumerate(Y.coset_data.partitions, start=1)])
         phi = np.searchsorted(L.origin_vertices, image)
