@@ -22,9 +22,9 @@ generator.  Once the frontiers so far hold Q/m elements, and if
 Q * len(gens) <= cap (at most 4*cap bytes), the row maps become tables,
 one matmul_batch over the Q row vectors per generator: the same work as
 the products on Q/m elements, so only closures much larger than Q/m
-gain by them, and smaller ones never build them.  Keys
-are uint64 when q**(m*m) <= 2**64 and Python ints in object arrays
-otherwise.  The visited keys are a bitset over the key space when the
+gain by them, and smaller ones never build them.  Keys are uint64 when
+q**(m*m) <= 2**64 and void (``common``) otherwise, and only the products
+map void keys.  The visited keys are a bitset over the key space when the
 keys are uint64 and there are at most 64*cap of them (at most 8*cap
 bytes, the size of ``cap`` uint64 keys), and one sorted key array
 otherwise.  Rows are decoded from the keys at the end, layer by layer.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError, ResourceLimitError
-from .common import fits_uint64, identity_flat, pack_keys, unpack_keys
+from .common import fits_uint64, identity_flat, key_dtype, pack_keys, unpack_keys
 
 NAME = "pure"
 
@@ -181,7 +181,7 @@ class _BitsetKeys:
 
 
 class _SortedKeys:
-    """Visited keys as one sorted array, uint64 or Python ints."""
+    """Visited keys as one sorted array, of either key form."""
 
     def __init__(self, dtype):
         self.keys = np.empty(0, dtype=dtype)
@@ -203,15 +203,13 @@ def _visited_set(q: int, mm: int, cap: int):
     elements: a bitset when the keys are uint64 and the key space has at
     most 64*cap keys, so that the bitset is no larger than ``cap`` uint64
     keys, and the sorted visited keys otherwise."""
-    if not fits_uint64(q, mm):
-        return _SortedKeys(object)
-    if q**mm <= 64 * cap:
+    if fits_uint64(q, mm) and q**mm <= 64 * cap:
         return _BitsetKeys(q**mm)
-    return _SortedKeys(np.uint64)
+    return _SortedKeys(key_dtype(q, mm))
 
 
 class _RowTables:
-    """Row maps read from one table per generator.
+    """Row maps read from one table per generator, on uint64 keys.
 
     Row ``t`` of ``tables`` is R_g for the generator g = ``gens[t]``:
     R_g[rho] is the row key of (row rho) @ g, for every row key rho in
@@ -241,8 +239,7 @@ class _RowTables:
             rest = rest // self.Q
         rho.append(rest)
         # row keys are below Q <= 2**32: an int64 view indexes without a copy
-        rho = [r.astype(np.int64) if keys.dtype == object else r.view(np.int64)
-               for r in rho]
+        rho = [r.view(np.int64) for r in rho]
         for table in self.tables:
             out = table.take(rho[-1]).astype(keys.dtype)
             for r in rho[-2::-1]:
@@ -271,8 +268,8 @@ class _RowProducts:
 class _RowMaps:
     """The row maps of ``closure_bfs``: products on the frontier's rows
     until the frontiers so far hold ceil(Q/m) elements, then tables, when
-    Q * len(gens) <= cap (so the tables take at most 4*cap bytes, and row
-    keys fit uint32).
+    the keys are uint64 and Q * len(gens) <= cap (so the tables take at
+    most 4*cap bytes, and row keys fit uint32).
 
     Building the tables is one ``matmul_batch`` over ceil(Q/m) matrices
     per generator, what the products cost on that many elements.  So a
@@ -285,7 +282,8 @@ class _RowMaps:
                  m: int, q: int, cap: int):
         self.source = _RowProducts(gens, mul, add, m, q)
         Q = q**m
-        self.left = -(-Q // m) if Q * len(gens) <= min(cap, 1 << 32) else None
+        tabled = fits_uint64(q, m * m) and Q * len(gens) <= min(cap, 1 << 32)
+        self.left = -(-Q // m) if tabled else None
 
     def images(self, keys: np.ndarray):
         if self.left is not None:
@@ -317,16 +315,16 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
 
     The row maps start as products: each layer's rows are decoded once
     and multiplied by each generator, and the products' keys packed.
-    Once the frontiers so far hold ceil(Q/m) elements, and if
-    Q * len(gens) <= cap, they become one uint32 table of Q entries per
-    generator (at most 4*cap bytes), and a candidate key costs m
-    ``take``s and m-1 multiply-adds.  Building the tables takes as much
+    Once the frontiers so far hold ceil(Q/m) elements, and if the keys
+    are uint64 and Q * len(gens) <= cap, they become one uint32 table of
+    Q entries per generator (at most 4*cap bytes), and a candidate key
+    costs m ``take``s and m-1 multiply-adds.  Building the tables takes as much
     matmul work as the products of ceil(Q/m) elements, so the tables pay
     off only for groups much larger than Q/m.  Visited keys live in a
     bitset over the key space when the keys are uint64 and
     q**(m*m) <= 64*cap: then the bitset takes at most 8*cap bytes, the
     size of ``cap`` uint64 keys, and a membership test is one ``take``.
-    Otherwise (Python-int keys or a larger key space) they live in one
+    Otherwise (void keys or a larger key space) they live in one
     sorted array, searched with ``searchsorted`` and merged with each
     generator's survivors.  Working
     memory beyond the result and the visited keys is the keys of every

@@ -109,13 +109,14 @@ def _cmd_ring_op(args) -> int:
 
 
 def _cmd_group_enum(args) -> int:
+    from ._kernels.common import key_ints
     from .groups import elementary_subgroup
 
     d = args.s - 1 if args.d is None else args.d
     t0 = time.perf_counter()
     G = elementary_subgroup(args.n, args.p, args.s, d, cap=args.cap)
     # canonical keys: base-q digits of the row-major entries, entry 0 lowest
-    packed = [format(int(k), "x") for k in G.keys]
+    packed = [format(k, "x") for k in key_ints(G.keys, G.ring.q, G.m * G.m)]
     if args.format == "json":
         result = {"n": args.n, "p": args.p, "s": args.s, "d": d,
                   "order": G.size, "elements": packed}

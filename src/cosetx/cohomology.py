@@ -40,10 +40,11 @@ cross-validates the two mode answers.  It builds C^1 edge by edge in lex
 order and drops a partial cochain as soon as it fails a triangle whose
 three edges are all set; it uses no tree and no propagation, and its
 work follows the cocycles it finds.  Z^1 and B^1 are each one int16
-array of rows in lex order.  Brute mode tests membership in them by
-base-|Lambda| int64 codes, edge 0 the most significant digit, so code
-order is lex order.  B^1 itself is built without codes, since search
-mode needs it where |Lambda|^|X(1)| passes 2^63.
+array of rows in lex order.  Brute mode tests membership in them through
+a ``KeyIndex`` of the rows' keys (``_kernels.common.pack_keys``, edge 0
+the most significant digit), and B^1 is deduplicated by the same keys.
+They are fixed-width at any |Lambda|^|X(1)|, so search mode builds B^1
+past 2^64 cochains too.
 
 The spanning tree is the BFS forest that the complex owns and caches
 (``SimplicialComplex.spanning_forest``; its order contract is stated in
@@ -80,6 +81,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._kernels.common import KeyIndex, lex_keys, unpack_keys
 from .complexes import SimplicialComplex, WeightTable, _unique_rows
 from .errors import (InputError, ParameterError, ResourceLimitError,
                      StructureError)
@@ -558,29 +560,23 @@ _PAIR_BUDGET = 1 << 24
 
 
 def _check_cap(X: SimplicialComplex, m: int, k: int, cap: int) -> None:
-    """The |Lambda|^|X(k)| cochains of degree k within cap."""
-    if m ** X.face_count(k) > cap:
-        raise ResourceLimitError(f"|Lambda|^|X({k})| = "
-                                 f"{m}**{X.face_count(k)} exceeds cap {cap}")
-
-
-def _place(m: int, k: int) -> np.ndarray:
-    """Place values of k-digit base-m int64 codes, digit 0 the most
-    significant; past 2^63 codes, whatever the cap, raises."""
-    if m ** k >= 1 << 63:
-        raise ResourceLimitError(
-            f"{m}**{k} cochains overflow the int64 cochain codes")
-    return m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    """The |Lambda|^|X(k)| cochains of degree k within cap, and fewer than
+    2^63 whatever the cap, so that int64 indices number them."""
+    E = X.face_count(k)
+    if m ** E > cap:
+        raise ResourceLimitError(f"|Lambda|^|X({k})| = {m}**{E} exceeds cap {cap}")
+    if m ** E >= 1 << 63:
+        raise ResourceLimitError(f"{m}**{E} cochains overflow the int64 cochain indices")
 
 
 def _digit_blocks(m: int, k: int):
     """Every k-digit base-m string, most significant digit first, in lex
-    order and in blocks of at most _BRUTE_CHUNK rows."""
-    place = _place(m, k)
+    order and in blocks of at most _BRUTE_CHUNK rows: the block's indices
+    unpacked as keys, digits reversed."""
     total = m ** k
     for lo in range(0, total, _BRUTE_CHUNK):
-        idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total), dtype=np.int64)
-        yield idx[:, None] // place % m
+        idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total), dtype=np.uint64)
+        yield unpack_keys(idx, m, k)[:, ::-1]
 
 
 def _orbit(X: SimplicialComplex, lam: TableGroup, phi):
@@ -593,8 +589,8 @@ def _enumerate_coboundaries(X: SimplicialComplex, lam: TableGroup,
                             cap: int) -> np.ndarray:
     """B^1 = {d0 psi : psi in C^0}, the orbit of the identity cochain, as
     unique int16 rows in lex order: deduplicated per block and at the end.
-    complexes._unique_rows falls back from int64 keys to sorting the rows
-    themselves, so |Lambda|^|X(1)| may pass 2^63.
+    complexes._unique_rows keys the rows in fixed width, uint64 or void,
+    so |Lambda|^|X(1)| may pass 2^64.
     """
     _check_cap(X, lam.size, 0, cap)
     m = lam.size
@@ -637,23 +633,20 @@ def _enumerate_cocycles(X: SimplicialComplex, lam: TableGroup,
 
 
 def _z1_outside_b1(X: SimplicialComplex, lam: TableGroup, cap: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Z^1 as rows in lex order, their codes, the mask of the cocycles
-    outside B^1)."""
+                   ) -> tuple[np.ndarray, KeyIndex, np.ndarray]:
+    """(Z^1 as rows in lex order, their key index, the mask of the
+    cocycles outside B^1)."""
     b1 = _enumerate_coboundaries(X, lam, cap)
-    # the codes must fit before any cocycle is listed
-    _check_cap(X, lam.size, 1, cap)
-    place = _place(lam.size, X.face_count(1))
     z1 = _enumerate_cocycles(X, lam, cap)
-    zcodes = z1 @ place
-    return z1, zcodes, ~np.isin(zcodes, b1 @ place)
+    zkeys = lex_keys(z1, lam.size)
+    outside = KeyIndex(lex_keys(b1, lam.size)).lookup(zkeys) < 0
+    return z1, KeyIndex(zkeys), outside
 
 
 def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
               ) -> H1Result:
     _require_connected(X)
-    z1, zcodes, outside = _z1_outside_b1(X, lam, cap)
-    place = _place(lam.size, X.face_count(1))
+    z1, zindex, outside = _z1_outside_b1(X, lam, cap)
     witness = None
     if outside.any():
         witness = Cochain1(lam, z1[np.argmax(outside)])
@@ -663,9 +656,8 @@ def _h1_brute(X: SimplicialComplex, lam: TableGroup, cap: int
     while not seen.all():
         classes += 1
         for rows in _orbit(X, lam, z1[np.argmin(seen)]):
-            imgs = rows @ place
-            pos = np.minimum(np.searchsorted(zcodes, imgs), len(z1) - 1)
-            if (zcodes[pos] != imgs).any():
+            pos = zindex.lookup(lex_keys(rows, lam.size))
+            if (pos < 0).any():
                 raise StructureError("gauge action left Z^1")
             seen[pos] = True
     # for Abelian Lambda the orbits are the cosets phi.B^1
@@ -815,11 +807,10 @@ def _span_blocks(basis: np.ndarray, p: int):
 
     Row i of the whole scan is sum_j x_j basis[j] with i = sum_j x_j p^j.
     """
-    place = p ** np.arange(len(basis), dtype=np.int64)
     total = p ** len(basis)
     for lo in range(0, total, _SCAN_ROWS):
-        idx = np.arange(lo, min(lo + _SCAN_ROWS, total), dtype=np.int64)
-        yield (idx[:, None] // place % p) @ basis % p
+        idx = np.arange(lo, min(lo + _SCAN_ROWS, total), dtype=np.uint64)
+        yield unpack_keys(idx, p, len(basis)) @ basis % p
 
 
 def _z1_basis(X: SimplicialComplex, p: int

@@ -32,42 +32,22 @@ import numpy as np
 # that no computation pays for the import
 import numpy.ma  # noqa: F401
 
-from .errors import (InputError, ParameterError, ResourceLimitError,
-                     StructureError)
+from ._kernels.common import KeyIndex, lex_keys
+from .errors import InputError, ParameterError, StructureError
 from .groups import (CosetPartition, FiniteGroup, _orbit_min_labels,
                      cosets, quotient, rotate_rows, sl_group, subgroup_K)
 
 
-def _pack_cols(rows: np.ndarray, base: int) -> np.ndarray | None:
-    """Row keys base^w-adic if they fit in int64, else None."""
-    w = rows.shape[1]
-    if w == 0 or base <= 0 or base ** w >= 2 ** 63:
-        return None
-    keys = rows[:, 0].astype(np.int64)
-    for c in range(1, w):
-        keys = keys * base + rows[:, c]
-    return keys
-
-
 def _same_rows(A: np.ndarray, B: np.ndarray, base: int) -> bool:
-    """Do two arrays hold the same set of rows?"""
-    if A.shape != B.shape:
-        return False
-    ka, kb = _pack_cols(A, base), _pack_cols(B, base)
-    if ka is not None and kb is not None:
-        return bool(np.array_equal(np.sort(ka), np.sort(kb)))
-    return bool(np.array_equal(np.unique(A, axis=0), np.unique(B, axis=0)))
+    """Do two arrays of rows in [0, base) hold the same multiset of rows?"""
+    return A.shape == B.shape and bool(np.array_equal(
+        np.sort(lex_keys(A, base)), np.sort(lex_keys(B, base))))
 
 
 def _unique_rows(rows: np.ndarray, base: int, counts: bool = False):
-    if rows.shape[1] == 0:
-        out = rows[:1]
-        return (out, np.array([len(rows)])) if counts else out
-    keys = _pack_cols(rows, base)
-    if keys is None:
-        if counts:
-            return np.unique(rows, axis=0, return_counts=True)
-        return np.unique(rows, axis=0)
+    """The distinct rows in lex order of rows in [0, base), and with
+    ``counts`` the number of times each occurs."""
+    keys = lex_keys(rows, base)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     fresh = np.ones(len(keys), dtype=bool)
@@ -75,9 +55,7 @@ def _unique_rows(rows: np.ndarray, base: int, counts: bool = False):
     uniq = rows[order[fresh]]
     if not counts:
         return uniq
-    starts = np.flatnonzero(fresh)
-    cnt = np.diff(np.append(starts, len(keys)))
-    return uniq, cnt
+    return uniq, np.diff(np.append(np.flatnonzero(fresh), len(keys)))
 
 
 def _spanning_forest(edges: np.ndarray, V: int
@@ -163,16 +141,18 @@ class SimplicialComplex:
                 f"got shape {mf.shape}")
         if w:
             mf = np.sort(mf, axis=1)
-        mf = _unique_rows(mf, vertex_count)
+        # the keys are injective only on rows in range: check before keying
+        if (mf < 0).any() or (mf >= vertex_count).any():
+            raise StructureError("vertex index out of range")
         self.n = n
         self.vertex_count = int(vertex_count)
-        self.max_faces = mf
+        self.max_faces = _unique_rows(mf, self.vertex_count)
         self.colors = None if colors is None else \
             np.asarray(colors, dtype=np.int64)
         self.labels = None if labels is None else tuple(labels)
         self.coset_data: CosetStructure | None = None
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._keys: dict[int, np.ndarray] = {}
+        self._index: dict[int, KeyIndex] = {}
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
         self._tri_edges: np.ndarray | None = None
         self._forest: tuple | None = None
@@ -187,8 +167,6 @@ class SimplicialComplex:
             if V:
                 raise StructureError("dimension -1 admits no vertices")
             return
-        if (mf < 0).any() or (mf >= V).any():
-            raise StructureError("vertex index out of range")
         if w > 1 and not (mf[:, 1:] > mf[:, :-1]).all():
             raise StructureError("a face may not repeat a vertex")
         # the least unused vertex is at most mf.size, however large V is.
@@ -259,34 +237,25 @@ class SimplicialComplex:
         return sum((-1) ** k * self.face_count(k)
                    for k in range(self.n + 1))
 
-    def _face_keys(self, k: int) -> np.ndarray:
-        if k not in self._keys:
-            keys = _pack_cols(self.faces(k), self.vertex_count)
-            if keys is None:
-                raise ResourceLimitError(
-                    "face keys exceed 63 bits; complex too large to index")
-            self._keys[k] = keys
-        return self._keys[k]
+    def _face_index(self, k: int) -> KeyIndex:
+        """The key index of faces(k), cached; its keys are already sorted."""
+        if k not in self._index:
+            self._index[k] = KeyIndex(lex_keys(self.faces(k),
+                                                self.vertex_count))
+        return self._index[k]
 
     def face_position(self, tau) -> int:
         """Index of tau in faces(len(tau)-1), or -1."""
-        tau = tuple(sorted(int(v) for v in tau))
+        tau = sorted(int(v) for v in tau)
         k = len(tau) - 1
         if k == -1:
             return 0
         if k > self.n or len(set(tau)) != len(tau):
             return -1
-        if min(tau) < 0 or max(tau) >= self.vertex_count:
+        if tau[0] < 0 or tau[-1] >= self.vertex_count:
             return -1
-        keys = self._face_keys(k)
-        key = 0
-        for v in tau:
-            key = key * self.vertex_count + v
-        # keys are ascending because faces are lexsorted
-        pos = int(np.searchsorted(keys, key))
-        if pos < len(keys) and keys[pos] == key:
-            return pos
-        return -1
+        return int(self._face_index(k).lookup(
+            lex_keys([tau], self.vertex_count))[0])
 
     def _vertex_incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertex -> maximal-face incidence in CSR form, cached.
@@ -306,20 +275,21 @@ class SimplicialComplex:
         return self._incidence
 
     def face_index_array(self, rows) -> np.ndarray:
-        """Vectorized face_position over sorted rows of equal width."""
+        """Vectorized face_position over rows of equal width; a row that is
+        not a strictly increasing row of vertices, or not a face, raises
+        InputError."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2:
             raise InputError("expected a 2-d array of faces")
         k = rows.shape[1] - 1
         if k > self.n:
             raise InputError(f"no faces of dimension {k}")
-        keys = self._face_keys(k)
-        q = _pack_cols(rows, self.vertex_count)
-        if q is None:
-            raise ResourceLimitError("face keys exceed 63 bits")
-        pos = np.searchsorted(keys, q)
-        pos_c = np.minimum(pos, len(keys) - 1)
-        if (pos >= len(keys)).any() or (keys[pos_c] != q).any():
+        if ((rows < 0) | (rows >= self.vertex_count)).any() or \
+                (rows[:, 1:] <= rows[:, :-1]).any():
+            raise InputError("some row is not a strictly increasing row of "
+                             "vertices")
+        pos = self._face_index(k).lookup(lex_keys(rows, self.vertex_count))
+        if (pos < 0).any():
             raise InputError("some row is not a face of the complex")
         return pos
 

@@ -33,6 +33,7 @@ import math
 
 import numpy as np
 
+from ._kernels.common import KeyIndex, lex_keys
 from .errors import ParameterError
 
 Root = tuple[int, int]
@@ -113,11 +114,11 @@ def perm_table(k: int) -> np.ndarray:
 
 def perm_rank(rows) -> np.ndarray:
     """The positions in ``perm_table(k)`` of permutation rows (last axis k)."""
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     k = rows.shape[-1]
-    # lex order makes the base-k codes of the table ascend
-    place = k ** np.arange(k - 1, -1, -1)
-    return np.searchsorted(perm_table(k) @ place, rows @ place)
+    # lex keys: the table's ascend, so do long runs of symmetric_group's rows
+    index = KeyIndex(lex_keys(perm_table(k), k))
+    return index.lookup(lex_keys(rows.reshape(-1, k), k)).reshape(rows.shape[:-1])
 
 
 def chamber_roots(perm: Perm) -> frozenset[Root]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -1153,3 +1155,42 @@ def vertex_of(coset_data, color, element):
     """The vertex id of the coset of ``element`` in colour ``color``."""
     return int(coset_data.offsets[color]
                + coset_data.partitions[color].ordinal[element])
+
+
+# ---------------------------------------------------------------------------
+# a child process's own peak memory
+
+
+# run first in the child: at exit, print VmHWM, the high-water RSS of the
+# child's own address space, which the exec started afresh
+_PEAK_PROLOGUE = """\
+import atexit
+
+def _print_peak_mb():
+    with open("/proc/self/status") as fh:
+        kb = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+    print(kb // 1024, flush=True)
+
+atexit.register(_print_peak_mb)
+"""
+
+
+def run_with_peak(code):
+    """Run ``code`` in a fresh interpreter: (the finished process, the
+    child's own peak RSS in MB, or None if the child printed none).
+
+    The peak is the last line of stdout.  A child's ``ru_maxrss`` would
+    not do: on Linux it starts from the parent's high-water RSS at the
+    exec, so under pytest it reads pytest's peak.  Skips where
+    /proc/self/status is missing.
+    """
+    import pytest
+
+    try:
+        open("/proc/self/status").close()
+    except OSError:
+        pytest.skip("no /proc/self/status to read a peak from")
+    r = subprocess.run([sys.executable, "-c", _PEAK_PROLOGUE + code],
+                       capture_output=True, text=True, timeout=300)
+    last = r.stdout.strip().rsplit("\n", 1)[-1]
+    return r, int(last) if last.isdigit() else None

@@ -144,18 +144,25 @@ def test_group_enum_dump_decodes_to_elements(capsys):
 
 
 def test_group_enum_dump_beyond_uint64_keys(capsys):
-    # q^9 = 2^72, so the canonical keys are Python ints, not uint64
+    # q^9 = 2^72, so the canonical keys are void keys, not uint64; their
+    # hex values are pinned as the Python-int keys printed them
     from cosetx.groups import elementary_subgroup
 
     argv = ["group", "enum", "--n", "2", "--p", "2", "--s", "8", "--d", "0"]
     code = cli.main(argv)
-    out = capsys.readouterr().out.splitlines()
+    text = capsys.readouterr().out
+    out = text.splitlines()
     assert code == 0
     assert out[0] == "2 2 8 168"                # SL_3(F_2)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "bb122899c0cef37d246f271976460de39badcf0fc9f13b2957b5b1b973f0ec80"
     expect = elementary_subgroup(2, 2, 8, 0).elems
     assert np.array_equal(decode_dump(out[1:], 256, 9), expect)
     code, env = run_json(capsys, argv + ["--format", "json"])
     assert code == 0 and env["result"]["elements"] == out[1:]
+    blob = json.dumps(env["result"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "e24c3a2390572131063f04eeab691d1f0ff0b2899fb3d308be08eeaeb0586072"
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +644,11 @@ def test_usage_errors_exit_2(capsys):
 # traceback, whichever command reads it
 _HEAD = '{"n":2,"vertex_count":3,"colors":null}\n'
 BAD_COMPLEXES = {
+    # (0, 5) has the base-3 key of (1, 2), first or last
+    "colliding-key-last": '{"n":1,"vertex_count":3,"colors":null}\n'
+                          "[0,1]\n[1,2]\n[0,5]\n",
+    "colliding-key-first": '{"n":1,"vertex_count":3,"colors":null}\n'
+                           "[0,5]\n[0,1]\n[1,2]\n",
     "ragged": _HEAD + "[0,1,2]\n[0,1]\n",
     "wrong-width": _HEAD + "[0,1,2,3]\n",
     "non-numeric": _HEAD + '[0,"one",2]\n',
@@ -744,21 +756,17 @@ def test_subprocess_output_deterministic():
 def _assert_cap_exit_within_memory_limit(argv):
     """Run the CLI, whose last argument is the cap, under a 1.5 GiB
     address-space limit: exit 3 with the cap message, no traceback, and a
-    peak RSS under 512 MB."""
+    peak RSS of the child's own under 512 MB."""
     pytest.importorskip("resource")
     code = ("import resource, sys\n"
             "limit = 3 << 29\n"
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "from cosetx.cli import main\n"
-            f"code = main({argv!r})\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
-            "sys.exit(code)\n")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, timeout=300)
+            f"sys.exit(main({argv!r}))\n")
+    r, peak_mb = oracles.run_with_peak(code)
     assert r.returncode == 3, r.stderr
     assert f"closure exceeded cap {argv[-1]}" in r.stderr
     assert "Traceback" not in r.stderr
-    peak_mb = int(r.stdout)
     assert peak_mb < 512
 
 

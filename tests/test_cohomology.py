@@ -417,6 +417,19 @@ def test_brute_enumerations_match_full_sweeps(build):
     assert swept
 
 
+def test_coboundaries_past_uint64_keys_match_numpy_unique():
+    """B^1 over Z/2 on the 66 edges of the 11-simplex's 2-skeleton: its
+    rows are 2^66 keys wide, and deduplicate as np.unique(axis=0) does."""
+    X = SimplicialComplex(2, 12, [list(f) for f in
+                                  itertools.combinations(range(12), 3)])
+    b1 = cohomology._enumerate_coboundaries(X, zmod(2), cohomology.DEFAULT_CAP)
+    psi = (np.arange(1 << 12)[:, None] >> np.arange(12)) & 1
+    e = X.faces(1)
+    want = np.unique(psi[:, e[:, 0]] ^ psi[:, e[:, 1]], axis=0)
+    assert len(want) == 1 << 11
+    assert np.array_equal(b1, want)
+
+
 def assert_lex_unique(rows):
     """Rows strictly increasing in lexicographic order."""
     rows = rows.tolist()
@@ -442,8 +455,8 @@ def test_h1_mode_and_cap_validation():
     with pytest.raises(ResourceLimitError,
                        match=r"\|Lambda\|\^\|X\(0\)\| = 6\*\*7 exceeds cap 1000"):
         h1_trivial(fx.torus_7(), sym(3), mode="brute", cap=1000)
-    # 2^66 cochains on the 66 edges of K_12 overflow the int64 codes,
-    # whatever the cap
+    # 2^66 cochains on the 66 edges of K_12 overflow the int64 indices
+    # that number them, whatever the cap
     with pytest.raises(ResourceLimitError, match="2\\*\\*66 cochains overflow"):
         h1_trivial(fx.complete_graph(12), zmod(2), mode="brute", cap=1 << 70)
 
@@ -973,7 +986,7 @@ def test_h1_search_matches_one_proposal_loop(seed):
 
 def test_h1_search_and_brute_past_int64_codes():
     # the 2-skeleton of the 11-simplex: 2^66 cochains on its 66 edges
-    # overflow int64 codes, but its 2^12 gauges are within the cap
+    # need void keys, but its 2^12 gauges are within the cap
     X = SimplicialComplex(2, 12, [list(f) for f in
                                   itertools.combinations(range(12), 3)])
     rep = expansion_h1(X, zmod(2), mode="search", seed=0, iters=1)

@@ -73,6 +73,57 @@ class TestSimplicialComplex:
         for i, row in enumerate(X.faces(1).tolist()):
             assert X.face_position(tuple(row)) == i
 
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 2], [0, 5]],
+                                      [[0, 5], [0, 1], [1, 2]]])
+    def test_out_of_range_row_raises_in_either_order(self, rows):
+        # (0, 5) has the base-3 key of (1, 2): the range is checked before
+        # the rows are keyed and deduplicated, so it never collides
+        with pytest.raises(StructureError, match="out of range"):
+            SimplicialComplex(1, 3, rows)
+        text = ('{"n":1,"vertex_count":3,"colors":null}\n'
+                + "".join(f"[{a},{b}]\n" for a, b in rows))
+        with pytest.raises(StructureError, match="out of range"):
+            loads_complex(text)
+
+    def test_face_index_array_rejects_rows_outside_the_vertices(self):
+        X = SimplicialComplex(1, 3, [[0, 1], [1, 2]])
+        assert X.face_index_array([[1, 2], [0, 1]]).tolist() == [1, 0]
+        assert X.face_position((0, 5)) == -1
+        # (0, 5) has the key of (1, 2); (2, 1) and (1, 1) are not sorted
+        for bad in ([[0, 5]], [[-1, 2]], [[0, 3]], [[2, 1]], [[1, 1]]):
+            with pytest.raises(InputError, match="strictly increasing"):
+                X.face_index_array(bad)
+        with pytest.raises(InputError, match="not a face"):
+            X.face_index_array([[0, 2]])
+
+    @pytest.mark.parametrize("count", [16384, 16385],
+                             ids=["V=2^16-uint64-keys", "V=65540-void-keys"])
+    def test_face_lookups_on_wide_keys_match_a_dict(self, count):
+        """Disjoint tetrahedra on V = 4 * count vertices: V**4 is 2**64 at
+        16384, past int64 keys, and past uint64 keys at 16385."""
+        V = 4 * count
+        X = SimplicialComplex(3, V, np.arange(V).reshape(count, 4))
+        w = weights(X)
+        rng = np.random.default_rng(3)
+        for k in range(4):
+            faces = X.faces(k)
+            position = {f: i for i, f in enumerate(map(tuple, faces.tolist()))}
+            # every face lies in one tetrahedron, of C(4, k+1) k-faces
+            assert len(position) == count * len(
+                list(itertools.combinations(range(4), k + 1)))
+            perm = rng.permutation(len(faces))
+            assert X.face_index_array(faces[perm]).tolist() == [
+                position[f] for f in map(tuple, faces[perm].tolist())]
+            for f in map(tuple, faces[perm[:200]].tolist()):
+                assert X.face_position(f) == position[f]
+                assert w[f] == Fraction(1, len(faces))
+            if k:
+                # the first tetrahedron's vertices and the last vertex
+                far = tuple(range(k)) + (V - 1,)
+                assert X.face_position(far) == -1
+                with pytest.raises(InputError, match="not a face"):
+                    X.face_index_array([far])
+
 
 class TestWeights:
     @pytest.mark.parametrize("make", [
@@ -310,6 +361,27 @@ class TestQuotients:
         if pair.colors is None:
             Y, _ = quotient_by_action(pair, [swap])
             assert Y.f_vector() == (3, 3, 1)
+
+
+@pytest.mark.parametrize("base,w", [(7, 5), (3, 41), (2, 66), (625, 9),
+                                    (70000, 4)])
+def test_unique_and_same_rows_match_numpy(base, w):
+    """Row keys of either width dedupe, count and compare rows as
+    np.unique(axis=0) does, in lex order."""
+    rng = np.random.default_rng(base + w)
+    rows = rng.integers(0, min(base, 3), size=(300, w))
+    rows[:, 0] = rng.integers(0, base, size=300)
+    rows[100:200] = rows[rng.integers(0, 100, size=100)]
+    got, cnt = complexes._unique_rows(rows, base, counts=True)
+    want, want_cnt = np.unique(rows, axis=0, return_counts=True)
+    assert np.array_equal(got, want) and np.array_equal(cnt, want_cnt)
+    assert np.array_equal(complexes._unique_rows(rows, base), want)
+    assert complexes._same_rows(rows, rows[rng.permutation(300)], base)
+    other = rows.copy()
+    other[5, -1] = (other[5, -1] + 1) % min(base, 3)
+    assert complexes._same_rows(rows, other, base) == (
+        sorted(map(tuple, rows.tolist())) == sorted(map(tuple, other.tolist())))
+    assert not complexes._same_rows(rows, rows[1:], base)
 
 
 class TestSerialization:

@@ -177,11 +177,11 @@ CLOSURE_CASES = {
     # bitset at the test cap, so the sorted visited keys
     "sorted-heisenberg-no-inverses": (5, 2, [elementary(2, 1, 2, _one(5, 2)),
                                              elementary(2, 2, 3, _one(5, 2))]),
-    # q**(m*m) = 625**9 > 2**64: the arbitrary-precision key path
+    # q**(m*m) = 625**9 > 2**64: the void key path
     "big-heisenberg": (5, 4, [elementary(2, 1, 2, _one(5, 4)),
                               elementary(2, 2, 3, _one(5, 4))]),
     "big-cyclic-20": (5, 4, [_diag(5, 4, (2, 2, 4)) @ elementary(2, 1, 2, _one(5, 4))]),
-    # 3**49 > 2**64 keys, but only 3**7 row keys: Python-int keys on row tables
+    # 3**49 > 2**64 keys, though only 3**7 row keys: void keys, so no row tables
     "big-f3-m7-no-inverses": (3, 1, [elementary(6, 1, 2, _one(3, 1)),
                                      elementary(6, 2, 3, _one(3, 1))]),
 }
@@ -191,8 +191,8 @@ CLOSURE_CASES = {
 MEMBERSHIP = {"sl2-f5-no-inverses": "bitset", "sl2-f3t2-no-inverses": "bitset",
               "cyclic-20": "bitset",
               "sorted-heisenberg-no-inverses": "sorted uint64",
-              "big-heisenberg": "sorted object", "big-cyclic-20": "sorted object",
-              "big-f3-m7-no-inverses": "sorted object"}
+              "big-heisenberg": "sorted void", "big-cyclic-20": "sorted void",
+              "big-f3-m7-no-inverses": "sorted void"}
 
 # the row maps each case's closure ends on at the default test cap: tables
 # once its frontiers have held ceil(q**m / m) elements, if q**m * len(gens)
@@ -206,16 +206,18 @@ ROW_SOURCES = {"tables": pure._RowTables, "products": pure._RowProducts}
 
 
 def _sources(case):
-    """The row-map sources a case runs on: both, except 625**3-entry tables."""
+    """The row-map sources a case runs on: both on uint64 keys, only the
+    products on void keys, which the row tables do not map."""
+    p, s, gens = CLOSURE_CASES[case]
     return [source for source in ROW_SOURCES
-            if source == "products" or CLOSURE_CASES[case][:2] != (5, 4)]
+            if source == "products" or common.fits_uint64(p**s, gens[0].m**2)]
 
 
 def _membership(p, s, m, cap):
     visited = pure._visited_set(p**s, m * m, cap)
     if isinstance(visited, pure._BitsetKeys):
         return "bitset"
-    return f"sorted {visited.keys.dtype}"
+    return "sorted void" if visited.keys.dtype.kind == "V" else f"sorted {visited.keys.dtype}"
 
 
 def _row_source(flat, p, s, m, cap):
@@ -278,9 +280,9 @@ def test_closure_matches_set_bfs_oracle(case):
                    for k, layer in enumerate(layers) for row in layer for g in gens)
 
 
-# one case per membership structure, plus Python-int keys (on row tables
-# through _closure_on), with the row maps the closure ends on at the cap of
-# each case's test
+# one case per membership structure, plus void keys of 49 one-byte
+# digits, with the row maps the closure ends on at the cap of each case's
+# test
 CAP_ROW_MAPS = {"sl2-f3t2-no-inverses": "tables",
                 "sorted-heisenberg-no-inverses": "products",
                 "big-heisenberg": "products", "big-f3-m7-no-inverses": "products"}
@@ -339,8 +341,8 @@ def test_row_tables_match_matmul_rows(p, s, m):
 def test_row_maps_switch_to_tables_at_q_over_m_elements():
     """_RowMaps keeps the products until its frontiers have held ceil(Q/m)
     elements, builds the tables for the frontier that gets there, and maps
-    keys as the products do on both sides; past the cap it never builds
-    them."""
+    keys as the products do on both sides; past the cap, or on void keys,
+    it never builds them."""
     G = sl_group(1, 5, 2)
     rt, m, q = G.ring, G.m, G.ring.q
     assert -(-q**m // m) == 313
@@ -358,6 +360,11 @@ def test_row_maps_switch_to_tables_at_q_over_m_elements():
     row_maps = pure._RowMaps(gens, rt.mul, rt.add, m, q, q**m * len(gens) - 1)
     list(row_maps.images(keys))
     assert isinstance(row_maps.source, pure._RowProducts)
+    # nor on void keys, which the tables do not map: 3**49 > 2**64 though
+    # 3**7 * 2 <= cap
+    gens = np.array([g.flat() for g in CLOSURE_CASES["big-f3-m7-no-inverses"][2]])
+    rt = RingTable(3, 1)
+    assert pure._RowMaps(gens, rt.mul, rt.add, 7, 3, 1 << 20).left is None
 
 
 def test_closure_membership_structures_agree():
@@ -387,22 +394,62 @@ def test_identity_flat():
                                   [1, 0, 0, 0, 1, 0, 0, 0, 1])
 
 
-def test_key_packing_roundtrip():
-    rng = np.random.default_rng(11)
-    # uint64 keys up to q**mm = 2**64, Python-int keys past it
-    for q, mm, dtype in [(8, 9, np.uint64), (125, 4, np.uint64), (16, 16, np.uint64),
-                         (2, 64, np.uint64), (3, 40, np.uint64),
-                         (625, 9, object), (3, 41, object)]:
-        mats = rng.integers(0, q, size=(20, mm)).astype(np.uint32)
-        mats[0], mats[1] = 0, q - 1  # the smallest and the largest key
-        keys = common.pack_keys(mats, q)
-        assert keys.dtype == dtype
-        want = [oracles.horner_key(r, q) for r in mats]
-        assert [int(k) for k in keys] == want
-        assert want[1] == q**mm - 1
-        assert np.array_equal(common.unpack_keys(keys, q, mm), mats)
+# (q, w, key dtype): uint64 keys up to q**w = 2**64, void keys of 1, 2
+# or 4-byte digits past it
+KEY_WIDTHS = [(8, 9, "uint64"), (125, 4, "uint64"), (16, 16, "uint64"),
+              (2, 64, "uint64"), (3, 40, "uint64"), (625, 9, "V18"),
+              (3, 41, "V41"), (256, 9, "V9"), (70000, 4, "V16")]
+
+
+def _key_rows(q, w, seed=11):
+    """Seeded rows in [0, q): the least and the greatest, rows that differ
+    from another in one digit only, and repeats."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, q, size=(60, w)).astype(np.uint32)
+    rows[0], rows[1] = 0, q - 1
+    rows[20:40] = rows[:20]
+    at = np.arange(20, 40), rng.integers(0, w, size=20)
+    rows[at] = (rows[at] + rng.integers(1, q, size=20)) % q
+    rows[40:50] = rows[rng.integers(0, 40, size=10)]
+    return rows
+
+
+@pytest.mark.parametrize("q,w,dtype", KEY_WIDTHS)
+def test_key_codec_order_roundtrip_and_equality(q, w, dtype):
+    rows = _key_rows(q, w)
+    keys = common.pack_keys(rows, q)
+    assert keys.dtype == common.key_dtype(q, w) == np.dtype(dtype)
+    assert common.fits_uint64(q, w) == (dtype == "uint64")
+    # the keys sort as the values they stand for: digit w-1 most significant
+    assert np.array_equal(np.argsort(keys, kind="stable"),
+                          np.lexsort(rows.T))
+    assert np.array_equal(common.unpack_keys(keys, q, w), rows)
+    same_key = keys[:, None] == keys[None, :]
+    same_row = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+    assert np.array_equal(same_key, same_row)
+    # uint64 keys are the values themselves; key_ints reads either form
+    want = [oracles.horner_key(r, q) for r in rows]
+    assert want[1] == q**w - 1
+    assert common.key_ints(keys, q, w) == want
+    if dtype == "uint64":
+        assert keys.tolist() == want
+    # lex_keys reverse the digits: key order is the rows' lex order
+    lex = common.lex_keys(rows, q)
+    assert np.array_equal(np.argsort(lex, kind="stable"),
+                          np.lexsort(rows[:, ::-1].T))
+    # from other integer dtypes and layouts, as faces (int64) and gathered
+    # cochains (column-major) come
+    for other in (rows.astype(np.int64), np.asfortranarray(rows, np.int32)):
+        assert np.array_equal(common.lex_keys(other, q), lex)
+    # a key is found iff its row is among the indexed ones, and at one
+    # of their positions
+    pos = common.KeyIndex(keys[2:]).lookup(keys)
+    assert np.array_equal(pos >= 0, same_row[:, 2:].any(axis=1))
+    assert np.array_equal(rows[2:][pos[pos >= 0]], rows[pos >= 0])
 
 
 def test_fits_uint64_boundary():
     assert common.fits_uint64(8, 9)       # 8^9 = 2^27
+    assert common.fits_uint64(2, 64)      # 2^64 exactly
+    assert not common.fits_uint64(2, 65)
     assert not common.fits_uint64(625, 9)  # 625^9 >> 2^64

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -115,15 +116,10 @@ class TestRingTable:
     def test_build_memory_is_bounded(self):
         """RingTable(2, 11) holds two 16 MB tables; building them from
         (q, q, s) int64 intermediates peaked above 1 GB."""
-        pytest.importorskip("resource")
-        code = ("import resource\n"
-                "from cosetx.ring import RingTable\n"
-                "RingTable(2, 11)\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                           text=True, timeout=300)
+        r, peak_mb = oracles.run_with_peak("from cosetx.ring import RingTable\n"
+                                           "RingTable(2, 11)\n")
         assert r.returncode == 0, r.stderr
-        assert int(r.stdout) // 1024 < 400
+        assert peak_mb < 400
 
     def test_too_large_rejected(self):
         with pytest.raises(ParameterError):
@@ -144,3 +140,25 @@ def test_check_ring_params_rejects():
     for bad in [(1, 2), (4, 2), (2, 0), (6, 1)]:
         with pytest.raises(ParameterError):
             check_ring_params(*bad)
+
+
+def test_child_peak_is_the_childs_own():
+    """A parent holding 450 MB starts a child that allocates nothing: the
+    child's ru_maxrss reads the parent's peak, its VmHWM its own."""
+    pytest.importorskip("resource")
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    child = ("import resource\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+    parent = ("import sys\n"
+              "import numpy as np\n"
+              f"sys.path.insert(0, {tests_dir!r})\n"
+              "import oracles\n"
+              "ballast = np.ones(450 << 20, dtype=np.uint8)\n"
+              f"r, peak_mb = oracles.run_with_peak({child!r})\n"
+              "print(r.stdout.split()[0], peak_mb)\n")
+    r = subprocess.run([sys.executable, "-c", parent], capture_output=True,
+                       text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    inherited_mb, own_mb = map(int, r.stdout.split())
+    assert inherited_mb >= 450
+    assert own_mb < 100
