@@ -5,14 +5,11 @@ products (``matmul_batch``), batched inverses over F_p[t]/t^s by
 Gauss-Jordan with unit pivots (``inverse_batch``) and the deterministic
 BFS closure of a generating set (``closure_bfs``).  The closure keeps
 each layer as canonical keys and maps them through each generator row by
-row: a key is sum over a of rho_a * Q**a with rho_a the key of row a and
-Q = q**m, and the row map R_g of a generator g (rho to the row key of
-(row rho) @ g) is the product of the frontier's decoded rows with g
-until the frontiers so far hold Q/m elements, and from then on one
-Q-entry table, if the keys are uint64 and Q * len(gens) <= cap.  New
-keys are tested against a bitset of the visited keys (uint64 keys, key
-space at most 64*cap) or their sorted array (otherwise), and rows are
-decoded only at the end, layer by layer.
+row.  When the key space has at most min(64*cap, 2**32) keys, the keys
+are uint32, the visited ones a bitset, and each layer is expanded in
+blocks of ``pure.BLOCK`` keys, marked in at most 8 rounds of a buffered
+``|=``; otherwise the keys are uint64 or void and the visited ones a
+sorted array.  Rows are decoded only at the end.
 ``BACKEND`` names the backend for run records.
 
 ``pack_keys`` and ``unpack_keys`` are the package's one row-key codec:

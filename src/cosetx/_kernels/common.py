@@ -90,14 +90,18 @@ class KeyIndex:
 
     Keys are pack_keys output, of either form.  Positions refer to the
     original key array order (a group's element numbering, a face table's
-    rows), not the sorted order.
+    rows), not the sorted order.  uint64 keys that already ascend, as
+    those of a sorted face table do, are searched as given, with no order.
     """
 
     def __init__(self, keys: np.ndarray):
         keys = np.asarray(keys)
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted = keys[self._order]
         self.n = len(keys)
+        if keys.dtype.kind != "V" and (keys[1:] >= keys[:-1]).all():
+            self._order, self._sorted = None, keys
+        else:
+            self._order = np.argsort(keys, kind="stable")
+            self._sorted = keys[self._order]
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Positions of keys, -1 where absent."""
@@ -106,6 +110,6 @@ class KeyIndex:
             return np.full(keys.shape, -1, dtype=np.int64)
         pos = np.searchsorted(self._sorted, keys)
         np.minimum(pos, self.n - 1, out=pos)
-        out = self._order[pos]
+        out = pos if self._order is None else self._order[pos]
         out[self._sorted[pos] != keys] = -1
         return out

@@ -12,22 +12,14 @@ matrix's entries and skip its zero and unit terms, and only batch-by-batch
 products run the dense m*m*(2m-1) table gathers per row.
 
 The closure works on canonical keys, and on row tables it builds no
-candidate row.  A key is sum over a of rho_a * Q**a, Q = q**m, where
-rho_a is the base-q key of row a, and x -> x @ g acts on each row alone.
-So each generator g has a row map R_g on [0, Q), from rho to the row key
-of (row rho) @ g, and the keys of frontier @ g are sum over a of
-R_g[rho_a] * Q**a.  At first
-the frontier's rows are decoded once per layer and multiplied by each
-generator.  Once the frontiers so far hold Q/m elements, and if
-Q * len(gens) <= cap (at most 4*cap bytes), the row maps become tables,
-one matmul_batch over the Q row vectors per generator: the same work as
-the products on Q/m elements, so only closures much larger than Q/m
-gain by them, and smaller ones never build them.  Keys are uint64 when
-q**(m*m) <= 2**64 and void (``common``) otherwise, and only the products
-map void keys.  The visited keys are a bitset over the key space when the
-keys are uint64 and there are at most 64*cap of them (at most 8*cap
-bytes, the size of ``cap`` uint64 keys), and one sorted key array
-otherwise.  Rows are decoded from the keys at the end, layer by layer.
+candidate row: a generator acts on a key through one map of row keys,
+computed on the frontier's rows at first and read from one table per
+generator once the closure is large enough to pay for it.  When the key
+space has at most min(64*cap, 2**32) keys, the keys are uint32, the
+visited ones a bitset, and each layer is expanded in blocks of BLOCK
+keys, whose temporaries stay in L2; otherwise the keys are uint64 or
+void and the visited ones one sorted array.  ``closure_bfs`` has the
+details.
 """
 
 from __future__ import annotations
@@ -38,6 +30,9 @@ from ..errors import ParameterError, ResourceLimitError
 from .common import fits_uint64, identity_flat, key_dtype, pack_keys, unpack_keys
 
 NAME = "pure"
+
+# frontier keys per block of the bitset path: a block's temporaries stay in L2
+BLOCK = 1 << 15
 
 
 def matmul_batch(A: np.ndarray, B: np.ndarray, mul: np.ndarray, add: np.ndarray,
@@ -159,25 +154,36 @@ def _unit_inverse(u: np.ndarray, mul: np.ndarray, order: int) -> np.ndarray:
 
 
 class _BitsetKeys:
-    """Visited uint64 keys as one bit per key of the key space [0, size).
+    """Visited uint32 keys as one bit per key of the key space [0, size).
 
-    Key k is bit k & 7 of byte k >> 3.  Byte indices are below 2**61, so
-    their int64 view indexes without the copy a uint64 index would need.
+    Key k is bit k & 7 of byte k >> 3.
     """
+
+    dtype = np.dtype(np.uint32)
 
     def __init__(self, size: int):
         self.bits = np.zeros(-(-size // 8), dtype=np.uint8)
 
     def has(self, keys: np.ndarray) -> np.ndarray:
-        hit = self.bits.take((keys >> 3).view(np.int64))
+        hit = self.bits.take(keys >> 3)
         hit >>= keys.astype(np.uint8) & 7
         hit &= 1
         return hit.view(bool)
 
     def add(self, keys: np.ndarray) -> None:
-        # keys sharing a byte need the unbuffered ufunc.at, not a fancy |=
-        np.bitwise_or.at(self.bits, (keys >> 3).view(np.int64),
-                         np.left_shift(np.uint8(1), keys.astype(np.uint8) & 7))
+        """Marks keys in rounds of one buffered ``|=``: where keys share
+        a byte the last write wins, so each round lands at least one bit of
+        every byte it writes, and at most 8 rounds land them all."""
+        # intp once, for the two gathers and the scatter of each round
+        idx = np.right_shift(keys, 3, dtype=np.intp)
+        bit = np.left_shift(1, keys & 7, dtype=np.uint8)
+        while True:
+            self.bits[idx] |= bit
+            landed = self.bits[idx] & bit
+            if landed.all():
+                return
+            miss = landed == 0
+            idx, bit = idx[miss], bit[miss]
 
 
 class _SortedKeys:
@@ -185,6 +191,7 @@ class _SortedKeys:
 
     def __init__(self, dtype):
         self.keys = np.empty(0, dtype=dtype)
+        self.dtype = self.keys.dtype
 
     def has(self, keys: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self.keys, keys)
@@ -200,16 +207,16 @@ class _SortedKeys:
 
 def _visited_set(q: int, mm: int, cap: int):
     """The empty membership structure for a closure of at most ``cap``
-    elements: a bitset when the keys are uint64 and the key space has at
-    most 64*cap keys, so that the bitset is no larger than ``cap`` uint64
-    keys, and the sorted visited keys otherwise."""
-    if fits_uint64(q, mm) and q**mm <= 64 * cap:
+    elements: a bitset on uint32 keys when the key space has at most
+    min(64*cap, 2**32) keys, so that the bitset is no larger than ``cap``
+    uint64 keys, and the sorted visited keys otherwise."""
+    if q**mm <= min(64 * cap, 1 << 32):
         return _BitsetKeys(q**mm)
     return _SortedKeys(key_dtype(q, mm))
 
 
 class _RowTables:
-    """Row maps read from one table per generator, on uint64 keys.
+    """Row maps read from one table per generator, on uint32 or uint64 keys.
 
     Row ``t`` of ``tables`` is R_g for the generator g = ``gens[t]``:
     R_g[rho] is the row key of (row rho) @ g, for every row key rho in
@@ -231,17 +238,20 @@ class _RowTables:
 
     def images(self, keys: np.ndarray):
         """For each generator g in turn, the keys of x @ g over the x with
-        ``keys``: sum over a of R_g[rho_a] * Q**a, where the row keys
-        rho_a = (key // Q**a) % Q are split off once for all generators."""
+        ``keys``, of their dtype: sum over a of R_g[rho_a] * Q**a, where
+        the row keys rho_a = (key // Q**a) % Q are split off once for all
+        generators."""
         rho, rest = [], keys
         for _ in range(self.m - 1):
             rho.append(rest % self.Q)
             rest = rest // self.Q
         rho.append(rest)
-        # row keys are below Q <= 2**32: an int64 view indexes without a copy
-        rho = [r.view(np.int64) for r in rho]
+        # row keys are below Q <= 2**32: as intp once, not once per
+        # generator's take, and uint64 ones as a view without a copy
+        rho = [r.view(np.intp) if r.itemsize == 8 else r.astype(np.intp)
+               for r in rho]
         for table in self.tables:
-            out = table.take(rho[-1]).astype(keys.dtype)
+            out = table.take(rho[-1]).astype(keys.dtype, copy=False)
             for r in rho[-2::-1]:
                 out *= self.Q
                 out += table.take(r)
@@ -258,17 +268,17 @@ class _RowProducts:
 
     def images(self, keys: np.ndarray):
         """For each generator g in turn, the keys of x @ g over the x with
-        ``keys``, from the rows of those x decoded once."""
+        ``keys``, of their dtype, from the rows of those x decoded once."""
         rows = unpack_keys(keys, self.q, self.m * self.m)
         for g in self.gens:
             yield pack_keys(matmul_batch(rows, g, self.mul, self.add, self.m),
-                            self.q)
+                            self.q).astype(keys.dtype, copy=False)
 
 
 class _RowMaps:
     """The row maps of ``closure_bfs``: products on the frontier's rows
     until the frontiers so far hold ceil(Q/m) elements, then tables, when
-    the keys are uint64 and Q * len(gens) <= cap (so the tables take at
+    the keys are not void and Q * len(gens) <= cap (so the tables take at
     most 4*cap bytes, and row keys fit uint32).
 
     Building the tables is one ``matmul_batch`` over ceil(Q/m) matrices
@@ -303,41 +313,50 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     not depend on the order or multiplicity of the generators.
 
     Only keys are tested and sorted.  Each layer is kept as its keys; its
-    row keys rho_a = (key // Q**a) % Q, Q = q**m, are split off once, and
-    for each generator g the keys of ``frontier @ g`` are sum over a of
+    row keys rho_a = (key // Q**a) % Q, Q = q**m, are split off, and for
+    each generator g the keys of ``frontier @ g`` are sum over a of
     R_g[rho_a] * Q**a, with R_g the row map of g (the row key of
     (row rho) @ g).  The ones not visited yet are kept and marked visited
     at once.  x -> x g is injective, so one generator's products are
     distinct, and marking at once makes the survivors of different
-    generators disjoint: their concatenation, sorted, is the next layer in
-    canonical order.  After the last layer, the rows are decoded from the
-    keys, one layer at a time, into the preallocated result.
+    generators and frontier blocks disjoint: appended to the keys found
+    so far and sorted there, they are the next layer in canonical order.
+    At the end each row key is
+    decoded by one gather from a table of the Q row vectors (digit by
+    digit for void keys and closures of fewer than Q elements).
 
-    The row maps start as products: each layer's rows are decoded once
-    and multiplied by each generator, and the products' keys packed.
-    Once the frontiers so far hold ceil(Q/m) elements, and if the keys
-    are uint64 and Q * len(gens) <= cap, they become one uint32 table of
-    Q entries per generator (at most 4*cap bytes), and a candidate key
-    costs m ``take``s and m-1 multiply-adds.  Building the tables takes as much
-    matmul work as the products of ceil(Q/m) elements, so the tables pay
-    off only for groups much larger than Q/m.  Visited keys live in a
-    bitset over the key space when the keys are uint64 and
-    q**(m*m) <= 64*cap: then the bitset takes at most 8*cap bytes, the
-    size of ``cap`` uint64 keys, and a membership test is one ``take``.
-    Otherwise (void keys or a larger key space) they live in one
-    sorted array, searched with ``searchsorted`` and merged with each
-    generator's survivors.  Working
-    memory beyond the result and the visited keys is the keys of every
-    layer, the row tables once built, the frontier's row keys (its rows
-    and one generator's products before the tables) and one generator's
-    candidate keys.  Building the tables also holds the Q row vectors and
-    one generator's products of them, about 8*m*Q bytes, what the
-    products of a frontier of Q/m elements hold.
+    The row maps start as products: the frontier's rows are decoded and
+    multiplied by each generator.  Once the frontiers so far hold
+    ceil(Q/m) elements, and if the keys are not void and
+    Q * len(gens) <= cap, they become one uint32 table of Q entries per
+    generator (at most 4*cap bytes), and a candidate key costs m
+    ``take``s and m-1 multiply-adds.  The tables cost as much matmul work
+    as the products of ceil(Q/m) elements, so only much larger groups
+    gain by them.
+
+    When q**(m*m) <= min(64*cap, 2**32) the visited keys are a bitset
+    over the key space, at most 8*cap bytes (``cap`` uint64 keys), all
+    keys are uint32, and a membership test is one ``take``.  Each layer
+    is then expanded in blocks of ``BLOCK`` keys: per block the row keys
+    are split off once, and per generator the images are computed,
+    tested, compressed and marked.  Marking repeats a buffered ``|=`` on
+    the keys whose bit a later write to the same byte overwrote; each
+    round lands a bit of every byte it writes, so at most 8 rounds are
+    needed.  Otherwise the keys are uint64 or void, the visited ones a
+    sorted array that each generator's survivors of a whole layer are
+    merged into.  Working memory beyond the result and the visited keys
+    is the keys found so far, in a buffer at most twice their size, the
+    row tables once built, and one block's row keys and candidates (a
+    whole layer's on the sorted path, with its rows and one generator's
+    products before the tables).  Building the
+    tables also holds the Q row vectors and one generator's products of
+    them, about 8*m*Q bytes.
 
     More than ``cap`` elements raise ``ResourceLimitError`` before the
-    result is allocated.  The check runs after each generator's survivors;
-    ``partial_count`` is the number of distinct elements found at that
-    point, a lower bound on the order of the group.
+    result is allocated.  The check runs after each (block, generator)
+    pair's survivors; ``partial_count`` is the number of distinct
+    elements found at that point, a lower bound on the order of the
+    group.
     """
     gens = np.atleast_2d(np.asarray(gens, dtype=np.uint32))
     return _closure(_RowMaps(gens, mul, add, m, q, cap), m, q, cap,
@@ -348,30 +367,61 @@ def _closure(row_maps: _RowMaps | _RowTables | _RowProducts, m: int, q: int,
              cap: int, visited: _BitsetKeys | _SortedKeys) -> np.ndarray:
     """The loop of ``closure_bfs``, with the generators' row maps and the
     empty membership structure ``visited`` passed in."""
-    layers = [pack_keys(identity_flat(m), q)]
-    visited.add(layers[0])
-    total = 1
-    while len(layers[-1]):
-        fresh = []
-        for keys in row_maps.images(layers[-1]):
-            keys = keys[~visited.has(keys)]
-            visited.add(keys)
-            fresh.append(keys)
-            total += len(keys)
-            if total > cap:
-                raise ResourceLimitError(f"closure exceeded cap {cap}",
-                                         partial_count=total)
-        keys = np.concatenate(fresh)
-        keys.sort()
-        layers.append(keys)
-    out = np.empty((total, m * m), dtype=np.uint32)
-    # the visited keys (up to 8*cap bytes) are not needed to decode.  They
-    # are freed only now: freed before ``out`` exists, glibc raises its mmap
-    # threshold and puts ``out`` on the heap above the layers' keys, whose
-    # space then stays resident (10 MB more RSS after sl_group(1, 5, 3))
+    # the keys found so far in BFS order, each layer sorted in place, in one
+    # buffer grown by doubling.  Arrays per layer and generator left 3.7 MB
+    # of freed heap resident after sl_group(1, 5, 3), too fragmented for the
+    # next large arrays to reuse
+    keys = np.empty(BLOCK, visited.dtype)
+    keys[0] = pack_keys(identity_flat(m), q)[0]
+    visited.add(keys[:1])
+    done, total = 0, 1
+    while total > done:
+        start, done = done, total
+        # the sorted keys merge each add into the whole array, so they take
+        # a layer in one block
+        step = BLOCK if isinstance(visited, _BitsetKeys) else done - start
+        for lo in range(start, done, step):
+            for new in row_maps.images(keys[lo:min(lo + step, done)]):
+                new = new[~visited.has(new)]
+                visited.add(new)
+                if total + len(new) > len(keys):
+                    grown = np.empty(max(total + len(new), 2 * len(keys)), keys.dtype)
+                    grown[:total] = keys[:total]
+                    keys = grown
+                keys[total:total + len(new)] = new
+                total += len(new)
+                if total > cap:
+                    raise ResourceLimitError(f"closure exceeded cap {cap}",
+                                             partial_count=total)
+        keys[done:total].sort()
+    # the visited keys (up to 8*cap bytes) are not needed to decode
     del visited
-    start = 0
-    for keys in layers:
-        out[start:start + len(keys)] = unpack_keys(keys, q, m * m)
-        start += len(keys)
+    out = np.empty((total, m * m), dtype=np.uint32)
+    _decode(keys[:total], out, q, m)
     return out
+
+
+def _decode(keys: np.ndarray, out: np.ndarray, q: int, m: int) -> None:
+    """Writes the rows of ``keys`` into ``out``, BLOCK keys at a time.
+
+    Row a of key k is entry (k // Q**a) % Q of the table of the Q = q**m
+    row vectors, each viewed as one item of m uint32 digits, so that a
+    row is one 1-D gather.  Void keys, and closures of fewer than Q
+    elements, unpack each key digit by digit instead.
+    """
+    Q = q**m
+    tabled = keys.dtype.kind != "V" and Q <= len(out)
+    if tabled:
+        vector = np.dtype(f"V{4 * m}")
+        digits = unpack_keys(np.arange(Q, dtype=np.uint64), q, m).view(vector)[:, 0]
+    for lo in range(0, len(keys), BLOCK):
+        rest = keys[lo:lo + BLOCK]
+        block = out[lo:lo + BLOCK]
+        if not tabled:
+            block[:] = unpack_keys(rest, q, m * m)
+            continue
+        block = block.view(vector)
+        for a in range(m - 1):
+            block[:, a] = digits.take(rest % Q)
+            rest = rest // Q
+        block[:, m - 1] = digits.take(rest)

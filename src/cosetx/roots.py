@@ -33,7 +33,6 @@ import math
 
 import numpy as np
 
-from ._kernels.common import KeyIndex, lex_keys
 from .errors import ParameterError
 
 Root = tuple[int, int]
@@ -113,12 +112,19 @@ def perm_table(k: int) -> np.ndarray:
 
 
 def perm_rank(rows) -> np.ndarray:
-    """The positions in ``perm_table(k)`` of permutation rows (last axis k)."""
+    """The positions in ``perm_table(k)`` of permutation rows (last axis k):
+    their Lehmer codes, sum over i of c_i * (k-1-i)!, with c_i the number
+    of j > i where row[j] < row[i]."""
     rows = np.asarray(rows)
     k = rows.shape[-1]
-    # lex keys: the table's ascend, so do long runs of symmetric_group's rows
-    index = KeyIndex(lex_keys(perm_table(k), k))
-    return index.lookup(lex_keys(rows.reshape(-1, k), k)).reshape(rows.shape[:-1])
+    # one contiguous row of bytes per position: c_i sums k-1-i compared rows
+    cols = rows.reshape(-1, k).astype(np.min_scalar_type(k)).T.copy()
+    rank = np.zeros(cols.shape[1], dtype=np.int64)
+    for i in range(k - 1):
+        c = (cols[i + 1:] < cols[i]).sum(axis=0)
+        c *= math.factorial(k - 1 - i)
+        rank += c
+    return rank.reshape(rows.shape[:-1])
 
 
 def chamber_roots(perm: Perm) -> frozenset[Root]:

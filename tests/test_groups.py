@@ -515,6 +515,9 @@ GOLDEN_ORDER = [
      "3facdc155f4ee2a49ca5dcaa2611ca9d9a326ef4943ab674ab8ade2047a4b0e1"),
     (sl_group, (2, 2, 2),
      "cd152832cf5a641826bd3cfee071d159ad6aad983ee5ce91929eddc04f5658f7"),
+    # the sl-enum benchmark's closure: 1.875M elements, many frontier blocks
+    (sl_group, (1, 5, 3),
+     "ad6d24e64e24c312838b7b7b7229bacb4abc7dd9c51b4898c1431e9463574fd9"),
     (reduction_kernel, (2, 2, 2, 1),
      "a0f8760474bc7ee8e6ad909493eb61219f983130963c4d3604be42673956c7d2"),
     (reduction_kernel, (1, 2, 4, 2),

@@ -3,6 +3,7 @@ closure oracle, plus the shared key helpers.
 """
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import oracles
 from cosetx import _kernels
 from cosetx._kernels import common, pure
 from cosetx.errors import ParameterError, ResourceLimitError
-from cosetx.groups import MatElement, elementary, sl_group
+from cosetx.groups import MatElement, elementary, sl_group, subgroup_K
 from cosetx.ring import RingTable, TruncPoly
+from test_groups import GOLDEN_ORDER
 
 
 def test_matmul_matches_matelement():
@@ -187,9 +189,10 @@ CLOSURE_CASES = {
 }
 
 
-# the membership structure each case's closure takes at the caps used below
-MEMBERSHIP = {"sl2-f5-no-inverses": "bitset", "sl2-f3t2-no-inverses": "bitset",
-              "cyclic-20": "bitset",
+# the membership structure each case's closure takes at the caps used
+# below, with the dtype of its keys
+MEMBERSHIP = {"sl2-f5-no-inverses": "bitset uint32",
+              "sl2-f3t2-no-inverses": "bitset uint32", "cyclic-20": "bitset uint32",
               "sorted-heisenberg-no-inverses": "sorted uint64",
               "big-heisenberg": "sorted void", "big-cyclic-20": "sorted void",
               "big-f3-m7-no-inverses": "sorted void"}
@@ -215,9 +218,8 @@ def _sources(case):
 
 def _membership(p, s, m, cap):
     visited = pure._visited_set(p**s, m * m, cap)
-    if isinstance(visited, pure._BitsetKeys):
-        return "bitset"
-    return "sorted void" if visited.keys.dtype.kind == "V" else f"sorted {visited.keys.dtype}"
+    kind = "bitset" if isinstance(visited, pure._BitsetKeys) else "sorted"
+    return f"{kind} {'void' if visited.dtype.kind == 'V' else visited.dtype}"
 
 
 def _row_source(flat, p, s, m, cap):
@@ -374,7 +376,7 @@ def test_closure_membership_structures_agree():
     assert G.size == 15000
     rt, m = G.ring, G.m
     gens = G.elems[G.generators]
-    assert _membership(5, 2, m, G.size) == "bitset"
+    assert _membership(5, 2, m, G.size) == "bitset uint32"
     assert _row_source(gens, 5, 2, m, G.size) == "tables"
     out = [pure._closure(source(gens, rt.mul, rt.add, m, rt.q), m, rt.q, G.size,
                          visited)
@@ -382,6 +384,108 @@ def test_closure_membership_structures_agree():
            for visited in (pure._BitsetKeys(rt.q**(m * m)),
                            pure._SortedKeys(np.uint64))]
     assert all(o.tobytes() == G.elems.tobytes() for o in out)
+
+
+# the pinned closures small enough for blocks of 7 keys: subgroup_K is a
+# closed form, and sl_group(1, 5, 3) would take 2.7e5 blocks
+BLOCKED_GOLDEN_ORDER = [row for row in GOLDEN_ORDER
+                        if row[0] is not subgroup_K and row[1] != (1, 5, 3)]
+
+
+@pytest.mark.parametrize("build,args,digest", BLOCKED_GOLDEN_ORDER,
+                         ids=["-".join([b.__name__, *map(str, a)])
+                              for b, a, _ in BLOCKED_GOLDEN_ORDER])
+def test_frontier_blocks_of_7_keep_the_pinned_order(monkeypatch, build, args, digest):
+    monkeypatch.setattr(pure, "BLOCK", 7)
+    elems = build(*args).elems
+    assert len(elems) > 7 * 7
+    assert hashlib.sha256(elems.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", ["sl2-f5-no-inverses", "sl2-f3t2-no-inverses"])
+def test_frontier_blocks_of_7_match_the_oracle(monkeypatch, case):
+    """Layers that span many blocks give the oracle's closure on either
+    row-map source, and the cap, checked after each (block, generator)
+    pair, fires at most 7 elements past itself."""
+    p, s, gens = CLOSURE_CASES[case]
+    m = gens[0].m
+    layers = oracles.bfs_closure(gens)
+    sizes = [len(layer) for layer in layers]
+    assert max(sizes) > 3 * 7
+    want = np.concatenate(layers)
+    flat = np.array([g.flat() for g in gens], dtype=np.uint32)
+    monkeypatch.setattr(pure, "BLOCK", 7)
+    for source in _sources(case):
+        assert _closure_on(source, flat, p, s, m).tobytes() == want.tobytes()
+    assert _closure(flat, p, s, m).tobytes() == want.tobytes()
+    k = int(np.argmax(sizes))
+    cap = sum(sizes[:k]) + sizes[k] // 2
+    assert _membership(p, s, m, cap) == "bitset uint32"
+    with pytest.raises(ResourceLimitError) as ei:
+        _closure(flat, p, s, m, cap=cap)
+    assert cap < ei.value.partial_count <= cap + 7
+
+
+def test_bitset_path_keys_are_uint32():
+    """The bitset tests and marks uint32 keys only, on both row-map
+    sources, including sl_group(1, 5, 3)'s key space."""
+    seen = []
+
+    class Spy(pure._BitsetKeys):
+        def has(self, keys):
+            seen.append(keys.dtype)
+            return super().has(keys)
+
+        def add(self, keys):
+            seen.append(keys.dtype)
+            super().add(keys)
+
+    G = sl_group(1, 3, 2)
+    rt, m = G.ring, G.m
+    gens = G.elems[G.generators]
+    for source in ROW_SOURCES.values():
+        out = pure._closure(source(gens, rt.mul, rt.add, m, rt.q), m, rt.q, G.size,
+                            Spy(rt.q**(m * m)))
+        assert out.tobytes() == G.elems.tobytes()
+    assert len(seen) > 2 and set(seen) == {np.dtype(np.uint32)}
+    assert _membership(5, 3, 2, 1 << 24) == "bitset uint32"
+
+
+def test_bitset_stops_at_2_32_keys(monkeypatch):
+    """A key space of 2**32 keys still takes the bitset, one of 257**4 >
+    2**32 the sorted uint64 keys, though 64*cap allowed a bitset of both;
+    the stand-in for _BitsetKeys allocates nothing."""
+    sizes = []
+    monkeypatch.setattr(pure, "_BitsetKeys", lambda size: sizes.append(size) or "bitset")
+    cap = 1 << 27
+    assert 257**4 <= 64 * cap
+    assert pure._visited_set(256, 4, cap) == "bitset" and sizes == [1 << 32]
+    visited = pure._visited_set(257, 4, cap)
+    assert isinstance(visited, pure._SortedKeys) and visited.dtype == np.uint64
+    assert sizes == [1 << 32]
+
+
+def test_bitset_add_matches_ufunc_at():
+    """Marking in buffered rounds sets the bits np.bitwise_or.at sets: on
+    bytes whose 8 bits all arrive in one call, on repeated keys, and next
+    to bits set before."""
+    rng = np.random.default_rng(7)
+    size = 4099
+    full = np.arange(8 * 40, 8 * 50, dtype=np.uint32)
+    keys = np.concatenate([full, rng.integers(0, size, 300).astype(np.uint32)])
+    keys = np.concatenate([keys, keys[rng.integers(0, len(keys), 150)]])
+    rng.shuffle(keys)
+    visited = pure._BitsetKeys(size)
+    visited.bits[3] = 0b1010_0101
+    want = visited.bits.copy()
+    np.bitwise_or.at(want, keys >> 3,
+                     np.left_shift(np.uint8(1), keys.astype(np.uint8) & 7))
+    visited.add(keys)
+    assert np.array_equal(visited.bits, want)
+    assert np.array_equal(visited.bits[40:50], np.full(10, 255, dtype=np.uint8))
+    every = np.arange(size, dtype=np.uint32)
+    assert np.array_equal(every[visited.has(every)],
+                          np.union1d(keys, [24, 26, 29, 31]))
 
 
 def test_closure_matches_group_order():
@@ -446,6 +550,30 @@ def test_key_codec_order_roundtrip_and_equality(q, w, dtype):
     pos = common.KeyIndex(keys[2:]).lookup(keys)
     assert np.array_equal(pos >= 0, same_row[:, 2:].any(axis=1))
     assert np.array_equal(rows[2:][pos[pos >= 0]], rows[pos >= 0])
+
+
+@pytest.mark.parametrize("q,w,dtype", [(8, 9, "uint64"), (2, 64, "uint64"),
+                                       (625, 9, "V18")])
+def test_key_index_on_sorted_keys_matches_shuffled(q, w, dtype):
+    """An index over keys that arrive sorted, repeats included, finds what
+    one over the same keys shuffled finds, and misses the same absent
+    keys; uint64 keys that ascend keep no order, void ones keep theirs."""
+    keys = np.sort(common.pack_keys(_key_rows(q, w), q))
+    assert keys.dtype == np.dtype(dtype) and len(np.unique(keys)) < len(keys)
+    indexed = keys[::2]
+    shuffled = indexed[np.random.default_rng(3).permutation(len(indexed))]
+    by_sorted, by_shuffled = common.KeyIndex(indexed), common.KeyIndex(shuffled)
+    assert (by_sorted._order is None) == (dtype == "uint64")
+    assert by_shuffled._order is not None
+    pos, spos = by_sorted.lookup(keys), by_shuffled.lookup(keys)
+    present = set(indexed.tolist())
+    found = np.array([k in present for k in keys.tolist()])
+    assert not found.all() and found.any()
+    assert np.array_equal(pos >= 0, found) and np.array_equal(spos >= 0, found)
+    assert np.array_equal(indexed[pos[found]], keys[found])
+    assert np.array_equal(shuffled[spos[found]], keys[found])
+    # the first of repeated keys, as a stable argsort finds it
+    assert np.array_equal(pos[found], np.searchsorted(indexed, keys[found]))
 
 
 def test_fits_uint64_boundary():

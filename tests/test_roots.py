@@ -153,6 +153,10 @@ def test_perm_table_is_lex_and_ranks_invert_it(k):
                               itertools.permutations(range(k))]
     assert np.array_equal(perm_rank(table), np.arange(math.factorial(k)))
     assert int(perm_rank(table[-1])) == math.factorial(k) - 1
+    # rows in any order and shape, as symmetric_group passes them
+    perm = np.random.default_rng(k).permutation(len(table))
+    assert np.array_equal(perm_rank(table[perm].reshape(-1, 1, k)),
+                          perm.reshape(-1, 1))
 
 
 def test_verify_propagation_n3_pinned():
