@@ -14,7 +14,10 @@ sorted array.  Rows are decoded only at the end.
 
 ``pack_keys`` and ``unpack_keys`` are the package's one row-key codec:
 uint64 keys when they fit, fixed-width void keys otherwise (``common``).
-``KeyIndex`` looks keys of either form up.
+``KeyIndex`` looks keys of either form up, through a direct-address
+table when the keys are dense and by binary search otherwise;
+``common.stable_order`` is the stable argsort of integer keys by one
+packed sort.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""The package's one row-key codec, and the identity helper.
+"""The package's one row-key codec, its key sort and key index, and the
+identity helper.
 
 The key of a row of w digits in [0, q) is sum over c of row[c] * q**c.
 A matrix is a flat uint32 row of its m*m packed ring indices in
@@ -10,6 +11,13 @@ Keys are uint64 when q**w <= 2**64.  Wider keys are the digits, most
 significant first, each a big-endian integer of 1, 2 or 4 bytes, viewed
 as one ``np.void`` scalar, whose bytewise order is the ascending order
 of the values.  The codec is injective only on rows of digits in [0, q).
+
+``stable_order`` is the stable argsort of integer keys, done as one
+plain sort of keys packed with their positions where they fit 64 bits.
+``KeyIndex`` maps keys to positions: through a direct-address table
+when the keys are dense (largest key below 8 times their count), else
+by binary search.  Neither path has a knob: the keys' width and span
+choose it.
 """
 
 from __future__ import annotations
@@ -85,27 +93,79 @@ def identity_flat(m: int) -> np.ndarray:
     return out
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, by one sort when the keys pack.
+
+    numpy argsorts stably by timsort but sorts plain integers with a SIMD
+    sort.  Non-negative integer keys below 2**(64 - b), b the bit length
+    of n - 1, are packed, in one uint64 copy sorted in place, as the
+    values key << b | position: these are distinct, and their ascending
+    order is the stable order, so one sort and a mask of the low b bits
+    give the positions.  Integer keys that already ascend, as a coset
+    complex's chambers arrive, are their own order, found by one
+    comparison pass.  Void, negative and wider keys take the stable
+    argsort.
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    b = (n - 1).bit_length() if n else 0
+    if keys.dtype.kind in "iu" and (keys[1:] >= keys[:-1]).all():
+        return np.arange(n, dtype=np.intp)
+    if (keys.dtype.kind not in "iu"
+            or (keys.dtype.kind == "i" and keys.min() < 0)
+            or int(keys.max()) >> (64 - b)):
+        return np.argsort(keys, kind="stable")
+    packed = keys.astype(np.uint64)
+    packed <<= b
+    # positions go in a block at a time, so no second n-array is live
+    for lo in range(0, n, 1 << 16):
+        hi = min(lo + (1 << 16), n)
+        packed[lo:hi] |= np.arange(lo, hi, dtype=np.uint64)
+    packed.sort()
+    packed &= (1 << b) - 1
+    return packed.view(np.intp)
+
+
 class KeyIndex:
     """Lookup from key to position.
 
     Keys are pack_keys output, of either form.  Positions refer to the
     original key array order (a group's element numbering, a face table's
-    rows), not the sorted order.  uint64 keys that already ascend, as
-    those of a sorted face table do, are searched as given, with no order.
+    rows), not the sorted order; a repeated key is found at its first
+    position.  uint64 keys whose largest is below 8 times their count, as
+    a group's in a small key space or a vertex table's are, go into an int32
+    table over [0, largest key] (``_table``, -1 where absent, and one -1
+    slot past the end that every larger key reads), at most 32 bytes per
+    key, and a lookup is one ``take``.  Other keys are binary-searched:
+    uint64 keys that already ascend, as those of a sorted face table do,
+    are searched as given, with no order; the rest through their
+    ``stable_order``.
     """
 
     def __init__(self, keys: np.ndarray):
         keys = np.asarray(keys)
         self.n = len(keys)
-        if keys.dtype.kind != "V" and (keys[1:] >= keys[:-1]).all():
-            self._order, self._sorted = None, keys
+        self._table = self._order = self._sorted = None
+        if (keys.dtype.kind == "u" and self.n
+                and (top := int(keys.max())) < 8 * self.n):
+            pos = np.arange(self.n, dtype=np.int32)
+            self._table = np.full(top + 2, -1, dtype=np.int32)
+            self._table[keys] = pos
+            # with repeated keys any of their positions may have landed
+            if (self._table[keys] != pos).any():
+                np.minimum.at(self._table, keys, pos)
+        elif keys.dtype.kind != "V" and (keys[1:] >= keys[:-1]).all():
+            self._sorted = keys
         else:
-            self._order = np.argsort(keys, kind="stable")
+            self._order = stable_order(keys)
             self._sorted = keys[self._order]
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Positions of keys, -1 where absent."""
         keys = np.asarray(keys)
+        if self._table is not None:
+            end = len(self._table) - 1
+            return self._table.take(np.minimum(keys, end)).astype(np.int64)
         if not self.n:
             return np.full(keys.shape, -1, dtype=np.int64)
         pos = np.searchsorted(self._sorted, keys)

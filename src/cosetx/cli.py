@@ -381,7 +381,7 @@ def _cmd_spectral_links(args) -> int:
             raise ParameterError("--threshold is required with --complex")
         from .complexes import load_complex
         rep = local_spectral_report(load_complex(args.complex),
-                                    args.threshold)
+                                    args.threshold, cap=args.cap)
         params = {"complex": args.complex, "threshold": args.threshold}
     else:
         for name in ("n", "p", "s", "d"):

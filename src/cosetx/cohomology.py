@@ -81,7 +81,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels.common import KeyIndex, lex_keys, unpack_keys
+from ._kernels.common import KeyIndex, lex_keys, stable_order, unpack_keys
 from .complexes import SimplicialComplex, WeightTable, _unique_rows
 from .errors import (InputError, ParameterError, ResourceLimitError,
                      StructureError)
@@ -418,9 +418,9 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
                                 dtype=np.int64).reshape(-1)
     tri = memoryview(flat)
     # edge -> triangle incidence as CSR over the slots (3 per triangle);
-    # the stable sort lists each edge's triangles in increasing order, and
-    # slot k sits at position rank[k] of its edge's list
-    order = np.argsort(flat, kind="stable")
+    # the stable order lists each edge's triangles in increasing order,
+    # and slot k sits at position rank[k] of its edge's list
+    order = stable_order(flat)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     order //= 3

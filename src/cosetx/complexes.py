@@ -32,7 +32,7 @@ import numpy as np
 # that no computation pays for the import
 import numpy.ma  # noqa: F401
 
-from ._kernels.common import KeyIndex, lex_keys
+from ._kernels.common import KeyIndex, lex_keys, stable_order
 from .errors import InputError, ParameterError, StructureError
 from .groups import (CosetPartition, FiniteGroup, _orbit_min_labels,
                      cosets, quotient, rotate_rows, sl_group, subgroup_K)
@@ -46,9 +46,13 @@ def _same_rows(A: np.ndarray, B: np.ndarray, base: int) -> bool:
 
 def _unique_rows(rows: np.ndarray, base: int, counts: bool = False):
     """The distinct rows in lex order of rows in [0, base), and with
-    ``counts`` the number of times each occurs."""
+    ``counts`` the number of times each occurs.
+
+    Equal keys are equal rows, so any order that sorts the keys serves.
+    ``stable_order`` is the fastest here on integer keys, and another
+    sort kernel would add its code pages to every process."""
     keys = lex_keys(rows, base)
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     keys = keys[order]
     fresh = np.ones(len(keys), dtype=bool)
     fresh[1:] = keys[1:] != keys[:-1]
@@ -69,9 +73,10 @@ def _spanning_forest(edges: np.ndarray, V: int
     vertices in discovery order.  ``parent_edge`` holds row indices into
     ``edges``; both it and ``parent`` are -1 at the roots.
 
-    The arcs are sorted once by (source, neighbour), so the frontier's
-    neighbour lists, concatenated in frontier order, are the FIFO scan of
-    a layer.  The least scan position of each unseen neighbour, found by
+    The arcs are sorted once by their (source, neighbour) keys, in one
+    packed sort (``stable_order``), so the frontier's neighbour lists,
+    concatenated in frontier order, are the FIFO scan of a layer.  The
+    least scan position of each unseen neighbour, found by
     ``np.minimum.at``, is its discovery, and the next layer keeps the
     discoveries in scan order.
     """
@@ -82,7 +87,7 @@ def _spanning_forest(edges: np.ndarray, V: int
         return parent, parent_edge, np.arange(V, dtype=np.int64), V
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    arcs = np.argsort(src * V + dst, kind="stable")
+    arcs = stable_order(src * V + dst)
     nbr = dst[arcs]
     deg = np.bincount(src, minlength=V)
     start = np.cumsum(deg) - deg
@@ -261,16 +266,17 @@ class SimplicialComplex:
         """Vertex -> maximal-face incidence in CSR form, cached.
 
         The maximal faces containing v are ``faces[offsets[v]:offsets[v+1]]``.
-        A stable argsort of the flattened face array groups positions by
-        vertex, and a face holds each vertex at most once, so every group
-        lists its face indices in ascending order.
+        The stable order of the flattened face array (``stable_order``, one
+        packed sort) groups positions by vertex, and a face holds each
+        vertex at most once, so every group lists its face indices in
+        ascending order.
         """
         if self._incidence is None:
             flat = self.max_faces.ravel()
             offsets = np.zeros(self.vertex_count + 1, dtype=np.int64)
             np.cumsum(np.bincount(flat, minlength=self.vertex_count),
                       out=offsets[1:])
-            faces = np.argsort(flat, kind="stable") // (self.n + 1)
+            faces = stable_order(flat) // (self.n + 1)
             self._incidence = (offsets, faces)
         return self._incidence
 

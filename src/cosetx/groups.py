@@ -335,8 +335,11 @@ class MatrixGroup(FiniteGroup):
 
     ``elems`` is the canonical element array (flat packed rows); index 0 is
     the identity for BFS closures and for the closed-form K_i alike.  The
-    key index behind the lookups is built on first use, so a group that is
-    only read by its entries never sorts its keys.
+    key index behind the lookups (``_index``, a ``KeyIndex``) is built on
+    first use, so a group that is only read by its entries never indexes
+    its keys.  A group that fills more than an eighth of its key space, as
+    sl_group(2,2,2) fills 43,008 of 4**9 keys, is indexed by a
+    direct-address table; a sparser one by binary search.
     """
 
     def __init__(self, ring: RingTable, m: int, elems: np.ndarray,

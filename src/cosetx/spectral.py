@@ -26,7 +26,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .complexes import SimplicialComplex, coset_complex, link
-from .errors import NumericalError, ParameterError, StructureError
+from .errors import (NumericalError, ParameterError, ResourceLimitError,
+                     StructureError)
 
 EIG_TOL = 1e-9  # residual bound; eigenvalue error is at most this
 # Lanczos stops once its Ritz residual estimate is this small; ||S|| = 1,
@@ -128,7 +129,7 @@ def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
 
 
 def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
-                      seed: int = 0) -> float:
+                      seed: int = 0, cap: int = 1 << 24) -> float:
     """Second-largest eigenvalue of the walk, certified to ``tol``.
 
     The top eigenpair of the symmetric form S is known: eigenvalue 1, with
@@ -149,6 +150,11 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
     certificate: above ``tol`` it raises NumericalError carrying it.  A
     connected walk on two vertices is a single edge with spectrum
     {1, -1}.
+
+    The basis Q holds u and the Lanczos vectors, V floats each, and grows
+    by doubling.  ``cap`` bounds its floats: a basis that would pass it
+    raises ResourceLimitError before it is allocated, carrying the steps
+    taken.  KO links converge in 6-12 steps, well inside the default.
     """
     V = M.vertex_count
     if V < 2:
@@ -157,8 +163,16 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
         return -1.0
     S = M.symmetric()
     root = np.sqrt(M.strength.astype(np.float64))
+
+    def grow(Q: np.ndarray, rows: int, steps: int) -> np.ndarray:
+        if rows * V > cap:
+            raise ResourceLimitError(
+                f"Lanczos basis of {rows} x {V} floats exceeds cap {cap}",
+                partial_count=steps)
+        return np.concatenate([Q, np.empty((rows - len(Q), V))])
+
     # row 0 is u, rows 1..j the Lanczos vectors; grown by doubling
-    Q = np.empty((min(V, 32), V))
+    Q = grow(np.empty((0, V)), min(V, 32), 0)
     Q[0] = root / np.linalg.norm(root)
     w = np.random.default_rng(seed).standard_normal(V)
     alphas: list[float] = []
@@ -181,7 +195,7 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
             betas.append(beta)
         j += 1
         if j == len(Q):
-            Q = np.concatenate([Q, np.empty((min(j, V - j), V))])
+            Q = grow(Q, j + min(j, V - j), j)
         Q[j] = w / beta
         w = S @ Q[j]
         alphas.append(float(Q[j] @ w))
@@ -276,18 +290,19 @@ def _check_threshold(threshold: float) -> None:
         raise ParameterError(f"threshold must be finite, got {threshold}")
 
 
-def _solve_entry(lnk: SimplicialComplex, face, colors) -> LinkEntry:
+def _solve_entry(lnk: SimplicialComplex, face, colors,
+                 cap: int = 1 << 24) -> LinkEntry:
     # walk_matrix's component count is the link's one connectivity check
     try:
         M = walk_matrix(lnk)
     except StructureError:
         return LinkEntry(face, colors, lnk.vertex_count, False, None, "none")
     return LinkEntry(face, colors, lnk.vertex_count, True,
-                     second_eigenvalue(M), "lanczos")
+                     second_eigenvalue(M, cap=cap), "lanczos")
 
 
-def local_spectral_report(X: SimplicialComplex, lam_threshold: float
-                          ) -> LocalSpectralReport:
+def local_spectral_report(X: SimplicialComplex, lam_threshold: float,
+                          cap: int = 1 << 24) -> LocalSpectralReport:
     """Walk spectra of X and of every link of dimension >= 1.
 
     Iterates tau over the faces of dimension -1..n-2 (the empty face gives
@@ -302,7 +317,8 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float
     link of the base face onto the link of g.tau, so the key is (dimension,
     colors).  For any other complex the key is the face itself: no link
     borrows another's eigenvalue and no symmetry of X is assumed.
-    Disconnected links appear as failure entries.
+    Disconnected links appear as failure entries.  ``cap`` bounds each
+    solve's Lanczos basis (``second_eigenvalue``).
     """
     _check_threshold(lam_threshold)
     if X.n < 1:
@@ -311,17 +327,21 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float
     solved: dict[tuple, LinkEntry] = {}
     entries: list[LinkEntry] = []
     for k in range(-1, X.n - 1):
-        for row in X.faces(k):
-            tau = tuple(int(v) for v in row)
-            colors = (tuple(int(c) for c in X.colors[list(tau)])
-                      if X.colors is not None and tau else None)
+        faces = X.faces(k)
+        rows = faces.tolist()
+        cols = (X.colors[faces].tolist() if X.colors is not None and k >= 0
+                else [None] * len(rows))
+        for row, col in zip(rows, cols):
+            tau = tuple(row)
+            colors = None if col is None else tuple(col)
             key = (k, colors) if by_orbit else tau
             rep = solved.get(key)
             if rep is None:
-                entry = solved[key] = _solve_entry(link(X, tau), tau, colors)
+                entry = solved[key] = _solve_entry(link(X, tau), tau, colors,
+                                                   cap)
             else:
-                entry = dataclasses.replace(rep, face=tau, colors=colors,
-                                            solver="reused")
+                entry = LinkEntry(tau, colors, rep.vertices, rep.connected,
+                                  rep.second, "reused")
             entries.append(entry)
     return _finish_report(entries, lam_threshold)
 
@@ -363,7 +383,8 @@ def ko_link_report(n: int, p: int, s: int, d: int,
     ``ko_vertex_link``) and ``"reused"``.  The ambient walk is deliberately
     absent: for interesting parameters the full group is out of reach, and
     the local criterion quantifies over links.  ``threshold`` defaults to
-    the theorem bound, which requires sqrt(p) > n.
+    the theorem bound, which requires sqrt(p) > n.  ``cap`` bounds the
+    closure of K_0 and the Lanczos basis.
     """
     if threshold is None:
         if math.sqrt(p) <= n:
@@ -372,7 +393,8 @@ def ko_link_report(n: int, p: int, s: int, d: int,
                 f"pass an explicit threshold for p={p}, n={n}")
         threshold = 1.0 / (math.sqrt(p) - n)
     _check_threshold(threshold)
-    first = _solve_entry(ko_vertex_link(n, p, s, d, cap=cap), None, (0,))
+    first = _solve_entry(ko_vertex_link(n, p, s, d, cap=cap), None, (0,),
+                         cap)
     return _finish_report([first] + [
         dataclasses.replace(first, colors=(i,), solver="reused")
         for i in range(1, n + 1)], threshold)

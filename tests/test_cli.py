@@ -753,6 +753,19 @@ def test_subprocess_output_deterministic():
     assert json.loads(a.stdout)["result"]["coeffs"] == [1, 1, 1]
 
 
+def test_spectral_links_complex_caps_lanczos_basis(tmp_path):
+    """``spectral links --complex`` hands --cap to the eigensolver: the
+    20000-cycle needs thousands of Lanczos steps, and a cap of a million
+    floats stops it at its first doubling of a 32-row basis, exit 3."""
+    path = tmp_path / "cycle.jsonl"
+    save_complex(fx.cycle_complex(20000), path)
+    r = run_proc(["spectral", "links", "--complex", str(path),
+                  "--threshold", "1.0", "--cap", "1000000"])
+    assert r.returncode == 3, r.stderr
+    assert "Lanczos basis of 64 x 20000 floats exceeds cap 1000000" in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+
+
 def _assert_cap_exit_within_memory_limit(argv):
     """Run the CLI, whose last argument is the cap, under a 1.5 GiB
     address-space limit: exit 3 with the cap message, no traceback, and a

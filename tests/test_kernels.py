@@ -581,3 +581,127 @@ def test_fits_uint64_boundary():
     assert common.fits_uint64(2, 64)      # 2^64 exactly
     assert not common.fits_uint64(2, 65)
     assert not common.fits_uint64(625, 9)  # 625^9 >> 2^64
+
+
+# ---------------------------------------------------------------------------
+# stable_order: one sort of packed (key, position) values
+
+
+def _count_stable_argsorts(monkeypatch):
+    """Count the stable argsorts that numpy runs from here on."""
+    calls = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls
+
+
+def _order_cases():
+    rng = np.random.default_rng(5)
+    n = 1000
+    b = (n - 1).bit_length()
+    wide = rng.integers(0, 1 << 20, n, dtype=np.int64)
+    return {
+        "ties": rng.integers(0, 5, n),
+        "ascending": np.sort(rng.integers(0, 5, n)),
+        # positions are packed 2**16 at a time
+        "ties-over-blocks": rng.integers(0, 50, (3 << 16) + 1),
+        "all-equal": np.full(257, 9),
+        "empty": np.empty(0, dtype=np.int64),
+        "single": np.array([42]),
+        # key << b must stay below 2**64: 2**(64 - b) - 1 is the widest
+        # key that packs, and 2**(64 - b) the first that does not
+        "widest-packing": np.append(wide, (1 << (64 - b)) - 1)[1:],
+        "too-wide": np.append(wide, 1 << (64 - b))[1:],
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("case", sorted(_order_cases()))
+def test_stable_order_is_the_stable_argsort(monkeypatch, case, dtype):
+    keys = _order_cases()[case].astype(dtype)
+    want = np.argsort(keys, kind="stable")
+    calls = _count_stable_argsorts(monkeypatch)
+    got = common.stable_order(keys)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # only the keys too wide to pack fall back to numpy's stable argsort;
+    # keys that ascend, as short and all-equal ones do, need no sort
+    assert calls == (["stable"] if case == "too-wide" else [])
+
+
+def test_stable_order_falls_back_on_void_and_negative_keys(monkeypatch):
+    void = common.pack_keys(_key_rows(625, 9), 625)
+    negative = np.array([3, -1, 3, 0, -1, 7], dtype=np.int64)
+    for keys in (void, negative):
+        want = np.argsort(keys, kind="stable")
+        calls = _count_stable_argsorts(monkeypatch)
+        assert np.array_equal(common.stable_order(keys), want)
+        assert calls == ["stable"]
+
+
+# ---------------------------------------------------------------------------
+# KeyIndex: direct-address table and binary search
+
+
+def _first_positions(indexed, keys):
+    first = {}
+    for i, k in enumerate(indexed.tolist()):
+        first.setdefault(k, i)
+    return np.array([first.get(k, -1) for k in keys.tolist()])
+
+
+def test_key_index_table_and_search_agree():
+    """The same keys, indexed as they are (table) and shifted past 8 per
+    key (binary search), give the same positions: the first one of a
+    repeated key, and -1 for absent keys below, inside and above the
+    span."""
+    rng = np.random.default_rng(8)
+    indexed = rng.integers(5, 400, size=100).astype(np.uint64)
+    indexed[10:20] = indexed[:10]                      # repeats
+    assert len(np.unique(indexed)) < len(indexed)
+    probes = np.concatenate([np.arange(420, dtype=np.uint64),
+                             np.array([2**40, 2**64 - 1], dtype=np.uint64)])
+    table = common.KeyIndex(indexed)
+    assert table._table is not None and table._order is None
+    shift = np.uint64(1 << 20)
+    search = common.KeyIndex(indexed + shift)
+    assert search._table is None and search._order is not None
+    pos = table.lookup(probes)
+    assert pos.dtype == np.int64
+    assert np.array_equal(pos, _first_positions(indexed, probes))
+    inside = probes < 2**40
+    assert np.array_equal(search.lookup(probes[inside] + shift), pos[inside])
+    assert (pos[:5] == -1).all() and (pos[400:] == -1).all()
+    assert (pos[5:400] == -1).any()
+
+
+@pytest.mark.parametrize("span,path", [(8 * 50, "table"),
+                                       (8 * 50 + 1, "search")])
+def test_key_index_switches_at_8_keys_per_entry(span, path):
+    """Fifty keys with largest key span - 1: a table up to a span of 8
+    per key, a binary search past it, the same positions either way."""
+    keys = np.random.default_rng(2).permutation(span)[:50].astype(np.uint64)
+    keys[0] = span - 1
+    index = common.KeyIndex(keys)
+    assert (index._table is not None) == (path == "table")
+    probes = np.arange(span + 3, dtype=np.uint64)
+    assert np.array_equal(index.lookup(probes),
+                          _first_positions(keys, probes))
+
+
+def test_void_keys_never_take_the_table():
+    keys = common.pack_keys(_key_rows(256, 9), 256)
+    assert keys.dtype.kind == "V"
+    index = common.KeyIndex(keys)
+    assert index._table is None
+    assert np.array_equal(index.lookup(keys), _first_positions(keys, keys))
+
+
+def test_sl_group_index_is_a_table():
+    G = sl_group(2, 2, 2)
+    assert G.size == 43008 and G._index._table is not None
+    assert np.array_equal(G.lookup_rows(G.elems), np.arange(G.size))

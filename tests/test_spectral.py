@@ -7,7 +7,9 @@ that never touches the package's WalkMatrix plumbing.
 """
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -28,6 +30,7 @@ from cosetx.complexes import (
 from cosetx.errors import (
     NumericalError,
     ParameterError,
+    ResourceLimitError,
     StructureError,
 )
 from cosetx.groups import subgroup_closure_indices, symmetric_group
@@ -206,6 +209,31 @@ def test_residual_certificate_rejects_tight_tolerance():
     assert exc.value.residual > 0
 
 
+def test_lanczos_basis_is_capped():
+    """The 5000-cycle needs far more than 32 Lanczos steps: a cap that
+    holds the first 32-row basis but not its doubling stops the run at
+    step 32, before the 64-row basis is allocated."""
+    M = walk_matrix(fx.cycle_complex(5000))
+    with pytest.raises(ResourceLimitError) as exc:
+        second_eigenvalue(M, cap=32 * 5000)
+    assert exc.value.partial_count == 32
+    with pytest.raises(ResourceLimitError) as exc:
+        second_eigenvalue(M, cap=32 * 5000 - 1)
+    assert exc.value.partial_count == 0
+    with pytest.raises(ResourceLimitError):
+        local_spectral_report(fx.cycle_complex(5000), 1.0, cap=32 * 5000)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2), (3, 3)])
+def test_ko_link_eigenvalues_fit_the_first_basis(n, p):
+    """KO vertex links converge inside the first 32-row basis, so the
+    tightest cap that admits it changes no bit of the eigenvalue."""
+    L = ko_vertex_link(n, p, 2, 1)
+    M = walk_matrix(L)
+    assert second_eigenvalue(M, cap=32 * L.vertex_count) == \
+        second_eigenvalue(M)
+
+
 def test_second_eigenvalue_validation():
     # two vertices: closed form, whatever the edge weight
     tiny = walk_matrix(SimplicialComplex(1, 2, [[0, 1]]))
@@ -322,6 +350,15 @@ def test_report_ko_complex_matches_per_face_solves():
         assert e.second == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     assert rep.max_second == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     _assert_matches_per_face(rep, X)
+
+
+def test_report_ko_complex_is_pinned():
+    """The whole KO(2,2,2,1) report, entry by entry and in order, hashes
+    to the value the per-face dataclass copies gave."""
+    d = local_spectral_report(build_ko_complex(2, 2, 2, 1), 0.999).to_dict()
+    digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode())
+    assert digest.hexdigest() == ("a475f52767ba702976d41cea848119fb"
+                                  "d3638ac1a5412e42eb2b8297bb47f4ee")
 
 
 def test_report_coset_colors_with_unlike_links():
