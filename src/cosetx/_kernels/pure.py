@@ -9,7 +9,8 @@ cost is per matrix entry or per generator, not per row.
 Nearly every product multiplies a batch by one fixed matrix (a closure
 generator, a right-table element, a conjugating element); those read that
 matrix's entries and skip its zero and unit terms, and only batch-by-batch
-products run the dense m*m*(2m-1) table gathers per row.
+products run the dense m*m*(2m-1) table gathers per row, each one 1-D
+``take`` from a flattened table.
 
 The closure works on canonical keys, and on row tables it builds no
 candidate row: a generator acts on a key through one map of row keys,
@@ -51,6 +52,11 @@ def matmul_batch(A: np.ndarray, B: np.ndarray, mul: np.ndarray, add: np.ndarray,
     index 1) and on the ring being commutative, which also lets a single
     matrix on the left run as the transposed product B^T A^T.  Ring
     arithmetic is exact, so the result is bit-identical to the dense path.
+
+    Two batches of k matrices multiply densely, m*m*(2m-1) gathers per
+    row.  Each reads ``mul[a, b]`` or ``add[a, b]`` as one 1-D take from
+    the flattened table at a*q + b, below q**2 <= 2**24, so the indices
+    stay uint32 (the verification of relation words runs this path).
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.uint32))
     B = np.atleast_2d(np.asarray(B, dtype=np.uint32))
@@ -62,13 +68,20 @@ def matmul_batch(A: np.ndarray, B: np.ndarray, mul: np.ndarray, add: np.ndarray,
         _times_single(B.reshape(k, m, m).transpose(0, 2, 1), A.reshape(m, m).T,
                       C.transpose(0, 2, 1), mul, add, m)
     else:
-        A3 = np.broadcast_to(A.reshape(A.shape[0], m, m), (k, m, m))
-        B3 = np.broadcast_to(B.reshape(B.shape[0], m, m), (k, m, m))
+        # A's entries times q, formed once for every take at a*q + b
+        q, mul_flat, add_flat = mul.shape[1], mul.reshape(-1), add.reshape(-1)
+        Aq = A.reshape(k, m, m) * np.uint32(q)
+        B3 = B.reshape(k, m, m)
         for i in range(m):
             for l in range(m):
-                acc = mul[A3[:, i, 0], B3[:, 0, l]]
+                at = Aq[:, i, 0] + B3[:, 0, l]
+                acc = mul_flat.take(at)
                 for j in range(1, m):
-                    acc = add[acc, mul[A3[:, i, j], B3[:, j, l]]]
+                    np.add(Aq[:, i, j], B3[:, j, l], out=at)
+                    term = mul_flat.take(at)
+                    acc *= np.uint32(q)
+                    acc += term
+                    acc = add_flat.take(acc)
                 C[:, i, l] = acc
     return C.reshape(k, m * m)
 

@@ -287,20 +287,20 @@ def _cmd_propagate(args) -> int:
 
 
 def _preset_relations(preset: str, n: int, p: int, d: int):
-    """Relation list for a preset; Presentation when the preset has one."""
+    """RelationTable of a preset; Presentation when the preset has one."""
     from .presentations import (chamber_relation_sets, presentation_SL,
                                 presentation_unipotent,
                                 tilde_gamma_presentation)
 
     if preset == "sl":
         pres = presentation_SL(n, p, d)
-        return list(pres.relations), pres
+        return pres.table, pres
     if preset == "unip":
         pres = presentation_unipotent(n, p, d)  # here --n is the matrix size
-        return list(pres.relations), pres
+        return pres.table, pres
     if preset == "tilde":
         pres = tilde_gamma_presentation(n, p, d)
-        return list(pres.relations), pres
+        return pres.table, pres
     pre, chamber = chamber_relation_sets(n, p, d)
     return (pre if preset == "prechamber" else chamber), None
 
@@ -311,16 +311,13 @@ def _word_json(word) -> list:
 
 def _cmd_relations_emit(args) -> int:
     rels, pres = _preset_relations(args.preset, args.n, args.p, args.d)
-    by_kind: dict[str, int] = {}
-    for rel in rels:
-        by_kind[rel.kind] = by_kind.get(rel.kind, 0) + 1
+    by_kind = rels.counts_by_kind()
     result = {
         "preset": args.preset,
         "relation_count": len(rels),
         "counts_by_kind": by_kind,
-        "generator_count": (len(pres.generators) if pres else
-                            len({sym for rel in rels
-                                 for sym in rel.symbols()})),
+        "generator_count": len(pres.generators if pres
+                               else rels.used_symbols()),
         "relations": [{
             "kind": rel.kind,
             "pair": [list(rel.source_pair[0]), list(rel.source_pair[1])],
@@ -348,7 +345,7 @@ def _cmd_relations_verify(args) -> int:
     else:
         assign = {sym: elementary(args.n, *sym.root,
                                   sym.r.lift_to(args.target_s))
-                  for rel in rels for sym in rel.symbols()}
+                  for sym in rels.used_symbols()}
     t_built = time.perf_counter()
     rep = verify_relations(rels, assign)
     timings = {"build_s": t_built - t0,
@@ -468,7 +465,7 @@ def _check_steinberg_sl(n, p, d, target_s, expect=None):
     pres = presentation_SL(n, p, d)
     rep = verify_relations(pres, standard_assignment(pres, target_s))
     detail = {"generators": len(pres.generators),
-              "relations": len(pres.relations),
+              "relations": len(pres.table),
               "pairs": len(pres.pair_set()),
               "violations": len(rep.violations)}
     ok = rep.ok

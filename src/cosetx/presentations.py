@@ -3,8 +3,8 @@
 Every relation is stored fully instantiated: a pair of words over generator
 symbols x_rho(r), where rho is a root of A_n and r runs over the polynomials
 of degree <= d (represented exactly as TruncPoly with s = d + 1).  A word is
-a tuple of (symbol, exponent) with exponent +-1; the empty word is the
-identity.  No Steinberg rewriting is ever applied, only free cancellation.
+a sequence of letters x^(+-1); the empty word is the identity.  No
+Steinberg rewriting is ever applied, only free cancellation.
 
 The five relation kinds describe the equation shape:
 
@@ -20,12 +20,26 @@ Product degrees and product equality are computed in F_p[t] itself (tuple
 convolution), never in a truncated quotient: the schemas live over the
 polynomial ring and only their verification happens in finite quotients.
 
-Each builder call makes one GeneratorSymbol per generator, and the
-relations of a presentation refer to the very objects in its
-``generators``.  Verification assigns a ``MatElement`` to each generator.
-On tabled rings it evaluates every distinct word in batches, with the
-generators' inverses from ``_kernels.inverse_batch``; past
-``RingTable.MAX_Q`` it falls back to exact ``MatElement`` arithmetic.
+The builders emit integer word tables (``RelationTable``).  A builder call
+numbers its generator symbols root by root, x_rho(r_i) = symbol
+slot(rho) + i with r_i the polynomial of packed index i, and writes each
+word as a row of letter codes, 2k for symbol k and 2k + 1 for its inverse,
+padded with -1.  Each relation row also carries a kind id (its position in
+``KINDS``) and a source-pair id.  A root pair's rows are read directly off
+the index tables ``_SymbolTable.sums`` and ``_SymbolTable.products``.
+``RelationInstance`` objects, words of (GeneratorSymbol, +-1) letters, are
+made only when asked for (``RelationTable.instances``,
+``Presentation.relations``, reported violations): in relation order, on
+the table's one GeneratorSymbol object per generator.
+
+Verification assigns a ``MatElement`` to each generator.  On tabled rings
+one evaluator works on the word table: the distinct words, found by their
+``lex_keys``, are grouped by length and multiplied out positionwise through
+``_kernels.matmul_batch``, on the matrices of the generators and their
+inverses from one ``_kernels.inverse_batch`` call.  A plain list of
+``RelationInstance`` is encoded into the same table first.  Past
+``RingTable.MAX_Q`` verification falls back to exact ``MatElement``
+arithmetic, one relation at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +52,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels.common import identity_flat
+from ._kernels.common import identity_flat, lex_keys, stable_order
 from .errors import InputError, ParameterError
 from .groups import MatElement, elementary
 from .ring import RingTable, TruncPoly, check_ring_params, enumerate_polys
@@ -47,6 +61,7 @@ from .roots import (Root, all_roots, chamber_boundary, chamber_roots,
 
 KINDS = ("zero", "additive", "commuting", "steinberg-product",
          "steinberg-equality")
+ZERO, ADDITIVE, COMMUTING, PRODUCT, EQUALITY = range(len(KINDS))
 
 
 @dataclass(frozen=True)
@@ -80,7 +95,10 @@ Word = tuple
 
 @dataclass(frozen=True)
 class RelationInstance:
-    """One instantiated relation lhs = rhs with its provenance pair."""
+    """One instantiated relation lhs = rhs with its provenance pair.
+
+    Every letter's exponent is 1 or -1; any other raises ParameterError.
+    """
 
     lhs: Word
     rhs: Word
@@ -90,6 +108,10 @@ class RelationInstance:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown relation kind {self.kind!r}")
+        for sym, exp in self.lhs + self.rhs:
+            if exp != 1 and exp != -1:
+                raise ParameterError(
+                    f"exponent {exp!r} of {sym}: letters are x or x^-1")
 
     def symbols(self):
         for sym, _ in self.lhs:
@@ -116,11 +138,6 @@ def exact_product_coeffs(r1: TruncPoly, r2: TruncPoly) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _exact_deg(coeffs: tuple[int, ...]) -> int:
-    # deg 0 = -1 convention is avoided; callers only compare against d
-    return len(coeffs) - 1
-
-
 def _pair_sorted(pair) -> tuple[Root, Root]:
     roots = list(pair)
     if len(roots) == 1:  # frozenset of an equal pair collapses
@@ -135,48 +152,169 @@ def _pair_sorted(pair) -> tuple[Root, Root]:
     return a, b
 
 
+def _padded(rows: list) -> np.ndarray:
+    """Code rows as one int32 array, padded with -1 to the longest row."""
+    width = max(map(len, rows), default=0)
+    out = np.full((len(rows), width), -1, dtype=np.int32)
+    by_len: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_len.setdefault(len(row), []).append(i)
+    for length, sel in by_len.items():
+        if length:
+            out[sel, :length] = [rows[i] for i in sel]
+    return out
+
+
+class RelationTable:
+    """Relations as an integer word table over a tuple of generator symbols.
+
+    ``words`` is an int32 array of shape (relations, 2, width): the lhs
+    and rhs of each relation as rows of letter codes, 2k for
+    ``symbols[k]`` and 2k + 1 for its inverse, padded with -1.  ``kind``
+    holds each relation's position in ``KINDS``, and ``pair`` its source
+    pair's position in ``pairs``, the distinct source pairs in order of
+    first appearance.
+
+    The table is a read-only sequence of ``RelationInstance``: indexing
+    and iteration materialize all of them once, in row order, on the
+    objects in ``symbols``.  ``rows`` materializes only the rows asked for.
+    """
+
+    def __init__(self, symbols, words: np.ndarray, kind: np.ndarray,
+                 pair: np.ndarray, pairs, instances=None):
+        self.symbols = tuple(symbols)
+        self.words, self.kind, self.pair = words, kind, pair
+        self.pairs = tuple(pairs)
+        self._instances = None if instances is None else tuple(instances)
+
+    @classmethod
+    def from_instances(cls, relations: Sequence[RelationInstance],
+                       symbols=None) -> "RelationTable":
+        """Encode RelationInstance objects, which the table keeps.
+
+        The symbols are numbered in order of first use, or as given in
+        ``symbols``; a relation symbol outside those raises ParameterError.
+        """
+        relations = tuple(relations)
+        if symbols is None:
+            symbols = dict.fromkeys(x for rel in relations for x in rel.symbols())
+        symbols = tuple(symbols)
+        codes = {}
+        for k, x in enumerate(symbols):
+            codes.setdefault((x, 1), 2 * k)
+            codes.setdefault((x, -1), 2 * k + 1)
+        words, pairs = [], {}
+        for rel in relations:
+            for word in (rel.lhs, rel.rhs):
+                try:
+                    words.append([codes[letter] for letter in word])
+                except KeyError:
+                    x = next(x for x, _ in word if (x, 1) not in codes)
+                    raise ParameterError(
+                        f"relation symbol {x} outside the generator set"
+                    ) from None
+        kind = [KINDS.index(rel.kind) for rel in relations]
+        pair = [pairs.setdefault(rel.source_pair, len(pairs))
+                for rel in relations]
+        words = _padded(words)
+        return cls(symbols, words.reshape(len(relations), 2, words.shape[1]),
+                   np.array(kind, dtype=np.int8),
+                   np.array(pair, dtype=np.int32), pairs, relations)
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        return self.instances[i]
+
+    def __iter__(self):
+        return iter(self.instances)
+
+    @property
+    def instances(self) -> tuple[RelationInstance, ...]:
+        if self._instances is None:
+            self._instances = tuple(self._materialize(slice(None)))
+        return self._instances
+
+    def rows(self, idx) -> list[RelationInstance]:
+        """The relations of the row indices ``idx``, in that order."""
+        if self._instances is not None:
+            return [self._instances[i] for i in idx]
+        return self._materialize(np.asarray(idx, dtype=np.intp))
+
+    def _materialize(self, idx) -> list[RelationInstance]:
+        letters = [(x, e) for x in self.symbols for e in (1, -1)]
+        word = lambda row: tuple([letters[c] for c in row if c >= 0])
+        return [RelationInstance(word(l), word(r), KINDS[k], self.pairs[s])
+                for (l, r), k, s in zip(self.words[idx].tolist(),
+                                        self.kind[idx].tolist(),
+                                        self.pair[idx].tolist())]
+
+    def symbol_ids(self) -> np.ndarray:
+        """The ascending ids of the symbols some word uses."""
+        used = np.zeros(len(self.symbols), dtype=bool)
+        used[self.words[self.words >= 0] >> 1] = True
+        return np.flatnonzero(used)
+
+    def used_symbols(self) -> tuple[GeneratorSymbol, ...]:
+        return tuple(self.symbols[k] for k in self.symbol_ids().tolist())
+
+    def counts_by_kind(self) -> dict[str, int]:
+        counts = np.bincount(self.kind, minlength=len(KINDS)).tolist()
+        return {k: v for k, v in zip(KINDS, counts) if v}
+
+    def pair_set(self) -> frozenset[tuple[Root, Root]]:
+        # every pair in ``pairs`` is some relation's source pair
+        return frozenset(self.pairs)
+
+
 class _SymbolTable:
     """The generator symbols of one builder call, one object per (root, r).
 
-    A root's symbols are made on first use, one per packed index of the
-    polynomials of degree <= d, together with the one-letter words
-    (sym, 1) and (sym, -1) that every relation of the call shares.  The
-    index arithmetic the relation families need is computed once per
-    table, not once per root pair.
+    A root gets its slot when first used, the given ``roots`` first: its
+    P = p^(d+1) symbols x_root(r), r in packed-index order, are symbols
+    slot .. slot + P - 1.  The index arithmetic the relation families
+    need is computed once per table, not once per root pair.
     """
 
-    def __init__(self, p: int, d: int):
+    def __init__(self, p: int, d: int, roots: Sequence[Root]):
         if d < 0:
             raise ParameterError(f"degree bound must be >= 0, got {d}")
         check_ring_params(p, d + 1)
         self.p, self.d = p, d
         self.polys = enumerate_polys(p, d + 1, d)
-        self._letters: dict[Root, tuple[list, list]] = {}
+        self.symbols: list[GeneratorSymbol] = []
+        self._slots: dict[Root, int] = {}
+        for rho in roots:
+            self.slot(rho)
 
-    def letters(self, root: Root) -> tuple[list, list]:
-        """(x_root(r), 1) and (x_root(r), -1), indexed by r's packed index."""
-        out = self._letters.get(root)
+    def slot(self, root: Root) -> int:
+        """The id of x_root(0); x_root(r_i) is that plus i."""
+        out = self._slots.get(root)
         if out is None:
-            syms = [GeneratorSymbol(root, r) for r in self.polys]
-            out = self._letters[root] = ([(s, 1) for s in syms],
-                                         [(s, -1) for s in syms])
+            out = self._slots[root] = len(self.symbols)
+            self.symbols += [GeneratorSymbol(root, r) for r in self.polys]
         return out
 
-    def generators(self, roots: Sequence[Root]) -> tuple[GeneratorSymbol, ...]:
-        return tuple(sym for rho in roots for sym, _ in self.letters(rho)[0])
+    @functools.cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """All index pairs (i, j), i major."""
+        P = len(self.polys)
+        return np.repeat(np.arange(P), P), np.tile(np.arange(P), P)
 
     @functools.cached_property
-    def sums(self) -> list[list[int]]:
-        """sums[i][j] is the packed index of r_i + r_j."""
-        return [[(a + b).index() for b in self.polys] for a in self.polys]
+    def sums(self) -> np.ndarray:
+        """sums[i, j] is the packed index of r_i + r_j."""
+        return np.array([[(a + b).index() for b in self.polys]
+                         for a in self.polys], dtype=np.int64)
 
     @functools.cached_property
-    def products(self):
+    def products(self) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (i, j) by the exact product r_i r_j in F_p[t].
 
-        Returns the triples (i, j, k) with deg(r_i r_j) <= d and r_k =
-        r_i r_j, in (i, j) order, and the pairs ((i, j), (i', j')) of
-        distinct factorizations of one product, one per unordered pair.
+        Returns the rows (i, j, k) with deg(r_i r_j) <= d and r_k =
+        r_i r_j, in (i, j) order, and the rows (i, j, i', j') of distinct
+        factorizations of one product, one per unordered pair.
         """
         p, d = self.p, self.d
         by_product: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -185,16 +323,45 @@ class _SymbolTable:
             for j, r2 in enumerate(self.polys):
                 prod = exact_product_coeffs(r1, r2)
                 by_product.setdefault(prod, []).append((i, j))
-                if _exact_deg(prod) <= d:
+                if len(prod) - 1 <= d:
                     small.append((i, j, TruncPoly.make(p, d + 1, prod).index()))
         # the reflexive and swapped quadruples of the source definition
         # are free
-        equal = [pair for pairs in by_product.values()
-                 for pair in itertools.combinations(pairs, 2)]
-        return small, equal
+        equal = [a + b for pairs in by_product.values()
+                 for a, b in itertools.combinations(pairs, 2)]
+        return (np.array(small, dtype=np.int64).reshape(-1, 3),
+                np.array(equal, dtype=np.int64).reshape(-1, 4))
 
 
-def _pair_relations(pair, table: _SymbolTable) -> list[RelationInstance]:
+def _comm(X: int, i: np.ndarray, Y: int, j: np.ndarray) -> np.ndarray:
+    """Code rows of [x_X(r_i), x_Y(r_j)] = x y x^-1 y^-1, X and Y slots."""
+    x, y = 2 * (X + i), 2 * (Y + j)
+    return np.stack([x, y, x + 1, y + 1], axis=1)
+
+
+def _words(lhs: np.ndarray, rhs: np.ndarray | None = None,
+           width: int = 0) -> np.ndarray:
+    """Word rows (N, 2, width) of lhs and rhs code rows, no rhs meaning e,
+    padded to the longest side or ``width``, whichever is more."""
+    width = max(width, lhs.shape[1], 0 if rhs is None else rhs.shape[1])
+    out = np.full((len(lhs), 2, width), -1, dtype=np.int32)
+    out[:, 0, :lhs.shape[1]] = lhs
+    if rhs is not None:
+        out[:, 1, :rhs.shape[1]] = rhs
+    return out
+
+
+def _kinds(*runs) -> np.ndarray:
+    """Kind ids of (kind, count) runs in order."""
+    kinds, counts = zip(*runs)
+    return np.repeat(np.array(kinds, dtype=np.int8), counts)
+
+
+# One root pair's relations: (source pair, words, kind ids).
+Block = tuple
+
+
+def _pair_block(pair, table: _SymbolTable) -> Block:
     """The {rho1, rho2} relations for a non-opposite pair of roots.
 
     Equal pair: x(0) = e plus all ordered additive relations.  Disjoint
@@ -207,74 +374,90 @@ def _pair_relations(pair, table: _SymbolTable) -> list[RelationInstance]:
     if a == opposite(b):
         raise ParameterError(f"opposite pair {a}, {b} carries no relations")
     src = (a, b)
-    A, A_inv = table.letters(a)
+    A = table.slot(a)
+    I, J = table.grid
 
     if a == b:
-        # x(0) = e; r_0 is the zero polynomial
-        out = [RelationInstance((A[0],), (), "zero", src)]
-        for i, row in enumerate(table.sums):
-            for j, k in enumerate(row):
-                out.append(RelationInstance((A[i], A[j]), (A[k],),
-                                            "additive", src))
-        return out
+        # x(0) = e, r_0 being the zero polynomial, then x(r_i) x(r_j) =
+        # x(r_i + r_j)
+        words = _words(np.stack([2 * (A + I), 2 * (A + J)], axis=1),
+                       2 * (A + table.sums.reshape(-1, 1)))
+        zero = _words(np.array([[2 * A, -1]]))
+        return src, np.concatenate([zero, words]), _kinds((ZERO, 1),
+                                                          (ADDITIVE, len(I)))
 
     if a[1] == b[0]:
         comp = (a, b)
     elif b[1] == a[0]:
         comp = (b, a)
     else:
-        comp = None
-
-    # [x, y] = x y x^-1 y^-1
-    if comp is None:
-        B, B_inv = table.letters(b)
-        idx = range(len(table.polys))
-        return [RelationInstance((A[i], B[j], A_inv[i], B_inv[j]), (),
-                                 "commuting", src)
-                for i in idx for j in idx]
+        return (src, _words(_comm(A, I, table.slot(b), J)),
+                _kinds((COMMUTING, len(I))))
 
     (ab, bc) = comp
-    X, X_inv = table.letters(ab)
-    Y, Y_inv = table.letters(bc)
-    Z = table.letters((ab[0], bc[1]))[0]
+    X, Y = table.slot(ab), table.slot(bc)
+    Z = table.slot((ab[0], bc[1]))
     small, equal = table.products
-    out = [RelationInstance((X[i], Y[j], X_inv[i], Y_inv[j]), (Z[k],),
-                            "steinberg-product", src)
-           for i, j, k in small]
-    out += [RelationInstance((X[i], Y[j], X_inv[i], Y_inv[j]),
-                             (X[k], Y[l], X_inv[k], Y_inv[l]),
-                             "steinberg-equality", src)
-            for (i, j), (k, l) in equal]
-    return out
+    words = np.concatenate([
+        _words(_comm(X, small[:, 0], Y, small[:, 1]),
+               2 * (Z + small[:, 2:])),
+        _words(_comm(X, equal[:, 0], Y, equal[:, 1]),
+               _comm(X, equal[:, 2], Y, equal[:, 3]))])
+    return src, words, _kinds((PRODUCT, len(small)), (EQUALITY, len(equal)))
 
 
-@dataclass(frozen=True)
+def _table(table: _SymbolTable, blocks: Sequence[Block]) -> RelationTable:
+    """One RelationTable of ``blocks`` in order, source pairs numbered in
+    order of first appearance."""
+    width = max(words.shape[2] for _, words, _ in blocks)
+    words = np.full((sum(len(k) for _, _, k in blocks), 2, width), -1,
+                    dtype=np.int32)
+    pairs: dict[tuple[Root, Root], int] = {}
+    pair = np.empty(len(words), dtype=np.int32)
+    lo = 0
+    for src, w, k in blocks:
+        words[lo:lo + len(k), :, :w.shape[2]] = w
+        pair[lo:lo + len(k)] = pairs.setdefault(src, len(pairs))
+        lo += len(k)
+    kind = np.concatenate([k for _, _, k in blocks])
+    return RelationTable(table.symbols, words, kind, pair, pairs)
+
+
 class Presentation:
-    """A named generating set with instantiated relations over A_n roots."""
+    """A named generating set with instantiated relations over A_n roots.
 
-    name: str
-    n: int
-    p: int
-    d: int
-    generators: tuple[GeneratorSymbol, ...]
-    relations: tuple[RelationInstance, ...]
+    ``relations`` is a sequence of ``RelationInstance`` or a
+    ``RelationTable``; the relations are kept as a table over
+    ``generators`` (``table``), and a relation symbol outside
+    ``generators`` raises ParameterError.  The builders pass a table whose
+    symbols are the generators.  ``relations`` is the tuple of the
+    table's RelationInstance objects, made on first use.
+    """
 
-    def __post_init__(self):
-        gens = frozenset(self.generators)
-        for rel in self.relations:
-            for sym in rel.symbols():
-                if sym not in gens:
-                    raise ParameterError(
-                        f"relation symbol {sym} outside the generator set")
+    def __init__(self, name: str, n: int, p: int, d: int, generators,
+                 relations: RelationTable | Sequence[RelationInstance]):
+        self.name, self.n, self.p, self.d = name, n, p, d
+        self.generators: tuple[GeneratorSymbol, ...] = tuple(generators)
+        if not (isinstance(relations, RelationTable)
+                and relations.symbols == self.generators):
+            relations = RelationTable.from_instances(relations,
+                                                     self.generators)
+        self.table = relations
+
+    @property
+    def relations(self) -> tuple[RelationInstance, ...]:
+        return self.table.instances
 
     def counts_by_kind(self) -> dict[str, int]:
-        out = {k: 0 for k in KINDS}
-        for rel in self.relations:
-            out[rel.kind] += 1
-        return {k: v for k, v in out.items() if v}
+        return self.table.counts_by_kind()
 
     def pair_set(self) -> frozenset[tuple[Root, Root]]:
-        return frozenset(rel.source_pair for rel in self.relations)
+        return self.table.pair_set()
+
+    def __repr__(self) -> str:
+        return (f"Presentation({self.name!r}, n={self.n}, p={self.p}, "
+                f"d={self.d}, {len(self.generators)} generators, "
+                f"{len(self.table)} relations)")
 
 
 def _nonopposite_pairs(roots: Sequence[Root]):
@@ -290,11 +473,9 @@ def presentation_SL(n: int, p: int, d: int) -> Presentation:
     if n < 3:
         raise ParameterError(f"the SL presentation needs n >= 3, got {n}")
     roots = all_roots(n)
-    table = _SymbolTable(p, d)
-    rels: list[RelationInstance] = []
-    for pair in _nonopposite_pairs(roots):
-        rels.extend(_pair_relations(pair, table))
-    return Presentation("sl", n, p, d, table.generators(roots), tuple(rels))
+    table = _SymbolTable(p, d, roots)
+    blocks = [_pair_block(pair, table) for pair in _nonopposite_pairs(roots)]
+    return Presentation("sl", n, p, d, table.symbols, _table(table, blocks))
 
 
 def presentation_unipotent(dim: int, p: int, d: int) -> Presentation:
@@ -308,42 +489,32 @@ def presentation_unipotent(dim: int, p: int, d: int) -> Presentation:
     if dim < 4:
         raise ParameterError(f"unipotent presentation needs size >= 4, "
                              f"got {dim}")
-    table = _SymbolTable(p, d)
     n = dim - 1
     simple = [(i, i + 1) for i in range(1, n + 1)]
-    idx = range(len(table.polys))
-    rels: list[RelationInstance] = []
-    for rho in simple:
-        rels.extend(_pair_relations((rho, rho), table))
+    table = _SymbolTable(p, d, simple)
+    blocks = [_pair_block((rho, rho), table) for rho in simple]
     # distant simple roots commute
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        if i + 1 < j:
-            rels.extend(_pair_relations((simple[i - 1], simple[j - 1]),
-                                        table))
+    blocks += [_pair_block((simple[i - 1], simple[j - 1]), table)
+               for i, j in itertools.combinations(range(1, n + 1), 2)
+               if i + 1 < j]
+    P = len(table.polys)
+    # r1, r2, r3 major to minor, then x = x_lo(r3) before x = x_hi(r3)
+    r1, r2, r3 = (np.repeat(np.tile(np.arange(P), P**k), 2 * P**(2 - k))
+                  for k in range(3))
     _, equal = table.products
-    for i in range(1, n):
-        lo, hi = simple[i - 1], simple[i]
-        src = (lo, hi)
-        L, L_inv = table.letters(lo)
-        H, H_inv = table.letters(hi)
-        for r1 in idx:
-            for r2 in idx:
-                # [[x_lo(r1), x_hi(r2)], x] for x = x_lo(r3), x_hi(r3)
-                inner = (L[r1], H[r2], L_inv[r1], H_inv[r2])
-                inner_inv = (H[r2], L[r1], H_inv[r2], L_inv[r1])
-                for r3 in idx:
-                    rels.append(RelationInstance(
-                        inner + (L[r3],) + inner_inv + (L_inv[r3],), (),
-                        "commuting", src))
-                    rels.append(RelationInstance(
-                        inner + (H[r3],) + inner_inv + (H_inv[r3],), (),
-                        "commuting", src))
-        rels.extend(RelationInstance((L[r1], H[r2], L_inv[r1], H_inv[r2]),
-                                     (L[r3], H[r4], L_inv[r3], H_inv[r4]),
-                                     "steinberg-equality", src)
-                    for (r1, r2), (r3, r4) in equal)
-    return Presentation("unipotent", n, p, d, table.generators(simple),
-                        tuple(rels))
+    for lo, hi in zip(simple, simple[1:]):
+        L, H = table.slot(lo), table.slot(hi)
+        # [[x_lo(r1), x_hi(r2)], x] = e for x = x_lo(r3), x_hi(r3)
+        x = 2 * (np.tile([L, H], P**3) + r3)[:, None]
+        double = np.hstack([_comm(L, r1, H, r2), x, _comm(H, r2, L, r1), x + 1])
+        words = np.concatenate([
+            _words(double),
+            _words(_comm(L, equal[:, 0], H, equal[:, 1]),
+                   _comm(L, equal[:, 2], H, equal[:, 3]), width=10)])
+        blocks.append(((lo, hi), words, _kinds((COMMUTING, len(double)),
+                                                (EQUALITY, len(equal)))))
+    return Presentation("unipotent", n, p, d, table.symbols,
+                        _table(table, blocks))
 
 
 def chamber_pair_sets(n: int):
@@ -360,17 +531,18 @@ def chamber_pair_sets(n: int):
 
 
 def chamber_relation_sets(n: int, p: int, d: int):
-    """Relation lists of the pre-chamber conditions and the chamber group.
+    """Relation tables of the pre-chamber conditions and the chamber group.
 
     Pre-chamber: shared-index pairs within C_0 plus every boundary pair.
     Chamber: every pair within C_0.  The first is a sublist of the second
-    (same pair order), strictly for n >= 3.
+    (same pair order), strictly for n >= 3.  Both tables number the
+    symbols of the roots of C_0, in sorted root order.
     """
     pre_pairs, chamber_pairs = chamber_pair_sets(n)
-    table = _SymbolTable(p, d)
-    chamber = {pair: _pair_relations(pair, table) for pair in chamber_pairs}
-    pre = [rel for pair in pre_pairs for rel in chamber[pair]]
-    return pre, [rel for rels in chamber.values() for rel in rels]
+    table = _SymbolTable(p, d, sorted(chamber_roots(identity_perm(n))))
+    chamber = {pair: _pair_block(pair, table) for pair in chamber_pairs}
+    return (_table(table, [chamber[pair] for pair in pre_pairs]),
+            _table(table, list(chamber.values())))
 
 
 def tilde_gamma_presentation(n: int, p: int, d: int) -> Presentation:
@@ -384,13 +556,11 @@ def tilde_gamma_presentation(n: int, p: int, d: int) -> Presentation:
         raise ParameterError(f"tilde presentation needs n >= 3, got {n}")
     covered = initial_coverage(n)
     roots = all_roots(n)
-    table = _SymbolTable(p, d)
-    rels: list[RelationInstance] = []
-    for pair in _nonopposite_pairs(roots):
-        if covered[root_index(pair[0], n), root_index(pair[1], n)]:
-            rels.extend(_pair_relations(pair, table))
-    return Presentation("tilde-gamma", n, p, d, table.generators(roots),
-                        tuple(rels))
+    table = _SymbolTable(p, d, roots)
+    blocks = [_pair_block(pair, table) for pair in _nonopposite_pairs(roots)
+              if covered[root_index(pair[0], n), root_index(pair[1], n)]]
+    return Presentation("tilde-gamma", n, p, d, table.symbols,
+                        _table(table, blocks))
 
 
 @dataclass(frozen=True)
@@ -428,75 +598,62 @@ def _resolve(assign, sym):
         raise InputError(f"no assignment for generator {sym}") from exc
 
 
-class _LetterCodes(dict):
-    """Letter (sym, exp) -> signed symbol position, 2k for symbol k and
-    2k + 1 for its inverse; a symbol gets the next position when first
-    seen, and ``symbols`` lists them in that order."""
+def _verify_matrices(table: RelationTable, used: np.ndarray,
+                     values: list[MatElement]) -> np.ndarray:
+    """Rows of ``table`` whose sides differ, evaluated on the ring tables.
 
-    def __init__(self):
-        super().__init__()
-        self.symbols: dict[GeneratorSymbol, int] = {}
-
-    def __missing__(self, letter) -> int:
-        sym, exp = letter
-        k = self.symbols.setdefault(sym, len(self.symbols))
-        code = self[letter] = 2 * k + (exp != 1)
-        return code
-
-
-def _verify_matrices(relations, assign):
-    """Batch-evaluate both sides of every relation on the ring tables.
-
-    One pass over the relations encodes each side as a row of signed
-    symbol positions (``_LetterCodes``) and numbers the distinct rows.
-    Symbols are resolved once; their matrices and their inverses, from one
-    ``_kernels.inverse_batch`` call, fill one table that the codes index.
-    The distinct words are grouped by length, whatever their exponents,
-    and each group is gathered and multiplied out positionwise through
-    ``_kernels.matmul_batch``.  Violations come back in relation order.
+    ``values`` are the matrices of the symbols ``used``.  They and their
+    inverses, from one ``_kernels.inverse_batch`` call, fill one table of
+    letters, and the words' codes are renumbered onto it.  Both sides of
+    every relation are stacked, and the distinct words are found by one
+    sort of their ``lex_keys`` (the letters plus one are the digits, the
+    padding digit 0).  They are grouped by length, whatever their
+    exponents, and each group is gathered and multiplied out positionwise
+    through ``_kernels.matmul_batch``.  Violations come back in row order.
     """
-    codes = _LetterCodes()
-    word_num: dict[tuple[int, ...], int] = {}
-    sides = []
-    for rel in relations:
-        for word in (rel.lhs, rel.rhs):
-            row = tuple([codes[letter] for letter in word])
-            sides.append(word_num.setdefault(row, len(word_num)))
-    if not codes.symbols:
-        return []
-    values = [_resolve(assign, sym) for sym in codes.symbols]
     first = values[0]
     m, p, s = first.m, first.p, first.s
-    for sym, v in zip(codes.symbols, values):
+    for k, v in zip(used.tolist(), values):
         if (v.m, v.p, v.s) != (m, p, s):
-            raise InputError(
-                f"assignment for {sym} lives in a different ring/shape")
+            raise InputError(f"assignment for {table.symbols[k]} lives in a "
+                             f"different ring/shape")
     ring = RingTable(p, s)
     mats = np.stack([v.flat() for v in values])
-    table = np.empty((2 * len(mats), m * m), dtype=np.uint32)
-    table[0::2] = mats
-    table[1::2] = _kernels.inverse_batch(mats, ring.mul, ring.add, ring.neg,
-                                         m, p)
+    letters = np.empty((2 * len(mats), m * m), dtype=np.uint32)
+    letters[0::2] = mats
+    letters[1::2] = _kernels.inverse_batch(mats, ring.mul, ring.add, ring.neg,
+                                           m, p)
 
-    by_len: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-    for row, num in word_num.items():
-        nums, rows = by_len.setdefault(len(row), ([], []))
-        nums.append(num)
-        rows.append(row)
-    words = np.empty((len(word_num), m * m), dtype=np.uint32)
-    for length, (nums, rows) in by_len.items():
+    n = len(table)
+    words = table.words.reshape(2 * n, -1).astype(np.int64)
+    pos = np.zeros(len(table.symbols), dtype=np.int64)
+    pos[used] = np.arange(len(used))
+    code = words[words >= 0]
+    words[words >= 0] = 2 * pos[code >> 1] + (code & 1)
+
+    keys = lex_keys(words + 1, 2 * len(used) + 1)
+    order = stable_order(keys)
+    sorted_keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    num = np.empty(len(keys), dtype=np.intp)
+    num[order] = np.cumsum(new) - 1
+    distinct = words[order[new]]
+    lengths = (distinct >= 0).sum(axis=1)
+    value = np.empty((len(distinct), m * m), dtype=np.uint32)
+    for length in sorted(set(lengths.tolist())):
+        sel = np.flatnonzero(lengths == length)
         if not length:
-            words[nums] = identity_flat(m)
+            value[sel] = identity_flat(m)
             continue
-        ids = np.array(rows)
-        acc = table[ids[:, 0]]
+        ids = distinct[sel, :length]
+        acc = letters[ids[:, 0]]
         for j in range(1, length):
-            acc = _kernels.matmul_batch(acc, table[ids[:, j]], ring.mul,
+            acc = _kernels.matmul_batch(acc, letters[ids[:, j]], ring.mul,
                                         ring.add, m)
-        words[nums] = acc
-    lhs, rhs = np.array(sides).reshape(-1, 2).T
-    bad = (words[lhs] != words[rhs]).any(axis=1)
-    return [relations[k] for k in np.flatnonzero(bad)]
+        value[sel] = acc
+    lhs, rhs = num.reshape(n, 2).T
+    return np.flatnonzero((value[lhs] != value[rhs]).any(axis=1))
 
 
 def _verify_matrices_slow(relations, assign):
@@ -525,34 +682,35 @@ def _verify_matrices_slow(relations, assign):
     return bad
 
 
-def verify_relations(pres: Presentation | Sequence[RelationInstance],
+def verify_relations(pres: Presentation | RelationTable
+                     | Sequence[RelationInstance],
                      assign) -> VerificationReport:
     """Evaluate every relation under the assignment; collect violations.
 
-    Assigned values are MatElement, and words are evaluated by (batched)
-    matrix arithmetic.  Violations come back in relation order.  An empty
-    violation list certifies the assignment respects all the relations.
+    ``pres`` is a Presentation, a RelationTable or a sequence of
+    RelationInstance, which is encoded into a RelationTable first.
+    ``assign`` maps each generator symbol a word uses to a MatElement,
+    as a mapping or a callable.  On tabled rings (q = p^s at most
+    ``RingTable.MAX_Q``) every distinct word is evaluated once, in
+    batches (``_verify_matrices``), and only the violated relations are
+    made RelationInstance objects; past it the relations are evaluated
+    one at a time in exact MatElement arithmetic.  ``checked`` counts
+    the relations, ``by_kind`` them by kind, and violations come back in
+    relation order.  An empty violation list certifies that the
+    assignment respects all the relations.
     """
-    relations = list(pres.relations if isinstance(pres, Presentation)
-                     else pres)
-    by_kind: dict[str, int] = {}
-    for rel in relations:
-        by_kind[rel.kind] = by_kind.get(rel.kind, 0) + 1
-    if relations:
-        probe = None
-        for rel in relations:
-            probe = next(iter(rel.symbols()), None)
-            if probe is not None:
-                break
-        if probe is None:
-            bad = []
-        else:
-            v = _resolve(assign, probe)
-            q = v.p ** v.s
-            if q <= RingTable.MAX_Q:
-                bad = _verify_matrices(relations, assign)
-            else:
-                bad = _verify_matrices_slow(relations, assign)
+    if isinstance(pres, Presentation):
+        table = pres.table
+    elif isinstance(pres, RelationTable):
+        table = pres
     else:
-        bad = []
-    return VerificationReport(len(relations), tuple(bad), by_kind)
+        table = RelationTable.from_instances(pres)
+    used = table.symbol_ids()
+    bad = []
+    if len(used):
+        values = [_resolve(assign, table.symbols[k]) for k in used.tolist()]
+        if values[0].p ** values[0].s <= RingTable.MAX_Q:
+            bad = table.rows(_verify_matrices(table, used, values))
+        else:
+            bad = _verify_matrices_slow(table.instances, assign)
+    return VerificationReport(len(table), tuple(bad), table.counts_by_kind())

@@ -152,9 +152,11 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
     {1, -1}.
 
     The basis Q holds u and the Lanczos vectors, V floats each, and grows
-    by doubling.  ``cap`` bounds its floats: a basis that would pass it
-    raises ResourceLimitError before it is allocated, carrying the steps
-    taken.  KO links converge in 6-12 steps, well inside the default.
+    by doubling into a new array, so that the old and the new basis are
+    held at once.  ``cap`` bounds the floats of both: a growth that would
+    pass it raises ResourceLimitError before the new basis is allocated,
+    carrying the steps taken.  KO links converge in 6-12 steps, well
+    inside the default.
     """
     V = M.vertex_count
     if V < 2:
@@ -165,9 +167,11 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
     root = np.sqrt(M.strength.astype(np.float64))
 
     def grow(Q: np.ndarray, rows: int, steps: int) -> np.ndarray:
-        if rows * V > cap:
+        # the copy holds the old and the new basis at once
+        if (len(Q) + rows) * V > cap:
             raise ResourceLimitError(
-                f"Lanczos basis of {rows} x {V} floats exceeds cap {cap}",
+                f"Lanczos basis of {rows} x {V} floats exceeds cap {cap} "
+                f"next to the {len(Q)} rows it grows from",
                 partial_count=steps)
         return np.concatenate([Q, np.empty((rows - len(Q), V))])
 

@@ -1158,6 +1158,198 @@ def vertex_of(coset_data, color, element):
 
 
 # ---------------------------------------------------------------------------
+# Steinberg relations as RelationInstance objects, one root pair at a time
+
+
+class SteinbergLetters:
+    """One GeneratorSymbol per (root, r), deg r <= d, made on first use,
+    with the letters (sym, 1) and (sym, -1) and the index tables of the
+    relation families, all from coefficient tuples: r_k has the base-p
+    digits of k as coefficients, sums are coefficientwise mod p, and
+    products are full convolutions in F_p[t]."""
+
+    def __init__(self, p, d):
+        from cosetx.ring import TruncPoly
+
+        s = d + 1
+        coeffs = [tuple((k // p**c) % p for c in range(s)) for k in range(p**s)]
+        index = {cs: k for k, cs in enumerate(coeffs)}
+        self.polys = [TruncPoly.make(p, s, cs) for cs in coeffs]
+        self.sums = [[index[naive_add(a, b, p, s)] for b in coeffs]
+                     for a in coeffs]
+        by_product, self.small = {}, []
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(coeffs):
+                prod = [0] * (2 * s - 1)
+                for x, ca in enumerate(a):
+                    for y, cb in enumerate(b):
+                        prod[x + y] = (prod[x + y] + ca * cb) % p
+                by_product.setdefault(tuple(prod), []).append((i, j))
+                if not any(prod[s:]):
+                    self.small.append((i, j, index[tuple(prod[:s])]))
+        self.equal = [pair for pairs in by_product.values()
+                      for pair in itertools.combinations(pairs, 2)]
+        self._letters = {}
+
+    def letters(self, root):
+        """(x_root(r_k), 1) and (x_root(r_k), -1), indexed by k."""
+        from cosetx.presentations import GeneratorSymbol
+
+        if root not in self._letters:
+            syms = [GeneratorSymbol(root, r) for r in self.polys]
+            self._letters[root] = ([(x, 1) for x in syms],
+                                   [(x, -1) for x in syms])
+        return self._letters[root]
+
+    def generators(self, roots):
+        return tuple(x for rho in roots for x, _ in self.letters(rho)[0])
+
+
+def _commutator(X, X_inv, i, Y, Y_inv, j):
+    return (X[i], Y[j], X_inv[i], Y_inv[j])
+
+
+def steinberg_pair_relations(a, b, table):
+    """The relations of the non-opposite root pair a <= b: x(0) = e and
+    the additive relations for a = b, all commutators for a disjoint pair,
+    Steinberg products of degree <= d and equalities of distinct
+    factorizations for a composable pair."""
+    from cosetx.presentations import RelationInstance
+
+    src = (a, b)
+    A, A_inv = table.letters(a)
+    idx = range(len(table.polys))
+    if a == b:
+        out = [RelationInstance((A[0],), (), "zero", src)]
+        out += [RelationInstance((A[i], A[j]), (A[table.sums[i][j]],),
+                                 "additive", src) for i in idx for j in idx]
+        return out
+    if a[1] == b[0]:
+        ab, bc = a, b
+    elif b[1] == a[0]:
+        ab, bc = b, a
+    else:
+        B, B_inv = table.letters(b)
+        return [RelationInstance(_commutator(A, A_inv, i, B, B_inv, j), (),
+                                 "commuting", src) for i in idx for j in idx]
+    X, X_inv = table.letters(ab)
+    Y, Y_inv = table.letters(bc)
+    Z = table.letters((ab[0], bc[1]))[0]
+    out = [RelationInstance(_commutator(X, X_inv, i, Y, Y_inv, j), (Z[k],),
+                            "steinberg-product", src)
+           for i, j, k in table.small]
+    out += [RelationInstance(_commutator(X, X_inv, i, Y, Y_inv, j),
+                             _commutator(X, X_inv, k, Y, Y_inv, l),
+                             "steinberg-equality", src)
+            for (i, j), (k, l) in table.equal]
+    return out
+
+
+def _a_n_roots(n):
+    return [(i, j) for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
+
+
+def _steinberg_pairs(roots):
+    """Unordered non-opposite pairs (a, b), a before b in ``roots`` or
+    equal, sorted within the pair."""
+    return [tuple(sorted((a, b))) for k, a in enumerate(roots)
+            for b in roots[k:] if a != (b[1], b[0])]
+
+
+def steinberg_sl(n, p, d):
+    """(generators, relations) of every non-opposite pair of A_n roots."""
+    table = SteinbergLetters(p, d)
+    roots = _a_n_roots(n)
+    gens = table.generators(roots)
+    return gens, [rel for a, b in _steinberg_pairs(roots)
+                  for rel in steinberg_pair_relations(a, b, table)]
+
+
+def steinberg_unipotent(dim, p, d):
+    """(generators, relations) of the unitriangular presentation: the
+    pair relations of each simple root with itself and of distant simple
+    roots, then per adjacent (lo, hi) the double commutators
+    [[x_lo(r1), x_hi(r2)], x] for x = x_lo(r3), x_hi(r3) and the
+    factorization equalities."""
+    from cosetx.presentations import RelationInstance
+
+    table = SteinbergLetters(p, d)
+    simple = [(i, i + 1) for i in range(1, dim)]
+    gens = table.generators(simple)
+    rels = [rel for rho in simple
+            for rel in steinberg_pair_relations(rho, rho, table)]
+    rels += [rel for a, b in itertools.combinations(simple, 2)
+             if a[1] < b[0] for rel in steinberg_pair_relations(a, b, table)]
+    idx = range(len(table.polys))
+    for lo, hi in zip(simple, simple[1:]):
+        L, L_inv = table.letters(lo)
+        H, H_inv = table.letters(hi)
+        for r1, r2, r3 in itertools.product(idx, repeat=3):
+            inner = _commutator(L, L_inv, r1, H, H_inv, r2)
+            inner_inv = _commutator(H, H_inv, r2, L, L_inv, r1)
+            for X, X_inv in ((L, L_inv), (H, H_inv)):
+                rels.append(RelationInstance(
+                    inner + (X[r3],) + inner_inv + (X_inv[r3],), (),
+                    "commuting", (lo, hi)))
+        rels += [RelationInstance(_commutator(L, L_inv, i, H, H_inv, j),
+                                  _commutator(L, L_inv, k, H, H_inv, l),
+                                  "steinberg-equality", (lo, hi))
+                 for (i, j), (k, l) in table.equal]
+    return gens, rels
+
+
+def steinberg_tilde(n, p, d):
+    """(generators, relations) of the A_n root pairs that some chamber of
+    a gamma_0 power contains."""
+    table = SteinbergLetters(p, d)
+    roots = _a_n_roots(n)
+    gens = table.generators(roots)
+    stage0 = initial_stage(n)
+    return gens, [rel for a, b in _steinberg_pairs(roots)
+                  if pair_covered(a, b, stage0)
+                  for rel in steinberg_pair_relations(a, b, table)]
+
+
+def steinberg_chamber(n, p, d):
+    """(generators, pre-chamber relations, chamber relations) inside
+    C_0 = {(i, j): i < j}: the chamber takes every pair, the pre-chamber
+    the pairs sharing an index and the pairs of boundary roots (j = i+1)."""
+    table = SteinbergLetters(p, d)
+    c0 = sorted(_chamber(tuple(range(1, n + 2))))
+    gens = table.generators(c0)
+    pre, chamber = [], []
+    for a, b in _steinberg_pairs(c0):
+        rels = steinberg_pair_relations(a, b, table)
+        chamber += rels
+        if (a[0] == b[0] or a[1] == b[1]
+                or (a[1] == a[0] + 1 and b[1] == b[0] + 1)):
+            pre += rels
+    return gens, pre, chamber
+
+
+def steinberg_codes(relations, generators):
+    """(lhs, rhs, kinds, source pairs) of the relations: the words as
+    int32 rows of letter codes, 2k for generators[k] and 2k + 1 for its
+    inverse, padded with -1 to the longest word of the side; the kinds as
+    positions in ``presentations.KINDS``."""
+    from cosetx.presentations import KINDS
+
+    pos = {x: k for k, x in enumerate(generators)}
+
+    def side(words):
+        out = np.full((len(words), max(map(len, words), default=0)), -1,
+                      dtype=np.int32)
+        for r, word in enumerate(words):
+            out[r, :len(word)] = [2 * pos[x] + (e == -1) for x, e in word]
+        return out
+
+    return (side([rel.lhs for rel in relations]),
+            side([rel.rhs for rel in relations]),
+            [KINDS.index(rel.kind) for rel in relations],
+            [rel.source_pair for rel in relations])
+
+
+# ---------------------------------------------------------------------------
 # a child process's own peak memory
 
 

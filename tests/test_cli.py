@@ -460,6 +460,33 @@ def test_relations_emit_result_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--preset", "sl", "--n", "3", "--p", "2", "--d", "1", "--target-s", "3"],
+     "051a3c618c28424ac2fe1389901d4a6fdbdd88ad7d2c07bb448350efb094d287"),
+    (["--preset", "sl", "--n", "3", "--p", "3", "--d", "1", "--target-s", "4"],
+     "34a984ffcd4d5ac938ef6eca62befb02a77a0c7eee9532754bd72d09067e6907"),
+    (["--preset", "unip", "--n", "4", "--p", "2", "--d", "1", "--target-s", "2"],
+     "768ca82180da1eeaba7937e3d1a5607d8e3c5d0e5c698dc8dbfb496cac7e938e"),
+    (["--preset", "unip", "--n", "6", "--p", "2", "--d", "1", "--target-s", "3"],
+     "2f358437f7aa2f95dc14ebdcb7250b4de2c1d9dc802cacf0b90dc933f19f6200"),
+    (["--preset", "tilde", "--n", "3", "--p", "2", "--d", "1", "--target-s", "2"],
+     "8d23a6abe76253eca91f6ff639185ce3fd1a8d17abfaf6f7365feb05071514bf"),
+    (["--preset", "tilde", "--n", "4", "--p", "2", "--d", "1", "--target-s", "2"],
+     "2d725b3f5259f2ab9e2f7d23bd40a201b818ae9e3957e6c5bf7bc0b5944a4206"),
+    (["--preset", "chamber", "--n", "3", "--p", "3", "--d", "1", "--target-s", "2"],
+     "a8614bcc78403f316bb634ea7b198e1de6b2833c30ae664dbbf194bcab4da83d"),
+    (["--preset", "prechamber", "--n", "3", "--p", "2", "--d", "2", "--target-s", "3"],
+     "3fae1c33618624e59abb1e9c9f471b839016baf1fa10de111a8801845aff5819"),
+])
+def test_relations_verify_result_is_pinned(capsys, argv, digest):
+    """Every preset's verification result, hashed: relation counts by kind
+    and no violation, whichever path builds and evaluates the words."""
+    code, env = run_json(capsys, ["relations", "verify"] + argv)
+    assert code == 0 and env["result"]["violations"] == 0
+    blob = json.dumps(env["result"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_relations_verify(capsys):
     code, env = run_json(capsys, ["relations", "verify", "--preset", "sl",
                                   "--n", "3", "--p", "2", "--d", "1",

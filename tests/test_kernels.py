@@ -93,6 +93,35 @@ def test_matmul_rejects_mismatched_batches(ka, kb):
                           rt.mul, rt.add, 2)
 
 
+_ring_table = functools.cache(RingTable)
+
+
+@pytest.mark.parametrize("p,s", [(3, 2), (2, 6), (5, 3), (2, 12)])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_dense_matmul_matches_matelement_on_random_batches(monkeypatch, p, s, m):
+    """Batch by batch, ``matmul_batch`` reads mul and add as flat tables at
+    a*q + b; at q = 4096 that index reaches 2**24 - 1, so a quarter of the
+    entries are forced to q - 1.  A batch of one matrix on either side
+    still takes ``_times_single``, and two full batches never do."""
+    rt, q = _ring_table(p, s), p**s
+    rng = np.random.default_rng(7 * q + m)
+    A, B = (np.where(rng.random((12, m * m)) < 0.25, q - 1,
+                     rng.integers(0, q, (12, m * m))).astype(np.uint32)
+            for _ in range(2))
+    calls = []
+    single = pure._times_single
+    monkeypatch.setattr(pure, "_times_single",
+                        lambda *args: calls.append(1) or single(*args))
+    got = pure.matmul_batch(A, B, rt.mul, rt.add, m)
+    assert not calls
+    assert got.dtype == np.uint32 and got.flags.c_contiguous
+    assert np.array_equal(got, _exact_products(A, B, p, s, m))
+    for a, b in ((A[:1], B), (A, B[:1])):
+        got = pure.matmul_batch(a, b, rt.mul, rt.add, m)
+        assert np.array_equal(got, _exact_products(a, b, p, s, m))
+    assert len(calls) == 2
+
+
 def _invertible_matrices(rng, p, s, m, count):
     """Seeded invertible matrices over F_p[t]/t^s that need pivoting.
 

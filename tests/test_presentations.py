@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from cosetx import presentations
+import oracles
+from cosetx import cli, presentations
 from cosetx.errors import ParameterError
 from cosetx.groups import MatElement, elementary
 from cosetx.presentations import (KINDS, GeneratorSymbol, Presentation,
@@ -207,3 +209,187 @@ class TestSymbols:
         pres = presentation_SL(3, 2, 1)
         assert isinstance(pres, Presentation)
         assert pres.n == 3 and pres.p == 2 and pres.d == 1
+
+
+def _trimmed(codes):
+    """Code rows without their trailing all-padding columns."""
+    width = int((codes >= 0).sum(axis=1).max(initial=0))
+    assert (codes[:, width:] == -1).all()
+    return codes[:, :width]
+
+
+def _assert_table_is(table, generators, relations):
+    """The word table holds the oracle's relations: same symbols, codes,
+    kinds and source pairs, and the same RelationInstance objects by
+    value when materialized."""
+    assert table.symbols == tuple(generators)
+    lhs, rhs, kinds, pairs = oracles.steinberg_codes(relations, generators)
+    assert np.array_equal(_trimmed(table.words[:, 0]), lhs)
+    assert np.array_equal(_trimmed(table.words[:, 1]), rhs)
+    assert table.kind.tolist() == kinds
+    assert [table.pairs[k] for k in table.pair.tolist()] == pairs
+    assert table.instances == tuple(relations)
+
+
+class TestWordTables:
+    """The array builders against the object builders of ``oracles``."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sl(self, n, p, d):
+        pres = presentation_SL(n, p, d)
+        gens, rels = oracles.steinberg_sl(n, p, d)
+        assert pres.generators == gens
+        _assert_table_is(pres.table, gens, rels)
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])
+    def test_unipotent(self, dim, p, d):
+        pres = presentation_unipotent(dim, p, d)
+        gens, rels = oracles.steinberg_unipotent(dim, p, d)
+        assert pres.generators == gens
+        _assert_table_is(pres.table, gens, rels)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1)])
+    def test_tilde(self, n, p, d):
+        pres = tilde_gamma_presentation(n, p, d)
+        gens, rels = oracles.steinberg_tilde(n, p, d)
+        assert pres.generators == gens
+        _assert_table_is(pres.table, gens, rels)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])
+    def test_chamber_and_prechamber(self, n, p, d):
+        pre, chamber = chamber_relation_sets(n, p, d)
+        gens, pre_rels, ch_rels = oracles.steinberg_chamber(n, p, d)
+        _assert_table_is(pre, gens, pre_rels)
+        _assert_table_is(chamber, gens, ch_rels)
+
+    @pytest.mark.parametrize("build,s", [
+        (lambda: presentation_SL(3, 2, 1), 2),
+        (lambda: presentation_SL(3, 3, 1), 2),
+        (lambda: presentation_unipotent(5, 2, 1), 3),
+        (lambda: tilde_gamma_presentation(4, 2, 1), 2),
+    ], ids=["sl-3-2-1", "sl-3-3-1", "unip-5-2-1", "tilde-4-2-1"])
+    def test_corrupted_generator_same_violations(self, build, s):
+        """With one generator's matrix off by an elementary factor, the
+        table, the materialized list and the oracle's list of objects
+        report the same violations in relation order."""
+        pres = build()
+        assign = standard_assignment(pres, s)
+        sym = pres.generators[len(pres.generators) // 3]
+        assign[sym] = assign[sym] @ elementary(
+            pres.n, 1, 2, TruncPoly.t_power(pres.p, s, 1))
+        tabled = verify_relations(pres, assign)
+        listed = verify_relations(list(pres.relations), assign)
+        oracle = {"sl": oracles.steinberg_sl, "unipotent":
+                  oracles.steinberg_unipotent, "tilde-gamma":
+                  oracles.steinberg_tilde}[pres.name]
+        dim = pres.n + 1 if pres.name == "unipotent" else pres.n
+        by_objects = verify_relations(oracle(dim, pres.p, pres.d)[1], assign)
+        assert tabled.violations
+        assert tabled.violations == listed.violations == by_objects.violations
+        assert tabled.checked == listed.checked == by_objects.checked
+        assert tabled.by_kind == listed.by_kind == by_objects.by_kind
+        order = {rel: k for k, rel in enumerate(pres.relations)}
+        ranks = [order[rel] for rel in tabled.violations]
+        assert ranks == sorted(ranks)
+
+    def test_chamber_table_same_violations_as_list(self):
+        pre, chamber = chamber_relation_sets(3, 2, 1)
+        assign = {sym: elementary(3, *sym.root, sym.r.lift_to(2))
+                  for sym in chamber.used_symbols()}
+        sym = chamber.used_symbols()[5]
+        assign[sym] = assign[sym] @ elementary(3, 2, 4, TruncPoly.one(2, 2))
+        for table in (pre, chamber):
+            rep = verify_relations(table, assign)
+            assert rep.violations
+            assert rep.violations == verify_relations(list(table),
+                                                      assign).violations
+
+
+class TestNoObjectsOnTheTabledPath:
+    def _count_instances(self, monkeypatch):
+        made = []
+        post_init = RelationInstance.__post_init__
+
+        def counted(rel):
+            made.append(1)
+            post_init(rel)
+
+        monkeypatch.setattr(RelationInstance, "__post_init__", counted)
+        return made
+
+    def test_build_assign_verify_make_no_relation_instance(self, monkeypatch):
+        made = self._count_instances(monkeypatch)
+        pres = presentation_SL(3, 3, 1)
+        rep = verify_relations(pres, standard_assignment(pres, 4))
+        assert rep.ok and rep.checked == 10164 and rep.violations == ()
+        assert rep.by_kind == pres.counts_by_kind()
+        assert len(pres.pair_set()) == 72
+        assert made == []
+        assert len(pres.relations) == len(made) == 10164
+
+    def test_violations_alone_are_materialized(self, monkeypatch):
+        made = self._count_instances(monkeypatch)
+        pres = presentation_SL(3, 2, 1)
+        assign = standard_assignment(pres, 2)
+        sym = pres.generators[0]
+        assign[sym] = assign[sym] @ elementary(3, 1, 2, TruncPoly.one(2, 2))
+        rep = verify_relations(pres, assign)
+        assert 0 < len(rep.violations) == len(made) < len(pres.table)
+
+    def test_suite_steinberg_rows_call_verify_relations(self, monkeypatch):
+        made = self._count_instances(monkeypatch)
+        calls = []
+        verify = presentations.verify_relations
+
+        def counted(*args):
+            calls.append(1)
+            return verify(*args)
+
+        monkeypatch.setattr(presentations, "verify_relations", counted)
+        ok, detail = cli._check_steinberg_sl(3, 3, 1, 4,
+                                             expect=(108, 10164, 72))
+        assert ok and detail["relations"] == 10164
+        assert calls == [1] and made == []
+
+
+class TestExponents:
+    """Letters are x or x^-1: any other exponent is refused when the
+    relation is made, and x^-1 is the inverse on both evaluation paths."""
+
+    X = GeneratorSymbol((1, 2), TruncPoly.make(5, 2, (2, 1)))
+    SRC = ((1, 2), (1, 2))
+
+    @pytest.mark.parametrize("exp", [2, 0, -2, 3])
+    def test_other_exponents_raise(self, exp):
+        x = self.X
+        with pytest.raises(ParameterError, match="exponent"):
+            RelationInstance(((x, exp),), ((x, 1), (x, 1)), "additive",
+                             self.SRC)
+        with pytest.raises(ParameterError, match="exponent"):
+            RelationInstance(((x, 1),), ((x, exp),), "additive", self.SRC)
+
+    @pytest.mark.parametrize("s,tabled", [(2, True), (5, True), (6, False)])
+    def test_inverse_letters_on_both_paths(self, monkeypatch, s, tabled):
+        assert (5**s <= RingTable.MAX_Q) == tabled
+        slow_calls = []
+        slow = presentations._verify_matrices_slow
+        monkeypatch.setattr(presentations, "_verify_matrices_slow",
+                            lambda *args: slow_calls.append(1) or slow(*args))
+        x = self.X
+        rel = lambda lhs, rhs: RelationInstance(lhs, rhs, "additive", self.SRC)
+        holds = [rel(((x, 1), (x, 1), (x, -1)), ((x, 1),)),
+                 rel(((x, 1), (x, -1)), ()),
+                 rel(((x, -1), (x, 1), (x, 1)), ((x, 1),))]
+        fails = [rel(((x, -1),), ((x, 1),)),
+                 rel(((x, 1), (x, 1)), ()),
+                 rel(((x, -1), (x, -1)), ((x, 1), (x, 1)))]
+        assign = {x: elementary(1, 1, 2, x.r.lift_to(s))}
+        rep = verify_relations(holds + fails, assign)
+        assert rep.checked == 6
+        assert rep.violations == tuple(fails)
+        assert slow_calls == ([] if tabled else [1])

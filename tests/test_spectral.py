@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,27 @@ def test_lanczos_basis_is_capped():
     assert exc.value.partial_count == 0
     with pytest.raises(ResourceLimitError):
         local_spectral_report(fx.cycle_complex(5000), 1.0, cap=32 * 5000)
+
+
+def test_lanczos_cap_bounds_the_growth_copy():
+    """A doubling holds the old and the new basis at once, and the cap
+    counts both: at a cap of 128 rows of the 4000-cycle the run stops
+    before growing from 64 to 128 rows, and the traced peak stays near
+    the cap's 8 bytes per float.  Counting only the new basis let the run
+    grow to 128 rows, with 192 rows live during the copy, about twice the
+    cap."""
+    V = 4000
+    cap = 128 * V
+    M = walk_matrix(fx.cycle_complex(V))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            second_eigenvalue(M, cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.partial_count == 64
+    assert peak < 1.25 * 8 * cap
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2), (3, 3)])
