@@ -9,7 +9,9 @@ row.  When the key space has at most min(64*cap, 2**32) keys, the keys
 are uint32, the visited ones a bitset, and each layer is expanded in
 blocks of ``pure.BLOCK`` keys, marked in at most 8 rounds of a buffered
 ``|=``; otherwise the keys are uint64 or void and the visited ones a
-sorted array.  Rows are decoded only at the end.
+sorted array.  A large closure on the bitset path expands one key per
+orbit of its generating set's monomial and t -> alpha*t symmetries.  Rows
+are decoded only at the end.
 ``BACKEND`` names the backend for run records.
 
 ``pack_keys`` and ``unpack_keys`` are the package's one row-key codec:

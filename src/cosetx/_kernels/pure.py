@@ -19,11 +19,16 @@ generator once the closure is large enough to pay for it.  When the key
 space has at most min(64*cap, 2**32) keys, the keys are uint32, the
 visited ones a bitset, and each layer is expanded in blocks of BLOCK
 keys, whose temporaries stay in L2; otherwise the keys are uint64 or
-void and the visited ones one sorted array.  ``closure_bfs`` has the
-details.
+void and the visited ones one sorted array.  A large closure on the
+bitset path expands one key per orbit of the symmetries of its
+generating set: the monomial conjugations and ring maps t -> alpha*t that
+map the generators onto themselves, found from the generators and the
+ring tables.  ``closure_bfs`` has the details.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -34,6 +39,9 @@ NAME = "pure"
 
 # frontier keys per block of the bitset path: a block's temporaries stay in L2
 BLOCK = 1 << 15
+
+# the fewest keys of a layer from which ``_RowMaps.orbits`` expands by orbits
+ORBIT_LAYER = 1 << 14
 
 
 def matmul_batch(A: np.ndarray, B: np.ndarray, mul: np.ndarray, add: np.ndarray,
@@ -228,6 +236,18 @@ def _visited_set(q: int, mm: int, cap: int):
     return _SortedKeys(key_dtype(q, mm))
 
 
+def _row_keys(keys: np.ndarray, m: int, Q: int) -> list[np.ndarray]:
+    """The row keys rho_a = (key // Q**a) % Q of ``keys``, a = 0..m-1, as
+    intp: they are below Q <= 2**32, so uint64 ones are a view, not a
+    copy, and every later ``take`` gets them without a cast."""
+    rho, rest = [], keys
+    for _ in range(m - 1):
+        rho.append(rest % Q)
+        rest = rest // Q
+    rho.append(rest)
+    return [r.view(np.intp) if r.itemsize == 8 else r.astype(np.intp) for r in rho]
+
+
 class _RowTables:
     """Row maps read from one table per generator, on uint32 or uint64 keys.
 
@@ -240,7 +260,8 @@ class _RowTables:
 
     def __init__(self, gens: np.ndarray, mul: np.ndarray, add: np.ndarray,
                  m: int, q: int):
-        self.m, self.Q = m, q**m
+        self.gens, self.mul, self.add, self.m, self.q = gens, mul, add, m, q
+        self.Q = q**m
         k = -(-self.Q // m)
         rows = unpack_keys(np.arange(k * m, dtype=np.uint64), q, m)
         rows = rows.reshape(k, m * m)
@@ -254,21 +275,17 @@ class _RowTables:
         ``keys``, of their dtype: sum over a of R_g[rho_a] * Q**a, where
         the row keys rho_a = (key // Q**a) % Q are split off once for all
         generators."""
-        rho, rest = [], keys
-        for _ in range(self.m - 1):
-            rho.append(rest % self.Q)
-            rest = rest // self.Q
-        rho.append(rest)
-        # row keys are below Q <= 2**32: as intp once, not once per
-        # generator's take, and uint64 ones as a view without a copy
-        rho = [r.view(np.intp) if r.itemsize == 8 else r.astype(np.intp)
-               for r in rho]
+        rho = _row_keys(keys, self.m, self.Q)
         for table in self.tables:
             out = table.take(rho[-1]).astype(keys.dtype, copy=False)
             for r in rho[-2::-1]:
                 out *= self.Q
                 out += table.take(r)
             yield out
+
+    def orbits(self, layer: int) -> None:
+        """A fixed source expands every layer whole."""
+        return None
 
 
 class _RowProducts:
@@ -287,6 +304,131 @@ class _RowProducts:
             yield pack_keys(matmul_batch(rows, g, self.mul, self.add, self.m),
                             self.q).astype(keys.dtype, copy=False)
 
+    def orbits(self, layer: int) -> None:
+        """A fixed source expands every layer whole."""
+        return None
+
+
+def _characteristic(add: np.ndarray) -> int:
+    """The additive order of the ring's 1 (index 1)."""
+    p, x = 1, 1
+    while x:
+        x, p = int(add[x, 1]), p + 1
+    return p
+
+
+def _ring_scalings(add: np.ndarray, q: int) -> list[np.ndarray]:
+    """The ring automorphisms t -> alpha*t of F_p[t]/t^s, alpha in F_p^*,
+    as distinct uint32 maps of ring indices, the identity first: in the
+    packed encoding of ``ring.py``, p is the additive order of 1 and
+    index sum c_k p**k maps to sum (alpha**k c_k mod p) p**k."""
+    p = _characteristic(add)
+    s = round(np.log(q) / np.log(p))
+    digits = unpack_keys(np.arange(q, dtype=np.uint64), p, s)
+    maps = {}
+    for alpha in range(1, p):
+        scale = np.array([pow(alpha, k, p) for k in range(s)], dtype=np.uint32)
+        sigma = pack_keys(digits * scale % p, p).astype(np.uint32)
+        maps.setdefault(sigma.tobytes(), sigma)
+    return list(maps.values())
+
+
+def _monomial_candidates(mul: np.ndarray, add: np.ndarray, m: int, q: int):
+    """The candidate symmetries X -> M sigma(X) M^-1 of m x m matrices,
+    M = P_pi diag(1, l_2, .., l_m) with the l_i in F_p^* and sigma a ring
+    scaling, as entry maps (pos, const, sigma): entry e = i*m + j of X
+    goes to entry pos[e] = pi(i)*m + pi(j), as mul[const[e], sigma[x]]
+    with const[e] = l_i / l_j.  Distinct candidates are distinct maps:
+    only scalar matrices centralize the matrices over F_p."""
+    p = _characteristic(add)
+    inverse = {c: next(d for d in range(1, p) if mul[c, d] == 1) for c in range(1, p)}
+    i, j = np.divmod(np.arange(m * m), m)
+    for sigma in _ring_scalings(add, q):
+        for perm in itertools.permutations(range(m)):
+            perm = np.array(perm)
+            pos = perm[i] * m + perm[j]
+            for rest in itertools.product(range(1, p), repeat=m - 1):
+                lam = (1, *rest)
+                const = np.array([mul[lam[a], inverse[lam[b]]] for a, b in zip(i, j)],
+                                 dtype=np.uint32)
+                yield pos, const, sigma
+
+
+def _stabilizer(candidates, gens: np.ndarray, mul: np.ndarray, q: int) -> list:
+    """The candidate entry maps that send every generator to a generator.
+
+    Each is injective, so it maps the finite generating set onto itself;
+    the candidates of ``_monomial_candidates`` form a group, and the kept
+    ones its subgroup A.  Its elements are automorphisms of the matrix
+    ring that fix the generating set, so they preserve the BFS layers of
+    the closure.
+    """
+    want = np.sort(pack_keys(gens, q))
+    kept = []
+    for pos, const, sigma in candidates:
+        image = np.empty_like(gens)
+        image[:, pos] = mul[const, sigma[gens]]
+        keys = pack_keys(image, q)
+        at = np.minimum(np.searchsorted(want, keys), len(want) - 1)
+        if (want[at] == keys).all():
+            kept.append((pos, const, sigma))
+    return kept
+
+
+class _Orbits:
+    """The orbits of a group A of entry maps (``_stabilizer``) on uint32
+    keys, read from row tables.
+
+    ``tables[r, rho, a]`` is the part of the key of a(X) that row r of X,
+    with row key rho, contributes: the entries of row pi(r) of a(X), at
+    their places in the key, below q**(m*m) <= 2**32.  So the keys of all
+    |A| images of X are the sum over r of the rows ``tables[r, rho_r]``:
+    m ``take``s of |A| contiguous entries per key.  The tables are one
+    allocation of |A|*m*Q uint32.
+    """
+
+    def __init__(self, maps: list, mul: np.ndarray, m: int, q: int):
+        self.m, self.Q = m, q**m
+        # keys per expand, whose orbits are a block of about BLOCK keys
+        self.chunk = max(1, BLOCK // len(maps))
+        pos, const, sigma = (np.stack(part) for part in zip(*maps))
+        self.tables = np.empty((m, self.Q, len(maps)), dtype=np.uint32)
+        for r in range(m):
+            # axes (a, digit m-1, .., digit 0): row key rho = sum x_j q**j
+            # spans the digits' axes, so the part of each key is a sum of
+            # one term per digit j, broadcast along the others
+            out = np.moveaxis(self.tables[r].reshape((q,) * m + (len(maps),)), -1, 0)
+            out[...] = 0
+            for j in range(m):
+                e = r * m + j
+                term = mul[const[:, e, None], sigma] * q ** pos[:, e, None].astype(np.uint32)
+                out += term.reshape((len(maps),) + (1,) * (m - 1 - j) + (q,) + (1,) * j)
+
+    def expand(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct keys of the A-orbits of ``keys``, ascending, and the
+        least key of each orbit, ascending."""
+        rho = _row_keys(keys, self.m, self.Q)
+        orbits = self.tables[0].take(rho[0], axis=0)
+        for table, r in zip(self.tables[1:], rho[1:]):
+            orbits += table.take(r, axis=0)
+        # one row per orbit, then the keys of those orbits less the repeats
+        # that a map fixing a key makes
+        least = orbits.min(axis=1)
+        order = least.argsort()
+        rows = order[_first_of_runs(least[order])]
+        keys = orbits[rows].reshape(-1)
+        keys.sort()
+        return keys[_first_of_runs(keys)], least[rows]
+
+
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """True at the first key of each run of equal keys, in a non-empty
+    array."""
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
 
 class _RowMaps:
     """The row maps of ``closure_bfs``: products on the frontier's rows
@@ -298,7 +440,9 @@ class _RowMaps:
     per generator, what the products cost on that many elements.  So a
     closure of fewer elements never builds them, and a larger one does at
     most about twice the matmul work of the cheaper source in hindsight.
-    The tables pay off only for groups much larger than Q/m.
+    The tables pay off only for groups much larger than Q/m.  ``orbits``
+    decides whether the closure expands by orbits, from its layer sizes,
+    the symmetries of the generators and the budget left.
     """
 
     def __init__(self, gens: np.ndarray, mul: np.ndarray, add: np.ndarray,
@@ -307,6 +451,8 @@ class _RowMaps:
         Q = q**m
         tabled = fits_uint64(q, m * m) and Q * len(gens) <= min(cap, 1 << 32)
         self.left = -(-Q // m) if tabled else None
+        # tables of Q entries the budget has left for the symmetries
+        self.room = min(cap, 1 << 32) // Q - len(gens) if tabled else 0
 
     def images(self, keys: np.ndarray):
         if self.left is not None:
@@ -315,6 +461,40 @@ class _RowMaps:
                 s, self.left = self.source, None
                 self.source = _RowTables(s.gens, s.mul, s.add, s.m, s.q)
         return self.source.images(keys)
+
+    def orbits(self, layer: int) -> _Orbits | None:
+        """The orbit maps that this layer of ``layer`` keys and every later
+        one expand by, or None to expand this one whole.
+
+        The symmetries are looked for once, at the first layer of at least
+        ORBIT_LAYER keys, and used only if there are at least 4 of them and
+        their |A|*m tables of Q entries fit the budget with the generators'
+        (Q * (len(gens) + |A|*m) <= cap).
+        Measured on a 2-core host, closure_bfs in ms, medians, plain ->
+        orbits:
+        - ORBIT_LAYER keeps plain every closure whose layers stay below
+          2**14 keys, sl_group(2, 2, 2) (43008 elements, largest layer
+          14520) among them.  Orbits from a first layer of 4627 keys made
+          sl_group(1, 5, 2) slower, 2.6 -> 3.0, and from 5316 keys
+          sl_group(3, 2, 1), 3.5 -> 4.1: too few keys come after the first
+          orbit layer to pay for it.
+        - From the first layer of 2**14 keys or more: sl_group(1, 5, 3),
+          |A| = 32, 190 -> 53; sl_group(1, 11, 2), |A| = 200, 252 -> 51;
+          sl_group(1, 7, 2), |A| = 72, 9.7 -> 7.3; sl_group(1, 3, 4),
+          |A| = 8, 26.6 -> 15.7; elementary_subgroup(2, 2, 3, 1) (11.0M
+          elements), |A| = 6, 740-800 -> 440-540.
+        - |A| = 2 saves at most half the candidates, less than the sorts of
+          the orbits cost: sl_group(1, 2, 7) 110 -> 123 and
+          sl_group(1, 2, 6) 10.1 -> 11.4.
+        """
+        if layer < ORBIT_LAYER or self.room < 4 * self.source.m:
+            return None
+        s, room, self.room = self.source, self.room, 0
+        maps = _stabilizer(_monomial_candidates(s.mul, s.add, s.m, s.q),
+                           s.gens, s.mul, s.q)
+        if len(maps) < 4 or len(maps) * s.m > room:
+            return None
+        return _Orbits(maps, s.mul, s.m, s.q)
 
 
 def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
@@ -365,6 +545,23 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     tables also holds the Q row vectors and one generator's products of
     them, about 8*m*Q bytes.
 
+    On the bitset path, a large closure expands by orbits
+    from a layer boundary on (``_RowMaps.orbits`` has the rule and the
+    measured crossover).  The candidate symmetries are the automorphisms
+    X -> M sigma(X) M^-1, with M = P_pi diag(1, l_2, .., l_m), the l_i in
+    F_p^*, and sigma a ring map t -> alpha*t; the ones that map the
+    generators onto themselves form a group A that preserves word length.
+    So every layer L_d is a union of A-orbits, and for any set R_d of one
+    key per orbit of L_d, L_{d+1} = A.((R_d.S) minus L_{<=d}).  The
+    visited keys stay a union of whole orbits: the whole orbit of each
+    unvisited candidate is marked at once, its keys from m ``take``s of |A|
+    entries per key, and its least key joins R_{d+1}.  The layers, and so
+    the element order, are those of the plain closure, from about
+    1/|A| of the candidates.  The |A|*m symmetry tables of Q uint32 count
+    against the row tables' budget, Q * (len(gens) + |A|*m) <= cap, are
+    one allocation, and are freed before the decoding; one expansion holds
+    about BLOCK orbit keys.
+
     More than ``cap`` elements raise ``ResourceLimitError`` before the
     result is allocated.  The check runs after each (block, generator)
     pair's survivors; ``partial_count`` is the number of distinct
@@ -387,31 +584,63 @@ def _closure(row_maps: _RowMaps | _RowTables | _RowProducts, m: int, q: int,
     keys = np.empty(BLOCK, visited.dtype)
     keys[0] = pack_keys(identity_flat(m), q)[0]
     visited.add(keys[:1])
+    orbits = reps = None
     done, total = 0, 1
     while total > done:
         start, done = done, total
         # the sorted keys merge each add into the whole array, so they take
         # a layer in one block
         step = BLOCK if isinstance(visited, _BitsetKeys) else done - start
-        for lo in range(start, done, step):
-            for new in row_maps.images(keys[lo:min(lo + step, done)]):
-                new = new[~visited.has(new)]
-                visited.add(new)
-                if total + len(new) > len(keys):
-                    grown = np.empty(max(total + len(new), 2 * len(keys)), keys.dtype)
-                    grown[:total] = keys[:total]
-                    keys = grown
-                keys[total:total + len(new)] = new
-                total += len(new)
-                if total > cap:
-                    raise ResourceLimitError(f"closure exceeded cap {cap}",
-                                             partial_count=total)
+        if orbits is None and isinstance(visited, _BitsetKeys):
+            orbits = row_maps.orbits(done - start)
+        # the layer's orbit representatives once there are any, else the layer
+        first, end = (start, done) if reps is None else (0, len(reps))
+        next_reps = []
+        for lo in range(first, end, step):
+            frontier = keys if reps is None else reps
+            for images in row_maps.images(frontier[lo:min(lo + step, end)]):
+                for new in _orbit_parts(images[~visited.has(images)], visited,
+                                        orbits, next_reps):
+                    visited.add(new)
+                    if total + len(new) > len(keys):
+                        grown = np.empty(max(total + len(new), 2 * len(keys)),
+                                         keys.dtype)
+                        grown[:total] = keys[:total]
+                        keys = grown
+                    keys[total:total + len(new)] = new
+                    total += len(new)
+                    if total > cap:
+                        raise ResourceLimitError(f"closure exceeded cap {cap}",
+                                                 partial_count=total)
+        if orbits is not None:
+            reps = np.concatenate(next_reps or [keys[:0]])
         keys[done:total].sort()
-    # the visited keys (up to 8*cap bytes) are not needed to decode
-    del visited
+    # the visited keys (up to 8*cap bytes) and the symmetry tables are not
+    # needed to decode
+    del visited, orbits, reps
     out = np.empty((total, m * m), dtype=np.uint32)
     _decode(keys[:total], out, q, m)
     return out
+
+
+def _orbit_parts(new: np.ndarray, visited: _BitsetKeys, orbits: _Orbits | None,
+                 reps: list):
+    """The unvisited keys ``new`` to mark, as they are without orbits, else
+    the distinct keys of their orbits, a chunk of ``orbits.chunk`` keys at
+    a time, with each chunk's least key per orbit appended to ``reps``.  A
+    chunk drops the keys whose orbits the caller marked for an earlier one,
+    so that no orbit is listed twice."""
+    if orbits is None:
+        yield new
+        return
+    for lo in range(0, len(new), orbits.chunk):
+        part = new[lo:lo + orbits.chunk]
+        if lo:
+            part = part[~visited.has(part)]
+        if len(part):
+            keys, least = orbits.expand(part)
+            reps.append(least)
+            yield keys
 
 
 def _decode(keys: np.ndarray, out: np.ndarray, q: int, m: int) -> None:

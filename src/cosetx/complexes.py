@@ -144,7 +144,11 @@ class SimplicialComplex:
             raise StructureError(
                 f"maximal faces must be rows of {w} vertices, "
                 f"got shape {mf.shape}")
-        if w:
+        # rows that coset_complex and link() build arrive increasing: one
+        # comparison pass spares them the sort, and spares _validate its
+        # check for a repeated vertex
+        increasing = w < 2 or bool((mf[:, 1:] > mf[:, :-1]).all())
+        if not increasing:
             mf = np.sort(mf, axis=1)
         # the keys are injective only on rows in range: check before keying
         if (mf < 0).any() or (mf >= vertex_count).any():
@@ -161,9 +165,11 @@ class SimplicialComplex:
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
         self._tri_edges: np.ndarray | None = None
         self._forest: tuple | None = None
-        self._validate()
+        self._validate(increasing)
 
-    def _validate(self):
+    def _validate(self, increasing: bool):
+        """Checks the complex; ``increasing`` says that every row was
+        already strictly increasing before any sort."""
         mf, w, V = self.max_faces, self.n + 1, self.vertex_count
         if len(mf) == 0:
             raise StructureError("a pure complex needs at least one "
@@ -172,7 +178,7 @@ class SimplicialComplex:
             if V:
                 raise StructureError("dimension -1 admits no vertices")
             return
-        if w > 1 and not (mf[:, 1:] > mf[:, :-1]).all():
+        if not increasing and not (mf[:, 1:] > mf[:, :-1]).all():
             raise StructureError("a face may not repeat a vertex")
         # the least unused vertex is at most mf.size, however large V is.
         # A larger index clips onto the last slot; mf.size entries holding
@@ -187,8 +193,14 @@ class SimplicialComplex:
                 raise StructureError("need one color per vertex")
             if (self.colors < 0).any() or (self.colors > self.n).any():
                 raise StructureError(f"colors must lie in [0, {self.n}]")
-            face_colors = np.sort(self.colors[mf], axis=1)
-            if not (face_colors == np.arange(w)).all():
+            # w colors in [0, n] on a row's w vertices: all of them iff
+            # their bits fill the mask (of int64 bits, below 63 colors)
+            if w < 63:
+                seen = np.bitwise_or.reduce(np.left_shift(1, self.colors[mf]), axis=1)
+                partite = (seen == (1 << w) - 1).all()
+            else:
+                partite = (np.sort(self.colors[mf], axis=1) == np.arange(w)).all()
+            if not partite:
                 raise StructureError(
                     "not partite: some maximal face misses a color")
         if self.labels is not None and len(self.labels) != V:

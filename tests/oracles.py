@@ -140,6 +140,45 @@ def bfs_closure(gens):
             for layer in layers[:-1]]
 
 
+def monomial_symmetry_actions(gens, probes):
+    """The maps X -> M sigma(X) M^-1 that send each of the MatElements
+    ``gens`` to one of them, by exact matrix products and cofactor
+    inverses: M = P diag(l_1, .., l_m) with P e_i = e_pi(i), l_1 = 1 and
+    the other l_i in F_p^*, and sigma the coefficient map
+    c_k t^k -> alpha^k c_k t^k, alpha in F_p^*.  A map is told by its
+    images of the MatElements ``probes``: returns (kept, candidates), the
+    sets of tuples of the probes' images as flat tuples, for the kept maps
+    and for all of them.
+    """
+    from cosetx.groups import MatElement
+    from cosetx.ring import TruncPoly
+
+    m, p, s = gens[0].m, gens[0].p, gens[0].s
+    want = {tuple(g.flat().tolist()) for g in gens}
+    zero = TruncPoly.zero(p, s)
+    kept, candidates = set(), set()
+    for pi in itertools.permutations(range(m)):
+        for rest in itertools.product(range(1, p), repeat=m - 1):
+            lam = (1, *rest)
+            M = MatElement(tuple(
+                tuple(TruncPoly.make(p, s, (lam[j],)) if pi[j] == i else zero
+                      for j in range(m)) for i in range(m)))
+            M_inv = M.inverse()
+            for alpha in range(1, p):
+                def act(x):
+                    scaled = MatElement(tuple(
+                        tuple(TruncPoly.make(p, s, [c * alpha**k for k, c in
+                                                    enumerate(e.coeffs)])
+                              for e in row) for row in x.entries))
+                    return tuple((M @ scaled @ M_inv).flat().tolist())
+
+                action = tuple(act(x) for x in probes)
+                candidates.add(action)
+                if all(act(g) in want for g in gens):
+                    kept.add(action)
+    return kept, candidates
+
+
 def commutator_power_attempts(seed, attempts, n=2, p=3, s=3):
     """(qualifies, holds) of each sampled pair of elementaries, exactly.
 

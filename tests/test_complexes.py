@@ -73,6 +73,26 @@ class TestSimplicialComplex:
         for i, row in enumerate(X.faces(1).tolist()):
             assert X.face_position(tuple(row)) == i
 
+    def test_unsorted_rows_give_the_sorted_complex(self):
+        """Rows in any vertex order make the complex of their sorted rows;
+        a repeated vertex and a face that misses a color raise whether or
+        not the rows arrive increasing, and so do colors out of range."""
+        rows = [[0, 1, 2], [3, 2, 1], [1, 3, 4], [2, 1, 0]]
+        colors = [0, 1, 2, 0, 2]
+        X = SimplicialComplex(2, 5, rows, colors)
+        Y = SimplicialComplex(2, 5, [[0, 1, 2], [1, 2, 3], [1, 3, 4]], colors)
+        assert np.array_equal(X.max_faces, Y.max_faces)
+        assert X.max_faces.tolist() == [[0, 1, 2], [1, 2, 3], [1, 3, 4]]
+        assert X.f_vector() == Y.f_vector() == (5, 7, 3)
+        for bad in ([[0, 1, 2], [1, 1, 3]], [[0, 1, 2], [3, 1, 1]]):
+            with pytest.raises(StructureError, match="repeat a vertex"):
+                SimplicialComplex(2, 4, bad)
+        for bad in ([[0, 1, 2], [1, 2, 3]], [[0, 1, 2], [3, 2, 1]]):
+            with pytest.raises(StructureError, match="not partite"):
+                SimplicialComplex(2, 4, bad, [0, 1, 2, 1])
+            with pytest.raises(StructureError, match="colors must lie"):
+                SimplicialComplex(2, 4, bad, [0, 1, 2, 3])
+
     @pytest.mark.parametrize("rows", [[[0, 1], [1, 2], [0, 5]],
                                       [[0, 5], [0, 1], [1, 2]]])
     def test_out_of_range_row_raises_in_either_order(self, rows):

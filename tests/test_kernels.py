@@ -12,7 +12,8 @@ import oracles
 from cosetx import _kernels
 from cosetx._kernels import common, pure
 from cosetx.errors import ParameterError, ResourceLimitError
-from cosetx.groups import MatElement, elementary, sl_group, subgroup_K
+from cosetx.groups import (MatElement, elementary, elementary_subgroup,
+                           reduction_kernel, sl_group, subgroup_K)
 from cosetx.ring import RingTable, TruncPoly
 from test_groups import GOLDEN_ORDER
 
@@ -194,6 +195,13 @@ def _one(p, s):
     return TruncPoly.one(p, s)
 
 
+def _gens_of(build, *args):
+    """(p, s, the generators as MatElements) of a group builder."""
+    G = build(*args)
+    p, s = G.ring.p, G.ring.s
+    return p, s, [MatElement.from_flat(p, s, G.m, row) for row in G.elems[G.generators]]
+
+
 # (p, s, generators as MatElements)
 CLOSURE_CASES = {
     # e_12(1) and e_21(1) have order 5 and neither inverse is a generator
@@ -215,6 +223,17 @@ CLOSURE_CASES = {
     # 3**49 > 2**64 keys, though only 3**7 row keys: void keys, so no row tables
     "big-f3-m7-no-inverses": (3, 1, [elementary(6, 1, 2, _one(3, 1)),
                                      elementary(6, 2, 3, _one(3, 1))]),
+    # generating sets with symmetries, closed by orbits below as well: a
+    # whole SL; SL_2(F_5) and SL_3(F_2) over a ring with s > d + 1, whose
+    # elements every t -> alpha*t fixes; and congruence kernels, whose
+    # h_i(1 + t^k) only some symmetries keep among the generators
+    "sl-1-3-2": _gens_of(sl_group, 1, 3, 2),
+    "elementary-1-5-3-0": _gens_of(elementary_subgroup, 1, 5, 3, 0),
+    "elementary-2-2-3-0": _gens_of(elementary_subgroup, 2, 2, 3, 0),
+    "kernel-1-3-2-1": _gens_of(reduction_kernel, 1, 3, 2, 1),
+    "kernel-1-3-3-1": _gens_of(reduction_kernel, 1, 3, 3, 1),
+    "kernel-1-5-2-1": _gens_of(reduction_kernel, 1, 5, 2, 1),
+    "kernel-2-2-2-1": _gens_of(reduction_kernel, 2, 2, 2, 1),
 }
 
 
@@ -224,7 +243,12 @@ MEMBERSHIP = {"sl2-f5-no-inverses": "bitset uint32",
               "sl2-f3t2-no-inverses": "bitset uint32", "cyclic-20": "bitset uint32",
               "sorted-heisenberg-no-inverses": "sorted uint64",
               "big-heisenberg": "sorted void", "big-cyclic-20": "sorted void",
-              "big-f3-m7-no-inverses": "sorted void"}
+              "big-f3-m7-no-inverses": "sorted void",
+              # 125**4 and 8**9 keys > 64 * 2**20
+              "sl-1-3-2": "bitset uint32", "elementary-1-5-3-0": "sorted uint64",
+              "elementary-2-2-3-0": "sorted uint64", "kernel-1-3-2-1": "bitset uint32",
+              "kernel-1-3-3-1": "bitset uint32", "kernel-1-5-2-1": "bitset uint32",
+              "kernel-2-2-2-1": "bitset uint32"}
 
 # the row maps each case's closure ends on at the default test cap: tables
 # once its frontiers have held ceil(q**m / m) elements, if q**m * len(gens)
@@ -232,7 +256,10 @@ MEMBERSHIP = {"sl2-f5-no-inverses": "bitset uint32",
 ROW_MAPS = {"sl2-f5-no-inverses": "tables", "sl2-f3t2-no-inverses": "tables",
             "cyclic-20": "products", "sorted-heisenberg-no-inverses": "products",
             "big-heisenberg": "products", "big-cyclic-20": "products",
-            "big-f3-m7-no-inverses": "products"}
+            "big-f3-m7-no-inverses": "products", "sl-1-3-2": "tables",
+            "elementary-1-5-3-0": "products", "elementary-2-2-3-0": "products",
+            "kernel-1-3-2-1": "products", "kernel-1-3-3-1": "tables",
+            "kernel-1-5-2-1": "products", "kernel-2-2-2-1": "tables"}
 
 ROW_SOURCES = {"tables": pure._RowTables, "products": pure._RowProducts}
 
@@ -269,6 +296,45 @@ def _closure(flat, p, s, m, cap=1 << 20):
     return pure.closure_bfs(flat, rt.mul, rt.add, m, rt.q, cap)
 
 
+def _symmetries(flat, rt, m):
+    """The entry maps that the closure of ``flat`` would expand by."""
+    return pure._stabilizer(pure._monomial_candidates(rt.mul, rt.add, m, rt.q),
+                            flat, rt.mul, rt.q)
+
+
+class _Layers:
+    """Row maps of ``source`` that record the size of each layer the closure
+    asks ``orbits`` about, and expand by ``orbits`` from the first layer on
+    (None: plainly), whatever the rule of ``_RowMaps`` would say."""
+
+    def __init__(self, source, orbits=None):
+        self.source, self._orbits, self.sizes = source, orbits, []
+
+    def images(self, keys):
+        return self.source.images(keys)
+
+    def orbits(self, layer):
+        self.sizes.append(layer)
+        return self._orbits
+
+
+def _closure_by_orbits(source, flat, p, s, m, cap=1 << 20):
+    """The closure with its row maps taken from ``source``, expanded by
+    the orbits of all the generators' symmetries from the first layer on,
+    on a bitset at any cap."""
+    rt = _ring_table(p, s)
+    orbits = pure._Orbits(_symmetries(flat, rt, m), rt.mul, m, rt.q)
+    row_maps = _Layers(ROW_SOURCES[source](flat, rt.mul, rt.add, m, rt.q), orbits)
+    return pure._closure(row_maps, m, rt.q, cap, pure._BitsetKeys(rt.q**(m * m)))
+
+
+def _orbit_sources(case):
+    """The row-map sources a case's closure by orbits runs on: none where
+    its keys do not fit uint32."""
+    p, s, gens = CLOSURE_CASES[case]
+    return _sources(case) if (p**s)**(gens[0].m**2) <= 1 << 32 else []
+
+
 def _closure_on(source, flat, p, s, m, cap=1 << 20):
     """The closure with its row maps taken from ``source`` at any cap."""
     rt = RingTable(p, s)
@@ -297,6 +363,11 @@ def test_closure_matches_set_bfs_oracle(case):
     for source in _sources(case):
         for gens_flat in (flat, shuffled):
             assert np.array_equal(_closure_on(source, gens_flat, p, s, m), want)
+    # nor whether it expands one key per orbit of the symmetries
+    for source in _orbit_sources(case):
+        for gens_flat in (flat, shuffled):
+            got = _closure_by_orbits(source, gens_flat, p, s, m)
+            assert got.tobytes() == want.tobytes()
     if case.endswith("no-inverses"):
         # some x @ g lands two or more layers before x, so a closure that
         # filtered new keys only against the neighbouring layers would
@@ -312,14 +383,23 @@ def test_closure_matches_set_bfs_oracle(case):
 
 
 # one case per membership structure, plus void keys of 49 one-byte
-# digits, with the row maps the closure ends on at the cap of each case's
-# test
-CAP_ROW_MAPS = {"sl2-f3t2-no-inverses": "tables",
-                "sorted-heisenberg-no-inverses": "products",
-                "big-heisenberg": "products", "big-f3-m7-no-inverses": "products"}
+# digits and the cases with symmetries, with the membership structure and
+# the row maps the closure ends on at the cap of each case's test: a cap
+# of a few hundred elements takes the sorted keys
+CAP_PATHS = {"sl2-f3t2-no-inverses": ("bitset uint32", "tables"),
+             "sorted-heisenberg-no-inverses": ("sorted uint64", "products"),
+             "big-heisenberg": ("sorted void", "products"),
+             "big-f3-m7-no-inverses": ("sorted void", "products"),
+             "sl-1-3-2": ("bitset uint32", "products"),
+             "elementary-1-5-3-0": ("sorted uint64", "products"),
+             "elementary-2-2-3-0": ("sorted uint64", "products"),
+             "kernel-1-3-2-1": ("sorted uint64", "products"),
+             "kernel-1-3-3-1": ("sorted uint64", "products"),
+             "kernel-1-5-2-1": ("sorted uint64", "products"),
+             "kernel-2-2-2-1": ("sorted uint64", "products")}
 
 
-@pytest.mark.parametrize("case", list(CAP_ROW_MAPS))
+@pytest.mark.parametrize("case", list(CAP_PATHS))
 def test_closure_cap_fires_inside_a_layer(case):
     p, s, gens = CLOSURE_CASES[case]
     m = gens[0].m
@@ -328,11 +408,13 @@ def test_closure_cap_fires_inside_a_layer(case):
     flat = np.array([g.flat() for g in gens], dtype=np.uint32)
     k = int(np.argmax(sizes))
     cap = sum(sizes[:k]) + sizes[k] // 2
-    assert _membership(p, s, m, cap) == MEMBERSHIP[case]
-    assert _row_source(flat, p, s, m, cap) == CAP_ROW_MAPS[case]
-    # the closure's own choice of row maps at this cap, then each source
+    assert (_membership(p, s, m, cap), _row_source(flat, p, s, m, cap)) == CAP_PATHS[case]
+    # the closure's own choice of row maps at this cap, then each source,
+    # expanded whole and by orbits
     for run in [_closure, *(functools.partial(_closure_on, source)
-                            for source in _sources(case))]:
+                            for source in _sources(case)),
+                *(functools.partial(_closure_by_orbits, source)
+                  for source in _orbit_sources(case))]:
         with pytest.raises(ResourceLimitError,
                            match=f"closure exceeded cap {cap}") as ei:
             run(flat, p, s, m, cap=cap)
@@ -342,6 +424,155 @@ def test_closure_cap_fires_inside_a_layer(case):
         assert len(run(flat, p, s, m, cap=order)) == order
         with pytest.raises(ResourceLimitError):
             run(flat, p, s, m, cap=order - 1)
+
+
+def _act(orbits, keys, m, q):
+    """(keys, |A|): the keys of each symmetry's image of each key, read
+    from the tables of ``orbits``."""
+    rho = pure._row_keys(keys, m, q**m)
+    return sum(table[r] for table, r in zip(orbits.tables, rho))
+
+
+# the number of symmetries each generating set keeps, from the
+# m! (p-1)^(m-1) |alpha| candidates
+SYMMETRY_COUNTS = {"sl2-f5-no-inverses": 2, "sl-1-3-2": 8, "elementary-1-5-3-0": 32,
+                   "elementary-2-2-3-0": 6, "kernel-1-3-2-1": 4, "kernel-1-3-3-1": 2,
+                   "kernel-1-5-2-1": 8, "kernel-2-2-2-1": 2}
+
+
+@pytest.mark.parametrize("case", list(SYMMETRY_COUNTS))
+def test_symmetry_filter_matches_exact_conjugation(case):
+    """The kept entry maps act on the keys of the elementaries e_ij(t^k),
+    which tell every candidate apart, as the oracle's maps X -> M sigma(X)
+    M^-1 that send every generator to a generator act by exact products
+    and inverses.  The candidates are as many distinct maps as the oracle
+    has, and the kept ones are closed under composition, a group."""
+    p, s, gens = CLOSURE_CASES[case]
+    m = gens[0].m
+    rt = _ring_table(p, s)
+    probes = [elementary(m - 1, i, j, TruncPoly.t_power(p, s, k))
+              for i in range(1, m + 1) for j in range(1, m + 1) if i != j
+              for k in range(s)]
+    kept, candidates = oracles.monomial_symmetry_actions(gens, probes)
+    flat = np.array([g.flat() for g in gens], dtype=np.uint32)
+    maps = _symmetries(flat, rt, m)
+    assert len(list(pure._monomial_candidates(rt.mul, rt.add, m, rt.q))) == len(candidates)
+    orbits = pure._Orbits(maps, rt.mul, m, rt.q)
+    keys = common.pack_keys(np.array([x.flat() for x in probes]), rt.q).astype(np.uint32)
+    images = _act(orbits, keys, m, rt.q)
+    got = {tuple(map(tuple, common.unpack_keys(images[:, a], rt.q, m * m).tolist()))
+           for a in range(len(maps))}
+    assert len(got) == len(maps) == SYMMETRY_COUNTS[case] <= len(candidates)
+    assert got == kept
+    actions = {tuple(images[:, a].tolist()) for a in range(len(maps))}
+    twice = _act(orbits, images.reshape(-1), m, rt.q).reshape(len(keys), len(maps), -1)
+    assert all(tuple(twice[:, a, b].tolist()) in actions
+               for a in range(len(maps)) for b in range(len(maps)))
+
+
+@pytest.mark.parametrize("case", ["kernel-1-3-2-1", "kernel-1-3-3-1", "kernel-1-5-2-1"])
+def test_symmetry_filter_keeps_the_kernels_diagonal_generators(case):
+    """Over odd p every kept map fixes each h(1 + t^k) of a congruence
+    kernel, so every candidate that moves one is dropped: each
+    permutation and each t-scaling other than the identity, taken alone,
+    among them.  (Over F_2, pi = (1 3) swaps h_1(1 + t) and h_2(1 + t) of
+    reduction_kernel(2, 2, 2, 1) and is kept.)"""
+    p, s, gens = CLOSURE_CASES[case]
+    m = gens[0].m
+    rt = _ring_table(p, s)
+    flat = np.array([g.flat() for g in gens], dtype=np.uint32)
+    off = ~np.eye(m, dtype=bool).reshape(-1)
+    diagonal = flat[(flat[:, off] == 0).all(axis=1)]
+    assert len(diagonal) == s - 1
+    keys = common.pack_keys(diagonal, rt.q).astype(np.uint32)
+    maps = _symmetries(flat, rt, m)
+    images = _act(pure._Orbits(maps, rt.mul, m, rt.q), keys, m, rt.q)
+    assert (images == keys[:, None]).all()
+    # the transposition of the two rows, and the p - 2 scalings t -> alpha*t
+    # with alpha != 1
+    alone = [(pos, sigma) for pos, const, sigma
+             in pure._monomial_candidates(rt.mul, rt.add, m, rt.q)
+             if (const == 1).all() and ((pos == np.arange(m * m)).all()
+                                        != (sigma == np.arange(rt.q)).all())]
+    assert m == 2 and len(alone) == 1 + (p - 2)
+    assert not any((pos == kept[0]).all() and (sigma == kept[2]).all()
+                   for pos, sigma in alone for kept in maps)
+
+
+def test_symmetry_filter_rejects_a_map_that_moves_a_generator_out():
+    """A planted entry map that fixes 0 and 1 but swaps t and 1 + t keeps
+    some of sl_group(1, 5, 2)'s generators and sends e_12(t) out of them:
+    the filter drops it and keeps the 32 candidates."""
+    G = sl_group(1, 5, 2)
+    rt, m, q = G.ring, G.m, G.ring.q
+    gens = G.elems[G.generators]
+    candidates = list(pure._monomial_candidates(rt.mul, rt.add, m, q))
+    sigma = np.arange(q, dtype=np.uint32)
+    sigma[[5, 6]] = 6, 5
+    planted = (np.arange(m * m), np.ones(m * m, dtype=np.uint32), sigma)
+    image = rt.mul[planted[1], sigma[gens]]
+    inside = set(common.pack_keys(gens, q).tolist())
+    moved = [key not in inside for key in common.pack_keys(image, q).tolist()]
+    e12_t = elementary(1, 1, 2, TruncPoly.t_power(5, 2, 1)).flat()
+    assert any(moved) and not all(moved)
+    assert moved[[row.tolist() for row in gens].index(e12_t.tolist())]
+    kept = pure._stabilizer(candidates + [planted], gens, rt.mul, q)
+    assert len(kept) == len(candidates) == 32
+    assert all(k[2] is not sigma for k in kept)
+
+
+# the closures the benchmark workloads run, with the number of symmetries
+# whose orbits each expands by, or None for the plain path: sl-enum's, and
+# the KO complex's and the suite's, of at most 43008 elements
+BENCHMARK_CLOSURES = [(sl_group, (1, 5, 3), 32), (sl_group, (2, 2, 2), None),
+                      (sl_group, (1, 3, 2), None), (reduction_kernel, (1, 3, 2, 1), None)]
+
+
+@pytest.mark.parametrize("build,args,count", BENCHMARK_CLOSURES,
+                         ids=["-".join([b.__name__, *map(str, a)])
+                              for b, a, _ in BENCHMARK_CLOSURES])
+def test_benchmark_closures_take_the_pinned_path(monkeypatch, build, args, count):
+    made = []
+    init = pure._Orbits.__init__
+    monkeypatch.setattr(pure._Orbits, "__init__",
+                        lambda self, maps, *rest: made.append(len(maps)) or
+                        init(self, maps, *rest))
+    build(*args)
+    assert made == ([] if count is None else [count])
+
+
+# the closures of the crossover measurements in ``_RowMaps.orbits``, the
+# first two on the orbit path in production, and a subgroup with d < s - 1
+ORBIT_CLOSURES = [(sl_group, (1, 5, 3)), (sl_group, (1, 7, 2)),
+                  (sl_group, (1, 5, 2)), (sl_group, (1, 3, 3)), (sl_group, (2, 2, 2)),
+                  (sl_group, (2, 3, 1)), (sl_group, (3, 2, 1)),
+                  (elementary_subgroup, (1, 3, 4, 1))]
+
+
+@pytest.mark.parametrize("build,args", ORBIT_CLOSURES,
+                         ids=["-".join([b.__name__, *map(str, a)]) for b, a in ORBIT_CLOSURES])
+def test_closure_by_orbits_matches_the_plain_closure(build, args):
+    """The group's elements, as the builder's own rule closes them, and
+    the closure by orbits from the first layer on, are byte-identical to
+    the plain closure on row tables; a cap inside the largest layer fires
+    inside it on the orbit path too, and with the builder's rule."""
+    G = build(*args)
+    rt, m, q = G.ring, G.m, G.ring.q
+    gens = G.elems[G.generators]
+    plain = _Layers(pure._RowTables(gens, rt.mul, rt.add, m, q))
+    want = pure._closure(plain, m, q, G.size, pure._BitsetKeys(q**(m * m)))
+    assert want.tobytes() == G.elems.tobytes()
+    sizes = plain.sizes
+    assert sum(sizes) == G.size
+    p, s = rt.p, rt.s
+    by_orbits = _closure_by_orbits("tables", gens, p, s, m, cap=G.size)
+    assert by_orbits.tobytes() == want.tobytes()
+    k = int(np.argmax(sizes))
+    cap = sum(sizes[:k]) + sizes[k] // 2
+    for run in (functools.partial(_closure_by_orbits, "tables"), _closure):
+        with pytest.raises(ResourceLimitError) as ei:
+            run(gens, p, s, m, cap=cap)
+        assert cap < ei.value.partial_count <= sum(sizes[:k + 1])
 
 
 @pytest.mark.parametrize("p,s,m", [(5, 2, 2), (3, 1, 3), (2, 2, 3)])
