@@ -1,11 +1,14 @@
-"""Table-driven matrix kernels over the packed rings of ``ring.py``.
+"""Matrix kernels over the packed rings of ``ring.py``.
 
 There is one backend, the numpy kernel in ``pure``: batched matrix
 products (``matmul_batch``), batched inverses over F_p[t]/t^s by
 Gauss-Jordan with unit pivots (``inverse_batch``) and the deterministic
-BFS closure of a generating set (``closure_bfs``).  The closure keeps
-each layer as canonical keys and maps them through each generator row by
-row.  When the key space has at most min(64*cap, 2**32) keys, the keys
+BFS closure of a generating set (``closure_bfs``), all on the ring
+tables.  Rings too large for q*q tables multiply on the digits of their
+ring indices (``matmul_digits``) and invert by Newton steps from the
+inverse mod t (``inverse_digits``), packed rows in and out.  The closure
+keeps each layer as canonical keys and maps them through each generator
+row by row.  When the key space has at most min(64*cap, 2**32) keys, the keys
 are uint32, the visited ones a bitset, and each layer is expanded in
 blocks of ``pure.BLOCK`` keys, marked in at most 8 rounds of a buffered
 ``|=``; otherwise the keys are uint64 or void and the visited ones a
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 from . import pure
 from .common import KeyIndex, identity_flat, pack_keys, unpack_keys
-from .pure import closure_bfs, inverse_batch, matmul_batch
+from .pure import (closure_bfs, inverse_batch, inverse_digits, matmul_batch,
+                   matmul_digits)
 
 BACKEND: str = pure.NAME
 
@@ -36,7 +40,9 @@ __all__ = [
     "closure_bfs",
     "identity_flat",
     "inverse_batch",
+    "inverse_digits",
     "matmul_batch",
+    "matmul_digits",
     "pack_keys",
     "pure",
     "unpack_keys",

@@ -3,7 +3,10 @@
 Three operations over the packed rings of ``ring.py``: table-driven
 batched matrix products, batched matrix inverses by Gauss-Jordan with a
 unit pivot in each column, and the deterministic BFS closure of a
-generating set.  Work is vectorized over the batch, so the Python-level
+generating set.  Products and inverses also run on the digits of the
+ring indices, for rings too large for q*q tables: a product is a
+truncated convolution of digit planes, an inverse the inverse mod t
+lifted by Newton steps.  Work is vectorized over the batch, so the Python-level
 cost is per matrix entry or per generator, not per row.
 
 Nearly every product multiplies a batch by one fixed matrix (a closure
@@ -33,6 +36,7 @@ import itertools
 import numpy as np
 
 from ..errors import ParameterError, ResourceLimitError
+from ..ring import RingTable
 from .common import fits_uint64, identity_flat, key_dtype, pack_keys, unpack_keys
 
 NAME = "pure"
@@ -159,6 +163,81 @@ def inverse_batch(A: np.ndarray, mul: np.ndarray, add: np.ndarray,
             if i != c:
                 W[:, i] = add[W[:, i], neg[mul[W[:, i, c][:, None], W[:, c]]]]
     return np.ascontiguousarray(W[:, :, m:]).reshape(k, m * m)
+
+
+def matmul_digits(A: np.ndarray, B: np.ndarray, p: int, s: int,
+                  m: int) -> np.ndarray:
+    """Row-flattened matrix products over F_p[t]/t^s, with no tables.
+
+    The shapes are those of ``matmul_batch``.  Each entry is split into
+    its s digits, and digit c of a product is the sum over a <= c of
+    digit plane a of A times digit plane c - a of B: one batched int64
+    ``matmul`` per shift a, skipped where A's plane a is zero, and one
+    reduction mod p.  A term sums at most s*m products of two digits, so
+    the int64 sums are exact while s*m*(p-1)**2 < 2**63, which p**s <=
+    2**32 ensures for s > 1; a ring whose indices overflow uint32 rows,
+    or whose digit sums overflow, raises ``ParameterError``.
+    """
+    return _packed(_digit_product(_digits(A, p, s, m), _digits(B, p, s, m),
+                                  p), p)
+
+
+def inverse_digits(A: np.ndarray, p: int, s: int, m: int) -> np.ndarray:
+    """Inverses of a batch of matrices over F_p[t]/t^s, with no q*q tables.
+
+    The shapes are those of ``inverse_batch``.  X = A^-1 mod t comes from
+    ``inverse_batch`` over ``RingTable(p, 1)``, which raises
+    ``ParameterError`` when A mod t, and so A, is singular.  Newton steps
+    X <- X(2I - AX) then lift it: if AX = I - E with E = 0 mod t^k, the
+    new AX is I - E^2, so each step doubles the digits that are exact.
+    """
+    D = _digits(A, p, s, m)
+    A = np.atleast_2d(np.asarray(A, dtype=np.uint32))
+    field = RingTable(p, 1)
+    X = np.zeros((s, len(A), m, m), dtype=np.int64)
+    X[0] = inverse_batch(A % np.uint32(p), field.mul, field.add, field.neg,
+                         m, p).reshape(-1, m, m)
+    exact = 1
+    while exact < s:
+        E = -_digit_product(D, X, p)
+        E[0] += 2 * np.eye(m, dtype=np.int64)
+        E %= p
+        X = _digit_product(X, E, p)
+        exact *= 2
+    return _packed(X, p)
+
+
+def _digits(A: np.ndarray, p: int, s: int, m: int) -> np.ndarray:
+    """The (s, k, m, m) int64 digit planes of packed rows, digit 0 first."""
+    if p**s > 1 << 32 or s * m * (p - 1) ** 2 >= 1 << 63:
+        raise ParameterError(f"F_{p}[t]/t^{s}: ring indices or digit sums "
+                             f"overflow the digit kernels")
+    rem = np.atleast_2d(np.asarray(A)).astype(np.int64).reshape(-1, m, m)
+    out = np.empty((s, *rem.shape), dtype=np.int64)
+    for c in range(s):
+        np.divmod(rem, p, out=(rem, out[c]))
+    return out
+
+
+def _digit_product(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """Digit planes of X @ Y mod t^s, one side possibly a single matrix."""
+    s = len(X)
+    Z = np.zeros((s, max(X.shape[1], Y.shape[1]), *X.shape[2:]),
+                 dtype=np.int64)
+    for a in range(s):
+        if X[a].any():
+            Z[a:] += np.matmul(X[a], Y[:s - a])
+    Z %= p
+    return Z
+
+
+def _packed(D: np.ndarray, p: int) -> np.ndarray:
+    """Packed uint32 rows (k, m*m) of digit planes (s, k, m, m)."""
+    acc = D[-1].copy()
+    for c in range(len(D) - 2, -1, -1):
+        acc *= p
+        acc += D[c]
+    return acc.astype(np.uint32).reshape(len(acc), -1)
 
 
 def _unit_inverse(u: np.ndarray, mul: np.ndarray, order: int) -> np.ndarray:

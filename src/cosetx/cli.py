@@ -335,19 +335,15 @@ def _cmd_relations_emit(args) -> int:
 
 
 def _cmd_relations_verify(args) -> int:
-    from .groups import elementary
     from .presentations import standard_assignment, verify_relations
 
     t0 = time.perf_counter()
     rels, pres = _preset_relations(args.preset, args.n, args.p, args.d)
-    if pres is not None:
-        assign = standard_assignment(pres, args.target_s)
-    else:
-        assign = {sym: elementary(args.n, *sym.root,
-                                  sym.r.lift_to(args.target_s))
-                  for sym in rels.used_symbols()}
+    # the matrices are of size n + 1; unip's --n is the size itself
+    n = args.n if pres is None else pres.n
+    assign = standard_assignment(rels, n, args.target_s)
     t_built = time.perf_counter()
-    rep = verify_relations(rels, assign)
+    rep = verify_relations(rels, assign, args.p, args.target_s)
     timings = {"build_s": t_built - t0,
                "verify_s": time.perf_counter() - t_built}
     result = {
@@ -463,7 +459,8 @@ def _check_steinberg_sl(n, p, d, target_s, expect=None):
                                 verify_relations)
 
     pres = presentation_SL(n, p, d)
-    rep = verify_relations(pres, standard_assignment(pres, target_s))
+    rep = verify_relations(pres, standard_assignment(pres, n, target_s), p,
+                           target_s)
     detail = {"generators": len(pres.generators),
               "relations": len(pres.table),
               "pairs": len(pres.pair_set()),
@@ -487,7 +484,8 @@ def _commutator_power_attempts(rng, attempts):
     time; inverses are closed form, e_ij(r)^-1 = e_ij(-r), and
     (x^p)^-1 is computed as (x^-1)^p.
     """
-    from ._kernels import identity_flat, matmul_batch
+    from ._kernels import matmul_batch
+    from .groups import elementary
     from .ring import RingTable
 
     m, p, s = 3, 3, 3
@@ -499,15 +497,8 @@ def _commutator_power_attempts(rng, attempts):
     for _ in range(attempts):
         r1 = sum(rng.randrange(p) * w for w in pows)
         r2 = sum(rng.randrange(p) * w for w in pows)
-        (i, j), (k, l) = rng.choice(roots), rng.choice(roots)
-        draws.append((r1, r2, (i - 1) * m + j - 1, (k - 1) * m + l - 1))
-    r1, r2, xpos, ypos = np.array(draws, dtype=np.int64).T
-    rows = np.arange(attempts)
-
-    def elementaries(pos, r):
-        out = np.tile(identity_flat(m), (attempts, 1))
-        out[rows, pos] = r
-        return out
+        draws.append((r1, r2, *rng.choice(roots), *rng.choice(roots)))
+    r1, r2, i, j, k, l = np.array(draws, dtype=np.int64).T
 
     def mm(a, b):
         return matmul_batch(a, b, ring.mul, ring.add, m)
@@ -522,8 +513,8 @@ def _commutator_power_attempts(rng, attempts):
                 a = mm(a, a)
         return acc
 
-    x, x_inv = elementaries(xpos, r1), elementaries(xpos, ring.neg[r1])
-    y, y_inv = elementaries(ypos, r2), elementaries(ypos, ring.neg[r2])
+    x, x_inv = (elementary(m - 1, i, j, r) for r in (r1, ring.neg[r1]))
+    y, y_inv = (elementary(m - 1, k, l, r) for r in (r2, ring.neg[r2]))
     comm = mm(mm(mm(x, y), x_inv), y_inv)
     qualifies = (mm(x, comm) == mm(comm, x)).all(axis=1)
     lhs = power(comm, p)

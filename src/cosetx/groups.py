@@ -1,11 +1,11 @@
-"""Finite groups: exact matrices over F_p[t]/<t^s> and multiplication-table groups.
+"""Finite groups: matrices over F_p[t]/<t^s> and multiplication-table groups.
 
+A matrix is a flat uint32 row of its packed ring indices (``ring.py``),
+and a ``MatrixGroup`` is an array of such rows over a ``RingTable``.
 Matrix groups are enumerated by deterministic BFS closure (layer order,
 ascending canonical key within a layer), and that numbering is the contract
 everything downstream relies on: coset labels, complex vertex ids, dump
-files.  MatElement arithmetic is exact coefficient arithmetic and never
-needs ring tables, so order computations work in rings far too large to
-table.  ``TableGroup`` is the one dense-table type: the small test groups
+files.  ``TableGroup`` is the one dense-table type: the small test groups
 (Sym(k), quotients G/N) and the coefficient groups of the cochain calculus
 (Z/m, Sym(k), tables read from a file) are all TableGroups.
 
@@ -45,7 +45,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import KeyIndex, closure_bfs, identity_flat, matmul_batch, pack_keys
+from ._kernels import (KeyIndex, closure_bfs, identity_flat, inverse_batch,
+                       matmul_batch, pack_keys)
 from .errors import ParameterError, ResourceLimitError, StructureError
 from .ring import RingTable, TruncPoly, check_ring_params
 from .roots import gamma0, perm_pow, perm_rank, perm_table
@@ -54,146 +55,21 @@ DEFAULT_CLOSURE_CAP = 1 << 24
 
 
 # ---------------------------------------------------------------------------
-# exact matrices
+# elementary matrices
 
 
-@dataclasses.dataclass(frozen=True)
-class MatElement:
-    """Square matrix over one ring, entries in row-major tuple-of-tuples."""
-
-    entries: tuple[tuple[TruncPoly, ...], ...]
-
-    def __post_init__(self):
-        m = len(self.entries)
-        if m == 0 or any(len(row) != m for row in self.entries):
-            raise ParameterError("matrix must be square and nonempty")
-        p, s = self.entries[0][0].p, self.entries[0][0].s
-        for row in self.entries:
-            for e in row:
-                if (e.p, e.s) != (p, s):
-                    raise ParameterError("mixed rings in one matrix")
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    @property
-    def p(self) -> int:
-        return self.entries[0][0].p
-
-    @property
-    def s(self) -> int:
-        return self.entries[0][0].s
-
-    @classmethod
-    def identity(cls, m: int, p: int, s: int) -> "MatElement":
-        one, zero = TruncPoly.one(p, s), TruncPoly.zero(p, s)
-        return cls(tuple(tuple(one if i == j else zero for j in range(m))
-                         for i in range(m)))
-
-    @classmethod
-    def from_flat(cls, p: int, s: int, m: int, flat) -> "MatElement":
-        flat = list(flat)
-        if len(flat) != m * m:
-            raise ParameterError(f"need {m*m} packed entries, got {len(flat)}")
-        es = [TruncPoly.from_index(p, s, int(v)) for v in flat]
-        return cls(tuple(tuple(es[i * m + j] for j in range(m)) for i in range(m)))
-
-    def flat(self) -> np.ndarray:
-        return np.array([e.index() for row in self.entries for e in row],
-                        dtype=np.uint32)
-
-    def __matmul__(self, other: "MatElement") -> "MatElement":
-        if self.m != other.m or (self.p, self.s) != (other.p, other.s):
-            raise ParameterError("matrix shape/ring mismatch")
-        m = self.m
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, m):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return MatElement(tuple(rows))
-
-    def pow(self, k: int) -> "MatElement":
-        if k < 0:
-            return self.inverse().pow(-k)
-        acc = MatElement.identity(self.m, self.p, self.s)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc @ base
-            base = base @ base
-            k >>= 1
-        return acc
-
-    def det(self) -> TruncPoly:
-        """Determinant by cofactor expansion along the first row."""
-        return _det_rows(self.entries, self.p, self.s)
-
-    def adjugate(self) -> "MatElement":
-        m, p, s = self.m, self.p, self.s
-        if m == 1:
-            return MatElement.identity(1, p, s)
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                minor = _drop(self.entries, j, i)
-                c = _det_rows(minor, p, s)
-                if (i + j) % 2:
-                    c = -c
-                row.append(c)
-            rows.append(tuple(row))
-        return MatElement(tuple(rows))
-
-    def inverse(self) -> "MatElement":
-        d = self.det()
-        if not d.is_unit():
-            raise ParameterError("matrix is not invertible (det is a non-unit)")
-        dinv = d.inverse()
-        adj = self.adjugate()
-        return MatElement(tuple(tuple(e * dinv for e in row) for row in adj.entries))
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row)
-                               for row in self.entries) + "]"
-
-
-def _drop(rows, i: int, j: int):
-    return tuple(tuple(e for c, e in enumerate(row) if c != j)
-                 for r, row in enumerate(rows) if r != i)
-
-
-def _det_rows(rows, p: int, s: int) -> TruncPoly:
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    acc = TruncPoly.zero(p, s)
-    for j in range(m):
-        if rows[0][j].deg() == float("-inf"):
-            continue
-        term = rows[0][j] * _det_rows(_drop(rows, 0, j), p, s)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def elementary(n: int, i: int, j: int, r: TruncPoly) -> MatElement:
-    """e_{i,j}(r): identity plus r in (1-based) position (i, j), size n+1."""
+def elementary(n: int, i, j, r) -> np.ndarray:
+    """Flat uint32 rows of e_{i,j}(r), the identity of size n+1 plus the
+    ring index r at (1-based) position (i, j): one row per entry of i, j
+    and r, integers or integer arrays broadcast against each other."""
     m = n + 1
-    if not (1 <= i <= m and 1 <= j <= m) or i == j:
-        raise ParameterError(f"need 1 <= i != j <= {m}, got ({i}, {j})")
-    ident = MatElement.identity(m, r.p, r.s)
-    rows = [list(row) for row in ident.entries]
-    rows[i - 1][j - 1] = r
-    return MatElement(tuple(tuple(row) for row in rows))
-
-
-def commutator(a: MatElement, b: MatElement) -> MatElement:
-    return a @ b @ a.inverse() @ b.inverse()
+    i, j, r = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, np.int64))
+                                    for x in (i, j, r)))
+    if ((i < 1) | (i > m) | (j < 1) | (j > m) | (i == j)).any():
+        raise ParameterError(f"e_ij needs 1 <= i != j <= {m}")
+    rows = np.tile(identity_flat(m), (len(r), 1))
+    rows[np.arange(len(r)), (i - 1) * m + j - 1] = r
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +243,8 @@ class MatrixGroup(FiniteGroup):
 
     # -- lookups -----------------------------------------------------------
 
-    def index_of(self, mat: MatElement) -> int:
-        return int(self.lookup_rows(mat.flat()[None, :])[0])
-
     def lookup_rows(self, rows: np.ndarray) -> np.ndarray:
         return self._index.lookup(pack_keys(rows, self.ring.q))
-
-    def mat(self, a: int) -> MatElement:
-        return MatElement.from_flat(self.ring.p, self.ring.s, self.m, self.elems[a])
 
     # -- group ops ----------------------------------------------------------
 
@@ -387,7 +257,10 @@ class MatrixGroup(FiniteGroup):
         return int(idx)
 
     def inverse(self, a: int) -> int:
-        idx = self.index_of(self.mat(a).inverse())
+        ring = self.ring
+        inv = inverse_batch(self.elems[a], ring.mul, ring.add, ring.neg,
+                            self.m, ring.p)
+        idx = int(self.lookup_rows(inv)[0])
         if idx < 0:
             raise StructureError("inverse escaped the element set; not a group")
         return idx
@@ -409,27 +282,12 @@ class MatrixGroup(FiniteGroup):
         return out
 
     def label(self, a: int) -> str:
-        return str(self.mat(a))
-
-
-def bfs_closure(gens: Sequence[MatElement], cap: int = DEFAULT_CLOSURE_CAP
-                ) -> MatrixGroup:
-    """Subgroup generated by ``gens``, in the canonical element order."""
-    if not gens:
-        raise ParameterError("need at least one generator")
-    m, p, s = gens[0].m, gens[0].p, gens[0].s
-    for g in gens:
-        if (g.m, g.p, g.s) != (m, p, s):
-            raise ParameterError("generators live in different matrix rings")
-    ring = RingTable(p, s)
-    flat = np.stack([g.flat() for g in gens])
-    flat = np.unique(flat, axis=0)
-    elems = closure_bfs(flat, ring.mul, ring.add, m, ring.q, cap)
-    # BFS layer 1 is the distinct non-identity generators, at 1..k
-    has_identity = bool((flat == identity_flat(m)).all(axis=1).any())
-    k = len(flat) - has_identity
-    return MatrixGroup(ring, m, elems,
-                       generators=[0] * has_identity + list(range(1, k + 1)))
+        """The entries as polynomials, "[e, e; e, e]" row by row."""
+        p, s, m = self.ring.p, self.ring.s, self.m
+        es = [str(TruncPoly.from_index(p, s, e))
+              for e in self.elems[a].tolist()]
+        return "[" + "; ".join(", ".join(es[i:i + m])
+                               for i in range(0, m * m, m)) + "]"
 
 
 def elementary_subgroup(n: int, p: int, s: int, d: int,
@@ -445,17 +303,21 @@ def elementary_subgroup(n: int, p: int, s: int, d: int,
         raise ResourceLimitError(
             f"|SL_{n + 1}(F_{p}[t]/t^{s})| = {order} exceeds cap {cap}",
             partial_count=0)
-    return bfs_closure([elementary(n, i, j, r)
-                        for i, j, r in _elementary_terms(n, p, s, range(d + 1))],
-                       cap=cap)
+    ring = RingTable(p, s)
+    gens = elementary(n, *_elementary_terms(n, p, range(d + 1)))
+    elems = closure_bfs(gens, ring.mul, ring.add, n + 1, ring.q, cap)
+    # BFS layer 1 is the generators, distinct and none the identity, at 1..k
+    return MatrixGroup(ring, n + 1, elems,
+                       generators=list(range(1, len(gens) + 1)))
 
 
-def _elementary_terms(n: int, p: int, s: int, degrees: Iterable[int]
-                      ) -> list[tuple[int, int, TruncPoly]]:
-    """(i, j, c t^k) for each e_{i,j}(c t^k): i != j, k in degrees, 0 < c < p."""
-    return [(i, j, TruncPoly.t_power(p, s, k, c))
-            for i in range(1, n + 2) for j in range(1, n + 2) if i != j
-            for k in degrees for c in range(1, p)]
+def _elementary_terms(n: int, p: int, degrees: Iterable[int]) -> np.ndarray:
+    """Rows (i, j, r) of each e_{i,j}(c t^k): i != j, k in degrees,
+    0 < c < p, and r = c p^k the ring index of c t^k; one column each."""
+    return np.array([(i, j, c * p**k) for i in range(1, n + 2)
+                     for j in range(1, n + 2) if i != j
+                     for k in degrees for c in range(1, p)],
+                    dtype=np.int64).reshape(-1, 3).T
 
 
 def sl_group(n: int, p: int, s: int, cap: int = DEFAULT_CLOSURE_CAP
@@ -830,15 +692,14 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
         raise ResourceLimitError(
             f"kernel order {expected} exceeds cap {cap}", partial_count=0)
     ring = RingTable(p, s_hi)
-    gens = [elementary(n, i, j, r).flat()
-            for i, j, r in _elementary_terms(n, p, s_hi, range(s_lo, s_hi))]
+    gens = [elementary(n, *_elementary_terms(n, p, range(s_lo, s_hi)))]
     for k in range(s_lo, s_hi):
         u = TruncPoly.one(p, s_hi) + TruncPoly.t_power(p, s_hi, k)
         for i in range(n):
             h = identity_flat(m)
             h[[i * (m + 1), (i + 1) * (m + 1)]] = u.index(), u.inverse().index()
-            gens.append(h)
-    gens = np.stack(gens)
+            gens.append(h[None, :])
+    gens = np.concatenate(gens)
     group = MatrixGroup(ring, m, closure_bfs(gens, ring.mul, ring.add, m,
                                              ring.q, cap))
     if group.size != expected:

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 
-NEG_INF = float("-inf")
-
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -138,18 +136,6 @@ class TruncPoly:
                     out[i + j] = (out[i + j] + a * b) % p
         return TruncPoly(p, s, tuple(out))
 
-    def __pow__(self, k: int) -> "TruncPoly":
-        if k < 0:
-            return self.inverse() ** (-k)
-        acc = TruncPoly.one(self.p, self.s)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     def is_unit(self) -> bool:
         # local ring: units are exactly the elements with nonzero constant term
         return self.coeffs[0] != 0
@@ -170,14 +156,7 @@ class TruncPoly:
             x[k] = (-acc * c0_inv) % p
         return TruncPoly(p, s, tuple(x))
 
-    # -- degree, encoding, truncation ---------------------------------------
-
-    def deg(self):
-        """Degree as an int, or NEG_INF for the zero element."""
-        for k in range(self.s - 1, -1, -1):
-            if self.coeffs[k]:
-                return k
-        return NEG_INF
+    # -- encoding, truncation ----------------------------------------------
 
     def index(self) -> int:
         idx = 0
@@ -293,9 +272,10 @@ def parse_poly(text: str, p: int | None = None, s: int | None = None) -> TruncPo
 class RingTable:
     """Dense index tables for one ring, the substrate of the fast kernels.
 
-    add/mul are (q, q) uint32 arrays over packed indices, q = p^s.  Only
-    built for small rings; coefficient arithmetic on TruncPoly stays the
-    fallback for everything larger.
+    add/mul are (q, q) uint32 arrays over packed indices, q = p^s, and neg
+    the negation table.  They are built only up to q = MAX_Q; matrices
+    over larger rings multiply and invert on the digits of their indices
+    (``_kernels.matmul_digits``, ``_kernels.inverse_digits``).
     """
 
     MAX_Q = 4096
@@ -308,14 +288,12 @@ class RingTable:
                 f"ring too large for dense tables: p^s={q} > {self.MAX_Q}"
             )
         self.p, self.s, self.q = p, s, q
-        idx = np.arange(q, dtype=np.int64)
         digits = np.empty((q, s), dtype=np.int64)
-        rem = idx.copy()
+        rem = np.arange(q, dtype=np.int64)
         for k in range(s):
             digits[:, k] = rem % p
             rem //= p
         pows = p ** np.arange(s, dtype=np.int64)
-        self.digits = digits.astype(np.uint16)
         self.neg = ((-digits) % p * pows).sum(axis=-1).astype(np.uint32)
         # the (q, q) tables are built one output digit k at a time, so the
         # largest temporaries are two q*q uint32 arrays; digit k of a
@@ -338,16 +316,6 @@ class RingTable:
             acc %= p
             acc *= p**k
             self.mul += acc
-        self.zero = 0
-        self.one = 1 % q  # index of the constant 1; q >= 2 always
-
-    def poly(self, index: int) -> TruncPoly:
-        return TruncPoly.from_index(self.p, self.s, int(index))
-
-    def index_of(self, poly: TruncPoly) -> int:
-        if (poly.p, poly.s) != (self.p, self.s):
-            raise ParameterError("polynomial belongs to a different ring")
-        return poly.index()
 
     def __repr__(self):
         return f"RingTable(p={self.p}, s={self.s})"

@@ -3,13 +3,16 @@
 Everything here is written from the definitions, deliberately avoiding
 the package's own data structures and algorithms wherever possible, so
 a shared bug cannot hide: truncated-polynomial arithmetic by direct
-convolution on coefficient tuples, determinants by Leibniz expansion,
+convolution on coefficient tuples, exact matrices (``MatElement``) with
+cofactor determinants and adjugate inverses, determinants by Leibniz
+expansion,
 expansion constants by complete enumeration, abelian H^1 by linear
 algebra mod a prime, spanning forests by a plain queue-based BFS.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -17,6 +20,9 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+
+from cosetx.errors import ParameterError
+from cosetx.ring import TruncPoly
 
 # ---------------------------------------------------------------------------
 # ring arithmetic on raw coefficient tuples
@@ -82,6 +88,150 @@ def leibniz_det(entries, p, s):
 
 
 # ---------------------------------------------------------------------------
+# exact matrices over F_p[t]/t^s by coefficient arithmetic, cofactor
+# determinants and adjugate inverses
+
+
+@dataclasses.dataclass(frozen=True)
+class MatElement:
+    """Square matrix over one ring, entries in row-major tuple-of-tuples."""
+
+    entries: tuple[tuple[TruncPoly, ...], ...]
+
+    def __post_init__(self):
+        m = len(self.entries)
+        if m == 0 or any(len(row) != m for row in self.entries):
+            raise ParameterError("matrix must be square and nonempty")
+        p, s = self.entries[0][0].p, self.entries[0][0].s
+        for row in self.entries:
+            for e in row:
+                if (e.p, e.s) != (p, s):
+                    raise ParameterError("mixed rings in one matrix")
+
+    @property
+    def m(self) -> int:
+        return len(self.entries)
+
+    @property
+    def p(self) -> int:
+        return self.entries[0][0].p
+
+    @property
+    def s(self) -> int:
+        return self.entries[0][0].s
+
+    @classmethod
+    def identity(cls, m: int, p: int, s: int) -> "MatElement":
+        one, zero = TruncPoly.one(p, s), TruncPoly.zero(p, s)
+        return cls(tuple(tuple(one if i == j else zero for j in range(m))
+                         for i in range(m)))
+
+    @classmethod
+    def from_flat(cls, p: int, s: int, m: int, flat) -> "MatElement":
+        flat = list(flat)
+        if len(flat) != m * m:
+            raise ParameterError(f"need {m*m} packed entries, got {len(flat)}")
+        es = [TruncPoly.from_index(p, s, int(v)) for v in flat]
+        return cls(tuple(tuple(es[i * m + j] for j in range(m)) for i in range(m)))
+
+    def flat(self) -> np.ndarray:
+        return np.array([e.index() for row in self.entries for e in row],
+                        dtype=np.uint32)
+
+    def __matmul__(self, other: "MatElement") -> "MatElement":
+        if self.m != other.m or (self.p, self.s) != (other.p, other.s):
+            raise ParameterError("matrix shape/ring mismatch")
+        m = self.m
+        rows = []
+        for i in range(m):
+            row = []
+            for j in range(m):
+                acc = self.entries[i][0] * other.entries[0][j]
+                for k in range(1, m):
+                    acc = acc + self.entries[i][k] * other.entries[k][j]
+                row.append(acc)
+            rows.append(tuple(row))
+        return MatElement(tuple(rows))
+
+    def pow(self, k: int) -> "MatElement":
+        if k < 0:
+            return self.inverse().pow(-k)
+        acc = MatElement.identity(self.m, self.p, self.s)
+        base = self
+        while k:
+            if k & 1:
+                acc = acc @ base
+            base = base @ base
+            k >>= 1
+        return acc
+
+    def det(self) -> TruncPoly:
+        """Determinant by cofactor expansion along the first row."""
+        return _det_rows(self.entries, self.p, self.s)
+
+    def adjugate(self) -> "MatElement":
+        m, p, s = self.m, self.p, self.s
+        if m == 1:
+            return MatElement.identity(1, p, s)
+        rows = []
+        for i in range(m):
+            row = []
+            for j in range(m):
+                minor = _drop(self.entries, j, i)
+                c = _det_rows(minor, p, s)
+                if (i + j) % 2:
+                    c = -c
+                row.append(c)
+            rows.append(tuple(row))
+        return MatElement(tuple(rows))
+
+    def inverse(self) -> "MatElement":
+        d = self.det()
+        if not d.is_unit():
+            raise ParameterError("matrix is not invertible (det is a non-unit)")
+        dinv = d.inverse()
+        adj = self.adjugate()
+        return MatElement(tuple(tuple(e * dinv for e in row) for row in adj.entries))
+
+    def __str__(self) -> str:
+        return "[" + "; ".join(", ".join(str(e) for e in row)
+                               for row in self.entries) + "]"
+
+
+def _drop(rows, i: int, j: int):
+    return tuple(tuple(e for c, e in enumerate(row) if c != j)
+                 for r, row in enumerate(rows) if r != i)
+
+
+def _det_rows(rows, p: int, s: int) -> TruncPoly:
+    m = len(rows)
+    if m == 1:
+        return rows[0][0]
+    acc = TruncPoly.zero(p, s)
+    for j in range(m):
+        if not any(rows[0][j].coeffs):
+            continue
+        term = rows[0][j] * _det_rows(_drop(rows, 0, j), p, s)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def elementary(n: int, i: int, j: int, r: TruncPoly) -> MatElement:
+    """e_{i,j}(r): identity plus r in (1-based) position (i, j), size n+1."""
+    m = n + 1
+    if not (1 <= i <= m and 1 <= j <= m) or i == j:
+        raise ParameterError(f"need 1 <= i != j <= {m}, got ({i}, {j})")
+    ident = MatElement.identity(m, r.p, r.s)
+    rows = [list(row) for row in ident.entries]
+    rows[i - 1][j - 1] = r
+    return MatElement(tuple(tuple(row) for row in rows))
+
+
+def commutator(a: MatElement, b: MatElement) -> MatElement:
+    return a @ b @ a.inverse() @ b.inverse()
+
+
+# ---------------------------------------------------------------------------
 # group orders from the classical formulas
 
 
@@ -126,8 +276,6 @@ def bfs_closure(gens):
     listed in ascending horner_key order.  Returns the list of layers,
     each a uint32 array of flat matrices.
     """
-    from cosetx.groups import MatElement
-
     m, p, s = gens[0].m, gens[0].p, gens[0].s
     ident = MatElement.identity(m, p, s)
     seen = {ident}
@@ -150,9 +298,6 @@ def monomial_symmetry_actions(gens, probes):
     sets of tuples of the probes' images as flat tuples, for the kept maps
     and for all of them.
     """
-    from cosetx.groups import MatElement
-    from cosetx.ring import TruncPoly
-
     m, p, s = gens[0].m, gens[0].p, gens[0].s
     want = {tuple(g.flat().tolist()) for g in gens}
     zero = TruncPoly.zero(p, s)
@@ -189,11 +334,6 @@ def commutator_power_attempts(seed, attempts, n=2, p=3, s=3):
     whether [x, y]^p = [x^p, y], both by MatElement products, powers and
     cofactor inverses.
     """
-    import random
-
-    from cosetx.groups import elementary
-    from cosetx.ring import TruncPoly
-
     rng = random.Random(seed)
     roots = [(i, j) for i in range(1, n + 2)
              for j in range(1, n + 2) if i != j]
@@ -854,9 +994,6 @@ def ko_generators(n, p, s, d, i):
     gamma_0 is the cycle k -> k+1 on 1..n+1, so g(k) = (k - 1 + i) % (n+1)
     + 1.  These generate K_i by definition.
     """
-    from cosetx.groups import elementary
-    from cosetx.ring import TruncPoly
-
     m = n + 1
     g = [None] + [(k - 1 + i) % m + 1 for k in range(1, m + 1)]
     polys = [TruncPoly.make(p, s, cs)
@@ -865,11 +1002,28 @@ def ko_generators(n, p, s, d, i):
             for j in range(1, n + 1) for r in polys]
 
 
-def ko_subgroup_bfs(n, p, s, d, i):
-    """K_i as the BFS closure (``groups.bfs_closure``) of its generators."""
-    from cosetx.groups import bfs_closure
+def bfs_closure_group(gens, cap=1 << 24):
+    """The MatrixGroup generated by the MatElements ``gens``, closed by
+    ``closure_bfs``, with ``generators`` their indices: BFS layer 1 is the
+    distinct non-identity generators, at 1..k, and the identity is 0."""
+    from cosetx._kernels import closure_bfs
+    from cosetx.groups import MatrixGroup
+    from cosetx.ring import RingTable
 
-    return bfs_closure(ko_generators(n, p, s, d, i))
+    m, p, s = gens[0].m, gens[0].p, gens[0].s
+    ring = RingTable(p, s)
+    flat = np.unique(np.stack([g.flat() for g in gens]), axis=0)
+    elems = closure_bfs(flat, ring.mul, ring.add, m, ring.q, cap)
+    has_identity = bool((flat == MatElement.identity(m, p, s).flat())
+                        .all(axis=1).any())
+    k = len(flat) - has_identity
+    return MatrixGroup(ring, m, elems,
+                       generators=[0] * has_identity + list(range(1, k + 1)))
+
+
+def ko_subgroup_bfs(n, p, s, d, i):
+    """K_i as the BFS closure (``bfs_closure_group``) of its generators."""
+    return bfs_closure_group(ko_generators(n, p, s, d, i))
 
 
 def ko_vertex_links_per_color(n, p, s, d):
@@ -950,18 +1104,22 @@ def orbit_reduction_kernel(n, p, s_hi, s_lo):
     generate it.
     """
     from cosetx._kernels import closure_bfs, matmul_batch, pack_keys
-    from cosetx.groups import _elementary_terms, elementary
     from cosetx.ring import RingTable
 
     m = n + 1
     ring = RingTable(p, s_hi)
+
+    def terms(degrees):
+        return [(i, j, TruncPoly.t_power(p, s_hi, k, c))
+                for i in range(1, m + 1) for j in range(1, m + 1) if i != j
+                for k in degrees for c in range(1, p)]
+
     orbit = np.unique(np.stack([
-        elementary(n, i, j, r).flat()
-        for i, j, r in _elementary_terms(n, p, s_hi, range(s_lo, s_hi))]),
+        elementary(n, i, j, r).flat() for i, j, r in terms(range(s_lo, s_hi))]),
         axis=0)
     conj_pairs = [(elementary(n, i, j, r).flat(),
                    elementary(n, i, j, -r).flat())
-                  for i, j, r in _elementary_terms(n, p, s_hi, range(s_hi))]
+                  for i, j, r in terms(range(s_hi))]
     orbit_keys = set(int(k) for k in pack_keys(orbit, ring.q))
     frontier = orbit
     while len(frontier):
@@ -996,10 +1154,8 @@ def set_conjugation_classes(sols, lam):
 
 
 def mat_element_order(mat, cap=10**6):
-    """Multiplicative order of a ``groups.MatElement`` by iterated product;
+    """Multiplicative order of a ``MatElement`` by iterated product;
     works in rings too large to table."""
-    from cosetx.groups import MatElement
-
     ident = MatElement.identity(mat.m, mat.p, mat.s)
     acc = mat
     for k in range(1, cap + 1):

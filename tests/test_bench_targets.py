@@ -21,7 +21,9 @@ import tracing  # noqa: E402
 # targets whose functions were deleted from the package: their layers
 # read 0 until the benchmark drops or renames them
 STALE = {("cosetx.complexes", "is_isomorphic_partite"),
-         ("cosetx.roots", "propagate_stage")}
+         ("cosetx.roots", "propagate_stage"),
+         ("cosetx.groups", "MatElement.__matmul__"),
+         ("cosetx.groups", "MatElement.inverse")}
 
 
 def _read_args(counts) -> list[str]:

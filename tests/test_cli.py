@@ -477,6 +477,13 @@ def test_relations_emit_result_is_pinned(capsys, argv, digest):
      "a8614bcc78403f316bb634ea7b198e1de6b2833c30ae664dbbf194bcab4da83d"),
     (["--preset", "prechamber", "--n", "3", "--p", "2", "--d", "2", "--target-s", "3"],
      "3fae1c33618624e59abb1e9c9f471b839016baf1fa10de111a8801845aff5819"),
+    # the largest tabled ring, q = 4096, and two rings past it, on digits
+    (["--preset", "sl", "--n", "3", "--p", "2", "--d", "1", "--target-s", "12"],
+     "3dfd69df2715123e6a715e737eeaf77b433e576e03061177173107ef1c260ef0"),
+    (["--preset", "sl", "--n", "3", "--p", "2", "--d", "1", "--target-s", "13"],
+     "d7cd8cb514df2651169682770a51b74c0ac1afe4c00b73323d949c3d833326e1"),
+    (["--preset", "sl", "--n", "3", "--p", "2", "--d", "1", "--target-s", "20"],
+     "65161769f0a0f28cc563d8a8bc16b2653f41d5ee35fc975d48ce54ad71101759"),
 ])
 def test_relations_verify_result_is_pinned(capsys, argv, digest):
     """Every preset's verification result, hashed: relation counts by kind
@@ -512,8 +519,8 @@ def test_relations_verify_timings_cover_build_and_verify(capsys):
 
 
 def test_relations_verify_untabled_ring(capsys):
-    """--target-s 13 (q = 8192) runs the untabled MatElement path and
-    reports what the tabled path reports at --target-s 5."""
+    """--target-s 13 (q = 8192) multiplies and inverts on digits, with no
+    ring table, and reports what the tabled path reports at --target-s 5."""
     results = []
     for s in ("5", "13"):
         code, env = run_json(capsys, ["relations", "verify", "--preset",

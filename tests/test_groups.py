@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cosetx._kernels import pack_keys
 from cosetx.errors import ParameterError, ResourceLimitError, StructureError
-from cosetx.groups import (MatElement, MatrixGroup, TableGroup, bfs_closure,
-                           commutator, cosets, elementary, elementary_subgroup,
+from cosetx.groups import (MatrixGroup, TableGroup, cosets, elementary_subgroup,
                            k0_degree_bounds, k0_order, ko_coset_codes,
                            ko_link_cosets, quotient,
                            reduction_kernel, rotate_rows, sl_group, sl_order,
                            subgroup_K, subgroup_closure_indices,
                            symmetric_group)
 from cosetx.ring import TruncPoly
+from oracles import MatElement, commutator, elementary
+from oracles import bfs_closure_group as bfs_closure
 
 
 def rand_mat(rng, m, p, s):
@@ -75,6 +76,37 @@ class TestMatElement:
         for p in (2, 3, 5):
             x = elementary(2, 1, 2, TruncPoly.one(p, 2))
             assert oracles.mat_element_order(x) == p
+
+
+class TestIntegerRows:
+    """The package's matrices, flat uint32 rows, against the MatElements
+    of the oracle."""
+
+    def test_elementary_rows(self):
+        from cosetx import groups
+
+        n, p, s = 2, 3, 2
+        terms = [(i, j, r) for i in range(1, n + 2) for j in range(1, n + 2)
+                 if i != j for r in range(p**s)]
+        rows = groups.elementary(n, *np.array(terms).T)
+        assert rows.dtype == np.uint32 and rows.shape == (len(terms), 9)
+        assert np.array_equal(rows, [
+            elementary(n, i, j, TruncPoly.from_index(p, s, r)).flat()
+            for i, j, r in terms])
+        assert np.array_equal(groups.elementary(n, 1, 3, [4, 5]), rows[[13, 14]])
+        for i, j in ((1, 1), (0, 2), (1, n + 2)):
+            with pytest.raises(ParameterError):
+                groups.elementary(n, i, j, 1)
+
+    @pytest.mark.parametrize("n,p,s", [(1, 3, 2), (2, 2, 2)])
+    def test_inverse_and_label(self, n, p, s):
+        G = sl_group(n, p, s)
+        m = n + 1
+        for a in np.random.default_rng(n * p * s).choice(G.size, 200):
+            x = MatElement.from_flat(p, s, m, G.elems[a])
+            assert G.label(int(a)) == str(x)
+            assert np.array_equal(G.elems[G.inverse(int(a))],
+                                  x.inverse().flat())
 
 
 class TestClosure:
@@ -163,8 +195,8 @@ class TestSubgroupK:
             assert Ki.size == bfs.size
             assert np.array_equal(np.sort(pos), np.arange(bfs.size))
             assert Ki.identity == 0
-            assert bfs_closure([Ki.mat(g) for g in Ki.generators]).size == \
-                Ki.size
+            assert bfs_closure([MatElement.from_flat(p, s, Ki.m, Ki.elems[g])
+                                for g in Ki.generators]).size == Ki.size
 
     @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (1, 3, 3, 1),
                                          (2, 2, 3, 1)])
@@ -405,7 +437,8 @@ class TestCosetsQuotients:
             assert proj[G.mult(int(a), int(b))] == \
                 Q.mult(int(proj[a]), int(proj[b]))
         # <e_12(1)> has order 3 and is not normal
-        e12 = G.index_of(elementary(1, 1, 2, TruncPoly.one(3, 2)))
+        e12 = int(G.lookup_rows(elementary(1, 1, 2, TruncPoly.one(3, 2))
+                                .flat()[None, :])[0])
         sub = subgroup_closure_indices(G, [e12])
         assert len(sub) == 3
         with pytest.raises(StructureError, match="not normal"):

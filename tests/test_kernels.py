@@ -12,9 +12,10 @@ import oracles
 from cosetx import _kernels
 from cosetx._kernels import common, pure
 from cosetx.errors import ParameterError, ResourceLimitError
-from cosetx.groups import (MatElement, elementary, elementary_subgroup,
-                           reduction_kernel, sl_group, subgroup_K)
+from cosetx.groups import (elementary_subgroup, reduction_kernel, sl_group,
+                           subgroup_K)
 from cosetx.ring import RingTable, TruncPoly
+from oracles import MatElement, elementary
 from test_groups import GOLDEN_ORDER
 
 
@@ -183,6 +184,101 @@ def test_inverse_batch_rejects_non_invertible():
         with pytest.raises(ParameterError, match="not invertible"):
             pure.inverse_batch(np.stack([good[1], bad, good[2]]), rt.mul,
                                rt.add, rt.neg, m, p)
+
+
+# the digit path's rings: p in {2, 3, 5, 7} and s in {1, 2, 13, 20} where
+# a ring index fits a uint32 row (5^20, 7^13 and 7^20 do not), and s = 11
+# for p = 7 in their place
+DIGIT_RINGS = [(p, s) for p in (2, 3, 5, 7) for s in (1, 2, 13, 20)
+               if p**s <= 1 << 32] + [(7, 11)]
+
+
+def _digit_matrices(rng, p, s, m, count):
+    """Seeded flat matrices over F_p[t]/t^s: a third of the entries have
+    every digit p - 1, a third are 0 and the rest are uniform."""
+    q = p**s
+    kind = rng.integers(0, 3, size=(count, m * m))
+    return np.where(kind == 0, q - 1, np.where(kind == 1, 0, rng.integers(
+        0, q, size=(count, m * m)))).astype(np.uint32)
+
+
+@pytest.mark.parametrize("p,s", DIGIT_RINGS)
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_matmul_digits_matches_matelement(p, s, m):
+    rng = np.random.default_rng(1000 * p + 10 * s + m)
+    A, B = (_digit_matrices(rng, p, s, m, 6) for _ in range(2))
+    for a, b in ((A, B), (A[:1], B), (A, B[0])):
+        got = pure.matmul_digits(a, b, p, s, m)
+        assert got.dtype == np.uint32 and got.flags.c_contiguous
+        assert np.array_equal(got, _exact_products(a, b, p, s, m))
+
+
+@pytest.mark.parametrize("p,s", DIGIT_RINGS)
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_inverse_digits_matches_matelement_inverse(p, s, m):
+    """Newton steps from the inverse mod t, against cofactor inverses.
+    s = 1 takes no step, and 13, 20 and 11 are no powers of 2, so the
+    last step overshoots the digits that are kept."""
+    rng = np.random.default_rng(1000 * p + 10 * s + m)
+    mats, dets = [], []
+    while len(mats) < 4:
+        flat = _digit_matrices(rng, p, s, m, 1)[0]
+        det = MatElement.from_flat(p, s, m, flat).det()
+        if det.is_unit():
+            mats.append(flat)
+            dets.append(det)
+    if p**s > 2:
+        # F_2 has no unit but 1
+        assert any(det != TruncPoly.one(p, s) for det in dets)
+    mats = np.array(mats)
+    got = pure.inverse_digits(mats, p, s, m)
+    assert got.dtype == np.uint32 and got.flags.c_contiguous
+    want = np.array([MatElement.from_flat(p, s, m, a).inverse().flat()
+                     for a in mats])
+    assert np.array_equal(got, want)
+    assert np.array_equal(pure.inverse_digits(mats[1], p, s, m), want[1:2])
+
+
+@pytest.mark.parametrize("p,s", [(2, 13), (3, 9), (5, 6)])
+def test_inverse_digits_rejects_non_invertible(p, s):
+    m = 3
+    rng = np.random.default_rng(p * s)
+    good = np.tile(common.identity_flat(m), (2, 1))
+    # every entry of the first column in tF_p[t], and two equal rows
+    in_t = _digit_matrices(rng, p, s, m, 1)[0].reshape(m, m)
+    in_t[:, 0] = p * rng.integers(0, p ** (s - 1), size=m)
+    twice = _digit_matrices(rng, p, s, m, 1)[0].reshape(m, m)
+    twice[2] = twice[1]
+    for bad in (in_t.reshape(-1), twice.reshape(-1)):
+        with pytest.raises(ParameterError, match="not invertible"):
+            MatElement.from_flat(p, s, m, bad).inverse()
+        with pytest.raises(ParameterError, match="not invertible"):
+            pure.inverse_digits(np.stack([good[0], bad, good[1]]), p, s, m)
+
+
+def test_digit_kernels_agree_with_the_tables():
+    """Where both run, the digit kernels give the table kernels' rows."""
+    p, s, m = 3, 4, 3
+    rt = RingTable(p, s)
+    rng = np.random.default_rng(34)
+    A, B = (_digit_matrices(rng, p, s, m, 500) for _ in range(2))
+    assert np.array_equal(pure.matmul_digits(A, B, p, s, m),
+                          pure.matmul_batch(A, B, rt.mul, rt.add, m))
+    units = A[np.flatnonzero([MatElement.from_flat(p, 1, m, a % p).det()
+                              .is_unit() for a in A])]
+    assert len(units) > 100
+    assert np.array_equal(
+        pure.inverse_digits(units, p, s, m),
+        pure.inverse_batch(units, rt.mul, rt.add, rt.neg, m, p))
+
+
+@pytest.mark.parametrize("p,s", [(7, 13), (2, 33)])
+def test_digit_kernels_refuse_rings_past_uint32(p, s):
+    one = common.identity_flat(2)
+    with pytest.raises(ParameterError, match="overflow"):
+        pure.matmul_digits(one, one, p, s, 2)
+    with pytest.raises(ParameterError, match="overflow"):
+        pure.inverse_digits(one, p, s, 2)
 
 
 def _diag(p, s, coeffs):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from cosetx import cli, presentations
-from cosetx.errors import ParameterError
-from cosetx.groups import MatElement, elementary
+from cosetx import _kernels, cli, presentations
+from cosetx.errors import InputError, ParameterError
 from cosetx.presentations import (KINDS, GeneratorSymbol, Presentation,
                                   RelationInstance,
                                   chamber_pair_sets, chamber_relation_sets,
@@ -12,6 +11,12 @@ from cosetx.presentations import (KINDS, GeneratorSymbol, Presentation,
                                   standard_assignment,
                                   tilde_gamma_presentation, verify_relations)
 from cosetx.ring import RingTable, TruncPoly
+from oracles import MatElement, elementary
+
+
+def _times(row, p, s, mat):
+    """The flat matrix ``row`` times the oracle MatElement ``mat``."""
+    return (MatElement.from_flat(p, s, mat.m, row) @ mat).flat()
 
 
 class TestPresentationSL:
@@ -41,18 +46,19 @@ class TestPresentationSL:
     def test_all_relations_verify(self):
         for s in (2, 3):
             pres = presentation_SL(3, 2, 1)
-            rep = verify_relations(pres, standard_assignment(pres, s))
+            rep = verify_relations(pres, standard_assignment(pres, 3, s),
+                                   2, s)
             assert rep.ok
             assert rep.checked == len(pres.relations)
             assert rep.violations == ()
 
     def test_corrupted_assignment_caught(self):
         pres = presentation_SL(3, 2, 1)
-        assign = standard_assignment(pres, 2)
+        assign = standard_assignment(pres, 3, 2)
         sym = pres.generators[0]
-        assign[sym] = assign[sym] @ elementary(
-            3, 1, 2, TruncPoly.one(2, 2))  # off by an elementary factor
-        rep = verify_relations(pres, assign)
+        assign[sym] = _times(assign[sym], 2, 2, elementary(
+            3, 1, 2, TruncPoly.one(2, 2)))  # off by an elementary factor
+        rep = verify_relations(pres, assign, 2, 2)
         assert not rep.ok
         assert len(rep.violations) > 0
         assert any(v for v in rep.by_kind.values())
@@ -60,7 +66,41 @@ class TestPresentationSL:
     def test_assignment_needs_room(self):
         pres = presentation_SL(3, 2, 1)
         with pytest.raises(ParameterError):
-            standard_assignment(pres, 1)  # s must exceed d
+            standard_assignment(pres, 3, 1)  # s must exceed d
+
+
+class TestAssignmentRows:
+    """An assignment holds flat rows of ring indices of the given ring."""
+
+    def test_row_of_another_width_raises(self):
+        pres = presentation_SL(3, 2, 1)
+        assign = standard_assignment(pres, 3, 2)
+        sym = pres.generators[7]
+        assign[sym] = assign[sym][:9]
+        with pytest.raises(InputError, match="row of 16 ring indices"):
+            verify_relations(pres, assign, 2, 2)
+
+    def test_missing_symbol_raises(self):
+        pres = presentation_SL(3, 2, 1)
+        assign = standard_assignment(pres, 3, 2)
+        del assign[pres.generators[7]]
+        with pytest.raises(InputError, match="no assignment"):
+            verify_relations(pres, assign, 2, 2)
+
+    def test_entry_outside_the_ring_raises(self):
+        pres = presentation_SL(3, 2, 1)
+        assign = standard_assignment(pres, 3, 3)
+        sym = pres.generators[7]
+        assign[sym] = assign[sym].copy()
+        assign[sym][1] = 4
+        assert verify_relations(pres, assign, 2, 3).violations
+        with pytest.raises(InputError, match="ring indices of F_2"):
+            verify_relations(pres, assign, 2, 2)
+
+    def test_ring_past_uint32_rows_raises(self):
+        pres = presentation_SL(3, 2, 1)
+        with pytest.raises(ParameterError, match="2\\^32"):
+            verify_relations(pres, standard_assignment(pres, 3, 33), 2, 33)
 
 
 class TestUnipotent:
@@ -71,7 +111,7 @@ class TestUnipotent:
 
     def test_verifies_in_matrices(self):
         pres = presentation_unipotent(4, 2, 1)
-        rep = verify_relations(pres, standard_assignment(pres, 2))
+        rep = verify_relations(pres, standard_assignment(pres, pres.n, 2), 2, 2)
         assert rep.ok
 
     def test_small_dim_rejected(self):
@@ -91,31 +131,30 @@ class TestChamberSets:
     def test_relation_halves_verify(self):
         pre_rels, ch_rels = chamber_relation_sets(2, 2, 1)
         syms = {sym for rel in ch_rels for sym in rel.symbols()}
-        assign = {sym: elementary(2, *sym.root, sym.r.lift_to(2))
+        assign = {sym: elementary(2, *sym.root, sym.r.lift_to(2)).flat()
                   for sym in syms}
-        assert verify_relations(ch_rels, assign).ok
-        assert verify_relations(pre_rels, assign).ok
+        assert verify_relations(ch_rels, assign, 2, 2).ok
+        assert verify_relations(pre_rels, assign, 2, 2).ok
         assert len(pre_rels) <= len(ch_rels)
 
 
     def test_untabled_path_reports_the_tabled_violations(self, monkeypatch):
         """s = 13 (q = 8192) is past RingTable.MAX_Q, so the relations are
-        evaluated one at a time by MatElement arithmetic; with one
-        generator's matrix wrong it flags the same relations as the
-        batched path at s = 5, in the same order: relation order.  The
+        evaluated on digits, with one Newton inverse of the generators;
+        with one generator's matrix wrong it flags the same relations as
+        the table path at s = 5, in the same order: relation order.  The
         wrong generator breaks additive, commuting and Steinberg product
         relations of three different root pairs, so words of different
         lengths interleave among the violations."""
         assert 2**13 > RingTable.MAX_Q >= 2**5
         slow_calls = []
-        slow = presentations._verify_matrices_slow
+        slow = _kernels.inverse_digits
 
         def counted_slow(*args):
             slow_calls.append(1)
             return slow(*args)
 
-        monkeypatch.setattr(presentations, "_verify_matrices_slow",
-                            counted_slow)
+        monkeypatch.setattr(_kernels, "inverse_digits", counted_slow)
         _, ch_rels = chamber_relation_sets(2, 2, 1)
         syms = sorted({sym for rel in ch_rels for sym in rel.symbols()},
                       key=str)
@@ -123,12 +162,12 @@ class TestChamberSets:
                        if sym.root == (1, 3) and sym.r.coeffs == (1, 1))
         flagged = []
         for s in (5, 13):
-            assign = {sym: elementary(2, *sym.root, sym.r.lift_to(s))
+            assign = {sym: elementary(2, *sym.root, sym.r.lift_to(s)).flat()
                       for sym in syms}
             # off by e_12(t): the matrix of another generator's root
-            assign[bad_sym] = assign[bad_sym] @ elementary(
-                2, 1, 2, TruncPoly.t_power(2, s, 1))
-            rep = verify_relations(ch_rels, assign)
+            assign[bad_sym] = _times(assign[bad_sym], 2, s, elementary(
+                2, 1, 2, TruncPoly.t_power(2, s, 1)))
+            rep = verify_relations(ch_rels, assign, 2, s)
             assert rep.checked == len(ch_rels)
             flagged.append(tuple(str(rel) for rel in rep.violations))
         assert slow_calls == [1]
@@ -146,7 +185,7 @@ class TestTildeGamma:
 
     def test_verifies(self):
         pres = tilde_gamma_presentation(3, 2, 1)
-        rep = verify_relations(pres, standard_assignment(pres, 2))
+        rep = verify_relations(pres, standard_assignment(pres, 3, 2), 2, 2)
         assert rep.ok
 
     def test_needs_n3(self):
@@ -166,10 +205,10 @@ class TestSymbols:
         assert a != GeneratorSymbol((1, 2), TruncPoly.one(2, 2))
         pres = presentation_SL(3, 2, 1)
         assign = {GeneratorSymbol(sym.root, TruncPoly.make(2, 2, sym.r.coeffs)):
-                  elementary(3, *sym.root, sym.r.lift_to(2))
+                  elementary(3, *sym.root, sym.r.lift_to(2)).flat()
                   for sym in pres.generators}
         assert all(sym in assign for sym in pres.generators)
-        assert verify_relations(pres, assign).ok
+        assert verify_relations(pres, assign, 2, 2).ok
 
     def test_relations_share_the_generator_objects(self):
         for pres in (presentation_SL(3, 2, 1), presentation_unipotent(4, 2, 1),
@@ -278,17 +317,18 @@ class TestWordTables:
         table, the materialized list and the oracle's list of objects
         report the same violations in relation order."""
         pres = build()
-        assign = standard_assignment(pres, s)
+        assign = standard_assignment(pres, pres.n, s)
         sym = pres.generators[len(pres.generators) // 3]
-        assign[sym] = assign[sym] @ elementary(
-            pres.n, 1, 2, TruncPoly.t_power(pres.p, s, 1))
-        tabled = verify_relations(pres, assign)
-        listed = verify_relations(list(pres.relations), assign)
+        assign[sym] = _times(assign[sym], pres.p, s, elementary(
+            pres.n, 1, 2, TruncPoly.t_power(pres.p, s, 1)))
+        tabled = verify_relations(pres, assign, pres.p, s)
+        listed = verify_relations(list(pres.relations), assign, pres.p, s)
         oracle = {"sl": oracles.steinberg_sl, "unipotent":
                   oracles.steinberg_unipotent, "tilde-gamma":
                   oracles.steinberg_tilde}[pres.name]
         dim = pres.n + 1 if pres.name == "unipotent" else pres.n
-        by_objects = verify_relations(oracle(dim, pres.p, pres.d)[1], assign)
+        by_objects = verify_relations(oracle(dim, pres.p, pres.d)[1], assign,
+                                      pres.p, s)
         assert tabled.violations
         assert tabled.violations == listed.violations == by_objects.violations
         assert tabled.checked == listed.checked == by_objects.checked
@@ -299,15 +339,16 @@ class TestWordTables:
 
     def test_chamber_table_same_violations_as_list(self):
         pre, chamber = chamber_relation_sets(3, 2, 1)
-        assign = {sym: elementary(3, *sym.root, sym.r.lift_to(2))
+        assign = {sym: elementary(3, *sym.root, sym.r.lift_to(2)).flat()
                   for sym in chamber.used_symbols()}
         sym = chamber.used_symbols()[5]
-        assign[sym] = assign[sym] @ elementary(3, 2, 4, TruncPoly.one(2, 2))
+        assign[sym] = _times(assign[sym], 2, 2,
+                             elementary(3, 2, 4, TruncPoly.one(2, 2)))
         for table in (pre, chamber):
-            rep = verify_relations(table, assign)
+            rep = verify_relations(table, assign, 2, 2)
             assert rep.violations
-            assert rep.violations == verify_relations(list(table),
-                                                      assign).violations
+            assert rep.violations == verify_relations(list(table), assign,
+                                                      2, 2).violations
 
 
 class TestNoObjectsOnTheTabledPath:
@@ -325,7 +366,7 @@ class TestNoObjectsOnTheTabledPath:
     def test_build_assign_verify_make_no_relation_instance(self, monkeypatch):
         made = self._count_instances(monkeypatch)
         pres = presentation_SL(3, 3, 1)
-        rep = verify_relations(pres, standard_assignment(pres, 4))
+        rep = verify_relations(pres, standard_assignment(pres, 3, 4), 3, 4)
         assert rep.ok and rep.checked == 10164 and rep.violations == ()
         assert rep.by_kind == pres.counts_by_kind()
         assert len(pres.pair_set()) == 72
@@ -335,10 +376,11 @@ class TestNoObjectsOnTheTabledPath:
     def test_violations_alone_are_materialized(self, monkeypatch):
         made = self._count_instances(monkeypatch)
         pres = presentation_SL(3, 2, 1)
-        assign = standard_assignment(pres, 2)
+        assign = standard_assignment(pres, 3, 2)
         sym = pres.generators[0]
-        assign[sym] = assign[sym] @ elementary(3, 1, 2, TruncPoly.one(2, 2))
-        rep = verify_relations(pres, assign)
+        assign[sym] = _times(assign[sym], 2, 2,
+                             elementary(3, 1, 2, TruncPoly.one(2, 2)))
+        rep = verify_relations(pres, assign, 2, 2)
         assert 0 < len(rep.violations) == len(made) < len(pres.table)
 
     def test_suite_steinberg_rows_call_verify_relations(self, monkeypatch):
@@ -377,8 +419,8 @@ class TestExponents:
     def test_inverse_letters_on_both_paths(self, monkeypatch, s, tabled):
         assert (5**s <= RingTable.MAX_Q) == tabled
         slow_calls = []
-        slow = presentations._verify_matrices_slow
-        monkeypatch.setattr(presentations, "_verify_matrices_slow",
+        slow = _kernels.inverse_digits
+        monkeypatch.setattr(_kernels, "inverse_digits",
                             lambda *args: slow_calls.append(1) or slow(*args))
         x = self.X
         rel = lambda lhs, rhs: RelationInstance(lhs, rhs, "additive", self.SRC)
@@ -388,8 +430,8 @@ class TestExponents:
         fails = [rel(((x, -1),), ((x, 1),)),
                  rel(((x, 1), (x, 1)), ()),
                  rel(((x, -1), (x, -1)), ((x, 1), (x, 1)))]
-        assign = {x: elementary(1, 1, 2, x.r.lift_to(s))}
-        rep = verify_relations(holds + fails, assign)
+        assign = {x: elementary(1, 1, 2, x.r.lift_to(s)).flat()}
+        rep = verify_relations(holds + fails, assign, 5, s)
         assert rep.checked == 6
         assert rep.violations == tuple(fails)
         assert slow_calls == ([] if tabled else [1])
