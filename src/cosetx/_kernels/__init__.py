@@ -1,12 +1,14 @@
-"""Matrix kernels over the packed rings of ``ring.py``.
+"""Matrix kernels over the packed rings of ``ring.py``: the package's one
+ring arithmetic, a ring element being a 1x1 matrix.
 
 There is one backend, the numpy kernel in ``pure``: batched matrix
 products (``matmul_batch``), batched inverses over F_p[t]/t^s by
 Gauss-Jordan with unit pivots (``inverse_batch``) and the deterministic
 BFS closure of a generating set (``closure_bfs``), all on the ring
-tables.  Rings too large for q*q tables multiply on the digits of their
-ring indices (``matmul_digits``) and invert by Newton steps from the
-inverse mod t (``inverse_digits``), packed rows in and out.  The closure
+tables.  Rings too large for q*q tables, or work too small to pay for
+them, multiply on the digits of their ring indices (``matmul_digits``)
+and invert by Newton steps from the inverse mod t (``inverse_digits``),
+packed rows in and out.  The closure
 keeps each layer as canonical keys and maps them through each generator
 row by row.  When the key space has at most min(64*cap, 2**32) keys, the keys
 are uint32, the visited ones a bitset, and each layer is expanded in

@@ -693,11 +693,12 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
             f"kernel order {expected} exceeds cap {cap}", partial_count=0)
     ring = RingTable(p, s_hi)
     gens = [elementary(n, *_elementary_terms(n, p, range(s_lo, s_hi)))]
-    for k in range(s_lo, s_hi):
-        u = TruncPoly.one(p, s_hi) + TruncPoly.t_power(p, s_hi, k)
+    us = 1 + p ** np.arange(s_lo, s_hi, dtype=np.uint32)  # u = 1 + t^k
+    inv = inverse_batch(us[:, None], ring.mul, ring.add, ring.neg, 1, p)
+    for u, u_inv in zip(us, inv[:, 0]):
         for i in range(n):
             h = identity_flat(m)
-            h[[i * (m + 1), (i + 1) * (m + 1)]] = u.index(), u.inverse().index()
+            h[[i * (m + 1), (i + 1) * (m + 1)]] = u, u_inv
             gens.append(h[None, :])
     gens = np.concatenate(gens)
     group = MatrixGroup(ring, m, closure_bfs(gens, ring.mul, ring.add, m,

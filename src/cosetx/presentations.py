@@ -2,7 +2,7 @@
 
 Every relation is stored fully instantiated: a pair of words over generator
 symbols x_rho(r), where rho is a root of A_n and r runs over the polynomials
-of degree <= d (represented exactly as TruncPoly with s = d + 1).  A word is
+of degree <= d (TruncPoly values with s = d + 1).  A word is
 a sequence of letters x^(+-1); the empty word is the identity.  No
 Steinberg rewriting is ever applied, only free cancellation.
 
@@ -37,11 +37,11 @@ Verification assigns to each generator a matrix over an explicit ring
 F_p[t]/t^s, as a flat row of packed ring indices.  One evaluator works on
 the word table: the distinct words, found by their ``lex_keys``, are
 grouped by length and multiplied out positionwise, on the matrices of the
-generators and their inverses from one batched inverse.  The products and
-the inverse run on the ring tables up to ``RingTable.MAX_Q`` and on the
-digits of the ring indices past it (``_kernels.matmul_digits``,
-``_kernels.inverse_digits``).  A plain list of ``RelationInstance`` is
-encoded into the same table first.
+generators and their inverses from one batched inverse, on the ring tables
+where building them pays and on the digits of the ring indices elsewhere
+(``_kernels.matmul_digits``, ``_kernels.inverse_digits``), by a rule on
+q = p^s and the work (``_verify_matrices``).  A plain list of
+``RelationInstance`` is encoded into the same table first.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels.common import identity_flat, lex_keys, stable_order
+from ._kernels.common import (identity_flat, lex_keys, pack_keys,
+                              stable_order, unpack_keys)
 from .errors import InputError, ParameterError
 from .groups import elementary
 from .ring import RingTable, TruncPoly, check_ring_params, enumerate_polys
@@ -69,12 +70,12 @@ ZERO, ADDITIVE, COMMUTING, PRODUCT, EQUALITY = range(len(KINDS))
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    """The abstract symbol x_root(r); r must carry its own degree bound.
+    """The abstract symbol x_root(r); r, a TruncPoly, carries its degree
+    bound as s = d + 1.
 
-    Symbols compare by value, so symbols built independently from equal
-    (root, r) are equal and hash equal; the hash is computed once, at
-    construction.
-    """
+    Symbols compare by value, and TruncPoly is the one class of ring
+    values, so symbols built independently from equal (root, r) are equal
+    and hash equal; the hash is computed once, at construction."""
 
     root: Root
     r: TruncPoly
@@ -294,9 +295,12 @@ class _SymbolTable:
 
     @functools.cached_property
     def sums(self) -> np.ndarray:
-        """sums[i, j] is the packed index of r_i + r_j."""
-        return np.array([[(a + b).index() for b in self.polys]
-                         for a in self.polys], dtype=np.int64)
+        """sums[i, j] is the packed index of r_i + r_j, digitwise mod p."""
+        P, w = len(self.polys), self.d + 1
+        digits = unpack_keys(np.arange(P), self.p, w)
+        total = (digits[:, None] + digits[None, :]) % self.p
+        return pack_keys(total.reshape(-1, w), self.p).astype(
+            np.int64).reshape(P, P)
 
     @functools.cached_property
     def products(self) -> tuple[np.ndarray, np.ndarray]:
@@ -596,26 +600,18 @@ def _verify_matrices(table: RelationTable, used: np.ndarray,
     each group is gathered and multiplied out positionwise.  Violations
     come back in row order.
 
-    Up to q = p^s = ``RingTable.MAX_Q`` the products and the inverse run
-    on the ring tables (``matmul_batch``, ``inverse_batch``); past it, on
-    digits (``matmul_digits``, ``inverse_digits``), which build no q*q
-    table.  At the sizes the suite runs the tables are faster, once
-    built: 1.1 ms against 1.6 ms for presentation_SL(3, 2, 1) at s = 2,
-    and 4.2 ms against 15.5 ms for presentation_SL(3, 3, 1) at s = 4.
+    The products and the inverse run on the ring tables (``matmul_batch``,
+    ``inverse_batch``) where building them pays, else on digits
+    (``matmul_digits``, ``inverse_digits``).  A build costs about 6 ns
+    times q^2 s, q = p^s, and digits cost more per entry product, of which
+    the words need W = (matrix products) * m^3: tables iff q <=
+    ``RingTable.MAX_Q`` and q^2 s <= 3 W (``_tables_pay``).  Tables against
+    digits, best of 3, at q^2 s / W: 4.7 against 16.9 ms at 0.03 (the
+    suite's SL(3, 3, 1), s = 4); 16 against 30 ms at 2.2, 19-21 against
+    17-27 ms at 3.2, 4.6 against 4.1 ms at 3.3; 1403 against 7.3 ms at
+    1075 (SL(3, 2, 1), s = 12).
     """
     m = math.isqrt(mats.shape[1])
-    if p**s <= RingTable.MAX_Q:
-        ring = RingTable(p, s)
-        mul = lambda A, B: _kernels.matmul_batch(A, B, ring.mul, ring.add, m)
-        inverse = lambda A: _kernels.inverse_batch(A, ring.mul, ring.add,
-                                                   ring.neg, m, p)
-    else:
-        mul = lambda A, B: _kernels.matmul_digits(A, B, p, s, m)
-        inverse = lambda A: _kernels.inverse_digits(A, p, s, m)
-    letters = np.empty((2 * len(mats), m * m), dtype=np.uint32)
-    letters[0::2] = mats
-    letters[1::2] = inverse(mats)
-
     n = len(table)
     words = table.words.reshape(2 * n, -1).astype(np.int64)
     pos = np.zeros(len(table.symbols), dtype=np.int64)
@@ -632,6 +628,19 @@ def _verify_matrices(table: RelationTable, used: np.ndarray,
     num[order] = np.cumsum(new) - 1
     distinct = words[order[new]]
     lengths = (distinct >= 0).sum(axis=1)
+
+    if _tables_pay(p**s, s, int(np.maximum(lengths - 1, 0).sum()) * m**3):
+        ring = RingTable(p, s)
+        mul = lambda A, B: _kernels.matmul_batch(A, B, ring.mul, ring.add, m)
+        inverse = lambda A: _kernels.inverse_batch(A, ring.mul, ring.add,
+                                                   ring.neg, m, p)
+    else:
+        mul = lambda A, B: _kernels.matmul_digits(A, B, p, s, m)
+        inverse = lambda A: _kernels.inverse_digits(A, p, s, m)
+    letters = np.empty((2 * len(mats), m * m), dtype=np.uint32)
+    letters[0::2] = mats
+    letters[1::2] = inverse(mats)
+
     value = np.empty((len(distinct), m * m), dtype=np.uint32)
     for length in sorted(set(lengths.tolist())):
         sel = np.flatnonzero(lengths == length)
@@ -645,6 +654,10 @@ def _verify_matrices(table: RelationTable, used: np.ndarray,
         value[sel] = acc
     lhs, rhs = num.reshape(n, 2).T
     return np.flatnonzero((value[lhs] != value[rhs]).any(axis=1))
+
+
+def _tables_pay(q: int, s: int, work: int) -> bool:
+    return q <= RingTable.MAX_Q and q * q * s <= 3 * work
 
 
 def _assigned_rows(table: RelationTable, used: np.ndarray, assign, p: int,

@@ -1,14 +1,17 @@
-"""Arithmetic in F_p[t]/<t^s>, the coefficient ring of every matrix group here.
+"""The coefficient ring F_p[t]/<t^s> of every matrix group here.
 
 An element is canonically a tuple of exactly ``s`` residues mod ``p`` in
-ascending degree order.  The packed integer index
+ascending degree order, a ``TruncPoly``.  The packed integer index
 
     index = c_0 + c_1*p + ... + c_{s-1}*p^(s-1)
 
-is an internal optimization used by the kernels; the observable contract is
-always the coefficient sequence.  Truncation to a smaller ``s`` is index
-reduction mod ``p^s_lo``, which is why the low-degree-first encoding is the
-canonical one.
+is what the package computes on: matrices are rows of indices, multiplied
+through the dense ``RingTable`` tables or on the digits of the indices
+(``_kernels``).  Truncation to a smaller ``s`` is index reduction mod
+``p^s_lo``, which is why the low-degree-first encoding is the canonical
+one.  ``TruncPoly`` is a value: coefficients, index and text forms.
+``poly_add`` and ``poly_mul``, the arithmetic of ``ring op``, work on the
+coefficients in Python ints, so they answer every ring, p^s > 2^32 too.
 
 Two text forms round-trip exactly: a human form like ``1+2*t+t^3`` and a
 compact form ``[c0,c1,...]@p,s`` carrying the full parameter triple.
@@ -44,11 +47,8 @@ def check_ring_params(p: int, s: int) -> None:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class TruncPoly:
-    """One element of F_p[t]/<t^s>.
-
-    ``coeffs`` has length exactly ``s`` with entries in [0, p).  Use
-    :meth:`make` to build from arbitrary integer coefficients.
-    """
+    """One element of F_p[t]/<t^s>: ``coeffs`` has length exactly ``s``
+    with entries in [0, p)."""
 
     p: int
     s: int
@@ -63,112 +63,15 @@ class TruncPoly:
         if any(not (0 <= c < self.p) for c in self.coeffs):
             raise ParameterError(f"coefficients out of range mod {self.p}: {self.coeffs}")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def make(cls, p: int, s: int, coeffs) -> "TruncPoly":
-        """Canonicalize arbitrary integer coefficients: reduce mod p, pad or
-        truncate to length s (truncation is reduction mod t^s)."""
-        check_ring_params(p, s)
-        cs = [int(c) % p for c in coeffs][:s]
-        cs += [0] * (s - len(cs))
-        return cls(p, s, tuple(cs))
-
-    @classmethod
-    def zero(cls, p: int, s: int) -> "TruncPoly":
-        return cls.make(p, s, ())
-
-    @classmethod
-    def one(cls, p: int, s: int) -> "TruncPoly":
-        return cls.make(p, s, (1,))
-
-    @classmethod
-    def t_power(cls, p: int, s: int, k: int, c: int = 1) -> "TruncPoly":
-        """c * t^k (zero when k >= s)."""
-        if k < 0:
-            raise ParameterError(f"exponent must be nonnegative, got {k}")
-        return cls.make(p, s, (0,) * k + (c,)) if k < s else cls.zero(p, s)
-
     @classmethod
     def from_index(cls, p: int, s: int, index: int) -> "TruncPoly":
         check_ring_params(p, s)
         if not (0 <= index < p**s):
             raise ParameterError(f"index {index} out of range for p^s={p**s}")
-        cs = []
-        for _ in range(s):
-            cs.append(index % p)
-            index //= p
-        return cls(p, s, tuple(cs))
-
-    # -- ring structure ----------------------------------------------------
-
-    def _match(self, other: "TruncPoly") -> None:
-        if not isinstance(other, TruncPoly):
-            raise ParameterError(f"expected TruncPoly, got {type(other).__name__}")
-        if (self.p, self.s) != (other.p, other.s):
-            raise ParameterError(
-                f"ring mismatch: F_{self.p}[t]/t^{self.s} vs F_{other.p}[t]/t^{other.s}"
-            )
-
-    def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        self._match(other)
-        return TruncPoly(
-            self.p, self.s,
-            tuple((a + b) % self.p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "TruncPoly":
-        return TruncPoly(self.p, self.s, tuple((-a) % self.p for a in self.coeffs))
-
-    def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        self._match(other)
-        p, s = self.p, self.s
-        out = [0] * s
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(s - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-        return TruncPoly(p, s, tuple(out))
-
-    def is_unit(self) -> bool:
-        # local ring: units are exactly the elements with nonzero constant term
-        return self.coeffs[0] != 0
-
-    def inverse(self) -> "TruncPoly":
-        """Multiplicative inverse; requires a unit (nonzero constant term)."""
-        if not self.is_unit():
-            raise ParameterError(f"{self} is not a unit in F_{self.p}[t]/t^{self.s}")
-        p, s = self.p, self.s
-        c0_inv = pow(self.coeffs[0], -1, p)
-        # Newton-free back substitution: solve self * x = 1 degree by degree.
-        x = [0] * s
-        x[0] = c0_inv
-        for k in range(1, s):
-            acc = 0
-            for i in range(1, k + 1):
-                acc = (acc + self.coeffs[i] * x[k - i]) % p
-            x[k] = (-acc * c0_inv) % p
-        return TruncPoly(p, s, tuple(x))
-
-    # -- encoding, truncation ----------------------------------------------
+        return cls(p, s, tuple(index // p**k % p for k in range(s)))
 
     def index(self) -> int:
-        idx = 0
-        for c in reversed(self.coeffs):
-            idx = idx * self.p + c
-        return idx
-
-    def lift_to(self, s_hi: int) -> "TruncPoly":
-        """Zero-padded section of truncation into F_p[t]/t^s_hi."""
-        if s_hi < self.s:
-            raise ParameterError(f"need s_hi >= {self.s}, got {s_hi}")
-        return TruncPoly(self.p, s_hi, self.coeffs + (0,) * (s_hi - self.s))
+        return sum(c * self.p**k for k, c in enumerate(self.coeffs))
 
     # -- text forms ----------------------------------------------------------
 
@@ -192,15 +95,28 @@ class TruncPoly:
         return f"TruncPoly({self.compact()!s})"
 
 
-# -- module-level operation aliases (the names used throughout) --------------
-
-
 def poly_add(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    return a + b
+    """a + b, coefficientwise mod p."""
+    _same_ring(a, b)
+    return TruncPoly(a.p, a.s, tuple((x + y) % a.p
+                                     for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def poly_mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    return a * b
+    """a * b, the convolution of the coefficients cut at t^s, mod p."""
+    _same_ring(a, b)
+    out = [0] * a.s
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs[:a.s - i]):
+                out[i + j] += x * y
+    return TruncPoly(a.p, a.s, tuple(c % a.p for c in out))
+
+
+def _same_ring(a: TruncPoly, b: TruncPoly) -> None:
+    if (a.p, a.s) != (b.p, b.s):
+        raise ParameterError(f"ring mismatch: F_{a.p}[t]/t^{a.s} vs "
+                             f"F_{b.p}[t]/t^{b.s}")
 
 
 def enumerate_polys(p: int, s: int, dmax: int) -> list[TruncPoly]:
@@ -213,10 +129,7 @@ def enumerate_polys(p: int, s: int, dmax: int) -> list[TruncPoly]:
     check_ring_params(p, s)
     if not (0 <= dmax < s):
         raise ParameterError(f"need 0 <= dmax < s={s}, got dmax={dmax}")
-    out = []
-    for idx in range(p ** (dmax + 1)):
-        out.append(TruncPoly.from_index(p, s, idx))
-    return out
+    return [TruncPoly.from_index(p, s, i) for i in range(p ** (dmax + 1))]
 
 
 _TERM_RE = re.compile(
@@ -234,15 +147,16 @@ def parse_poly(text: str, p: int | None = None, s: int | None = None) -> TruncPo
     """Parse either text form.
 
     The compact form carries (p, s); explicit arguments must agree with it.
-    The human form requires p and s to be supplied.
+    The human form requires p and s to be supplied.  Malformed text, a
+    number past Python's int digit limit included, raises InputError.
     """
     m = _COMPACT_RE.match(text)
     if m:
-        cp, cs = int(m.group("p")), int(m.group("s"))
+        cp, cs = _int(m.group("p")), _int(m.group("s"))
         if (p is not None and p != cp) or (s is not None and s != cs):
             raise InputError(f"compact form {text!r} disagrees with p={p}, s={s}")
         raw = m.group("coeffs").strip()
-        coeffs = [int(c) for c in raw.split(",")] if raw else []
+        coeffs = [_int(c) for c in raw.split(",")] if raw else []
         if len(coeffs) != cs:
             raise InputError(f"compact form needs exactly s={cs} coefficients: {text!r}")
         check_ring_params(cp, cs)
@@ -259,14 +173,21 @@ def parse_poly(text: str, p: int | None = None, s: int | None = None) -> TruncPo
         if not m:
             raise InputError(f"cannot parse polynomial term {piece!r}")
         if m.group("const") is not None:
-            c, k = int(m.group("const")), 0
+            c, k = _int(m.group("const")), 0
         else:
-            c = int(m.group("coef")) if m.group("coef") else 1
-            k = int(m.group("exp")) if m.group("exp") else 1
+            c = _int(m.group("coef")) if m.group("coef") else 1
+            k = _int(m.group("exp")) if m.group("exp") else 1
         if k >= s:
             raise InputError(f"term {piece!r} has degree {k} >= s={s}")
         coeffs[k] = (coeffs[k] + c) % p
     return TruncPoly(p, s, tuple(coeffs))
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"not an integer: {text[:40]!r}") from None
 
 
 class RingTable:

@@ -3,7 +3,9 @@
 Everything here is written from the definitions, deliberately avoiding
 the package's own data structures and algorithms wherever possible, so
 a shared bug cannot hide: truncated-polynomial arithmetic by direct
-convolution on coefficient tuples, exact matrices (``MatElement``) with
+convolution on coefficient tuples, also on the package's ``TruncPoly``
+values (``make_poly``, ``exact_mul``, ``exact_inverse``, ...), which
+have no arithmetic of their own, exact matrices (``MatElement``) with
 cofactor determinants and adjugate inverses, determinants by Leibniz
 expansion,
 expansion constants by complete enumeration, abelian H^1 by linear
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from cosetx.errors import ParameterError
-from cosetx.ring import TruncPoly
+from cosetx.ring import TruncPoly, check_ring_params
 
 # ---------------------------------------------------------------------------
 # ring arithmetic on raw coefficient tuples
@@ -49,6 +51,87 @@ def naive_pow(a, k, p, s):
 
 def all_polys(p, s):
     return list(itertools.product(range(p), repeat=s))
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic on the package's TruncPoly values, by the coefficient
+# tuple functions above; the values are the package's own class, so they
+# compare and hash equal to the package's (no subclass, whose dataclass
+# equality would not)
+
+
+def make_poly(p, s, coeffs):
+    """Arbitrary integer coefficients reduced mod p and padded or cut to
+    length s (cutting is reduction mod t^s)."""
+    check_ring_params(p, s)
+    cs = [int(c) % p for c in coeffs][:s]
+    return TruncPoly(p, s, tuple(cs + [0] * (s - len(cs))))
+
+
+def zero_poly(p, s):
+    return make_poly(p, s, ())
+
+
+def one_poly(p, s):
+    return make_poly(p, s, (1,))
+
+
+def t_power(p, s, k, c=1):
+    """c * t^k (zero when k >= s)."""
+    if k < 0:
+        raise ParameterError(f"exponent must be nonnegative, got {k}")
+    return make_poly(p, s, (0,) * k + (c,)) if k < s else zero_poly(p, s)
+
+
+def _match(a, b):
+    if not (isinstance(a, TruncPoly) and isinstance(b, TruncPoly)):
+        raise ParameterError("expected TruncPoly operands")
+    if (a.p, a.s) != (b.p, b.s):
+        raise ParameterError(f"ring mismatch: F_{a.p}[t]/t^{a.s} vs "
+                             f"F_{b.p}[t]/t^{b.s}")
+
+
+def exact_add(a, b):
+    _match(a, b)
+    return TruncPoly(a.p, a.s, naive_add(a.coeffs, b.coeffs, a.p, a.s))
+
+
+def exact_neg(a):
+    return TruncPoly(a.p, a.s, tuple((-c) % a.p for c in a.coeffs))
+
+
+def exact_sub(a, b):
+    return exact_add(a, exact_neg(b))
+
+
+def exact_mul(a, b):
+    _match(a, b)
+    return TruncPoly(a.p, a.s, naive_mul(a.coeffs, b.coeffs, a.p, a.s))
+
+
+def is_unit(a):
+    # a local ring: the units are the elements with a nonzero constant term
+    return a.coeffs[0] != 0
+
+
+def exact_inverse(a):
+    """The inverse of a unit, solving a * x = 1 degree by degree."""
+    if not is_unit(a):
+        raise ParameterError(f"{a} is not a unit in F_{a.p}[t]/t^{a.s}")
+    p, s = a.p, a.s
+    c0_inv = pow(a.coeffs[0], -1, p)
+    x = [c0_inv] + [0] * (s - 1)
+    for k in range(1, s):
+        acc = sum(a.coeffs[i] * x[k - i] for i in range(1, k + 1))
+        x[k] = (-acc * c0_inv) % p
+    return TruncPoly(p, s, tuple(x))
+
+
+def lift_to(a, s_hi):
+    """The zero-padded section of truncation into F_p[t]/t^s_hi."""
+    if s_hi < a.s:
+        raise ParameterError(f"need s_hi >= {a.s}, got {s_hi}")
+    return TruncPoly(a.p, s_hi, a.coeffs + (0,) * (s_hi - a.s))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +205,7 @@ class MatElement:
 
     @classmethod
     def identity(cls, m: int, p: int, s: int) -> "MatElement":
-        one, zero = TruncPoly.one(p, s), TruncPoly.zero(p, s)
+        one, zero = one_poly(p, s), zero_poly(p, s)
         return cls(tuple(tuple(one if i == j else zero for j in range(m))
                          for i in range(m)))
 
@@ -146,9 +229,10 @@ class MatElement:
         for i in range(m):
             row = []
             for j in range(m):
-                acc = self.entries[i][0] * other.entries[0][j]
+                acc = exact_mul(self.entries[i][0], other.entries[0][j])
                 for k in range(1, m):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
+                    acc = exact_add(acc, exact_mul(self.entries[i][k],
+                                                   other.entries[k][j]))
                 row.append(acc)
             rows.append(tuple(row))
         return MatElement(tuple(rows))
@@ -180,18 +264,19 @@ class MatElement:
                 minor = _drop(self.entries, j, i)
                 c = _det_rows(minor, p, s)
                 if (i + j) % 2:
-                    c = -c
+                    c = exact_neg(c)
                 row.append(c)
             rows.append(tuple(row))
         return MatElement(tuple(rows))
 
     def inverse(self) -> "MatElement":
         d = self.det()
-        if not d.is_unit():
+        if not is_unit(d):
             raise ParameterError("matrix is not invertible (det is a non-unit)")
-        dinv = d.inverse()
+        dinv = exact_inverse(d)
         adj = self.adjugate()
-        return MatElement(tuple(tuple(e * dinv for e in row) for row in adj.entries))
+        return MatElement(tuple(tuple(exact_mul(e, dinv) for e in row)
+                                for row in adj.entries))
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row)
@@ -207,12 +292,12 @@ def _det_rows(rows, p: int, s: int) -> TruncPoly:
     m = len(rows)
     if m == 1:
         return rows[0][0]
-    acc = TruncPoly.zero(p, s)
+    acc = zero_poly(p, s)
     for j in range(m):
         if not any(rows[0][j].coeffs):
             continue
-        term = rows[0][j] * _det_rows(_drop(rows, 0, j), p, s)
-        acc = acc + term if j % 2 == 0 else acc - term
+        term = exact_mul(rows[0][j], _det_rows(_drop(rows, 0, j), p, s))
+        acc = exact_add(acc, term) if j % 2 == 0 else exact_sub(acc, term)
     return acc
 
 
@@ -300,20 +385,20 @@ def monomial_symmetry_actions(gens, probes):
     """
     m, p, s = gens[0].m, gens[0].p, gens[0].s
     want = {tuple(g.flat().tolist()) for g in gens}
-    zero = TruncPoly.zero(p, s)
+    zero = zero_poly(p, s)
     kept, candidates = set(), set()
     for pi in itertools.permutations(range(m)):
         for rest in itertools.product(range(1, p), repeat=m - 1):
             lam = (1, *rest)
             M = MatElement(tuple(
-                tuple(TruncPoly.make(p, s, (lam[j],)) if pi[j] == i else zero
+                tuple(make_poly(p, s, (lam[j],)) if pi[j] == i else zero
                       for j in range(m)) for i in range(m)))
             M_inv = M.inverse()
             for alpha in range(1, p):
                 def act(x):
                     scaled = MatElement(tuple(
-                        tuple(TruncPoly.make(p, s, [c * alpha**k for k, c in
-                                                    enumerate(e.coeffs)])
+                        tuple(make_poly(p, s, [c * alpha**k for k, c in
+                                               enumerate(e.coeffs)])
                               for e in row) for row in x.entries))
                     return tuple((M @ scaled @ M_inv).flat().tolist())
 
@@ -996,7 +1081,7 @@ def ko_generators(n, p, s, d, i):
     """
     m = n + 1
     g = [None] + [(k - 1 + i) % m + 1 for k in range(1, m + 1)]
-    polys = [TruncPoly.make(p, s, cs)
+    polys = [make_poly(p, s, cs)
              for cs in itertools.product(range(p), repeat=d + 1)]
     return [elementary(n, g[j], g[j + 1], r)
             for j in range(1, n + 1) for r in polys]
@@ -1110,7 +1195,7 @@ def orbit_reduction_kernel(n, p, s_hi, s_lo):
     ring = RingTable(p, s_hi)
 
     def terms(degrees):
-        return [(i, j, TruncPoly.t_power(p, s_hi, k, c))
+        return [(i, j, t_power(p, s_hi, k, c))
                 for i in range(1, m + 1) for j in range(1, m + 1) if i != j
                 for k in degrees for c in range(1, p)]
 
@@ -1118,7 +1203,7 @@ def orbit_reduction_kernel(n, p, s_hi, s_lo):
         elementary(n, i, j, r).flat() for i, j, r in terms(range(s_lo, s_hi))]),
         axis=0)
     conj_pairs = [(elementary(n, i, j, r).flat(),
-                   elementary(n, i, j, -r).flat())
+                   elementary(n, i, j, exact_neg(r)).flat())
                   for i, j, r in terms(range(s_hi))]
     orbit_keys = set(int(k) for k in pack_keys(orbit, ring.q))
     frontier = orbit
@@ -1364,12 +1449,10 @@ class SteinbergLetters:
     products are full convolutions in F_p[t]."""
 
     def __init__(self, p, d):
-        from cosetx.ring import TruncPoly
-
         s = d + 1
         coeffs = [tuple((k // p**c) % p for c in range(s)) for k in range(p**s)]
         index = {cs: k for k, cs in enumerate(coeffs)}
-        self.polys = [TruncPoly.make(p, s, cs) for cs in coeffs]
+        self.polys = [make_poly(p, s, cs) for cs in coeffs]
         self.sums = [[index[naive_add(a, b, p, s)] for b in coeffs]
                      for a in coeffs]
         by_product, self.small = {}, []

@@ -81,6 +81,30 @@ def test_ring_op(capsys):
     assert env["result"]["compact"] == "[1,0]@3,2"
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["op", "--op", "mul", "1+t^39", "1+t", "--p", "2", "--s", "40"],
+     "(1+t^39) mul (1+t) = 1+t+t^39"),
+    (["op", "--op", "add", "1+t^39", "t+t^39", "--p", "2", "--s", "40"],
+     "(1+t^39) add (t+t^39) = 1+t"),
+    (["parse", "1+t^39", "--p", "2", "--s", "40"],
+     "1+t^39  =  [1," + "0," * 38 + "1]@2,40"),
+    (["op", "--op", "mul", "[10006,5]@10007,2", "[10006,3]@10007,2"],
+     "(10006+5*t) mul (10006+3*t) = 1+9999*t"),
+    (["op", "--op", "add", "10006+t", "2+10006*t", "--p", "10007", "--s", "2"],
+     "(10006+t) add (2+10006*t) = 1"),
+    (["parse", "20015+3*t^2", "--p", "10007", "--s", "3"],
+     "1+3*t^2  =  [1,0,3]@10007,3"),
+], ids=["mul-2-40", "add-2-40", "parse-2-40", "mul-10007", "add-10007",
+        "parse-10007"])
+def test_ring_commands_on_large_rings(capsys, argv, line):
+    """``ring op`` and ``ring parse`` answer rings with p^s > 2^32, where
+    a ring index overflows a uint32 row, and a prime far past any ring
+    table; the lines are pinned."""
+    code = cli.main(["ring", *argv, "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_timings_are_opt_in(capsys):
     _, env = run_json(capsys, ["propagate", "--n", "3", "--timings"])
     assert "timings" in env and env["timings"]["wall_s"] >= 0
@@ -712,6 +736,17 @@ ROBUSTNESS_CASES = [
                  + ["--mode", "search", "--iters", iters], None,
                  id=f"expansion-h1-iters{iters}")
     for iters in ("-3", "0")
+] + [
+    # polynomial text of neither form, and numbers past Python's int
+    # digit limit
+    pytest.param(["ring", "parse", *argv], None, id=f"ring-parse-{name}")
+    for name, argv in (("empty-coefficient", ["[1,,0]@2,3"]),
+                       ("letter-coefficient", ["[a]@2,1"]),
+                       ("long-p", ["[1]@" + "7" * 5000 + ",1"]),
+                       ("long-coefficient",
+                        ["1" * 5000 + "+t", "--p", "2", "--s", "2"]),
+                       ("long-exponent",
+                        ["t^" + "1" * 5000, "--p", "2", "--s", "2"]))
 ] + [
     # a 0-dimensional complex has no 1-skeleton walk to report on
     pytest.param(FILE_COMMANDS["spectral-links"],

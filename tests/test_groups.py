@@ -15,7 +15,7 @@ from cosetx.groups import (MatrixGroup, TableGroup, cosets, elementary_subgroup,
                            subgroup_K, subgroup_closure_indices,
                            symmetric_group)
 from cosetx.ring import TruncPoly
-from oracles import MatElement, commutator, elementary
+from oracles import MatElement, commutator, elementary, make_poly, one_poly
 from oracles import bfs_closure_group as bfs_closure
 
 
@@ -25,7 +25,7 @@ def rand_mat(rng, m, p, s):
                 for _ in range(m * m)]
         cand = MatElement(tuple(tuple(flat[i * m + j] for j in range(m))
                                 for i in range(m)))
-        if cand.det() == TruncPoly.one(p, s):
+        if cand.det() == one_poly(p, s):
             return cand
 
 
@@ -54,13 +54,13 @@ class TestMatElement:
             assert x.pow(3) == x @ x @ x
 
     def test_flat_roundtrip(self):
-        x = elementary(2, 1, 3, TruncPoly.make(2, 2, (1, 1)))
+        x = elementary(2, 1, 3, make_poly(2, 2, (1, 1)))
         assert MatElement.from_flat(2, 2, 3, x.flat()) == x
 
     def test_elementary_relations(self):
         p, s = 3, 2
-        r1 = TruncPoly.make(p, s, (1, 2))
-        r2 = TruncPoly.make(p, s, (2, 1))
+        r1 = make_poly(p, s, (1, 2))
+        r2 = make_poly(p, s, (2, 1))
         from cosetx.ring import poly_add, poly_mul
         # additive in the same position
         assert elementary(2, 1, 2, r1) @ elementary(2, 1, 2, r2) == \
@@ -74,7 +74,7 @@ class TestMatElement:
 
     def test_order_of_elementary_is_p(self):
         for p in (2, 3, 5):
-            x = elementary(2, 1, 2, TruncPoly.one(p, 2))
+            x = elementary(2, 1, 2, one_poly(p, 2))
             assert oracles.mat_element_order(x) == p
 
 
@@ -437,7 +437,7 @@ class TestCosetsQuotients:
             assert proj[G.mult(int(a), int(b))] == \
                 Q.mult(int(proj[a]), int(proj[b]))
         # <e_12(1)> has order 3 and is not normal
-        e12 = int(G.lookup_rows(elementary(1, 1, 2, TruncPoly.one(3, 2))
+        e12 = int(G.lookup_rows(elementary(1, 1, 2, one_poly(3, 2))
                                 .flat()[None, :])[0])
         sub = subgroup_closure_indices(G, [e12])
         assert len(sub) == 3
@@ -508,7 +508,7 @@ class TestReductionKernel:
 
 
 def test_bfs_closure_deduplicates():
-    x = elementary(1, 1, 2, TruncPoly.one(2, 1))
+    x = elementary(1, 1, 2, one_poly(2, 1))
     G = bfs_closure([x, x, x])
     assert G.size == 2
 

@@ -15,14 +15,15 @@ from cosetx.errors import ParameterError, ResourceLimitError
 from cosetx.groups import (elementary_subgroup, reduction_kernel, sl_group,
                            subgroup_K)
 from cosetx.ring import RingTable, TruncPoly
-from oracles import MatElement, elementary
+from oracles import (MatElement, elementary, is_unit, make_poly, one_poly,
+                     t_power, zero_poly)
 from test_groups import GOLDEN_ORDER
 
 
 def test_matmul_matches_matelement():
     rt = RingTable(3, 2)
-    x = elementary(1, 1, 2, TruncPoly.make(3, 2, (2, 1)))
-    y = elementary(1, 2, 1, TruncPoly.make(3, 2, (1, 2)))
+    x = elementary(1, 1, 2, make_poly(3, 2, (2, 1)))
+    y = elementary(1, 2, 1, make_poly(3, 2, (1, 2)))
     via_kernel = _kernels.matmul_batch(
         x.flat(), y.flat(), rt.mul, rt.add, 2)[0]
     assert np.array_equal(via_kernel, (x @ y).flat())
@@ -138,7 +139,7 @@ def _invertible_matrices(rng, p, s, m, count):
                         p * rng.integers(1, q // p, size=m * m),
                         rng.integers(0, q // p, size=m * m) * p
                         + rng.integers(1, p, size=m * m)).astype(np.uint32)
-        if MatElement.from_flat(p, s, m, flat).det().is_unit():
+        if is_unit(MatElement.from_flat(p, s, m, flat).det()):
             out.append(flat)
     mats = np.array(out)
     ident = common.identity_flat(m)
@@ -224,12 +225,12 @@ def test_inverse_digits_matches_matelement_inverse(p, s, m):
     while len(mats) < 4:
         flat = _digit_matrices(rng, p, s, m, 1)[0]
         det = MatElement.from_flat(p, s, m, flat).det()
-        if det.is_unit():
+        if is_unit(det):
             mats.append(flat)
             dets.append(det)
     if p**s > 2:
         # F_2 has no unit but 1
-        assert any(det != TruncPoly.one(p, s) for det in dets)
+        assert any(det != one_poly(p, s) for det in dets)
     mats = np.array(mats)
     got = pure.inverse_digits(mats, p, s, m)
     assert got.dtype == np.uint32 and got.flags.c_contiguous
@@ -256,6 +257,27 @@ def test_inverse_digits_rejects_non_invertible(p, s):
             pure.inverse_digits(np.stack([good[0], bad, good[1]]), p, s, m)
 
 
+@pytest.mark.parametrize("p,s", [(2, 3), (3, 2), (5, 2), (2, 6)])
+def test_ring_elements_as_1x1_matrices_match_the_oracle(p, s):
+    """The package's ring arithmetic is its 1x1 matrix kernels: every
+    product on digits and on the tables, and the inverse of every unit
+    both ways, against the exact TruncPoly oracle."""
+    rt, q = RingTable(p, s), p**s
+    polys = [TruncPoly.from_index(p, s, i) for i in range(q)]
+    A = np.repeat(np.arange(q), q)[:, None]
+    B = np.tile(np.arange(q), q)[:, None]
+    want = [oracles.exact_mul(polys[a], polys[b]).index()
+            for a, b in zip(A[:, 0].tolist(), B[:, 0].tolist())]
+    assert pure.matmul_digits(A, B, p, s, 1)[:, 0].tolist() == want
+    assert pure.matmul_batch(A, B, rt.mul, rt.add, 1)[:, 0].tolist() == want
+    units = [x for x in polys if is_unit(x)]
+    U = np.array([[x.index()] for x in units])
+    inv = [oracles.exact_inverse(x).index() for x in units]
+    assert pure.inverse_batch(U, rt.mul, rt.add, rt.neg, 1,
+                              p)[:, 0].tolist() == inv
+    assert pure.inverse_digits(U, p, s, 1)[:, 0].tolist() == inv
+
+
 def test_digit_kernels_agree_with_the_tables():
     """Where both run, the digit kernels give the table kernels' rows."""
     p, s, m = 3, 4, 3
@@ -264,8 +286,8 @@ def test_digit_kernels_agree_with_the_tables():
     A, B = (_digit_matrices(rng, p, s, m, 500) for _ in range(2))
     assert np.array_equal(pure.matmul_digits(A, B, p, s, m),
                           pure.matmul_batch(A, B, rt.mul, rt.add, m))
-    units = A[np.flatnonzero([MatElement.from_flat(p, 1, m, a % p).det()
-                              .is_unit() for a in A])]
+    units = A[np.flatnonzero([is_unit(MatElement.from_flat(p, 1, m, a % p)
+                                      .det()) for a in A])]
     assert len(units) > 100
     assert np.array_equal(
         pure.inverse_digits(units, p, s, m),
@@ -282,13 +304,9 @@ def test_digit_kernels_refuse_rings_past_uint32(p, s):
 
 
 def _diag(p, s, coeffs):
-    m, zero = len(coeffs), TruncPoly.zero(p, s)
-    return MatElement(tuple(tuple(TruncPoly.make(p, s, (coeffs[i],)) if i == j else zero
+    m, zero = len(coeffs), zero_poly(p, s)
+    return MatElement(tuple(tuple(make_poly(p, s, (coeffs[i],)) if i == j else zero
                                   for j in range(m)) for i in range(m)))
-
-
-def _one(p, s):
-    return TruncPoly.one(p, s)
 
 
 def _gens_of(build, *args):
@@ -301,24 +319,24 @@ def _gens_of(build, *args):
 # (p, s, generators as MatElements)
 CLOSURE_CASES = {
     # e_12(1) and e_21(1) have order 5 and neither inverse is a generator
-    "sl2-f5-no-inverses": (5, 1, [elementary(1, 1, 2, _one(5, 1)),
-                                  elementary(1, 2, 1, _one(5, 1))]),
-    "sl2-f3t2-no-inverses": (3, 2, [elementary(1, 1, 2, _one(3, 2)),
-                                    elementary(1, 2, 1, _one(3, 2)),
-                                    elementary(1, 1, 2, TruncPoly.t_power(3, 2, 1))]),
+    "sl2-f5-no-inverses": (5, 1, [elementary(1, 1, 2, one_poly(5, 1)),
+                                  elementary(1, 2, 1, one_poly(5, 1))]),
+    "sl2-f3t2-no-inverses": (3, 2, [elementary(1, 1, 2, one_poly(3, 2)),
+                                    elementary(1, 2, 1, one_poly(3, 2)),
+                                    elementary(1, 1, 2, t_power(3, 2, 1))]),
     # diag(2, 2, 4) has order 4 and commutes with e_12(1): a cyclic group of 20
-    "cyclic-20": (5, 1, [_diag(5, 1, (2, 2, 4)) @ elementary(2, 1, 2, _one(5, 1))]),
+    "cyclic-20": (5, 1, [_diag(5, 1, (2, 2, 4)) @ elementary(2, 1, 2, one_poly(5, 1))]),
     # 25**9 > 64 * 2**20: uint64 keys, but a key space too large for the
     # bitset at the test cap, so the sorted visited keys
-    "sorted-heisenberg-no-inverses": (5, 2, [elementary(2, 1, 2, _one(5, 2)),
-                                             elementary(2, 2, 3, _one(5, 2))]),
+    "sorted-heisenberg-no-inverses": (5, 2, [elementary(2, 1, 2, one_poly(5, 2)),
+                                             elementary(2, 2, 3, one_poly(5, 2))]),
     # q**(m*m) = 625**9 > 2**64: the void key path
-    "big-heisenberg": (5, 4, [elementary(2, 1, 2, _one(5, 4)),
-                              elementary(2, 2, 3, _one(5, 4))]),
-    "big-cyclic-20": (5, 4, [_diag(5, 4, (2, 2, 4)) @ elementary(2, 1, 2, _one(5, 4))]),
+    "big-heisenberg": (5, 4, [elementary(2, 1, 2, one_poly(5, 4)),
+                              elementary(2, 2, 3, one_poly(5, 4))]),
+    "big-cyclic-20": (5, 4, [_diag(5, 4, (2, 2, 4)) @ elementary(2, 1, 2, one_poly(5, 4))]),
     # 3**49 > 2**64 keys, though only 3**7 row keys: void keys, so no row tables
-    "big-f3-m7-no-inverses": (3, 1, [elementary(6, 1, 2, _one(3, 1)),
-                                     elementary(6, 2, 3, _one(3, 1))]),
+    "big-f3-m7-no-inverses": (3, 1, [elementary(6, 1, 2, one_poly(3, 1)),
+                                     elementary(6, 2, 3, one_poly(3, 1))]),
     # generating sets with symmetries, closed by orbits below as well: a
     # whole SL; SL_2(F_5) and SL_3(F_2) over a ring with s > d + 1, whose
     # elements every t -> alpha*t fixes; and congruence kernels, whose
@@ -546,7 +564,7 @@ def test_symmetry_filter_matches_exact_conjugation(case):
     p, s, gens = CLOSURE_CASES[case]
     m = gens[0].m
     rt = _ring_table(p, s)
-    probes = [elementary(m - 1, i, j, TruncPoly.t_power(p, s, k))
+    probes = [elementary(m - 1, i, j, t_power(p, s, k))
               for i in range(1, m + 1) for j in range(1, m + 1) if i != j
               for k in range(s)]
     kept, candidates = oracles.monomial_symmetry_actions(gens, probes)
@@ -609,7 +627,7 @@ def test_symmetry_filter_rejects_a_map_that_moves_a_generator_out():
     image = rt.mul[planted[1], sigma[gens]]
     inside = set(common.pack_keys(gens, q).tolist())
     moved = [key not in inside for key in common.pack_keys(image, q).tolist()]
-    e12_t = elementary(1, 1, 2, TruncPoly.t_power(5, 2, 1)).flat()
+    e12_t = elementary(1, 1, 2, t_power(5, 2, 1)).flat()
     assert any(moved) and not all(moved)
     assert moved[[row.tolist() for row in gens].index(e12_t.tolist())]
     kept = pure._stabilizer(candidates + [planted], gens, rt.mul, q)
@@ -680,7 +698,7 @@ def test_row_tables_match_matmul_rows(p, s, m):
     q, Q = rt.q, rt.q**m
     g = (_diag(p, s, (p - 1, p - 1) + (1,) * (m - 2))
          @ elementary(m - 1, 1, 2, TruncPoly.from_index(p, s, q - 1))
-         @ elementary(m - 1, m, 1, _one(p, s))).flat()
+         @ elementary(m - 1, m, 1, one_poly(p, s))).flat()
     ident = common.identity_flat(m)
     assert ((g != ident) & (g != 0)).sum() >= 2
     table = pure._RowTables(g[None, :], rt.mul, rt.add, m, q).tables[0]

@@ -10,8 +10,9 @@ from cosetx.presentations import (KINDS, GeneratorSymbol, Presentation,
                                   presentation_SL, presentation_unipotent,
                                   standard_assignment,
                                   tilde_gamma_presentation, verify_relations)
-from cosetx.ring import RingTable, TruncPoly
-from oracles import MatElement, elementary
+from cosetx.ring import RingTable
+from oracles import (MatElement, elementary, lift_to, make_poly, one_poly,
+                     t_power)
 
 
 def _times(row, p, s, mat):
@@ -57,7 +58,7 @@ class TestPresentationSL:
         assign = standard_assignment(pres, 3, 2)
         sym = pres.generators[0]
         assign[sym] = _times(assign[sym], 2, 2, elementary(
-            3, 1, 2, TruncPoly.one(2, 2)))  # off by an elementary factor
+            3, 1, 2, one_poly(2, 2)))  # off by an elementary factor
         rep = verify_relations(pres, assign, 2, 2)
         assert not rep.ok
         assert len(rep.violations) > 0
@@ -131,7 +132,7 @@ class TestChamberSets:
     def test_relation_halves_verify(self):
         pre_rels, ch_rels = chamber_relation_sets(2, 2, 1)
         syms = {sym for rel in ch_rels for sym in rel.symbols()}
-        assign = {sym: elementary(2, *sym.root, sym.r.lift_to(2)).flat()
+        assign = {sym: elementary(2, *sym.root, lift_to(sym.r, 2)).flat()
                   for sym in syms}
         assert verify_relations(ch_rels, assign, 2, 2).ok
         assert verify_relations(pre_rels, assign, 2, 2).ok
@@ -162,11 +163,11 @@ class TestChamberSets:
                        if sym.root == (1, 3) and sym.r.coeffs == (1, 1))
         flagged = []
         for s in (5, 13):
-            assign = {sym: elementary(2, *sym.root, sym.r.lift_to(s)).flat()
+            assign = {sym: elementary(2, *sym.root, lift_to(sym.r, s)).flat()
                       for sym in syms}
             # off by e_12(t): the matrix of another generator's root
             assign[bad_sym] = _times(assign[bad_sym], 2, s, elementary(
-                2, 1, 2, TruncPoly.t_power(2, s, 1)))
+                2, 1, 2, t_power(2, s, 1)))
             rep = verify_relations(ch_rels, assign, 2, s)
             assert rep.checked == len(ch_rels)
             flagged.append(tuple(str(rel) for rel in rep.violations))
@@ -197,15 +198,15 @@ class TestSymbols:
     def test_independent_symbols_are_equal_keys(self):
         """Symbols built separately from equal (root, r) are equal, hash
         equal and find each other in a user-built assignment."""
-        r = TruncPoly.make(2, 2, (1, 1))
+        r = make_poly(2, 2, (1, 1))
         a = GeneratorSymbol((1, 2), r)
-        b = GeneratorSymbol((1, 2), TruncPoly.make(2, 2, [1, 1]))
+        b = GeneratorSymbol((1, 2), make_poly(2, 2, [1, 1]))
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != GeneratorSymbol((2, 1), r)
-        assert a != GeneratorSymbol((1, 2), TruncPoly.one(2, 2))
+        assert a != GeneratorSymbol((1, 2), one_poly(2, 2))
         pres = presentation_SL(3, 2, 1)
-        assign = {GeneratorSymbol(sym.root, TruncPoly.make(2, 2, sym.r.coeffs)):
-                  elementary(3, *sym.root, sym.r.lift_to(2)).flat()
+        assign = {GeneratorSymbol(sym.root, make_poly(2, 2, sym.r.coeffs)):
+                  elementary(3, *sym.root, lift_to(sym.r, 2)).flat()
                   for sym in pres.generators}
         assert all(sym in assign for sym in pres.generators)
         assert verify_relations(pres, assign, 2, 2).ok
@@ -221,7 +222,7 @@ class TestSymbols:
     def test_foreign_symbol_rejected(self):
         pres = presentation_SL(3, 2, 1)
         rel = pres.relations[0]
-        outside = GeneratorSymbol((1, 2), TruncPoly.make(2, 3, (0, 0, 1)))
+        outside = GeneratorSymbol((1, 2), make_poly(2, 3, (0, 0, 1)))
         foreign = RelationInstance(((outside, 1),), (), "zero",
                                    rel.source_pair)
         with pytest.raises(ParameterError, match="outside the generator set"):
@@ -234,7 +235,7 @@ class TestSymbols:
                                        rel.source_pair),))
 
     def test_symbol_str(self):
-        sym = GeneratorSymbol((1, 2), TruncPoly.make(2, 2, (1, 1)))
+        sym = GeneratorSymbol((1, 2), make_poly(2, 2, (1, 1)))
         assert str(sym) == "x(1, 2)(1+t)"
 
     def test_relation_str_and_symbols(self):
@@ -320,7 +321,7 @@ class TestWordTables:
         assign = standard_assignment(pres, pres.n, s)
         sym = pres.generators[len(pres.generators) // 3]
         assign[sym] = _times(assign[sym], pres.p, s, elementary(
-            pres.n, 1, 2, TruncPoly.t_power(pres.p, s, 1)))
+            pres.n, 1, 2, t_power(pres.p, s, 1)))
         tabled = verify_relations(pres, assign, pres.p, s)
         listed = verify_relations(list(pres.relations), assign, pres.p, s)
         oracle = {"sl": oracles.steinberg_sl, "unipotent":
@@ -339,11 +340,11 @@ class TestWordTables:
 
     def test_chamber_table_same_violations_as_list(self):
         pre, chamber = chamber_relation_sets(3, 2, 1)
-        assign = {sym: elementary(3, *sym.root, sym.r.lift_to(2)).flat()
+        assign = {sym: elementary(3, *sym.root, lift_to(sym.r, 2)).flat()
                   for sym in chamber.used_symbols()}
         sym = chamber.used_symbols()[5]
         assign[sym] = _times(assign[sym], 2, 2,
-                             elementary(3, 2, 4, TruncPoly.one(2, 2)))
+                             elementary(3, 2, 4, one_poly(2, 2)))
         for table in (pre, chamber):
             rep = verify_relations(table, assign, 2, 2)
             assert rep.violations
@@ -379,7 +380,7 @@ class TestNoObjectsOnTheTabledPath:
         assign = standard_assignment(pres, 3, 2)
         sym = pres.generators[0]
         assign[sym] = _times(assign[sym], 2, 2,
-                             elementary(3, 1, 2, TruncPoly.one(2, 2)))
+                             elementary(3, 1, 2, one_poly(2, 2)))
         rep = verify_relations(pres, assign, 2, 2)
         assert 0 < len(rep.violations) == len(made) < len(pres.table)
 
@@ -399,11 +400,44 @@ class TestNoObjectsOnTheTabledPath:
         assert calls == [1] and made == []
 
 
+@pytest.mark.parametrize("p,s,path", [
+    (2, 2, "tables"),    # the suite row steinberg-sl-3-2-1, q = 4
+    (3, 4, "tables"),    # the suite row steinberg-sl-3-3-1-s4, q = 81
+    (3, 7, "digits"),    # q = 2187: a 0.2 s table build for 15552 products
+    (2, 12, "digits"),   # relations verify --target-s 12, q = 4096
+])
+def test_verify_path_is_pinned(monkeypatch, p, s, path):
+    """Which arithmetic verifying presentation_SL(3, p, 1) takes: the
+    suite's rows stay on the tables, which are faster there, and the
+    rings whose tables cost more to build than the digits cost to run
+    build none."""
+    pres = presentation_SL(3, p, 1)
+    assign = standard_assignment(pres, 3, s)
+    calls, built = set(), []
+    for name in ("matmul_batch", "inverse_batch", "matmul_digits",
+                 "inverse_digits"):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *args, name=name,
+                            real=real: calls.add(name) or real(*args))
+
+    class Built(RingTable):
+        def __init__(self, p, s):
+            built.append(p**s)
+            super().__init__(p, s)
+
+    monkeypatch.setattr(presentations, "RingTable", Built)
+    assert verify_relations(pres, assign, p, s).ok
+    if path == "tables":
+        assert calls == {"matmul_batch", "inverse_batch"} and built == [p**s]
+    else:
+        assert calls == {"matmul_digits", "inverse_digits"} and built == []
+
+
 class TestExponents:
     """Letters are x or x^-1: any other exponent is refused when the
     relation is made, and x^-1 is the inverse on both evaluation paths."""
 
-    X = GeneratorSymbol((1, 2), TruncPoly.make(5, 2, (2, 1)))
+    X = GeneratorSymbol((1, 2), make_poly(5, 2, (2, 1)))
     SRC = ((1, 2), (1, 2))
 
     @pytest.mark.parametrize("exp", [2, 0, -2, 3])
@@ -417,7 +451,12 @@ class TestExponents:
 
     @pytest.mark.parametrize("s,tabled", [(2, True), (5, True), (6, False)])
     def test_inverse_letters_on_both_paths(self, monkeypatch, s, tabled):
+        # six relations are too little work for the tables to pay: they
+        # are forced wherever they exist
         assert (5**s <= RingTable.MAX_Q) == tabled
+        if tabled:
+            monkeypatch.setattr(presentations, "_tables_pay",
+                                lambda q, s, work: True)
         slow_calls = []
         slow = _kernels.inverse_digits
         monkeypatch.setattr(_kernels, "inverse_digits",
@@ -430,7 +469,7 @@ class TestExponents:
         fails = [rel(((x, -1),), ((x, 1),)),
                  rel(((x, 1), (x, 1)), ()),
                  rel(((x, -1), (x, -1)), ((x, 1), (x, 1)))]
-        assign = {x: elementary(1, 1, 2, x.r.lift_to(s)).flat()}
+        assign = {x: elementary(1, 1, 2, lift_to(x.r, s)).flat()}
         rep = verify_relations(holds + fails, assign, 5, s)
         assert rep.checked == 6
         assert rep.violations == tuple(fails)

