@@ -473,12 +473,28 @@ def _check_steinberg_sl(n, p, d, target_s, expect=None):
     return ok, detail
 
 
-def _commutator_power_attempts(rng, attempts):
-    """(qualifies, holds) boolean arrays for ``attempts`` sampled pairs.
+# the group of the commutator-power check: SL_3(F_3[t]/t^3)
+_CP_M, _CP_P, _CP_S = 3, 3, 3
 
-    Each attempt draws, in this order, the s coefficients of r1, those of
-    r2, the root of x = e_ij(r1) and the root of y = e_kl(r2), all from
-    ``rng``.  ``qualifies`` says whether x commutes with comm = [x, y] =
+
+def _commutator_power_draws(rng, attempts):
+    """(r1, r2, i, j, k, l): ``attempts`` sampled pairs x = e_ij(r1),
+    y = e_kl(r2), as int64 arrays drawn whole from the numpy generator
+    ``rng``: r1 and r2 are ring indices in [0, p^s), every one as likely,
+    and each root (i, j) or (k, l) one of the m(m-1) off-diagonal
+    positions, 1-based."""
+    roots = np.array([(i, j) for i in range(1, _CP_M + 1)
+                      for j in range(1, _CP_M + 1) if i != j])
+    r1, r2 = rng.integers(_CP_P**_CP_S, size=(2, attempts))
+    x_root, y_root = roots[rng.integers(len(roots), size=(2, attempts))]
+    return r1, r2, *x_root.T, *y_root.T
+
+
+def _commutator_power_attempts(r1, r2, i, j, k, l):
+    """(qualifies, holds) boolean arrays for the sampled pairs x = e_ij(r1),
+    y = e_kl(r2) (``_commutator_power_draws``).
+
+    ``qualifies`` says whether x commutes with comm = [x, y] =
     x y x^-1 y^-1, and ``holds`` whether comm^p = [x^p, y].  The matrices
     are flat rows over RingTable(p, s), multiplied a whole batch at a
     time; inverses are closed form, e_ij(r)^-1 = e_ij(-r), and
@@ -488,17 +504,8 @@ def _commutator_power_attempts(rng, attempts):
     from .groups import elementary
     from .ring import RingTable
 
-    m, p, s = 3, 3, 3
-    ring = RingTable(p, s)
-    roots = [(i, j) for i in range(1, m + 1)
-             for j in range(1, m + 1) if i != j]
-    pows = [p**k for k in range(s)]
-    draws = []
-    for _ in range(attempts):
-        r1 = sum(rng.randrange(p) * w for w in pows)
-        r2 = sum(rng.randrange(p) * w for w in pows)
-        draws.append((r1, r2, *rng.choice(roots), *rng.choice(roots)))
-    r1, r2, i, j, k, l = np.array(draws, dtype=np.int64).T
+    m, p = _CP_M, _CP_P
+    ring = RingTable(p, _CP_S)
 
     def mm(a, b):
         return matmul_batch(a, b, ring.mul, ring.add, m)
@@ -531,16 +538,16 @@ def _check_commutator_power(samples, seed):
     satisfy that hypothesis and counts those that break the identity at
     k = p.  In characteristic p an elementary has x^p = e_ij(p r) = 1, so
     the right side is trivial, but the check still computes both sides.
-    Attempts are drawn from a local ``random.Random(seed)`` in chunks, so
+    Attempts are drawn in chunks, each as whole arrays from one
+    ``np.random.default_rng(seed)`` (``_commutator_power_draws``), so
     pairs drawn past the last qualifying one change nothing.
     """
-    import random
-
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     holds = np.zeros(0, dtype=bool)
     while len(holds) < samples:
         need = samples - len(holds)
-        qualifies, held = _commutator_power_attempts(rng, 2 * need + 16)
+        qualifies, held = _commutator_power_attempts(
+            *_commutator_power_draws(rng, 2 * need + 16))
         holds = np.concatenate([holds, held[qualifies]])
     bad = int(np.count_nonzero(~holds[:samples]))
     return bad == 0, {"sampled": samples, "violations": bad}

@@ -81,7 +81,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels.common import KeyIndex, lex_keys, stable_order, unpack_keys
+from ._kernels.common import KeyIndex, lex_keys, unpack_keys
 from .complexes import SimplicialComplex, WeightTable, _unique_rows
 from .errors import (InputError, ParameterError, ResourceLimitError,
                      StructureError)
@@ -354,19 +354,30 @@ class H1Result:
 def _forcing_labels(X: SimplicialComplex) -> tuple[np.ndarray, int]:
     """(mu, rounds): the int32 forcing labels (module notes) and the
     rounds run; a round is one scatter-min per triangle slot column, each
-    reading the labels the one before wrote, and the last changes none."""
+    reading the labels the one before wrote, and the last changes none.
+
+    A column's pass is two ``take``s of the other columns' labels into
+    preallocated int32 buffers, their ``maximum`` in place, and the
+    ``minimum.at``.  Every index is in range, so the takes wrap, which
+    skips the copy of ``out`` that a raising take makes.  Labels only
+    fall, so a round that leaves their int64 sum unchanged changed none
+    of them, and no round copies the labels.
+    """
     parent_edge = X.spanning_forest()[1]
     mu = np.arange(X.face_count(1), dtype=np.int32)
     mu[parent_edge[parent_edge >= 0]] = -1
-    cols = np.ascontiguousarray(X.triangle_edges().T)
-    rounds = 0
+    cols = np.ascontiguousarray(X.triangle_edges().T, dtype=np.intp)
+    a, b = np.empty((2, cols.shape[1]), dtype=np.int32)
+    rounds, total = 0, int(mu.sum(dtype=np.int64))
     while True:
         rounds += 1
-        before = mu.copy()
         for k in range(3):
-            np.minimum.at(mu, cols[k],
-                          np.maximum(mu[cols[k - 1]], mu[cols[k - 2]]))
-        if np.array_equal(mu, before):
+            mu.take(cols[k - 1], out=a, mode="wrap")
+            mu.take(cols[k - 2], out=b, mode="wrap")
+            np.maximum(a, b, out=a)
+            np.minimum.at(mu, cols[k], a)
+        total, before = int(mu.sum(dtype=np.int64)), total
+        if total == before:
             return mu, rounds
 
 
@@ -412,19 +423,18 @@ def _gauge_solutions(X: SimplicialComplex, lam: TableGroup,
         return sols, stats
     t, inv = lam.table.tolist(), lam.inv.tolist()
     vals = [e0] + [v for v in range(m) if v != e0]
-    # memoryviews of int64 arrays read and write plain ints with no numpy
-    # scalar in between, and unlike lists they hold no int object per entry
-    flat = np.ascontiguousarray(X.triangle_edges(),
-                                dtype=np.int64).reshape(-1)
+    # memoryviews of integer arrays read and write plain ints with no
+    # numpy scalar in between, and unlike lists they hold no int object
+    # per entry
+    flat = X.triangle_edges().reshape(-1)
     tri = memoryview(flat)
     # edge -> triangle incidence as CSR over the slots (3 per triangle);
-    # the stable order lists each edge's triangles in increasing order,
-    # and slot k sits at position rank[k] of its edge's list
-    order = stable_order(flat)
+    # the complex's slots by edge list each edge's triangles in
+    # increasing order, and slot k sits at position rank[k] of its list
+    order = X.edge_slots()
     rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    order //= 3
-    inc, rank = memoryview(order), memoryview(rank)
+    rank[order] = np.arange(len(order), dtype=order.dtype)
+    inc, rank = memoryview(order // 3), memoryview(rank)
     ptr = memoryview(np.concatenate(
         [[0], np.cumsum(np.bincount(flat, minlength=E))]))
     assign = memoryview(values)

@@ -38,28 +38,42 @@ from .groups import (CosetPartition, FiniteGroup, _orbit_min_labels,
                      cosets, quotient, rotate_rows, sl_group, subgroup_K)
 
 
+# the edges ab, bc, ac of a triangle abc, the column order of triangle_edges
+_TRIANGLE_EDGES = [[0, 1], [1, 2], [0, 2]]
+
+
 def _same_rows(A: np.ndarray, B: np.ndarray, base: int) -> bool:
     """Do two arrays of rows in [0, base) hold the same multiset of rows?"""
     return A.shape == B.shape and bool(np.array_equal(
         np.sort(lex_keys(A, base)), np.sort(lex_keys(B, base))))
 
 
-def _unique_rows(rows: np.ndarray, base: int, counts: bool = False):
-    """The distinct rows in lex order of rows in [0, base), and with
-    ``counts`` the number of times each occurs.
+def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+    """(order, sorted keys, first): the stable order that sorts the keys,
+    the keys in that order, and where each run of equal keys starts.
 
-    Equal keys are equal rows, so any order that sorts the keys serves.
-    ``stable_order`` is the fastest here on integer keys, and another
-    sort kernel would add its code pages to every process."""
-    keys = lex_keys(rows, base)
+    ``stable_order`` is the fastest sort here on integer keys, and another
+    sort kernel would add its code pages to every process.  The runs are
+    found as positions, not as a boolean mask, which is the slower gather
+    on the tables here."""
     order = stable_order(keys)
     keys = keys[order]
     fresh = np.ones(len(keys), dtype=bool)
     fresh[1:] = keys[1:] != keys[:-1]
-    uniq = rows[order[fresh]]
+    return order, keys, np.flatnonzero(fresh)
+
+
+def _unique_rows(rows: np.ndarray, base: int, counts: bool = False):
+    """The distinct rows in lex order of rows in [0, base), and with
+    ``counts`` the number of times each occurs.
+
+    Equal keys are equal rows, so any order that sorts the keys serves."""
+    order, keys, first = _key_runs(lex_keys(rows, base))
+    uniq = rows.take(order.take(first), axis=0)
     if not counts:
         return uniq
-    return uniq, np.diff(np.append(np.flatnonzero(fresh), len(keys)))
+    return uniq, np.diff(np.append(first, len(keys)))
 
 
 def _spanning_forest(edges: np.ndarray, V: int
@@ -130,8 +144,12 @@ class SimplicialComplex:
 
     The complex owns every derived table and caches each on first use:
     the face tables with their containment counts, the triangle -> edge
-    index, the vertex incidence, and the one BFS forest of the 1-skeleton
-    (``spanning_forest``), from which the component count is read.
+    index (``triangle_edges``) and its slots grouped by edge
+    (``edge_slots``), the vertex incidence, and the one BFS forest of the
+    1-skeleton (``spanning_forest``), from which the component count is
+    read.  On a 2-dimensional complex the edge table, the triangle -> edge
+    index and the slots by edge all come from one sort, whose order the
+    edge table keeps as int32.
     """
 
     def __init__(self, n: int, vertex_count: int, max_faces,
@@ -164,6 +182,7 @@ class SimplicialComplex:
         self._index: dict[int, KeyIndex] = {}
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
         self._tri_edges: np.ndarray | None = None
+        self._slot_order: np.ndarray | None = None
         self._forest: tuple | None = None
         self._validate(increasing)
 
@@ -194,9 +213,13 @@ class SimplicialComplex:
             if (self.colors < 0).any() or (self.colors > self.n).any():
                 raise StructureError(f"colors must lie in [0, {self.n}]")
             # w colors in [0, n] on a row's w vertices: all of them iff
-            # their bits fill the mask (of int64 bits, below 63 colors)
+            # their bits, ORed column by column, fill the mask (of int64
+            # bits, below 63 colors)
             if w < 63:
-                seen = np.bitwise_or.reduce(np.left_shift(1, self.colors[mf]), axis=1)
+                bit = np.left_shift(1, self.colors)
+                seen = bit[mf[:, 0]]
+                for c in range(1, w):
+                    seen |= bit[mf[:, c]]
                 partite = (seen == (1 << w) - 1).all()
             else:
                 partite = (np.sort(self.colors[mf], axis=1) == np.arange(w)).all()
@@ -209,7 +232,15 @@ class SimplicialComplex:
     # -- face tables --------------------------------------------------
 
     def _table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(faces, containment counts) for dimension k, cached."""
+        """(faces, containment counts) for dimension k, cached.
+
+        Below the dimension the k-faces of every maximal face are stacked
+        and sorted once.  For n == 2 and k == 1 the keys of the edges ab,
+        bc, ac of each triangle abc are sorted, triangle by triangle, so
+        slot 3t + c holds edge c of triangle t, and the sort's stable
+        order is kept, as int32, for ``triangle_edges`` and
+        ``edge_slots``.
+        """
         if k in self._tables:
             return self._tables[k]
         w = self.n + 1
@@ -228,6 +259,17 @@ class SimplicialComplex:
             faces = np.arange(self.vertex_count,
                               dtype=np.int64).reshape(-1, 1)
             cnt = used
+        elif (self.n, k) == (2, 1):
+            # the lex key a*V + b of each edge ab, no stacked copy of rows
+            V, mf = self.vertex_count, self.max_faces
+            keys = np.empty((len(mf), 3), dtype=np.int64)
+            for c, (a, b) in enumerate(_TRIANGLE_EDGES):
+                np.multiply(mf[:, a], V, out=keys[:, c])
+                keys[:, c] += mf[:, b]
+            order, keys, first = _key_runs(keys.reshape(-1))
+            faces = np.stack(np.divmod(keys.take(first), V), axis=1)
+            cnt = np.diff(np.append(first, len(keys)))
+            self._slot_order = order.astype(np.int32)
         else:
             combos = list(itertools.combinations(range(w), k + 1))
             stacked = np.vstack([self.max_faces[:, c] for c in combos])
@@ -312,16 +354,41 @@ class SimplicialComplex:
         return pos
 
     def triangle_edges(self) -> np.ndarray:
-        """(T, 3) positions in faces(1) of the edges ab, bc, ac of each
-        triangle abc of faces(2), cached; no rows below dimension 2."""
+        """(T, 3) int32 positions in faces(1) of the edges ab, bc, ac of
+        each triangle abc of faces(2), cached; no rows below dimension 2.
+
+        For n == 2 they invert the sort behind faces(1): the slots in its
+        order hold the edges in ascending position, each as often as its
+        count, so no edge is searched.  For n >= 3 the triangles are not
+        the rows that sort ran on, and each edge is searched in faces(1).
+        """
         if self._tri_edges is None:
             tris = self.faces(2)
-            self._tri_edges = np.empty((0, 3), dtype=np.int64)
-            if self.n >= 2:
-                self._tri_edges = np.stack(
-                    [self.face_index_array(tris[:, c])
-                     for c in ([0, 1], [1, 2], [0, 2])], axis=1)
+            te = np.empty((0, 3), dtype=np.int32)
+            if self.n == 2:
+                edges, cnt = self._table(1)
+                te = np.empty(3 * len(tris), dtype=np.int32)
+                te[self._slot_order] = np.repeat(
+                    np.arange(len(edges), dtype=np.int32), cnt)
+                te = te.reshape(-1, 3)
+            elif self.n > 2:
+                te = np.stack([self.face_index_array(tris[:, c])
+                               for c in _TRIANGLE_EDGES], axis=1
+                              ).astype(np.int32)
+            self._tri_edges = te
         return self._tri_edges
+
+    def edge_slots(self) -> np.ndarray:
+        """The slots of ``triangle_edges().ravel()`` grouped by edge,
+        edges in faces(1) order and each edge's slots ascending, that is
+        ``np.argsort(triangle_edges().ravel(), kind="stable")``, as int32,
+        cached.  For n == 2 this is the order of the one sort behind
+        faces(1); otherwise a sort of its own."""
+        self._table(1)                 # keeps that order when n == 2
+        if self._slot_order is None:
+            self._slot_order = stable_order(
+                self.triangle_edges().ravel()).astype(np.int32)
+        return self._slot_order
 
     # -- 1-skeleton ----------------------------------------------------
 
@@ -664,8 +731,9 @@ def build_ko_complex(n: int, p: int, s: int, d: int,
     g^-1 h lies in K_i exactly when c_i(g)^-1 c_i(h) lies in K_0: colour i
     keys each g by the K_0 coset of c_i(g), and ``cosets()`` runs once,
     from K_0's own generators.  The labels are the smallest index in each
-    coset, as ``cosets()`` would give for K_i itself.  K_0 and every
-    conjugate must be found in G.
+    coset, as ``cosets()`` would give for K_i itself.  The conjugation
+    c_1 is looked up in G once, as an index map, and c_i is its i-th
+    power.  K_0 and every conjugate must be found in G.
     """
     G = sl_group(n, p, s, cap=cap)
     K = subgroup_K(n, p, s, d, 0, cap=cap)
@@ -673,10 +741,13 @@ def build_ko_complex(n: int, p: int, s: int, d: int,
     if (K0 < 0).any():
         raise StructureError("K_0 escapes the ambient group")
     part0 = cosets(G, K0, K0[K.generators])
-    parts = [part0]
-    for i in range(1, n + 1):
-        conj = G.lookup_rows(rotate_rows(G.elems, -i))
-        if (conj < 0).any():
-            raise StructureError(f"a conjugate by gamma_0^{i} escapes the ambient group")
+    # c_1 as an index map, looked up once; c_i is its i-th power
+    c1 = G.lookup_rows(rotate_rows(G.elems, -1))
+    if (c1 < 0).any():
+        raise StructureError("a conjugate by gamma_0 escapes the ambient group")
+    parts, conj = [part0], c1
+    for i in range(n):
+        if i:
+            conj = c1[conj]
         parts.append(CosetPartition.from_keys(G, part0.labels[conj]))
     return coset_complex(G, parts, labels=labels)

@@ -27,14 +27,35 @@ import numpy as np
 from .errors import InputError, ParameterError
 
 
+# Miller-Rabin with the prime bases up to 41 decides every p below this
+# bound exactly: it is the least strong pseudoprime to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Is p prime?  Deterministic Miller-Rabin, exact for p < MAX_PRIME;
+    a larger p raises ParameterError."""
+    if p >= MAX_PRIME:
+        raise ParameterError(f"p must be below {MAX_PRIME}, got {p}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

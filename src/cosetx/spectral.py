@@ -105,18 +105,19 @@ class WalkMatrix:
 def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
     """The weighted walk on the 1-skeleton of X.
 
-    The walk only depends on the edge containment counts.  A disconnected
-    1-skeleton raises StructureError; the component count is read from
-    the complex's cached BFS forest (``SimplicialComplex.spanning_forest``),
-    which H^1 reuses on the same complex.
+    The walk only depends on the edge containment counts.  A vertex's
+    strength, the sum of the counts of its edges, is n times its own
+    containment count: each maximal face at v holds n of v's edges.  A
+    disconnected 1-skeleton raises StructureError; the component count is
+    read from the complex's cached BFS forest
+    (``SimplicialComplex.spanning_forest``), which H^1 reuses on the same
+    complex.
     """
     if X.n < 1:
         raise ParameterError("a 0-dimensional complex has no 1-skeleton walk")
     edges = X.faces(1)
     ec = X.containment_counts(1).astype(np.int64)
-    strength = np.zeros(X.vertex_count, dtype=np.int64)
-    np.add.at(strength, edges[:, 0], ec)
-    np.add.at(strength, edges[:, 1], ec)
+    strength = X.n * X.containment_counts(0).astype(np.int64)
     ncomp = X.component_count()
     if ncomp != 1:
         raise StructureError(

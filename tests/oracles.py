@@ -409,25 +409,24 @@ def monomial_symmetry_actions(gens, probes):
     return kept, candidates
 
 
-def commutator_power_attempts(seed, attempts, n=2, p=3, s=3):
+def commutator_power_attempts(r1, r2, i, j, k, l, n=2, p=3, s=3):
     """(qualifies, holds) of each sampled pair of elementaries, exactly.
 
-    The sampling of ``cli._check_commutator_power``: each attempt draws
-    from ``random.Random(seed)`` the s coefficients of r1, those of r2,
-    the root of x = e_ij(r1) and the root of y = e_kl(r2).  ``qualifies``
-    says whether x commutes with [x, y] = x y x^-1 y^-1 and ``holds``
-    whether [x, y]^p = [x^p, y], both by MatElement products, powers and
-    cofactor inverses.
+    Takes the draws of ``cli._commutator_power_draws``: the ring indices
+    r1, r2 of the entries and the roots (i, j) of x = e_ij(r1) and (k, l)
+    of y = e_kl(r2), one array entry per attempt.  ``qualifies`` says
+    whether x commutes with [x, y] = x y x^-1 y^-1 and ``holds`` whether
+    [x, y]^p = [x^p, y], both by MatElement products, powers and cofactor
+    inverses.
     """
-    rng = random.Random(seed)
-    roots = [(i, j) for i in range(1, n + 2)
-             for j in range(1, n + 2) if i != j]
     out = []
-    for _ in range(attempts):
-        r1 = TruncPoly(p, s, tuple(rng.randrange(p) for _ in range(s)))
-        r2 = TruncPoly(p, s, tuple(rng.randrange(p) for _ in range(s)))
-        x = elementary(n, *rng.choice(roots), r1)
-        y = elementary(n, *rng.choice(roots), r2)
+    for a, b, *root in zip(*(np.asarray(v).tolist()
+                             for v in (r1, r2, i, j, k, l))):
+        # ring index -> coefficients, lowest degree first
+        x = elementary(n, root[0], root[1],
+                       make_poly(p, s, [a // p**e for e in range(s)]))
+        y = elementary(n, root[2], root[3],
+                       make_poly(p, s, [b // p**e for e in range(s)]))
         comm = x @ y @ x.inverse() @ y.inverse()
         xp = x.pow(p)
         out.append((x @ comm == comm @ x,

@@ -10,7 +10,6 @@ import hashlib
 import importlib.metadata
 import io
 import json
-import random
 import shutil
 import subprocess
 import sys
@@ -103,6 +102,20 @@ def test_ring_commands_on_large_rings(capsys, argv, line):
     code = cli.main(["ring", *argv, "--format", "text"])
     assert code == 0
     assert capsys.readouterr().out == line + "\n"
+
+
+def test_ring_parse_decides_a_61_bit_prime_at_once(capsys):
+    """p = 2^61 - 1 is proved prime at once, 2^61 + 1 (divisible by 3) is
+    refused, and so is a p past the exact range of the primality test."""
+    from cosetx.ring import MAX_PRIME
+
+    t0 = time.perf_counter()
+    code, env = run_json(capsys, ["ring", "parse", "[1]@2305843009213693951,1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and env["result"]["p"] == 2**61 - 1
+    for p in (2**61 + 1, MAX_PRIME):
+        assert cli.main(["ring", "parse", f"[1]@{p},1"]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_timings_are_opt_in(capsys):
@@ -674,8 +687,15 @@ def test_commutator_power_attempts_match_matelement_oracle(seed):
     attempt, qualifying or not.  Attempts that fail the filter include
     ones that break the identity (21 of 300 on seed 0), so a wrong
     inverse or a dropped filter shows up as a disagreement."""
-    qualifies, holds = cli._commutator_power_attempts(random.Random(seed), 300)
-    expected = oracles.commutator_power_attempts(seed, 300)
+    draws = cli._commutator_power_draws(np.random.default_rng(seed), 300)
+    r1, r2, i, j, k, l = draws
+    # every entry of F_3[t]/t^3 and every root position is drawn
+    assert set(r1.tolist()) == set(r2.tolist()) == set(range(27))
+    roots = {(a, b) for a in range(1, 4) for b in range(1, 4) if a != b}
+    assert set(zip(i.tolist(), j.tolist())) == roots
+    assert set(zip(k.tolist(), l.tolist())) == roots
+    qualifies, holds = cli._commutator_power_attempts(*draws)
+    expected = oracles.commutator_power_attempts(*draws)
     assert list(zip(qualifies.tolist(), holds.tolist())) == expected
     assert (False, False) in expected
     assert all(h for q, h in expected if q)

@@ -684,6 +684,40 @@ def test_forcing_labels_on_ko_complex(ko2221):
     assert (len(branches), branches[-1]) == (295, 4236)
 
 
+def test_ko_slot_tables_take_one_sort_and_no_search(monkeypatch):
+    """faces(1), triangle_edges() and the gauge search's edge -> triangle
+    incidence on KO(2,2,2,1) sort the 3T triangle slots once, in the edge
+    table, and search no edge; the search counts stay pinned."""
+    from cosetx._kernels.common import KeyIndex
+
+    X = build_ko_complex(2, 2, 2, 1)
+    slots = 3 * X.face_count(2)
+    sorts, searches = [], []
+    real_order, real_lookup = complexes.stable_order, KeyIndex.lookup
+
+    def order_spy(keys):
+        if len(keys) == slots:
+            sorts.append(len(keys))
+        return real_order(keys)
+
+    def lookup_spy(self, keys):
+        searches.append(len(keys))
+        return real_lookup(self, keys)
+
+    monkeypatch.setattr(complexes, "stable_order", order_spy)
+    monkeypatch.setattr(cohomology, "stable_order", order_spy, raising=False)
+    monkeypatch.setattr(KeyIndex, "lookup", lookup_spy)
+    X.faces(1)
+    X.triangle_edges()
+    sols, stats = cohomology._gauge_solutions(X, zmod(2),
+                                              cohomology.DEFAULT_CAP,
+                                              stop_after=2)
+    assert (len(sorts), searches) == (1, [])
+    assert stats == {"branch_edges": 295, "label_rounds": 41,
+                     "search_nodes": 1}
+    assert len(sols) == 2
+
+
 def test_gauge_witness_with_identity_off_index_0():
     # Z/2 with the identity at index 1: values tried by index alone would
     # make the identity the second solution, and so the witness

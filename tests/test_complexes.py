@@ -488,3 +488,72 @@ class TestKOComplex:
         monkeypatch.setattr(complexes, "cosets", counting)
         build_ko_complex(2, 2, 2, 1)
         assert calls == [64]
+
+
+# ---------------------------------------------------------------------------
+# the edge table's one sort: triangle slots and slots by edge
+
+
+def _ko_link(*params):
+    from cosetx.spectral import ko_vertex_link
+    return lambda: ko_vertex_link(*params)
+
+
+SLOT_CASES = {
+    # every 2-dimensional fixture
+    "single_triangle": fixtures.single_triangle,
+    "triangle_strip": fixtures.triangle_strip,
+    "tetrahedron_sphere": fixtures.tetrahedron_sphere,
+    "octahedron": fixtures.octahedron,
+    "torus_7": fixtures.torus_7,
+    "two_triangles_disjoint": fixtures.two_triangles_disjoint,
+    "bowtie": fixtures.bowtie,
+    # edges in 3, 2 and 1 triangles, in no symmetric pattern
+    "fan": lambda: SimplicialComplex(2, 5, [[0, 1, 2], [0, 1, 3], [0, 1, 4],
+                                            [1, 2, 3]]),
+    "ko-2-2-2-1": lambda: build_ko_complex(2, 2, 2, 1),
+    "ko-2-2-2-0": lambda: build_ko_complex(2, 2, 2, 0),
+    "link-3-2-2-1": _ko_link(3, 2, 2, 1),
+    "link-3-2-3-1": _ko_link(3, 2, 3, 1),
+    # above dimension 2 the triangles are searched in the edge table
+    "two-tetrahedra": lambda: SimplicialComplex(3, 5, [[0, 1, 2, 3],
+                                                       [1, 2, 3, 4]]),
+    "three-tetrahedra": lambda: SimplicialComplex(
+        3, 6, [[0, 1, 2, 3], [0, 1, 2, 4], [0, 2, 4, 5]]),
+}
+
+
+def _searched_triangle_edges(X):
+    tris = X.faces(2)
+    return np.stack([X.face_index_array(tris[:, c])
+                     for c in ([0, 1], [1, 2], [0, 2])], axis=1)
+
+
+@pytest.mark.parametrize("make", SLOT_CASES.values(), ids=SLOT_CASES.keys())
+def test_triangle_edges_equal_the_edge_searches(make):
+    X = make()
+    te = X.triangle_edges()                  # before faces(1) is asked for
+    assert te.dtype == np.int32 and te.shape == (X.face_count(2), 3)
+    assert np.array_equal(te, _searched_triangle_edges(X))
+    assert X.triangle_edges() is te          # cached
+
+
+@pytest.mark.parametrize("make", SLOT_CASES.values(), ids=SLOT_CASES.keys())
+def test_edge_slots_are_the_stable_order_of_the_slots(make):
+    X = make()
+    slots = X.edge_slots()
+    assert slots.dtype == np.int32
+    assert np.array_equal(
+        slots, np.argsort(X.triangle_edges().ravel(), kind="stable"))
+    assert X.edge_slots() is slots
+
+
+def test_edge_table_keeps_its_slot_order_only_in_dimension_two():
+    # a 2-dim complex keeps the order of the sort behind faces(1); the
+    # slots themselves are worked out only when asked for
+    X = build_ko_complex(2, 2, 2, 1)
+    X.faces(1)
+    assert X._slot_order is not None and X._tri_edges is None
+    Y = SLOT_CASES["two-tetrahedra"]()
+    Y.faces(1)
+    assert Y._slot_order is None

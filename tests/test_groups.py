@@ -333,6 +333,46 @@ class TestGroupInterface:
             for a in (0, 1, G.size - 1):
                 assert col[a] == G.mult(a, b)
 
+    # (group, whether its right tables go through row tables): ceil(q^m/m)
+    # row products against |G| element products
+    RIGHT_TABLES = {
+        "sl-2-2-2": (lambda: sl_group(2, 2, 2), True),         # 22 <= 43008
+        "sl-1-5-2": (lambda: sl_group(1, 5, 2), True),         # 313 <= 15000
+        "kernel-1-3-2-1": (lambda: reduction_kernel(1, 3, 2, 1), False),
+        # on the switch: ceil(16/2) = 8 = |G| < Q = 16
+        "kernel-1-2-2-1": (lambda: reduction_kernel(1, 2, 2, 1), True),
+        "k0-2-3-2-1": (lambda: subgroup_K(2, 3, 2, 1, 0), True),  # 243 <= 729
+    }
+
+    @pytest.mark.parametrize("make,tabled", RIGHT_TABLES.values(),
+                             ids=RIGHT_TABLES.keys())
+    def test_right_mult_table_matches_the_dense_products(self, make, tabled,
+                                                         monkeypatch):
+        from cosetx import groups
+        from cosetx._kernels import matmul_batch
+
+        G = make()
+        built = []
+        real = groups._RowTables
+
+        def spy(*args):
+            built.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(groups, "_RowTables", spy)
+        picks = sorted({*G.generators, G.identity, 1, G.size // 2,
+                        G.size - 1})
+        ring = G.ring
+        for b in picks:
+            got = G.right_mult_table(b)
+            want = G.lookup_rows(matmul_batch(G.elems, G.elems[b], ring.mul,
+                                              ring.add, G.m))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            for a in (0, 1, G.size - 1):
+                assert got[a] == G.mult(a, b)
+        assert built == ([1] * len(picks) if tabled else [])
+
 
 class TestCosetsQuotients:
     def test_cosets_partition(self):

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +136,45 @@ def test_enumerate_polys_degree_bound():
 
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_10000():
+    assert [n for n in range(-3, 10**4) if is_prime(n)] == \
+        [n for n in range(-3, 10**4) if _trial_division(n)]
+
+
+def test_is_prime_answers_a_61_bit_prime_at_once():
+    t0 = time.perf_counter()
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("n", [
+    2**61 + 1,                # 3 * 768614336404564651
+    2047, 3277,               # strong pseudoprimes to base 2
+    561, 1105,                # Carmichael numbers
+    # Carmichael numbers with no prime factor among the bases
+    43 * 127 * 211, 53 * 79 * 599,
+    999983 * 1000003,         # two primes near 10^6
+    # the least strong pseudoprime to every prime base up to 37: only
+    # base 41 shows it composite
+    399165290221 * 798330580441,
+])
+def test_is_prime_refuses_composites_that_fool_weaker_tests(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_p_past_its_exact_range():
+    from cosetx.ring import MAX_PRIME
+    for p in (MAX_PRIME, 2**89 - 1):
+        with pytest.raises(ParameterError, match="must be below"):
+            is_prime(p)
+        with pytest.raises(ParameterError):
+            check_ring_params(p, 1)
 
 
 def test_check_ring_params_rejects():

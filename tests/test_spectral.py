@@ -86,6 +86,37 @@ def test_walk_matrix_validation():
         walk_matrix(SimplicialComplex(0, 2, [[0], [1]]))
 
 
+STRENGTH_CASES = {
+    "single-triangle": fx.single_triangle,
+    "triangle-strip": fx.triangle_strip,
+    "tetrahedron-sphere": fx.tetrahedron_sphere,
+    "octahedron": fx.octahedron,
+    "torus-7": fx.torus_7,
+    "bowtie": fx.bowtie,
+    "petersen": fx.petersen_graph,
+    "fan": lambda: SimplicialComplex(2, 5, [[0, 1, 2], [0, 1, 3], [0, 1, 4],
+                                            [1, 2, 3]]),
+    "ko-2-2-2-1": lambda: build_ko_complex(2, 2, 2, 1),
+    "link-3-2-2-1": lambda: ko_vertex_link(3, 2, 2, 1),
+    "link-3-2-3-1": lambda: ko_vertex_link(3, 2, 3, 1),
+    "two-tetrahedra": lambda: SimplicialComplex(3, 5, [[0, 1, 2, 3],
+                                                       [1, 2, 3, 4]]),
+}
+
+
+@pytest.mark.parametrize("make", STRENGTH_CASES.values(),
+                         ids=STRENGTH_CASES.keys())
+def test_walk_strength_is_the_sum_over_each_vertex_edges(make):
+    X = make()
+    M = walk_matrix(X)
+    edges, ec = X.faces(1), X.containment_counts(1)
+    want = np.zeros(X.vertex_count, dtype=np.int64)
+    np.add.at(want, edges[:, 0], ec)
+    np.add.at(want, edges[:, 1], ec)
+    assert M.strength.dtype == np.int64
+    assert np.array_equal(M.strength, want)
+
+
 def _scipy_component_count(edges, V):
     """Undirected components by scipy's csgraph, the test-only oracle."""
     sparse = pytest.importorskip("scipy.sparse")
