@@ -17,16 +17,17 @@ products run the dense m*m*(2m-1) table gathers per row, each one 1-D
 
 The closure works on canonical keys, and on row tables it builds no
 candidate row: a generator acts on a key through one map of row keys,
-computed on the frontier's rows at first and read from one table per
-generator once the closure is large enough to pay for it.  When the key
-space has at most min(64*cap, 2**32) keys, the keys are uint32, the
-visited ones a bitset, and each layer is expanded in blocks of BLOCK
-keys, whose temporaries stay in L2; otherwise the keys are uint64 or
-void and the visited ones one sorted array.  A large closure on the
-bitset path expands one key per orbit of the symmetries of its
-generating set: the monomial conjugations and ring maps t -> alpha*t that
-map the generators onto themselves, found from the generators and the
-ring tables.  ``closure_bfs`` has the details.
+``_RowMaps``, which the right tables of ``groups`` share.  It is computed
+on the keys' rows at first and read from one table per generator once
+enough keys have passed to pay for it.  When the key space has at most
+min(64*cap, 2**32) keys, the keys are uint32, the visited ones a bitset,
+and each layer is expanded in blocks of BLOCK keys, whose temporaries
+stay in L2; otherwise the keys are uint64 or void and the visited ones
+one sorted array.  A large closure on the bitset path expands one key
+per orbit of the symmetries of its generating set: the monomial
+conjugations and ring maps t -> alpha*t that map the generators onto
+themselves, found from the generators and the ring tables.
+``closure_bfs`` has the details.
 """
 
 from __future__ import annotations
@@ -327,67 +328,6 @@ def _row_keys(keys: np.ndarray, m: int, Q: int) -> list[np.ndarray]:
     return [r.view(np.intp) if r.itemsize == 8 else r.astype(np.intp) for r in rho]
 
 
-class _RowTables:
-    """Row maps read from one table per generator, on uint32 or uint64 keys.
-
-    Row ``t`` of ``tables`` is R_g for the generator g = ``gens[t]``:
-    R_g[rho] is the row key of (row rho) @ g, for every row key rho in
-    [0, Q), Q = q**m.  The Q row vectors go through one ``matmul_batch``
-    per generator, packed m to a matrix, since each row of a product
-    X @ g is that row of X times g.
-    """
-
-    def __init__(self, gens: np.ndarray, mul: np.ndarray, add: np.ndarray,
-                 m: int, q: int):
-        self.gens, self.mul, self.add, self.m, self.q = gens, mul, add, m, q
-        self.Q = q**m
-        k = -(-self.Q // m)
-        rows = unpack_keys(np.arange(k * m, dtype=np.uint64), q, m)
-        rows = rows.reshape(k, m * m)
-        self.tables = np.empty((len(gens), self.Q), dtype=np.uint32)
-        for table, g in zip(self.tables, gens):
-            prods = matmul_batch(rows, g, mul, add, m).reshape(k * m, m)
-            table[:] = pack_keys(prods[:self.Q], q)
-
-    def images(self, keys: np.ndarray):
-        """For each generator g in turn, the keys of x @ g over the x with
-        ``keys``, of their dtype: sum over a of R_g[rho_a] * Q**a, where
-        the row keys rho_a = (key // Q**a) % Q are split off once for all
-        generators."""
-        rho = _row_keys(keys, self.m, self.Q)
-        for table in self.tables:
-            out = table.take(rho[-1]).astype(keys.dtype, copy=False)
-            for r in rho[-2::-1]:
-                out *= self.Q
-                out += table.take(r)
-            yield out
-
-    def orbits(self, layer: int) -> None:
-        """A fixed source expands every layer whole."""
-        return None
-
-
-class _RowProducts:
-    """Row maps computed on the frontier's rows: the keys of
-    ``matmul_batch(frontier, g)``, for a Q too large to table."""
-
-    def __init__(self, gens: np.ndarray, mul: np.ndarray, add: np.ndarray,
-                 m: int, q: int):
-        self.gens, self.mul, self.add, self.m, self.q = gens, mul, add, m, q
-
-    def images(self, keys: np.ndarray):
-        """For each generator g in turn, the keys of x @ g over the x with
-        ``keys``, of their dtype, from the rows of those x decoded once."""
-        rows = unpack_keys(keys, self.q, self.m * self.m)
-        for g in self.gens:
-            yield pack_keys(matmul_batch(rows, g, self.mul, self.add, self.m),
-                            self.q).astype(keys.dtype, copy=False)
-
-    def orbits(self, layer: int) -> None:
-        """A fixed source expands every layer whole."""
-        return None
-
-
 def _characteristic(add: np.ndarray) -> int:
     """The additive order of the ring's 1 (index 1)."""
     p, x = 1, 1
@@ -510,36 +450,70 @@ def _first_of_runs(keys: np.ndarray) -> np.ndarray:
 
 
 class _RowMaps:
-    """The row maps of ``closure_bfs``: products on the frontier's rows
-    until the frontiers so far hold ceil(Q/m) elements, then tables, when
-    the keys are not void and Q * len(gens) <= cap (so the tables take at
-    most 4*cap bytes, and row keys fit uint32).
+    """The row maps of ``closure_bfs`` and of right tables: for each
+    generator g, the keys of x @ g over a batch of keys x.
 
-    Building the tables is one ``matmul_batch`` over ceil(Q/m) matrices
-    per generator, what the products cost on that many elements.  So a
-    closure of fewer elements never builds them, and a larger one does at
-    most about twice the matmul work of the cheaper source in hindsight.
-    The tables pay off only for groups much larger than Q/m.  ``orbits``
-    decides whether the closure expands by orbits, from its layer sizes,
-    the symmetries of the generators and the budget left.
+    Each row of x @ g is that row of x times g, so g acts on a key through
+    the row map R_g, R_g[rho] the row key of (row rho) @ g for the Q = q**m
+    row keys rho.  The maps start as products: the batch's rows are decoded
+    and multiplied by g.  Once the batches so far hold ceil(Q/m) keys, and
+    if the keys are not void and Q * len(gens) <= cap, ``tables`` become
+    one uint32 table of Q entries per generator (at most 4*cap bytes), and
+    a key costs m ``take``s and m-1 multiply-adds.  Building the tables is
+    one ``matmul_batch`` over ceil(Q/m) matrices per generator, what the
+    products cost on that many keys.  So fewer keys never build them, and
+    more do at most about twice the matmul work of the cheaper maps in
+    hindsight; the tables pay off only for many more than Q/m keys.
+    ``orbits`` decides whether the closure expands by orbits, from its
+    layer sizes, the symmetries of the generators and the budget left.
     """
 
     def __init__(self, gens: np.ndarray, mul: np.ndarray, add: np.ndarray,
                  m: int, q: int, cap: int):
-        self.source = _RowProducts(gens, mul, add, m, q)
-        Q = q**m
-        tabled = fits_uint64(q, m * m) and Q * len(gens) <= min(cap, 1 << 32)
-        self.left = -(-Q // m) if tabled else None
+        self.gens, self.mul, self.add, self.m, self.q = gens, mul, add, m, q
+        self.Q = q**m
+        tabled = fits_uint64(q, m * m) and self.Q * len(gens) <= min(cap, 1 << 32)
+        # keys still to map by products before the tables, None for never
+        self.left = -(-self.Q // m) if tabled else None
         # tables of Q entries the budget has left for the symmetries
-        self.room = min(cap, 1 << 32) // Q - len(gens) if tabled else 0
+        self.room = min(cap, 1 << 32) // self.Q - len(gens) if tabled else 0
+        self.tables = None
 
     def images(self, keys: np.ndarray):
+        """For each generator g in turn, the keys of x @ g over the x with
+        ``keys``, of their dtype: from the rows of those x decoded once, or
+        as sum over a of R_g[rho_a] * Q**a, where the row keys rho_a =
+        (key // Q**a) % Q are split off once for all generators."""
         if self.left is not None:
             self.left -= len(keys)
             if self.left <= 0:
-                s, self.left = self.source, None
-                self.source = _RowTables(s.gens, s.mul, s.add, s.m, s.q)
-        return self.source.images(keys)
+                self.left, self.tables = None, self._tabulate()
+        if self.tables is None:
+            rows = unpack_keys(keys, self.q, self.m * self.m)
+            for g in self.gens:
+                yield pack_keys(matmul_batch(rows, g, self.mul, self.add, self.m),
+                                self.q).astype(keys.dtype, copy=False)
+            return
+        rho = _row_keys(keys, self.m, self.Q)
+        for table in self.tables:
+            out = table.take(rho[-1]).astype(keys.dtype, copy=False)
+            for r in rho[-2::-1]:
+                out *= self.Q
+                out += table.take(r)
+            yield out
+
+    def _tabulate(self) -> np.ndarray:
+        """The (len(gens), Q) uint32 tables, row t being R_g for g = gens[t]:
+        the Q row vectors go through one ``matmul_batch`` per generator,
+        packed m to a matrix."""
+        m, q, Q = self.m, self.q, self.Q
+        k = -(-Q // m)
+        rows = unpack_keys(np.arange(k * m, dtype=np.uint64), q, m).reshape(k, m * m)
+        tables = np.empty((len(self.gens), Q), dtype=np.uint32)
+        for table, g in zip(tables, self.gens):
+            prods = matmul_batch(rows, g, self.mul, self.add, m).reshape(k * m, m)
+            table[:] = pack_keys(prods[:Q], q)
+        return tables
 
     def orbits(self, layer: int) -> _Orbits | None:
         """The orbit maps that this layer of ``layer`` keys and every later
@@ -566,14 +540,14 @@ class _RowMaps:
           the orbits cost: sl_group(1, 2, 7) 110 -> 123 and
           sl_group(1, 2, 6) 10.1 -> 11.4.
         """
-        if layer < ORBIT_LAYER or self.room < 4 * self.source.m:
+        if layer < ORBIT_LAYER or self.room < 4 * self.m:
             return None
-        s, room, self.room = self.source, self.room, 0
-        maps = _stabilizer(_monomial_candidates(s.mul, s.add, s.m, s.q),
-                           s.gens, s.mul, s.q)
-        if len(maps) < 4 or len(maps) * s.m > room:
+        room, self.room = self.room, 0
+        maps = _stabilizer(_monomial_candidates(self.mul, self.add, self.m, self.q),
+                           self.gens, self.mul, self.q)
+        if len(maps) < 4 or len(maps) * self.m > room:
             return None
-        return _Orbits(maps, s.mul, s.m, s.q)
+        return _Orbits(maps, self.mul, self.m, self.q)
 
 
 def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
@@ -584,27 +558,19 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     identity, ascending canonical key within each layer.  The result does
     not depend on the order or multiplicity of the generators.
 
-    Only keys are tested and sorted.  Each layer is kept as its keys; its
-    row keys rho_a = (key // Q**a) % Q, Q = q**m, are split off, and for
-    each generator g the keys of ``frontier @ g`` are sum over a of
-    R_g[rho_a] * Q**a, with R_g the row map of g (the row key of
-    (row rho) @ g).  The ones not visited yet are kept and marked visited
-    at once.  x -> x g is injective, so one generator's products are
-    distinct, and marking at once makes the survivors of different
-    generators and frontier blocks disjoint: appended to the keys found
-    so far and sorted there, they are the next layer in canonical order.
-    At the end each row key is
-    decoded by one gather from a table of the Q row vectors (digit by
-    digit for void keys and closures of fewer than Q elements).
-
-    The row maps start as products: the frontier's rows are decoded and
-    multiplied by each generator.  Once the frontiers so far hold
-    ceil(Q/m) elements, and if the keys are not void and
-    Q * len(gens) <= cap, they become one uint32 table of Q entries per
-    generator (at most 4*cap bytes), and a candidate key costs m
-    ``take``s and m-1 multiply-adds.  The tables cost as much matmul work
-    as the products of ceil(Q/m) elements, so only much larger groups
-    gain by them.
+    Only keys are tested and sorted.  Each layer is kept as its keys, and
+    for each generator g the keys of ``frontier @ g`` come from one
+    ``_RowMaps``: products of the frontier's rows and g at first, then sum
+    over a of R_g[rho_a] * Q**a, over the row keys rho_a = (key // Q**a) %
+    Q, Q = q**m, with R_g[rho] the row key of (row rho) @ g read from one
+    uint32 table of Q entries per generator (at most 4*cap bytes).  The
+    ones not visited yet are kept and marked visited at once.  x -> x g is
+    injective, so one generator's products are distinct, and marking at
+    once makes the survivors of different generators and frontier blocks
+    disjoint: appended to the keys found so far and sorted there, they are
+    the next layer in canonical order.  At the end each row key is decoded
+    by one gather from a table of the Q row vectors (digit by digit for
+    void keys and closures of fewer than Q elements).
 
     When q**(m*m) <= min(64*cap, 2**32) the visited keys are a bitset
     over the key space, at most 8*cap bytes (``cap`` uint64 keys), all
@@ -620,13 +586,12 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     is the keys found so far, in a buffer at most twice their size, the
     row tables once built, and one block's row keys and candidates (a
     whole layer's on the sorted path, with its rows and one generator's
-    products before the tables).  Building the
-    tables also holds the Q row vectors and one generator's products of
-    them, about 8*m*Q bytes.
+    products before the tables).  Building the tables also holds the Q
+    row vectors and one generator's products of them, about 8*m*Q bytes.
 
-    On the bitset path, a large closure expands by orbits
-    from a layer boundary on (``_RowMaps.orbits`` has the rule and the
-    measured crossover).  The candidate symmetries are the automorphisms
+    On the bitset path, a large closure expands by orbits from a layer
+    boundary on (``_RowMaps.orbits`` has the rule and the measured
+    crossover).  The candidate symmetries are the automorphisms
     X -> M sigma(X) M^-1, with M = P_pi diag(1, l_2, .., l_m), the l_i in
     F_p^*, and sigma a ring map t -> alpha*t; the ones that map the
     generators onto themselves form a group A that preserves word length.
@@ -652,8 +617,8 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
                     _visited_set(q, m * m, cap))
 
 
-def _closure(row_maps: _RowMaps | _RowTables | _RowProducts, m: int, q: int,
-             cap: int, visited: _BitsetKeys | _SortedKeys) -> np.ndarray:
+def _closure(row_maps: _RowMaps, m: int, q: int, cap: int,
+             visited: _BitsetKeys | _SortedKeys) -> np.ndarray:
     """The loop of ``closure_bfs``, with the generators' row maps and the
     empty membership structure ``visited`` passed in."""
     # the keys found so far in BFS order, each layer sorted in place, in one

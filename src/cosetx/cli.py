@@ -783,6 +783,8 @@ def _suite_checks(quick: bool, seed: int):
 
 
 def _cmd_suite(args) -> int:
+    if args.seed < 0:  # np.random.default_rng refuses negative seeds
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     t0 = time.perf_counter()
     rows, row_times = [], []
     all_ok = True

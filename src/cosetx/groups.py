@@ -45,9 +45,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import (KeyIndex, closure_bfs, identity_flat, inverse_batch,
-                       matmul_batch, pack_keys)
-from ._kernels.pure import _RowTables
+from ._kernels import (KeyIndex, RowMaps, closure_bfs, identity_flat,
+                       inverse_batch, matmul_batch, pack_keys)
 from .errors import ParameterError, ResourceLimitError, StructureError
 from .ring import RingTable, TruncPoly, check_ring_params
 from .roots import gamma0, perm_pow, perm_rank, perm_table
@@ -217,9 +216,9 @@ class MatrixGroup(FiniteGroup):
     its keys.  A group that fills more than an eighth of its key space, as
     sl_group(2,2,2) fills 43,008 of 4**9 keys, is indexed by a
     direct-address table; a sparser one by binary search.  A right table
-    of a group with uint64 keys and at least ceil(q^m/m) elements maps
-    its keys through the kernel's row tables (``right_mult_table``); any
-    other group multiplies every element.
+    maps the keys through the kernel's row maps (``right_mult_table``),
+    which table the row products for a large enough group: 22 row
+    products, ceil(4^3/3), serve the 43,008 elements of sl_group(2,2,2).
     """
 
     def __init__(self, ring: RingTable, m: int, elems: np.ndarray,
@@ -272,12 +271,9 @@ class MatrixGroup(FiniteGroup):
     def right_mult_table(self, b: int) -> np.ndarray:
         """Array r with r[a] = mult(a, b) for all a.
 
-        Each row of x @ b is that row of x times b, so when the keys are
-        uint64 and the group has at least ceil(Q/m) elements, Q = q^m the
-        number of row vectors, the Q row products are tabled once
-        (``_RowTables``, ceil(Q/m) matrix products) and every element's
-        key maps through the table; otherwise each element is multiplied
-        by b.  That is the switch rule of the closure's ``_RowMaps``.
+        The keys map through the kernel's row maps for b (``RowMaps``),
+        which table the row products once for a large enough group and
+        multiply every element by b otherwise; the kernel states the rule.
         Measured on a 2-core host, four right tables, dense -> tabled, in
         ms: the tables win where the lookups are direct-address and the
         group is large, sl_group(2, 2, 2) (|G| = 43,008, ceil(Q/m) = 22)
@@ -287,14 +283,12 @@ class MatrixGroup(FiniteGroup):
         thousand elements both take under 0.2 ms, the tables about 0.02
         ms more, sl_group(2, 2, 1) 0.095 -> 0.117.
         """
-        ring, m = self.ring, self.m
-        if self.keys.dtype.kind == "u" and -(-ring.q**m // m) <= self.size:
-            rows = _RowTables(self.elems[b:b + 1], ring.mul, ring.add, m,
-                              ring.q)
-            out = self._index.lookup(next(rows.images(self.keys)))
-        else:
-            out = self.lookup_rows(matmul_batch(self.elems, self.elems[b],
-                                                ring.mul, ring.add, m))
+        ring = self.ring
+        # a budget of the elements' own size, which every group past the
+        # switch to tables meets
+        maps = RowMaps(self.elems[b:b + 1], ring.mul, ring.add, self.m, ring.q,
+                       self.elems.size)
+        out = self._index.lookup(next(maps.images(self.keys)))
         if (out < 0).any():
             raise StructureError("right-multiplication escaped the element set")
         return out

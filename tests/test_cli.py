@@ -781,6 +781,10 @@ ROBUSTNESS_CASES = [
         ("ko", ["spectral", "links", "--preset", "ko", "--n", "2", "--p", "2",
                 "--s", "2", "--d", "1"]))
     for t in ("nan", "inf")
+] + [
+    # the suite's draws come from np.random.default_rng, which has no
+    # negative seeds
+    pytest.param(["suite", "--seed", "-1"], None, id="suite-seed-negative"),
 ]
 
 

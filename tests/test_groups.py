@@ -342,24 +342,21 @@ class TestGroupInterface:
         # on the switch: ceil(16/2) = 8 = |G| < Q = 16
         "kernel-1-2-2-1": (lambda: reduction_kernel(1, 2, 2, 1), True),
         "k0-2-3-2-1": (lambda: subgroup_K(2, 3, 2, 1, 0), True),  # 243 <= 729
+        # void keys, one byte per entry since 256**9 > 2**64: products
+        "elementary-2-2-8-0": (lambda: elementary_subgroup(2, 2, 8, 0), False),
     }
 
     @pytest.mark.parametrize("make,tabled", RIGHT_TABLES.values(),
                              ids=RIGHT_TABLES.keys())
     def test_right_mult_table_matches_the_dense_products(self, make, tabled,
                                                          monkeypatch):
-        from cosetx import groups
-        from cosetx._kernels import matmul_batch
+        from cosetx._kernels import matmul_batch, pure
 
         G = make()
         built = []
-        real = groups._RowTables
-
-        def spy(*args):
-            built.append(len(args[0]))
-            return real(*args)
-
-        monkeypatch.setattr(groups, "_RowTables", spy)
+        real = pure._RowMaps._tabulate
+        monkeypatch.setattr(pure._RowMaps, "_tabulate",
+                            lambda self: built.append(len(self.gens)) or real(self))
         picks = sorted({*G.generators, G.identity, 1, G.size // 2,
                         G.size - 1})
         ring = G.ring

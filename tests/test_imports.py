@@ -6,9 +6,11 @@ use; the cosetx modules that use them load them at import, so a timed run
 never pays for an import.  Each check runs in a fresh interpreter that
 imports a benchmark workload's modules as ``perfbench/workloads.py`` lists
 them and then runs that workload (the full suite) or a small version of it
-(the KO instances).
+(the KO instances).  The modules outside ``cosetx._kernels`` reach the
+kernels through their public names only.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cosetx"
 
 RUNS = {
     "ko-links": ("from cosetx.spectral import ko_link_report\n"
@@ -61,3 +64,30 @@ def test_workload_imports_no_scipy_and_loads_nothing_in_run(name):
     assert r.returncode == 0, r.stderr
     got = json.loads(r.stdout.splitlines()[-1])
     assert got == {"scipy": [], "numpy_loaded_in_run": []}
+
+
+def _private_kernel_names(path):
+    """(line, name) of each underscore name that ``path`` imports from a
+    ``cosetx._kernels`` module or reads off one (``pure._x``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {"_kernels", "pure", "common"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("cosetx." * (node.level == 1)) + (node.module or "")
+            if module.startswith("cosetx._kernels"):
+                found += [(node.lineno, a.name) for a in node.names
+                          if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, (ast.Name, ast.Attribute))
+              and getattr(node.value, "id", getattr(node.value, "attr", None))
+              in modules):
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_modules_outside_the_kernels_use_their_public_names():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert {p.name for p in paths} >= {"groups.py", "cli.py", "presentations.py"}
+    found = {p.name: names for p in paths if (names := _private_kernel_names(p))}
+    assert found == {}

@@ -375,7 +375,19 @@ ROW_MAPS = {"sl2-f5-no-inverses": "tables", "sl2-f3t2-no-inverses": "tables",
             "kernel-1-3-2-1": "products", "kernel-1-3-3-1": "tables",
             "kernel-1-5-2-1": "products", "kernel-2-2-2-1": "tables"}
 
-ROW_SOURCES = {"tables": pure._RowTables, "products": pure._RowProducts}
+# how a _RowMaps maps keys from the first one on: "products" at a cap below
+# q**m * len(gens), where it never builds tables, and "tables" built for
+# the first keys by a count of 0 keys left before the switch
+ROW_SOURCES = ("tables", "products")
+
+
+def _row_maps(source, flat, rt, m, cls=pure._RowMaps):
+    budget = rt.q**m * len(flat)
+    if source == "products":
+        return cls(flat, rt.mul, rt.add, m, rt.q, budget - 1)
+    row_maps = cls(flat, rt.mul, rt.add, m, rt.q, budget)
+    row_maps.left = 0
+    return row_maps
 
 
 def _sources(case):
@@ -401,8 +413,7 @@ def _row_source(flat, p, s, m, cap):
         pure._closure(row_maps, m, rt.q, cap, pure._visited_set(rt.q, m * m, cap))
     except ResourceLimitError:
         pass
-    return next(k for k, cls in ROW_SOURCES.items()
-                if isinstance(row_maps.source, cls))
+    return "products" if row_maps.tables is None else "tables"
 
 
 def _closure(flat, p, s, m, cap=1 << 20):
@@ -416,20 +427,20 @@ def _symmetries(flat, rt, m):
                             flat, rt.mul, rt.q)
 
 
-class _Layers:
-    """Row maps of ``source`` that record the size of each layer the closure
-    asks ``orbits`` about, and expand by ``orbits`` from the first layer on
-    (None: plainly), whatever the rule of ``_RowMaps`` would say."""
-
-    def __init__(self, source, orbits=None):
-        self.source, self._orbits, self.sizes = source, orbits, []
-
-    def images(self, keys):
-        return self.source.images(keys)
+class _Layers(pure._RowMaps):
+    """Row maps that record the size of each layer the closure asks
+    ``orbits`` about, and expand by ``by`` from the first layer on (None:
+    plainly), whatever the rule of ``_RowMaps`` would say."""
 
     def orbits(self, layer):
         self.sizes.append(layer)
-        return self._orbits
+        return self.by
+
+
+def _layers(source, flat, rt, m, by=None):
+    row_maps = _row_maps(source, flat, rt, m, _Layers)
+    row_maps.sizes, row_maps.by = [], by
+    return row_maps
 
 
 def _closure_by_orbits(source, flat, p, s, m, cap=1 << 20):
@@ -438,8 +449,10 @@ def _closure_by_orbits(source, flat, p, s, m, cap=1 << 20):
     on a bitset at any cap."""
     rt = _ring_table(p, s)
     orbits = pure._Orbits(_symmetries(flat, rt, m), rt.mul, m, rt.q)
-    row_maps = _Layers(ROW_SOURCES[source](flat, rt.mul, rt.add, m, rt.q), orbits)
-    return pure._closure(row_maps, m, rt.q, cap, pure._BitsetKeys(rt.q**(m * m)))
+    row_maps = _layers(source, flat, rt, m, orbits)
+    out = pure._closure(row_maps, m, rt.q, cap, pure._BitsetKeys(rt.q**(m * m)))
+    assert (row_maps.tables is None) == (source == "products")
+    return out
 
 
 def _orbit_sources(case):
@@ -452,8 +465,10 @@ def _orbit_sources(case):
 def _closure_on(source, flat, p, s, m, cap=1 << 20):
     """The closure with its row maps taken from ``source`` at any cap."""
     rt = RingTable(p, s)
-    row_maps = ROW_SOURCES[source](flat, rt.mul, rt.add, m, rt.q)
-    return pure._closure(row_maps, m, rt.q, cap, pure._visited_set(rt.q, m * m, cap))
+    row_maps = _row_maps(source, flat, rt, m)
+    out = pure._closure(row_maps, m, rt.q, cap, pure._visited_set(rt.q, m * m, cap))
+    assert (row_maps.tables is None) == (source == "products")
+    return out
 
 
 @pytest.mark.parametrize("case", list(CLOSURE_CASES))
@@ -673,7 +688,7 @@ def test_closure_by_orbits_matches_the_plain_closure(build, args):
     G = build(*args)
     rt, m, q = G.ring, G.m, G.ring.q
     gens = G.elems[G.generators]
-    plain = _Layers(pure._RowTables(gens, rt.mul, rt.add, m, q))
+    plain = _layers("tables", gens, rt, m)
     want = pure._closure(plain, m, q, G.size, pure._BitsetKeys(q**(m * m)))
     assert want.tobytes() == G.elems.tobytes()
     sizes = plain.sizes
@@ -701,7 +716,7 @@ def test_row_tables_match_matmul_rows(p, s, m):
          @ elementary(m - 1, m, 1, one_poly(p, s))).flat()
     ident = common.identity_flat(m)
     assert ((g != ident) & (g != 0)).sum() >= 2
-    table = pure._RowTables(g[None, :], rt.mul, rt.add, m, q).tables[0]
+    table = pure._RowMaps(g[None, :], rt.mul, rt.add, m, q, Q)._tabulate()[0]
     assert table.shape == (Q,) and table.dtype == np.uint32
     vectors = common.unpack_keys(np.arange(Q, dtype=np.uint64), q, m)
     for a in range(m):
@@ -714,33 +729,47 @@ def test_row_tables_match_matmul_rows(p, s, m):
     assert len(np.unique(table)) == Q
 
 
-def test_row_maps_switch_to_tables_at_q_over_m_elements():
-    """_RowMaps keeps the products until its frontiers have held ceil(Q/m)
-    elements, builds the tables for the frontier that gets there, and maps
-    keys as the products do on both sides; past the cap, or on void keys,
-    it never builds them."""
+def _tabulations(monkeypatch):
+    """The number of generators of each row-table build from now on."""
+    built, real = [], pure._RowMaps._tabulate
+    monkeypatch.setattr(pure._RowMaps, "_tabulate",
+                        lambda self: built.append(len(self.gens)) or real(self))
+    return built
+
+
+def test_row_maps_switch_to_tables_at_q_over_m_elements(monkeypatch):
+    """_RowMaps maps keys by products until its batches have held ceil(Q/m)
+    keys, builds the tables once, for the batch that gets there, and maps
+    keys as the products do on both sides; at a cap of Q * len(gens) - 1,
+    or on void keys, it never builds them."""
     G = sl_group(1, 5, 2)
     rt, m, q = G.ring, G.m, G.ring.q
     assert -(-q**m // m) == 313
     gens = G.elems[G.generators]
     keys = common.pack_keys(G.elems, q)
-    products = pure._RowProducts(gens, rt.mul, rt.add, m, q)
+    products = _row_maps("products", gens, rt, m)
+    built = _tabulations(monkeypatch)
     row_maps = pure._RowMaps(gens, rt.mul, rt.add, m, q, G.size)
-    for lo, hi, source in [(0, 200, pure._RowProducts), (200, 312, pure._RowProducts),
-                           (312, 313, pure._RowTables), (313, 2000, pure._RowTables)]:
+    for lo, hi, tables in [(0, 200, []), (200, 312, []), (312, 313, [len(gens)]),
+                           (313, 2000, [len(gens)])]:
         got = list(row_maps.images(keys[lo:hi]))
-        assert isinstance(row_maps.source, source)
+        assert built == tables and (row_maps.tables is None) == (not tables)
         want = list(products.images(keys[lo:hi]))
         assert len(got) == len(want) == len(gens)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert products.tables is None and built == [len(gens)]
     row_maps = pure._RowMaps(gens, rt.mul, rt.add, m, q, q**m * len(gens) - 1)
     list(row_maps.images(keys))
-    assert isinstance(row_maps.source, pure._RowProducts)
+    assert row_maps.tables is None and built == [len(gens)]
     # nor on void keys, which the tables do not map: 3**49 > 2**64 though
-    # 3**7 * 2 <= cap
+    # 3**7 * 2 <= cap, over ceil(3**7 / 7) = 313 keys and more
     gens = np.array([g.flat() for g in CLOSURE_CASES["big-f3-m7-no-inverses"][2]])
     rt = RingTable(3, 1)
-    assert pure._RowMaps(gens, rt.mul, rt.add, 7, 3, 1 << 20).left is None
+    keys = np.tile(common.pack_keys(_closure(gens, 3, 1, 7), 3), 20)
+    assert keys.dtype.kind == "V" and len(keys) > 313
+    row_maps = pure._RowMaps(gens, rt.mul, rt.add, 7, 3, 1 << 20)
+    assert len(list(row_maps.images(keys))) == len(gens)
+    assert row_maps.tables is None and built == [len(G.generators)]
 
 
 def test_closure_membership_structures_agree():
@@ -752,9 +781,8 @@ def test_closure_membership_structures_agree():
     gens = G.elems[G.generators]
     assert _membership(5, 2, m, G.size) == "bitset uint32"
     assert _row_source(gens, 5, 2, m, G.size) == "tables"
-    out = [pure._closure(source(gens, rt.mul, rt.add, m, rt.q), m, rt.q, G.size,
-                         visited)
-           for source in ROW_SOURCES.values()
+    out = [pure._closure(_row_maps(source, gens, rt, m), m, rt.q, G.size, visited)
+           for source in ROW_SOURCES
            for visited in (pure._BitsetKeys(rt.q**(m * m)),
                            pure._SortedKeys(np.uint64))]
     assert all(o.tobytes() == G.elems.tobytes() for o in out)
@@ -817,8 +845,8 @@ def test_bitset_path_keys_are_uint32():
     G = sl_group(1, 3, 2)
     rt, m = G.ring, G.m
     gens = G.elems[G.generators]
-    for source in ROW_SOURCES.values():
-        out = pure._closure(source(gens, rt.mul, rt.add, m, rt.q), m, rt.q, G.size,
+    for source in ROW_SOURCES:
+        out = pure._closure(_row_maps(source, gens, rt, m), m, rt.q, G.size,
                             Spy(rt.q**(m * m)))
         assert out.tobytes() == G.elems.tobytes()
     assert len(seen) > 2 and set(seen) == {np.dtype(np.uint32)}
