@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import (InputError, NumericalError, ParameterError,
-                     ResourceLimitError, StructureError)
+from .errors import (DEFAULT_CAP, InputError, NumericalError,
+                     ParameterError, ResourceLimitError, StructureError)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -287,43 +287,43 @@ def _cmd_propagate(args) -> int:
 
 
 def _preset_relations(preset: str, n: int, p: int, d: int):
-    """RelationTable of a preset; Presentation when the preset has one."""
+    """The RelationTable of a preset; unip's n is the matrix size."""
     from .presentations import (chamber_relation_sets, presentation_SL,
                                 presentation_unipotent,
                                 tilde_gamma_presentation)
 
     if preset == "sl":
-        pres = presentation_SL(n, p, d)
-        return pres.table, pres
+        return presentation_SL(n, p, d)
     if preset == "unip":
-        pres = presentation_unipotent(n, p, d)  # here --n is the matrix size
-        return pres.table, pres
+        return presentation_unipotent(n, p, d)
     if preset == "tilde":
-        pres = tilde_gamma_presentation(n, p, d)
-        return pres.table, pres
+        return tilde_gamma_presentation(n, p, d)
     pre, chamber = chamber_relation_sets(n, p, d)
-    return (pre if preset == "prechamber" else chamber), None
+    return pre if preset == "prechamber" else chamber
 
 
 def _word_json(word) -> list:
-    return [[list(sym.root), list(sym.r.coeffs), e] for sym, e in word]
+    return [[list(root), list(r.coeffs), e] for root, r, e in word]
 
 
 def _cmd_relations_emit(args) -> int:
-    rels, pres = _preset_relations(args.preset, args.n, args.p, args.d)
+    from .presentations import KINDS
+
+    rels = _preset_relations(args.preset, args.n, args.p, args.d)
     by_kind = rels.counts_by_kind()
+    relations = []
+    for i, (kind, pair) in enumerate(zip(rels.kind.tolist(),
+                                         rels.pair.tolist())):
+        lhs, rhs = rels.letters(i)
+        relations.append({"kind": KINDS[kind],
+                          "pair": [list(root) for root in rels.pairs[pair]],
+                          "lhs": _word_json(lhs), "rhs": _word_json(rhs)})
     result = {
         "preset": args.preset,
         "relation_count": len(rels),
         "counts_by_kind": by_kind,
-        "generator_count": len(pres.generators if pres
-                               else rels.used_symbols()),
-        "relations": [{
-            "kind": rel.kind,
-            "pair": [list(rel.source_pair[0]), list(rel.source_pair[1])],
-            "lhs": _word_json(rel.lhs),
-            "rhs": _word_json(rel.rhs),
-        } for rel in rels],
+        "generator_count": len(rels.roots),
+        "relations": relations,
     }
     _emit(args, "relations emit",
           {"preset": args.preset, "n": args.n, "p": args.p, "d": args.d},
@@ -338,12 +338,10 @@ def _cmd_relations_verify(args) -> int:
     from .presentations import standard_assignment, verify_relations
 
     t0 = time.perf_counter()
-    rels, pres = _preset_relations(args.preset, args.n, args.p, args.d)
-    # the matrices are of size n + 1; unip's --n is the size itself
-    n = args.n if pres is None else pres.n
-    assign = standard_assignment(rels, n, args.target_s)
+    rels = _preset_relations(args.preset, args.n, args.p, args.d)
+    assign = standard_assignment(rels, args.target_s)
     t_built = time.perf_counter()
-    rep = verify_relations(rels, assign, args.p, args.target_s)
+    rep = verify_relations(rels, assign, args.target_s)
     timings = {"build_s": t_built - t0,
                "verify_s": time.perf_counter() - t_built}
     result = {
@@ -352,7 +350,7 @@ def _cmd_relations_verify(args) -> int:
         "checked": rep.checked,
         "violations": len(rep.violations),
         "by_kind": rep.by_kind,
-        "violation_examples": [str(r) for r in rep.violations[:5]],
+        "violation_examples": [rels.text(i) for i in rep.violations[:5]],
     }
     _emit(args, "relations verify",
           {"preset": args.preset, "n": args.n, "p": args.p, "d": args.d,
@@ -458,12 +456,12 @@ def _check_steinberg_sl(n, p, d, target_s, expect=None):
     from .presentations import (presentation_SL, standard_assignment,
                                 verify_relations)
 
-    pres = presentation_SL(n, p, d)
-    rep = verify_relations(pres, standard_assignment(pres, n, target_s), p,
+    table = presentation_SL(n, p, d)
+    rep = verify_relations(table, standard_assignment(table, target_s),
                            target_s)
-    detail = {"generators": len(pres.generators),
-              "relations": len(pres.table),
-              "pairs": len(pres.pair_set()),
+    detail = {"generators": len(table.roots),
+              "relations": len(table),
+              "pairs": len(table.pair_set()),
               "violations": len(rep.violations)}
     ok = rep.ok
     if expect is not None:
@@ -858,7 +856,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ge.add_argument("--s", type=int, required=True)
     ge.add_argument("--d", type=int, default=None,
                     help="generator degree bound (default s-1: full group)")
-    ge.add_argument("--cap", type=int, default=1 << 24)
+    ge.add_argument("--cap", type=int, default=DEFAULT_CAP)
     ge.set_defaults(func=_cmd_group_enum)
 
     cpx = sub.add_parser("complex", help="build and inspect complexes")
@@ -869,7 +867,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--p", type=int, required=True)
     cb.add_argument("--s", type=int, required=True)
     cb.add_argument("--d", type=int, required=True)
-    cb.add_argument("--cap", type=int, default=1 << 24)
+    cb.add_argument("--cap", type=int, default=DEFAULT_CAP)
     cb.set_defaults(func=_cmd_complex_build)
     cs = csub.add_parser("stats", parents=[_common()])
     cs.add_argument("file")
@@ -882,7 +880,7 @@ def _build_parser() -> argparse.ArgumentParser:
     h1.add_argument("--lambda", required=True,
                     help="zmod:m | sym:k | table:FILE")
     h1.add_argument("--mode", choices=("gauge", "brute"), default="gauge")
-    h1.add_argument("--cap", type=int, default=1 << 24)
+    h1.add_argument("--cap", type=int, default=DEFAULT_CAP)
     h1.set_defaults(func=_cmd_cohomology_h1)
 
     exp = sub.add_parser("expansion", help="expansion constants")
@@ -890,13 +888,13 @@ def _build_parser() -> argparse.ArgumentParser:
     e0 = esub.add_parser("h0", parents=[_common()])
     e0.add_argument("--complex", required=True)
     e0.add_argument("--lambda", required=True)
-    e0.add_argument("--cap", type=int, default=1 << 24)
+    e0.add_argument("--cap", type=int, default=DEFAULT_CAP)
     e0.set_defaults(func=_cmd_expansion_h0)
     e1 = esub.add_parser("h1", parents=[_common()])
     e1.add_argument("--complex", required=True)
     e1.add_argument("--lambda", required=True)
     e1.add_argument("--mode", choices=("exact", "search"), default="exact")
-    e1.add_argument("--cap", type=int, default=1 << 24)
+    e1.add_argument("--cap", type=int, default=DEFAULT_CAP)
     e1.add_argument("--seed", type=int, default=0)
     e1.add_argument("--iters", type=int, default=32)
     e1.set_defaults(func=_cmd_expansion_h1)
@@ -936,7 +934,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--s", type=int)
     sl.add_argument("--d", type=int)
     sl.add_argument("--threshold", type=float, default=None)
-    sl.add_argument("--cap", type=int, default=1 << 24)
+    sl.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sl.set_defaults(func=_cmd_spectral_links)
 
     suite = sub.add_parser("suite", parents=[_common()],

@@ -83,12 +83,11 @@ import numpy as np
 
 from ._kernels.common import KeyIndex, lex_keys, unpack_keys
 from .complexes import SimplicialComplex, WeightTable, _unique_rows
-from .errors import (InputError, ParameterError, ResourceLimitError,
-                     StructureError)
+from .errors import (DEFAULT_CAP, InputError, ParameterError,
+                     ResourceLimitError, StructureError)
 from .groups import TableGroup, symmetric_group
 from .ring import is_prime
 
-DEFAULT_CAP = 1 << 24
 MAX_COEFF_ORDER = 4096
 
 

@@ -33,7 +33,7 @@ import numpy as np
 import numpy.ma  # noqa: F401
 
 from ._kernels.common import KeyIndex, lex_keys, stable_order
-from .errors import InputError, ParameterError, StructureError
+from .errors import DEFAULT_CAP, InputError, ParameterError, StructureError
 from .groups import (CosetPartition, FiniteGroup, _orbit_min_labels,
                      cosets, quotient, rotate_rows, sl_group, subgroup_K)
 
@@ -723,7 +723,7 @@ def load_complex(path) -> SimplicialComplex:
 
 
 def build_ko_complex(n: int, p: int, s: int, d: int,
-                     cap: int = 1 << 24, labels: bool = False
+                     cap: int = DEFAULT_CAP, labels: bool = False
                      ) -> SimplicialComplex:
     """CC(SL_{n+1}(F_p[t]/t^s), {K_i}) from one coset partition, of K_0.
 

@@ -24,6 +24,11 @@ class StructureError(ValueError):
     """
 
 
+# the default cap of every capped computation: group closures, coset
+# complexes, link walks, cochain searches and the CLI's --cap
+DEFAULT_CAP = 1 << 24
+
+
 class ResourceLimitError(RuntimeError):
     """An explicit cap was exceeded.
 

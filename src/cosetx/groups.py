@@ -47,11 +47,10 @@ import numpy as np
 
 from ._kernels import (KeyIndex, RowMaps, closure_bfs, identity_flat,
                        inverse_batch, matmul_batch, pack_keys)
-from .errors import ParameterError, ResourceLimitError, StructureError
+from .errors import (DEFAULT_CAP, ParameterError, ResourceLimitError,
+                     StructureError)
 from .ring import RingTable, TruncPoly, check_ring_params
 from .roots import gamma0, perm_pow, perm_rank, perm_table
-
-DEFAULT_CLOSURE_CAP = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,7 @@ class MatrixGroup(FiniteGroup):
 
 
 def elementary_subgroup(n: int, p: int, s: int, d: int,
-                        cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
+                        cap: int = DEFAULT_CAP) -> MatrixGroup:
     """<e_{i,j}(c t^k) : i != j, k <= d> inside SL_{n+1}(F_p[t]/t^s)."""
     check_ring_params(p, s)
     if n < 1:
@@ -340,7 +339,7 @@ def _elementary_terms(n: int, p: int, degrees: Iterable[int]) -> np.ndarray:
                     dtype=np.int64).reshape(-1, 3).T
 
 
-def sl_group(n: int, p: int, s: int, cap: int = DEFAULT_CLOSURE_CAP
+def sl_group(n: int, p: int, s: int, cap: int = DEFAULT_CAP
              ) -> MatrixGroup:
     """All of SL_{n+1}(F_p[t]/t^s), generated by every elementary e_{i,j}(c t^k).
 
@@ -566,7 +565,7 @@ def _place_values(D: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def subgroup_K(n: int, p: int, s: int, d: int, i: int,
-               cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
+               cap: int = DEFAULT_CAP) -> MatrixGroup:
     """K_i <= SL_{n+1}(F_p[t]/t^s), enumerated in closed form.
 
     K_0 is generated by e_{j,j+1}(r), 1 <= j <= n, deg r <= d.  It is the
@@ -687,7 +686,7 @@ def ko_link_cosets(K0: MatrixGroup, d: int) -> list[CosetPartition]:
 
 
 def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
-                     cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
+                     cap: int = DEFAULT_CAP) -> MatrixGroup:
     """Kernel of SL_{n+1}(F_p[t]/t^s_hi) -> SL_{n+1}(F_p[t]/t^s_lo).
 
     BFS closure of e_{i,j}(c t^k) and h_i(1 + t^k) = diag(.., u, u^-1, ..),

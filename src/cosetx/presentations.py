@@ -2,7 +2,7 @@
 
 Every relation is stored fully instantiated: a pair of words over generator
 symbols x_rho(r), where rho is a root of A_n and r runs over the polynomials
-of degree <= d (TruncPoly values with s = d + 1).  A word is
+of degree <= d, numbered by their packed ring index.  A word is
 a sequence of letters x^(+-1); the empty word is the identity.  No
 Steinberg rewriting is ever applied, only free cancellation.
 
@@ -21,27 +21,27 @@ F_p[t]/t^(2d+1), which truncates no product of two coefficients of degree
 <= d: the schemas live over the polynomial ring and only their
 verification happens in finite quotients.
 
-The builders emit integer word tables (``RelationTable``).  A builder call
-numbers its generator symbols root by root, x_rho(r_i) = symbol
-slot(rho) + i with r_i the polynomial of packed index i, and writes each
-word as a row of letter codes, 2k for symbol k and 2k + 1 for its inverse,
-padded with -1.  Each relation row also carries a kind id (its position in
-``KINDS``) and a source-pair id.  A root pair's rows are read directly off
-the index tables ``_SymbolTable.sums`` and ``_SymbolTable.products``.
-``RelationInstance`` objects, words of (GeneratorSymbol, +-1) letters, are
-made only when asked for (``RelationTable.instances``,
-``Presentation.relations``, reported violations): in relation order, on
-the table's one GeneratorSymbol object per generator.
+Every builder returns a ``RelationTable``, the one form a relation takes.
+A builder call numbers its generator symbols root by root, x_rho(r_i) =
+symbol slot(rho) + i with r_i the polynomial of packed index i, and the
+table keeps each symbol's root and ring index (``roots``, ``index``)
+beside p and d.  Each word is a row of letter codes, 2k for symbol k and
+2k + 1 for its inverse, padded with -1; each relation row also carries a
+kind id (its position in ``KINDS``) and a source-pair id.  A root pair's
+rows are read directly off the index tables ``_SymbolTable.sums`` and
+``_SymbolTable.products``.  Text is made only when asked for:
+``RelationTable.letters`` decodes a row's words and ``RelationTable.text``
+prints them, as ``relations emit`` and reported violations need.
 
-Verification assigns to each generator a matrix over an explicit ring
-F_p[t]/t^s, as a flat row of packed ring indices.  One evaluator works on
-the word table: the distinct words, found by their ``lex_keys``, are
-grouped by length and multiplied out positionwise, on the matrices of the
-generators and their inverses from one batched inverse, on the ring tables
-where building them pays and on the digits of the ring indices elsewhere
+Verification assigns to each symbol a matrix over an explicit ring
+F_p[t]/t^s, one flat row of packed ring indices per symbol
+(``standard_assignment``).  One evaluator works on the word table: the
+distinct words, found by their ``lex_keys``, are grouped by length and
+multiplied out positionwise, on the matrices of the generators and their
+inverses from one batched inverse, on the ring tables where building them
+pays and on the digits of the ring indices elsewhere
 (``_kernels.matmul_digits``, ``_kernels.inverse_digits``), by a rule on
-q = p^s and the work (``_verify_matrices``).  A plain list of
-``RelationInstance`` is encoded into the same table first.
+q = p^s and the work (``_verify_matrices``).  Violations are row ids.
 """
 
 from __future__ import annotations
@@ -59,74 +59,13 @@ from ._kernels.common import (identity_flat, lex_keys, pack_keys,
                               stable_order, unpack_keys)
 from .errors import InputError, ParameterError
 from .groups import elementary
-from .ring import RingTable, TruncPoly, check_ring_params, enumerate_polys
+from .ring import RingTable, TruncPoly, check_ring_params
 from .roots import (Root, all_roots, chamber_boundary, chamber_roots,
                     identity_perm, initial_coverage, opposite, root_index)
 
 KINDS = ("zero", "additive", "commuting", "steinberg-product",
          "steinberg-equality")
 ZERO, ADDITIVE, COMMUTING, PRODUCT, EQUALITY = range(len(KINDS))
-
-
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    """The abstract symbol x_root(r); r, a TruncPoly, carries its degree
-    bound as s = d + 1.
-
-    Symbols compare by value, and TruncPoly is the one class of ring
-    values, so symbols built independently from equal (root, r) are equal
-    and hash equal; the hash is computed once, at construction."""
-
-    root: Root
-    r: TruncPoly
-
-    def __post_init__(self):
-        i, j = self.root
-        if i == j or i < 1 or j < 1:
-            raise ParameterError(f"not a root: {self.root}")
-        object.__setattr__(self, "_hash", hash((self.root, self.r)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return f"x{self.root}({self.r})"
-
-
-# A word is a tuple of (GeneratorSymbol, +-1).
-Word = tuple
-
-
-@dataclass(frozen=True)
-class RelationInstance:
-    """One instantiated relation lhs = rhs with its provenance pair.
-
-    Every letter's exponent is 1 or -1; any other raises ParameterError.
-    """
-
-    lhs: Word
-    rhs: Word
-    kind: str
-    source_pair: tuple[Root, Root]
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown relation kind {self.kind!r}")
-        for sym, exp in self.lhs + self.rhs:
-            if exp != 1 and exp != -1:
-                raise ParameterError(
-                    f"exponent {exp!r} of {sym}: letters are x or x^-1")
-
-    def symbols(self):
-        for sym, _ in self.lhs:
-            yield sym
-        for sym, _ in self.rhs:
-            yield sym
-
-    def __str__(self) -> str:
-        fmt = lambda w: " ".join(
-            str(s) if e == 1 else f"{s}^-1" for s, e in w) or "e"
-        return f"{fmt(self.lhs)} = {fmt(self.rhs)}"
 
 
 def _pair_sorted(pair) -> tuple[Root, Root]:
@@ -143,112 +82,32 @@ def _pair_sorted(pair) -> tuple[Root, Root]:
     return a, b
 
 
-def _padded(rows: list) -> np.ndarray:
-    """Code rows as one int32 array, padded with -1 to the longest row."""
-    width = max(map(len, rows), default=0)
-    out = np.full((len(rows), width), -1, dtype=np.int32)
-    by_len: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_len.setdefault(len(row), []).append(i)
-    for length, sel in by_len.items():
-        if length:
-            out[sel, :length] = [rows[i] for i in sel]
-    return out
-
-
 class RelationTable:
-    """Relations as an integer word table over a tuple of generator symbols.
+    """Relations as an integer word table over numbered generator symbols.
 
-    ``words`` is an int32 array of shape (relations, 2, width): the lhs
-    and rhs of each relation as rows of letter codes, 2k for
-    ``symbols[k]`` and 2k + 1 for its inverse, padded with -1.  ``kind``
-    holds each relation's position in ``KINDS``, and ``pair`` its source
-    pair's position in ``pairs``, the distinct source pairs in order of
-    first appearance.
-
-    The table is a read-only sequence of ``RelationInstance``: indexing
-    and iteration materialize all of them once, in row order, on the
-    objects in ``symbols``.  ``rows`` materializes only the rows asked for.
+    Symbol k is x_rho(r): rho is the root ``roots[k]``, an int64 row
+    (i, j), and r the polynomial of degree <= d over F_p whose packed ring
+    index is ``index[k]``.  ``n`` is the largest root index minus one, so
+    the symbols' elementary matrices lie in SL_{n+1}.  ``words`` is an
+    int32 array of shape (relations, 2, width): the lhs and rhs of each
+    relation as rows of letter codes, 2k for symbol k and 2k + 1 for its
+    inverse, padded with -1.  ``kind`` holds each relation's position in
+    ``KINDS``, and ``pair`` its source pair's position in ``pairs``, the
+    distinct source pairs in order of first appearance.  ``letters`` and
+    ``text`` decode one row.
     """
 
-    def __init__(self, symbols, words: np.ndarray, kind: np.ndarray,
-                 pair: np.ndarray, pairs, instances=None):
-        self.symbols = tuple(symbols)
+    def __init__(self, p: int, d: int, roots: np.ndarray, index: np.ndarray,
+                 words: np.ndarray, kind: np.ndarray, pair: np.ndarray,
+                 pairs):
+        self.p, self.d = p, d
+        self.roots, self.index = roots, index
+        self.n = int(roots.max()) - 1
         self.words, self.kind, self.pair = words, kind, pair
         self.pairs = tuple(pairs)
-        self._instances = None if instances is None else tuple(instances)
-
-    @classmethod
-    def from_instances(cls, relations: Sequence[RelationInstance],
-                       symbols=None) -> "RelationTable":
-        """Encode RelationInstance objects, which the table keeps.
-
-        The symbols are numbered in order of first use, or as given in
-        ``symbols``; a relation symbol outside those raises ParameterError.
-        """
-        relations = tuple(relations)
-        if symbols is None:
-            symbols = dict.fromkeys(x for rel in relations for x in rel.symbols())
-        symbols = tuple(symbols)
-        codes = {}
-        for k, x in enumerate(symbols):
-            codes.setdefault((x, 1), 2 * k)
-            codes.setdefault((x, -1), 2 * k + 1)
-        words, pairs = [], {}
-        for rel in relations:
-            for word in (rel.lhs, rel.rhs):
-                try:
-                    words.append([codes[letter] for letter in word])
-                except KeyError:
-                    x = next(x for x, _ in word if (x, 1) not in codes)
-                    raise ParameterError(
-                        f"relation symbol {x} outside the generator set"
-                    ) from None
-        kind = [KINDS.index(rel.kind) for rel in relations]
-        pair = [pairs.setdefault(rel.source_pair, len(pairs))
-                for rel in relations]
-        words = _padded(words)
-        return cls(symbols, words.reshape(len(relations), 2, words.shape[1]),
-                   np.array(kind, dtype=np.int8),
-                   np.array(pair, dtype=np.int32), pairs, relations)
 
     def __len__(self) -> int:
         return len(self.kind)
-
-    def __getitem__(self, i):
-        return self.instances[i]
-
-    def __iter__(self):
-        return iter(self.instances)
-
-    @property
-    def instances(self) -> tuple[RelationInstance, ...]:
-        if self._instances is None:
-            self._instances = tuple(self._materialize(slice(None)))
-        return self._instances
-
-    def rows(self, idx) -> list[RelationInstance]:
-        """The relations of the row indices ``idx``, in that order."""
-        if self._instances is not None:
-            return [self._instances[i] for i in idx]
-        return self._materialize(np.asarray(idx, dtype=np.intp))
-
-    def _materialize(self, idx) -> list[RelationInstance]:
-        letters = [(x, e) for x in self.symbols for e in (1, -1)]
-        word = lambda row: tuple([letters[c] for c in row if c >= 0])
-        return [RelationInstance(word(l), word(r), KINDS[k], self.pairs[s])
-                for (l, r), k, s in zip(self.words[idx].tolist(),
-                                        self.kind[idx].tolist(),
-                                        self.pair[idx].tolist())]
-
-    def symbol_ids(self) -> np.ndarray:
-        """The ascending ids of the symbols some word uses."""
-        used = np.zeros(len(self.symbols), dtype=bool)
-        used[self.words[self.words >= 0] >> 1] = True
-        return np.flatnonzero(used)
-
-    def used_symbols(self) -> tuple[GeneratorSymbol, ...]:
-        return tuple(self.symbols[k] for k in self.symbol_ids().tolist())
 
     def counts_by_kind(self) -> dict[str, int]:
         counts = np.bincount(self.kind, minlength=len(KINDS)).tolist()
@@ -258,45 +117,58 @@ class RelationTable:
         # every pair in ``pairs`` is some relation's source pair
         return frozenset(self.pairs)
 
+    @functools.cached_property
+    def _symbols(self) -> list[tuple[Root, TruncPoly]]:
+        return [(tuple(root), TruncPoly.from_index(self.p, self.d + 1, r))
+                for root, r in zip(self.roots.tolist(), self.index.tolist())]
+
+    def letters(self, i: int) -> tuple[list, list]:
+        """The lhs and rhs of relation ``i`` as letters (root, r, +-1)."""
+        return tuple([(*self._symbols[c >> 1], -1 if c & 1 else 1)
+                      for c in side if c >= 0]
+                     for side in self.words[i].tolist())
+
+    def text(self, i: int) -> str:
+        """Relation ``i`` as ``lhs = rhs``, letters x(i, j)(r) and
+        x(i, j)(r)^-1, the empty word e."""
+        fmt = lambda word: " ".join(
+            f"x{root}({r})" + ("" if e == 1 else "^-1")
+            for root, r, e in word) or "e"
+        return " = ".join(map(fmt, self.letters(i)))
+
 
 class _SymbolTable:
-    """The generator symbols of one builder call, one object per (root, r).
+    """The generator symbols of one builder call, P = p^(d+1) per root.
 
     A root gets its slot when first used, the given ``roots`` first: its
-    P = p^(d+1) symbols x_root(r), r in packed-index order, are symbols
-    slot .. slot + P - 1.  The index arithmetic the relation families
-    need is computed once per table, not once per root pair.
+    symbols x_root(r_i), i the packed index of r_i, are symbols slot ..
+    slot + P - 1.  The index arithmetic the relation families need is
+    computed once per table, not once per root pair.
     """
 
     def __init__(self, p: int, d: int, roots: Sequence[Root]):
         if d < 0:
             raise ParameterError(f"degree bound must be >= 0, got {d}")
         check_ring_params(p, d + 1)
-        self.p, self.d = p, d
-        self.polys = enumerate_polys(p, d + 1, d)
-        self.symbols: list[GeneratorSymbol] = []
+        self.p, self.d, self.P = p, d, p ** (d + 1)
         self._slots: dict[Root, int] = {}
         for rho in roots:
             self.slot(rho)
 
     def slot(self, root: Root) -> int:
         """The id of x_root(0); x_root(r_i) is that plus i."""
-        out = self._slots.get(root)
-        if out is None:
-            out = self._slots[root] = len(self.symbols)
-            self.symbols += [GeneratorSymbol(root, r) for r in self.polys]
-        return out
+        return self._slots.setdefault(root, self.P * len(self._slots))
 
     @functools.cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """All index pairs (i, j), i major."""
-        P = len(self.polys)
+        P = self.P
         return np.repeat(np.arange(P), P), np.tile(np.arange(P), P)
 
     @functools.cached_property
     def sums(self) -> np.ndarray:
         """sums[i, j] is the packed index of r_i + r_j, digitwise mod p."""
-        P, w = len(self.polys), self.d + 1
+        P, w = self.P, self.d + 1
         digits = unpack_keys(np.arange(P), self.p, w)
         total = (digits[:, None] + digits[None, :]) % self.p
         return pack_keys(total.reshape(-1, w), self.p).astype(
@@ -322,7 +194,7 @@ class _SymbolTable:
         # are free
         equal = [a + b for pairs in by_product.values()
                  for a, b in itertools.combinations(pairs, 2)]
-        return (np.stack([I, J, prod], axis=1)[prod < len(self.polys)],
+        return (np.stack([I, J, prod], axis=1)[prod < self.P],
                 np.array(equal, dtype=np.int64).reshape(-1, 4))
 
 
@@ -413,44 +285,10 @@ def _table(table: _SymbolTable, blocks: Sequence[Block]) -> RelationTable:
         pair[lo:lo + len(k)] = pairs.setdefault(src, len(pairs))
         lo += len(k)
     kind = np.concatenate([k for _, _, k in blocks])
-    return RelationTable(table.symbols, words, kind, pair, pairs)
-
-
-class Presentation:
-    """A named generating set with instantiated relations over A_n roots.
-
-    ``relations`` is a sequence of ``RelationInstance`` or a
-    ``RelationTable``; the relations are kept as a table over
-    ``generators`` (``table``), and a relation symbol outside
-    ``generators`` raises ParameterError.  The builders pass a table whose
-    symbols are the generators.  ``relations`` is the tuple of the
-    table's RelationInstance objects, made on first use.
-    """
-
-    def __init__(self, name: str, n: int, p: int, d: int, generators,
-                 relations: RelationTable | Sequence[RelationInstance]):
-        self.name, self.n, self.p, self.d = name, n, p, d
-        self.generators: tuple[GeneratorSymbol, ...] = tuple(generators)
-        if not (isinstance(relations, RelationTable)
-                and relations.symbols == self.generators):
-            relations = RelationTable.from_instances(relations,
-                                                     self.generators)
-        self.table = relations
-
-    @property
-    def relations(self) -> tuple[RelationInstance, ...]:
-        return self.table.instances
-
-    def counts_by_kind(self) -> dict[str, int]:
-        return self.table.counts_by_kind()
-
-    def pair_set(self) -> frozenset[tuple[Root, Root]]:
-        return self.table.pair_set()
-
-    def __repr__(self) -> str:
-        return (f"Presentation({self.name!r}, n={self.n}, p={self.p}, "
-                f"d={self.d}, {len(self.generators)} generators, "
-                f"{len(self.table)} relations)")
+    roots = np.array(list(table._slots), dtype=np.int64)
+    return RelationTable(table.p, table.d, np.repeat(roots, table.P, axis=0),
+                         np.tile(np.arange(table.P), len(roots)), words, kind,
+                         pair, pairs)
 
 
 def _nonopposite_pairs(roots: Sequence[Root]):
@@ -461,23 +299,23 @@ def _nonopposite_pairs(roots: Sequence[Root]):
                 yield (a, b)
 
 
-def presentation_SL(n: int, p: int, d: int) -> Presentation:
+def presentation_SL(n: int, p: int, d: int) -> RelationTable:
     """All root-pair relations of A_n; presents SL_{n+1}(F_p[t]) at d = 3."""
     if n < 3:
         raise ParameterError(f"the SL presentation needs n >= 3, got {n}")
     roots = all_roots(n)
     table = _SymbolTable(p, d, roots)
     blocks = [_pair_block(pair, table) for pair in _nonopposite_pairs(roots)]
-    return Presentation("sl", n, p, d, table.symbols, _table(table, blocks))
+    return _table(table, blocks)
 
 
-def presentation_unipotent(dim: int, p: int, d: int) -> Presentation:
+def presentation_unipotent(dim: int, p: int, d: int) -> RelationTable:
     """The unitriangular group of matrix size dim, on superdiagonal symbols.
 
     Five relation families: zero, additive, distant commutation,
     double-commutator collapse, and product equality for adjacent symbols.
     Stated for dim >= 4; the source bounds the generator index by dim - 1
-    and the double-commutator index by dim - 2.
+    and the double-commutator index by dim - 2.  The table's n is dim - 1.
     """
     if dim < 4:
         raise ParameterError(f"unipotent presentation needs size >= 4, "
@@ -490,7 +328,7 @@ def presentation_unipotent(dim: int, p: int, d: int) -> Presentation:
     blocks += [_pair_block((simple[i - 1], simple[j - 1]), table)
                for i, j in itertools.combinations(range(1, n + 1), 2)
                if i + 1 < j]
-    P = len(table.polys)
+    P = table.P
     # r1, r2, r3 major to minor, then x = x_lo(r3) before x = x_hi(r3)
     r1, r2, r3 = (np.repeat(np.tile(np.arange(P), P**k), 2 * P**(2 - k))
                   for k in range(3))
@@ -506,8 +344,7 @@ def presentation_unipotent(dim: int, p: int, d: int) -> Presentation:
                    _comm(L, equal[:, 2], H, equal[:, 3]), width=10)])
         blocks.append(((lo, hi), words, _kinds((COMMUTING, len(double)),
                                                 (EQUALITY, len(equal)))))
-    return Presentation("unipotent", n, p, d, table.symbols,
-                        _table(table, blocks))
+    return _table(table, blocks)
 
 
 def chamber_pair_sets(n: int):
@@ -538,7 +375,7 @@ def chamber_relation_sets(n: int, p: int, d: int):
             _table(table, list(chamber.values())))
 
 
-def tilde_gamma_presentation(n: int, p: int, d: int) -> Presentation:
+def tilde_gamma_presentation(n: int, p: int, d: int) -> RelationTable:
     """The partial presentation with only the stage-0-covered pair relations.
 
     Generators run over all roots of A_n; a pair contributes its relations
@@ -552,14 +389,17 @@ def tilde_gamma_presentation(n: int, p: int, d: int) -> Presentation:
     table = _SymbolTable(p, d, roots)
     blocks = [_pair_block(pair, table) for pair in _nonopposite_pairs(roots)
               if covered[root_index(pair[0], n), root_index(pair[1], n)]]
-    return Presentation("tilde-gamma", n, p, d, table.symbols,
-                        _table(table, blocks))
+    return _table(table, blocks)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """What ``verify_relations`` found: ``checked`` relations, of which
+    ``by_kind`` counts each kind, and ``violations``, the ascending row
+    ids of the violated ones; ``RelationTable.text`` prints a row."""
+
     checked: int
-    violations: tuple[RelationInstance, ...]
+    violations: tuple[int, ...]
     by_kind: dict
 
     @property
@@ -572,33 +412,29 @@ class VerificationReport:
         return f"{self.checked} relations ({kinds}): {status}"
 
 
-def standard_assignment(rels: Presentation | RelationTable, n: int, s: int
-                        ) -> dict[GeneratorSymbol, np.ndarray]:
-    """x_rho(r) -> e_rho(r) inside SL_{n+1}(F_p[t]/t^s), for every symbol
-    of ``rels``: the rows of one uint32 array, by symbol."""
-    table = rels.table if isinstance(rels, Presentation) else rels
-    symbols = table.symbols
-    if symbols and s < symbols[0].r.s:
+def standard_assignment(table: RelationTable, s: int) -> np.ndarray:
+    """x_rho(r) -> e_rho(r) inside SL_{n+1}(F_p[t]/t^s), n = ``table.n``:
+    one flat uint32 row of ring indices per symbol, in symbol order."""
+    if s <= table.d:
         raise ParameterError(f"target ring t^{s} cannot carry degree-"
-                             f"{symbols[0].r.s - 1} coefficients")
+                             f"{table.d} coefficients")
     # the ring index of r is the same in every F_p[t]/t^s' that holds it
-    rows = elementary(n, *np.array([(*x.root, x.r.index()) for x in symbols],
-                                   dtype=np.int64).reshape(-1, 3).T)
-    return dict(zip(symbols, rows))
+    return elementary(table.n, table.roots[:, 0], table.roots[:, 1],
+                      table.index)
 
 
-def _verify_matrices(table: RelationTable, used: np.ndarray,
-                     mats: np.ndarray, p: int, s: int) -> np.ndarray:
+def _verify_matrices(table: RelationTable, mats: np.ndarray,
+                     s: int) -> np.ndarray:
     """Rows of ``table`` whose sides differ over F_p[t]/t^s.
 
-    ``mats`` are the flat matrices of the symbols ``used``.  They and
-    their inverses, from one batched inverse, fill one table of letters,
-    and the words' codes are renumbered onto it.  Both sides of every
-    relation are stacked, and the distinct words are found by one sort of
-    their ``lex_keys`` (the letters plus one are the digits, the padding
-    digit 0).  They are grouped by length, whatever their exponents, and
-    each group is gathered and multiplied out positionwise.  Violations
-    come back in row order.
+    ``mats`` are the flat matrices of the symbols.  They and their
+    inverses, from one batched inverse, fill one table of letters, in
+    code order.  Both sides of every relation are stacked, and the
+    distinct words are found by one sort of their ``lex_keys`` (the
+    letters plus one are the digits, the padding digit 0).  They are
+    grouped by length, whatever their exponents, and each group is
+    gathered and multiplied out positionwise.  Violations come back in
+    row order.
 
     The products and the inverse run on the ring tables (``matmul_batch``,
     ``inverse_batch``) where building them pays, else on digits
@@ -611,15 +447,10 @@ def _verify_matrices(table: RelationTable, used: np.ndarray,
     17-27 ms at 3.2, 4.6 against 4.1 ms at 3.3; 1403 against 7.3 ms at
     1075 (SL(3, 2, 1), s = 12).
     """
-    m = math.isqrt(mats.shape[1])
+    p, m = table.p, math.isqrt(mats.shape[1])
     n = len(table)
-    words = table.words.reshape(2 * n, -1).astype(np.int64)
-    pos = np.zeros(len(table.symbols), dtype=np.int64)
-    pos[used] = np.arange(len(used))
-    code = words[words >= 0]
-    words[words >= 0] = 2 * pos[code >> 1] + (code & 1)
-
-    keys = lex_keys(words + 1, 2 * len(used) + 1)
+    words = table.words.reshape(2 * n, -1)
+    keys = lex_keys(words + 1, 2 * len(mats) + 1)
     order = stable_order(keys)
     sorted_keys = keys[order]
     new = np.ones(len(keys), dtype=bool)
@@ -660,52 +491,40 @@ def _tables_pay(q: int, s: int, work: int) -> bool:
     return q <= RingTable.MAX_Q and q * q * s <= 3 * work
 
 
-def _assigned_rows(table: RelationTable, used: np.ndarray, assign, p: int,
-                   s: int) -> np.ndarray:
-    """The assigned rows of the symbols ``used``, as one uint32 array."""
+def _assigned_rows(mats, count: int, p: int, s: int) -> np.ndarray:
+    """``mats`` as one uint32 array, if it holds one row of m*m ring
+    indices of F_p[t]/t^s for each of ``count`` symbols."""
     if p**s > 1 << 32:
         raise ParameterError(f"p^s = {p**s} > 2^32: a ring index does not "
                              f"fit a uint32 row")
-    try:
-        values = [np.asarray(assign[table.symbols[k]]) for k in used.tolist()]
-    except KeyError as exc:
-        raise InputError(f"no assignment for generator {exc.args[0]}"
-                         ) from exc
-    m = max(math.isqrt(values[0].size), 1)
-    for k, v in zip(used.tolist(), values):
-        if (v.shape != (m * m,) or v.dtype.kind not in "iu"
-                or v.min() < 0 or v.max() >= p**s):
-            raise InputError(f"assignment for {table.symbols[k]} is not a "
-                             f"row of {m * m} ring indices of F_{p}[t]/t^{s}")
-    return np.array(values, dtype=np.uint32)
+    mats = np.asarray(mats)
+    m = math.isqrt(mats.shape[-1]) if mats.ndim == 2 else 0
+    if mats.ndim != 2 or len(mats) != count or not m or m * m != mats.shape[1]:
+        raise InputError(f"assignment of shape {mats.shape}: need one row of "
+                         f"m*m ring indices for each of {count} symbols")
+    if mats.dtype.kind not in "iu":
+        raise InputError(f"assignment of dtype {mats.dtype}: need integer "
+                         f"ring indices")
+    if mats.min() < 0 or mats.max() >= p**s:
+        raise InputError(f"assignment entries outside the ring indices of "
+                         f"F_{p}[t]/t^{s}")
+    return mats.astype(np.uint32)
 
 
-def verify_relations(pres: Presentation | RelationTable
-                     | Sequence[RelationInstance],
-                     assign, p: int, s: int) -> VerificationReport:
-    """Evaluate every relation under the assignment; collect violations.
+def verify_relations(table: RelationTable, mats, s: int) -> VerificationReport:
+    """Evaluate every relation of ``table`` under an assignment.
 
-    ``pres`` is a Presentation, a RelationTable or a sequence of
-    RelationInstance, which is encoded into a RelationTable first.
-    ``assign`` maps each generator symbol a word uses to a matrix over
-    F_p[t]/t^s, a flat row of m*m ring indices.  A row of another width than the first, or an entry
-    outside [0, p^s), raises InputError.  Every distinct word is
-    evaluated once, in batches (``_verify_matrices``), and only the
-    violated relations are made RelationInstance objects.  ``checked``
-    counts the relations, ``by_kind`` them by kind, and violations come
-    back in relation order.  An empty violation list certifies that the
-    assignment respects all the relations.
+    ``mats`` holds one matrix over F_p[t]/t^s per symbol of ``table``, p
+    = ``table.p``, as the flat row of its m*m ring indices, m the same for
+    all (``standard_assignment`` makes them).  Another row count, a width
+    that is not a square, an entry outside [0, p^s) or a non-integer dtype
+    raises InputError, and p^s > 2^32 ParameterError.  Every distinct word
+    is evaluated once, in batches (``_verify_matrices``).  ``checked``
+    counts the relations, ``by_kind`` them by kind, and ``violations``
+    holds the ids of the violated rows, ascending.  No violation
+    certifies that the assignment respects all the relations.
     """
-    check_ring_params(p, s)
-    if isinstance(pres, Presentation):
-        table = pres.table
-    elif isinstance(pres, RelationTable):
-        table = pres
-    else:
-        table = RelationTable.from_instances(pres)
-    used = table.symbol_ids()
-    bad = []
-    if len(used):
-        mats = _assigned_rows(table, used, assign, p, s)
-        bad = table.rows(_verify_matrices(table, used, mats, p, s))
+    check_ring_params(table.p, s)
+    mats = _assigned_rows(mats, len(table.roots), table.p, s)
+    bad = _verify_matrices(table, mats, s).tolist() if len(table) else []
     return VerificationReport(len(table), tuple(bad), table.counts_by_kind())

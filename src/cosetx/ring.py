@@ -140,19 +140,6 @@ def _same_ring(a: TruncPoly, b: TruncPoly) -> None:
                              f"F_{b.p}[t]/t^{b.s}")
 
 
-def enumerate_polys(p: int, s: int, dmax: int) -> list[TruncPoly]:
-    """All elements of degree <= dmax, in ascending packed-index order.
-
-    The order is lexicographic on the reversed coefficient vector
-    (c_dmax, ..., c_0), i.e. 0, 1, ..., p-1, t, 1+t, ...  It is the order the
-    group enumeration kernels rely on, so it must never change.
-    """
-    check_ring_params(p, s)
-    if not (0 <= dmax < s):
-        raise ParameterError(f"need 0 <= dmax < s={s}, got dmax={dmax}")
-    return [TruncPoly.from_index(p, s, i) for i in range(p ** (dmax + 1))]
-
-
 _TERM_RE = re.compile(
     r"""^\s*(?:
         (?P<const>\d+)                                  # c

@@ -26,8 +26,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .complexes import SimplicialComplex, coset_complex, link
-from .errors import (NumericalError, ParameterError, ResourceLimitError,
-                     StructureError)
+from .errors import (DEFAULT_CAP, NumericalError, ParameterError,
+                     ResourceLimitError, StructureError)
 
 EIG_TOL = 1e-9  # residual bound; eigenvalue error is at most this
 # Lanczos stops once its Ritz residual estimate is this small; ||S|| = 1,
@@ -130,7 +130,7 @@ def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
 
 
 def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
-                      seed: int = 0, cap: int = 1 << 24) -> float:
+                      seed: int = 0, cap: int = DEFAULT_CAP) -> float:
     """Second-largest eigenvalue of the walk, certified to ``tol``.
 
     The top eigenpair of the symmetric form S is known: eigenvalue 1, with
@@ -296,7 +296,7 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _solve_entry(lnk: SimplicialComplex, face, colors,
-                 cap: int = 1 << 24) -> LinkEntry:
+                 cap: int = DEFAULT_CAP) -> LinkEntry:
     # walk_matrix's component count is the link's one connectivity check
     try:
         M = walk_matrix(lnk)
@@ -307,7 +307,7 @@ def _solve_entry(lnk: SimplicialComplex, face, colors,
 
 
 def local_spectral_report(X: SimplicialComplex, lam_threshold: float,
-                          cap: int = 1 << 24) -> LocalSpectralReport:
+                          cap: int = DEFAULT_CAP) -> LocalSpectralReport:
     """Walk spectra of X and of every link of dimension >= 1.
 
     Iterates tau over the faces of dimension -1..n-2 (the empty face gives
@@ -356,7 +356,7 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float,
 
 
 def ko_vertex_link(n: int, p: int, s: int, d: int,
-                   cap: int = 1 << 24) -> SimplicialComplex:
+                   cap: int = DEFAULT_CAP) -> SimplicialComplex:
     """The link CC(K_0, {K_0 n K_j : j = 1..n}) of a color-0 vertex.
 
     Only K_0 is enumerated, never the far larger ambient group, and in
@@ -381,7 +381,7 @@ def ko_vertex_link(n: int, p: int, s: int, d: int,
 
 def ko_link_report(n: int, p: int, s: int, d: int,
                    threshold: float | None = None,
-                   cap: int = 1 << 24) -> LocalSpectralReport:
+                   cap: int = DEFAULT_CAP) -> LocalSpectralReport:
     """Spectral check of the KO vertex links against 1/(sqrt(p) - n).
 
     Color 0 is solved; colors 1..n are its gamma_0^i conjugates (see

@@ -1437,26 +1437,30 @@ def vertex_of(coset_data, color, element):
 
 
 # ---------------------------------------------------------------------------
-# Steinberg relations as RelationInstance objects, one root pair at a time
+# Steinberg relations as plain tuples, one root pair at a time
+#
+# A symbol x_root(r) is the pair (root, coefficients of r), a letter is
+# (symbol, +1 or -1), a word a tuple of letters, and a relation the tuple
+# (lhs, rhs, kind name, source pair).
 
 
 class SteinbergLetters:
-    """One GeneratorSymbol per (root, r), deg r <= d, made on first use,
-    with the letters (sym, 1) and (sym, -1) and the index tables of the
-    relation families, all from coefficient tuples: r_k has the base-p
-    digits of k as coefficients, sums are coefficientwise mod p, and
-    products are full convolutions in F_p[t]."""
+    """The letters (x, 1) and (x, -1) of the symbols x = (root, r), deg r
+    <= d, and the index tables of the relation families, all from
+    coefficient tuples: r_k has the base-p digits of k as coefficients,
+    sums are coefficientwise mod p, and products are full convolutions in
+    F_p[t]."""
 
     def __init__(self, p, d):
         s = d + 1
-        coeffs = [tuple((k // p**c) % p for c in range(s)) for k in range(p**s)]
-        index = {cs: k for k, cs in enumerate(coeffs)}
-        self.polys = [make_poly(p, s, cs) for cs in coeffs]
-        self.sums = [[index[naive_add(a, b, p, s)] for b in coeffs]
-                     for a in coeffs]
+        self.coeffs = [tuple((k // p**c) % p for c in range(s))
+                       for k in range(p**s)]
+        index = {cs: k for k, cs in enumerate(self.coeffs)}
+        self.sums = [[index[naive_add(a, b, p, s)] for b in self.coeffs]
+                     for a in self.coeffs]
         by_product, self.small = {}, []
-        for i, a in enumerate(coeffs):
-            for j, b in enumerate(coeffs):
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(self.coeffs):
                 prod = [0] * (2 * s - 1)
                 for x, ca in enumerate(a):
                     for y, cb in enumerate(b):
@@ -1466,20 +1470,14 @@ class SteinbergLetters:
                     self.small.append((i, j, index[tuple(prod[:s])]))
         self.equal = [pair for pairs in by_product.values()
                       for pair in itertools.combinations(pairs, 2)]
-        self._letters = {}
 
     def letters(self, root):
         """(x_root(r_k), 1) and (x_root(r_k), -1), indexed by k."""
-        from cosetx.presentations import GeneratorSymbol
-
-        if root not in self._letters:
-            syms = [GeneratorSymbol(root, r) for r in self.polys]
-            self._letters[root] = ([(x, 1) for x in syms],
-                                   [(x, -1) for x in syms])
-        return self._letters[root]
+        syms = [(root, cs) for cs in self.coeffs]
+        return [(x, 1) for x in syms], [(x, -1) for x in syms]
 
     def generators(self, roots):
-        return tuple(x for rho in roots for x, _ in self.letters(rho)[0])
+        return tuple((rho, cs) for rho in roots for cs in self.coeffs)
 
 
 def _commutator(X, X_inv, i, Y, Y_inv, j):
@@ -1491,15 +1489,13 @@ def steinberg_pair_relations(a, b, table):
     the additive relations for a = b, all commutators for a disjoint pair,
     Steinberg products of degree <= d and equalities of distinct
     factorizations for a composable pair."""
-    from cosetx.presentations import RelationInstance
-
     src = (a, b)
     A, A_inv = table.letters(a)
-    idx = range(len(table.polys))
+    idx = range(len(table.coeffs))
     if a == b:
-        out = [RelationInstance((A[0],), (), "zero", src)]
-        out += [RelationInstance((A[i], A[j]), (A[table.sums[i][j]],),
-                                 "additive", src) for i in idx for j in idx]
+        out = [((A[0],), (), "zero", src)]
+        out += [((A[i], A[j]), (A[table.sums[i][j]],), "additive", src)
+                for i in idx for j in idx]
         return out
     if a[1] == b[0]:
         ab, bc = a, b
@@ -1507,17 +1503,15 @@ def steinberg_pair_relations(a, b, table):
         ab, bc = b, a
     else:
         B, B_inv = table.letters(b)
-        return [RelationInstance(_commutator(A, A_inv, i, B, B_inv, j), (),
-                                 "commuting", src) for i in idx for j in idx]
+        return [(_commutator(A, A_inv, i, B, B_inv, j), (), "commuting", src)
+                for i in idx for j in idx]
     X, X_inv = table.letters(ab)
     Y, Y_inv = table.letters(bc)
     Z = table.letters((ab[0], bc[1]))[0]
-    out = [RelationInstance(_commutator(X, X_inv, i, Y, Y_inv, j), (Z[k],),
-                            "steinberg-product", src)
-           for i, j, k in table.small]
-    out += [RelationInstance(_commutator(X, X_inv, i, Y, Y_inv, j),
-                             _commutator(X, X_inv, k, Y, Y_inv, l),
-                             "steinberg-equality", src)
+    out = [(_commutator(X, X_inv, i, Y, Y_inv, j), (Z[k],),
+            "steinberg-product", src) for i, j, k in table.small]
+    out += [(_commutator(X, X_inv, i, Y, Y_inv, j),
+             _commutator(X, X_inv, k, Y, Y_inv, l), "steinberg-equality", src)
             for (i, j), (k, l) in table.equal]
     return out
 
@@ -1548,8 +1542,6 @@ def steinberg_unipotent(dim, p, d):
     roots, then per adjacent (lo, hi) the double commutators
     [[x_lo(r1), x_hi(r2)], x] for x = x_lo(r3), x_hi(r3) and the
     factorization equalities."""
-    from cosetx.presentations import RelationInstance
-
     table = SteinbergLetters(p, d)
     simple = [(i, i + 1) for i in range(1, dim)]
     gens = table.generators(simple)
@@ -1557,7 +1549,7 @@ def steinberg_unipotent(dim, p, d):
             for rel in steinberg_pair_relations(rho, rho, table)]
     rels += [rel for a, b in itertools.combinations(simple, 2)
              if a[1] < b[0] for rel in steinberg_pair_relations(a, b, table)]
-    idx = range(len(table.polys))
+    idx = range(len(table.coeffs))
     for lo, hi in zip(simple, simple[1:]):
         L, L_inv = table.letters(lo)
         H, H_inv = table.letters(hi)
@@ -1565,12 +1557,11 @@ def steinberg_unipotent(dim, p, d):
             inner = _commutator(L, L_inv, r1, H, H_inv, r2)
             inner_inv = _commutator(H, H_inv, r2, L, L_inv, r1)
             for X, X_inv in ((L, L_inv), (H, H_inv)):
-                rels.append(RelationInstance(
-                    inner + (X[r3],) + inner_inv + (X_inv[r3],), (),
-                    "commuting", (lo, hi)))
-        rels += [RelationInstance(_commutator(L, L_inv, i, H, H_inv, j),
-                                  _commutator(L, L_inv, k, H, H_inv, l),
-                                  "steinberg-equality", (lo, hi))
+                rels.append((inner + (X[r3],) + inner_inv + (X_inv[r3],), (),
+                             "commuting", (lo, hi)))
+        rels += [(_commutator(L, L_inv, i, H, H_inv, j),
+                  _commutator(L, L_inv, k, H, H_inv, l),
+                  "steinberg-equality", (lo, hi))
                  for (i, j), (k, l) in table.equal]
     return gens, rels
 
@@ -1607,10 +1598,8 @@ def steinberg_chamber(n, p, d):
 def steinberg_codes(relations, generators):
     """(lhs, rhs, kinds, source pairs) of the relations: the words as
     int32 rows of letter codes, 2k for generators[k] and 2k + 1 for its
-    inverse, padded with -1 to the longest word of the side; the kinds as
-    positions in ``presentations.KINDS``."""
-    from cosetx.presentations import KINDS
-
+    inverse, padded with -1 to the longest word of the side; the kinds by
+    name."""
     pos = {x: k for k, x in enumerate(generators)}
 
     def side(words):
@@ -1620,10 +1609,68 @@ def steinberg_codes(relations, generators):
             out[r, :len(word)] = [2 * pos[x] + (e == -1) for x, e in word]
         return out
 
-    return (side([rel.lhs for rel in relations]),
-            side([rel.rhs for rel in relations]),
-            [KINDS.index(rel.kind) for rel in relations],
-            [rel.source_pair for rel in relations])
+    return (side([lhs for lhs, _, _, _ in relations]),
+            side([rhs for _, rhs, _, _ in relations]),
+            [kind for _, _, kind, _ in relations],
+            [src for _, _, _, src in relations])
+
+
+def steinberg_text(relation):
+    """``lhs = rhs`` with letters x(i, j)(r) and x(i, j)(r)^-1, r in the
+    human polynomial form, the empty word e."""
+    def term(k, c):
+        power = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+        if not power:
+            return str(c)
+        return power if c == 1 else f"{c}*{power}"
+
+    def poly(cs):
+        return "+".join(term(k, c) for k, c in enumerate(cs) if c) or "0"
+
+    def word(w):
+        return " ".join(f"x{root}({poly(cs)})" + ("^-1" if e == -1 else "")
+                        for (root, cs), e in w) or "e"
+
+    lhs, rhs, _, _ = relation
+    return f"{word(lhs)} = {word(rhs)}"
+
+
+def _regular(rows, p, s, m):
+    """The (m s) x (m s) matrices over F_p of flat rows of m*m ring
+    indices: each entry a becomes the s x s matrix of multiplication by a
+    on F_p[t]/t^s, in the basis 1, t, ..., t^(s-1)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    digits = rows[..., None] // p ** np.arange(s) % p
+    i, j = np.arange(s)[:, None], np.arange(s)[None, :]
+    blocks = np.where(i >= j, digits[..., (i - j) % s], 0)
+    return (blocks.reshape(len(rows), m, m, s, s).transpose(0, 1, 3, 2, 4)
+            .reshape(len(rows), m * s, m * s))
+
+
+def steinberg_violations(relations, generators, mats, p, s):
+    """The positions of the relations whose sides differ when each of the
+    ``generators`` takes its row of ``mats``, ring indices of
+    F_p[t]/t^s: the words are multiplied out as matrices over F_p, in the
+    regular representation of the ring, with the inverses from
+    ``MatElement.inverse``."""
+    mats = np.asarray(mats)
+    m = int(round(mats.shape[1] ** 0.5))
+    inverses = [MatElement.from_flat(p, s, m, row).inverse().flat()
+                for row in mats]
+    over_fp = {}
+    for k, x in enumerate(generators):
+        over_fp[x, 1], over_fp[x, -1] = _regular([mats[k], inverses[k]],
+                                                 p, s, m)
+    one = np.eye(m * s, dtype=np.int64)
+
+    def value(word):
+        acc = one
+        for letter in word:
+            acc = acc @ over_fp[letter] % p
+        return acc
+
+    return tuple(r for r, (lhs, rhs, _, _) in enumerate(relations)
+                 if not np.array_equal(value(lhs), value(rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,3 +62,17 @@ def test_every_counter_is_parsed():
 
 def test_stale_targets_are_listed():
     assert STALE <= {(m, p) for m, p, _, _ in tracing.TARGETS}
+
+
+def test_run_record_environment_resolves():
+    """Every benchmark child calls ``child.environment()`` after its timed
+    run, so a package name it reads that went away would make every child
+    exit 1."""
+    pytest.importorskip("scipy")
+    import child
+
+    import cosetx
+
+    env = child.environment()
+    assert env["kernel_backend"] == cosetx.kernel_backend
+    assert env["nproc"] >= 1

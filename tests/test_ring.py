@@ -9,9 +9,8 @@ from hypothesis import given, strategies as st
 
 import oracles
 from cosetx.errors import InputError, ParameterError
-from cosetx.ring import (RingTable, TruncPoly, check_ring_params,
-                         enumerate_polys, is_prime, parse_poly, poly_add,
-                         poly_mul)
+from cosetx.ring import (RingTable, TruncPoly, check_ring_params, is_prime,
+                         parse_poly, poly_add, poly_mul)
 
 SMALL_RINGS = [(2, 1), (2, 3), (3, 2), (5, 3), (7, 2)]
 # every ring F_p[t]/t^s with p^s <= 125
@@ -126,12 +125,6 @@ class TestRingTable:
     def test_too_large_rejected(self):
         with pytest.raises(ParameterError):
             RingTable(5, 7)
-
-
-def test_enumerate_polys_degree_bound():
-    out = enumerate_polys(3, 3, 1)
-    assert len(out) == 9
-    assert all(x.coeffs[2] == 0 for x in out)
 
 
 def test_is_prime():
