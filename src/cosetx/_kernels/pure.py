@@ -479,17 +479,17 @@ class _RowMaps:
         self.room = min(cap, 1 << 32) // self.Q - len(gens) if tabled else 0
         self.tables = None
 
-    def images(self, keys: np.ndarray):
+    def images(self, keys: np.ndarray, rows: np.ndarray | None = None):
         """For each generator g in turn, the keys of x @ g over the x with
-        ``keys``, of their dtype: from the rows of those x decoded once, or
-        as sum over a of R_g[rho_a] * Q**a, where the row keys rho_a =
-        (key // Q**a) % Q are split off once for all generators."""
+        ``keys``, of their dtype: from the rows of those x (``rows``, else
+        decoded), or as sum over a of R_g[rho_a] * Q**a, where the row keys
+        rho_a = (key // Q**a) % Q are split off once for all generators."""
         if self.left is not None:
             self.left -= len(keys)
             if self.left <= 0:
                 self.left, self.tables = None, self._tabulate()
         if self.tables is None:
-            rows = unpack_keys(keys, self.q, self.m * self.m)
+            rows = unpack_keys(keys, self.q, self.m * self.m) if rows is None else rows
             for g in self.gens:
                 yield pack_keys(matmul_batch(rows, g, self.mul, self.add, self.m),
                                 self.q).astype(keys.dtype, copy=False)

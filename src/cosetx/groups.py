@@ -14,19 +14,12 @@ is made by ``CosetPartition.from_keys`` from one class key per element in
 [0, |G|): the orbit-minimum labels of ``cosets()``, the normal-form codes
 of ``ko_coset_codes``, or a K_0 partition read through a conjugation.
 
-The KO subgroups K_i are the exception to BFS enumeration: they have a closed form and no
-closure runs for them.  K_0 is unitriangular, and its entry (a, b), a < b,
-is any polynomial of degree <= D_ab = min(s-1, (b-a)d).  A ring index puts
-low degrees in its low digits, so "degree <= D" reads "index < p^(D+1)"
-and K_0 is a box of coordinates, listed in mixed-radix order; K_i is its
-gamma_0^i rotation.  With h = gamma_0^-j, K_0 n K_j is again a box: entry
-(a, b) is bounded by min(D_ab, (h(b)-h(a))d) when h(a) < h(b) and is zero
-otherwise.  So each left coset g(K_0 n K_j) has a normal form.  Right
-multiplication by e_ab(r) adds r to g_ab and g_ia r to the entries above
-it in column b, so clearing the bounded low terms column by column, bottom
-up, never disturbs a cleared entry.  The reduced elements number
-|K_0|/|K_0 n K_j| and every coset holds one, so each holds exactly one:
-the coset labels need no closure, no key lookup and no ``cosets()``.
+The KO subgroups K_i are the exception to BFS enumeration: K_0 is a box of
+entry coordinates, listed in closed form (``subgroup_K``), K_i is its
+gamma_0^i rotation, and K_0 n K_j is again a box (``ko_intersection_bounds``).
+So each left coset g(K_0 n K_j) has a normal form, whose code
+(``ko_coset_codes``) is reduced from K_0's entry columns by 1-D ``take``s
+on the flat q*q ring tables, with no closure, key lookup or ``cosets()``.
 
 Index sets are boolean masks over [0, |G|), all grown by ``_close``: a
 BFS through right-multiplication tables (r[a] = a*g), for subgroups
@@ -287,7 +280,7 @@ class MatrixGroup(FiniteGroup):
         # switch to tables meets
         maps = RowMaps(self.elems[b:b + 1], ring.mul, ring.add, self.m, ring.q,
                        self.elems.size)
-        out = self._index.lookup(next(maps.images(self.keys)))
+        out = self._index.lookup(next(maps.images(self.keys, self.elems)))
         if (out < 0).any():
             raise StructureError("right-multiplication escaped the element set")
         return out
@@ -615,7 +608,8 @@ def rotate_rows(rows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def ko_coset_codes(K0: MatrixGroup, d: int, j: int) -> np.ndarray:
+def ko_coset_codes(K0: MatrixGroup, d: int, j: int,
+                   entries: np.ndarray | None = None) -> np.ndarray:
     """Code of each element's left coset g(K_0 n K_j) in K_0.
 
     The code is the mixed-radix index (as in ``subgroup_K``) of the coset's
@@ -627,25 +621,34 @@ def ko_coset_codes(K0: MatrixGroup, d: int, j: int) -> np.ndarray:
     below a in column b and all earlier columns alone, so every cleared
     entry stays cleared.  Each e_ab(r) lies in H = K_0 n K_j, so the
     result lies in gH; the reduced elements number prod p^(D_ab - B_ab) =
-    |K_0|/|H|, one per coset at least, hence exactly one.
+    |K_0|/|H|, one per coset at least, hence exactly one.  ``entries``
+    (K_0's entry columns, a < b, row-major) are only read, and the codes,
+    below |K_0|, are uint32 (int64 past 2^32).
     """
     m, ring = K0.m, K0.ring
+    q, mul, add = ring.q, ring.mul.reshape(-1), ring.add.reshape(-1)
+    D = k0_degree_bounds(m - 1, ring.s, d)
     B = ko_intersection_bounds(m - 1, ring.s, d, j)
-    _, place = _place_values(k0_degree_bounds(m - 1, ring.s, d), ring.p)
-    # g[a, b]: entry (a, b) of every element, a < b, one contiguous copy each
-    g = {(a, b): K0.elems[:, a * m + b].copy()
-         for b in range(1, m) for a in range(b)}
+    # lows[a, b, x]: the terms of degree <= B_ab of ring index x
+    lows = (np.arange(q) % ring.p ** (B[:, :, None] + 1)).astype(np.uint32)
+    entries = K0.elems.T[(D >= 0).ravel()] if entries is None else entries
+    # g[a, b]: entry (a, b) of every element, None once it is cleared to 0
+    g = dict(zip(zip(*np.nonzero(D >= 0)), entries))
     for b in range(1, m):
-        for a in range(b - 1, -1, -1):
-            if B[a, b] < 0:
-                continue
-            low = g[a, b] % ring.p ** (int(B[a, b]) + 1)
-            g[a, b] -= low
-            r = ring.neg[low]
+        for a in np.flatnonzero(B[:b, b] >= 0)[::-1]:
+            if B[a, b] < D[a, b]:
+                low = lows[a, b].take(g[a, b])
+                g[a, b] = g[a, b] - low
+            else:
+                low, g[a, b] = g[a, b], None
+            r = ring.neg.take(low) if a else None
             for i in range(a):
-                g[i, b] = ring.add[g[i, b], ring.mul[g[i, a], r]]
-    return sum(int(place[a * m + b]) * col.astype(np.int64)
-               for (a, b), col in g.items())
+                if g[i, a] is not None:
+                    g[i, b] = add.take(g[i, b] * q + mul.take(g[i, a] * q + r))
+    dtype = np.uint32 if K0.size <= 1 << 32 else np.int64
+    place = _place_values(D, ring.p)[1].astype(dtype)
+    return sum((col * place[a * m + b] for (a, b), col in g.items()
+                if col is not None), np.zeros(K0.size, dtype))
 
 
 def ko_link_cosets(K0: MatrixGroup, d: int) -> list[CosetPartition]:
@@ -661,16 +664,16 @@ def ko_link_cosets(K0: MatrixGroup, d: int) -> list[CosetPartition]:
     class lies in one coset, and the classes are the |K_0|/|H| cosets of
     H for any bounds within K_0's.
     """
-    m = K0.m
-    lim, _ = _place_values(k0_degree_bounds(m - 1, K0.ring.s, d), K0.ring.p)
-    free = np.flatnonzero(lim > 1)
+    lim, _ = _place_values(k0_degree_bounds(K0.m - 1, K0.ring.s, d), K0.ring.p)
+    free = lim > 1
+    entries = K0.elems.T[free]  # read once for every j
     parts = []
-    for j in range(1, m):
+    for j in range(1, K0.m):
         # x's entry (a, b) sits at (h(a), h(b)) in the conjugate, so it must
         # stay below lim there; x's fixed entries pass for every j
-        bound = rotate_rows(lim[None, :], j)[0]
-        in_sub = (K0.elems[:, free] < bound[free]).all(axis=1)
-        codes = ko_coset_codes(K0, d, j)
+        in_sub = (entries < rotate_rows(lim[None, :], j)[0, free, None]).all(axis=0)
+        # intp once, for the bincount, the class test and the labels' gathers
+        codes = ko_coset_codes(K0, d, j, entries).astype(np.intp)
         sizes = np.bincount(codes)
         if ((sizes[sizes > 0] != np.count_nonzero(in_sub)).any()
                 or not np.array_equal(codes == codes[K0.identity], in_sub)):

@@ -360,13 +360,10 @@ def ko_vertex_link(n: int, p: int, s: int, d: int,
     """The link CC(K_0, {K_0 n K_j : j = 1..n}) of a color-0 vertex.
 
     Only K_0 is enumerated, never the far larger ambient group, and in
-    closed form (``groups.subgroup_K``).  Each K_0 n K_j is the set of
-    elements whose entry (a, b) has degree <= B_ab
-    (``groups.ko_intersection_bounds``), and its left cosets are labeled by
-    normal form: each coset has exactly one element with no term of degree
-    <= B_ab in any entry (``groups.ko_coset_codes``).  No closure, key
-    lookup or ``cosets()`` call is made; ``groups.ko_link_cosets`` checks
-    every partition's class sizes against K_0 n K_j found by membership.
+    closed form (``groups.subgroup_K``), and each K_0 n K_j's left cosets
+    are labeled by normal form (``groups.ko_link_cosets``, which checks the
+    class sizes against K_0 n K_j found by membership), with no closure,
+    key lookup or ``cosets()`` call.
     Conjugation by gamma_0^i maps K_0 n K_j onto K_i n K_{i+j}: the color-i
     link is this one with its colors rotated by i.
     """
@@ -388,8 +385,8 @@ def ko_link_report(n: int, p: int, s: int, d: int,
     ``ko_vertex_link``) and ``"reused"``.  The ambient walk is deliberately
     absent: for interesting parameters the full group is out of reach, and
     the local criterion quantifies over links.  ``threshold`` defaults to
-    the theorem bound, which requires sqrt(p) > n.  ``cap`` bounds the
-    closure of K_0 and the Lanczos basis.
+    the theorem bound, which requires sqrt(p) > n.  ``cap`` bounds |K_0|
+    (closed form, checked before any allocation) and the Lanczos basis.
     """
     if threshold is None:
         if math.sqrt(p) <= n:

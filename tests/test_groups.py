@@ -227,8 +227,10 @@ class TestSubgroupK:
 
 
 class TestKOLinkCosets:
+    # odd p with s = 3 splits entries by % p^(B+1) at more than one degree
     @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 3, 2, 1),
-                                         (3, 2, 2, 1), (3, 2, 3, 1)])
+                                         (3, 2, 2, 1), (3, 2, 3, 1),
+                                         (2, 3, 3, 1), (2, 5, 3, 1)])
     def test_normal_form_matches_cosets(self, n, p, s, d):
         K0 = subgroup_K(n, p, s, d, 0)
         parts = ko_link_cosets(K0, d)
@@ -238,6 +240,8 @@ class TestKOLinkCosets:
             expect = cosets(K0, sub)
             # the codes and cosets()' labels induce the same partition
             codes = ko_coset_codes(K0, d, j)
+            # a code is an element index, so |K_0| <= 2^32 sums in uint32
+            assert codes.dtype == np.uint32
             pairs = np.unique(np.stack([codes, expect.labels]), axis=1)
             assert pairs.shape[1] == len(np.unique(codes)) \
                 == expect.n_cosets == K0.size // len(sub)
@@ -369,6 +373,16 @@ class TestGroupInterface:
             for a in (0, 1, G.size - 1):
                 assert got[a] == G.mult(a, b)
         assert built == ([1] * len(picks) if tabled else [])
+
+    def test_right_mult_table_products_read_the_element_rows(self, monkeypatch):
+        # the products path multiplies G's own rows, never decoding its keys
+        from cosetx._kernels import pure
+
+        G = reduction_kernel(1, 3, 2, 1)
+        want = [G.right_mult_table(b) for b in range(G.size)]
+        monkeypatch.setattr(pure, "unpack_keys", None)
+        assert all(np.array_equal(G.right_mult_table(b), w)
+                   for b, w in enumerate(want))
 
 
 class TestCosetsQuotients:
@@ -649,3 +663,11 @@ def test_ko_link_coset_labels_are_pinned():
         "721bbd897bdea7ab31da572e9a2e670db672868e7e724fdadcdd1e1a719a8a99"]
     faces = hashlib.sha256(X.max_faces.astype(np.int64).tobytes()).hexdigest()
     assert faces == "0aa816a8b1ad82d2109c31af73f46f8e62b545cce415d27de261f2be95dfa789"
+    # the ko-links benchmark's link, whose partitions the normal form
+    # matches against cosets() in TestKOLinkCosets
+    digest = [hashlib.sha256(part.labels.astype(np.int64).tobytes()).hexdigest()
+              for part in ko_link_cosets(subgroup_K(3, 2, 3, 1, 0), 1)]
+    assert digest == [
+        "d6ce4728cc89176a7ff1e22752dd78f3d6d843fd7f9283170959d60c402991e9",
+        "c5005acf334b507ca36cc61f32e09404d042bc4ed00453bb76d1552edea7134e",
+        "994bdd8f3f234225a270bd82cd4e6da516590746c425f271b92a75296bcdeeec"]
