@@ -20,7 +20,6 @@ are decoded only at the end.
 ``RowMaps`` (``pure._RowMaps``) is that one map of keys x to the keys of
 x @ g, also behind the right tables of ``groups``; it states when it
 turns from products to row tables.
-``BACKEND`` names the backend for run records.
 
 ``pack_keys`` and ``unpack_keys`` are the package's one row-key codec:
 uint64 keys when they fit, fixed-width void keys otherwise (``common``).
@@ -38,10 +37,7 @@ from .pure import _RowMaps as RowMaps
 from .pure import (closure_bfs, inverse_batch, inverse_digits, matmul_batch,
                    matmul_digits)
 
-BACKEND: str = pure.NAME
-
 __all__ = [
-    "BACKEND",
     "KeyIndex",
     "RowMaps",
     "closure_bfs",

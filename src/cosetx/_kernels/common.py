@@ -1,5 +1,5 @@
-"""The package's one row-key codec, its key sort and key index, and the
-identity helper.
+"""The package's one row-key codec, its key sort, runs and key index,
+and the identity helper.
 
 The key of a row of w digits in [0, q) is sum over c of row[c] * q**c.
 A matrix is a flat uint32 row of its m*m packed ring indices in
@@ -14,6 +14,8 @@ of the values.  The codec is injective only on rows of digits in [0, q).
 
 ``stable_order`` is the stable argsort of integer keys, done as one
 plain sort of keys packed with their positions where they fit 64 bits.
+``key_runs`` finds the runs of equal keys in that order, and
+``unique_rows`` dedupes rows through their ``lex_keys``.
 ``KeyIndex`` maps keys to positions: through a direct-address table
 when the keys are dense (largest key below 8 times their count), else
 by binary search.  Neither path has a knob: the keys' width and span
@@ -124,6 +126,33 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     packed.sort()
     packed &= (1 << b) - 1
     return packed.view(np.intp)
+
+
+def key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, sorted keys, first): the stable order that sorts the keys,
+    the keys in that order, and where each run of equal keys starts.
+
+    ``stable_order`` is the fastest sort here on integer keys, and another
+    sort kernel would add its code pages to every process.  The runs are
+    found as positions, not as a boolean mask, which is the slower gather
+    on a complex's face tables."""
+    order = stable_order(keys)
+    keys = keys[order]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return order, keys, np.flatnonzero(fresh)
+
+
+def unique_rows(rows: np.ndarray, base: int, counts: bool = False):
+    """The distinct rows in lex order of rows in [0, base), and with
+    ``counts`` the number of times each occurs.
+
+    Equal keys are equal rows, so any order that sorts the keys serves."""
+    order, keys, first = key_runs(lex_keys(rows, base))
+    uniq = rows.take(order.take(first), axis=0)
+    if not counts:
+        return uniq
+    return uniq, np.diff(np.append(first, len(keys)))
 
 
 class KeyIndex:

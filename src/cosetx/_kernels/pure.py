@@ -40,8 +40,6 @@ from ..errors import ParameterError, ResourceLimitError
 from ..ring import RingTable
 from .common import fits_uint64, identity_flat, key_dtype, pack_keys, unpack_keys
 
-NAME = "pure"
-
 # frontier keys per block of the bitset path: a block's temporaries stay in L2
 BLOCK = 1 << 15
 

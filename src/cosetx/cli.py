@@ -452,7 +452,7 @@ def _check_lemmas_exhaustive(n_max):
     return failures == 0, {"n_max": n_max, "failures": failures}
 
 
-def _check_steinberg_sl(n, p, d, target_s, expect=None):
+def _check_steinberg_sl(n, p, d, target_s, expect):
     from .presentations import (presentation_SL, standard_assignment,
                                 verify_relations)
 
@@ -462,13 +462,10 @@ def _check_steinberg_sl(n, p, d, target_s, expect=None):
     detail = {"generators": len(table.roots),
               "relations": len(table),
               "pairs": len(table.pair_set()),
-              "violations": len(rep.violations)}
-    ok = rep.ok
-    if expect is not None:
-        ok = ok and (detail["generators"], detail["relations"],
-                     detail["pairs"]) == expect
-        detail["expected"] = list(expect)
-    return ok, detail
+              "violations": len(rep.violations),
+              "expected": list(expect)}
+    return rep.ok and (detail["generators"], detail["relations"],
+                       detail["pairs"]) == expect, detail
 
 
 # the group of the commutator-power check: SL_3(F_3[t]/t^3)

@@ -81,8 +81,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels.common import KeyIndex, lex_keys, unpack_keys
-from .complexes import SimplicialComplex, WeightTable, _unique_rows
+from ._kernels.common import KeyIndex, lex_keys, unique_rows, unpack_keys
+from .complexes import SimplicialComplex, WeightTable
 from .errors import (DEFAULT_CAP, InputError, ParameterError,
                      ResourceLimitError, StructureError)
 from .groups import TableGroup, symmetric_group
@@ -598,13 +598,13 @@ def _enumerate_coboundaries(X: SimplicialComplex, lam: TableGroup,
                             cap: int) -> np.ndarray:
     """B^1 = {d0 psi : psi in C^0}, the orbit of the identity cochain, as
     unique int16 rows in lex order: deduplicated per block and at the end.
-    complexes._unique_rows keys the rows in fixed width, uint64 or void,
+    ``unique_rows`` keys the rows in fixed width, uint64 or void,
     so |Lambda|^|X(1)| may pass 2^64.
     """
     _check_cap(X, lam.size, 0, cap)
     m = lam.size
-    return _unique_rows(np.concatenate(
-        [_unique_rows(r.astype(np.int16), m)
+    return unique_rows(np.concatenate(
+        [unique_rows(r.astype(np.int16), m)
          for r in _orbit(X, lam, lam.identity)]), m)
 
 

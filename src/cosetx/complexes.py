@@ -32,10 +32,11 @@ import numpy as np
 # that no computation pays for the import
 import numpy.ma  # noqa: F401
 
-from ._kernels.common import KeyIndex, lex_keys, stable_order
+from ._kernels.common import (KeyIndex, key_runs, lex_keys, stable_order,
+                              unique_rows)
 from .errors import DEFAULT_CAP, InputError, ParameterError, StructureError
-from .groups import (CosetPartition, FiniteGroup, _orbit_min_labels,
-                     cosets, quotient, rotate_rows, sl_group, subgroup_K)
+from .groups import (CosetPartition, FiniteGroup, cosets, orbit_min_labels,
+                     quotient, rotate_rows, sl_group, subgroup_K)
 
 
 # the edges ab, bc, ac of a triangle abc, the column order of triangle_edges
@@ -46,34 +47,6 @@ def _same_rows(A: np.ndarray, B: np.ndarray, base: int) -> bool:
     """Do two arrays of rows in [0, base) hold the same multiset of rows?"""
     return A.shape == B.shape and bool(np.array_equal(
         np.sort(lex_keys(A, base)), np.sort(lex_keys(B, base))))
-
-
-def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]:
-    """(order, sorted keys, first): the stable order that sorts the keys,
-    the keys in that order, and where each run of equal keys starts.
-
-    ``stable_order`` is the fastest sort here on integer keys, and another
-    sort kernel would add its code pages to every process.  The runs are
-    found as positions, not as a boolean mask, which is the slower gather
-    on the tables here."""
-    order = stable_order(keys)
-    keys = keys[order]
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = keys[1:] != keys[:-1]
-    return order, keys, np.flatnonzero(fresh)
-
-
-def _unique_rows(rows: np.ndarray, base: int, counts: bool = False):
-    """The distinct rows in lex order of rows in [0, base), and with
-    ``counts`` the number of times each occurs.
-
-    Equal keys are equal rows, so any order that sorts the keys serves."""
-    order, keys, first = _key_runs(lex_keys(rows, base))
-    uniq = rows.take(order.take(first), axis=0)
-    if not counts:
-        return uniq
-    return uniq, np.diff(np.append(first, len(keys)))
 
 
 def _spanning_forest(edges: np.ndarray, V: int
@@ -138,9 +111,10 @@ class SimplicialComplex:
     coloring, while some test fixtures (e.g. the 7-vertex torus) are not
     colorable at all.  When colors are present, partiteness is enforced.
 
-    ``coset_data`` is the CosetStructure that ``coset_complex`` sets on
-    the complexes it builds; every other complex (fixtures, loaded files,
-    links of nonempty faces, quotients) keeps None.
+    A vertex is its index.  ``coset_data`` is the CosetStructure that
+    ``coset_complex`` sets on the complexes it builds, ``origin_vertices``
+    the original indices that ``link()`` sets on the link of a nonempty
+    face; every other complex keeps None in each.
 
     The complex owns every derived table and caches each on first use:
     the face tables with their containment counts, the triangle -> edge
@@ -152,8 +126,7 @@ class SimplicialComplex:
     edge table keeps as int32.
     """
 
-    def __init__(self, n: int, vertex_count: int, max_faces,
-                 colors=None, labels: Sequence[str] | None = None):
+    def __init__(self, n: int, vertex_count: int, max_faces, colors=None):
         if n < -1:
             raise ParameterError(f"dimension must be >= -1, got {n}")
         w = n + 1
@@ -173,11 +146,11 @@ class SimplicialComplex:
             raise StructureError("vertex index out of range")
         self.n = n
         self.vertex_count = int(vertex_count)
-        self.max_faces = _unique_rows(mf, self.vertex_count)
+        self.max_faces = unique_rows(mf, self.vertex_count)
         self.colors = None if colors is None else \
             np.asarray(colors, dtype=np.int64)
-        self.labels = None if labels is None else tuple(labels)
         self.coset_data: CosetStructure | None = None
+        self.origin_vertices: np.ndarray | None = None
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._index: dict[int, KeyIndex] = {}
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
@@ -226,8 +199,6 @@ class SimplicialComplex:
             if not partite:
                 raise StructureError(
                     "not partite: some maximal face misses a color")
-        if self.labels is not None and len(self.labels) != V:
-            raise StructureError("need one label per vertex")
 
     # -- face tables --------------------------------------------------
 
@@ -266,15 +237,15 @@ class SimplicialComplex:
             for c, (a, b) in enumerate(_TRIANGLE_EDGES):
                 np.multiply(mf[:, a], V, out=keys[:, c])
                 keys[:, c] += mf[:, b]
-            order, keys, first = _key_runs(keys.reshape(-1))
+            order, keys, first = key_runs(keys.reshape(-1))
             faces = np.stack(np.divmod(keys.take(first), V), axis=1)
             cnt = np.diff(np.append(first, len(keys)))
             self._slot_order = order.astype(np.int32)
         else:
             combos = list(itertools.combinations(range(w), k + 1))
             stacked = np.vstack([self.max_faces[:, c] for c in combos])
-            faces, cnt = _unique_rows(stacked, self.vertex_count,
-                                      counts=True)
+            faces, cnt = unique_rows(stacked, self.vertex_count,
+                                     counts=True)
         self._tables[k] = (faces, cnt)
         return faces, cnt
 
@@ -500,11 +471,7 @@ def link(X: SimplicialComplex, tau) -> SimplicialComplex:
     if X.colors is not None and len(verts):
         palette = np.unique(X.colors[verts])
         colors = np.searchsorted(palette, X.colors[verts])
-    lk_labels = None
-    if X.labels is not None:
-        lk_labels = [X.labels[int(v)] for v in verts]
-    lk = SimplicialComplex(X.n - len(tau), len(verts), renum,
-                           colors=colors, labels=lk_labels)
+    lk = SimplicialComplex(X.n - len(tau), len(verts), renum, colors=colors)
     lk.origin_vertices = verts
     return lk
 
@@ -521,8 +488,7 @@ class CosetStructure:
     offsets: np.ndarray  # offsets[i] is the first vertex id of color i
 
 
-def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
-                  labels: bool = False) -> SimplicialComplex:
+def coset_complex(G: FiniteGroup, subgroups: Sequence) -> SimplicialComplex:
     """CC(G, {K_i}): vertices gK_i colored i, faces from the chamber orbit.
 
     ``subgroups`` holds one entry per color: an element-index collection,
@@ -530,7 +496,8 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
     of G (such as ``groups.ko_link_cosets`` builds).  Maximal faces are
     {gK_0, ..., gK_n} over all g; the stabilizer of the base chamber is
     the intersection of the K_i, so the face count is |G| divided by the
-    intersection order.
+    intersection order.  Vertex offsets[i] + c is the coset of ordinal c
+    of colour i (``coset_data``), and has no other name.
 
     Every face of color type T is a translate g.{K_i : i in T} of the base
     chamber's T-face, so G acts transitively on the faces of each color
@@ -551,11 +518,7 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence, *,
     for i, part in enumerate(parts):
         rows[:, i] = offsets[i] + part.ordinal
     colors = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    lab = None
-    if labels:
-        lab = [f"{G.label(int(r))}.K{i}"
-               for i, part in enumerate(parts) for r in part.reps]
-    X = SimplicialComplex(k - 1, V, rows, colors=colors, labels=lab)
+    X = SimplicialComplex(k - 1, V, rows, colors=colors)
     X.coset_data = CosetStructure(parts, offsets)
     return X
 
@@ -607,7 +570,7 @@ def quotient_by_action(X: SimplicialComplex, perms: Sequence[np.ndarray]
         if not _same_rows(mapped, mf, V):
             raise StructureError("action generator is not simplicial")
         checked.append(perm)
-    labels = _orbit_min_labels(V, checked)
+    labels = orbit_min_labels(V, checked)
     reps = np.unique(labels)
     proj = np.searchsorted(reps, labels)
     qf = proj[mf]
@@ -616,11 +579,7 @@ def quotient_by_action(X: SimplicialComplex, perms: Sequence[np.ndarray]
         raise StructureError(
             "orbits collapse a face; quotient would not be rigid")
     q_colors = None if X.colors is None else X.colors[reps]
-    q_labels = None
-    if X.labels is not None:
-        q_labels = [X.labels[int(r)] for r in reps]
-    Y = SimplicialComplex(X.n, len(reps), qf, colors=q_colors,
-                          labels=q_labels)
+    Y = SimplicialComplex(X.n, len(reps), qf, colors=q_colors)
     return Y, proj
 
 
@@ -723,15 +682,14 @@ def load_complex(path) -> SimplicialComplex:
 
 
 def build_ko_complex(n: int, p: int, s: int, d: int,
-                     cap: int = DEFAULT_CAP, labels: bool = False
-                     ) -> SimplicialComplex:
+                     cap: int = DEFAULT_CAP) -> SimplicialComplex:
     """CC(SL_{n+1}(F_p[t]/t^s), {K_i}) from one coset partition, of K_0.
 
     K_i = gamma_0^i K_0 gamma_0^-i, so with c_i(g) = gamma_0^-i g gamma_0^i,
     g^-1 h lies in K_i exactly when c_i(g)^-1 c_i(h) lies in K_0: colour i
     keys each g by the K_0 coset of c_i(g), and ``cosets()`` runs once,
-    from K_0's own generators.  The labels are the smallest index in each
-    coset, as ``cosets()`` would give for K_i itself.  The conjugation
+    from K_0's own generators.  Each partition labels a coset by its
+    smallest index, as ``cosets()`` would for K_i itself.  The conjugation
     c_1 is looked up in G once, as an index map, and c_i is its i-th
     power.  K_0 and every conjugate must be found in G.
     """
@@ -750,4 +708,4 @@ def build_ko_complex(n: int, p: int, s: int, d: int,
         if i:
             conj = c1[conj]
         parts.append(CosetPartition.from_keys(G, part0.labels[conj]))
-    return coset_complex(G, parts, labels=labels)
+    return coset_complex(G, parts)

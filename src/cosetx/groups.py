@@ -42,7 +42,7 @@ from ._kernels import (KeyIndex, RowMaps, closure_bfs, identity_flat,
                        inverse_batch, matmul_batch, pack_keys)
 from .errors import (DEFAULT_CAP, ParameterError, ResourceLimitError,
                      StructureError)
-from .ring import RingTable, TruncPoly, check_ring_params
+from .ring import RingTable, check_ring_params
 from .roots import gamma0, perm_pow, perm_rank, perm_table
 
 
@@ -89,9 +89,6 @@ class FiniteGroup:
         """Array l with l[b] = mult(a, b) for all b."""
         raise NotImplementedError
 
-    def label(self, a: int) -> str:
-        raise NotImplementedError
-
     def element_order(self, a: int) -> int:
         k, cur = 1, a
         while cur != self.identity:
@@ -107,10 +104,11 @@ class TableGroup(FiniteGroup):
 
     ``table`` and ``inv`` are dense index arrays, which is what the cochain
     calculus reads when the group serves as a coefficient group; ``name``
-    identifies it in reports (``zmod:5``, ``sym:3``, ``table:FILE``).
+    identifies it in reports (``zmod:5``, ``sym:3``, ``table:FILE``).  An
+    element is its index: nothing reads an element by a printed form.
     """
 
-    def __init__(self, table: np.ndarray, labels: Sequence[str] | None = None,
+    def __init__(self, table: np.ndarray,
                  generators: Sequence[int] | None = None, validate: bool = True,
                  name: str | None = None):
         table = np.asarray(table, dtype=np.int64)
@@ -120,7 +118,6 @@ class TableGroup(FiniteGroup):
         self.table = table
         self.size = n
         self.name = name if name is not None else f"table:{n}"
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         idx = np.arange(n)
         ident = np.flatnonzero((table == idx).all(axis=1)
                                & (table == idx[:, None]).all(axis=0))
@@ -149,9 +146,6 @@ class TableGroup(FiniteGroup):
 
     def left_mult_table(self, a: int) -> np.ndarray:
         return self.table[a, :].copy()
-
-    def label(self, a: int) -> str:
-        return self.labels[a]
 
 
 def _check_associative(table: np.ndarray, ident: int) -> None:
@@ -182,7 +176,8 @@ def _check_associative(table: np.ndarray, ident: int) -> None:
 
 
 def symmetric_group(k: int) -> TableGroup:
-    """Sym(k) on {0..k-1}; elements in itertools.permutations order."""
+    """Sym(k) on {0..k-1}; element i is the permutation ``perm_table(k)[i]``,
+    in itertools.permutations order."""
     if not (1 <= k <= 7):
         raise ParameterError(f"symmetric_group supports 1 <= k <= 7, got {k}")
     perms = perm_table(k)
@@ -194,8 +189,7 @@ def symmetric_group(k: int) -> TableGroup:
     # the transposition (0 1) and the cycle i -> i+1
     gens = [] if k < 2 else perm_rank(
         [[1, 0, *range(2, k)], [*range(1, k), 0]]).tolist()
-    return TableGroup(table, labels=[repr(p) for p in perms.tolist()],
-                      generators=gens, validate=False, name=f"sym:{k}")
+    return TableGroup(table, generators=gens, validate=False, name=f"sym:{k}")
 
 
 class MatrixGroup(FiniteGroup):
@@ -293,14 +287,6 @@ class MatrixGroup(FiniteGroup):
             raise StructureError("left-multiplication escaped the element set")
         return out
 
-    def label(self, a: int) -> str:
-        """The entries as polynomials, "[e, e; e, e]" row by row."""
-        p, s, m = self.ring.p, self.ring.s, self.m
-        es = [str(TruncPoly.from_index(p, s, e))
-              for e in self.elems[a].tolist()]
-        return "[" + "; ".join(", ".join(es[i:i + m])
-                               for i in range(0, m * m, m)) + "]"
-
 
 def elementary_subgroup(n: int, p: int, s: int, d: int,
                         cap: int = DEFAULT_CAP) -> MatrixGroup:
@@ -374,7 +360,7 @@ def _close(reached: np.ndarray, arrs: Sequence[np.ndarray],
     return added
 
 
-def _orbit_min_labels(n: int, arrs: Sequence[np.ndarray]) -> np.ndarray:
+def orbit_min_labels(n: int, arrs: Sequence[np.ndarray]) -> np.ndarray:
     """Min-index label of each element's orbit under the given permutations."""
     labels = np.arange(n, dtype=np.int64)
     while True:
@@ -422,9 +408,6 @@ class CosetPartition:
     def n_cosets(self) -> int:
         return len(self.reps)
 
-    def of(self, a: int) -> int:
-        return int(self.ordinal[a])
-
 
 def cosets(G: FiniteGroup, sub_indices: Sequence[int],
            sub_generators: Sequence[int] | None = None) -> CosetPartition:
@@ -468,7 +451,7 @@ def cosets(G: FiniteGroup, sub_indices: Sequence[int],
         if (reached & ~in_sub).any():
             raise StructureError(
                 "claimed subgroup is not closed under multiplication")
-    return CosetPartition.from_keys(G, _orbit_min_labels(G.size, arrs))
+    return CosetPartition.from_keys(G, orbit_min_labels(G.size, arrs))
 
 
 def subgroup_closure_indices(G: FiniteGroup, seed: Iterable[int]) -> np.ndarray:
@@ -509,10 +492,9 @@ def quotient(G: FiniteGroup, normal_indices: Sequence[int]
     for b in range(k):
         col = G.right_mult_table(int(reps[b]))
         table[:, b] = part.ordinal[col[reps]]
-    labels = [G.label(int(r)) for r in reps]
     proj = part.ordinal.copy()
     gen_images = np.unique(proj[G.generators]).tolist()
-    Q = TableGroup(table, labels=labels, generators=gen_images, validate=False)
+    Q = TableGroup(table, generators=gen_images, validate=False)
     return Q, proj
 
 
@@ -609,7 +591,7 @@ def rotate_rows(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def ko_coset_codes(K0: MatrixGroup, d: int, j: int,
-                   entries: np.ndarray | None = None) -> np.ndarray:
+                   entries: np.ndarray) -> np.ndarray:
     """Code of each element's left coset g(K_0 n K_j) in K_0.
 
     The code is the mixed-radix index (as in ``subgroup_K``) of the coset's
@@ -621,8 +603,8 @@ def ko_coset_codes(K0: MatrixGroup, d: int, j: int,
     below a in column b and all earlier columns alone, so every cleared
     entry stays cleared.  Each e_ab(r) lies in H = K_0 n K_j, so the
     result lies in gH; the reduced elements number prod p^(D_ab - B_ab) =
-    |K_0|/|H|, one per coset at least, hence exactly one.  ``entries``
-    (K_0's entry columns, a < b, row-major) are only read, and the codes,
+    |K_0|/|H|, one per coset at least, hence exactly one.  ``entries``,
+    the rows of ``K0.elems.T`` at a < b, are only read, and the codes,
     below |K_0|, are uint32 (int64 past 2^32).
     """
     m, ring = K0.m, K0.ring
@@ -631,7 +613,6 @@ def ko_coset_codes(K0: MatrixGroup, d: int, j: int,
     B = ko_intersection_bounds(m - 1, ring.s, d, j)
     # lows[a, b, x]: the terms of degree <= B_ab of ring index x
     lows = (np.arange(q) % ring.p ** (B[:, :, None] + 1)).astype(np.uint32)
-    entries = K0.elems.T[(D >= 0).ravel()] if entries is None else entries
     # g[a, b]: entry (a, b) of every element, None once it is cleared to 0
     g = dict(zip(zip(*np.nonzero(D >= 0)), entries))
     for b in range(1, m):
@@ -659,10 +640,13 @@ def ko_link_cosets(K0: MatrixGroup, d: int) -> list[CosetPartition]:
     labels them (smallest element index), and checked at runtime: H =
     K_0 n K_j is found by membership, x in H when gamma_0^-j x gamma_0^j
     has K_0's fixed entries and degree bounds, and every class must hold
-    exactly |H| elements, the identity's class being H itself.  Every
-    bounded e_ab(r) reduces to the identity, so it then lies in H, each
-    class lies in one coset, and the classes are the |K_0|/|H| cosets of
-    H for any bounds within K_0's.
+    exactly |H| elements, the identity's class being H itself.  That
+    check proves the class sizes and the identity's class, no more: a
+    reduction without the products g_ib += g_ia r passes it with wrong
+    partitions.  The reduction arithmetic is certified by the tests
+    ``TestKOLinkCosets::test_normal_form_matches_cosets``, against
+    ``cosets()``, and ``test_ko_links_match_literal_links``, against the
+    links of the BFS-built complex.
     """
     lim, _ = _place_values(k0_degree_bounds(K0.m - 1, K0.ring.s, d), K0.ring.p)
     free = lim > 1

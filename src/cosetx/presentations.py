@@ -55,8 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels.common import (identity_flat, lex_keys, pack_keys,
-                              stable_order, unpack_keys)
+from ._kernels.common import (identity_flat, key_runs, lex_keys, pack_keys,
+                              unpack_keys)
 from .errors import InputError, ParameterError
 from .groups import elementary
 from .ring import RingTable, TruncPoly, check_ring_params
@@ -430,7 +430,7 @@ def _verify_matrices(table: RelationTable, mats: np.ndarray,
     ``mats`` are the flat matrices of the symbols.  They and their
     inverses, from one batched inverse, fill one table of letters, in
     code order.  Both sides of every relation are stacked, and the
-    distinct words are found by one sort of their ``lex_keys`` (the
+    distinct words are the ``key_runs`` of their ``lex_keys`` (the
     letters plus one are the digits, the padding digit 0).  They are
     grouped by length, whatever their exponents, and each group is
     gathered and multiplied out positionwise.  Violations come back in
@@ -450,14 +450,11 @@ def _verify_matrices(table: RelationTable, mats: np.ndarray,
     p, m = table.p, math.isqrt(mats.shape[1])
     n = len(table)
     words = table.words.reshape(2 * n, -1)
-    keys = lex_keys(words + 1, 2 * len(mats) + 1)
-    order = stable_order(keys)
-    sorted_keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    num = np.empty(len(keys), dtype=np.intp)
-    num[order] = np.cumsum(new) - 1
-    distinct = words[order[new]]
+    order, _, first = key_runs(lex_keys(words + 1, 2 * len(mats) + 1))
+    num = np.empty(len(order), dtype=np.intp)
+    num[order] = np.repeat(np.arange(len(first)),
+                           np.diff(np.append(first, len(order))))
+    distinct = words[order[first]]
     lengths = (distinct >= 0).sum(axis=1)
 
     if _tables_pay(p**s, s, int(np.maximum(lengths - 1, 0).sum()) * m**3):

@@ -129,14 +129,13 @@ def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
 # second eigenvalue
 
 
-def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
-                      seed: int = 0, cap: int = DEFAULT_CAP) -> float:
-    """Second-largest eigenvalue of the walk, certified to ``tol``.
+def second_eigenvalue(M: WalkMatrix, cap: int = DEFAULT_CAP) -> float:
+    """Second-largest eigenvalue of the walk, certified to ``EIG_TOL``.
 
     The top eigenpair of the symmetric form S is known: eigenvalue 1, with
     unit eigenvector u proportional to sqrt(strength).  So lambda_2 is the
     largest eigenvalue of S on the complement of u, and a Lanczos run
-    finds it there from a start vector drawn from ``seed``.  Each new
+    finds it there from a start vector drawn with seed 0.  Each new
     Lanczos vector is orthogonalized twice against u and every earlier
     one (full reorthogonalization).  After step j, the largest eigenpair
     (theta, s) of the j x j tridiagonal matrix T_j gives the Ritz pair
@@ -148,7 +147,7 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
 
     For a symmetric S some eigenvalue lies within ||Sx - lam x|| of lam
     for any unit x, so that residual, computed afresh from S, is the
-    certificate: above ``tol`` it raises NumericalError carrying it.  A
+    certificate: above ``EIG_TOL`` it raises NumericalError carrying it.  A
     connected walk on two vertices is a single edge with spectrum
     {1, -1}.
 
@@ -179,7 +178,7 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
     # row 0 is u, rows 1..j the Lanczos vectors; grown by doubling
     Q = grow(np.empty((0, V)), min(V, 32), 0)
     Q[0] = root / np.linalg.norm(root)
-    w = np.random.default_rng(seed).standard_normal(V)
+    w = np.random.default_rng(0).standard_normal(V)
     alphas: list[float] = []
     betas: list[float] = []
     j, check = 0, 1
@@ -208,9 +207,9 @@ def second_eigenvalue(M: WalkMatrix, tol: float = EIG_TOL,
     x = s[:, -1] @ Q[1:j + 1]
     x /= np.linalg.norm(x)
     res = float(np.linalg.norm(S @ x - lam * x))
-    if res > tol:
+    if res > EIG_TOL:
         raise NumericalError(
-            f"Lanczos residual {res:.3e} exceeds tolerance {tol:.1e}",
+            f"Lanczos residual {res:.3e} exceeds tolerance {EIG_TOL:.1e}",
             residual=res)
     return lam
 
@@ -295,8 +294,7 @@ def _check_threshold(threshold: float) -> None:
         raise ParameterError(f"threshold must be finite, got {threshold}")
 
 
-def _solve_entry(lnk: SimplicialComplex, face, colors,
-                 cap: int = DEFAULT_CAP) -> LinkEntry:
+def _solve_entry(lnk: SimplicialComplex, face, colors, cap: int) -> LinkEntry:
     # walk_matrix's component count is the link's one connectivity check
     try:
         M = walk_matrix(lnk)

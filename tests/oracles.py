@@ -1022,7 +1022,7 @@ def abelian_h1_classes(X, p):
 
 
 def brute_link(X, tau):
-    """(max_faces, colors, labels, origin_vertices) of the link of tau.
+    """(max_faces, colors, origin_vertices) of the link of tau.
 
     A mask over every maximal face selects those containing tau; the
     link's faces are their complements, renumbered in increasing order
@@ -1041,12 +1041,9 @@ def brute_link(X, tau):
         palette = sorted({int(X.colors[v]) for v in verts})
         colors = np.array([palette.index(int(X.colors[v])) for v in verts],
                           dtype=np.int64)
-    labels = None
-    if X.labels is not None:
-        labels = tuple(X.labels[v] for v in verts)
     width = X.n + 1 - len(tau)
     return (np.array(faces, dtype=np.int64).reshape(len(faces), width),
-            colors, labels, np.array(verts, dtype=np.int64))
+            colors, np.array(verts, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

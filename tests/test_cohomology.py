@@ -60,6 +60,7 @@ from cosetx.complexes import SimplicialComplex, build_ko_complex, weights
 from cosetx.errors import (InputError, ParameterError, ResourceLimitError,
                            StructureError)
 from cosetx.groups import TableGroup, symmetric_group
+from cosetx.roots import perm_rank
 from cosetx.spectral import ko_vertex_link, local_spectral_report
 
 import oracles
@@ -101,7 +102,6 @@ def test_zmod_is_modular_addition():
         for b in range(5):
             assert lam.mult(a, b) == (a + b) % 5
         assert lam.inverse(a) == (-a) % 5
-        assert lam.label(a) == str(a)
     assert lam.name == "zmod:5"
 
 
@@ -505,7 +505,7 @@ def test_ko_vertex_link_census_pins():
     # Z/2 = {e, (1 2)} is a retract of S_3 through the sign, so a
     # non-trivial Z/2 class stays non-trivial in S_3
     lam = sym(3)
-    transposition = lam.labels.index("[0, 2, 1]")
+    transposition = int(perm_rank([(0, 2, 1)])[0])
     lifted = Cochain1(lam, np.where(z2.witness.values == 1, transposition,
                                     lam.identity))
     assert is_cocycle(L, lifted)
@@ -688,12 +688,13 @@ def test_ko_slot_tables_take_one_sort_and_no_search(monkeypatch):
     """faces(1), triangle_edges() and the gauge search's edge -> triangle
     incidence on KO(2,2,2,1) sort the 3T triangle slots once, in the edge
     table, and search no edge; the search counts stay pinned."""
+    from cosetx._kernels import common
     from cosetx._kernels.common import KeyIndex
 
     X = build_ko_complex(2, 2, 2, 1)
     slots = 3 * X.face_count(2)
     sorts, searches = [], []
-    real_order, real_lookup = complexes.stable_order, KeyIndex.lookup
+    real_order, real_lookup = common.stable_order, KeyIndex.lookup
 
     def order_spy(keys):
         if len(keys) == slots:
@@ -704,6 +705,8 @@ def test_ko_slot_tables_take_one_sort_and_no_search(monkeypatch):
         searches.append(len(keys))
         return real_lookup(self, keys)
 
+    # key_runs sorts in common, edge_slots' own sort is complexes'
+    monkeypatch.setattr(common, "stable_order", order_spy)
     monkeypatch.setattr(complexes, "stable_order", order_spy)
     monkeypatch.setattr(cohomology, "stable_order", order_spy, raising=False)
     monkeypatch.setattr(KeyIndex, "lookup", lookup_spy)

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from cosetx import complexes, fixtures
+from cosetx._kernels.common import unique_rows
 from cosetx.complexes import (SimplicialComplex, build_ko_complex,
                               coset_complex, dumps_complex,
                               left_translation_action, link, load_complex,
@@ -195,10 +196,16 @@ class TestLink:
         assert len(lk.origin_vertices) == lk.vertex_count
         assert 0 not in set(lk.origin_vertices.tolist())
 
+    def test_origin_vertices_none_unless_a_link(self):
+        # only link() of a nonempty face has original vertices to record
+        X = fixtures.octahedron()
+        assert X.origin_vertices is None
+        assert link(X, ()).origin_vertices is None
+
     @staticmethod
     def _assert_matches_brute(X, tau):
         lk = link(X, tau)
-        faces, colors, labels, origin = oracles.brute_link(X, tau)
+        faces, colors, origin = oracles.brute_link(X, tau)
         for got, want in ((lk.max_faces, faces), (lk.colors, colors),
                           (lk.origin_vertices, origin)):
             if want is None:
@@ -206,7 +213,6 @@ class TestLink:
             else:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
-        assert lk.labels == labels
 
     @pytest.mark.parametrize("make", [fixtures.octahedron, fixtures.torus_7,
                                       fixtures.bowtie])
@@ -217,7 +223,7 @@ class TestLink:
                 self._assert_matches_brute(X, tuple(row))
 
     def test_ko_sample_matches_brute_force(self):
-        X = build_ko_complex(2, 2, 2, 1, labels=True)
+        X = build_ko_complex(2, 2, 2, 1)
         rng = np.random.default_rng(7)
         for k in range(X.n):
             faces = X.faces(k)
@@ -392,10 +398,10 @@ def test_unique_and_same_rows_match_numpy(base, w):
     rows = rng.integers(0, min(base, 3), size=(300, w))
     rows[:, 0] = rng.integers(0, base, size=300)
     rows[100:200] = rows[rng.integers(0, 100, size=100)]
-    got, cnt = complexes._unique_rows(rows, base, counts=True)
+    got, cnt = unique_rows(rows, base, counts=True)
     want, want_cnt = np.unique(rows, axis=0, return_counts=True)
     assert np.array_equal(got, want) and np.array_equal(cnt, want_cnt)
-    assert np.array_equal(complexes._unique_rows(rows, base), want)
+    assert np.array_equal(unique_rows(rows, base), want)
     assert complexes._same_rows(rows, rows[rng.permutation(300)], base)
     other = rows.copy()
     other[5, -1] = (other[5, -1] + 1) % min(base, 3)

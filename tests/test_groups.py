@@ -99,12 +99,11 @@ class TestIntegerRows:
                 groups.elementary(n, i, j, 1)
 
     @pytest.mark.parametrize("n,p,s", [(1, 3, 2), (2, 2, 2)])
-    def test_inverse_and_label(self, n, p, s):
+    def test_inverse(self, n, p, s):
         G = sl_group(n, p, s)
         m = n + 1
         for a in np.random.default_rng(n * p * s).choice(G.size, 200):
             x = MatElement.from_flat(p, s, m, G.elems[a])
-            assert G.label(int(a)) == str(x)
             assert np.array_equal(G.elems[G.inverse(int(a))],
                                   x.inverse().flat())
 
@@ -239,7 +238,8 @@ class TestKOLinkCosets:
                 K0.lookup_rows(rotate_rows(K0.elems, -j)) >= 0)
             expect = cosets(K0, sub)
             # the codes and cosets()' labels induce the same partition
-            codes = ko_coset_codes(K0, d, j)
+            codes = ko_coset_codes(
+                K0, d, j, K0.elems.T[(k0_degree_bounds(n, s, d) >= 0).ravel()])
             # a code is an element index, so |K_0| <= 2^32 sums in uint32
             assert codes.dtype == np.uint32
             pairs = np.unique(np.stack([codes, expect.labels]), axis=1)

@@ -6,8 +6,7 @@ use; the cosetx modules that use them load them at import, so a timed run
 never pays for an import.  Each check runs in a fresh interpreter that
 imports a benchmark workload's modules as ``perfbench/workloads.py`` lists
 them and then runs that workload (the full suite) or a small version of it
-(the KO instances).  The modules outside ``cosetx._kernels`` reach the
-kernels through their public names only.
+(the KO instances).  No module reads another module's private names.
 """
 
 import ast
@@ -66,19 +65,24 @@ def test_workload_imports_no_scipy_and_loads_nothing_in_run(name):
     assert got == {"scipy": [], "numpy_loaded_in_run": []}
 
 
-def _private_kernel_names(path):
+def _private_names(path):
     """(line, name) of each underscore name that ``path`` imports from a
-    ``cosetx._kernels`` module or reads off one (``pure._x``)."""
+    ``cosetx`` module or reads off one (``groups._x``).  Dunder names and
+    the ``_kernels`` package's own name are public."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    modules = {"_kernels", "pure", "common"}
+    modules = {p.stem for p in PACKAGE.rglob("*.py")} | {"cosetx", "_kernels"}
+
+    def private(name):
+        return (name.startswith("_") and not name.startswith("__")
+                and name != "_kernels")
+
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = ("cosetx." * (node.level == 1)) + (node.module or "")
-            if module.startswith("cosetx._kernels"):
+            if node.level or (node.module or "").startswith("cosetx"):
                 found += [(node.lineno, a.name) for a in node.names
-                          if a.name.startswith("_")]
-        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                          if private(a.name)]
+        elif (isinstance(node, ast.Attribute) and private(node.attr)
               and isinstance(node.value, (ast.Name, ast.Attribute))
               and getattr(node.value, "id", getattr(node.value, "attr", None))
               in modules):
@@ -86,8 +90,8 @@ def _private_kernel_names(path):
     return found
 
 
-def test_modules_outside_the_kernels_use_their_public_names():
+def test_no_module_reads_another_modules_private_names():
     paths = sorted(PACKAGE.glob("*.py"))
     assert {p.name for p in paths} >= {"groups.py", "cli.py", "presentations.py"}
-    found = {p.name: names for p in paths if (names := _private_kernel_names(p))}
+    found = {p.name: names for p in paths if (names := _private_names(p))}
     assert found == {}

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetx import fixtures as fx
+from cosetx import spectral
 from cosetx.complexes import (
     SimplicialComplex,
     _spanning_forest,
@@ -29,6 +30,7 @@ from cosetx.complexes import (
     loads_complex,
 )
 from cosetx.errors import (
+    DEFAULT_CAP,
     NumericalError,
     ParameterError,
     ResourceLimitError,
@@ -234,10 +236,11 @@ def test_lanczos_matches_arpack(build):
     assert abs(second_eigenvalue(M) - _arpack_second(M)) <= 1e-12
 
 
-def test_residual_certificate_rejects_tight_tolerance():
+def test_residual_certificate_rejects_tight_tolerance(monkeypatch):
     M = walk_matrix(fx.torus_7())
+    monkeypatch.setattr(spectral, "EIG_TOL", 1e-30)
     with pytest.raises(NumericalError) as exc:
-        second_eigenvalue(M, tol=1e-30)
+        second_eigenvalue(M)
     assert exc.value.residual > 0
 
 
@@ -358,7 +361,7 @@ def _per_face_entries(X):
             tau = tuple(int(v) for v in row)
             colors = (tuple(int(c) for c in X.colors[list(tau)])
                       if X.colors is not None and tau else None)
-            out.append(_solve_entry(link(X, tau), tau, colors))
+            out.append(_solve_entry(link(X, tau), tau, colors, DEFAULT_CAP))
     return out
 
 
