@@ -17,7 +17,7 @@ blocks of ``pure.BLOCK`` keys, marked in at most 8 rounds of a buffered
 sorted array.  A large closure on the bitset path expands one key per
 orbit of its generating set's monomial and t -> alpha*t symmetries.  Rows
 are decoded only at the end.
-``RowMaps`` (``pure._RowMaps``) is that one map of keys x to the keys of
+``RowMaps``, from ``pure``, is that one map of keys x to the keys of
 x @ g, also behind the right tables of ``groups``; it states when it
 turns from products to row tables.
 
@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from . import pure
 from .common import KeyIndex, identity_flat, pack_keys, unpack_keys
-from .pure import _RowMaps as RowMaps
-from .pure import (closure_bfs, inverse_batch, inverse_digits, matmul_batch,
-                   matmul_digits)
+from .pure import (RowMaps, closure_bfs, inverse_batch, inverse_digits,
+                   matmul_batch, matmul_digits)
 
 __all__ = [
     "KeyIndex",

@@ -17,7 +17,7 @@ products run the dense m*m*(2m-1) table gathers per row, each one 1-D
 
 The closure works on canonical keys, and on row tables it builds no
 candidate row: a generator acts on a key through one map of row keys,
-``_RowMaps``, which the right tables of ``groups`` share.  It is computed
+``RowMaps``, which the right tables of ``groups`` share.  It is computed
 on the keys' rows at first and read from one table per generator once
 enough keys have passed to pay for it.  When the key space has at most
 min(64*cap, 2**32) keys, the keys are uint32, the visited ones a bitset,
@@ -43,7 +43,7 @@ from .common import fits_uint64, identity_flat, key_dtype, pack_keys, unpack_key
 # frontier keys per block of the bitset path: a block's temporaries stay in L2
 BLOCK = 1 << 15
 
-# the fewest keys of a layer from which ``_RowMaps.orbits`` expands by orbits
+# the fewest keys of a layer from which ``RowMaps.orbits`` expands by orbits
 ORBIT_LAYER = 1 << 14
 
 
@@ -447,7 +447,7 @@ def _first_of_runs(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-class _RowMaps:
+class RowMaps:
     """The row maps of ``closure_bfs`` and of right tables: for each
     generator g, the keys of x @ g over a batch of keys x.
 
@@ -558,7 +558,7 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
 
     Only keys are tested and sorted.  Each layer is kept as its keys, and
     for each generator g the keys of ``frontier @ g`` come from one
-    ``_RowMaps``: products of the frontier's rows and g at first, then sum
+    ``RowMaps``: products of the frontier's rows and g at first, then sum
     over a of R_g[rho_a] * Q**a, over the row keys rho_a = (key // Q**a) %
     Q, Q = q**m, with R_g[rho] the row key of (row rho) @ g read from one
     uint32 table of Q entries per generator (at most 4*cap bytes).  The
@@ -588,7 +588,7 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     row vectors and one generator's products of them, about 8*m*Q bytes.
 
     On the bitset path, a large closure expands by orbits from a layer
-    boundary on (``_RowMaps.orbits`` has the rule and the measured
+    boundary on (``RowMaps.orbits`` has the rule and the measured
     crossover).  The candidate symmetries are the automorphisms
     X -> M sigma(X) M^-1, with M = P_pi diag(1, l_2, .., l_m), the l_i in
     F_p^*, and sigma a ring map t -> alpha*t; the ones that map the
@@ -611,11 +611,11 @@ def closure_bfs(gens: np.ndarray, mul: np.ndarray, add: np.ndarray, m: int,
     group.
     """
     gens = np.atleast_2d(np.asarray(gens, dtype=np.uint32))
-    return _closure(_RowMaps(gens, mul, add, m, q, cap), m, q, cap,
+    return _closure(RowMaps(gens, mul, add, m, q, cap), m, q, cap,
                     _visited_set(q, m * m, cap))
 
 
-def _closure(row_maps: _RowMaps, m: int, q: int, cap: int,
+def _closure(row_maps: RowMaps, m: int, q: int, cap: int,
              visited: _BitsetKeys | _SortedKeys) -> np.ndarray:
     """The loop of ``closure_bfs``, with the generators' row maps and the
     empty membership structure ``visited`` passed in."""

@@ -48,7 +48,7 @@ past 2^64 cochains too.
 
 The spanning tree is the BFS forest that the complex owns and caches
 (``SimplicialComplex.spanning_forest``; its order contract is stated in
-``complexes._spanning_forest``).  Edges, the triangle -> edge index and
+``complexes.bfs_forest``).  Edges, the triangle -> edge index and
 the face counts are read from the complex's own cached tables as well,
 so this module keeps no copy of them.
 

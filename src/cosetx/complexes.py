@@ -7,7 +7,7 @@ with maximal-face containment counts, which is exactly the data the weight
 function needs.  Weights are exact rationals throughout.
 
 The 1-skeleton is searched once per complex: ``spanning_forest`` caches
-its BFS forest, whose order contract ``_spanning_forest`` states.  The
+its BFS forest, whose order contract ``bfs_forest`` states.  The
 component count, the walk's connectivity check and the tree gauge of
 ``cohomology`` all read that one search.
 
@@ -49,8 +49,8 @@ def _same_rows(A: np.ndarray, B: np.ndarray, base: int) -> bool:
         np.sort(lex_keys(A, base)), np.sort(lex_keys(B, base))))
 
 
-def _spanning_forest(edges: np.ndarray, V: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def bfs_forest(edges: np.ndarray, V: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """(parent, parent_edge, order, n_components) of a graph's BFS forest.
 
     The order contract: each component is searched from its least vertex,
@@ -368,10 +368,10 @@ class SimplicialComplex:
         """(parent, parent_edge, order, n_components), cached.
 
         The one breadth-first search of the 1-skeleton, with the order
-        contract of ``_spanning_forest``; parent_edge indexes faces(1).
+        contract of ``bfs_forest``; parent_edge indexes faces(1).
         """
         if self._forest is None:
-            self._forest = _spanning_forest(self.faces(1), self.vertex_count)
+            self._forest = bfs_forest(self.faces(1), self.vertex_count)
         return self._forest
 
     def component_count(self) -> int:
@@ -488,37 +488,38 @@ class CosetStructure:
     offsets: np.ndarray  # offsets[i] is the first vertex id of color i
 
 
+def coset_vertices(G: FiniteGroup, subgroups: Sequence) -> tuple:
+    """(partitions, offsets, rows) of CC(G, {K_i}): vertex offsets[i] + c
+    is the coset of ordinal c of colour i, and row g of the (|G|, k) int64
+    ``rows`` the k cosets of g.  ``subgroups`` holds one entry per color:
+    an element-index collection, whose coset partition ``cosets()``
+    derives, or a ready CosetPartition of G (``groups.ko_link_cosets``)."""
+    if len(subgroups) < 2:
+        raise ParameterError("need at least two subgroups (n >= 1)")
+    parts = [sub if isinstance(sub, CosetPartition) else cosets(G, sub)
+             for sub in subgroups]
+    if any(part.group is not G for part in parts):
+        raise InputError("coset partition of a different group")
+    offsets = np.concatenate([[0], np.cumsum([p.n_cosets for p in parts])])
+    return parts, offsets, np.stack(
+        [o + part.ordinal for o, part in zip(offsets, parts)], axis=1)
+
+
 def coset_complex(G: FiniteGroup, subgroups: Sequence) -> SimplicialComplex:
     """CC(G, {K_i}): vertices gK_i colored i, faces from the chamber orbit.
 
-    ``subgroups`` holds one entry per color: an element-index collection,
-    whose coset partition ``cosets()`` derives, or a ready CosetPartition
-    of G (such as ``groups.ko_link_cosets`` builds).  Maximal faces are
-    {gK_0, ..., gK_n} over all g; the stabilizer of the base chamber is
-    the intersection of the K_i, so the face count is |G| divided by the
-    intersection order.  Vertex offsets[i] + c is the coset of ordinal c
-    of colour i (``coset_data``), and has no other name.
+    Vertices as in ``coset_vertices``, kept in ``coset_data``; maximal faces
+    {gK_0, ..., gK_n} over all g.  The base chamber's stabilizer is the
+    intersection of the K_i, so there are |G|/|n_i K_i| faces.
 
     Every face of color type T is a translate g.{K_i : i in T} of the base
     chamber's T-face, so G acts transitively on the faces of each color
     type, and left translation (see ``left_translation_action``) carries
     one such face's weighted link isomorphically onto another's.
     """
-    k = len(subgroups)
-    if k < 2:
-        raise ParameterError("need at least two subgroups (n >= 1)")
-    parts = [sub if isinstance(sub, CosetPartition) else cosets(G, sub)
-             for sub in subgroups]
-    if any(part.group is not G for part in parts):
-        raise InputError("coset partition of a different group")
-    sizes = np.array([p.n_cosets for p in parts], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    V = int(offsets[-1])
-    rows = np.empty((G.size, k), dtype=np.int64)
-    for i, part in enumerate(parts):
-        rows[:, i] = offsets[i] + part.ordinal
-    colors = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    X = SimplicialComplex(k - 1, V, rows, colors=colors)
+    parts, offsets, rows = coset_vertices(G, subgroups)
+    colors = np.repeat(np.arange(len(parts)), np.diff(offsets))
+    X = SimplicialComplex(len(parts) - 1, int(offsets[-1]), rows, colors)
     X.coset_data = CosetStructure(parts, offsets)
     return X
 

@@ -582,12 +582,11 @@ def subgroup_K(n: int, p: int, s: int, d: int, i: int,
 
 def rotate_rows(rows: np.ndarray, k: int) -> np.ndarray:
     """gamma_0^k x gamma_0^-k for each flat m x m row x: entry (a, b)
-    moves to (g(a), g(b)), g = gamma_0^k, so K_i maps onto K_{i+k}."""
+    moves to (g(a), g(b)), g = gamma_0^k, so K_i maps onto K_{i+k}: a
+    gather of entry (h(x), h(y)) into (x, y), h = g^-1."""
     m = math.isqrt(rows.shape[1])
-    g = np.array(perm_pow(gamma0(m - 1), k)) - 1
-    out = np.empty_like(rows)
-    out[:, (g[:, None] * m + g[None, :]).ravel()] = rows
-    return out
+    h = np.array(perm_pow(gamma0(m - 1), -k)) - 1
+    return rows.take((h[:, None] * m + h[None, :]).ravel(), axis=1)
 
 
 def ko_coset_codes(K0: MatrixGroup, d: int, j: int,

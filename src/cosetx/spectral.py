@@ -11,7 +11,8 @@ certified by the residual of its Ritz pair.  On a coset complex the
 report solves one link per color type of face, since left translation
 makes all links of a type isomorphic; on any other complex it solves
 every link.  The KO report solves one vertex link, which gamma_0^i
-conjugates onto the color-i one.
+conjugates onto the color-i one; its walk comes from coset partitions
+(``coset_walk``), every other walk from face tables (``walk_matrix``).
 """
 
 from __future__ import annotations
@@ -19,15 +20,19 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 # numpy 2 loads np.random on first use; load it here so that no solve pays
 # for the import
 import numpy.random  # noqa: F401
 
-from .complexes import SimplicialComplex, coset_complex, link
-from .errors import (DEFAULT_CAP, NumericalError, ParameterError,
+from ._kernels.common import key_runs
+from .complexes import (SimplicialComplex, bfs_forest, coset_complex,
+                        coset_vertices, link)
+from .errors import (DEFAULT_CAP, InputError, NumericalError, ParameterError,
                      ResourceLimitError, StructureError)
+from .groups import FiniteGroup, ko_link_cosets, subgroup_K
 
 EIG_TOL = 1e-9  # residual bound; eigenvalue error is at most this
 # Lanczos stops once its Ritz residual estimate is this small; ||S|| = 1,
@@ -102,8 +107,15 @@ class WalkMatrix:
         return self.strength / self.strength.sum()
 
 
+def _connected_walk(V: int, edges, counts, strength, nc: int) -> WalkMatrix:
+    """The tail of both walk builders: the connectivity check."""
+    if nc != 1:
+        raise StructureError(f"1-skeleton is disconnected ({nc} components)")
+    return WalkMatrix(V, edges, counts, strength)
+
+
 def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
-    """The weighted walk on the 1-skeleton of X.
+    """The weighted walk on the 1-skeleton of X, from its face tables.
 
     The walk only depends on the edge containment counts.  A vertex's
     strength, the sum of the counts of its edges, is n times its own
@@ -115,14 +127,35 @@ def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
     """
     if X.n < 1:
         raise ParameterError("a 0-dimensional complex has no 1-skeleton walk")
-    edges = X.faces(1)
-    ec = X.containment_counts(1).astype(np.int64)
-    strength = X.n * X.containment_counts(0).astype(np.int64)
-    ncomp = X.component_count()
-    if ncomp != 1:
-        raise StructureError(
-            f"1-skeleton is disconnected ({ncomp} components)")
-    return WalkMatrix(X.vertex_count, edges, ec, strength)
+    return _connected_walk(X.vertex_count, X.faces(1),
+                           X.containment_counts(1).astype(np.int64),
+                           X.n * X.containment_counts(0).astype(np.int64),
+                           X.component_count())
+
+
+def coset_walk(G: FiniteGroup, subgroups: Sequence) -> WalkMatrix:
+    """``walk_matrix(coset_complex(G, subgroups))``, with no complex built.
+
+    Row g of ``coset_vertices`` is g's chamber, shared by c = |n_i K_i|
+    rows, so an edge's count is the number of rows holding both ends over
+    c (a remainder raises InputError), from one ``key_runs`` of C(k, 2)|G|
+    int64 keys u*V + v; a colour-i vertex's strength is (k - 1)|K_i|/c.
+    Arrays and dtypes equal ``walk_matrix``'s, as does the BFS.
+    """
+    parts, offsets, rows = coset_vertices(G, subgroups)
+    k, V, sizes = len(parts), int(offsets[-1]), np.diff(offsets)
+    c = int(np.logical_and.reduce(
+        [part.ordinal == part.ordinal[G.identity] for part in parts]).sum())
+    keys, first = key_runs(np.concatenate([
+        rows[:, a] * V + rows[:, b]
+        for a in range(k) for b in range(a + 1, k)]))[1:]
+    counts, rest = np.divmod(np.diff(np.append(first, len(keys))), c)
+    if rest.any():  # never for the cosets of subgroups
+        raise InputError(f"an edge count is not a multiple of {c}")
+    edges = np.stack(np.divmod(keys.take(first), V), axis=1)
+    del rows, keys, first, rest  # not held through the search
+    strength = np.repeat((k - 1) * (G.size // (sizes * c)), sizes)
+    return _connected_walk(V, edges, counts, strength, bfs_forest(edges, V)[3])
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +327,13 @@ def _check_threshold(threshold: float) -> None:
         raise ParameterError(f"threshold must be finite, got {threshold}")
 
 
-def _solve_entry(lnk: SimplicialComplex, face, colors, cap: int) -> LinkEntry:
-    # walk_matrix's component count is the link's one connectivity check
+def _solve_entry(walk, vertices: int, face, colors, cap: int) -> LinkEntry:
+    # walk() builds the walk; its component count is the one connectivity check
     try:
-        M = walk_matrix(lnk)
+        M = walk()
     except StructureError:
-        return LinkEntry(face, colors, lnk.vertex_count, False, None, "none")
-    return LinkEntry(face, colors, lnk.vertex_count, True,
+        return LinkEntry(face, colors, vertices, False, None, "none")
+    return LinkEntry(face, colors, vertices, True,
                      second_eigenvalue(M, cap=cap), "lanczos")
 
 
@@ -340,8 +373,10 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float,
             key = (k, colors) if by_orbit else tau
             rep = solved.get(key)
             if rep is None:
-                entry = solved[key] = _solve_entry(link(X, tau), tau, colors,
-                                                   cap)
+                lk = link(X, tau)
+                entry = solved[key] = _solve_entry(
+                    functools.partial(walk_matrix, lk), lk.vertex_count, tau,
+                    colors, cap)
             else:
                 entry = LinkEntry(tau, colors, rep.vertices, rep.connected,
                                   rep.second, "reused")
@@ -353,6 +388,14 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float,
 # KO links, built in the small groups
 
 
+def _ko_link_cosets(n: int, p: int, s: int, d: int, cap: int) -> tuple:
+    if n < 2:
+        raise ParameterError("vertex links of a graph carry no walk; "
+                             "need n >= 2")
+    K0 = subgroup_K(n, p, s, d, 0, cap=cap)
+    return K0, ko_link_cosets(K0, d)
+
+
 def ko_vertex_link(n: int, p: int, s: int, d: int,
                    cap: int = DEFAULT_CAP) -> SimplicialComplex:
     """The link CC(K_0, {K_0 n K_j : j = 1..n}) of a color-0 vertex.
@@ -361,17 +404,11 @@ def ko_vertex_link(n: int, p: int, s: int, d: int,
     closed form (``groups.subgroup_K``), and each K_0 n K_j's left cosets
     are labeled by normal form (``groups.ko_link_cosets``, which checks the
     class sizes against K_0 n K_j found by membership), with no closure,
-    key lookup or ``cosets()`` call.
+    key lookup or ``cosets()`` call; ``ko_link_report`` builds only the walk.
     Conjugation by gamma_0^i maps K_0 n K_j onto K_i n K_{i+j}: the color-i
     link is this one with its colors rotated by i.
     """
-    from .groups import ko_link_cosets, subgroup_K
-
-    if n < 2:
-        raise ParameterError("vertex links of a graph carry no walk; "
-                             "need n >= 2")
-    K0 = subgroup_K(n, p, s, d, 0, cap=cap)
-    return coset_complex(K0, ko_link_cosets(K0, d))
+    return coset_complex(*_ko_link_cosets(n, p, s, d, cap))
 
 
 def ko_link_report(n: int, p: int, s: int, d: int,
@@ -380,11 +417,14 @@ def ko_link_report(n: int, p: int, s: int, d: int,
     """Spectral check of the KO vertex links against 1/(sqrt(p) - n).
 
     Color 0 is solved; colors 1..n are its gamma_0^i conjugates (see
-    ``ko_vertex_link``) and ``"reused"``.  The ambient walk is deliberately
-    absent: for interesting parameters the full group is out of reach, and
-    the local criterion quantifies over links.  ``threshold`` defaults to
-    the theorem bound, which requires sqrt(p) > n.  ``cap`` bounds |K_0|
-    (closed form, checked before any allocation) and the Lanczos basis.
+    ``ko_vertex_link``) and ``"reused"``, by ``coset_walk`` of its
+    partitions: C(n, 2)|K_0| int64 pair keys and no complex, and the same
+    float as ``walk_matrix(ko_vertex_link(...))``.  The ambient walk is
+    deliberately absent: for interesting parameters the full group is out
+    of reach, and the local criterion quantifies over links.  ``threshold``
+    defaults to the theorem bound, which requires sqrt(p) > n.  ``cap``
+    bounds |K_0| (closed form, checked before any allocation) and the
+    Lanczos basis.
     """
     if threshold is None:
         if math.sqrt(p) <= n:
@@ -393,8 +433,9 @@ def ko_link_report(n: int, p: int, s: int, d: int,
                 f"pass an explicit threshold for p={p}, n={n}")
         threshold = 1.0 / (math.sqrt(p) - n)
     _check_threshold(threshold)
-    first = _solve_entry(ko_vertex_link(n, p, s, d, cap=cap), None, (0,),
-                         cap)
+    K0, parts = _ko_link_cosets(n, p, s, d, cap)
+    first = _solve_entry(functools.partial(coset_walk, K0, parts),
+                         sum(part.n_cosets for part in parts), None, (0,), cap)
     return _finish_report([first] + [
         dataclasses.replace(first, colors=(i,), solver="reused")
         for i in range(1, n + 1)], threshold)

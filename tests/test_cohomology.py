@@ -571,7 +571,7 @@ def test_bfs_forest_matches_oracle_on_random_graphs():
         # rows in any order: edge i is row i whatever its position
         rows = pairs[:]
         rng.shuffle(rows)
-        got = complexes._spanning_forest(
+        got = complexes.bfs_forest(
             np.array(rows, dtype=np.int64).reshape(-1, 2), V)
         assert _forest(got) == oracles.bfs_forest(rows, V)
         covered = {v for e in pairs for v in e}
@@ -592,13 +592,13 @@ def test_bfs_forest_matches_oracle_on_random_graphs():
 
 def test_spectral_report_and_h1_search_the_skeleton_once(monkeypatch):
     X = fx.torus_7()
-    bfs, searched = complexes._spanning_forest, []
+    bfs, searched = complexes.bfs_forest, []
 
     def spy(edges, V):
         searched.append(edges is X.faces(1))
         return bfs(edges, V)
 
-    monkeypatch.setattr(complexes, "_spanning_forest", spy)
+    monkeypatch.setattr(complexes, "bfs_forest", spy)
     local_spectral_report(X, 0.999)
     h1_trivial(X, zmod(2))
     # X once, through walk_matrix; each solved link once more

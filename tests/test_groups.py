@@ -225,6 +225,21 @@ class TestSubgroupK:
         assert "|K_0| = 43046721 exceeds cap 16777216" in str(ei.value)
 
 
+@pytest.mark.parametrize("k", [-1, 1, 2, 3])
+def test_rotate_rows_moves_entry_ab_to_g_of_a_g_of_b(k):
+    # gamma_0 = (1 2 3) on 3 x 3 matrices: entry (a, b) of x lands at
+    # (g(a), g(b)) of the image, g = gamma_0^k, written out entry by entry
+    from cosetx.roots import gamma0, perm_pow
+    rows = sl_group(2, 2, 1).elems
+    g = [x - 1 for x in perm_pow(gamma0(2), k)]
+    want = np.empty_like(rows)
+    for a, b in itertools.product(range(3), repeat=2):
+        want[:, g[a] * 3 + g[b]] = rows[:, a * 3 + b]
+    got = rotate_rows(rows, k)
+    assert got.dtype == rows.dtype and np.array_equal(got, want)
+    assert np.array_equal(rotate_rows(got, -k), rows)
+
+
 class TestKOLinkCosets:
     # odd p with s = 3 splits entries by % p^(B+1) at more than one degree
     @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 3, 2, 1),
@@ -358,8 +373,8 @@ class TestGroupInterface:
 
         G = make()
         built = []
-        real = pure._RowMaps._tabulate
-        monkeypatch.setattr(pure._RowMaps, "_tabulate",
+        real = pure.RowMaps._tabulate
+        monkeypatch.setattr(pure.RowMaps, "_tabulate",
                             lambda self: built.append(len(self.gens)) or real(self))
         picks = sorted({*G.generators, G.identity, 1, G.size // 2,
                         G.size - 1})

@@ -91,7 +91,10 @@ def _private_names(path):
 
 
 def test_no_module_reads_another_modules_private_names():
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert {p.name for p in paths} >= {"groups.py", "cli.py", "presentations.py"}
-    found = {p.name: names for p in paths if (names := _private_names(p))}
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(PACKAGE.glob("_kernels/*.py"))
+    assert {str(p.relative_to(PACKAGE)) for p in paths} >= {
+        "groups.py", "cli.py", "presentations.py", "_kernels/__init__.py",
+        "_kernels/pure.py", "_kernels/common.py"}
+    found = {str(p.relative_to(PACKAGE)): names for p in paths
+             if (names := _private_names(p))}
     assert found == {}

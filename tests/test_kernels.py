@@ -375,13 +375,13 @@ ROW_MAPS = {"sl2-f5-no-inverses": "tables", "sl2-f3t2-no-inverses": "tables",
             "kernel-1-3-2-1": "products", "kernel-1-3-3-1": "tables",
             "kernel-1-5-2-1": "products", "kernel-2-2-2-1": "tables"}
 
-# how a _RowMaps maps keys from the first one on: "products" at a cap below
+# how a RowMaps maps keys from the first one on: "products" at a cap below
 # q**m * len(gens), where it never builds tables, and "tables" built for
 # the first keys by a count of 0 keys left before the switch
 ROW_SOURCES = ("tables", "products")
 
 
-def _row_maps(source, flat, rt, m, cls=pure._RowMaps):
+def _row_maps(source, flat, rt, m, cls=pure.RowMaps):
     budget = rt.q**m * len(flat)
     if source == "products":
         return cls(flat, rt.mul, rt.add, m, rt.q, budget - 1)
@@ -405,10 +405,10 @@ def _membership(p, s, m, cap):
 
 
 def _row_source(flat, p, s, m, cap):
-    """The row maps the closure ends on at ``cap``: those of its _RowMaps
+    """The row maps the closure ends on at ``cap``: those of its RowMaps
     after the last layer, or where the cap fires."""
     rt = RingTable(p, s)
-    row_maps = pure._RowMaps(flat, rt.mul, rt.add, m, rt.q, cap)
+    row_maps = pure.RowMaps(flat, rt.mul, rt.add, m, rt.q, cap)
     try:
         pure._closure(row_maps, m, rt.q, cap, pure._visited_set(rt.q, m * m, cap))
     except ResourceLimitError:
@@ -427,10 +427,10 @@ def _symmetries(flat, rt, m):
                             flat, rt.mul, rt.q)
 
 
-class _Layers(pure._RowMaps):
+class _Layers(pure.RowMaps):
     """Row maps that record the size of each layer the closure asks
     ``orbits`` about, and expand by ``by`` from the first layer on (None:
-    plainly), whatever the rule of ``_RowMaps`` would say."""
+    plainly), whatever the rule of ``RowMaps`` would say."""
 
     def orbits(self, layer):
         self.sizes.append(layer)
@@ -670,7 +670,7 @@ def test_benchmark_closures_take_the_pinned_path(monkeypatch, build, args, count
     assert made == ([] if count is None else [count])
 
 
-# the closures of the crossover measurements in ``_RowMaps.orbits``, the
+# the closures of the crossover measurements in ``RowMaps.orbits``, the
 # first two on the orbit path in production, and a subgroup with d < s - 1
 ORBIT_CLOSURES = [(sl_group, (1, 5, 3)), (sl_group, (1, 7, 2)),
                   (sl_group, (1, 5, 2)), (sl_group, (1, 3, 3)), (sl_group, (2, 2, 2)),
@@ -716,7 +716,7 @@ def test_row_tables_match_matmul_rows(p, s, m):
          @ elementary(m - 1, m, 1, one_poly(p, s))).flat()
     ident = common.identity_flat(m)
     assert ((g != ident) & (g != 0)).sum() >= 2
-    table = pure._RowMaps(g[None, :], rt.mul, rt.add, m, q, Q)._tabulate()[0]
+    table = pure.RowMaps(g[None, :], rt.mul, rt.add, m, q, Q)._tabulate()[0]
     assert table.shape == (Q,) and table.dtype == np.uint32
     vectors = common.unpack_keys(np.arange(Q, dtype=np.uint64), q, m)
     for a in range(m):
@@ -731,14 +731,14 @@ def test_row_tables_match_matmul_rows(p, s, m):
 
 def _tabulations(monkeypatch):
     """The number of generators of each row-table build from now on."""
-    built, real = [], pure._RowMaps._tabulate
-    monkeypatch.setattr(pure._RowMaps, "_tabulate",
+    built, real = [], pure.RowMaps._tabulate
+    monkeypatch.setattr(pure.RowMaps, "_tabulate",
                         lambda self: built.append(len(self.gens)) or real(self))
     return built
 
 
 def test_row_maps_switch_to_tables_at_q_over_m_elements(monkeypatch):
-    """_RowMaps maps keys by products until its batches have held ceil(Q/m)
+    """RowMaps maps keys by products until its batches have held ceil(Q/m)
     keys, builds the tables once, for the batch that gets there, and maps
     keys as the products do on both sides; at a cap of Q * len(gens) - 1,
     or on void keys, it never builds them."""
@@ -749,7 +749,7 @@ def test_row_maps_switch_to_tables_at_q_over_m_elements(monkeypatch):
     keys = common.pack_keys(G.elems, q)
     products = _row_maps("products", gens, rt, m)
     built = _tabulations(monkeypatch)
-    row_maps = pure._RowMaps(gens, rt.mul, rt.add, m, q, G.size)
+    row_maps = pure.RowMaps(gens, rt.mul, rt.add, m, q, G.size)
     for lo, hi, tables in [(0, 200, []), (200, 312, []), (312, 313, [len(gens)]),
                            (313, 2000, [len(gens)])]:
         got = list(row_maps.images(keys[lo:hi]))
@@ -758,7 +758,7 @@ def test_row_maps_switch_to_tables_at_q_over_m_elements(monkeypatch):
         assert len(got) == len(want) == len(gens)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert products.tables is None and built == [len(gens)]
-    row_maps = pure._RowMaps(gens, rt.mul, rt.add, m, q, q**m * len(gens) - 1)
+    row_maps = pure.RowMaps(gens, rt.mul, rt.add, m, q, q**m * len(gens) - 1)
     list(row_maps.images(keys))
     assert row_maps.tables is None and built == [len(gens)]
     # nor on void keys, which the tables do not map: 3**49 > 2**64 though
@@ -767,7 +767,7 @@ def test_row_maps_switch_to_tables_at_q_over_m_elements(monkeypatch):
     rt = RingTable(3, 1)
     keys = np.tile(common.pack_keys(_closure(gens, 3, 1, 7), 3), 20)
     assert keys.dtype.kind == "V" and len(keys) > 313
-    row_maps = pure._RowMaps(gens, rt.mul, rt.add, 7, 3, 1 << 20)
+    row_maps = pure.RowMaps(gens, rt.mul, rt.add, 7, 3, 1 << 20)
     assert len(list(row_maps.images(keys))) == len(gens)
     assert row_maps.tables is None and built == [len(G.generators)]
 

@@ -7,6 +7,7 @@ that never touches the package's WalkMatrix plumbing.
 """
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ from cosetx import fixtures as fx
 from cosetx import spectral
 from cosetx.complexes import (
     SimplicialComplex,
-    _spanning_forest,
+    bfs_forest,
     build_ko_complex,
     coset_complex,
     dumps_complex,
@@ -36,9 +37,12 @@ from cosetx.errors import (
     ResourceLimitError,
     StructureError,
 )
-from cosetx.groups import subgroup_closure_indices, symmetric_group
+from cosetx.groups import cosets, subgroup_closure_indices, symmetric_group
+from cosetx.roots import perm_rank
 from cosetx.spectral import (
+    _finish_report,
     _solve_entry,
+    coset_walk,
     ko_link_report,
     ko_vertex_link,
     local_spectral_report,
@@ -155,7 +159,7 @@ def test_component_count_matches_csgraph_on_random_graphs(graph):
     V, pairs = graph
     edges = np.array(sorted({(min(a, b), max(a, b)) for a, b in pairs
                              if a != b}), dtype=np.int64).reshape(-1, 2)
-    assert _spanning_forest(edges, V)[3] == _scipy_component_count(edges, V)
+    assert bfs_forest(edges, V)[3] == _scipy_component_count(edges, V)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +365,10 @@ def _per_face_entries(X):
             tau = tuple(int(v) for v in row)
             colors = (tuple(int(c) for c in X.colors[list(tau)])
                       if X.colors is not None and tau else None)
-            out.append(_solve_entry(link(X, tau), tau, colors, DEFAULT_CAP))
+            lk = link(X, tau)
+            out.append(_solve_entry(functools.partial(walk_matrix, lk),
+                                    lk.vertex_count, tau, colors,
+                                    DEFAULT_CAP))
     return out
 
 
@@ -520,8 +527,8 @@ def test_ko_link_colors_share_spectrum(n, p, s, d):
 
 
 def test_ko_link_report_builds_one_link(monkeypatch):
-    # one closed-form K_0, normal-form cosets: no closure, no cosets() and
-    # no key index anywhere on the way to the one link
+    # one closed-form K_0, normal-form cosets: no closure, no cosets(), no
+    # key index and no SimplicialComplex on the way to the one link's walk
     import cosetx.complexes as complexes_mod
     import cosetx.groups as groups_mod
     import cosetx.spectral as spectral_mod
@@ -529,12 +536,102 @@ def test_ko_link_report_builds_one_link(monkeypatch):
     calls = []
     for mod, name in ((groups_mod, "closure_bfs"), (groups_mod, "cosets"),
                       (complexes_mod, "cosets"), (groups_mod, "KeyIndex"),
-                      (spectral_mod, "coset_complex")):
+                      (spectral_mod, "coset_complex"),
+                      (complexes_mod, "coset_complex"),
+                      (spectral_mod, "walk_matrix"),
+                      (spectral_mod, "coset_walk")):
         fn = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **k:
                             calls.append(_name) or _fn(*a, **k))
+    init = SimplicialComplex.__init__
+    monkeypatch.setattr(SimplicialComplex, "__init__",
+                        lambda *a, **k: calls.append("complex") or init(*a, **k))
     ko_link_report(3, 2, 2, 1, threshold=1.0)
-    assert calls == ["coset_complex"]
+    assert calls == ["coset_walk"]
+
+
+def test_ko_link_report_error_paths():
+    # a graph's vertex links carry no walk, with or without a threshold
+    with pytest.raises(ParameterError, match="need n >= 2"):
+        ko_link_report(1, 5, 2, 1)
+    with pytest.raises(ParameterError, match="need n >= 2"):
+        ko_link_report(1, 5, 2, 1, threshold=1.0)
+    # |K_0| = 3^12 at (3, 3, 2, 1) is known in closed form: a cap one below
+    # it fails before the element table (531441 x 16 int64) is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="531441 exceeds cap"):
+            ko_link_report(3, 3, 2, 1, threshold=1.0, cap=3**12 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# walks built from coset partitions
+
+COSET_WALK_LINKS = [(2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 2, 1), (3, 2, 3, 1),
+                    (2, 5, 3, 1)]
+
+
+def _assert_same_walk(got, want):
+    """Array for array, dtypes included, so Lanczos sees the same bits."""
+    assert got.vertex_count == want.vertex_count
+    for name in ("edges", "edge_counts", "strength"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("params", COSET_WALK_LINKS, ids=str)
+def test_coset_walk_equals_the_complex_walk_on_ko_links(params):
+    L = ko_vertex_link(*params)
+    parts = L.coset_data.partitions
+    _assert_same_walk(coset_walk(parts[0].group, parts), walk_matrix(L))
+
+
+def test_coset_walk_divides_by_the_chamber_stabiliser():
+    # <(01),(23)> n <(01),(12)> = <(01)>: every chamber holds 2 elements
+    G = symmetric_group(4)
+    subs = [subgroup_closure_indices(G, perm_rank(gens))
+            for gens in ([(1, 0, 2, 3), (0, 1, 3, 2)],
+                         [(1, 0, 2, 3), (0, 2, 1, 3)])]
+    X = coset_complex(G, subs)
+    assert X.f_vector() == (10, 12)
+    # |K_i|/2 chambers at each vertex: 4/2 for six cosets, 6/2 for four
+    assert np.array_equal(X.containment_counts(0), [2] * 6 + [3] * 4)
+    M = coset_walk(G, subs)
+    _assert_same_walk(M, walk_matrix(X))
+    assert second_eigenvalue(M) == second_eigenvalue(walk_matrix(X))
+
+
+def test_coset_walk_of_disconnected_partitions_solves_nothing():
+    # the same subgroup twice: each coset meets only itself, 3 components
+    G = symmetric_group(3)
+    H = cosets(G, subgroup_closure_indices(G, perm_rank([(1, 0, 2)])))
+    with pytest.raises(StructureError, match=r"disconnected \(3 components\)"):
+        coset_walk(G, [H, H])
+    with pytest.raises(StructureError, match=r"disconnected \(3 components\)"):
+        walk_matrix(coset_complex(G, [H, H]))
+    entry = _solve_entry(functools.partial(coset_walk, G, [H, H]), 6, None,
+                         (0,), DEFAULT_CAP)
+    assert (entry.connected, entry.second, entry.solver) == (False, None,
+                                                             "none")
+
+
+@pytest.mark.parametrize("params", COSET_WALK_LINKS + [(3, 3, 2, 1)], ids=str)
+def test_ko_link_report_equals_the_complex_walk_report(params):
+    # the report that solved walk_matrix(ko_vertex_link(...)), float for float
+    L = ko_vertex_link(*params)
+    want = _solve_entry(functools.partial(walk_matrix, L), L.vertex_count,
+                        None, (0,), DEFAULT_CAP)
+    old = _finish_report([want] + [
+        dataclasses.replace(want, colors=(i,), solver="reused")
+        for i in range(1, params[0] + 1)], 1.0)
+    got = ko_link_report(*params, threshold=1.0).to_dict()
+    assert json.dumps(got) == json.dumps(old.to_dict())
+    assert got["links"][0]["second_eigenvalue"] == want.second
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
