@@ -7,9 +7,10 @@ with maximal-face containment counts, which is exactly the data the weight
 function needs.  Weights are exact rationals throughout.
 
 The 1-skeleton is searched once per complex: ``spanning_forest`` caches
-its BFS forest, whose order contract ``bfs_forest`` states.  The
-component count, the walk's connectivity check and the tree gauge of
-``cohomology`` all read that one search.
+its BFS forest, whose order contract ``bfs_forest`` states.
+``component_count``, ``spectral.walk_matrix`` and the tree gauge of
+``cohomology`` all read that one search.  ``spectral.coset_walk`` builds
+no complex and needs only the count: ``count_components``, no search.
 
 Coset complexes are built from the group orbit of the base chamber
 {K_0, ..., K_n}: every face with pairwise intersecting cosets lies in some
@@ -102,6 +103,32 @@ def bfs_forest(edges: np.ndarray, V: int
             parent_edge[frontier] = arc % E
         root += int(np.argmax(unseen[root:]))
     return parent, parent_edge, np.concatenate(layers), comps
+
+
+def count_components(edges: np.ndarray, V: int) -> int:
+    """``bfs_forest(edges, V)[3]``, with no sort and no search order.
+
+    Labels start as the vertices.  Each round hooks every root to the
+    least root it shares an edge with (``np.minimum.at``), so a root only
+    ever points below itself, then jumps pointers until every label is a
+    root.  An edge whose ends share a label keeps sharing it, so the next
+    round reads only the edges that still join two labels; the count is
+    the roots left when none does.
+    """
+    label, spare = np.arange(V), np.empty(V, dtype=np.intp)
+    # while every label is its vertex, the ends' labels are the ends
+    u, v = a, b = edges[:, 0], edges[:, 1]
+    while len(a):
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            np.take(label, label, out=spare)
+            if np.array_equal(spare, label):
+                break
+            label, spare = spare, label
+        a, b = label.take(u), label.take(v)
+        cross = a != b
+        u, v, a, b = u[cross], v[cross], a[cross], b[cross]
+    return int(np.count_nonzero(label == np.arange(V)))
 
 
 class SimplicialComplex:
@@ -489,20 +516,19 @@ class CosetStructure:
 
 
 def coset_vertices(G: FiniteGroup, subgroups: Sequence) -> tuple:
-    """(partitions, offsets, rows) of CC(G, {K_i}): vertex offsets[i] + c
-    is the coset of ordinal c of colour i, and row g of the (|G|, k) int64
-    ``rows`` the k cosets of g.  ``subgroups`` holds one entry per color:
-    an element-index collection, whose coset partition ``cosets()``
-    derives, or a ready CosetPartition of G (``groups.ko_link_cosets``)."""
+    """(partitions, offsets) of CC(G, {K_i}): vertex offsets[i] + c is the
+    coset of ordinal c of colour i, so g's chamber is the k vertices
+    offsets[i] + partitions[i].ordinal[g].  ``subgroups`` holds one entry
+    per color: an element-index collection, whose coset partition
+    ``cosets()`` derives, or a ready CosetPartition of G
+    (``groups.ko_link_cosets``)."""
     if len(subgroups) < 2:
         raise ParameterError("need at least two subgroups (n >= 1)")
     parts = [sub if isinstance(sub, CosetPartition) else cosets(G, sub)
              for sub in subgroups]
     if any(part.group is not G for part in parts):
         raise InputError("coset partition of a different group")
-    offsets = np.concatenate([[0], np.cumsum([p.n_cosets for p in parts])])
-    return parts, offsets, np.stack(
-        [o + part.ordinal for o, part in zip(offsets, parts)], axis=1)
+    return parts, np.concatenate([[0], np.cumsum([p.n_cosets for p in parts])])
 
 
 def coset_complex(G: FiniteGroup, subgroups: Sequence) -> SimplicialComplex:
@@ -517,7 +543,9 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence) -> SimplicialComplex:
     type, and left translation (see ``left_translation_action``) carries
     one such face's weighted link isomorphically onto another's.
     """
-    parts, offsets, rows = coset_vertices(G, subgroups)
+    parts, offsets = coset_vertices(G, subgroups)
+    rows = np.stack([o + part.ordinal for o, part in zip(offsets, parts)],
+                    axis=1)
     colors = np.repeat(np.arange(len(parts)), np.diff(offsets))
     X = SimplicialComplex(len(parts) - 1, int(offsets[-1]), rows, colors)
     X.coset_data = CosetStructure(parts, offsets)

@@ -12,13 +12,15 @@ report solves one link per color type of face, since left translation
 makes all links of a type isomorphic; on any other complex it solves
 every link.  The KO report solves one vertex link, which gamma_0^i
 conjugates onto the color-i one; its walk comes from coset partitions
-(``coset_walk``), every other walk from face tables (``walk_matrix``).
+(``coset_walk``), with no complex and no spanning forest, every other
+walk from face tables (``walk_matrix``) and the complex's cached BFS.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Sequence
 
@@ -27,9 +29,8 @@ import numpy as np
 # for the import
 import numpy.random  # noqa: F401
 
-from ._kernels.common import key_runs
-from .complexes import (SimplicialComplex, bfs_forest, coset_complex,
-                        coset_vertices, link)
+from .complexes import (SimplicialComplex, coset_vertices, count_components,
+                        link)
 from .errors import (DEFAULT_CAP, InputError, NumericalError, ParameterError,
                      ResourceLimitError, StructureError)
 from .groups import FiniteGroup, ko_link_cosets, subgroup_K
@@ -136,26 +137,39 @@ def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
 def coset_walk(G: FiniteGroup, subgroups: Sequence) -> WalkMatrix:
     """``walk_matrix(coset_complex(G, subgroups))``, with no complex built.
 
-    Row g of ``coset_vertices`` is g's chamber, shared by c = |n_i K_i|
-    rows, so an edge's count is the number of rows holding both ends over
-    c (a remainder raises InputError), from one ``key_runs`` of C(k, 2)|G|
-    int64 keys u*V + v; a colour-i vertex's strength is (k - 1)|K_i|/c.
-    Arrays and dtypes equal ``walk_matrix``'s, as does the BFS.
+    g's chamber (``coset_vertices``) is shared by c = |n_i K_i| elements,
+    so an edge's count is the number of elements whose chamber holds both
+    ends, over c (a remainder raises InputError): the runs of the
+    C(k, 2)|G| pair keys u*V + v, in the narrowest unsigned dtype that
+    holds V**2 and sorted in place.  A colour-i vertex's strength is
+    (k - 1)|K_i|/c, and ``count_components`` checks connectivity with no
+    spanning forest.  Arrays and dtypes equal ``walk_matrix``'s.
     """
-    parts, offsets, rows = coset_vertices(G, subgroups)
-    k, V, sizes = len(parts), int(offsets[-1]), np.diff(offsets)
+    parts, offsets = coset_vertices(G, subgroups)
+    k, V, N, sizes = len(parts), int(offsets[-1]), G.size, np.diff(offsets)
     c = int(np.logical_and.reduce(
         [part.ordinal == part.ordinal[G.identity] for part in parts]).sum())
-    keys, first = key_runs(np.concatenate([
-        rows[:, a] * V + rows[:, b]
-        for a in range(k) for b in range(a + 1, k)]))[1:]
+    dtype = np.min_scalar_type(V * V - 1)
+    cols = [(part.ordinal + o).astype(dtype)
+            for o, part in zip(offsets, parts)]
+    keys = np.empty((k * (k - 1) // 2, N), dtype=dtype)
+    for row, (u, v) in zip(keys, itertools.combinations(cols, 2)):
+        np.multiply(u, V, out=row)
+        row += v
+    del cols
+    keys = keys.reshape(-1)
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    first = np.flatnonzero(fresh)
     counts, rest = np.divmod(np.diff(np.append(first, len(keys))), c)
     if rest.any():  # never for the cosets of subgroups
         raise InputError(f"an edge count is not a multiple of {c}")
-    edges = np.stack(np.divmod(keys.take(first), V), axis=1)
-    del rows, keys, first, rest  # not held through the search
-    strength = np.repeat((k - 1) * (G.size // (sizes * c)), sizes)
-    return _connected_walk(V, edges, counts, strength, bfs_forest(edges, V)[3])
+    edges = np.stack(np.divmod(keys.take(first).astype(np.int64), V), axis=1)
+    del keys, fresh, first, rest  # not held through the count
+    strength = np.repeat((k - 1) * (N // (sizes * c)), sizes)
+    return _connected_walk(V, edges, counts, strength,
+                           count_components(edges, V))
 
 
 # ---------------------------------------------------------------------------
@@ -388,43 +402,21 @@ def local_spectral_report(X: SimplicialComplex, lam_threshold: float,
 # KO links, built in the small groups
 
 
-def _ko_link_cosets(n: int, p: int, s: int, d: int, cap: int) -> tuple:
-    if n < 2:
-        raise ParameterError("vertex links of a graph carry no walk; "
-                             "need n >= 2")
-    K0 = subgroup_K(n, p, s, d, 0, cap=cap)
-    return K0, ko_link_cosets(K0, d)
-
-
-def ko_vertex_link(n: int, p: int, s: int, d: int,
-                   cap: int = DEFAULT_CAP) -> SimplicialComplex:
-    """The link CC(K_0, {K_0 n K_j : j = 1..n}) of a color-0 vertex.
-
-    Only K_0 is enumerated, never the far larger ambient group, and in
-    closed form (``groups.subgroup_K``), and each K_0 n K_j's left cosets
-    are labeled by normal form (``groups.ko_link_cosets``, which checks the
-    class sizes against K_0 n K_j found by membership), with no closure,
-    key lookup or ``cosets()`` call; ``ko_link_report`` builds only the walk.
-    Conjugation by gamma_0^i maps K_0 n K_j onto K_i n K_{i+j}: the color-i
-    link is this one with its colors rotated by i.
-    """
-    return coset_complex(*_ko_link_cosets(n, p, s, d, cap))
-
-
 def ko_link_report(n: int, p: int, s: int, d: int,
                    threshold: float | None = None,
                    cap: int = DEFAULT_CAP) -> LocalSpectralReport:
     """Spectral check of the KO vertex links against 1/(sqrt(p) - n).
 
-    Color 0 is solved; colors 1..n are its gamma_0^i conjugates (see
-    ``ko_vertex_link``) and ``"reused"``, by ``coset_walk`` of its
-    partitions: C(n, 2)|K_0| int64 pair keys and no complex, and the same
-    float as ``walk_matrix(ko_vertex_link(...))``.  The ambient walk is
-    deliberately absent: for interesting parameters the full group is out
-    of reach, and the local criterion quantifies over links.  ``threshold``
-    defaults to the theorem bound, which requires sqrt(p) > n.  ``cap``
-    bounds |K_0| (closed form, checked before any allocation) and the
-    Lanczos basis.
+    The color-0 link CC(K_0, {K_0 n K_j : j = 1..n}) is solved, from
+    K_0 in closed form (``groups.subgroup_K``) and normal-form cosets
+    (``groups.ko_link_cosets``), by ``coset_walk``: no complex, and the
+    float of ``walk_matrix`` on the link as a complex.  Conjugation by
+    gamma_0^i maps K_0 n K_j onto K_i n K_{i+j}, so colors 1..n are its
+    rotations and ``"reused"``.  The ambient walk is deliberately absent:
+    for interesting parameters the full group is out of reach, and the
+    local criterion quantifies over links.  ``threshold`` defaults to the
+    theorem bound, which requires sqrt(p) > n.  ``cap`` bounds |K_0|
+    (closed form, checked before any allocation) and the Lanczos basis.
     """
     if threshold is None:
         if math.sqrt(p) <= n:
@@ -433,9 +425,20 @@ def ko_link_report(n: int, p: int, s: int, d: int,
                 f"pass an explicit threshold for p={p}, n={n}")
         threshold = 1.0 / (math.sqrt(p) - n)
     _check_threshold(threshold)
-    K0, parts = _ko_link_cosets(n, p, s, d, cap)
-    first = _solve_entry(functools.partial(coset_walk, K0, parts),
-                         sum(part.n_cosets for part in parts), None, (0,), cap)
+    if n < 2:
+        raise ParameterError("vertex links of a graph carry no walk; "
+                             "need n >= 2")
+    parts = ko_link_cosets(subgroup_K(n, p, s, d, 0, cap=cap), d)
+    vertices = sum(part.n_cosets for part in parts)
+
+    def walk() -> WalkMatrix:
+        # the partitions, and K_0's elements through them, are let go once
+        # the walk is built, before the Lanczos basis is allocated
+        nonlocal parts
+        held, parts = parts, None
+        return coset_walk(held[0].group, held)
+
+    first = _solve_entry(walk, vertices, None, (0,), cap)
     return _finish_report([first] + [
         dataclasses.replace(first, colors=(i,), solver="reused")
         for i in range(1, n + 1)], threshold)

@@ -1107,6 +1107,25 @@ def ko_subgroup_bfs(n, p, s, d, i):
     return bfs_closure_group(ko_generators(n, p, s, d, i))
 
 
+def ko_vertex_link(n, p, s, d):
+    """The link CC(K_0, {K_0 n K_j : j = 1..n}) of a color-0 vertex, as a
+    complex, from the package's closed-form K_0 and normal-form cosets.
+
+    Only K_0 is enumerated, never the ambient group (``subgroup_K``), and
+    each K_0 n K_j's left cosets are labeled by normal form
+    (``ko_link_cosets``).  ``spectral.ko_link_report`` builds only this
+    link's walk (``coset_walk``); the tests compare it with
+    ``walk_matrix`` of this complex.  Conjugation by gamma_0^i maps
+    K_0 n K_j onto K_i n K_{i+j}: the color-i link is this one with its
+    colors rotated by i.  n = 1 raises ParameterError: one subgroup.
+    """
+    from cosetx.complexes import coset_complex
+    from cosetx.groups import ko_link_cosets, subgroup_K
+
+    K0 = subgroup_K(n, p, s, d, 0)
+    return coset_complex(K0, ko_link_cosets(K0, d))
+
+
 def ko_vertex_links_per_color(n, p, s, d):
     """CC(K_i, {K_i n K_j : j != i}) for every color i, built separately.
 

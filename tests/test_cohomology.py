@@ -61,11 +61,11 @@ from cosetx.errors import (InputError, ParameterError, ResourceLimitError,
                            StructureError)
 from cosetx.groups import TableGroup, symmetric_group
 from cosetx.roots import perm_rank
-from cosetx.spectral import ko_vertex_link, local_spectral_report
+from cosetx.spectral import local_spectral_report
 
 import oracles
 from oracles import (cochain1_from_edge_map, gauge_act, identity_cochain1,
-                     identity_support_free, is_coboundary)
+                     identity_support_free, is_coboundary, ko_vertex_link)
 
 
 def two_fold_triangle():

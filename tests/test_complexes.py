@@ -501,8 +501,7 @@ class TestKOComplex:
 
 
 def _ko_link(*params):
-    from cosetx.spectral import ko_vertex_link
-    return lambda: ko_vertex_link(*params)
+    return lambda: oracles.ko_vertex_link(*params)
 
 
 SLOT_CASES = {

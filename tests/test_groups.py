@@ -656,19 +656,15 @@ def _assert_same_link_through_elements(X, Z):
 
 @pytest.mark.parametrize("n,p,s,d", [(2, 3, 2, 1), (3, 2, 2, 1)])
 def test_ko_link_equals_the_bfs_built_link(n, p, s, d):
-    from cosetx.spectral import ko_vertex_link
-
     _assert_same_link_through_elements(
-        ko_vertex_link(n, p, s, d),
+        oracles.ko_vertex_link(n, p, s, d),
         oracles.ko_vertex_links_per_color(n, p, s, d)[0])
 
 
 def test_ko_link_coset_labels_are_pinned():
     # pinned only once the link equals, face by face, the one built with
     # cosets() on the BFS-numbered K_0 from its own generators
-    from cosetx.spectral import ko_vertex_link
-
-    X = ko_vertex_link(2, 2, 2, 1)
+    X = oracles.ko_vertex_link(2, 2, 2, 1)
     _assert_same_link_through_elements(
         X, oracles.ko_vertex_links_per_color(2, 2, 2, 1)[0])
     digest = [hashlib.sha256(part.labels.astype(np.int64).tobytes()).hexdigest()

@@ -8,11 +8,14 @@ that never touches the package's WalkMatrix plumbing.
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from cosetx.complexes import (
     bfs_forest,
     build_ko_complex,
     coset_complex,
+    count_components,
     dumps_complex,
     link,
     loads_complex,
@@ -44,13 +48,13 @@ from cosetx.spectral import (
     _solve_entry,
     coset_walk,
     ko_link_report,
-    ko_vertex_link,
     local_spectral_report,
     second_eigenvalue,
     walk_matrix,
 )
 
 import oracles
+from oracles import ko_vertex_link
 
 TOL = 1e-9
 
@@ -160,6 +164,71 @@ def test_component_count_matches_csgraph_on_random_graphs(graph):
     edges = np.array(sorted({(min(a, b), max(a, b)) for a, b in pairs
                              if a != b}), dtype=np.int64).reshape(-1, 2)
     assert bfs_forest(edges, V)[3] == _scipy_component_count(edges, V)
+
+
+# ---------------------------------------------------------------------------
+# component counts without a spanning forest
+
+
+def _edge_rows(pairs, rng):
+    """The pairs as int64 edge rows in shuffled order, each row's ends in
+    either order."""
+    rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    flip = rng.random(len(rows)) < 0.5
+    rows[flip] = rows[flip, ::-1]
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("V", [0, 1, 7])
+def test_count_components_of_no_edges_is_the_vertex_count(V):
+    edges = np.zeros((0, 2), dtype=np.int64)
+    assert count_components(edges, V) == bfs_forest(edges, V)[3] == V
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 30).flatmap(lambda V: st.tuples(
+    st.just(V),
+    st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=2 * V),
+    st.integers(0, 2**32 - 1))))
+def test_count_components_matches_the_bfs_on_random_graphs(graph):
+    # isolated vertices, repeated edges, rows in any order and orientation
+    V, pairs, seed = graph
+    edges = _edge_rows(pairs, np.random.default_rng(seed))
+    assert count_components(edges, V) == bfs_forest(edges, V)[3]
+
+
+def test_count_components_adds_over_disjoint_unions():
+    rng = np.random.default_rng(20261021)
+    for _ in range(50):
+        sizes = rng.integers(1, 20, size=rng.integers(1, 5))
+        parts, pairs, base = [], [], 0
+        for V in sizes:
+            part = [(a, b) for a, b in rng.integers(0, V, size=(V, 2))
+                    if a != b]
+            parts.append(bfs_forest(_edge_rows(part, rng), int(V))[3])
+            pairs += [(base + a, base + b) for a, b in part]
+            base += int(V)
+        # vertex labels shuffled across the parts
+        perm = rng.permutation(base)
+        edges = perm[_edge_rows(pairs, rng)]
+        assert count_components(edges, base) == bfs_forest(edges, base)[3]
+        assert count_components(edges, base) == sum(parts)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_count_components_of_a_shuffled_path_and_cycle(closed):
+    # about 2 * 10^4 vertices in one component; with the labels shuffled
+    # the count takes 10 hook rounds, where a sorted path takes one
+    V = 20011
+    rng = np.random.default_rng(V)
+    perm = rng.permutation(V)
+    pairs = list(zip(perm[:-1], perm[1:])) + [(perm[-1], perm[0])] * closed
+    edges = _edge_rows(pairs, rng)
+    assert count_components(edges, V) == bfs_forest(edges, V)[3] == 1
+    # one edge fewer splits the path in two and opens the cycle
+    assert count_components(edges[1:], V) == bfs_forest(edges[1:], V)[3] \
+        == 2 - closed
 
 
 # ---------------------------------------------------------------------------
@@ -528,26 +597,63 @@ def test_ko_link_colors_share_spectrum(n, p, s, d):
 
 def test_ko_link_report_builds_one_link(monkeypatch):
     # one closed-form K_0, normal-form cosets: no closure, no cosets(), no
-    # key index and no SimplicialComplex on the way to the one link's walk
+    # key index and no SimplicialComplex on the way to the one link's walk;
+    # the walk sorts its pair keys in place and counts components without
+    # a spanning forest: no bfs_forest, key_runs or stable_order
+    import cosetx._kernels.common as common_mod
     import cosetx.complexes as complexes_mod
     import cosetx.groups as groups_mod
     import cosetx.spectral as spectral_mod
 
+    modules = [mod for key, mod in sys.modules.items()
+               if key == "cosetx" or key.startswith("cosetx.")]
     calls = []
-    for mod, name in ((groups_mod, "closure_bfs"), (groups_mod, "cosets"),
-                      (complexes_mod, "cosets"), (groups_mod, "KeyIndex"),
-                      (spectral_mod, "coset_complex"),
-                      (complexes_mod, "coset_complex"),
-                      (spectral_mod, "walk_matrix"),
-                      (spectral_mod, "coset_walk")):
-        fn = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **k:
-                            calls.append(_name) or _fn(*a, **k))
+    for home, name in ((groups_mod, "closure_bfs"), (groups_mod, "cosets"),
+                       (groups_mod, "KeyIndex"),
+                       (complexes_mod, "coset_complex"),
+                       (complexes_mod, "bfs_forest"),
+                       (common_mod, "key_runs"), (common_mod, "stable_order"),
+                       (spectral_mod, "walk_matrix"),
+                       (spectral_mod, "coset_walk")):
+        fn = getattr(home, name)
+        spy = (lambda *a, _fn=fn, _name=name, **k:
+               calls.append(_name) or _fn(*a, **k))
+        # at every module that binds the function by name
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, spy)
     init = SimplicialComplex.__init__
     monkeypatch.setattr(SimplicialComplex, "__init__",
                         lambda *a, **k: calls.append("complex") or init(*a, **k))
     ko_link_report(3, 2, 2, 1, threshold=1.0)
     assert calls == ["coset_walk"]
+
+
+def test_ko_link_report_lets_k0_go_before_the_solve(monkeypatch):
+    # K_0's element table and the partitions are not held through the
+    # Lanczos run: once the walk is built, nothing refers to K_0
+    import cosetx.spectral as spectral_mod
+
+    make, solve, refs, held = (spectral_mod.subgroup_K,
+                               spectral_mod.second_eigenvalue, [], [])
+
+    def subgroup_K(*a, **k):
+        K0 = make(*a, **k)
+        refs.append(weakref.ref(K0))
+        return K0
+
+    def second_eigenvalue(M, **k):
+        held.append(refs[0]() is not None)
+        return solve(M, **k)
+
+    monkeypatch.setattr(spectral_mod, "subgroup_K", subgroup_K)
+    monkeypatch.setattr(spectral_mod, "second_eigenvalue", second_eigenvalue)
+    gc.disable()  # freed by reference counts alone, not by a collection
+    try:
+        ko_link_report(3, 2, 2, 1, threshold=1.0)
+    finally:
+        gc.enable()
+    assert held == [False]
 
 
 def test_ko_link_report_error_paths():
