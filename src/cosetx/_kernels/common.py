@@ -155,6 +155,15 @@ def unique_rows(rows: np.ndarray, base: int, counts: bool = False):
     return uniq, np.diff(np.append(first, len(keys)))
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """``np.unique(values)``, flattened and ascending, by one sort and a
+    comparison pass; ``np.unique`` would load ``numpy.ma`` on first use."""
+    out = np.sort(np.asarray(values), axis=None)
+    fresh = np.ones(len(out), dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=fresh[1:])
+    return out.compress(fresh)
+
+
 class KeyIndex:
     """Lookup from key to position.
 

@@ -48,9 +48,10 @@ past 2^64 cochains too.
 
 The spanning tree is the BFS forest that the complex owns and caches
 (``SimplicialComplex.spanning_forest``; its order contract is stated in
-``complexes.bfs_forest``).  Edges, the triangle -> edge index and
-the face counts are read from the complex's own cached tables as well,
-so this module keeps no copy of them.
+``complexes.bfs_forest``), and the forcing labels are its one reader.
+Connectivity is the complex's cached ``component_count``.  Edges, the
+triangle -> edge index and the face counts are read from the complex's
+own cached tables as well, so this module keeps no copy of them.
 
 Norms are exact rationals; the distance between cochains is the weighted
 measure of their disagreement set, which is orientation-independent since
@@ -258,42 +259,6 @@ def d1(X: SimplicialComplex, phi: Cochain1) -> np.ndarray:
 
 def is_cocycle(X: SimplicialComplex, phi: Cochain1) -> bool:
     return bool((d1(X, phi) == phi.lam.identity).all())
-
-
-def _tree_potential(X: SimplicialComplex, phi: Cochain1) -> np.ndarray:
-    """psi(root) = e and psi(v) = phi((u, v))^-1 psi(u) down the BFS forest.
-
-    d0 psi agrees with phi on every tree edge, so phi is a coboundary iff
-    d0 psi = phi, and the gauge by psi^-1 makes phi the identity on the tree.
-    """
-    parent, parent_edge, order, _ = X.spanning_forest()
-    lam = phi.lam
-    psi = np.full(X.vertex_count, lam.identity, dtype=np.int64)
-    edges = X.faces(1)
-    for v in order:
-        u = parent[v]
-        if u < 0:
-            continue
-        ei = parent_edge[v]
-        val = int(phi.values[ei])
-        if edges[ei, 0] != u:          # canonical row is (v, u)
-            val = int(lam.inv[val])
-        psi[v] = lam.table[lam.inv[val], psi[u]]
-    return psi
-
-
-def tree_gauge_fix(X: SimplicialComplex, phi: Cochain1) -> Cochain1:
-    """Gauge phi to the identity on the BFS spanning tree of X.
-
-    The tree is X.spanning_forest(), rooted at vertex 0; its order
-    contract makes the result deterministic.  Requires a connected
-    complex and a cocycle.
-    """
-    _require_connected(X)
-    if not is_cocycle(X, phi):
-        raise InputError("tree gauge fixing is defined on cocycles only")
-    psi = phi.lam.inv[_tree_potential(X, phi)]
-    return Cochain1(phi.lam, _gauge(X, phi.lam, psi, phi.values))
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +801,7 @@ def _z1_basis(X: SimplicialComplex, p: int
     d1m = np.zeros((len(te), E), dtype=np.int64)
     d1m[np.arange(len(d1m))[:, None], te] = [1, 1, -1]
     R, pivots = _rref_mod_p(d1m, p)
-    free = np.setdiff1d(np.arange(E), pivots)
+    free = np.delete(np.arange(E), pivots)
     z_basis = np.eye(E, dtype=np.int64)[free]
     z_basis[:, pivots] = -R[:, free].T % p
     return d1m, pivots, z_basis
@@ -864,7 +829,7 @@ def _coset_min_weights(z_basis: np.ndarray, pivots: np.ndarray,
         D = (nonzero[:, None] * w + D).ravel()
     idx = np.arange(len(D), dtype=np.int64)
     # z_basis row j is the identity on the j-th free column
-    free = np.setdiff1d(np.arange(len(ecnt)), pivots)
+    free = np.delete(np.arange(len(ecnt)), pivots)
     for z, w_f in zip(z_basis, ecnt[free].tolist()):
         step = z[pivots]
         perm = idx.copy()

@@ -6,11 +6,12 @@ lower-dimensional face tables are derived on demand and cached together
 with maximal-face containment counts, which is exactly the data the weight
 function needs.  Weights are exact rationals throughout.
 
-The 1-skeleton is searched once per complex: ``spanning_forest`` caches
-its BFS forest, whose order contract ``bfs_forest`` states.
-``component_count``, ``spectral.walk_matrix`` and the tree gauge of
-``cohomology`` all read that one search.  ``spectral.coset_walk`` builds
-no complex and needs only the count: ``count_components``, no search.
+Connectivity is one routine, ``groups.component_labels``: a complex
+caches the root count of its 1-skeleton's labels as ``component_count``,
+which ``spectral.walk_matrix`` and ``cohomology`` read, and
+``spectral.coset_walk`` counts the roots of its edges' labels.  The one
+spanning forest, which only the tree gauge of H^1 reads, is the cached
+BFS of ``spanning_forest``, whose order contract ``bfs_forest`` states.
 
 Coset complexes are built from the group orbit of the base chamber
 {K_0, ..., K_n}: every face with pairwise intersecting cosets lies in some
@@ -29,14 +30,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-# np.unique reads np.ma, which numpy 2 loads on first use; load it here so
-# that no computation pays for the import
-import numpy.ma  # noqa: F401
 
-from ._kernels.common import (KeyIndex, key_runs, lex_keys, stable_order,
-                              unique_rows)
+from ._kernels.common import (KeyIndex, key_runs, lex_keys, sorted_distinct,
+                              stable_order, unique_rows)
 from .errors import DEFAULT_CAP, InputError, ParameterError, StructureError
-from .groups import (CosetPartition, FiniteGroup, cosets, orbit_min_labels,
+from .groups import (CosetPartition, FiniteGroup, component_labels, cosets,
                      quotient, rotate_rows, sl_group, subgroup_K)
 
 
@@ -51,8 +49,8 @@ def _same_rows(A: np.ndarray, B: np.ndarray, base: int) -> bool:
 
 
 def bfs_forest(edges: np.ndarray, V: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(parent, parent_edge, order, n_components) of a graph's BFS forest.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(parent, parent_edge, order) of a graph's BFS forest.
 
     The order contract: each component is searched from its least vertex,
     roots in increasing order; a vertex scans its neighbours in increasing
@@ -72,7 +70,7 @@ def bfs_forest(edges: np.ndarray, V: int
     parent_edge = np.full(V, -1, dtype=np.int64)
     E = len(edges)
     if not E:                      # every vertex is a component of its own
-        return parent, parent_edge, np.arange(V, dtype=np.int64), V
+        return parent, parent_edge, np.arange(V, dtype=np.int64)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     arcs = stable_order(src * V + dst)
@@ -82,9 +80,8 @@ def bfs_forest(edges: np.ndarray, V: int
     first = np.full(V, len(arcs), dtype=np.int64)
     # a sentinel at V stops the scan for the next root
     unseen = np.ones(V + 1, dtype=bool)
-    layers, comps, root = [], 0, 0
+    layers, root = [], 0
     while root < V:
-        comps += 1
         unseen[root] = False
         frontier = np.array([root], dtype=np.int64)
         while len(frontier):
@@ -102,33 +99,7 @@ def bfs_forest(edges: np.ndarray, V: int
             parent[frontier] = src[arc]
             parent_edge[frontier] = arc % E
         root += int(np.argmax(unseen[root:]))
-    return parent, parent_edge, np.concatenate(layers), comps
-
-
-def count_components(edges: np.ndarray, V: int) -> int:
-    """``bfs_forest(edges, V)[3]``, with no sort and no search order.
-
-    Labels start as the vertices.  Each round hooks every root to the
-    least root it shares an edge with (``np.minimum.at``), so a root only
-    ever points below itself, then jumps pointers until every label is a
-    root.  An edge whose ends share a label keeps sharing it, so the next
-    round reads only the edges that still join two labels; the count is
-    the roots left when none does.
-    """
-    label, spare = np.arange(V), np.empty(V, dtype=np.intp)
-    # while every label is its vertex, the ends' labels are the ends
-    u, v = a, b = edges[:, 0], edges[:, 1]
-    while len(a):
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            np.take(label, label, out=spare)
-            if np.array_equal(spare, label):
-                break
-            label, spare = spare, label
-        a, b = label.take(u), label.take(v)
-        cross = a != b
-        u, v, a, b = u[cross], v[cross], a[cross], b[cross]
-    return int(np.count_nonzero(label == np.arange(V)))
+    return parent, parent_edge, np.concatenate(layers)
 
 
 class SimplicialComplex:
@@ -146,11 +117,11 @@ class SimplicialComplex:
     The complex owns every derived table and caches each on first use:
     the face tables with their containment counts, the triangle -> edge
     index (``triangle_edges``) and its slots grouped by edge
-    (``edge_slots``), the vertex incidence, and the one BFS forest of the
-    1-skeleton (``spanning_forest``), from which the component count is
-    read.  On a 2-dimensional complex the edge table, the triangle -> edge
-    index and the slots by edge all come from one sort, whose order the
-    edge table keeps as int32.
+    (``edge_slots``), the vertex incidence, the one BFS forest of the
+    1-skeleton (``spanning_forest``) and its component count.  On a
+    2-dimensional complex the edge table, the triangle -> edge index and
+    the slots by edge all come from one sort, whose order the edge table
+    keeps as int32.
     """
 
     def __init__(self, n: int, vertex_count: int, max_faces, colors=None):
@@ -184,6 +155,7 @@ class SimplicialComplex:
         self._tri_edges: np.ndarray | None = None
         self._slot_order: np.ndarray | None = None
         self._forest: tuple | None = None
+        self._components: int | None = None
         self._validate(increasing)
 
     def _validate(self, increasing: bool):
@@ -390,9 +362,8 @@ class SimplicialComplex:
 
     # -- 1-skeleton ----------------------------------------------------
 
-    def spanning_forest(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                       int]:
-        """(parent, parent_edge, order, n_components), cached.
+    def spanning_forest(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(parent, parent_edge, order), cached.
 
         The one breadth-first search of the 1-skeleton, with the order
         contract of ``bfs_forest``; parent_edge indexes faces(1).
@@ -402,8 +373,14 @@ class SimplicialComplex:
         return self._forest
 
     def component_count(self) -> int:
-        """Number of connected components of the 1-skeleton."""
-        return self.spanning_forest()[3]
+        """Number of connected components of the 1-skeleton, cached: the
+        roots of its ``component_labels``."""
+        if self._components is None:
+            e = self.faces(1)
+            labels = component_labels(self.vertex_count, [(e[:, 0], e[:, 1])])
+            self._components = int(np.count_nonzero(
+                labels == np.arange(self.vertex_count)))
+        return self._components
 
     def is_connected(self) -> bool:
         return self.component_count() <= 1
@@ -492,11 +469,11 @@ def link(X: SimplicialComplex, tau) -> SimplicialComplex:
         raise InputError(f"{tau} is not a face of the complex")
     keep = ~np.isin(sub, tau)
     rest = sub[keep].reshape(len(sub), X.n + 1 - len(tau))
-    verts = np.unique(rest)
+    verts = sorted_distinct(rest)
     renum = np.searchsorted(verts, rest)
     colors = None
     if X.colors is not None and len(verts):
-        palette = np.unique(X.colors[verts])
+        palette = sorted_distinct(X.colors[verts])
         colors = np.searchsorted(palette, X.colors[verts])
     lk = SimplicialComplex(X.n - len(tau), len(verts), renum, colors=colors)
     lk.origin_vertices = verts
@@ -599,8 +576,9 @@ def quotient_by_action(X: SimplicialComplex, perms: Sequence[np.ndarray]
         if not _same_rows(mapped, mf, V):
             raise StructureError("action generator is not simplicial")
         checked.append(perm)
-    labels = orbit_min_labels(V, checked)
-    reps = np.unique(labels)
+    idx = np.arange(V)
+    labels = component_labels(V, [(idx, perm) for perm in checked])
+    reps = np.flatnonzero(labels == idx)
     proj = np.searchsorted(reps, labels)
     qf = proj[mf]
     qf.sort(axis=1)
@@ -626,11 +604,11 @@ def verify_quotient_proposition(G: FiniteGroup, subgroups: Sequence,
     maximal faces of CC(G/N, ...).
     """
     X = coset_complex(G, subgroups)
-    N = np.unique(np.asarray(normal_indices, dtype=np.int64))
+    N = sorted_distinct(np.asarray(normal_indices, dtype=np.int64))
     perms = left_translation_action(X, G, (int(x) for x in N))
     Xq, proj = quotient_by_action(X, perms)
     Q, gproj = quotient(G, N)
-    images = [np.unique(gproj[np.asarray(sub, dtype=np.int64)])
+    images = [sorted_distinct(gproj[np.asarray(sub, dtype=np.int64)])
               for sub in subgroups]
     Y = coset_complex(Q, images)
     # phi[v] for the vertex v = gK_i of X, with g its coset representative

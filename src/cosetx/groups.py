@@ -11,8 +11,9 @@ files.  ``TableGroup`` is the one dense-table type: the small test groups
 
 A partition of G into left cosets is a ``CosetPartition``, and every one
 is made by ``CosetPartition.from_keys`` from one class key per element in
-[0, |G|): the orbit-minimum labels of ``cosets()``, the normal-form codes
-of ``ko_coset_codes``, or a K_0 partition read through a conjugation.
+[0, |G|): the labels of ``cosets()`` (``component_labels``, the package's
+one connectivity routine), the normal-form codes of ``ko_coset_codes``, or
+a K_0 partition read through a conjugation.
 
 The KO subgroups K_i are the exception to BFS enumeration: K_0 is a box of
 entry coordinates, listed in closed form (``subgroup_K``), K_i is its
@@ -40,6 +41,7 @@ import numpy as np
 
 from ._kernels import (KeyIndex, RowMaps, closure_bfs, identity_flat,
                        inverse_batch, matmul_batch, pack_keys)
+from ._kernels.common import sorted_distinct
 from .errors import (DEFAULT_CAP, ParameterError, ResourceLimitError,
                      StructureError)
 from .ring import RingTable, check_ring_params
@@ -353,26 +355,56 @@ def _close(reached: np.ndarray, arrs: Sequence[np.ndarray],
     step, added = (arrs if first is None else first), 0
     while len(frontier) and len(step):
         img = np.concatenate([arr[frontier] for arr in step])
-        frontier = np.unique(img[~reached[img]])
+        frontier = sorted_distinct(img[~reached[img]])
         reached[frontier] = True
         added += len(frontier)
         step = arrs
     return added
 
 
-def orbit_min_labels(n: int, arrs: Sequence[np.ndarray]) -> np.ndarray:
-    """Min-index label of each element's orbit under the given permutations."""
-    labels = np.arange(n, dtype=np.int64)
-    while True:
-        prev = labels.copy()
-        for arr in arrs:
-            # i and arr[i] share an orbit: push the smaller label both ways
-            labels = np.minimum(labels, labels[arr])
-            np.minimum.at(labels, arr, labels)
-        # path compression: a label is itself an element index
-        labels = labels[labels]
-        if np.array_equal(prev, labels):
-            return labels
+_EDGE_BLOCK = 1 << 13
+
+
+def component_labels(V: int, pairs: Iterable[tuple[np.ndarray, np.ndarray]]
+                     ) -> np.ndarray:
+    """The least vertex of each vertex's component, in the graph on
+    [0, V) with an edge u[k] - v[k] for every pair (u, v) of index arrays
+    in ``pairs``.
+
+    Hook and jump: a label is a vertex of its component at or below its
+    own.  Each round drops the edges whose ends share a label, hooks the
+    larger label of each other edge to the smaller (``np.minimum.at``)
+    and jumps pointers until every label is a root; when no edge joins
+    two labels, every label is its component's least vertex.  The first
+    round hooks the ends themselves, which are views of the pairs: the
+    pairs are never concatenated, and the edges go in blocks, so that the
+    allocator reuses every temporary without page faults.
+    """
+    label, spare = np.arange(V), np.empty(V, dtype=np.intp)
+    live = [(u[lo:lo + _EDGE_BLOCK], v[lo:lo + _EDGE_BLOCK])
+            for u, v in pairs for lo in range(0, len(u), _EDGE_BLOCK)]
+    first = True
+    while live:
+        edges, live = live, []
+        for u, v in edges:
+            a, b = u, v
+            if not first:
+                a, b = label.take(u), label.take(v)
+                # a gather by positions beats a boolean mask at any density
+                cross = np.flatnonzero(a != b)
+                if not len(cross):
+                    continue
+                u, v, a, b = (x.take(cross) for x in (u, v, a, b))
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            live.append((u, v))
+        first = False
+        while True:
+            # every label is in range, so the take need not buffer
+            np.take(label, label, out=spare, mode="clip")
+            if np.array_equal(spare, label):
+                break
+            label, spare = spare, label
+    return label
 
 
 @dataclasses.dataclass
@@ -421,10 +453,12 @@ def cosets(G: FiniteGroup, sub_indices: Sequence[int],
     it holds |K| elements.  ``sub_generators`` (indices into G), when
     given, are tried first.  Every reached element is a product of
     generators, so one outside ``sub_indices`` proves K is not a subgroup,
-    and reaching |K| elements proves it is.  Labels are the smallest index
-    in each coset, so they do not depend on the generators chosen.
+    and reaching |K| elements proves it is.  The cosets are the components
+    of the graph with the edges a - r[a] of those tables
+    (``component_labels``), labelled by their smallest index, so the
+    labels do not depend on the generators chosen.
     """
-    sub = np.unique(np.asarray(sub_indices, dtype=np.int64))
+    sub = sorted_distinct(np.asarray(sub_indices, dtype=np.int64))
     if len(sub) == 0 or (sub < 0).any() or (sub >= G.size).any():
         raise StructureError("subgroup indices out of range")
     if G.size % len(sub) != 0:
@@ -451,14 +485,16 @@ def cosets(G: FiniteGroup, sub_indices: Sequence[int],
         if (reached & ~in_sub).any():
             raise StructureError(
                 "claimed subgroup is not closed under multiplication")
-    return CosetPartition.from_keys(G, orbit_min_labels(G.size, arrs))
+    idx = np.arange(G.size)
+    return CosetPartition.from_keys(
+        G, component_labels(G.size, [(idx, arr) for arr in arrs]))
 
 
 def subgroup_closure_indices(G: FiniteGroup, seed: Iterable[int]) -> np.ndarray:
     """Indices of <seed> inside G, ascending: the identity closed under
     the seeds' right tables (in a finite group the products of the seeds
     are already closed under inverses)."""
-    seed = np.unique(np.fromiter(seed, dtype=np.int64))
+    seed = sorted_distinct(np.fromiter(seed, dtype=np.int64))
     if ((seed < 0) | (seed >= G.size)).any():
         raise StructureError("seed indices out of range")
     reached = np.zeros(G.size, dtype=bool)
@@ -476,7 +512,7 @@ def quotient(G: FiniteGroup, normal_indices: Sequence[int]
     conjugation by each generator g of G, the index map R_{g^-1}[L_g],
     carries N into N; the left tables L_g must close the identity to G.
     """
-    N = np.unique(np.asarray(normal_indices, dtype=np.int64))
+    N = sorted_distinct(np.asarray(normal_indices, dtype=np.int64))
     part = cosets(G, N)
     in_n = part.labels == part.labels[G.identity]
     lefts = [G.left_mult_table(g) for g in G.generators]
@@ -493,7 +529,7 @@ def quotient(G: FiniteGroup, normal_indices: Sequence[int]
         col = G.right_mult_table(int(reps[b]))
         table[:, b] = part.ordinal[col[reps]]
     proj = part.ordinal.copy()
-    gen_images = np.unique(proj[G.generators]).tolist()
+    gen_images = sorted_distinct(proj[G.generators]).tolist()
     Q = TableGroup(table, generators=gen_images, validate=False)
     return Q, proj
 
@@ -712,5 +748,5 @@ def reduction_kernel(n: int, p: int, s_hi: int, s_lo: int,
         raise StructureError(
             f"kernel closure has {group.size} elements, not "
             f"p^((s_hi-s_lo)(m^2-1)) = {expected}")
-    group.generators = np.unique(group.lookup_rows(gens)).tolist()
+    group.generators = sorted_distinct(group.lookup_rows(gens)).tolist()
     return group

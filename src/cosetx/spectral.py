@@ -12,8 +12,9 @@ report solves one link per color type of face, since left translation
 makes all links of a type isomorphic; on any other complex it solves
 every link.  The KO report solves one vertex link, which gamma_0^i
 conjugates onto the color-i one; its walk comes from coset partitions
-(``coset_walk``), with no complex and no spanning forest, every other
-walk from face tables (``walk_matrix``) and the complex's cached BFS.
+(``coset_walk``), with no complex, every other walk from face tables
+(``walk_matrix``).  Both count components with ``groups.component_labels``
+and build no spanning forest.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import numpy as np
 # for the import
 import numpy.random  # noqa: F401
 
-from .complexes import (SimplicialComplex, coset_vertices, count_components,
-                        link)
+from .complexes import SimplicialComplex, coset_vertices, link
 from .errors import (DEFAULT_CAP, InputError, NumericalError, ParameterError,
                      ResourceLimitError, StructureError)
-from .groups import FiniteGroup, ko_link_cosets, subgroup_K
+from .groups import (FiniteGroup, component_labels, ko_link_cosets,
+                     subgroup_K)
 
 EIG_TOL = 1e-9  # residual bound; eigenvalue error is at most this
 # Lanczos stops once its Ritz residual estimate is this small; ||S|| = 1,
@@ -79,15 +80,6 @@ class WalkMatrix:
     edge_counts: np.ndarray
     strength: np.ndarray
 
-    def transition(self) -> np.ndarray:
-        """Dense row-stochastic transition matrix (small complexes only)."""
-        V = self.vertex_count
-        P = np.zeros((V, V))
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        P[u, v] = self.edge_counts / self.strength[u]
-        P[v, u] = self.edge_counts / self.strength[v]
-        return P
-
     def symmetric(self) -> SymmetricForm:
         """D^{1/2} P D^{-1/2}; same spectrum, symmetric.
 
@@ -104,9 +96,6 @@ class WalkMatrix:
                              np.concatenate([v, u]),
                              np.concatenate([val, val]))
 
-    def stationary(self) -> np.ndarray:
-        return self.strength / self.strength.sum()
-
 
 def _connected_walk(V: int, edges, counts, strength, nc: int) -> WalkMatrix:
     """The tail of both walk builders: the connectivity check."""
@@ -122,9 +111,8 @@ def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
     strength, the sum of the counts of its edges, is n times its own
     containment count: each maximal face at v holds n of v's edges.  A
     disconnected 1-skeleton raises StructureError; the component count is
-    read from the complex's cached BFS forest
-    (``SimplicialComplex.spanning_forest``), which H^1 reuses on the same
-    complex.
+    the complex's cached ``component_count``, which H^1 reuses on the same
+    complex.  No spanning forest is built.
     """
     if X.n < 1:
         raise ParameterError("a 0-dimensional complex has no 1-skeleton walk")
@@ -142,8 +130,8 @@ def coset_walk(G: FiniteGroup, subgroups: Sequence) -> WalkMatrix:
     ends, over c (a remainder raises InputError): the runs of the
     C(k, 2)|G| pair keys u*V + v, in the narrowest unsigned dtype that
     holds V**2 and sorted in place.  A colour-i vertex's strength is
-    (k - 1)|K_i|/c, and ``count_components`` checks connectivity with no
-    spanning forest.  Arrays and dtypes equal ``walk_matrix``'s.
+    (k - 1)|K_i|/c, and the roots of ``component_labels`` count the
+    components.  Arrays and dtypes equal ``walk_matrix``'s.
     """
     parts, offsets = coset_vertices(G, subgroups)
     k, V, N, sizes = len(parts), int(offsets[-1]), G.size, np.diff(offsets)
@@ -168,8 +156,9 @@ def coset_walk(G: FiniteGroup, subgroups: Sequence) -> WalkMatrix:
     edges = np.stack(np.divmod(keys.take(first).astype(np.int64), V), axis=1)
     del keys, fresh, first, rest  # not held through the count
     strength = np.repeat((k - 1) * (N // (sizes * c)), sizes)
+    labels = component_labels(V, [(edges[:, 0], edges[:, 1])])
     return _connected_walk(V, edges, counts, strength,
-                           count_components(edges, V))
+                           int(np.count_nonzero(labels == np.arange(V))))
 
 
 # ---------------------------------------------------------------------------

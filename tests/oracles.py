@@ -1047,6 +1047,60 @@ def brute_link(X, tau):
 
 
 # ---------------------------------------------------------------------------
+# small complexes that only the tests build
+
+
+def triangle_strip():
+    """Three triangles in a row, 3-partite but with unlike links.
+
+    Faces [0,1,2], [1,2,3], [2,3,4] with colors 0,1,2,0,1.  The color-0
+    vertices 0 and 3 have links with 2 and 3 vertices (an edge and a
+    path), so no color type is a single link isomorphism class.
+    """
+    from cosetx.complexes import SimplicialComplex
+
+    return SimplicialComplex(2, 5, [[0, 1, 2], [1, 2, 3], [2, 3, 4]],
+                             colors=[0, 1, 2, 0, 1])
+
+
+def path_complex(k):
+    """The path on k vertices as a pure 1-dimensional complex."""
+    from cosetx.complexes import SimplicialComplex
+
+    if k < 2:
+        raise ParameterError(f"path needs k >= 2 vertices, got {k}")
+    return SimplicialComplex(1, k, [[i, i + 1] for i in range(k - 1)])
+
+
+def complete_bipartite(a, b):
+    """K_{a,b}, its sides colored 0 and 1."""
+    from cosetx.complexes import SimplicialComplex
+
+    if a < 1 or b < 1:
+        raise ParameterError("both sides need at least one vertex")
+    faces = [[i, a + j] for i in range(a) for j in range(b)]
+    return SimplicialComplex(1, a + b, faces, colors=[0] * a + [1] * b)
+
+
+def two_triangles_disjoint():
+    """Disconnected: two triangles sharing nothing."""
+    from cosetx.complexes import SimplicialComplex
+
+    return SimplicialComplex(2, 6, [[0, 1, 2], [3, 4, 5]])
+
+
+def bowtie():
+    """Two triangles sharing vertex 0, whose link is disconnected."""
+    from cosetx.complexes import SimplicialComplex
+
+    return SimplicialComplex(2, 5, [[0, 1, 2], [0, 3, 4]])
+
+
+SMALL_COMPLEXES = (triangle_strip, path_complex, complete_bipartite,
+                   two_triangles_disjoint, bowtie)
+
+
+# ---------------------------------------------------------------------------
 # second eigenvalue of the weighted walk, assembled independently
 
 
@@ -1420,18 +1474,58 @@ def gauge_act(X, psi, phi):
                                    lam.inv[psi.values[e[:, 1]]]])
 
 
+def tree_potential(X, phi):
+    """psi(root) = e and psi(v) = phi((u, v))^-1 psi(u) down the BFS
+    forest (``bfs_forest``), so d0 psi agrees with phi on every tree edge:
+    phi is a coboundary iff d0 psi = phi, and the gauge by psi^-1 makes
+    phi the identity on the tree."""
+    edges = X.faces(1).tolist()
+    parent, parent_edge, order, _ = bfs_forest(edges, X.vertex_count)
+    lam = phi.lam
+    psi = np.full(X.vertex_count, lam.identity, dtype=np.int64)
+    for v in order:
+        u, ei = parent[v], parent_edge[v]
+        if u < 0:
+            continue
+        val = int(phi.values[ei])
+        if edges[ei][0] != u:          # canonical row is (v, u)
+            val = int(lam.inv[val])
+        psi[v] = lam.table[lam.inv[val], psi[u]]
+    return psi
+
+
+def tree_gauge_fix(X, phi):
+    """The cocycle phi gauged to the identity on the BFS spanning tree of
+    a connected X, by the inverse tree potential."""
+    from cosetx.cohomology import Cochain0
+
+    lam = phi.lam
+    return gauge_act(X, Cochain0(lam, lam.inv[tree_potential(X, phi)]), phi)
+
+
 def is_coboundary(X, phi):
     """A psi with d0 psi = phi, or None; the tree potential, per
     component, is the only candidate."""
-    from cosetx.cohomology import Cochain0, _tree_potential, d0
+    from cosetx.cohomology import Cochain0, d0
     from cosetx.errors import InputError
 
     if len(phi.values) != X.face_count(1):
         raise InputError("1-cochain size does not match the complex")
-    cand = Cochain0(phi.lam, _tree_potential(X, phi))
+    cand = Cochain0(phi.lam, tree_potential(X, phi))
     if np.array_equal(d0(X, cand).values, phi.values):
         return cand
     return None
+
+
+def walk_transition(M):
+    """The dense row-stochastic transition matrix of a
+    ``spectral.WalkMatrix``: u -> v with probability
+    edge_counts(uv)/strength(u)."""
+    P = np.zeros((M.vertex_count, M.vertex_count))
+    u, v = M.edges[:, 0], M.edges[:, 1]
+    P[u, v] = M.edge_counts / M.strength[u]
+    P[v, u] = M.edge_counts / M.strength[v]
+    return P
 
 
 def stationary_exact(M):

@@ -53,7 +53,6 @@ from cosetx.cohomology import (
     distance,
     parse_coefficients,
     sym,
-    tree_gauge_fix,
     zmod,
 )
 from cosetx.complexes import SimplicialComplex, build_ko_complex, weights
@@ -266,7 +265,7 @@ def test_coboundary_recognized(vals):
     assert np.array_equal(d0(X, psi).values, phi.values)
     # and is_coboundary certifies by reconstruction, so gauge-fixing
     # a coboundary must land on the identity cochain
-    assert identity_support_free(tree_gauge_fix(X, phi))
+    assert identity_support_free(oracles.tree_gauge_fix(X, phi))
 
 
 def test_gauge_act_requires_cocycle():
@@ -282,12 +281,6 @@ def test_gauge_act_requires_cocycle():
                   identity_cochain1(X, lam))
 
 
-def test_tree_gauge_fix_requires_cocycle():
-    X = fx.single_triangle()
-    with pytest.raises(InputError):
-        tree_gauge_fix(X, Cochain1(zmod(2), np.array([1, 0, 0])))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=7, max_size=7))
 def test_gauge_orbits_land_in_conjugation_class(vals):
@@ -296,9 +289,9 @@ def test_gauge_orbits_land_in_conjugation_class(vals):
     lam = sym(3)
     wit = h1_class_census(X, lam).witness
     assert wit is not None
-    assert np.array_equal(tree_gauge_fix(X, wit).values, wit.values)
+    assert np.array_equal(oracles.tree_gauge_fix(X, wit).values, wit.values)
     moved = gauge_act(X, Cochain0(lam, np.array(vals)), wit)
-    fixed = tree_gauge_fix(X, moved)
+    fixed = oracles.tree_gauge_fix(X, moved)
     t, inv = lam.table, lam.inv
     orbit = {tuple(int(t[t[c, v], inv[c]]) for v in wit.values)
              for c in range(lam.size)}
@@ -389,8 +382,9 @@ def test_h1_enumerated_subfamilies_agree():
 
 # the pruned brute cocycles and batched coboundaries against full sweeps;
 # each group runs where |Lambda|^|X(1)| stays within the sweep budget
-BRUTE_FIXTURES = [fx.single_triangle, fx.triangle_strip, fx.tetrahedron_sphere,
-                  fx.octahedron, fx.torus_7, fx.bowtie,
+BRUTE_FIXTURES = [fx.single_triangle, oracles.triangle_strip,
+                  fx.tetrahedron_sphere, fx.octahedron, fx.torus_7,
+                  oracles.bowtie,
                   lambda: fx.cycle_complex(6), two_fold_triangle,
                   mobius_strip, projective_plane, punctured_torus]
 SWEEP_BUDGET = 1 << 21
@@ -437,7 +431,7 @@ def assert_lex_unique(rows):
 
 
 def test_h1_needs_connected():
-    X = fx.two_triangles_disjoint()
+    X = oracles.two_triangles_disjoint()
     for mode in ("gauge", "brute"):
         with pytest.raises(InputError):
             h1_trivial(X, zmod(2), mode=mode)
@@ -518,12 +512,17 @@ def test_ko_vertex_link_census_pins():
 
 
 def _forest(forest):
-    """A forest tuple as the Python lists oracles.bfs_forest returns."""
-    parent, parent_edge, order, comps = forest
-    return parent.tolist(), parent_edge.tolist(), order.tolist(), comps
+    """A forest tuple as the Python lists oracles.bfs_forest returns, but
+    for the component count."""
+    return tuple(a.tolist() for a in forest)
 
 
-# every builder in cosetx.fixtures, with arguments where it takes some
+# every builder in cosetx.fixtures and oracles.SMALL_COMPLEXES, with
+# arguments where it takes some
+BUILDERS = {**{name: f
+               for name, f in inspect.getmembers(fx, inspect.isfunction)
+               if f.__module__ == fx.__name__},
+            **{f.__name__: f for f in oracles.SMALL_COMPLEXES}}
 FIXTURE_ARGS = {
     "single_triangle": (), "triangle_strip": (), "tetrahedron_sphere": (),
     "octahedron": (), "torus_7": (), "cycle_complex": (6,),
@@ -534,29 +533,30 @@ FIXTURE_ARGS = {
 
 
 def test_fixture_args_cover_the_module():
-    names = {name for name, f in inspect.getmembers(fx, inspect.isfunction)
-             if f.__module__ == fx.__name__}
-    assert set(FIXTURE_ARGS) == names
+    assert set(FIXTURE_ARGS) == set(BUILDERS)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_ARGS))
 def test_skeleton_matches_bfs_oracle_on_fixtures(name):
-    X = getattr(fx, name)(*FIXTURE_ARGS[name])
+    X = BUILDERS[name](*FIXTURE_ARGS[name])
     want = oracles.bfs_forest(X.faces(1).tolist(), X.vertex_count)
-    assert _forest(X.spanning_forest()) == want
+    assert _forest(X.spanning_forest()) == want[:3]
+    assert X.component_count() == want[3]
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_skeleton_matches_bfs_oracle_on_ko_graphs(p):
     X = build_ko_complex(1, p, 2, 1)
     want = oracles.bfs_forest(X.faces(1).tolist(), X.vertex_count)
-    assert _forest(X.spanning_forest()) == want
+    assert _forest(X.spanning_forest()) == want[:3]
+    assert X.component_count() == want[3]
 
 
 def test_skeleton_matches_bfs_oracle_on_ko_complex(ko2221):
     X = ko2221
     want = oracles.bfs_forest(X.faces(1).tolist(), X.vertex_count)
-    assert _forest(X.spanning_forest()) == want
+    assert _forest(X.spanning_forest()) == want[:3]
+    assert X.component_count() == want[3]
 
 
 def test_bfs_forest_matches_oracle_on_random_graphs():
@@ -573,7 +573,7 @@ def test_bfs_forest_matches_oracle_on_random_graphs():
         rng.shuffle(rows)
         got = complexes.bfs_forest(
             np.array(rows, dtype=np.int64).reshape(-1, 2), V)
-        assert _forest(got) == oracles.bfs_forest(rows, V)
+        assert _forest(got) == oracles.bfs_forest(rows, V)[:3]
         covered = {v for e in pairs for v in e}
         if not pairs:
             X = SimplicialComplex(0, V, [[v] for v in range(V)])
@@ -582,7 +582,8 @@ def test_bfs_forest_matches_oracle_on_random_graphs():
         else:
             X = None
         if X is not None:
-            assert _forest(X.spanning_forest()) == want
+            assert _forest(X.spanning_forest()) == want[:3]
+            assert X.component_count() == want[3]
         hit["components"] += want[3] > 1
         hit["isolated"] += len(covered) < V
         hit["single"] += V == 1
@@ -601,8 +602,8 @@ def test_spectral_report_and_h1_search_the_skeleton_once(monkeypatch):
     monkeypatch.setattr(complexes, "bfs_forest", spy)
     local_spectral_report(X, 0.999)
     h1_trivial(X, zmod(2))
-    # X once, through walk_matrix; each solved link once more
-    assert searched.count(True) == 1 and len(searched) == 8
+    # X once, for H^1; the walks count components without a search
+    assert searched == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +612,7 @@ def test_spectral_report_and_h1_search_the_skeleton_once(monkeypatch):
 
 # the connected fixtures with edges, and this module's own complexes
 GAUGE_COMPLEXES = {
-    **{name: (lambda name=name: getattr(fx, name)(*FIXTURE_ARGS[name]))
+    **{name: (lambda name=name: BUILDERS[name](*FIXTURE_ARGS[name]))
        for name in FIXTURE_ARGS if name != "two_triangles_disjoint"},
     "two_fold_triangle": two_fold_triangle, "mobius_strip": mobius_strip,
     "projective_plane": projective_plane, "punctured_torus": punctured_torus,
@@ -793,8 +794,8 @@ def test_h0_pinned_values():
 
 def test_h0_matches_partition_brute_force():
     cases = [fx.single_triangle(), fx.octahedron(), fx.torus_7(),
-             fx.cycle_complex(6), fx.path_complex(4),
-             fx.complete_graph(4), fx.complete_bipartite(2, 3),
+             fx.cycle_complex(6), oracles.path_complex(4),
+             fx.complete_graph(4), oracles.complete_bipartite(2, 3),
              two_fold_triangle()]
     # m = 4 is below the vertex count on the octahedron, the torus, the
     # 6-cycle and K_{2,3}, and not below it on the other four
@@ -944,7 +945,8 @@ def test_h1_expansion_zp_pins():
     (fx.single_triangle, 2), (fx.single_triangle, 3), (fx.single_triangle, 5),
     (fx.tetrahedron_sphere, 2), (fx.tetrahedron_sphere, 3),
     (fx.tetrahedron_sphere, 5), (fx.octahedron, 2), (fx.octahedron, 3),
-    (fx.triangle_strip, 2), (fx.triangle_strip, 3), (fx.triangle_strip, 5),
+    (oracles.triangle_strip, 2), (oracles.triangle_strip, 3),
+    (oracles.triangle_strip, 5),
     (fx.torus_7, 2)])
 def test_coset_min_weights_match_syndrome_sweep(build, p):
     # the octahedron over Z/5 (5^12 cochains) is beyond the sweep's reach
@@ -1059,7 +1061,7 @@ def test_h1_expansion_validation():
             expansion_h1(fx.single_triangle(), zmod(2), mode="search",
                          iters=iters)
     with pytest.raises(InputError):
-        expansion_h1(fx.two_triangles_disjoint(), zmod(2))
+        expansion_h1(oracles.two_triangles_disjoint(), zmod(2))
     with pytest.raises(InputError):
         expansion_h1(fx.single_triangle(), zmod(2), mode="??")
 

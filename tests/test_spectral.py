@@ -29,7 +29,6 @@ from cosetx.complexes import (
     bfs_forest,
     build_ko_complex,
     coset_complex,
-    count_components,
     dumps_complex,
     link,
     loads_complex,
@@ -41,7 +40,8 @@ from cosetx.errors import (
     ResourceLimitError,
     StructureError,
 )
-from cosetx.groups import cosets, subgroup_closure_indices, symmetric_group
+from cosetx.groups import (component_labels, cosets, subgroup_closure_indices,
+                           symmetric_group)
 from cosetx.roots import perm_rank
 from cosetx.spectral import (
     _finish_report,
@@ -66,9 +66,9 @@ TOL = 1e-9
 def test_transition_is_stochastic_and_reversible():
     for X in (fx.octahedron(), fx.torus_7(), fx.petersen_graph()):
         M = walk_matrix(X)
-        P = M.transition()
+        P = oracles.walk_transition(M)
         assert np.allclose(P.sum(axis=1), 1.0)
-        pi = M.stationary()
+        pi = M.strength / M.strength.sum()
         assert pi.sum() == pytest.approx(1.0)
         assert np.allclose(pi @ P, pi)
         # detailed balance: diag(pi) P is symmetric
@@ -82,7 +82,7 @@ def test_transition_is_stochastic_and_reversible():
 def test_symmetric_form_has_same_spectrum():
     X = fx.torus_7()
     M = walk_matrix(X)
-    vals_p = np.sort(np.linalg.eigvals(M.transition()).real)
+    vals_p = np.sort(np.linalg.eigvals(oracles.walk_transition(M)).real)
     S = M.symmetric()
     dense = np.column_stack([S @ e for e in np.eye(M.vertex_count)])
     vals_s = np.sort(np.linalg.eigvalsh(dense))
@@ -91,18 +91,18 @@ def test_symmetric_form_has_same_spectrum():
 
 def test_walk_matrix_validation():
     with pytest.raises(StructureError):
-        walk_matrix(fx.two_triangles_disjoint())
+        walk_matrix(oracles.two_triangles_disjoint())
     with pytest.raises(ParameterError):
         walk_matrix(SimplicialComplex(0, 2, [[0], [1]]))
 
 
 STRENGTH_CASES = {
     "single-triangle": fx.single_triangle,
-    "triangle-strip": fx.triangle_strip,
+    "triangle-strip": oracles.triangle_strip,
     "tetrahedron-sphere": fx.tetrahedron_sphere,
     "octahedron": fx.octahedron,
     "torus-7": fx.torus_7,
-    "bowtie": fx.bowtie,
+    "bowtie": oracles.bowtie,
     "petersen": fx.petersen_graph,
     "fan": lambda: SimplicialComplex(2, 5, [[0, 1, 2], [0, 1, 3], [0, 1, 4],
                                             [1, 2, 3]]),
@@ -127,26 +127,33 @@ def test_walk_strength_is_the_sum_over_each_vertex_edges(make):
     assert np.array_equal(M.strength, want)
 
 
-def _scipy_component_count(edges, V):
-    """Undirected components by scipy's csgraph, the test-only oracle."""
+def _scipy_labels(edges, V):
+    """Undirected components by scipy's csgraph, the test-only oracle,
+    each labelled by its least vertex."""
     sparse = pytest.importorskip("scipy.sparse")
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     A = sparse.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                           shape=(V, V))
-    return int(csgraph.connected_components(A, directed=False,
-                                            return_labels=False))
+    _, comp = csgraph.connected_components(A, directed=False)
+    least = np.full(V, V)
+    np.minimum.at(least, comp, np.arange(V))
+    return least[comp]
+
+
+def _roots(labels):
+    return int(np.count_nonzero(labels == np.arange(len(labels))))
 
 
 @pytest.mark.parametrize("X", [
-    fx.two_triangles_disjoint(),
-    link(fx.bowtie(), (0,)),
+    oracles.two_triangles_disjoint(),
+    link(oracles.bowtie(), (0,)),
     # a path with isolated edges on either side: three components
     SimplicialComplex(1, 7, [[0, 1], [2, 3], [3, 4], [5, 6]]),
 ], ids=["two-triangles", "bowtie-link", "three-pieces"])
 def test_walk_matrix_component_count_is_undirected(X):
     """component_count, is_connected and walk_matrix's error all see the
     undirected components of the 1-skeleton."""
-    want = _scipy_component_count(X.faces(1), X.vertex_count)
+    want = _roots(_scipy_labels(X.faces(1), X.vertex_count))
     assert want > 1
     assert X.component_count() == want and not X.is_connected()
     with pytest.raises(StructureError, match=rf"disconnected \({want} components\)"):
@@ -163,11 +170,12 @@ def test_component_count_matches_csgraph_on_random_graphs(graph):
     V, pairs = graph
     edges = np.array(sorted({(min(a, b), max(a, b)) for a, b in pairs
                              if a != b}), dtype=np.int64).reshape(-1, 2)
-    assert bfs_forest(edges, V)[3] == _scipy_component_count(edges, V)
+    assert _roots(component_labels(V, [(edges[:, 0], edges[:, 1])])) == \
+        _roots(_scipy_labels(edges, V))
 
 
 # ---------------------------------------------------------------------------
-# component counts without a spanning forest
+# component labels
 
 
 def _edge_rows(pairs, rng):
@@ -179,10 +187,44 @@ def _edge_rows(pairs, rng):
     return rows[rng.permutation(len(rows))]
 
 
+def _split(edges, rng):
+    """The edge rows as one to four (u, v) pairs of index arrays."""
+    cuts = np.sort(rng.integers(0, len(edges) + 1, size=rng.integers(0, 4)))
+    return [(part[:, 0], part[:, 1]) for part in np.split(edges, cuts)]
+
+
+def _bfs_labels(edges, V):
+    """Each vertex's root in the BFS forest, which the order contract makes
+    its component's least vertex."""
+    parent, _, order = bfs_forest(edges, V)
+    labels = np.arange(V)
+    for v in order.tolist():
+        if parent[v] >= 0:
+            labels[v] = labels[parent[v]]
+    return labels
+
+
 @pytest.mark.parametrize("V", [0, 1, 7])
 def test_count_components_of_no_edges_is_the_vertex_count(V):
     edges = np.zeros((0, 2), dtype=np.int64)
-    assert count_components(edges, V) == bfs_forest(edges, V)[3] == V
+    for pairs in ([], [(edges[:, 0], edges[:, 1])]):
+        assert np.array_equal(component_labels(V, pairs), np.arange(V))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda V: st.tuples(
+    st.just(V),
+    st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)),
+             max_size=3 * V),
+    st.integers(0, 2**32 - 1))))
+def test_component_labels_match_csgraph_on_random_graphs(graph):
+    # isolated vertices, loops, repeated edges, either orientation, rows
+    # in any order and split over several pairs
+    V, pairs, seed = graph
+    rng = np.random.default_rng(seed)
+    edges = _edge_rows(pairs, rng)
+    got = component_labels(V, _split(edges, rng))
+    assert np.array_equal(got, _scipy_labels(edges, V))
 
 
 @settings(max_examples=150, deadline=None)
@@ -194,8 +236,10 @@ def test_count_components_of_no_edges_is_the_vertex_count(V):
 def test_count_components_matches_the_bfs_on_random_graphs(graph):
     # isolated vertices, repeated edges, rows in any order and orientation
     V, pairs, seed = graph
-    edges = _edge_rows(pairs, np.random.default_rng(seed))
-    assert count_components(edges, V) == bfs_forest(edges, V)[3]
+    rng = np.random.default_rng(seed)
+    edges = _edge_rows(pairs, rng)
+    assert np.array_equal(component_labels(V, _split(edges, rng)),
+                          _bfs_labels(edges, V))
 
 
 def test_count_components_adds_over_disjoint_unions():
@@ -206,29 +250,46 @@ def test_count_components_adds_over_disjoint_unions():
         for V in sizes:
             part = [(a, b) for a, b in rng.integers(0, V, size=(V, 2))
                     if a != b]
-            parts.append(bfs_forest(_edge_rows(part, rng), int(V))[3])
+            parts.append(_roots(_bfs_labels(_edge_rows(part, rng), int(V))))
             pairs += [(base + a, base + b) for a, b in part]
             base += int(V)
         # vertex labels shuffled across the parts
         perm = rng.permutation(base)
         edges = perm[_edge_rows(pairs, rng)]
-        assert count_components(edges, base) == bfs_forest(edges, base)[3]
-        assert count_components(edges, base) == sum(parts)
+        labels = component_labels(base, _split(edges, rng))
+        assert np.array_equal(labels, _bfs_labels(edges, base))
+        assert _roots(labels) == sum(parts)
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
 def test_count_components_of_a_shuffled_path_and_cycle(closed):
     # about 2 * 10^4 vertices in one component; with the labels shuffled
-    # the count takes 10 hook rounds, where a sorted path takes one
+    # the labelling takes about 10 hook rounds, where a sorted path takes
+    # one
     V = 20011
     rng = np.random.default_rng(V)
     perm = rng.permutation(V)
     pairs = list(zip(perm[:-1], perm[1:])) + [(perm[-1], perm[0])] * closed
     edges = _edge_rows(pairs, rng)
-    assert count_components(edges, V) == bfs_forest(edges, V)[3] == 1
+    labels = component_labels(V, [(edges[:, 0], edges[:, 1])])
+    assert np.array_equal(labels, _bfs_labels(edges, V))
+    assert (labels == 0).all()
     # one edge fewer splits the path in two and opens the cycle
-    assert count_components(edges[1:], V) == bfs_forest(edges[1:], V)[3] \
-        == 2 - closed
+    rest = edges[1:]
+    labels = component_labels(V, _split(rest, rng))
+    assert np.array_equal(labels, _bfs_labels(rest, V))
+    assert _roots(labels) == 2 - closed
+
+
+def test_component_labels_of_a_shuffled_cycle_permutation():
+    # the cycle as one (arange, perm) pair, as cosets() passes a right
+    # table: one label, however the cycle visits the vertices
+    V = 20011
+    order = np.random.default_rng(V).permutation(V)
+    perm = np.empty(V, dtype=np.int64)
+    perm[order] = np.roll(order, -1)
+    labels = component_labels(V, [(np.arange(V), perm)])
+    assert (labels == 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +304,7 @@ CLOSED_FORM = [
     (fx.petersen_graph(), 1 / 3),
     (fx.octahedron, 0.0),
     (fx.torus_7, -1 / 6),                   # skeleton is K_7
-    (fx.complete_bipartite(2, 3), 0.0),
+    (oracles.complete_bipartite(2, 3), 0.0),
 ]
 
 
@@ -267,13 +328,13 @@ def test_second_eigenvalue_matches_oracle():
 def _small_graphs():
     """Graphs on 2..12 vertices whose walks the solver must get right."""
     for k in range(2, 13):
-        yield f"path-{k}", fx.path_complex(k)
+        yield f"path-{k}", oracles.path_complex(k)
         yield f"K{k}", fx.complete_graph(k)
     for k in range(3, 13):
         yield f"cycle-{k}", fx.cycle_complex(k)
     for a in range(1, 7):
         for b in range(a, 13 - a):
-            yield f"K{a},{b}", fx.complete_bipartite(a, b)
+            yield f"K{a},{b}", oracles.complete_bipartite(a, b)
     yield "petersen", fx.petersen_graph()
 
 
@@ -409,7 +470,7 @@ def test_report_torus_threshold():
 
 
 def test_report_flags_disconnected_link():
-    rep = local_spectral_report(fx.bowtie(), 0.99)
+    rep = local_spectral_report(oracles.bowtie(), 0.99)
     assert not rep.connected_ok and not rep.passed
     bad = [e for e in rep.entries if not e.connected]
     assert [e.face for e in bad] == [(0,)]
@@ -521,7 +582,7 @@ def test_report_coset_colors_with_unlike_links():
 def test_report_colored_fixture_solves_every_link():
     # partite but not a coset complex: the color-0 vertices 0 and 3 have
     # links with 2 and 3 vertices, so colors alone must not key a solve
-    X = fx.triangle_strip()
+    X = oracles.triangle_strip()
     rep = local_spectral_report(X, 0.9)
     assert [e.solver for e in rep.entries] == ["lanczos"] * 6
     assert [(e.colors, e.vertices) for e in rep.entries[1:]] == \
