@@ -9,18 +9,19 @@ files.  ``TableGroup`` is the one dense-table type: the small test groups
 (Sym(k), quotients G/N) and the coefficient groups of the cochain calculus
 (Z/m, Sym(k), tables read from a file) are all TableGroups.
 
-A partition of G into left cosets is a ``CosetPartition``, and every one
-is made by ``CosetPartition.from_keys`` from one class key per element in
-[0, |G|): the labels of ``cosets()`` (``component_labels``, the package's
-one connectivity routine), the normal-form codes of ``ko_coset_codes``, or
-a K_0 partition read through a conjugation.
+A partition of G into left cosets is a ``CosetPartition``, made from
+smallest indices, the labels of ``cosets()`` (``component_labels``, the
+package's one connectivity routine), or from any class key per element
+in [0, |G|): the codes of ``ko_coset_codes``, or a K_0 partition read
+through a conjugation.
 
 The KO subgroups K_i are the exception to BFS enumeration: K_0 is a box of
 entry coordinates, listed in closed form (``subgroup_K``), K_i is its
 gamma_0^i rotation, and K_0 n K_j is again a box (``ko_intersection_bounds``).
 So each left coset g(K_0 n K_j) has a normal form, whose code
-(``ko_coset_codes``) is reduced from K_0's entry columns by 1-D ``take``s
-on the flat q*q ring tables, with no closure, key lookup or ``cosets()``.
+(``ko_coset_codes``) is reduced from K_0's entry columns (``k0_entries``)
+by 1-D ``take``s on the flat q*q ring tables, with no element table,
+closure, key lookup or ``cosets()``.
 
 Index sets are boolean masks over [0, |G|), all grown by ``_close``: a
 BFS through right-multiplication tables (r[a] = a*g), for subgroups
@@ -216,7 +217,7 @@ class MatrixGroup(FiniteGroup):
         self.elems = np.ascontiguousarray(elems, dtype=np.uint32)
         self.size = len(self.elems)
         ident = identity_flat(m)
-        # closures and the closed-form K_i list the identity first
+        # closures list the identity first
         hits = ([0] if np.array_equal(self.elems[:1], ident[None, :]) else
                 np.flatnonzero((self.elems == ident).all(axis=1)))
         if len(hits) == 0:
@@ -407,12 +408,26 @@ def component_labels(V: int, pairs: Iterable[tuple[np.ndarray, np.ndarray]]
     return label
 
 
+def _ranks(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in [0, n), ascending, and each key's rank, in the
+    narrowest unsigned dtypes that hold an index and a rank."""
+    keys = keys.astype(np.intp, copy=False)  # an index twice: cast once
+    seen = np.zeros(n, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen).astype(np.min_scalar_type(n - 1))
+    # written at the distinct keys only: the other pages stay untouched
+    rank = np.empty(n, dtype=np.min_scalar_type(len(distinct) - 1))
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank.take(keys)
+
+
 @dataclasses.dataclass
 class CosetPartition:
     """Left cosets gK of a subgroup, labeled deterministically.
 
     ``labels[a]`` is the smallest element index in aK; ``ordinal[a]`` numbers
-    the cosets 0..n_cosets-1 by ascending representative index.
+    the cosets 0..n_cosets-1 by ascending representative index.  Each is
+    in the narrowest unsigned dtype that holds its values (``reps``, too).
     """
 
     group: FiniteGroup
@@ -424,17 +439,25 @@ class CosetPartition:
     def from_keys(cls, group: FiniteGroup, keys: np.ndarray) -> "CosetPartition":
         """The partition of G whose classes share a key in [0, |G|).
 
-        O(|G|) and sort-free: each class is labeled by its smallest index
-        and the representatives are numbered in index order.
+        O(|G|) with no sort over G: the classes are ranked by key, each
+        one's smallest index is found in an array sized by the classes,
+        and only those indices are sorted, to number the classes.
         """
         n = group.size
-        idx = np.arange(n)
-        first = np.full(n, n)
-        np.minimum.at(first, keys, idx)
-        labels = first[keys]
-        is_rep = labels == idx
-        return cls(group, labels, np.flatnonzero(is_rep),
-                   (np.cumsum(is_rep) - 1)[labels])
+        distinct, klass = _ranks(n, keys)
+        # every class holds an index, so n - 1 bounds its smallest one
+        first = np.full(len(distinct), n - 1, dtype=distinct.dtype)
+        np.minimum.at(first, klass, np.arange(n, dtype=first.dtype))
+        order = np.argsort(first)
+        rank = np.argsort(order).astype(np.min_scalar_type(len(first) - 1))
+        # take gathers about twice as fast as [] on these narrow indices
+        return cls(group, first.take(klass), first[order], rank.take(klass))
+
+    @classmethod
+    def from_labels(cls, group: FiniteGroup, labels: np.ndarray) -> "CosetPartition":
+        """The partition whose class of a has smallest index labels[a]."""
+        reps, ordinal = _ranks(group.size, labels)
+        return cls(group, labels.astype(reps.dtype, copy=False), reps, ordinal)
 
     @property
     def n_cosets(self) -> int:
@@ -486,7 +509,7 @@ def cosets(G: FiniteGroup, sub_indices: Sequence[int],
             raise StructureError(
                 "claimed subgroup is not closed under multiplication")
     idx = np.arange(G.size)
-    return CosetPartition.from_keys(
+    return CosetPartition.from_labels(
         G, component_labels(G.size, [(idx, arr) for arr in arrs]))
 
 
@@ -575,6 +598,29 @@ def _place_values(D: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return radix, np.where(radix > 1, place, 0)
 
 
+def k0_entries(n: int, p: int, s: int, d: int) -> np.ndarray:
+    """``subgroup_K(n, p, s, d, 0).elems.T`` at the free entries a < b, in
+    uint32 with no element table: entry k of element x is its mixed-radix
+    digit k, so each row is filled by broadcast."""
+    radix, place = _place_values(k0_degree_bounds(n, s, d), p)
+    free = np.flatnonzero(radix > 1)
+    rows = np.empty((len(free), k0_order(n, p, s, d)), dtype=np.uint32)
+    for row, k in zip(rows, free):  # each digit held for place[k] elements
+        row.reshape(-1, radix[k], place[k])[:] = np.arange(radix[k])[:, None]
+    return rows
+
+
+class _ClosedFormGroup(MatrixGroup):
+    """A K_i of ``subgroup_K``: its table is listed on first access to
+    ``elems``, and element 0 is the identity by construction."""
+
+    def __init__(self, ring, m: int, size: int, generators: list, table):
+        self.ring, self.m, self.size, self.identity = ring, m, size, 0
+        self.generators, self._table = generators, table
+
+    elems = functools.cached_property(lambda self: self._table())
+
+
 def subgroup_K(n: int, p: int, s: int, d: int, i: int,
                cap: int = DEFAULT_CAP) -> MatrixGroup:
     """K_i <= SL_{n+1}(F_p[t]/t^s), enumerated in closed form.
@@ -586,10 +632,10 @@ def subgroup_K(n: int, p: int, s: int, d: int, i: int,
     p^(D_ab+1)", and the elements are listed in the mixed-radix order of
     their entries: row-major, the first entry most significant, element 0
     the identity.  K_i = gamma_0^i K_0 gamma_0^-i is ``rotate_rows`` of that
-    list, in the same order.  |K_0| is checked against ``cap`` before
-    anything is allocated.  ``generators`` are the n(d+1) elements
-    e(t^k), k <= d, in the rotated simple-root positions; they generate,
-    since e(c t^k) = e(t^k)^c.
+    list, in the same order, built from ``k0_entries`` on first access.
+    |K_0| is checked against ``cap`` before anything is allocated.
+    ``generators`` are the n(d+1) elements e(t^k), k <= d, in the rotated
+    simple-root positions; they generate, since e(c t^k) = e(t^k)^c.
     """
     check_ring_params(p, s)
     if n < 1:
@@ -603,17 +649,16 @@ def subgroup_K(n: int, p: int, s: int, d: int, i: int,
         raise ResourceLimitError(f"|K_0| = {order} exceeds cap {cap}",
                                  partial_count=0)
     m = n + 1
-    radix, place = _place_values(k0_degree_bounds(n, s, d), p)
-    elems = np.empty((order, m * m), dtype=np.uint32)
-    elems[:] = identity_flat(m)
-    for k in np.flatnonzero(radix > 1):
-        # entry k counts 0..radix-1, each value held for place[k] rows
-        elems.reshape(-1, radix[k], place[k], m * m)[..., k] = \
-            np.arange(radix[k], dtype=np.uint32)[:, None]
+    _, place = _place_values(k0_degree_bounds(n, s, d), p)
+
+    def table() -> np.ndarray:
+        elems = np.tile(identity_flat(m), (order, 1))
+        elems[:, place > 0] = k0_entries(n, p, s, d).T
+        return rotate_rows(elems, i) if i else elems
+
     gens = sorted(int(place[a * m + a + 1]) * p**k
                   for a in range(n) for k in range(d + 1))
-    return MatrixGroup(RingTable(p, s), m,
-                       rotate_rows(elems, i) if i else elems, gens)
+    return _ClosedFormGroup(RingTable(p, s), m, order, gens, table)
 
 
 def rotate_rows(rows: np.ndarray, k: int) -> np.ndarray:
@@ -638,9 +683,9 @@ def ko_coset_codes(K0: MatrixGroup, d: int, j: int,
     below a in column b and all earlier columns alone, so every cleared
     entry stays cleared.  Each e_ab(r) lies in H = K_0 n K_j, so the
     result lies in gH; the reduced elements number prod p^(D_ab - B_ab) =
-    |K_0|/|H|, one per coset at least, hence exactly one.  ``entries``,
-    the rows of ``K0.elems.T`` at a < b, are only read, and the codes,
-    below |K_0|, are uint32 (int64 past 2^32).
+    |K_0|/|H|, one per coset at least, hence exactly one.  ``entries``
+    (``k0_entries``) are only read, and the codes, below |K_0|, are uint32
+    (int64 past 2^32).
     """
     m, ring = K0.m, K0.ring
     q, mul, add = ring.q, ring.mul.reshape(-1), ring.add.reshape(-1)
@@ -670,36 +715,39 @@ def ko_coset_codes(K0: MatrixGroup, d: int, j: int,
 def ko_link_cosets(K0: MatrixGroup, d: int) -> list[CosetPartition]:
     """Left cosets of K_0 n K_j in K_0 for j = 1..n, by normal form.
 
-    ``K0`` is ``subgroup_K(n, p, s, d, 0)``; only its element set matters.
-    Classes are the ``ko_coset_codes`` classes, labeled as ``cosets()``
-    labels them (smallest element index), and checked at runtime: H =
-    K_0 n K_j is found by membership, x in H when gamma_0^-j x gamma_0^j
-    has K_0's fixed entries and degree bounds, and every class must hold
-    exactly |H| elements, the identity's class being H itself.  That
-    check proves the class sizes and the identity's class, no more: a
-    reduction without the products g_ib += g_ia r passes it with wrong
-    partitions.  The reduction arithmetic is certified by the tests
-    ``TestKOLinkCosets::test_normal_form_matches_cosets``, against
-    ``cosets()``, and ``test_ko_links_match_literal_links``, against the
-    links of the BFS-built complex.
+    ``K0`` is ``subgroup_K(n, p, s, d, 0)``, read through ``k0_entries``
+    only.  Classes are the ``ko_coset_codes`` classes, labeled as
+    ``cosets()`` labels them (smallest element index), and checked at
+    runtime: each holds |H| elements, H = K_0 n K_j found by
+    membership (x in H when gamma_0^-j x gamma_0^j has K_0's fixed entries
+    and degree bounds), and the identity's class is H.  A reduction
+    without the products g_ib += g_ia r passes that check with wrong
+    partitions, which ``spectral.ko_link_report`` catches by their
+    disconnected walk.  The arithmetic is certified by the tests against
+    ``cosets()`` (``TestKOLinkCosets::test_normal_form_matches_cosets``)
+    and the BFS-built complex (``test_ko_links_match_literal_links``).
     """
-    lim, _ = _place_values(k0_degree_bounds(K0.m - 1, K0.ring.s, d), K0.ring.p)
+    n, p, s = K0.m - 1, K0.ring.p, K0.ring.s
+    lim, _ = _place_values(k0_degree_bounds(n, s, d), p)
     free = lim > 1
-    entries = K0.elems.T[free]  # read once for every j
+    entries = k0_entries(n, p, s, d)  # read once for every j
     parts = []
     for j in range(1, K0.m):
         # x's entry (a, b) sits at (h(a), h(b)) in the conjugate, so it must
         # stay below lim there; x's fixed entries pass for every j
-        in_sub = (entries < rotate_rows(lim[None, :], j)[0, free, None]).all(axis=0)
-        # intp once, for the bincount, the class test and the labels' gathers
-        codes = ko_coset_codes(K0, d, j, entries).astype(np.intp)
-        sizes = np.bincount(codes)
-        if ((sizes[sizes > 0] != np.count_nonzero(in_sub)).any()
-                or not np.array_equal(codes == codes[K0.identity], in_sub)):
+        in_sub = np.ones(K0.size, dtype=bool)
+        for row, top, bound in zip(entries, lim[free],
+                                   rotate_rows(lim[None, :], j)[0, free]):
+            if bound < top:
+                in_sub &= row < bound
+        part = CosetPartition.from_keys(K0, ko_coset_codes(K0, d, j, entries))
+        # the identity, element 0, is in the class of ordinal 0
+        if ((np.bincount(part.ordinal) != np.count_nonzero(in_sub)).any()
+                or not np.array_equal(part.ordinal == 0, in_sub)):
             raise StructureError(
                 f"normal form of K_0 n K_{j} does not give |K_0|/|H| "
                 f"classes of |H| elements")
-        parts.append(CosetPartition.from_keys(K0, codes))
+        parts.append(part)
     return parts
 
 

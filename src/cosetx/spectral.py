@@ -51,7 +51,8 @@ class SymmetricForm:
     """A symmetric V x V matrix by its nonzero entries, both triangles.
 
     ``S @ x`` is one ``bincount``: entry k adds vals[k] * x[cols[k]] to
-    row rows[k].
+    row rows[k].  The products are formed in place in the gathered
+    x[cols]: one temporary of the entries' size.
     """
 
     size: int
@@ -60,8 +61,9 @@ class SymmetricForm:
     vals: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.vals * x[self.cols],
-                           minlength=self.size)
+        terms = x.take(self.cols)
+        terms *= self.vals
+        return np.bincount(self.rows, weights=terms, minlength=self.size)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,23 +130,25 @@ def coset_walk(G: FiniteGroup, subgroups: Sequence) -> WalkMatrix:
     g's chamber (``coset_vertices``) is shared by c = |n_i K_i| elements,
     so an edge's count is the number of elements whose chamber holds both
     ends, over c (a remainder raises InputError): the runs of the
-    C(k, 2)|G| pair keys u*V + v, in the narrowest unsigned dtype that
-    holds V**2 and sorted in place.  A colour-i vertex's strength is
-    (k - 1)|K_i|/c, and the roots of ``component_labels`` count the
-    components.  Arrays and dtypes equal ``walk_matrix``'s.
+    C(k, 2)|G| pair keys u << b | v, b the bit length of V - 1, in the
+    narrowest unsigned dtype that holds them and sorted in place.  A
+    colour-i vertex's strength is (k - 1)|K_i|/c, and the roots of
+    ``component_labels`` count the components.  Arrays and dtypes equal
+    ``walk_matrix``'s.
     """
     parts, offsets = coset_vertices(G, subgroups)
     k, V, N, sizes = len(parts), int(offsets[-1]), G.size, np.diff(offsets)
     c = int(np.logical_and.reduce(
         [part.ordinal == part.ordinal[G.identity] for part in parts]).sum())
-    dtype = np.min_scalar_type(V * V - 1)
-    cols = [(part.ordinal + o).astype(dtype)
-            for o, part in zip(offsets, parts)]
+    b = (V - 1).bit_length()
+    dtype = np.min_scalar_type((1 << 2 * b) - 1)
     keys = np.empty((k * (k - 1) // 2, N), dtype=dtype)
-    for row, (u, v) in zip(keys, itertools.combinations(cols, 2)):
-        np.multiply(u, V, out=row)
-        row += v
-    del cols
+    for row, ((o, u), (w, v)) in zip(keys, itertools.combinations(
+            zip(offsets.tolist(), parts), 2)):
+        # (o + u) << b | (w + v) is (u << b) + v + (o << b) + w: w + v < 2**b
+        np.left_shift(u.ordinal, b, out=row, dtype=dtype)
+        row += v.ordinal
+        row += (o << b) + w
     keys = keys.reshape(-1)
     keys.sort()
     fresh = np.ones(len(keys), dtype=bool)
@@ -153,7 +157,8 @@ def coset_walk(G: FiniteGroup, subgroups: Sequence) -> WalkMatrix:
     counts, rest = np.divmod(np.diff(np.append(first, len(keys))), c)
     if rest.any():  # never for the cosets of subgroups
         raise InputError(f"an edge count is not a multiple of {c}")
-    edges = np.stack(np.divmod(keys.take(first).astype(np.int64), V), axis=1)
+    keys = keys.take(first)
+    edges = np.stack([keys >> b, keys & (1 << b) - 1], axis=1, dtype=np.int64)
     del keys, fresh, first, rest  # not held through the count
     strength = np.repeat((k - 1) * (N // (sizes * c)), sizes)
     labels = component_labels(V, [(edges[:, 0], edges[:, 1])])
@@ -187,12 +192,12 @@ def second_eigenvalue(M: WalkMatrix, cap: int = DEFAULT_CAP) -> float:
     connected walk on two vertices is a single edge with spectrum
     {1, -1}.
 
-    The basis Q holds u and the Lanczos vectors, V floats each, and grows
-    by doubling into a new array, so that the old and the new basis are
-    held at once.  ``cap`` bounds the floats of both: a growth that would
-    pass it raises ResourceLimitError before the new basis is allocated,
-    carrying the steps taken.  KO links converge in 6-12 steps, well
-    inside the default.
+    The basis Q holds u and the Lanczos vectors, V floats each, in
+    min(V, 32) rows at first, touched only as they are written, and grows
+    by doubling into a new array that the old rows are copied to, so that
+    both bases are held at once.  ``cap`` bounds the floats of both: an
+    allocation that would pass it raises ResourceLimitError beforehand,
+    carrying the steps taken.  KO links converge in 6-12 steps.
     """
     V = M.vertex_count
     if V < 2:
@@ -209,7 +214,9 @@ def second_eigenvalue(M: WalkMatrix, cap: int = DEFAULT_CAP) -> float:
                 f"Lanczos basis of {rows} x {V} floats exceeds cap {cap} "
                 f"next to the {len(Q)} rows it grows from",
                 partial_count=steps)
-        return np.concatenate([Q, np.empty((rows - len(Q), V))])
+        out = np.empty((rows, V))
+        out[:len(Q)] = Q
+        return out
 
     # row 0 is u, rows 1..j the Lanczos vectors; grown by doubling
     Q = grow(np.empty((0, V)), min(V, 32), 0)
@@ -399,13 +406,14 @@ def ko_link_report(n: int, p: int, s: int, d: int,
     The color-0 link CC(K_0, {K_0 n K_j : j = 1..n}) is solved, from
     K_0 in closed form (``groups.subgroup_K``) and normal-form cosets
     (``groups.ko_link_cosets``), by ``coset_walk``: no complex, and the
-    float of ``walk_matrix`` on the link as a complex.  Conjugation by
-    gamma_0^i maps K_0 n K_j onto K_i n K_{i+j}, so colors 1..n are its
-    rotations and ``"reused"``.  The ambient walk is deliberately absent:
-    for interesting parameters the full group is out of reach, and the
-    local criterion quantifies over links.  ``threshold`` defaults to the
-    theorem bound, which requires sqrt(p) > n.  ``cap`` bounds |K_0|
-    (closed form, checked before any allocation) and the Lanczos basis.
+    float of ``walk_matrix`` on the link as a complex; K_0's element table
+    is never built.  Conjugation by gamma_0^i maps K_0 n K_j onto
+    K_i n K_{i+j}, so colors 1..n are its rotations and ``"reused"``.  The
+    ambient walk is deliberately absent: for interesting parameters the
+    full group is out of reach, and the local criterion quantifies over
+    links.  ``threshold`` defaults to the theorem bound, which requires
+    sqrt(p) > n.  ``cap`` bounds |K_0| (closed form, checked before any
+    allocation) and the Lanczos basis.
     """
     if threshold is None:
         if math.sqrt(p) <= n:
@@ -421,8 +429,8 @@ def ko_link_report(n: int, p: int, s: int, d: int,
     vertices = sum(part.n_cosets for part in parts)
 
     def walk() -> WalkMatrix:
-        # the partitions, and K_0's elements through them, are let go once
-        # the walk is built, before the Lanczos basis is allocated
+        # the partitions, and K_0 through them, are let go once the walk
+        # is built, before the Lanczos basis is allocated
         nonlocal parts
         held, parts = parts, None
         return coset_walk(held[0].group, held)

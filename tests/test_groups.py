@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cosetx._kernels import pack_keys
 from cosetx.errors import ParameterError, ResourceLimitError, StructureError
-from cosetx.groups import (MatrixGroup, TableGroup, cosets, elementary_subgroup,
-                           k0_degree_bounds, k0_order, ko_coset_codes,
+from cosetx.groups import (CosetPartition, MatrixGroup, TableGroup, cosets,
+                           elementary_subgroup, k0_degree_bounds, k0_entries,
+                           k0_order, ko_coset_codes,
                            ko_link_cosets, quotient,
                            reduction_kernel, rotate_rows, sl_group, sl_order,
                            subgroup_K, subgroup_closure_indices,
@@ -215,6 +216,19 @@ class TestSubgroupK:
         assert np.array_equal(coords @ [81, 9, 1], np.arange(729))
         assert np.array_equal(K0.elems[:, [0, 4, 8]], np.ones((729, 3)))
         assert not K0.elems[:, [3, 6, 7]].any()
+
+    @pytest.mark.parametrize("n,p,s,d", [(2, 2, 2, 1), (2, 3, 2, 1),
+                                         (3, 2, 2, 1), (3, 2, 3, 1),
+                                         (2, 5, 3, 1), (3, 3, 2, 1),
+                                         (2, 3, 3, 1)])
+    def test_k0_entries_are_the_tables_free_columns(self, n, p, s, d):
+        K0 = subgroup_K(n, p, s, d, 0)
+        # the table is listed on first access, not by subgroup_K
+        assert "elems" not in vars(K0)
+        cols = k0_entries(n, p, s, d)
+        assert cols.dtype == np.uint32 and cols.flags.c_contiguous
+        assert np.array_equal(
+            cols, K0.elems.T[(k0_degree_bounds(n, s, d) >= 0).ravel()])
 
     def test_cap_fails_before_enumerating(self):
         # 3^16 elements: the closed-form order trips the cap up front
@@ -461,6 +475,31 @@ class TestCosetsQuotients:
                                   np.searchsorted(part.reps, expect))
             seeded = cosets(G, sub, sub_generators=sub[::-1][:3])
             assert np.array_equal(seeded.labels, part.labels)
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (24, 5), (256, 256),
+                                     (257, 40), (600, 600)])
+    def test_from_keys_labels_each_class_by_its_least_index(self, n, k):
+        # keys in [0, k) against a dictionary of first occurrences; n = 256
+        # and 257 straddle uint8 labels, 600 keys give past 256 classes
+        keys = np.random.default_rng(n).integers(0, k, size=n)
+        least = {}
+        for a, key in enumerate(keys.tolist()):
+            least.setdefault(key, a)
+        labels = np.array([least[key] for key in keys.tolist()])
+        reps = np.array(sorted(least.values()))
+        G = TableGroup(np.add.outer(np.arange(n), np.arange(n)) % n,
+                       validate=False)
+        part = CosetPartition.from_keys(G, keys)
+        assert np.array_equal(part.labels, labels)
+        assert np.array_equal(part.reps, reps)
+        assert np.array_equal(part.ordinal, np.searchsorted(reps, labels))
+        # the narrowest unsigned dtypes that hold an index and an ordinal
+        assert part.labels.dtype == part.reps.dtype == np.min_scalar_type(n - 1)
+        assert part.ordinal.dtype == np.min_scalar_type(len(reps) - 1)
+        again = CosetPartition.from_labels(G, labels)
+        for name in ("labels", "reps", "ordinal"):
+            a, b = getattr(part, name), getattr(again, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_quotient_s4_by_a4(self):
         # the 3-cycles generate A_4, which is normal of index 2

@@ -717,6 +717,82 @@ def test_ko_link_report_lets_k0_go_before_the_solve(monkeypatch):
     assert held == [False]
 
 
+def test_ko_link_report_never_lists_k0(monkeypatch):
+    # K_0 is read through its closed-form entry columns: neither its
+    # element table nor the keys built from it ever exist
+    import cosetx.spectral as spectral_mod
+
+    make, made = spectral_mod.subgroup_K, []
+    monkeypatch.setattr(spectral_mod, "subgroup_K",
+                        lambda *a, **k: made.append(make(*a, **k)) or made[-1])
+    ko_link_report(3, 2, 3, 1, threshold=1.0)
+    assert len(made) == 1
+    assert not {"elems", "keys", "_index"} & set(vars(made[0]))
+
+
+def test_ko_link_report_peak_traced_memory():
+    # (3,3,2,1), |K_0| = 3^12: K_0's element table alone would be 32 MiB
+    # (86 MiB peak with it); the entry columns are 12 MiB
+    tracemalloc.start()
+    try:
+        ko_link_report(3, 3, 2, 1, threshold=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 55 << 20
+
+
+def test_ko_link_report_at_p11_peaks_under_250_mb():
+    # a fresh interpreter's VmHWM: 303 MB with K_0's 64 MB element table,
+    # |K_0| = 11^6 and 29,282 vertices
+    r, peak_mb = oracles.run_with_peak(
+        "from cosetx.spectral import ko_link_report\n"
+        "assert ko_link_report(2, 11, 2, 1).passed\n")
+    assert r.returncode == 0, r.stderr
+    assert peak_mb < 250
+
+
+def _codes_without_products(K0, d, j, entries):
+    """``groups.ko_coset_codes`` with the update g_ib += g_ia r deleted:
+    each class still holds |H| elements and the identity's class is H."""
+    from cosetx.groups import k0_degree_bounds, ko_intersection_bounds
+
+    m, ring = K0.m, K0.ring
+    D = k0_degree_bounds(m - 1, ring.s, d)
+    B = ko_intersection_bounds(m - 1, ring.s, d, j)
+    lows = (np.arange(ring.q) % ring.p ** (B[:, :, None] + 1)).astype(np.uint32)
+    g = dict(zip(zip(*np.nonzero(D >= 0)), entries))
+    for b in range(1, m):
+        for a in np.flatnonzero(B[:b, b] >= 0)[::-1]:
+            g[a, b] = (g[a, b] - lows[a, b].take(g[a, b])
+                       if B[a, b] < D[a, b] else None)
+    radix = (ring.p ** (D + 1)).ravel()
+    place = np.append(np.cumprod(radix[::-1])[-2::-1], 1).astype(np.uint32)
+    return sum((col * place[a * m + b] for (a, b), col in g.items()
+                if col is not None), np.zeros(K0.size, np.uint32))
+
+
+@pytest.mark.parametrize("params", [
+    (2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 2, 1), (3, 2, 3, 1), (2, 3, 3, 1),
+    (2, 5, 3, 1), (3, 3, 2, 1)], ids=str)
+def test_ko_link_report_catches_the_slip(params, monkeypatch):
+    # a reduction slip passes ko_link_cosets' class check with wrong
+    # partitions, whose walk is disconnected (4 to 125 components here):
+    # the report cannot pass
+    import cosetx.groups as groups_mod
+
+    calls = []
+    monkeypatch.setattr(groups_mod, "ko_coset_codes",
+                        lambda *a: calls.append(a[2]) or
+                        _codes_without_products(*a))
+    try:
+        rep = ko_link_report(*params, threshold=1.0)
+    except StructureError:
+        rep = None
+    assert calls
+    assert rep is None or not (rep.passed or rep.connected_ok)
+
+
 def test_ko_link_report_error_paths():
     # a graph's vertex links carry no walk, with or without a threshold
     with pytest.raises(ParameterError, match="need n >= 2"):
