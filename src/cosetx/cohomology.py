@@ -168,26 +168,32 @@ def parse_coefficients(spec: str) -> TableGroup:
 
 
 @dataclasses.dataclass(frozen=True)
-class Cochain0:
-    """Vertex labeling by Lambda indices, total on X(0)."""
+class _Cochain:
+    """Lambda indices, one per face of a fixed dimension (``kind``)."""
 
     lam: TableGroup
     values: np.ndarray
+    kind = "cochain"
 
     def __post_init__(self):
         object.__setattr__(self, "values",
                            np.asarray(self.values, dtype=np.int64))
         if self.values.ndim != 1:
-            raise InputError("0-cochain needs a flat value array")
+            raise InputError(f"{self.kind} needs a flat value array")
         if (self.values < 0).any() or (self.values >= self.lam.size).any():
-            raise InputError("0-cochain value out of range")
+            raise InputError(f"{self.kind} value out of range")
+
+
+class Cochain0(_Cochain):
+    """Vertex labeling by Lambda indices, total on X(0)."""
+
+    kind = "0-cochain"
 
     def __call__(self, v: int) -> int:
         return int(self.values[int(v)])
 
 
-@dataclasses.dataclass(frozen=True)
-class Cochain1:
+class Cochain1(_Cochain):
     """Edge labeling by Lambda indices, one value per unordered edge.
 
     values[i] is phi((u, v)) for the i-th row (u, v), u < v, of X.faces(1);
@@ -195,16 +201,7 @@ class Cochain1:
     construction.
     """
 
-    lam: TableGroup
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=np.int64))
-        if self.values.ndim != 1:
-            raise InputError("1-cochain needs a flat value array")
-        if (self.values < 0).any() or (self.values >= self.lam.size).any():
-            raise InputError("1-cochain value out of range")
+    kind = "1-cochain"
 
     def value(self, X: SimplicialComplex, u: int, v: int) -> int:
         """phi((u, v)) for an oriented edge, inverting when u > v."""

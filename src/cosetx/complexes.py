@@ -531,13 +531,19 @@ def coset_complex(G: FiniteGroup, subgroups: Sequence) -> SimplicialComplex:
 
 def left_translation_action(X: SimplicialComplex, G: FiniteGroup,
                             elements: Iterable[int]) -> list[np.ndarray]:
-    """Vertex permutations g.(hK_i) = (gh)K_i for each listed g."""
+    """Vertex permutations g.(hK_i) = (gh)K_i for each listed g, an
+    element index of the complex's own group G."""
     data = X.coset_data
     if data is None:
         raise InputError("complex does not carry coset structure")
+    if G is not data.partitions[0].group:
+        raise InputError("group is not the one the complex's cosets partition")
+    elements = [int(g) for g in elements]  # possibly a generator: read once
+    if any(not 0 <= g < G.size for g in elements):
+        raise InputError(f"group elements must lie in [0, {G.size})")
     out = []
     for g in elements:
-        lt = G.left_mult_table(int(g))
+        lt = G.left_mult_table(g)
         perm = np.empty(X.vertex_count, dtype=np.int64)
         for i, part in enumerate(data.partitions):
             lo = data.offsets[i]

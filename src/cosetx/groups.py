@@ -23,11 +23,12 @@ So each left coset g(K_0 n K_j) has a normal form, whose code
 by 1-D ``take``s on the flat q*q ring tables, with no element table,
 closure, key lookup or ``cosets()``.
 
-Index sets are boolean masks over [0, |G|), all grown by ``_close``: a
-BFS through right-multiplication tables (r[a] = a*g), for subgroups
-(``subgroup_closure_indices``), ``cosets()`` and the generating set of a
-table's associativity check.  N is normal when each generator's
-conjugation, the index map R_{g^-1}[L_g], carries N into N.
+The elements that index maps (r[a] = a*g) reach from the identity form
+its component (``component_labels``): the subgroup they generate, whose
+left cosets are the other components.  So one labelling answers
+``subgroup_closure_indices``, ``cosets()``, ``quotient``'s generation check
+and the generating set of a table's associativity check.  N is normal
+when each generator's conjugation, R_{g^-1}[L_g], carries N into N.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ class TableGroup(FiniteGroup):
             raise StructureError(f"element {np.argmax(bad)} lacks a unique "
                                  f"two-sided inverse")
         if validate:
+            if ((table < 0) | (table >= n)).any():
+                raise StructureError(f"table entries must lie in [0, {n})")
             _check_associative(table, ident)
         self.generators = list(generators) if generators is not None else \
             [i for i in range(n) if i != ident]
@@ -153,22 +156,25 @@ class TableGroup(FiniteGroup):
 
 def _check_associative(table: np.ndarray, ident: int) -> None:
     """Light's test: the g with (x*g)*y = x*(g*y) for all x, y are closed
-    under products, so checking a generating set suffices.  The set is
-    picked greedily through ``_close``; in a group each pick at least
-    doubles the reached subgroup, so needing more than log2(n) picks
-    proves the table, which has an identity and inverses, not associative.
+    under products, so checking a generating set suffices.  Each pick is
+    the least element outside the identity's component of the columns
+    x -> x*g picked so far, which must be permutations, as in a group; so
+    the component is the picks' closure under products, and in a group each
+    pick at least doubles it, so needing more than log2(n) picks proves
+    the table, which has an identity and inverses, not associative.
     """
     n = len(table)
-    reached = np.zeros(n, dtype=bool)
-    reached[ident] = True
+    idx = np.arange(n)
+    reached = idx == ident
     gens: list[int] = []
-    arrs: list[np.ndarray] = []
     while not reached.all():
         if 2 << len(gens) > n:
             raise StructureError("multiplication table is not associative")
         gens.append(int(np.argmin(reached)))
-        arrs.append(table[:, gens[-1]])
-        _close(reached, arrs, np.flatnonzero(reached), arrs[-1:])
+        if (np.bincount(table[:, gens[-1]], minlength=n) != 1).any():
+            raise StructureError("multiplication table is not associative")
+        labels = component_labels(n, [(idx, table[:, g]) for g in gens])
+        reached = labels == labels[ident]
     # [x, y]: (x*g)*y on the left, x*(g*y) on the right, a block of rows x
     # at a time and in int32, half the bytes to gather
     t = table.astype(np.int32)
@@ -347,22 +353,6 @@ def sl_order(m: int, p: int, s: int) -> int:
 # closures, cosets, quotients
 
 
-def _close(reached: np.ndarray, arrs: Sequence[np.ndarray],
-           frontier: np.ndarray, first: Sequence[np.ndarray] | None = None
-           ) -> int:
-    """Close the mask ``reached`` under the index maps ``arrs`` by BFS from
-    ``frontier``, its first layer mapped through ``first`` alone when given
-    (a set closed under the other maps); returns the number added."""
-    step, added = (arrs if first is None else first), 0
-    while len(frontier) and len(step):
-        img = np.concatenate([arr[frontier] for arr in step])
-        frontier = sorted_distinct(img[~reached[img]])
-        reached[frontier] = True
-        added += len(frontier)
-        step = arrs
-    return added
-
-
 _EDGE_BLOCK = 1 << 13
 
 
@@ -469,17 +459,16 @@ def cosets(G: FiniteGroup, sub_indices: Sequence[int],
     """Partition of G into left cosets g*K.
 
     The left cosets are the orbits of K acting on G by right
-    multiplication, so only the right tables of a generating set of K are
-    needed.  That set is derived here: starting from the identity, the
-    smallest element of K not reached yet becomes a generator, and the
-    reached set is closed by BFS over the right tables built so far, until
-    it holds |K| elements.  ``sub_generators`` (indices into G), when
-    given, are tried first.  Every reached element is a product of
-    generators, so one outside ``sub_indices`` proves K is not a subgroup,
-    and reaching |K| elements proves it is.  The cosets are the components
-    of the graph with the edges a - r[a] of those tables
+    multiplication, that is the components of the graph with the edges
+    a - r[a] of the right tables r of a generating set of K
     (``component_labels``), labelled by their smallest index, so the
-    labels do not depend on the generators chosen.
+    labels do not depend on the generators chosen.  The tables of
+    ``sub_generators`` (indices into G) are built first and labelled
+    once; while the identity's component, the subgroup they generate, is
+    smaller than K, the least element of K outside it adds its table and
+    the graph is labelled again, at least doubling the component.  An
+    element of that component outside ``sub_indices`` proves K is not a
+    subgroup, and a component of |K| elements proves it is.
     """
     sub = sorted_distinct(np.asarray(sub_indices, dtype=np.int64))
     if len(sub) == 0 or (sub < 0).any() or (sub >= G.size).any():
@@ -494,37 +483,32 @@ def cosets(G: FiniteGroup, sub_indices: Sequence[int],
         raise StructureError("subgroup generators must lie in the subgroup")
     if not in_sub[G.identity]:
         raise StructureError("claimed subgroup does not contain the identity")
-    reached = np.zeros(G.size, dtype=bool)
-    reached[G.identity] = True
-    n_reached = 1
-    arrs: list[np.ndarray] = []
-    candidates = itertools.chain(seeds, sub.tolist())
-    while n_reached < len(sub):
-        g = next(c for c in candidates if not reached[c])
-        arrs.append(G.right_mult_table(g))
-        # the reached set is a subgroup, closed under the old generators,
-        # so the first layer needs only the new one
-        n_reached += _close(reached, arrs, np.flatnonzero(reached), arrs[-1:])
+    idx = np.arange(G.size)
+    edges = [(idx, G.right_mult_table(g))
+             for g in dict.fromkeys(seeds) if g != G.identity]
+    while True:
+        labels = component_labels(G.size, edges)
+        reached = labels == labels[G.identity]
         if (reached & ~in_sub).any():
             raise StructureError(
                 "claimed subgroup is not closed under multiplication")
-    idx = np.arange(G.size)
-    return CosetPartition.from_labels(
-        G, component_labels(G.size, [(idx, arr) for arr in arrs]))
+        if np.count_nonzero(reached) == len(sub):
+            return CosetPartition.from_labels(G, labels)
+        g = int(sub[np.argmin(reached[sub])])
+        edges.append((idx, G.right_mult_table(g)))
 
 
 def subgroup_closure_indices(G: FiniteGroup, seed: Iterable[int]) -> np.ndarray:
-    """Indices of <seed> inside G, ascending: the identity closed under
-    the seeds' right tables (in a finite group the products of the seeds
-    are already closed under inverses)."""
+    """Indices of <seed> inside G, ascending: the identity's component
+    under the seeds' right tables (in a finite group the products of the
+    seeds are already closed under inverses)."""
     seed = sorted_distinct(np.fromiter(seed, dtype=np.int64))
     if ((seed < 0) | (seed >= G.size)).any():
         raise StructureError("seed indices out of range")
-    reached = np.zeros(G.size, dtype=bool)
-    reached[G.identity] = True
-    _close(reached, [G.right_mult_table(int(g)) for g in seed],
-           np.array([G.identity]))
-    return np.flatnonzero(reached)
+    idx = np.arange(G.size)
+    labels = component_labels(
+        G.size, [(idx, G.right_mult_table(int(g))) for g in seed])
+    return np.flatnonzero(labels == labels[G.identity])
 
 
 def quotient(G: FiniteGroup, normal_indices: Sequence[int]
@@ -533,14 +517,15 @@ def quotient(G: FiniteGroup, normal_indices: Sequence[int]
 
     ``cosets()`` verifies that N is a subgroup, and N is normal when
     conjugation by each generator g of G, the index map R_{g^-1}[L_g],
-    carries N into N; the left tables L_g must close the identity to G.
+    carries N into N; the left tables L_g must connect G, one component.
     """
     N = sorted_distinct(np.asarray(normal_indices, dtype=np.int64))
     part = cosets(G, N)
     in_n = part.labels == part.labels[G.identity]
     lefts = [G.left_mult_table(g) for g in G.generators]
-    if _close(np.arange(G.size) == G.identity, lefts,
-              np.array([G.identity])) < G.size - 1:
+    idx = np.arange(G.size)
+    # one component: every element is labelled 0, the least index
+    if component_labels(G.size, [(idx, left) for left in lefts]).any():
         raise StructureError("the generators of G do not generate it")
     for g, left in zip(G.generators, lefts):
         if not in_n[G.right_mult_table(G.inverse(g))[left][N]].all():

@@ -196,12 +196,17 @@ def test_sym_is_the_symmetric_group(k):
 
 def test_cochain_validation():
     lam = zmod(3)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^0-cochain value out of range$"):
         Cochain0(lam, np.array([0, 3]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^0-cochain needs a flat value array$"):
         Cochain0(lam, np.zeros((2, 2), dtype=np.int64))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^1-cochain value out of range$"):
         Cochain1(lam, np.array([-1, 0]))
+    with pytest.raises(InputError, match="^1-cochain needs a flat value array$"):
+        Cochain1(lam, np.zeros((2, 2), dtype=np.int64))
+    phi = Cochain0(lam, [1, 2])
+    assert phi.values.dtype == np.int64 and phi(1) == 2
+    assert repr(phi).startswith("Cochain0(lam=")
 
 
 def test_cochain1_orientation_inverts():

@@ -334,6 +334,23 @@ class TestQuotients:
             mapped = {tuple(sorted(perm[list(f)])) for f in mf}
             assert mapped == mf
 
+    def test_translation_action_checks_its_inputs(self):
+        from cosetx.cohomology import zmod
+        G, subs, X = self._hexagon()
+        # -1 is not element 5, and 6 is no element of S_3
+        for bad in ([-1], [G.size], [0, G.size + 3]):
+            with pytest.raises(InputError, match=r"\[0, 6\)"):
+                left_translation_action(X, G, bad)
+        # another group's elements would index the partitions wrongly
+        for other in (symmetric_group(3), symmetric_group(4), zmod(6)):
+            with pytest.raises(InputError, match="group"):
+                left_translation_action(X, other, [1])
+        # a generator is read once: every element gets its permutation
+        perms = left_translation_action(X, G, (g for g in range(G.size)))
+        assert len(perms) == G.size
+        assert all(sorted(perm.tolist()) == list(range(X.vertex_count))
+                   for perm in perms)
+
     def test_quotient_of_hexagon_by_rotation(self):
         G, subs, X = self._hexagon()
         a3 = subgroup_closure_indices(G, [_sym_index(3, (1, 2, 0))])

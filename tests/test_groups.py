@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ from cosetx.groups import (CosetPartition, MatrixGroup, TableGroup, cosets,
 from cosetx.ring import TruncPoly
 from oracles import MatElement, commutator, elementary, make_poly, one_poly
 from oracles import bfs_closure_group as bfs_closure
+
+
+_GROUPS = {}
+
+
+def _cached(name, build):
+    """A group built once per session, for tests that draw many examples."""
+    if name not in _GROUPS:
+        _GROUPS[name] = build()
+    return _GROUPS[name]
 
 
 def rand_mat(rng, m, p, s):
@@ -335,6 +346,22 @@ class TestGroupInterface:
         z5 = np.add.outer(np.arange(5), np.arange(5)) % 5
         assert TableGroup(z5).identity == 0
 
+    def test_table_group_rejects_a_column_that_is_not_a_permutation(self):
+        # identity 0, every element its own unique two-sided inverse, but
+        # column 1 maps both 0 and 2 to 1: no group table does that
+        t = np.array([[0, 1, 2, 3],
+                      [1, 0, 3, 2],
+                      [2, 1, 0, 3],
+                      [3, 2, 1, 0]])
+        assert TableGroup(t, validate=False).inv.tolist() == [0, 1, 2, 3]
+        with pytest.raises(StructureError, match="not associative"):
+            TableGroup(t)
+        # an entry outside [0, 4) is no element
+        for bad in (-1, 4):
+            t[2, 1] = bad
+            with pytest.raises(StructureError, match=r"\[0, 4\)"):
+                TableGroup(t)
+
     def test_table_group_checks_associativity_at_every_order(self):
         # Z/300 with one intercalate swapped: rows 1 and 151 meet columns
         # 2 and 152 in {3, 153}.  Still a Latin square with identity 0 and
@@ -476,6 +503,33 @@ class TestCosetsQuotients:
             seeded = cosets(G, sub, sub_generators=sub[::-1][:3])
             assert np.array_equal(seeded.labels, part.labels)
 
+    def test_cosets_labels_do_not_depend_on_the_seeds(self):
+        G = subgroup_K(2, 3, 2, 1, 0)
+        sub = np.flatnonzero(subgroup_K(2, 3, 2, 1, 1).lookup_rows(G.elems) >= 0)
+        want = cosets(G, sub)
+        g = int(sub[-1])
+        for seeds in ([g], sub[-2:], sub, [g, g, g], [G.identity],
+                      [G.identity, g, G.identity]):
+            got = cosets(G, sub, sub_generators=seeds)
+            for name in ("labels", "reps", "ordinal"):
+                a, b = getattr(want, name), getattr(got, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_ko_build_labels_its_seeded_cosets_once(self, monkeypatch):
+        # K_0's generators generate it: their 4 right tables, one labelling
+        import cosetx.groups as groups
+        from cosetx.complexes import build_ko_complex
+
+        tables, labelled = [], []
+        table, label = MatrixGroup.right_mult_table, groups.component_labels
+        monkeypatch.setattr(MatrixGroup, "right_mult_table",
+                            lambda G, b: tables.append(b) or table(G, b))
+        monkeypatch.setattr(groups, "component_labels",
+                            lambda *a: labelled.append(a[0]) or label(*a))
+        X = build_ko_complex(2, 2, 2, 1)
+        assert len(tables) == 4
+        assert labelled == [X.coset_data.partitions[0].group.size]
+
     @pytest.mark.parametrize("n,k", [(1, 1), (24, 5), (256, 256),
                                      (257, 40), (600, 600)])
     def test_from_keys_labels_each_class_by_its_least_index(self, n, k):
@@ -577,6 +631,46 @@ class TestSetOracles:
         assert G.size in sizes and len(sizes) > 2
         with pytest.raises(StructureError):
             subgroup_closure_indices(G, [G.size])
+
+    CLOSURE_GROUPS = {"sym4": lambda: symmetric_group(4),
+                      "sym5": lambda: symmetric_group(5),
+                      "sl_1_3_2": lambda: sl_group(1, 3, 2)}
+
+    @given(name=st.sampled_from(sorted(CLOSURE_GROUPS)), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_subgroup_closure_matches_set_closure_on_random_seeds(self, name,
+                                                                 data):
+        G = _cached(name, self.CLOSURE_GROUPS[name])
+        seed = data.draw(st.lists(st.integers(0, G.size - 1), max_size=3))
+        assert np.array_equal(subgroup_closure_indices(G, seed),
+                              oracles.set_subgroup_closure(G, seed))
+
+    @given(m=st.integers(1, 4096), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_subgroup_closure_matches_set_closure_in_zmod(self, m, data):
+        from cosetx.cohomology import zmod
+        G = zmod(m)
+        # a single generator coprime to m closes in m layers, one per element
+        g = data.draw(st.integers(0, m - 1))
+        for seed in ([g], [math.gcd(g, m) % m, (m - 1) * g % m],
+                     data.draw(st.lists(st.integers(0, m - 1), max_size=3))):
+            got = subgroup_closure_indices(G, seed)
+            assert np.array_equal(got, oracles.set_subgroup_closure(G, seed))
+            assert len(got) == m // math.gcd(m, *seed)
+
+    def test_subgroup_closure_of_long_cycles(self):
+        from cosetx.cohomology import zmod
+        G = zmod(4096)
+        for seed, size in (([1], 4096), ([3], 4096), ([2], 2048),
+                           ([2048, 3072], 4)):
+            got = subgroup_closure_indices(G, seed)
+            assert len(got) == size
+            assert np.array_equal(got, oracles.set_subgroup_closure(G, seed))
+        # the 5-cycle i -> i+1 in Sym(5)
+        G = symmetric_group(5)
+        got = subgroup_closure_indices(G, G.generators[1:])
+        assert len(got) == 5 and np.array_equal(
+            got, oracles.set_subgroup_closure(G, G.generators[1:]))
 
     @pytest.mark.parametrize("args", [(2, 2, 2, 1), (1, 2, 4, 2),
                                       (2, 2, 3, 1), (2, 3, 3, 2)])
