@@ -9,9 +9,10 @@ function needs.  Weights are exact rationals throughout.
 Connectivity is one routine, ``groups.component_labels``: a complex
 caches the root count of its 1-skeleton's labels as ``component_count``,
 which ``spectral.walk_matrix`` and ``cohomology`` read, and
-``spectral.coset_walk`` counts the roots of its edges' labels.  The one
-spanning forest, which only the tree gauge of H^1 reads, is the cached
-BFS of ``spanning_forest``, whose order contract ``bfs_forest`` states.
+``spectral.coset_walk`` counts the roots of the labels of the edges it
+reads off its colour blocks.  The one spanning forest, which only the
+tree gauge of H^1 reads, is the cached BFS of ``spanning_forest``, whose
+order contract ``bfs_forest`` states.
 
 Coset complexes are built from the group orbit of the base chamber
 {K_0, ..., K_n}: every face with pairwise intersecting cosets lies in some

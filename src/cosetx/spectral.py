@@ -15,6 +15,14 @@ conjugates onto the color-i one; its walk comes from coset partitions
 (``coset_walk``), with no complex, every other walk from face tables
 (``walk_matrix``).  Both count components with ``groups.component_labels``
 and build no spanning forest.
+
+The symmetric form that Lanczos multiplies by is per-row neighbour
+tables grouped by degree (``SymmetricForm``), each row's terms in the
+order of the walk's lex-sorted edges, so the floats do not depend on the
+builder.  ``coset_walk`` builds one group per colour from its colour
+blocks, which are regular (|H_i|/|H_i n H_j| neighbours of colour j at
+every colour-i vertex, each edge with count |H_i n H_j|/c) and so carry
+one value each.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import numpy as np
 # for the import
 import numpy.random  # noqa: F401
 
+from ._kernels.common import stable_order
 from .complexes import SimplicialComplex, coset_vertices, link
 from .errors import (DEFAULT_CAP, InputError, NumericalError, ParameterError,
                      ResourceLimitError, StructureError)
@@ -48,28 +57,48 @@ _NEGLIGIBLE = 1e-15
 
 @dataclasses.dataclass(frozen=True)
 class SymmetricForm:
-    """A symmetric V x V matrix by its nonzero entries, both triangles.
+    """A symmetric V x V matrix as neighbour tables, rows grouped by degree.
 
-    ``S @ x`` is one ``bincount``: entry k adds vals[k] * x[cols[k]] to
-    row rows[k].  The products are formed in place in the gathered
-    x[cols]: one temporary of the entries' size.
+    A group of n rows of degree deg is a triple: the row ids (a slice or
+    an index array), an intp (deg, n) table whose column t lists the
+    neighbours of row t, and their values, a (deg, 1) column, one value
+    per colour block, or a (deg, n) array.  ``S @ x`` is, per group, the
+    gather x[table] times the values, summed down the columns from 0.0.
+    A column lists its row's entries in the order in which a
+    ``bincount`` over the entries (u, v) and then (v, u) of the walk's
+    edges adds them: the edges with the row as u, in edge order, then
+    those with it as v, in edge order.  So every row adds the same floats
+    in the same order, and ``S @ x`` equals that ``bincount`` bit for bit.
     """
 
     size: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    groups: tuple
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        terms = x.take(self.cols)
-        terms *= self.vals
-        return np.bincount(self.rows, weights=terms, minlength=self.size)
+        out = np.empty(self.size)
+        for rows, table, values in self.groups:
+            terms = x.take(table)
+            terms *= values
+            out[rows] = np.add.reduce(terms, axis=0, initial=0.0)
+        return out
+
+
+def _group(rows, table: np.ndarray, values: np.ndarray) -> tuple:
+    """One group of a ``SymmetricForm``.  numpy sums a one-column table
+    pairwise, but two or more columns row by row, so a lone row is listed
+    twice; its values are one column, which broadcasts."""
+    if table.shape[1] == 1:
+        if isinstance(rows, slice):
+            rows = np.arange(rows.start, rows.stop)
+        rows, table = rows.repeat(2), table.repeat(2, axis=1)
+    return rows, table, values
 
 
 @dataclasses.dataclass(frozen=True)
 class WalkMatrix:
     """Reversible walk on a weighted 1-skeleton.
 
+    ``edges`` lists each edge once as (u, v), u < v, in lex order.
     ``edge_counts[e]`` is the number of maximal faces containing edge e and
     ``strength[v]`` the sum over edges at v, so the transition probability
     u -> v is edge_counts(uv)/strength(u).  Detailed balance holds with
@@ -81,29 +110,71 @@ class WalkMatrix:
     edges: np.ndarray
     edge_counts: np.ndarray
     strength: np.ndarray
+    _form: SymmetricForm = dataclasses.field(repr=False, compare=False)
 
     def symmetric(self) -> SymmetricForm:
         """D^{1/2} P D^{-1/2}; same spectrum, symmetric.
 
-        Built once per walk; every call returns the same form.
+        Entry (u, v) is edge_counts(uv) / (sqrt(strength(u)) *
+        sqrt(strength(v))).  Its neighbour tables are built once, with the
+        walk, from the data its builder holds: ``walk_matrix`` groups rows
+        by degree from the lex-sorted edges, ``coset_walk`` by colour
+        block, with one value per block.  Every call returns that form.
         """
-        return self._symmetric
-
-    @functools.cached_property
-    def _symmetric(self) -> SymmetricForm:
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        root = np.sqrt(self.strength.astype(np.float64))
-        val = self.edge_counts / (root[u] * root[v])
-        return SymmetricForm(self.vertex_count, np.concatenate([u, v]),
-                             np.concatenate([v, u]),
-                             np.concatenate([val, val]))
+        return self._form
 
 
-def _connected_walk(V: int, edges, counts, strength, nc: int) -> WalkMatrix:
-    """The tail of both walk builders: the connectivity check."""
+def _check_connected(nc: int) -> None:
     if nc != 1:
         raise StructureError(f"1-skeleton is disconnected ({nc} components)")
-    return WalkMatrix(V, edges, counts, strength)
+
+
+def _edge_form(V: int, edges: np.ndarray, vals: np.ndarray) -> SymmetricForm:
+    """The neighbour tables of lex-sorted edges u < v, one value each.
+
+    Rows are grouped by ascending degree, ascending ids within a group,
+    and the groups' tables are consecutive pieces of one buffer of 2E
+    slots, so row r's entry in slot s sits at base[r] + s * n[r], n[r]
+    the row count of r's group.  The edges with r as u are a run of the
+    lex order and fill slots 0, 1, ... in that order; those with r as v
+    fill the next slots in the stable order of the v column.
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    E = len(u)
+    up, down = np.bincount(u, minlength=V), np.bincount(v, minlength=V)
+    degree = up + down
+    by_degree = stable_order(degree)
+    degree = degree.take(by_degree)
+    starts = np.flatnonzero(np.diff(degree, prepend=-1))
+    sizes = np.diff(starts, append=V)
+    degrees = degree.take(starts)
+    ends = np.cumsum(degrees * sizes)
+    base, n = np.empty(V, dtype=np.intp), np.empty(V, dtype=np.intp)
+    base[by_degree] = np.arange(V) + np.repeat(ends - degrees * sizes - starts,
+                                               sizes)
+    n[by_degree] = np.repeat(sizes, sizes)
+    table, value = np.empty(2 * E, dtype=np.intp), np.empty(2 * E)
+    # edge e is slot e - first_u[u] of row u: at base[u] + that * n[u]
+    slot = np.arange(E)
+    slot *= n.take(u)
+    slot += (base - (np.cumsum(up) - up) * n).take(u)
+    table[slot] = v
+    value[slot] = vals
+    # position q of the v column's stable order is slot up[v] + q -
+    # first_v[v] of row v
+    order = stable_order(v)
+    at = v.take(order)
+    slot = np.arange(E)
+    slot *= n.take(at)
+    slot += (base + (up - np.cumsum(down) + down) * n).take(at)
+    table[slot] = u.take(order)
+    value[slot] = vals.take(order)
+    del slot, order, at
+    return SymmetricForm(V, tuple(
+        _group(by_degree[lo:lo + m], table[hi - d * m:hi].reshape(d, m),
+               value[hi - d * m:hi].reshape(d, m))
+        for lo, m, d, hi in zip(starts.tolist(), sizes.tolist(),
+                                degrees.tolist(), ends.tolist())))
 
 
 def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
@@ -118,10 +189,13 @@ def walk_matrix(X: SimplicialComplex) -> WalkMatrix:
     """
     if X.n < 1:
         raise ParameterError("a 0-dimensional complex has no 1-skeleton walk")
-    return _connected_walk(X.vertex_count, X.faces(1),
-                           X.containment_counts(1).astype(np.int64),
-                           X.n * X.containment_counts(0).astype(np.int64),
-                           X.component_count())
+    _check_connected(X.component_count())
+    V, edges = X.vertex_count, X.faces(1)
+    counts = X.containment_counts(1).astype(np.int64)
+    strength = X.n * X.containment_counts(0).astype(np.int64)
+    root = np.sqrt(strength.astype(np.float64))
+    vals = counts / (root[edges[:, 0]] * root[edges[:, 1]])
+    return WalkMatrix(V, edges, counts, strength, _edge_form(V, edges, vals))
 
 
 def coset_walk(G: FiniteGroup, subgroups: Sequence) -> WalkMatrix:
@@ -129,12 +203,25 @@ def coset_walk(G: FiniteGroup, subgroups: Sequence) -> WalkMatrix:
 
     g's chamber (``coset_vertices``) is shared by c = |n_i K_i| elements,
     so an edge's count is the number of elements whose chamber holds both
-    ends, over c (a remainder raises InputError): the runs of the
-    C(k, 2)|G| pair keys u << b | v, b the bit length of V - 1, in the
-    narrowest unsigned dtype that holds them and sorted in place.  A
-    colour-i vertex's strength is (k - 1)|K_i|/c, and the roots of
-    ``component_labels`` count the components.  Arrays and dtypes equal
-    ``walk_matrix``'s.
+    ends, over c: the run of its key among the |G| keys u << b | v of its
+    colour pair (i, j), b the bit length of V - 1, in the narrowest
+    unsigned dtype that holds them, each pair's keys sorted in place on
+    their own.  The walk is block-regular.  The edges of colours (i, j)
+    are the cosets of H_i n H_j, so each has count |H_i n H_j|/c, and
+    every colour-i vertex has |H_i|/|H_i n H_j| neighbours of colour j.
+    So the runs of a block have one length, a multiple of c, and its
+    distinct keys, reshaped to (n_i, d_ij), list each colour-i vertex's
+    colour-j neighbours in ascending order; re-keyed v << b | u and
+    sorted again, they list the colour-j side.  A block that breaks
+    either fact raises InputError, which the cosets of subgroups never do.
+
+    Colour i's rows are one group of the symmetric form.  Its table lists
+    the blocks of colours j > i, then those of colours j < i, which is
+    the order ``walk_matrix`` gives a row's entries, and it has one value
+    per block, count / (root_i * root_j), the float ``walk_matrix``
+    computes.  A colour-i vertex's strength is (k - 1)|K_i|/c, the roots
+    of ``component_labels`` count the components, and edges, counts and
+    strength equal ``walk_matrix``'s arrays, dtypes and lex order.
     """
     parts, offsets = coset_vertices(G, subgroups)
     k, V, N, sizes = len(parts), int(offsets[-1]), G.size, np.diff(offsets)
@@ -142,28 +229,82 @@ def coset_walk(G: FiniteGroup, subgroups: Sequence) -> WalkMatrix:
         [part.ordinal == part.ordinal[G.identity] for part in parts]).sum())
     b = (V - 1).bit_length()
     dtype = np.min_scalar_type((1 << 2 * b) - 1)
-    keys = np.empty((k * (k - 1) // 2, N), dtype=dtype)
-    for row, ((o, u), (w, v)) in zip(keys, itertools.combinations(
-            zip(offsets.tolist(), parts), 2)):
+    starts = offsets.tolist()
+    # blocks[i]: (j, count, the (n_i, d_ij) colour-j neighbours), in any order
+    blocks: list = [[] for _ in range(k)]
+
+    def add_block(keys, i, j, count):
+        # sorted distinct keys r << b | w, r of colour i and w of colour j
+        d, rest = divmod(len(keys), int(sizes[i]))
+        ids = np.arange(starts[i], starts[i + 1])
+        if rest or not d or not (np.array_equal(keys[::d] >> b, ids) and
+                                 np.array_equal(keys[d - 1::d] >> b, ids)):
+            raise InputError(f"colour-{i} vertices have unequal numbers of "
+                             f"colour-{j} neighbours")
+        blocks[i].append((j, count, (keys & (1 << b) - 1).reshape(-1, d)))
+
+    for (i, u), (j, v) in itertools.combinations(enumerate(parts), 2):
         # (o + u) << b | (w + v) is (u << b) + v + (o << b) + w: w + v < 2**b
-        np.left_shift(u.ordinal, b, out=row, dtype=dtype)
-        row += v.ordinal
-        row += (o << b) + w
-    keys = keys.reshape(-1)
-    keys.sort()
-    fresh = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    first = np.flatnonzero(fresh)
-    counts, rest = np.divmod(np.diff(np.append(first, len(keys))), c)
-    if rest.any():  # never for the cosets of subgroups
-        raise InputError(f"an edge count is not a multiple of {c}")
-    keys = keys.take(first)
-    edges = np.stack([keys >> b, keys & (1 << b) - 1], axis=1, dtype=np.int64)
-    del keys, fresh, first, rest  # not held through the count
-    strength = np.repeat((k - 1) * (N // (sizes * c)), sizes)
+        keys = np.left_shift(u.ordinal, b, dtype=dtype)
+        keys += v.ordinal
+        keys += (starts[i] << b) + starts[j]
+        keys.sort()
+        # the pieces of r keys, r the first run's length, are the runs
+        # when each piece is constant and neighbouring pieces differ
+        r = int(np.searchsorted(keys, keys[0], side="right"))
+        runs = keys[:len(keys) // r * r].reshape(-1, r)
+        if (len(keys) % r or r % c  # never for the cosets of subgroups
+                or not np.array_equal(runs[:, 0], runs[:, -1])
+                or not (runs[1:, 0] != runs[:-1, -1]).all()):
+            raise InputError(f"the edge counts of colours {i} and {j} "
+                             f"differ or are not multiples of {c}")
+        keys, count = np.ascontiguousarray(runs[:, 0]), r // c
+        del runs
+        add_block(keys, i, j, count)
+        # the same edges keyed v << b | u, in place
+        swapped = keys >> b
+        keys &= (1 << b) - 1
+        keys <<= b
+        keys |= swapped
+        del swapped
+        keys.sort()
+        add_block(keys, j, i, count)
+        del keys
+    strength = (k - 1) * (N // (sizes * c))
+    root = np.sqrt(strength.astype(np.float64))
+    groups, up_sides = [], []
+    for i in range(k):
+        # colours j > i, then j < i: the order of a row's entries
+        held = sorted(blocks[i], key=lambda blk: (blk[0] < i, blk[0]))
+        blocks[i] = None
+        degs = [t.shape[1] for _, _, t in held]
+        table = np.empty((sum(degs), int(sizes[i])), dtype=np.intp)
+        np.concatenate([t.T for _, _, t in held], out=table)
+        vals = np.repeat([cnt / (root[i] * root[j]) for j, cnt, _ in held],
+                         degs)
+        groups.append(_group(slice(starts[i], starts[i + 1]), table,
+                             vals[:, None]))
+        up = sum(d for (j, _, _), d in zip(held, degs) if j > i)
+        up_sides.append((table[:up].T, np.repeat(
+            [cnt for _, cnt, _ in held], degs)[:up]))
+        del held
+    # the edges at their u ends, colour by colour: lex order
+    E = sum(side.size for side, _ in up_sides)
+    edges = np.empty((E, 2), dtype=np.int64)
+    counts = np.empty(E, dtype=np.int64)
+    lo = 0
+    for o, (side, cnt) in zip(starts, up_sides):
+        n, up = side.shape
+        pair = edges[lo:lo + side.size].reshape(n, up, 2)
+        pair[..., 0] = np.arange(o, o + n)[:, None]
+        pair[..., 1] = side
+        counts[lo:lo + side.size].reshape(n, up)[...] = cnt
+        lo += side.size
+    del up_sides, pair, side
     labels = component_labels(V, [(edges[:, 0], edges[:, 1])])
-    return _connected_walk(V, edges, counts, strength,
-                           int(np.count_nonzero(labels == np.arange(V))))
+    _check_connected(int(np.count_nonzero(labels == np.arange(V))))
+    return WalkMatrix(V, edges, counts, np.repeat(strength, sizes),
+                      SymmetricForm(V, tuple(groups)))
 
 
 # ---------------------------------------------------------------------------

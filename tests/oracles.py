@@ -1528,6 +1528,24 @@ def walk_transition(M):
     return P
 
 
+def symmetric_entries(M):
+    """(rows, cols, vals) of D^{1/2} P D^{-1/2} for a
+    ``spectral.WalkMatrix``, both triangles, from its edges, counts and
+    strength alone: the entries (u, v) of every edge, then its (v, u)."""
+    u, v = M.edges[:, 0], M.edges[:, 1]
+    root = np.sqrt(M.strength.astype(np.float64))
+    val = M.edge_counts / (root[u] * root[v])
+    return (np.concatenate([u, v]), np.concatenate([v, u]),
+            np.concatenate([val, val]))
+
+
+def bincount_product(M, x):
+    """S @ x as one ``np.bincount`` over ``symmetric_entries``: each row
+    adds its terms from 0.0 in entry order."""
+    rows, cols, vals = symmetric_entries(M)
+    return np.bincount(rows, weights=x[cols] * vals, minlength=M.vertex_count)
+
+
 def stationary_exact(M):
     """The stationary distribution of a ``spectral.WalkMatrix`` as
     fractions: vertex strength over total strength."""

@@ -35,13 +35,14 @@ from cosetx.complexes import (
 )
 from cosetx.errors import (
     DEFAULT_CAP,
+    InputError,
     NumericalError,
     ParameterError,
     ResourceLimitError,
     StructureError,
 )
-from cosetx.groups import (component_labels, cosets, subgroup_closure_indices,
-                           symmetric_group)
+from cosetx.groups import (CosetPartition, component_labels, cosets,
+                           subgroup_closure_indices, symmetric_group)
 from cosetx.roots import perm_rank
 from cosetx.spectral import (
     _finish_report,
@@ -87,6 +88,41 @@ def test_symmetric_form_has_same_spectrum():
     dense = np.column_stack([S @ e for e in np.eye(M.vertex_count)])
     vals_s = np.sort(np.linalg.eigvalsh(dense))
     assert np.allclose(vals_p, vals_s)
+
+
+def _cone_over_cycle(m):
+    # the apex has degree m, every other vertex degree 3
+    return SimplicialComplex(2, m + 1, [sorted([i, (i + 1) % m, m])
+                                        for i in range(m)])
+
+
+def _product_walks():
+    """Walks whose forms have several degree groups, lone rows included,
+    and the KO link walks through both builders."""
+    for name, make in [("torus-7", fx.torus_7),
+                       ("petersen", fx.petersen_graph),
+                       ("cycle-9", lambda: fx.cycle_complex(9)),
+                       ("K7", lambda: fx.complete_graph(7)),
+                       ("cone-40", lambda: _cone_over_cycle(40)),
+                       ("ko-2-2-2-1", lambda: build_ko_complex(2, 2, 2, 1))]:
+        yield name, walk_matrix(make())
+    for params in COSET_WALK_LINKS:
+        L = ko_vertex_link(*params)
+        parts = L.coset_data.partitions
+        yield f"complex-{params}", walk_matrix(L)
+        yield f"cosets-{params}", coset_walk(parts[0].group, parts)
+
+
+def test_symmetric_form_product_is_the_bincount_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for name, M in _product_walks():
+        V = M.vertex_count
+        for x in (*rng.standard_normal((3, V)),
+                  rng.choice([0.0, -0.0, 1.0, -2.5], size=V),
+                  np.full(V, -0.0)):
+            got = (M.symmetric() @ x).view(np.int64)
+            want = oracles.bincount_product(M, x).view(np.int64)
+            assert np.array_equal(got, want), name
 
 
 def test_walk_matrix_validation():
@@ -351,8 +387,9 @@ def _arpack_second(M):
     """lambda_2 by scipy's ARPACK, the test-only oracle for the solver."""
     sparse = pytest.importorskip("scipy.sparse")
     linalg = pytest.importorskip("scipy.sparse.linalg")
-    S, V = M.symmetric(), M.vertex_count
-    A = sparse.coo_matrix((S.vals, (S.rows, S.cols)), shape=(V, V)).tocsr()
+    V = M.vertex_count
+    rows, cols, vals = oracles.symmetric_entries(M)
+    A = sparse.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
     v0 = np.random.default_rng(0).standard_normal(V)
     vals = linalg.eigsh(A, k=2, which="LA", tol=0, v0=v0,
                         return_eigenvectors=False)
@@ -431,8 +468,9 @@ def test_second_eigenvalue_validation():
     heavy = dataclasses.replace(tiny, edge_counts=tiny.edge_counts * 5,
                                 strength=tiny.strength * 5)
     assert second_eigenvalue(heavy) == -1.0
-    M1 = tiny.__class__(1, tiny.edges[:0], tiny.edge_counts[:0],
-                        tiny.strength[:1])
+    M1 = dataclasses.replace(tiny, vertex_count=1, edges=tiny.edges[:0],
+                             edge_counts=tiny.edge_counts[:0],
+                             strength=tiny.strength[:1])
     with pytest.raises(ParameterError):
         second_eigenvalue(M1)
 
@@ -732,24 +770,26 @@ def test_ko_link_report_never_lists_k0(monkeypatch):
 
 def test_ko_link_report_peak_traced_memory():
     # (3,3,2,1), |K_0| = 3^12: K_0's element table alone would be 32 MiB
-    # (86 MiB peak with it); the entry columns are 12 MiB
+    # (86 MiB peak with it); the entry columns are 12 MiB, and the traced
+    # peak is 29.9 MiB
     tracemalloc.start()
     try:
         ko_link_report(3, 3, 2, 1, threshold=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 55 << 20
+    assert peak < 35 << 20
 
 
-def test_ko_link_report_at_p11_peaks_under_250_mb():
+def test_ko_link_report_at_p11_peaks_under_185_mb():
     # a fresh interpreter's VmHWM: 303 MB with K_0's 64 MB element table,
-    # |K_0| = 11^6 and 29,282 vertices
+    # |K_0| = 11^6 and 29,282 vertices; 215 MB with the int64 entries of
+    # both triangles, 154 MB with neighbour tables by colour block
     r, peak_mb = oracles.run_with_peak(
         "from cosetx.spectral import ko_link_report\n"
         "assert ko_link_report(2, 11, 2, 1).passed\n")
     assert r.returncode == 0, r.stderr
-    assert peak_mb < 250
+    assert peak_mb < 185
 
 
 def _codes_without_products(K0, d, j, entries):
@@ -847,6 +887,18 @@ def test_coset_walk_divides_by_the_chamber_stabiliser():
     M = coset_walk(G, subs)
     _assert_same_walk(M, walk_matrix(X))
     assert second_eigenvalue(M) == second_eigenvalue(walk_matrix(X))
+
+
+@pytest.mark.parametrize("sub", [[(1, 0, 2, 3)], [(0, 1, 2, 3)]],
+                         ids=["order-2", "trivial"])
+def test_coset_walk_refuses_classes_of_unequal_size(sub):
+    # classes of 1 and 23 elements against cosets of <(01)>: edge counts 1
+    # and 2; against the trivial cosets: 1 and 23 neighbours
+    G = symmetric_group(4)
+    lopsided = CosetPartition.from_labels(G, np.array([0] + [1] * 23))
+    H = cosets(G, subgroup_closure_indices(G, perm_rank(sub)))
+    with pytest.raises(InputError):
+        coset_walk(G, [lopsided, H])
 
 
 def test_coset_walk_of_disconnected_partitions_solves_nothing():
